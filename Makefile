@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test lint bench bench-smoke bench-json feed-bench-json fault-matrix profile-smoke typecheck-smoke stream-smoke load-smoke feed-smoke bench-trace fuzz-short
+.PHONY: check build vet test lint bench-build bench bench-smoke bench-json feed-bench-json fault-matrix profile-smoke typecheck-smoke stream-smoke load-smoke feed-smoke bench-trace fuzz-short
 
-check: build vet test lint fuzz-short fault-matrix bench-smoke profile-smoke typecheck-smoke stream-smoke load-smoke feed-smoke
+check: build vet test lint bench-build fuzz-short fault-matrix bench-smoke profile-smoke typecheck-smoke stream-smoke load-smoke feed-smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ test:
 
 lint:
 	$(GO) run ./cmd/yat-lint ./...
+
+# bench/ is a module of its own (BENCHMARK.json's benchmark), so `./...`
+# above never enters it: vet and test it here, or an engine API change
+# breaks the benchmark without tier-1 noticing.
+bench-build:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # A short fuzzing pass over the XQuery-FLWR parser: crash-freedom plus the
 # parse/print/re-parse fixpoint property, seeded by the checked-in corpus.
@@ -36,7 +43,7 @@ bench-smoke:
 fault-matrix:
 	$(GO) test -race -run 'TestFaultMatrix|TestOnePercentFaultRate|TestAllowPartial|TestBreaker' ./internal/mediator ./internal/wire ./internal/faults
 
-# Machine-readable Fig. 9 Q2 measurements (per-row vs batched vs traced vs
+# Machine-readable Fig. 9 Q2 measurements (per-binding vs batched vs traced vs
 # cached vs 1%-fault recovery vs compiled-from-XQuery vs pipelined) plus the
 # streaming memory sweep, for CI trend tracking; asserts row equality across
 # all variants as it runs.

@@ -21,6 +21,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/mediator"
 	"repro/internal/o2wrap"
@@ -53,7 +54,7 @@ func sourceCtx(w *datagen.Workload) *algebra.Context {
 
 func mustEval(b *testing.B, op algebra.Op, ctx *algebra.Context) int {
 	b.Helper()
-	res, err := op.Eval(ctx)
+	res, err := exec.RunSerial(op, ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestFig7PlansEquivalent(t *testing.T) {
 	var results []*Tab
 	for _, plan := range []algebra.Op{mono, split, join} {
 		p := &algebra.Project{From: plan, Cols: []string{"$t", "$o"}}
-		res, err := p.Eval(sourceCtx(w))
+		res, err := exec.RunSerial(p, sourceCtx(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +272,7 @@ func benchQuery(b *testing.B, m *mediator.Mediator, src string, naive bool) {
 		var res *mediator.Result
 		var err error
 		if naive {
-			res, err = m.QueryNaive(src)
+			res, err = QueryNaive(m, src)
 		} else {
 			res, err = m.Query(src)
 		}
@@ -440,8 +441,9 @@ func BenchmarkFig9Q2Parallel(b *testing.B) {
 // E16 — set-at-a-time information passing: batched DJoin pushdown + cache
 // ---------------------------------------------------------------------------
 
-// BenchmarkFig9Q2Batched compares Q2's pushdown DJoin under per-row
-// information passing (one wire round trip per outer row), batched pushes
+// BenchmarkFig9Q2Batched compares Q2's pushdown DJoin under per-binding
+// information passing (BatchChunk 1: one wire round trip per binding set
+// through the ordinary path), batched pushes
 // (the plan ships once per chunk of distinct binding sets), and a warm
 // wrapper-result cache (no round trips at all). Rows must be byte-identical
 // and ordered across all paths; the batched path must cut round trips
@@ -452,8 +454,8 @@ func BenchmarkFig9Q2Batched(b *testing.B) {
 	m := wireMediator(b, w, latency)
 	ctx := context.Background()
 
-	perRowOpts := mediator.ExecOptions{Parallelism: 1, PerRowDJoin: true}
-	perRow, err := m.ExecuteContext(ctx, Q2, perRowOpts)
+	perBindingOpts := mediator.ExecOptions{Parallelism: 1, BatchChunk: 1}
+	perBinding, err := m.ExecuteContext(ctx, Q2, perBindingOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -462,12 +464,12 @@ func BenchmarkFig9Q2Batched(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !perRow.Tab.Equal(batched.Tab) {
-		b.Fatalf("batched rows diverge from per-row:\n%s\nvs\n%s", batched.Tab, perRow.Tab)
+	if !perBinding.Tab.Equal(batched.Tab) {
+		b.Fatalf("batched rows diverge from per-binding:\n%s\nvs\n%s", batched.Tab, perBinding.Tab)
 	}
-	if perRow.Stats.SourcePushes < 5*batched.Stats.SourcePushes {
-		b.Fatalf("batching saves too little: per-row %d pushes, batched %d",
-			perRow.Stats.SourcePushes, batched.Stats.SourcePushes)
+	if perBinding.Stats.SourcePushes < 5*batched.Stats.SourcePushes {
+		b.Fatalf("batching saves too little: per-binding %d pushes, batched %d",
+			perBinding.Stats.SourcePushes, batched.Stats.SourcePushes)
 	}
 	parOpts := mediator.ExecOptions{Parallelism: 4, Timeout: time.Minute}
 	par, err := m.ExecuteContext(ctx, Q2, parOpts)
@@ -483,7 +485,7 @@ func BenchmarkFig9Q2Batched(b *testing.B) {
 		opts   mediator.ExecOptions
 		pushes int
 	}{
-		{"PerRow", perRowOpts, perRow.Stats.SourcePushes},
+		{"PerBinding", perBindingOpts, perBinding.Stats.SourcePushes},
 		{"Batched", batchOpts, batched.Stats.SourcePushes},
 		{"Batched/workers=4", parOpts, par.Stats.SourcePushes},
 	}
@@ -574,7 +576,7 @@ func leftRows(w *datagen.Workload, k int) *tab.Tab {
 func runCrossover(b *testing.B, plan algebra.Op, w *datagen.Workload) {
 	b.Helper()
 	ctx := sourceCtx(w)
-	res, err := plan.Eval(ctx)
+	res, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -584,7 +586,7 @@ func runCrossover(b *testing.B, plan algebra.Op, w *datagen.Workload) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Eval(sourceCtx(w)); err != nil {
+		if _, err := exec.RunSerial(plan, sourceCtx(w)); err != nil {
 			b.Fatal(err)
 		}
 	}

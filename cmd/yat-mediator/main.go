@@ -79,7 +79,7 @@
 //	status                         list sources and views
 //	health                         per-source circuit-breaker state
 //	query  <query> ;               optimize and evaluate (YAT_L or XQuery-FLWR)
-//	stream <query> ;               evaluate pipelined, printing rows as they arrive
+//	stream <query> ;               evaluate, printing rows as they arrive
 //	xq <query> ;                   evaluate XQuery-FLWR, showing the lowered rule
 //	naive  <query> ;               evaluate without optimization
 //	explain <query> ;              show naive and optimized plans
@@ -542,7 +542,7 @@ func printHelp(out io.Writer) {
   health                         per-source circuit-breaker state
   replicas                       per-replica routing state of replicated sources
   query <query> ;                optimize and evaluate (YAT_L or XQuery-FLWR)
-  stream <query> ;               evaluate pipelined, printing rows as they arrive
+  stream <query> ;               evaluate, printing rows as they arrive
   xq <query> ;                   evaluate XQuery-FLWR, showing the lowered YAT_L rule
   naive <query> ;                evaluate without optimization
   explain <query> ;              show naive and optimized plans
@@ -584,7 +584,12 @@ func runQuery(out io.Writer, m *mediator.Mediator, mode, src string, opts mediat
 		fmt.Fprintf(out, "naive plan:\n%s\noptimized plan:\n%s",
 			indent(algebra.Describe(naive)), indent(algebra.Describe(opt)))
 	case "naive":
-		res, err := m.QueryNaive(src)
+		naive, err := m.Compose(src)
+		if err != nil {
+			fmt.Fprintf(out, "error: %v\n", err)
+			return
+		}
+		res, err := m.ExecutePlan(context.Background(), naive, opts)
 		if err != nil {
 			fmt.Fprintf(out, "error: %v\n", err)
 			return
@@ -625,8 +630,8 @@ func runQuery(out io.Writer, m *mediator.Mediator, mode, src string, opts mediat
 	}
 }
 
-// runStream evaluates a query on the pipelined path and prints rows the
-// moment their chunk arrives — the console's view of time-to-first-row.
+// runStream evaluates a query and prints rows the moment their chunk
+// arrives — the console's view of time-to-first-row.
 // Alignment is per chunk (the widths of unseen rows are unknowable while
 // streaming); the terminal line reports first-row and total latency.
 func runStream(out io.Writer, m *mediator.Mediator, src string, opts mediator.ExecOptions) {

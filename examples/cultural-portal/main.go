@@ -46,7 +46,7 @@ func run(n int) error {
 	}
 	for _, q := range queries {
 		fmt.Printf("== %s ==\n", q.name)
-		naive, nd, err := timed(func() (*mediator.Result, error) { return med.QueryNaive(q.src) })
+		naive, nd, err := timed(func() (*mediator.Result, error) { return yat.QueryNaive(med, q.src) })
 		if err != nil {
 			return err
 		}

@@ -38,7 +38,7 @@ func run() error {
 	}
 
 	fmt.Println("== Q1: artifacts created at Giverny ==")
-	naive, err := med.QueryNaive(yat.Q1)
+	naive, err := yat.QueryNaive(med, yat.Q1)
 	if err != nil {
 		return err
 	}
@@ -47,7 +47,7 @@ func run() error {
 		return err
 	}
 	fmt.Println("naive plan (materialize the view, then query it):")
-	fmt.Print(indent(naive.NaivePlan))
+	fmt.Print(indent(naive.Plan))
 	fmt.Println("optimized plan (Bind–Tree eliminated, O₂ branch pruned, pushed to Wais):")
 	fmt.Print(indent(opt.Plan))
 	fmt.Println("answer:")

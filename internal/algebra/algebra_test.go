@@ -1,6 +1,9 @@
-package algebra
+package algebra_test
 
 import (
+	"context"
+	. "repro/internal/algebra"
+	"repro/internal/exec"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,7 +47,7 @@ func worksCtx() *Context {
 
 func mustEval(t *testing.T, op Op, ctx *Context) *tab.Tab {
 	t.Helper()
-	res, err := op.Eval(ctx)
+	res, err := exec.RunSerial(op, ctx)
 	if err != nil {
 		t.Fatalf("eval %s: %v", op.Detail(), err)
 	}
@@ -207,10 +210,10 @@ func TestUnionIntersectDistinct(t *testing.T) {
 	}
 	// incompatible arities error
 	c := tab.New("$x", "$y")
-	if _, err := (&Union{&Literal{a}, &Literal{c}}).Eval(NewContext()); err == nil {
+	if _, err := exec.RunSerial(&Union{&Literal{a}, &Literal{c}}, NewContext()); err == nil {
 		t.Error("union of incompatible tabs must fail")
 	}
-	if _, err := (&Intersect{&Literal{a}, &Literal{c}}).Eval(NewContext()); err == nil {
+	if _, err := exec.RunSerial(&Intersect{&Literal{a}, &Literal{c}}, NewContext()); err == nil {
 		t.Error("intersect of incompatible tabs must fail")
 	}
 }
@@ -352,6 +355,60 @@ func (f *fakeSource) Push(plan Op, params map[string]tab.Cell) (*tab.Tab, error)
 	return f.result, nil
 }
 
+// batchSource streams its document one tree per batch, the way a wrapper's
+// frames arrive.
+type batchSource struct{ fakeSource }
+
+func (f *batchSource) FetchStream(_ context.Context, doc string) (ForestCursor, error) {
+	return NewSliceForestCursor(f.docs[doc], 1), nil
+}
+
+func TestStreamedBindWaitsForReferencedObjects(t *testing.T) {
+	// An O₂-style document: the extent first, the objects its references
+	// point at after it. Matched batch by batch as it arrives, the extent's
+	// owner references would dangle and their rows would be lost.
+	extent := data.Elem("set",
+		data.Elem("class", data.Text("title", "Nympheas"), data.Elem("owner", data.RefNode("class", "p1"))),
+		data.Elem("class", data.Text("title", "Dancers"), data.Elem("owner", data.RefNode("class", "p2"))),
+	)
+	person := func(id, name string) *data.Node {
+		n := data.Elem("class", data.Text("name", name))
+		n.ID = id
+		return n
+	}
+	doc := data.Forest{extent, person("p1", "Doe"), person("p2", "Roe")}
+	bind := &Bind{Doc: "artifacts", F: filter.MustParse(`set[ *class[ title: $t, owner.class.name: $o ] ]`)}
+
+	whole := NewContext()
+	whole.Sources["o2"] = &fakeSource{name: "o2", docs: map[string]data.Forest{"artifacts": doc}}
+	want := mustEval(t, bind, whole)
+	if want.Len() != 2 {
+		t.Fatalf("fixture binds %d rows, want 2:\n%s", want.Len(), want)
+	}
+
+	ctx := NewContext()
+	ctx.Sources["o2"] = &batchSource{fakeSource{name: "o2", docs: map[string]data.Forest{"artifacts": doc}}}
+	got := mustEval(t, bind, ctx)
+	if !got.Equal(want) {
+		t.Errorf("streamed bind lost rows to unresolved references:\n%s\nwant:\n%s", got, want)
+	}
+	if ctx.Stats.BindRows != want.Len() {
+		t.Errorf("BindRows = %d, want %d (the discarded early match must not count)", ctx.Stats.BindRows, want.Len())
+	}
+
+	// A filter that chases no reference still binds batch by batch.
+	titles := &Bind{Doc: "artifacts", F: filter.MustParse(`set[ *class[ title: $t ] ]`)}
+	cur, err := titles.StreamLeaf(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	first, err := cur.Next()
+	if err != nil || first.Len() != 2 {
+		t.Fatalf("first chunk = %v, %v; want the extent's 2 rows before the stream ends", first, err)
+	}
+}
+
 func TestSourceQueryAndStats(t *testing.T) {
 	res := tab.New("$t")
 	res.Add(tab.AtomCell(data.String("Nympheas")))
@@ -374,10 +431,10 @@ func TestSourceQueryAndStats(t *testing.T) {
 	if ctx.Stats.SourceFetches != 1 {
 		t.Errorf("fetches = %d", ctx.Stats.SourceFetches)
 	}
-	if _, err := (&Doc{Name: "nope"}).Eval(ctx); err == nil {
+	if _, err := exec.RunSerial(&Doc{Name: "nope"}, ctx); err == nil {
 		t.Error("unknown doc must fail")
 	}
-	if _, err := (&SourceQuery{Source: "nope", Plan: q.Plan}).Eval(ctx); err == nil {
+	if _, err := exec.RunSerial(&SourceQuery{Source: "nope", Plan: q.Plan}, ctx); err == nil {
 		t.Error("unknown source must fail")
 	}
 }
@@ -557,8 +614,8 @@ func TestPropertyHashJoinEqualsNestedLoop(t *testing.T) {
 		hash := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a = $b`)}
 		// Force nested loops via a semantically identical non-Var equality.
 		nested := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a + 0 = $b + 0`)}
-		a, err1 := hash.Eval(NewContext())
-		b, err2 := nested.Eval(NewContext())
+		a, err1 := exec.RunSerial(hash, NewContext())
+		b, err2 := exec.RunSerial(nested, NewContext())
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -583,8 +640,8 @@ func TestPropertyDJoinMatchesJoinOnParams(t *testing.T) {
 		}
 		dj := &DJoin{L: &Literal{l}, R: &Select{From: &Literal{r}, Pred: MustParseExpr(`$b = $a`)}}
 		j := &Join{L: &Literal{l}, R: &Literal{r}, Pred: MustParseExpr(`$a = $b`)}
-		a, err1 := dj.Eval(NewContext())
-		b, err2 := j.Eval(NewContext())
+		a, err1 := exec.RunSerial(dj, NewContext())
+		b, err2 := exec.RunSerial(j, NewContext())
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -167,7 +167,7 @@ type DJoinBindings struct {
 // taken from the outer row when the left side provides the column, else
 // from the surrounding parameters (a constant across rows, e.g. under a
 // nested DJoin); variables bound by neither are simply absent, surfacing
-// the same unbound-variable error the per-row path would produce.
+// an unbound-variable error when the inner plan reads them.
 func NewDJoinBindings(l *tab.Tab, vars []string, outer map[string]tab.Cell) *DJoinBindings {
 	b := &DJoinBindings{Vars: vars, Row: make([]int, l.Len())}
 	type varSrc struct {
@@ -212,10 +212,10 @@ func NewDJoinBindings(l *tab.Tab, vars []string, outer map[string]tab.Cell) *DJo
 }
 
 // DJoinSet is the evaluation state of one set-at-a-time DJoin: the distinct
-// binding sets and the per-set results being filled in. The serial path
-// (DJoin.Eval) and the parallel engine (internal/exec) share it; the engine
-// runs EvalChunk/EvalSet units concurrently — they write disjoint Results
-// slots and only touch thread-safe state, so that is race-free.
+// binding sets and the per-set results being filled in. The engine
+// (internal/exec) builds one per outer bite and may run its EvalChunk/EvalSet
+// units concurrently — they write disjoint Results slots and only touch
+// thread-safe state, so that is race-free.
 type DJoinSet struct {
 	Bindings *DJoinBindings
 	Results  []*tab.Tab
@@ -227,7 +227,7 @@ type DJoinSet struct {
 }
 
 // NewDJoinSet builds the set-at-a-time state for evaluating j over the
-// materialized outer input l. The batched push path engages when the inner
+// outer rows l. The batched push path engages when the inner
 // plan is directly a SourceQuery over a connected BatchSource; any other
 // inner plan still benefits from deduplication, evaluated once per distinct
 // binding set.
@@ -342,8 +342,7 @@ func (s *DJoinSet) evalChunk(ctx *Context, idxs []int) error {
 }
 
 // EvalSet evaluates the inner plan for one distinct binding set through
-// eval (the recursive evaluator of the caller — plain Eval serially, the
-// engine's eval under parallel execution). Used when not Batchable.
+// eval (the engine, drained). Used when not Batchable.
 func (s *DJoinSet) EvalSet(ctx *Context, i int, inner Op, eval func(*Context, Op) (*tab.Tab, error)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -357,7 +356,7 @@ func (s *DJoinSet) EvalSet(ctx *Context, i int, inner Op, eval func(*Context, Op
 }
 
 // Expand recombines the per-set results with the outer rows, producing
-// exactly the rows — in exactly the order — of per-row DJoin evaluation.
+// exactly the rows — in exactly the order — of one evaluation per outer row.
 func (s *DJoinSet) Expand(l *tab.Tab, cols []string) *tab.Tab {
 	out := tab.New(cols...)
 	for ri, lr := range l.Rows {

@@ -1,8 +1,10 @@
-package algebra
+package algebra_test
 
 import (
 	"context"
 	"fmt"
+	. "repro/internal/algebra"
+	"repro/internal/exec"
 	"strings"
 	"testing"
 
@@ -134,7 +136,7 @@ func (f *evalBatchSource) evalOne(plan Op, params map[string]tab.Cell) (*tab.Tab
 	}
 	ctx := NewContext()
 	ctx.Params = params
-	return plan.Eval(ctx)
+	return exec.RunSerial(plan, ctx)
 }
 
 func (f *evalBatchSource) Push(plan Op, params map[string]tab.Cell) (*tab.Tab, error) {
@@ -183,24 +185,23 @@ func batchFixture() (*DJoin, *evalBatchSource, *Context) {
 	return j, src, ctx
 }
 
-func TestDJoinBatchedMatchesPerRow(t *testing.T) {
-	j, src, ctx := batchFixture()
-	ctx.PerRowDJoin = true
-	want, err := j.Eval(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.rowCalls != 6 || ctx.Stats.SourcePushes != 6 {
-		t.Fatalf("per-row path: rowCalls=%d pushes=%d, want 6", src.rowCalls, ctx.Stats.SourcePushes)
+func TestDJoinBatchedMatchesPerOuterRow(t *testing.T) {
+	// What one inner evaluation per outer row produces, spelled out: outer
+	// row n joins every inner v <= n, in outer order.
+	want := tab.New("$n", "$v")
+	for _, n := range []int64{1, 2, 1, 3, 2, 1} {
+		for v := int64(1); v <= n; v++ {
+			want.Add(tab.AtomCell(data.Int(n)), tab.AtomCell(data.Int(v)))
+		}
 	}
 
 	j2, src2, ctx2 := batchFixture()
-	got, err := j2.Eval(ctx2)
+	got, err := exec.RunSerial(j2, ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Errorf("batched rows differ from per-row:\n%s\nvs\n%s", got, want)
+		t.Errorf("batched rows differ from one evaluation per outer row:\n%s\nvs\n%s", got, want)
 	}
 	// 3 distinct bindings, one chunk: a single round trip.
 	if src2.batchCalls != 1 || src2.rowCalls != 0 || ctx2.Stats.SourcePushes != 1 {
@@ -208,14 +209,27 @@ func TestDJoinBatchedMatchesPerRow(t *testing.T) {
 			src2.batchCalls, src2.rowCalls, ctx2.Stats.SourcePushes)
 	}
 
-	// A chunk bound of 2 splits 3 distinct bindings into 2 round trips.
+	// A chunk bound of 2 also bounds the outer bite to 2 rows, and binding
+	// sets are shared within a bite only: [1 2] [1 3] [2 1] is 3 round trips.
 	j3, src3, ctx3 := batchFixture()
 	ctx3.BatchChunk = 2
-	if _, err := j3.Eval(ctx3); err != nil {
+	if _, err := exec.RunSerial(j3, ctx3); err != nil {
 		t.Fatal(err)
 	}
-	if src3.batchCalls != 2 || ctx3.Stats.SourcePushes != 2 {
-		t.Errorf("chunked: batchCalls=%d pushes=%d, want 2/2", src3.batchCalls, ctx3.Stats.SourcePushes)
+	if src3.batchCalls != 3 || ctx3.Stats.SourcePushes != 3 {
+		t.Errorf("chunked: batchCalls=%d pushes=%d, want 3/3", src3.batchCalls, ctx3.Stats.SourcePushes)
+	}
+
+	// A chunk bound of 1 is the unbatched baseline: every bite is one outer
+	// row, so every outer row costs its own round trip.
+	j4, src4, ctx4 := batchFixture()
+	ctx4.BatchChunk = 1
+	got4, err := exec.RunSerial(j4, ctx4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got4.String() != want.String() || src4.batchCalls != 6 || ctx4.Stats.SourcePushes != 6 {
+		t.Errorf("unbatched: batchCalls=%d pushes=%d, want 6/6; rows:\n%s", src4.batchCalls, ctx4.Stats.SourcePushes, got4)
 	}
 }
 
@@ -223,7 +237,7 @@ func TestDJoinWarmCacheSkipsPushes(t *testing.T) {
 	cache := NewResultCache(16)
 	j, src, ctx := batchFixture()
 	ctx.Cache = cache
-	cold, err := j.Eval(ctx)
+	cold, err := exec.RunSerial(j, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +249,7 @@ func TestDJoinWarmCacheSkipsPushes(t *testing.T) {
 	ctx2 := NewContext()
 	ctx2.Sources["w"] = src
 	ctx2.Cache = cache
-	warm, err := j.Eval(ctx2)
+	warm, err := exec.RunSerial(j, ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +266,7 @@ func TestDJoinWarmCacheSkipsPushes(t *testing.T) {
 	ctx3.Sources["w"] = src
 	ctx3.Cache = cache
 	ctx3.Params = map[string]tab.Cell{"$n": tab.AtomCell(data.Int(2))}
-	if _, err := j.R.Eval(ctx3); err != nil {
+	if _, err := exec.RunSerial(j.R, ctx3); err != nil {
 		t.Fatal(err)
 	}
 	if ctx3.Stats.CacheHits != 1 || ctx3.Stats.SourcePushes != 0 {
@@ -265,7 +279,7 @@ func TestDJoinBatchErrorLeavesCacheClean(t *testing.T) {
 	j, src, ctx := batchFixture()
 	src.failAt = 2 // second binding of the batch fails
 	ctx.Cache = cache
-	if _, err := j.Eval(ctx); err == nil || !strings.Contains(err.Error(), "wrapper exploded") {
+	if _, err := exec.RunSerial(j, ctx); err == nil || !strings.Contains(err.Error(), "wrapper exploded") {
 		t.Fatalf("batch error must propagate, got %v", err)
 	}
 	if cache.Len() != 0 {
@@ -291,7 +305,7 @@ func TestDJoinDedupWithoutBatchSource(t *testing.T) {
 	}
 	ctx := NewContext()
 	ctx.Funcs["mark"] = func(args []tab.Cell) (tab.Cell, error) { return args[0], nil }
-	got, err := j.Eval(ctx)
+	got, err := exec.RunSerial(j, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +320,7 @@ func TestDJoinDedupWithoutBatchSource(t *testing.T) {
 func TestDJoinEmptyOuter(t *testing.T) {
 	j, src, ctx := batchFixture()
 	j.L = &Literal{T: tab.New("$n")}
-	got, err := j.Eval(ctx)
+	got, err := exec.RunSerial(j, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,10 +116,24 @@ func (it ConsItem) groupKeys() []string {
 // identifiers are minted through the registry; the same (function, args)
 // always yields the same identifier, letting separate rules fuse trees.
 func (c *Cons) BuildForest(t *tab.Tab, reg *Skolems) (data.Forest, error) {
+	return c.buildForest(t, reg, nil)
+}
+
+// buildForest is BuildForest over one chunk of a longer input: root
+// partitions whose key is already in seen were built from an earlier chunk
+// and are skipped, new keys are added. Sound only for a RowLocal
+// construction, where a partition's tree is fixed by its first row.
+func (c *Cons) buildForest(t *tab.Tab, reg *Skolems, seen map[string]bool) (data.Forest, error) {
 	cols := colIndex(t.Cols)
-	parts := partition(t.Rows, cols, c.DirectVars())
+	keys, parts := partition(t.Rows, cols, c.DirectVars())
 	var out data.Forest
-	for _, p := range parts {
+	for i, p := range parts {
+		if seen != nil {
+			if seen[keys[i]] {
+				continue
+			}
+			seen[keys[i]] = true
+		}
 		f, err := build(c, p, cols, reg)
 		if err != nil {
 			return nil, err
@@ -130,11 +144,12 @@ func (c *Cons) BuildForest(t *tab.Tab, reg *Skolems) (data.Forest, error) {
 }
 
 // partition splits rows by the values of the key columns, preserving
-// first-seen order. With no keys it returns a single partition (possibly
-// empty, in which case construction yields an empty skeleton).
-func partition(rows []tab.Row, cols map[string]int, keys []string) [][]tab.Row {
+// first-seen order, and returns each partition's key beside it. With no keys
+// it returns a single partition (possibly empty, in which case construction
+// yields an empty skeleton).
+func partition(rows []tab.Row, cols map[string]int, keys []string) ([]string, [][]tab.Row) {
 	if len(keys) == 0 {
-		return [][]tab.Row{rows}
+		return []string{""}, [][]tab.Row{rows}
 	}
 	var order []string
 	groups := map[string][]tab.Row{}
@@ -156,7 +171,7 @@ func partition(rows []tab.Row, cols map[string]int, keys []string) [][]tab.Row {
 	for i, k := range order {
 		out[i] = groups[k]
 	}
-	return out
+	return order, out
 }
 
 // build constructs the forest for one partition of rows.
@@ -207,7 +222,8 @@ func build(c *Cons, rows []tab.Row, cols map[string]int, reg *Skolems) (data.For
 			n.Kids = append(n.Kids, f...)
 			continue
 		}
-		for _, p := range partition(rows, cols, it.groupKeys()) {
+		_, parts := partition(rows, cols, it.groupKeys())
+		for _, p := range parts {
 			if len(p) == 0 {
 				continue
 			}
@@ -379,13 +395,32 @@ func (t *TreeOp) Children() []Op { return []Op{t.From} }
 // Detail implements Op.
 func (t *TreeOp) Detail() string { return fmt.Sprintf("Tree(%s)", t.C) }
 
-// Eval implements Op.
-func (t *TreeOp) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(t.From, ctx)
-	if err != nil {
-		return nil, err
+// RowLocal reports whether every tree the construction builds is fixed by a
+// single input row: nothing is starred, so all its variables are direct and
+// agree across a root partition. Such a Tree pipelines chunk by chunk; any
+// other needs its whole input — a group may span chunks, and a construction
+// without variables builds its one tree even from no rows at all.
+func (c *Cons) RowLocal() bool {
+	return len(c.DirectVars()) > 0 && !c.starred()
+}
+
+func (c *Cons) starred() bool {
+	if c == nil {
+		return false
 	}
-	forest, err := t.C.BuildForest(in, ctx.Skolem)
+	for _, it := range c.Kids {
+		if it.Star || it.C.starred() {
+			return true
+		}
+	}
+	return false
+}
+
+// Apply is the kernel. With seen == nil, in is the operator's whole input.
+// With a seen set (RowLocal constructions only), in is one chunk of it and
+// seen carries the root bindings already built across chunks.
+func (t *TreeOp) Apply(ctx *Context, in *tab.Tab, seen map[string]bool) (*tab.Tab, error) {
+	forest, err := t.C.buildForest(in, ctx.Skolem, seen)
 	if err != nil {
 		return nil, err
 	}

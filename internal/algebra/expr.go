@@ -2,9 +2,14 @@
 // Tree operators newly introduced for tree structures, the classical
 // operators inherited from the object algebra (Select, Project, Join, DJoin,
 // Union, Intersect, Group, Sort, Map), Skolem functions, and SourceQuery
-// nodes that push subplans to wrapped sources. Plans are operator trees
-// evaluated against a Context holding the catalog of named inputs, the
-// identifier store, the Skolem registry and external functions.
+// nodes that push subplans to wrapped sources. The package is the plan
+// representation plus what one operator computes from one chunk of rows: each
+// operator contributes a kernel (Apply: input chunk(s) to output chunk, no
+// recursion, no I/O) or, for a leaf, a cursor over a source (Stream). Walking
+// a plan, scheduling and the state that spans chunks belong to internal/exec,
+// the one evaluator. Kernels run against a Context holding the catalog of
+// named inputs, the identifier store, the Skolem registry and external
+// functions.
 package algebra
 
 import (

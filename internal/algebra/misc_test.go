@@ -1,6 +1,8 @@
-package algebra
+package algebra_test
 
 import (
+	. "repro/internal/algebra"
+	"repro/internal/exec"
 	"sort"
 	"strings"
 	"testing"
@@ -119,15 +121,6 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestRunHelper(t *testing.T) {
-	lit := tab.New("$x")
-	lit.Add(tab.AtomCell(data.Int(1)))
-	res, err := Run(&Literal{T: lit}, NewContext())
-	if err != nil || res.Len() != 1 {
-		t.Errorf("Run = %v, %v", res, err)
-	}
-}
-
 func TestConsVarHelpers(t *testing.T) {
 	c := MustParseCons(`doc[ *artwork($t, $c) := work[ title: $t, owner: &person($o) ], note: $n ]`)
 	direct := strings.Join(c.DirectVars(), ",")
@@ -145,13 +138,13 @@ func TestConsVarHelpers(t *testing.T) {
 func TestBindParamErrorAndUnknownColumn(t *testing.T) {
 	ctx := NewContext()
 	b := &Bind{Col: "$missing", F: mustFilter(t, `x: $v`)}
-	if _, err := b.Eval(ctx); err == nil {
+	if _, err := exec.RunSerial(b, ctx); err == nil {
 		t.Error("bind over unbound parameter must fail")
 	}
 	lit := tab.New("$a")
 	lit.Add(tab.AtomCell(data.Int(1)))
 	b2 := &Bind{From: &Literal{T: lit}, Col: "$nope", F: mustFilter(t, `x: $v`)}
-	if _, err := b2.Eval(ctx); err == nil {
+	if _, err := exec.RunSerial(b2, ctx); err == nil {
 		t.Error("bind over unknown column must fail")
 	}
 }
@@ -160,11 +153,11 @@ func TestMapErrorPropagates(t *testing.T) {
 	lit := tab.New("$s")
 	lit.Add(tab.AtomCell(data.String("x")))
 	m := &MapExpr{From: &Literal{T: lit}, Col: "$y", E: MustParseExpr(`$s + 1`)}
-	if _, err := m.Eval(NewContext()); err == nil {
+	if _, err := exec.RunSerial(m, NewContext()); err == nil {
 		t.Error("map over type error must fail")
 	}
 	s := &Select{From: &Literal{T: lit}, Pred: MustParseExpr(`$s + 1`)}
-	if _, err := s.Eval(NewContext()); err == nil {
+	if _, err := exec.RunSerial(s, NewContext()); err == nil {
 		t.Error("non-boolean predicate must fail")
 	}
 }
@@ -178,7 +171,7 @@ func TestSortAndGroupDetails(t *testing.T) {
 	if !strings.Contains(srt.Detail(), "$k") {
 		t.Error("Sort detail")
 	}
-	res, err := srt.Eval(NewContext())
+	res, err := exec.RunSerial(srt, NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +179,7 @@ func TestSortAndGroupDetails(t *testing.T) {
 		t.Errorf("sorted first = %v", res.Rows[0])
 	}
 	grp := &Group{From: &Literal{T: lit}, Keys: []string{"$k"}, Into: "$g"}
-	gres, err := grp.Eval(NewContext())
+	gres, err := exec.RunSerial(grp, NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,24 +150,21 @@ type Context struct {
 	// than one derived from worker counts) keeps push counts identical
 	// between serial and parallel execution.
 	BatchChunk int
-	// PerRowDJoin disables set-at-a-time DJoin evaluation, restoring the
-	// one-push-per-outer-row baseline (kept for comparison experiments).
-	PerRowDJoin bool
 	// Partial, when non-nil, enables graceful degradation: source
 	// failures marked UnavailableError are recorded here and the failing
 	// input replaced by an empty one instead of aborting the query (see
 	// exec.Options.AllowPartial). Shared, not forked: every worker
 	// records into the same report.
 	Partial *PartialReport
-	// Trace, when non-nil, is the span the current work belongs to:
-	// EvalOp opens a child span per operator evaluation under it, and the
+	// Trace, when non-nil, is the span the current work belongs to: the
+	// engine opens a child span per plan node under it, and the
 	// counter-mutation sites mirror their Stats increments into it (see
 	// internal/obs). Nil means tracing is off — the only cost is a nil
 	// check per operator.
 	Trace *obs.Span
 	// CheckWire, when non-nil, validates every wrapper response the
-	// moment it arrives: SourceQuery.Eval calls it with the shipped table
-	// before caching or returning it, and a non-nil error aborts the
+	// moment it arrives: SourceQuery.Stream calls it with each shipped
+	// chunk before caching or releasing it, and a non-nil error aborts the
 	// query. The mediator installs a checker comparing rows against the
 	// plan's inferred types when ExecOptions.CheckTypes is set.
 	CheckWire func(q *SourceQuery, t *tab.Tab) error
@@ -220,7 +217,7 @@ func (c *Context) WithParams(extra map[string]tab.Cell) *Context {
 }
 
 // WithContext returns a shallow copy of the context carrying a cancellation
-// context (threaded from Mediator.ExecuteContext down to the sources).
+// context (threaded from Mediator.StreamContext down to the sources).
 func (c *Context) WithContext(ctx context.Context) *Context {
 	cc := *c
 	cc.Ctx = ctx
@@ -246,33 +243,26 @@ func (c *Context) Err() error {
 	return c.Ctx.Err()
 }
 
-// Input resolves a named document: catalog first, then connected sources.
+// Input resolves a named document whole: catalog first, then the connected
+// source exporting it.
 func (c *Context) Input(name string) (data.Forest, error) {
 	if f, ok := c.Catalog[name]; ok {
 		return f, nil
 	}
+	s, err := c.exporter(name)
+	if err != nil {
+		return nil, err
+	}
+	return c.fetch(s, name)
+}
+
+// exporter finds the connected source exporting a named document.
+func (c *Context) exporter(name string) (Source, error) {
 	var names []string
 	for _, s := range c.Sources {
 		for _, d := range s.Documents() {
 			if d == name {
-				var f data.Forest
-				var err error
-				if cs, ok := s.(ContextSource); ok && c.Ctx != nil {
-					f, err = cs.FetchContext(c.Ctx, name)
-				} else {
-					f, err = s.Fetch(name)
-				}
-				drainRetryStats(c, s)
-				if err != nil {
-					return nil, err
-				}
-				c.Stats.SourceFetches++
-				traceCounts(c, obs.Counts{Fetches: 1})
-				for _, n := range f {
-					c.Stats.BytesShipped += int64(n.Size()) * 16
-					c.Store.Register(n)
-				}
-				return f, nil
+				return s, nil
 			}
 			names = append(names, s.Name()+"."+d)
 		}
@@ -281,20 +271,42 @@ func (c *Context) Input(name string) (data.Forest, error) {
 	return nil, fmt.Errorf("algebra: unknown input %q (known: %s)", name, strings.Join(names, ", "))
 }
 
+// fetch ships a whole document from its source in one piece.
+func (c *Context) fetch(s Source, name string) (data.Forest, error) {
+	var f data.Forest
+	var err error
+	if cs, ok := s.(ContextSource); ok && c.Ctx != nil {
+		f, err = cs.FetchContext(c.Ctx, name)
+	} else {
+		f, err = s.Fetch(name)
+	}
+	drainRetryStats(c, s)
+	if err != nil {
+		return nil, err
+	}
+	c.Stats.SourceFetches++
+	traceCounts(c, obs.Counts{Fetches: 1})
+	c.register(f)
+	return f, nil
+}
+
+// register accounts shipped trees and makes their identifiers resolvable.
+func (c *Context) register(f data.Forest) {
+	for _, n := range f {
+		c.Stats.BytesShipped += int64(n.Size()) * 16
+		c.Store.Register(n)
+	}
+}
+
 // Op is a node of an algebraic plan.
 type Op interface {
 	// Columns returns the output column names, statically.
 	Columns() []string
 	// Children returns the input plans.
 	Children() []Op
-	// Eval materializes the operator's result.
-	Eval(ctx *Context) (*tab.Tab, error)
 	// Detail renders the operator head for plan printing.
 	Detail() string
 }
-
-// Run evaluates a plan against a context (traced when ctx.Trace is set).
-func Run(op Op, ctx *Context) (*tab.Tab, error) { return EvalOp(op, ctx) }
 
 // ---------------------------------------------------------------------------
 // Doc: named-document input
@@ -324,8 +336,9 @@ func (d *Doc) Children() []Op { return nil }
 // Detail implements Op.
 func (d *Doc) Detail() string { return fmt.Sprintf("Doc(%s)", d.Name) }
 
-// Eval implements Op.
-func (d *Doc) Eval(ctx *Context) (*tab.Tab, error) {
+// Stream opens the leaf: the forest is needed as one value, so the document
+// is fetched whole and served one row per tree.
+func (d *Doc) Stream(ctx *Context) (tab.Cursor, error) {
 	f, err := ctx.Input(d.Name)
 	if err != nil {
 		return nil, err
@@ -334,7 +347,7 @@ func (d *Doc) Eval(ctx *Context) (*tab.Tab, error) {
 	for _, n := range f {
 		t.Add(tab.TreeCell(n))
 	}
-	return t, nil
+	return tab.NewSliceCursor(t, 0), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -381,48 +394,31 @@ func (b *Bind) Detail() string {
 	return fmt.Sprintf("Bind(%s, %s)", src, b.F)
 }
 
-// Eval implements Op.
-func (b *Bind) Eval(ctx *Context) (*tab.Tab, error) {
-	f := b.F
-	if f.Model == nil && ctx.Model != nil {
-		f = &filter.Filter{Root: f.Root, Model: ctx.Model}
+// filter resolves the bind's named type filters against the context's model.
+func (b *Bind) filter(ctx *Context) *filter.Filter {
+	if b.F.Model == nil && ctx.Model != nil {
+		return &filter.Filter{Root: b.F.Root, Model: ctx.Model}
 	}
-	switch {
-	case b.Doc != "":
-		forest, err := ctx.Input(b.Doc)
-		if err != nil {
-			return nil, err
-		}
-		t := f.MatchForest(ctx.Store, forest)
-		ctx.Stats.BindRows += t.Len()
-		return t, nil
-	case b.From == nil:
-		cell, ok := ctx.Params[b.Col]
-		if !ok {
-			return nil, fmt.Errorf("algebra: Bind over unbound parameter %s", b.Col)
-		}
-		t := f.MatchForest(ctx.Store, cell.AsForest())
-		ctx.Stats.BindRows += t.Len()
-		return t, nil
-	default:
-		in, err := EvalOp(b.From, ctx)
-		if err != nil {
-			return nil, err
-		}
-		ci := in.ColIndex(b.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("algebra: Bind over unknown column %s of %v", b.Col, in.Cols)
-		}
-		out := tab.New(b.Columns()...)
-		for _, r := range in.Rows {
-			sub := f.MatchForest(ctx.Store, r[ci].AsForest())
-			for _, sr := range sub.Rows {
-				out.AddRow(append(r.Clone(), sr...))
-			}
-		}
-		ctx.Stats.BindRows += out.Len()
-		return out, nil
+	return b.F
+}
+
+// Apply is the kernel of the dependent form (From != nil): each input row is
+// extended with the bindings of the trees in its column Col.
+func (b *Bind) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
+	ci := in.ColIndex(b.Col)
+	if ci < 0 {
+		return nil, fmt.Errorf("algebra: Bind over unknown column %s of %v", b.Col, in.Cols)
 	}
+	f := b.filter(ctx)
+	out := tab.New(b.Columns()...)
+	for _, r := range in.Rows {
+		sub := f.MatchForest(ctx.Store, r[ci].AsForest())
+		for _, sr := range sub.Rows {
+			out.AddRow(append(r.Clone(), sr...))
+		}
+	}
+	ctx.Stats.BindRows += out.Len()
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -444,12 +440,8 @@ func (s *Select) Children() []Op { return []Op{s.From} }
 // Detail implements Op.
 func (s *Select) Detail() string { return fmt.Sprintf("Select(%s)", s.Pred) }
 
-// Eval implements Op.
-func (s *Select) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(s.From, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply is the kernel: the rows of in satisfying the predicate.
+func (s *Select) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	cols := colIndex(in.Cols)
 	out := tab.New(in.Cols...)
 	for _, r := range in.Rows {
@@ -489,14 +481,8 @@ func (p *Project) Children() []Op { return []Op{p.From} }
 // Detail implements Op.
 func (p *Project) Detail() string { return fmt.Sprintf("Project(%s)", strings.Join(p.Cols, ", ")) }
 
-// Eval implements Op.
-func (p *Project) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(p.From, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return in.Project(p.Cols...), nil
-}
+// Apply is the kernel.
+func (p *Project) Apply(in *tab.Tab) *tab.Tab { return in.Project(p.Cols...) }
 
 // MapExpr extends each row with a computed column (the algebra's Map).
 type MapExpr struct {
@@ -514,12 +500,8 @@ func (m *MapExpr) Children() []Op { return []Op{m.From} }
 // Detail implements Op.
 func (m *MapExpr) Detail() string { return fmt.Sprintf("Map(%s := %s)", m.Col, m.E) }
 
-// Eval implements Op.
-func (m *MapExpr) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(m.From, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply is the kernel: in extended with the computed column.
+func (m *MapExpr) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	cols := colIndex(in.Cols)
 	out := tab.New(m.Columns()...)
 	for _, r := range in.Rows {
@@ -553,34 +535,39 @@ func (j *Join) Children() []Op { return []Op{j.L, j.R} }
 // Detail implements Op.
 func (j *Join) Detail() string { return fmt.Sprintf("Join(%s)", j.Pred) }
 
-// Eval implements Op.
-func (j *Join) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(j.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := EvalOp(j.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := tab.New(j.Columns()...)
-	cols := colIndex(out.Cols)
-	// Hash strategy: collect cross-side equalities.
-	var lKeys, rKeys []int
+// JoinBuild is a Join prepared against its materialized build side: the
+// predicate's cross-side column equalities are resolved and the build side is
+// hashed on them once, so each probe chunk costs lookups only. Without such
+// equalities the probe is a nested loop under the whole predicate.
+type JoinBuild struct {
+	cols     []string
+	colIdx   map[string]int
+	r        *tab.Tab
+	lKeys    []int // probe-side key columns; empty means nested loops
+	buckets  map[string][]tab.Row
+	residual Expr
+}
+
+// Build prepares the join for probe chunks with columns lCols against the
+// build side r.
+func (j *Join) Build(lCols []string, r *tab.Tab) *JoinBuild {
+	b := &JoinBuild{cols: append(append([]string{}, lCols...), r.Cols...), r: r}
+	b.colIdx = colIndex(b.cols)
+	var rKeys []int
 	var rest []Expr
-	lIdx, rIdx := colIndex(l.Cols), colIndex(r.Cols)
+	lIdx, rIdx := colIndex(lCols), colIndex(r.Cols)
 	for _, c := range SplitConj(j.Pred) {
-		if a, b, ok := EqColumns(c); ok {
-			if li, lok := lIdx[a]; lok {
-				if ri, rok := rIdx[b]; rok {
-					lKeys = append(lKeys, li)
+		if x, y, ok := EqColumns(c); ok {
+			if li, lok := lIdx[x]; lok {
+				if ri, rok := rIdx[y]; rok {
+					b.lKeys = append(b.lKeys, li)
 					rKeys = append(rKeys, ri)
 					continue
 				}
 			}
-			if li, lok := lIdx[b]; lok {
-				if ri, rok := rIdx[a]; rok {
-					lKeys = append(lKeys, li)
+			if li, lok := lIdx[y]; lok {
+				if ri, rok := rIdx[x]; rok {
+					b.lKeys = append(b.lKeys, li)
 					rKeys = append(rKeys, ri)
 					continue
 				}
@@ -588,46 +575,43 @@ func (j *Join) Eval(ctx *Context) (*tab.Tab, error) {
 		}
 		rest = append(rest, c)
 	}
-	residual := Conj(rest...)
-	emit := func(lr, rr tab.Row) error {
-		row := append(lr.Clone(), rr...)
-		ok, err := truth(residual, ctx, cols, row)
-		if err != nil {
-			return fmt.Errorf("join: %w", err)
-		}
-		if ok {
-			out.Rows = append(out.Rows, row)
-		}
-		return nil
-	}
-	if len(lKeys) > 0 {
-		buckets := make(map[string][]tab.Row, len(r.Rows))
+	b.residual = Conj(rest...)
+	if len(b.lKeys) > 0 {
+		b.buckets = make(map[string][]tab.Row, len(r.Rows))
 		for _, rr := range r.Rows {
-			var b strings.Builder
-			for _, k := range rKeys {
-				b.WriteString(rr[k].Key())
-				b.WriteByte('\x00')
-			}
-			buckets[b.String()] = append(buckets[b.String()], rr)
+			k := joinKey(rr, rKeys)
+			b.buckets[k] = append(b.buckets[k], rr)
 		}
-		for _, lr := range l.Rows {
-			var b strings.Builder
-			for _, k := range lKeys {
-				b.WriteString(lr[k].Key())
-				b.WriteByte('\x00')
-			}
-			for _, rr := range buckets[b.String()] {
-				if err := emit(lr, rr); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
 	}
+	return b
+}
+
+func joinKey(r tab.Row, keys []int) string {
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(r[k].Key())
+		b.WriteByte('\x00')
+	}
+	return b.String()
+}
+
+// Apply is the kernel: the probe chunk l joined against the build side, in
+// probe order.
+func (b *JoinBuild) Apply(ctx *Context, l *tab.Tab) (*tab.Tab, error) {
+	out := tab.New(b.cols...)
 	for _, lr := range l.Rows {
-		for _, rr := range r.Rows {
-			if err := emit(lr, rr); err != nil {
-				return nil, err
+		matches := b.r.Rows
+		if len(b.lKeys) > 0 {
+			matches = b.buckets[joinKey(lr, b.lKeys)]
+		}
+		for _, rr := range matches {
+			row := append(lr.Clone(), rr...)
+			ok, err := truth(b.residual, ctx, b.colIdx, row)
+			if err != nil {
+				return nil, fmt.Errorf("join: %w", err)
+			}
+			if ok {
+				out.Rows = append(out.Rows, row)
 			}
 		}
 	}
@@ -641,8 +625,8 @@ func (j *Join) Eval(ctx *Context) (*tab.Tab, error) {
 // plan's free variables, each set is evaluated once — through one batched
 // push per chunk when the inner plan is a SourceQuery over a BatchSource —
 // and the results are re-expanded per outer row, so the output is row for
-// row what one-evaluation-per-row produces (Context.PerRowDJoin restores
-// that baseline).
+// row what one evaluation per outer row would produce. DJoinSet holds that
+// state; the engine drives it one outer bite at a time.
 type DJoin struct {
 	L, R Op
 
@@ -666,66 +650,6 @@ func (j *DJoin) Children() []Op { return []Op{j.L, j.R} }
 // Detail implements Op.
 func (j *DJoin) Detail() string { return "DJoin" }
 
-// Eval implements Op.
-func (j *DJoin) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(j.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.PerRowDJoin {
-		return j.evalPerRow(ctx, l)
-	}
-	set := NewDJoinSet(ctx, j, l)
-	if set.Batchable() {
-		chunks, err := set.PendingChunks(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, chunk := range chunks {
-			if err := set.EvalChunk(ctx, chunk); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i := range set.Bindings.Sets {
-			err := set.EvalSet(ctx, i, j.R, func(c *Context, op Op) (*tab.Tab, error) {
-				return EvalOp(op, c)
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return set.Expand(l, j.Columns()), nil
-}
-
-// evalPerRow is the pre-batching baseline: one inner evaluation per outer
-// row with the full row bound as parameters.
-func (j *DJoin) evalPerRow(ctx *Context, l *tab.Tab) (*tab.Tab, error) {
-	out := tab.New(j.Columns()...)
-	for _, lr := range l.Rows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// A fresh map per row: reusing one map across rows races with any
-		// concurrent reader of a previous row's bindings (the parallel
-		// DJoin fan-out of internal/exec reads them while this loop would
-		// be rewriting the shared map).
-		params := make(map[string]tab.Cell, len(l.Cols))
-		for i, c := range l.Cols {
-			params[c] = lr[i]
-		}
-		sub, err := EvalOp(j.R, ctx.WithParams(params))
-		if err != nil {
-			return nil, err
-		}
-		for _, rr := range sub.Rows {
-			out.AddRow(append(lr.Clone(), rr...))
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // Union, Intersect, Distinct
 // ---------------------------------------------------------------------------
@@ -742,22 +666,13 @@ func (u *Union) Children() []Op { return []Op{u.L, u.R} }
 // Detail implements Op.
 func (u *Union) Detail() string { return "Union" }
 
-// Eval implements Op.
-func (u *Union) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(u.L, ctx)
-	if err != nil {
-		return nil, err
+// Check rejects a union whose branches differ in arity. Union has no kernel:
+// its chunks pass through unchanged, in an order the engine decides.
+func (u *Union) Check() error {
+	if l, r := u.L.Columns(), u.R.Columns(); len(l) != len(r) {
+		return fmt.Errorf("algebra: union of incompatible tabs %v / %v", l, r)
 	}
-	r, err := EvalOp(u.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := tab.New(l.Cols...)
-	out.Rows = append(append(out.Rows, l.Rows...), r.Rows...)
-	if len(r.Cols) != len(l.Cols) {
-		return nil, fmt.Errorf("algebra: union of incompatible tabs %v / %v", l.Cols, r.Cols)
-	}
-	return out, nil
+	return nil
 }
 
 // Intersect keeps the distinct rows present in both inputs.
@@ -772,16 +687,8 @@ func (i *Intersect) Children() []Op { return []Op{i.L, i.R} }
 // Detail implements Op.
 func (i *Intersect) Detail() string { return "Intersect" }
 
-// Eval implements Op.
-func (i *Intersect) Eval(ctx *Context) (*tab.Tab, error) {
-	l, err := EvalOp(i.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := EvalOp(i.R, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply is the kernel over both materialized inputs.
+func (i *Intersect) Apply(l, r *tab.Tab) (*tab.Tab, error) {
 	if len(r.Cols) != len(l.Cols) {
 		return nil, fmt.Errorf("algebra: intersect of incompatible tabs %v / %v", l.Cols, r.Cols)
 	}
@@ -813,13 +720,17 @@ func (d *Distinct) Children() []Op { return []Op{d.From} }
 // Detail implements Op.
 func (d *Distinct) Detail() string { return "Distinct" }
 
-// Eval implements Op.
-func (d *Distinct) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(d.From, ctx)
-	if err != nil {
-		return nil, err
+// Apply is the kernel: the rows of in whose key is not yet in seen, which it
+// extends — the state that carries duplicate elimination across chunks.
+func (d *Distinct) Apply(in *tab.Tab, seen map[string]bool) *tab.Tab {
+	out := tab.New(in.Cols...)
+	for _, r := range in.Rows {
+		if k := r.Key(); !seen[k] {
+			seen[k] = true
+			out.Rows = append(out.Rows, r)
+		}
 	}
-	return in.Distinct(), nil
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -844,14 +755,8 @@ func (g *Group) Detail() string {
 	return fmt.Sprintf("Group(%s ⇒ %s)", strings.Join(g.Keys, ", "), g.Into)
 }
 
-// Eval implements Op.
-func (g *Group) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(g.From, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return in.GroupBy(g.Into, g.Keys...), nil
-}
+// Apply is the kernel over the whole materialized input.
+func (g *Group) Apply(in *tab.Tab) *tab.Tab { return in.GroupBy(g.Into, g.Keys...) }
 
 // Sort orders rows by the given columns.
 type Sort struct {
@@ -868,16 +773,12 @@ func (s *Sort) Children() []Op { return []Op{s.From} }
 // Detail implements Op.
 func (s *Sort) Detail() string { return fmt.Sprintf("Sort(%s)", strings.Join(s.Cols, ", ")) }
 
-// Eval implements Op.
-func (s *Sort) Eval(ctx *Context) (*tab.Tab, error) {
-	in, err := EvalOp(s.From, ctx)
-	if err != nil {
-		return nil, err
-	}
+// Apply is the kernel over the whole materialized input.
+func (s *Sort) Apply(in *tab.Tab) *tab.Tab {
 	out := tab.New(in.Cols...)
 	out.Rows = append(out.Rows, in.Rows...)
 	out.SortBy(s.Cols...)
-	return out, nil
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -912,65 +813,6 @@ func (q *SourceQuery) Children() []Op { return []Op{q.Plan} }
 // Detail implements Op.
 func (q *SourceQuery) Detail() string { return fmt.Sprintf("SourceQuery(%s)", q.Source) }
 
-// Eval implements Op.
-func (q *SourceQuery) Eval(ctx *Context) (*tab.Tab, error) {
-	src, ok := ctx.Sources[q.Source]
-	if !ok {
-		return nil, fmt.Errorf("algebra: unknown source %q", q.Source)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Probe the wrapper-result cache under (source, canonical plan
-	// encoding, free-variable bindings): only the plan's free variables
-	// influence what the source computes, so restricting the key to them
-	// lets a hit stand in for any parameter environment agreeing on them.
-	var key string
-	if ctx.Cache != nil {
-		if p := q.Prepared(); p.Enc != "" {
-			key = CacheKey(q.Source, p.Enc, ParamsKey(p.Vars, ctx.Params))
-			if t, ok := ctx.Cache.Get(key); ok {
-				ctx.Stats.CacheHits++
-				traceCounts(ctx, obs.Counts{CacheHits: 1})
-				traceAnnotate(ctx, "cache", "hit")
-				return t, nil
-			}
-			ctx.Stats.CacheMisses++
-			traceCounts(ctx, obs.Counts{CacheMisses: 1})
-		}
-	}
-	if sr, ok := src.(StateReporter); ok {
-		traceAnnotate(ctx, "breaker", sr.SourceState())
-	}
-	var t *tab.Tab
-	var err error
-	if cs, ok := src.(ContextSource); ok && ctx.Ctx != nil {
-		t, err = cs.PushContext(ctx.Ctx, q.Plan, ctx.Params)
-	} else {
-		t, err = src.Push(q.Plan, ctx.Params)
-	}
-	drainRetryStats(ctx, src)
-	if err != nil {
-		return nil, fmt.Errorf("source %s: %w", q.Source, err)
-	}
-	ctx.Stats.SourcePushes++
-	traceCounts(ctx, obs.Counts{Pushes: 1})
-	countShipped(ctx, t)
-	if ctx.CheckWire != nil {
-		// Validate before caching: a non-conforming response must not be
-		// served from the cache on a later probe.
-		if err := ctx.CheckWire(q, t); err != nil {
-			return nil, err
-		}
-	}
-	if key != "" {
-		if ctx.Cache.Put(key, t) {
-			ctx.Stats.CacheEvictions++
-		}
-	}
-	return t, nil
-}
-
 // Literal wraps a constant Tab (fixtures, unit tests, explain samples).
 type Literal struct{ T *tab.Tab }
 
@@ -982,9 +824,6 @@ func (l *Literal) Children() []Op { return nil }
 
 // Detail implements Op.
 func (l *Literal) Detail() string { return fmt.Sprintf("Literal(%d rows)", l.T.Len()) }
-
-// Eval implements Op.
-func (l *Literal) Eval(*Context) (*tab.Tab, error) { return l.T, nil }
 
 func colIndex(cols []string) map[string]int {
 	m := make(map[string]int, len(cols))

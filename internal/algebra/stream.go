@@ -1,9 +1,10 @@
-// Streaming source capabilities. The materialized Source interface ships a
-// whole document (Fetch) or a whole pushed result (Push) in one piece;
-// sources that additionally implement the interfaces below can deliver the
-// same data as a sequence of bounded chunks, which is what lets the
-// streaming evaluator in internal/exec keep peak memory independent of
-// result size and surface first rows before the wrapper has finished.
+// Leaf cursors. Every plan leaf — a bound document, a DJoin parameter, a
+// pushed subplan — opens as a cursor. The base Source interface ships a whole
+// document (Fetch) or a whole pushed result (Push) in one piece, which a leaf
+// serves as a single chunk; sources that additionally implement the
+// interfaces below deliver the same data as a sequence of bounded chunks,
+// which is what lets the engine in internal/exec keep peak memory independent
+// of result size and surface first rows before the wrapper has finished.
 package algebra
 
 import (
@@ -12,7 +13,6 @@ import (
 	"io"
 
 	"repro/internal/data"
-	"repro/internal/filter"
 	"repro/internal/obs"
 	"repro/internal/tab"
 )
@@ -26,8 +26,8 @@ type ForestCursor interface {
 }
 
 // StreamSource is a source that can ship a bound document incrementally
-// instead of as one forest. Sources without it fall back to FetchContext /
-// Fetch (the evaluator chunks the materialized forest itself).
+// instead of as one forest. Sources without it are read through FetchContext
+// / Fetch and served as a one-batch stream.
 type StreamSource interface {
 	Source
 	// FetchStream opens a tree stream over doc. The cursor honours ctx:
@@ -36,7 +36,7 @@ type StreamSource interface {
 }
 
 // PushStreamSource is a source that can evaluate a pushed plan and return
-// its rows incrementally. Sources without it fall back to PushContext /
+// its rows incrementally. Sources without it are read through PushContext /
 // Push (one-shot result, chunked mediator-side).
 type PushStreamSource interface {
 	Source
@@ -54,8 +54,8 @@ type sliceForestCursor struct {
 }
 
 // NewSliceForestCursor chunks a materialized forest (batch trees per Next,
-// DefaultStreamChunk trees when batch < 1). It is the fallback adapter used
-// when a source cannot stream natively.
+// DefaultStreamChunk trees when batch < 1). It is the adapter used when a
+// source cannot stream natively.
 func NewSliceForestCursor(f data.Forest, batch int) ForestCursor {
 	if batch < 1 {
 		batch = tab.DefaultStreamChunk
@@ -106,131 +106,148 @@ func (c *funcForestCursor) Close() error {
 	return nil
 }
 
-// InputStream resolves a named document as a tree stream when the exporting
-// source supports it. The second return is false when the document is
-// catalog-resident, unknown, or exported by a source without FetchStream —
-// callers then fall back to the materialized Input. Accounting matches
-// Input: one SourceFetches per opened stream, BytesShipped and Store
-// registration per tree as batches arrive, retry counters drained when the
-// stream ends.
-func (c *Context) InputStream(name string) (ForestCursor, bool, error) {
-	if _, ok := c.Catalog[name]; ok {
-		return nil, false, nil
+// InputStream resolves a named document as a tree stream: catalog first,
+// then the connected source exporting it. A StreamSource delivers batches as
+// they arrive; a catalog document or a source without FetchStream is one
+// batch. Accounting matches Input: one SourceFetches per opened stream,
+// BytesShipped and Store registration per tree as batches arrive, retry
+// counters drained when the stream ends.
+func (c *Context) InputStream(name string) (ForestCursor, error) {
+	if f, ok := c.Catalog[name]; ok {
+		return NewSliceForestCursor(f, len(f)), nil
 	}
-	for _, s := range c.Sources {
-		for _, d := range s.Documents() {
-			if d != name {
-				continue
-			}
-			ss, ok := s.(StreamSource)
-			if !ok {
-				return nil, false, nil
-			}
-			cctx := c.Ctx
-			if cctx == nil {
-				cctx = context.Background()
-			}
-			fc, err := ss.FetchStream(cctx, name)
+	s, err := c.exporter(name)
+	if err != nil {
+		return nil, err
+	}
+	ss, ok := s.(StreamSource)
+	if !ok {
+		f, err := c.fetch(s, name)
+		if err != nil {
+			return nil, err
+		}
+		return NewSliceForestCursor(f, len(f)), nil
+	}
+	cctx := c.Ctx
+	if cctx == nil {
+		cctx = context.Background()
+	}
+	fc, err := ss.FetchStream(cctx, name)
+	drainRetryStats(c, s)
+	if err != nil {
+		return nil, err
+	}
+	c.Stats.SourceFetches++
+	traceCounts(c, obs.Counts{Fetches: 1})
+	done := false
+	fin := func() {
+		if !done {
+			done = true
 			drainRetryStats(c, s)
-			if err != nil {
-				return nil, false, err
-			}
-			c.Stats.SourceFetches++
-			traceCounts(c, obs.Counts{Fetches: 1})
-			src := s
-			done := false
-			fin := func() {
-				if !done {
-					done = true
-					drainRetryStats(c, src)
-				}
-			}
-			return &funcForestCursor{
-				next: func() (data.Forest, error) {
-					f, err := fc.Next()
-					if err != nil {
-						fin()
-						return nil, err
-					}
-					for _, n := range f {
-						c.Stats.BytesShipped += int64(n.Size()) * 16
-						c.Store.Register(n)
-					}
-					return f, nil
-				},
-				close: func() error {
-					fin()
-					return fc.Close()
-				},
-			}, true, nil
 		}
 	}
-	return nil, false, nil
+	return &funcForestCursor{
+		next: func() (data.Forest, error) {
+			f, err := fc.Next()
+			if err != nil {
+				fin()
+				return nil, err
+			}
+			c.register(f)
+			return f, nil
+		},
+		close: func() error {
+			fin()
+			return fc.Close()
+		},
+	}, nil
 }
 
-// StreamDoc opens a streaming evaluation of a document Bind: trees arrive
-// in batches through InputStream and each batch is matched against the
-// filter as it lands, so neither the document nor the binding table is ever
-// whole in memory. Returns ok=false when b is not a document Bind or the
-// document cannot stream; callers fall back to Eval.
-func (b *Bind) StreamDoc(ctx *Context) (tab.Cursor, bool, error) {
+// StreamLeaf opens the two leaf forms of a Bind (From == nil). Over a named
+// document, trees arrive in batches through InputStream and each batch is
+// matched against the filter as it lands, so neither the document nor the
+// binding table need ever be whole in memory — unless the match chases a
+// reference the store cannot resolve yet: the objects a document's
+// references point at ship after the trees that mention them (an O₂ extent
+// is followed by its referenced closure), so from that batch on the stream
+// is held and matched once it has all arrived. Over a DJoin parameter, the
+// bound value is matched in one piece.
+func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
+	f := b.filter(ctx)
 	if b.Doc == "" {
-		return nil, false, nil
+		cell, ok := ctx.Params[b.Col]
+		if !ok {
+			return nil, fmt.Errorf("algebra: Bind over unbound parameter %s", b.Col)
+		}
+		t := f.MatchForest(ctx.Store, cell.AsForest())
+		ctx.Stats.BindRows += t.Len()
+		return tab.NewSliceCursor(t, 0), nil
 	}
-	fc, ok, err := ctx.InputStream(b.Doc)
-	if err != nil || !ok {
-		return nil, ok, err
+	fc, err := ctx.InputStream(b.Doc)
+	if err != nil {
+		return nil, err
 	}
-	f := b.F
-	if f.Model == nil && ctx.Model != nil {
-		f = &filter.Filter{Root: f.Root, Model: ctx.Model}
-	}
+	var held data.Forest // batches waiting for the objects they reference
+	eof := false
 	// One tree can bind many rows (a single-rooted document binds them
 	// all): Rechunk restores the bounded-chunk invariant downstream.
 	return tab.Rechunk(&tab.FuncCursor{
 		Columns: b.Columns(),
 		NextFn: func() (*tab.Tab, error) {
-			forest, err := fc.Next()
-			if err != nil {
-				return nil, err
+			for !eof {
+				forest, err := fc.Next()
+				switch {
+				case err == io.EOF && held != nil:
+					eof = true
+					forest = held
+				case err != nil:
+					return nil, err
+				case held != nil:
+					held = append(held, forest...)
+					continue
+				}
+				t, resolved := f.MatchForestResolved(ctx.Store, forest)
+				if !resolved && !eof {
+					held = append(held, forest...)
+					continue
+				}
+				ctx.Stats.BindRows += t.Len()
+				return t, nil
 			}
-			t := f.MatchForest(ctx.Store, forest)
-			ctx.Stats.BindRows += t.Len()
-			return t, nil
+			return nil, io.EOF
 		},
 		CloseFn: fc.Close,
-	}, tab.DefaultStreamChunk), true, nil
+	}, tab.DefaultStreamChunk), nil
 }
 
-// Stream opens a streaming evaluation of a pushed subplan when the
-// connected source implements PushStreamSource. A result-cache hit is
-// answered locally (chunked over the cached table); a miss streams from the
-// source — streamed results are never written back to the cache, because a
-// partially consumed stream must not poison it. Returns ok=false when the
-// source cannot stream; callers fall back to Eval (which keeps the one-shot
-// protocol and its cache fills). Accounting matches Eval: one SourcePushes
-// per opened stream, TuplesShipped/BytesShipped per chunk as it arrives,
-// CheckWire applied to every chunk before it is released downstream.
-func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
+// Stream opens the evaluation of a pushed subplan. The wrapper-result cache
+// is probed first under (source, canonical plan encoding, free-variable
+// bindings) — only the plan's free variables influence what the source
+// computes, so a hit stands in for any parameter environment agreeing on
+// them — and a hit is answered locally. On a miss a PushStreamSource streams
+// its rows, which are written back to the cache only once the stream has
+// been consumed to its end (a partially consumed stream must not poison
+// it); any other source answers one Push, which is cached.
+// Accounting is the same either way: one SourcePushes per push,
+// TuplesShipped/BytesShipped per chunk as it arrives, CheckWire applied to
+// every chunk before it is cached or released downstream.
+func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, error) {
 	src, ok := ctx.Sources[q.Source]
 	if !ok {
-		return nil, false, fmt.Errorf("algebra: unknown source %q", q.Source)
-	}
-	ss, ok := src.(PushStreamSource)
-	if !ok {
-		return nil, false, nil
+		return nil, fmt.Errorf("algebra: unknown source %q", q.Source)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	var key string
 	if ctx.Cache != nil {
 		if p := q.Prepared(); p.Enc != "" {
-			key := CacheKey(q.Source, p.Enc, ParamsKey(p.Vars, ctx.Params))
+			key = CacheKey(q.Source, p.Enc, ParamsKey(p.Vars, ctx.Params))
 			if t, ok := ctx.Cache.Get(key); ok {
 				ctx.Stats.CacheHits++
 				traceCounts(ctx, obs.Counts{CacheHits: 1})
 				traceAnnotate(ctx, "cache", "hit")
-				return tab.NewSliceCursor(t, 0), true, nil
+				return tab.NewSliceCursor(t, 0), nil
 			}
 			ctx.Stats.CacheMisses++
 			traceCounts(ctx, obs.Counts{CacheMisses: 1})
@@ -239,6 +256,17 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 	if sr, ok := src.(StateReporter); ok {
 		traceAnnotate(ctx, "breaker", sr.SourceState())
 	}
+	ss, ok := src.(PushStreamSource)
+	if !ok {
+		t, err := q.push(ctx, src)
+		if err != nil {
+			return nil, err
+		}
+		if key != "" && ctx.Cache.Put(key, t) {
+			ctx.Stats.CacheEvictions++
+		}
+		return tab.NewSliceCursor(t, 0), nil
+	}
 	cctx := ctx.Ctx
 	if cctx == nil {
 		cctx = context.Background()
@@ -246,7 +274,7 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 	cur, err := ss.PushStream(cctx, q.Plan, ctx.Params)
 	drainRetryStats(ctx, src)
 	if err != nil {
-		return nil, false, fmt.Errorf("source %s: %w", q.Source, err)
+		return nil, fmt.Errorf("source %s: %w", q.Source, err)
 	}
 	ctx.Stats.SourcePushes++
 	traceCounts(ctx, obs.Counts{Pushes: 1})
@@ -257,25 +285,33 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 			drainRetryStats(ctx, src)
 		}
 	}
+	var whole *tab.Tab // the rows so far, kept only to fill the cache at EOF
+	if key != "" {
+		whole = tab.New(cur.Cols()...)
+	}
 	return &tab.FuncCursor{
 		Columns: cur.Cols(),
 		NextFn: func() (*tab.Tab, error) {
 			t, err := cur.Next()
 			if err != nil {
-				fin()
 				if err != io.EOF {
 					err = fmt.Errorf("source %s: %w", q.Source, err)
+				} else if whole != nil && !done && ctx.Cache.Put(key, whole) {
+					ctx.Stats.CacheEvictions++
 				}
+				fin()
 				return nil, err
 			}
 			countShipped(ctx, t)
 			if ctx.CheckWire != nil {
-				// Validate each chunk the moment it arrives, mirroring the
-				// before-return check of the one-shot path.
 				if cerr := ctx.CheckWire(q, t); cerr != nil {
 					cur.Close()
+					whole = nil
 					return nil, cerr
 				}
+			}
+			if whole != nil {
+				whole.Rows = append(whole.Rows, t.Rows...)
 			}
 			return t, nil
 		},
@@ -283,5 +319,31 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, bool, error) {
 			fin()
 			return cur.Close()
 		},
-	}, true, nil
+	}, nil
+}
+
+// push is the one-shot protocol of a source that cannot stream: one Push,
+// the whole result in one piece, validated before the caller caches it (a
+// non-conforming response must not be served from the cache later).
+func (q *SourceQuery) push(ctx *Context, src Source) (*tab.Tab, error) {
+	var t *tab.Tab
+	var err error
+	if cs, ok := src.(ContextSource); ok && ctx.Ctx != nil {
+		t, err = cs.PushContext(ctx.Ctx, q.Plan, ctx.Params)
+	} else {
+		t, err = src.Push(q.Plan, ctx.Params)
+	}
+	drainRetryStats(ctx, src)
+	if err != nil {
+		return nil, fmt.Errorf("source %s: %w", q.Source, err)
+	}
+	ctx.Stats.SourcePushes++
+	traceCounts(ctx, obs.Counts{Pushes: 1})
+	countShipped(ctx, t)
+	if ctx.CheckWire != nil {
+		if err := ctx.CheckWire(q, t); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }

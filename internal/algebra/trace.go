@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/tab"
 )
 
 // StateReporter is implemented by sources that can report an availability
@@ -53,36 +52,6 @@ func OpKind(op Op) string {
 	default:
 		return fmt.Sprintf("%T", op)
 	}
-}
-
-// EvalOp is the traced evaluation entry point: every recursive evaluation in
-// this package goes through it. With tracing off (Context.Trace == nil) it
-// is a nil check and a direct Eval — the near-zero overhead pinned by
-// BenchmarkTraceOverhead. With tracing on it opens a child span per operator
-// (Literals excepted: they are materialized constants, and the parallel
-// engine re-wraps evaluated inputs in them), threads the span through the
-// context — and through Context.Ctx, so the wire client can tag outgoing
-// frames with the trace id — and records wall time, output rows and failure.
-func EvalOp(op Op, ctx *Context) (*tab.Tab, error) {
-	if ctx.Trace == nil {
-		return op.Eval(ctx)
-	}
-	if _, ok := op.(*Literal); ok {
-		return op.Eval(ctx)
-	}
-	sp := ctx.Trace.NewChild(OpKind(op), op.Detail())
-	cc := *ctx
-	cc.Trace = sp
-	if cc.Ctx != nil {
-		cc.Ctx = obs.WithSpan(cc.Ctx, sp)
-	}
-	t, err := op.Eval(&cc)
-	rows := -1
-	if t != nil {
-		rows = t.Len()
-	}
-	sp.Finish(rows, err)
-	return t, err
 }
 
 // traceCounts folds source-work counts into the ambient span, if tracing.

@@ -1,7 +1,9 @@
-package algebra
+package algebra_test
 
 import (
 	"fmt"
+	. "repro/internal/algebra"
+	"repro/internal/exec"
 	"strings"
 	"testing"
 
@@ -86,11 +88,11 @@ func TestPlanXMLExecutesAfterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Eval(ctx)
+	want, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Eval(worksCtx())
+	got, err := exec.RunSerial(back, worksCtx())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,33 +1,47 @@
-// Package exec is the mediator's parallel, cancellable execution engine.
-// The algebra's recursive Eval is strictly sequential: a DJoin pushes one
-// sub-query per outer row and waits for each answer before sending the next
-// — pathological over the TCP wrappers of internal/wire, where every push
-// is a network round trip (the information-passing cost model of Section
-// 5.3). This engine evaluates the same plans with a bounded worker pool:
+// Package exec is the mediator's execution engine: the one way a plan is
+// evaluated. Engine.Stream opens a plan as a tab.Cursor — operators pull
+// chunks of ~tab.DefaultStreamChunk rows from their inputs, transform them
+// with the per-chunk kernels of internal/algebra and hand them on — and
+// Engine.Run is that cursor drained into a table. Materializing is what a
+// consumer does with the stream, not a second evaluator.
 //
-//   - the independent inputs of Join, Union and Intersect evaluate
-//     concurrently;
-//   - DJoin fans its inner plan out across outer rows with a configurable
-//     in-flight bound, each row under its own parameter bindings;
-//   - a context.Context threads from Run through algebra.Context into the
-//     wire client, so a per-query timeout or cancellation aborts in-flight
-//     source I/O instead of hanging the query on a dead wrapper.
+//   - Peak memory is bounded by chunk size × pipeline depth rather than by
+//     result size, and the first rows surface before the sources have
+//     finished answering. Operators that need their whole input (Group, Sort,
+//     Intersect, a Tree that groups, the build side of a Join) drain it and
+//     emit from there.
+//   - A bounded worker pool serves the plan: DJoin fans the batched pushes
+//     (or inner evaluations) of each outer bite out with a configurable
+//     in-flight bound, and a Union plays its branches concurrently.
+//     Parallelism 1 is the same walker with no workers to fork to, not a
+//     separate path.
+//   - A context.Context threads from Stream through algebra.Context into the
+//     wire client, so a per-query timeout, a cancellation or an abandoned
+//     cursor aborts in-flight source I/O instead of hanging the query on a
+//     dead wrapper.
 //
-// Results are deterministic and identical to serial evaluation row for row:
-// concurrent units are collected and then combined in plan order (DJoin
-// emits per-outer-row results in outer order), which also preserves the
-// paper's bag semantics. Counter accounting stays exact because every
-// worker accumulates into a forked algebra.Stats that the parent merges
-// (per-worker merge instead of shared atomics). Subplans that mint Skolem
-// identifiers are the one exception to parallelism: their mint order is
-// observable in the output, so the engine serializes any pair of units that
-// would both mint (see mintsSkolems).
+// Row order: everything except a parallel Union delivers its rows in the
+// order serial evaluation does — concurrent units are collected and combined
+// in plan order (DJoin re-expands per-set results in outer order). A Union
+// under Parallelism > 1 interleaves its branches' chunks as they arrive:
+// the same bag of rows, first row from whichever source answers first.
+// Serially, and whenever both branches mint Skolem identifiers (mint order is
+// observable in the output, see mintsSkolems), the branches play in plan
+// order.
+//
+// Counters: every worker accumulates into a forked algebra.Stats that the
+// parent merges (per-worker merge instead of shared atomics), so accounting
+// is exact. A DJoin deduplicates binding sets per outer bite, not over the
+// whole outer table — that is what bounds its memory — so duplicates
+// spanning bites cost extra pushes unless the shared result cache absorbs
+// them. Rows are unaffected.
 package exec
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -40,15 +54,14 @@ import (
 // Options configure one engine.
 type Options struct {
 	// Parallelism bounds the number of concurrently evaluating workers.
-	// 1 forces serial evaluation (the engine then behaves exactly like the
-	// recursive Eval); values below 1 default to GOMAXPROCS.
+	// 1 is serial evaluation; values below 1 default to GOMAXPROCS.
 	Parallelism int
 	// FanOut bounds the in-flight inner evaluations of one DJoin. Zero or
 	// negative means "use Parallelism". The effective bound is never larger
 	// than Parallelism: fan-out workers come from the same pool. With
 	// batched pushes it bounds the number of chunks in flight.
 	FanOut int
-	// Timeout is the per-query deadline applied by Run; zero disables it.
+	// Timeout is the per-query deadline; zero disables it.
 	Timeout time.Duration
 	// BatchChunk bounds the binding sets per batched DJoin push; zero means
 	// "use the evaluation context's default" (algebra.DefaultBatchChunk).
@@ -57,10 +70,6 @@ type Options struct {
 	// Parallelism/FanOut so push counts stay identical between serial and
 	// parallel runs of the same query.
 	BatchChunk int
-	// PerRowDJoin restores the one-push-per-outer-row DJoin baseline
-	// (no deduplication, no batched pushes); comparison experiments and
-	// benchmarks use it to measure what batching saves.
-	PerRowDJoin bool
 	// CacheSize, when positive, asks the mediator to install a shared
 	// wrapper-result cache bounded to this many entries (see
 	// algebra.ResultCache). The engine itself does not consume it: the
@@ -77,20 +86,15 @@ type Options struct {
 	// Every returned row is still correct — the result is a lower bound.
 	AllowPartial bool
 	// Trace enables per-operator span collection (see internal/obs): every
-	// evaluated operator gets a span under the root the caller attaches to
+	// plan node gets a span under the root the caller attaches to
 	// algebra.Context.Trace (the mediator mints one and returns it in
 	// Result.Trace), fan-out workers get spans parented to the operator
 	// that forked them, and the trace id rides the wire frames so
 	// wrapper-side work is attributed to its cause. Off by default;
 	// when off the engine's only extra work is a nil check per node.
 	Trace bool
-	// Stream routes query execution through the chunked streaming path:
-	// Mediator.ExecuteContext drains Mediator.StreamContext (bounded
-	// memory, identical rows) instead of calling Engine.Run. The engine
-	// itself does not consume it — callers pick Run or Stream explicitly.
-	Stream bool
-	// StreamBuffer bounds the row buffer between the streaming evaluator
-	// and the consumer of Mediator.StreamContext (backpressure: producers
+	// StreamBuffer bounds the row buffer between the engine and the
+	// consumer of Mediator.StreamContext (backpressure: producers
 	// stall once the buffer is full). Zero means 2×tab.DefaultStreamChunk;
 	// negative values are rejected by Validate.
 	StreamBuffer int
@@ -125,8 +129,8 @@ func (o Options) Validate() error {
 // concurrent use; all queries run through one engine share its pool.
 type Engine struct {
 	opts Options
-	// tokens is the pool of *extra* workers: the goroutine calling Run
-	// counts as one worker, so capacity is Parallelism-1. A unit of work
+	// tokens is the pool of *extra* workers: the goroutine pulling the
+	// cursor counts as one worker, so capacity is Parallelism-1. A unit of work
 	// forks only when a token is free, otherwise it runs inline — this
 	// never deadlocks, however deep the plan.
 	tokens chan struct{}
@@ -146,34 +150,97 @@ func New(opts Options) *Engine {
 // Options reports the engine's effective configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// Run evaluates a plan, applying the engine's timeout and threading the
-// context through the evaluation context into the sources. The returned
-// rows are identical, in order, to what plan.Eval would produce.
+// Run evaluates a plan to a table: Stream, drained.
 func (e *Engine) Run(ctx context.Context, plan algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
+	cur, err := e.Stream(ctx, plan, actx)
+	if err != nil {
+		return nil, err
+	}
+	return tab.Drain(cur)
+}
+
+// RunSerial evaluates a plan on a serial engine without a deadline — what a
+// caller holding just a plan and a context needs (a wrapper answering a
+// pushed plan locally, a test evaluating a hand-built plan).
+func RunSerial(plan algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
+	return New(Options{Parallelism: 1}).Run(context.Background(), plan, actx)
+}
+
+// Stream evaluates a plan as a chunk stream, applying the engine's timeout
+// and threading the context through the evaluation context into the
+// sources. The cursor must be drained or closed: Close cancels the query
+// context, which aborts in-flight source I/O (client-abandon propagates to
+// wrappers). Under AllowPartial a source failure ends the stream instead of
+// erroring — the rows already delivered stand, and the failure is recorded
+// in actx.Partial.
+func (e *Engine) Stream(ctx context.Context, plan algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
+	var cancel context.CancelFunc
 	if e.opts.Timeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
-		defer cancel()
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
 	}
 	ectx := actx.WithContext(ctx)
 	if e.opts.BatchChunk > 0 {
 		ectx.BatchChunk = e.opts.BatchChunk
-	}
-	if e.opts.PerRowDJoin {
-		ectx.PerRowDJoin = true
 	}
 	if e.opts.AllowPartial && ectx.Partial == nil {
 		// The caller usually pre-attaches a report (to read it back after
 		// the run); degrade into a private one otherwise.
 		ectx.Partial = algebra.NewPartialReport()
 	}
-	t, err := e.eval(ctx, plan, ectx)
-	if err != nil && e.degrade(ectx, err) {
-		// The whole plan roots in unreachable sources: the rows derivable
-		// from live sources are exactly none.
-		return tab.New(plan.Columns()...), nil
+	cur, err := e.stream(ctx, plan, ectx)
+	if err != nil {
+		cancel()
+		if e.degrade(ectx, err) {
+			// The whole plan roots in unreachable sources: the rows
+			// derivable from live sources are exactly none.
+			return tab.NewSliceCursor(tab.New(plan.Columns()...), 0), nil
+		}
+		return nil, err
 	}
-	return t, err
+	return &rootCursor{e: e, ectx: ectx, cur: cur, cancel: cancel}, nil
+}
+
+// rootCursor is the top of an evaluation: it owns the query context
+// (cancelled at end-of-stream, on error, and on Close) and applies
+// root-level graceful degradation.
+type rootCursor struct {
+	e      *Engine
+	ectx   *algebra.Context
+	cur    tab.Cursor
+	cancel context.CancelFunc
+	done   bool
+}
+
+func (c *rootCursor) Cols() []string { return c.cur.Cols() }
+
+func (c *rootCursor) Next() (*tab.Tab, error) {
+	if c.done {
+		return nil, io.EOF
+	}
+	t, err := c.cur.Next()
+	if err == nil {
+		return t, nil
+	}
+	c.done = true
+	c.cur.Close()
+	c.cancel()
+	if err != io.EOF && c.e.degrade(c.ectx, err) {
+		// The rows already streamed stand; the failed source is on record.
+		err = io.EOF
+	}
+	return nil, err
+}
+
+func (c *rootCursor) Close() error {
+	if c.done {
+		return nil
+	}
+	c.done = true
+	err := c.cur.Close()
+	c.cancel()
+	return err
 }
 
 // degrade reports whether err is a source-availability failure that
@@ -188,285 +255,6 @@ func (e *Engine) degrade(actx *algebra.Context, err error) bool {
 	}
 	actx.Partial.Record(ue.Source, err)
 	return true
-}
-
-// lit wraps an evaluated input so an operator's own Eval can combine it.
-func lit(t *tab.Tab) algebra.Op { return &algebra.Literal{T: t} }
-
-// eval evaluates one plan node, opening a span for it when tracing. The
-// span wrapper lives here — not in the operators' Eval — because the engine
-// owns the recursion: operators re-dispatched over materialized inputs see
-// only Literal children, which are never spanned, so each plan node gets
-// exactly one span regardless of which layer evaluates it.
-func (e *Engine) eval(ctx context.Context, op algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
-	if actx.Trace == nil {
-		return e.evalNode(ctx, op, actx)
-	}
-	if _, ok := op.(*algebra.Literal); ok {
-		return e.evalNode(ctx, op, actx)
-	}
-	sp := actx.Trace.NewChild(algebra.OpKind(op), op.Detail())
-	cc := *actx
-	cc.Trace = sp
-	tctx := obs.WithSpan(ctx, sp)
-	cc.Ctx = tctx
-	t, err := e.evalNode(tctx, op, &cc)
-	rows := -1
-	if t != nil {
-		rows = t.Len()
-	}
-	sp.Finish(rows, err)
-	return t, err
-}
-
-// evalNode evaluates one plan node. Operators with several independent
-// inputs (Join, DJoin, Union, Intersect) are scheduled here; everything else
-// evaluates its input through the engine and then delegates to the
-// operator's own Eval over the materialized input, so combine semantics
-// (hash joins, residual predicates, grouping, construction) stay in exactly
-// one place: internal/algebra.
-func (e *Engine) evalNode(ctx context.Context, op algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch x := op.(type) {
-	case *algebra.Doc, *algebra.Literal, *algebra.SourceQuery:
-		// Leaves. A SourceQuery's subplan is evaluated by the source, not
-		// here; cancellation reaches it through actx.Ctx.
-		return op.Eval(actx)
-	case *algebra.Bind:
-		if x.From == nil {
-			return op.Eval(actx) // document or parameter leaf
-		}
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Bind{From: lit(in), Col: x.Col, F: x.F}).Eval(actx)
-	case *algebra.Select:
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Select{From: lit(in), Pred: x.Pred}).Eval(actx)
-	case *algebra.Project:
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Project{From: lit(in), Cols: x.Cols}).Eval(actx)
-	case *algebra.MapExpr:
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.MapExpr{From: lit(in), Col: x.Col, E: x.E}).Eval(actx)
-	case *algebra.Distinct:
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Distinct{From: lit(in)}).Eval(actx)
-	case *algebra.Group:
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Group{From: lit(in), Keys: x.Keys, Into: x.Into}).Eval(actx)
-	case *algebra.Sort:
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Sort{From: lit(in), Cols: x.Cols}).Eval(actx)
-	case *algebra.TreeOp:
-		in, err := e.eval(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.TreeOp{From: lit(in), C: x.C, OutCol: x.OutCol}).Eval(actx)
-	case *algebra.Join:
-		l, r, err := e.evalPair(ctx, x.L, x.R, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Join{L: lit(l), R: lit(r), Pred: x.Pred}).Eval(actx)
-	case *algebra.Union:
-		if e.opts.AllowPartial {
-			return e.evalUnionPartial(ctx, x, actx)
-		}
-		l, r, err := e.evalPair(ctx, x.L, x.R, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Union{L: lit(l), R: lit(r)}).Eval(actx)
-	case *algebra.Intersect:
-		l, r, err := e.evalPair(ctx, x.L, x.R, actx)
-		if err != nil {
-			return nil, err
-		}
-		return (&algebra.Intersect{L: lit(l), R: lit(r)}).Eval(actx)
-	case *algebra.DJoin:
-		return e.evalDJoin(ctx, x, actx)
-	default:
-		return nil, fmt.Errorf("exec: unknown operator %T", op)
-	}
-}
-
-// evalUnionPartial evaluates a Union under graceful degradation: both
-// branches always evaluate (a failure on the left must not suppress the
-// live rows of the right), and a branch failing with UnavailableError is
-// recorded and replaced by its empty shape — the set-oriented counterpart
-// of the paper's §2 observation that partial results still compose. Any
-// other failure aborts as usual.
-func (e *Engine) evalUnionPartial(ctx context.Context, x *algebra.Union, actx *algebra.Context) (*tab.Tab, error) {
-	lt, rt, lerr, rerr := e.evalBoth(ctx, x.L, x.R, actx)
-	if lerr != nil {
-		if !e.degrade(actx, lerr) {
-			return nil, lerr
-		}
-		lt = tab.New(x.L.Columns()...)
-	}
-	if rerr != nil {
-		if !e.degrade(actx, rerr) {
-			return nil, rerr
-		}
-		rt = tab.New(x.R.Columns()...)
-	}
-	return (&algebra.Union{L: lit(lt), R: lit(rt)}).Eval(actx)
-}
-
-// evalBoth evaluates two independent subplans like evalPair, but always
-// carries both evaluations to completion and returns both errors — the
-// shape graceful degradation needs to keep the live branch's rows when the
-// other branch's source is down.
-func (e *Engine) evalBoth(ctx context.Context, l, r algebra.Op, actx *algebra.Context) (lt, rt *tab.Tab, lerr, rerr error) {
-	if e.opts.Parallelism > 1 && !(mintsSkolems(l) && mintsSkolems(r)) {
-		select {
-		case e.tokens <- struct{}{}:
-			rctx := actx.Fork()
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				defer func() { <-e.tokens }()
-				rt, rerr = e.eval(ctx, r, rctx)
-			}()
-			lt, lerr = e.eval(ctx, l, actx)
-			<-done
-			actx.Stats.Add(*rctx.Stats)
-			return lt, rt, lerr, rerr
-		default:
-			// pool saturated: fall through to serial evaluation
-		}
-	}
-	lt, lerr = e.eval(ctx, l, actx)
-	rt, rerr = e.eval(ctx, r, actx)
-	return lt, rt, lerr, rerr
-}
-
-// evalPair evaluates two independent subplans, concurrently when a worker
-// is free. The right side forks; the left evaluates inline, so the caller's
-// goroutine is never idle. Serialized when both sides mint Skolem
-// identifiers (mint order is observable in the result).
-func (e *Engine) evalPair(ctx context.Context, l, r algebra.Op, actx *algebra.Context) (*tab.Tab, *tab.Tab, error) {
-	if e.opts.Parallelism > 1 && !(mintsSkolems(l) && mintsSkolems(r)) {
-		select {
-		case e.tokens <- struct{}{}:
-			rctx := actx.Fork()
-			var rt *tab.Tab
-			var rerr error
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				defer func() { <-e.tokens }()
-				rt, rerr = e.eval(ctx, r, rctx)
-			}()
-			lt, lerr := e.eval(ctx, l, actx)
-			<-done
-			actx.Stats.Add(*rctx.Stats)
-			if lerr != nil {
-				return nil, nil, lerr
-			}
-			if rerr != nil {
-				return nil, nil, rerr
-			}
-			return lt, rt, nil
-		default:
-			// pool saturated: fall through to serial evaluation
-		}
-	}
-	lt, err := e.eval(ctx, l, actx)
-	if err != nil {
-		return nil, nil, err
-	}
-	rt, err := e.eval(ctx, r, actx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lt, rt, nil
-}
-
-// evalDJoin is the set-at-a-time dependency join under fan-out: the outer
-// rows are deduplicated to distinct binding sets (mirroring the serial
-// DJoin.Eval), then either batched pushes — one per chunk of binding sets —
-// or per-set inner evaluations are dispatched with at most FanOut units in
-// flight. Results re-expand in outer order, so the output and the counters
-// equal the serial DJoin's row for row.
-func (e *Engine) evalDJoin(ctx context.Context, x *algebra.DJoin, actx *algebra.Context) (*tab.Tab, error) {
-	l, err := e.eval(ctx, x.L, actx)
-	if err != nil {
-		return nil, err
-	}
-	if actx.PerRowDJoin {
-		return e.evalDJoinPerRow(ctx, x, actx, l)
-	}
-	set := algebra.NewDJoinSet(actx, x, l)
-	if set.Batchable() {
-		chunks, cerr := set.PendingChunks(actx)
-		if cerr != nil {
-			return nil, cerr
-		}
-		err = e.fanOut(ctx, actx, len(chunks), false, func(u *algebra.Context, i int) error {
-			return set.EvalChunk(u, chunks[i])
-		})
-	} else {
-		// Serialized when the inner plan mints Skolem identifiers: mint
-		// order across binding sets is observable in the output.
-		err = e.fanOut(ctx, actx, len(set.Bindings.Sets), mintsSkolems(x.R), func(u *algebra.Context, i int) error {
-			return set.EvalSet(u, i, x.R, func(c *algebra.Context, op algebra.Op) (*tab.Tab, error) {
-				return e.eval(ctx, op, c)
-			})
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return set.Expand(l, x.Columns()), nil
-}
-
-// evalDJoinPerRow is the pre-batching baseline under fan-out: one inner
-// evaluation per outer row with the full row bound as parameters.
-func (e *Engine) evalDJoinPerRow(ctx context.Context, x *algebra.DJoin, actx *algebra.Context, l *tab.Tab) (*tab.Tab, error) {
-	subs := make([]*tab.Tab, len(l.Rows))
-	err := e.fanOut(ctx, actx, len(l.Rows), mintsSkolems(x.R), func(u *algebra.Context, i int) error {
-		params := make(map[string]tab.Cell, len(l.Cols))
-		for j, c := range l.Cols {
-			params[c] = l.Rows[i][j]
-		}
-		sub, err := e.eval(ctx, x.R, u.WithParams(params))
-		subs[i] = sub
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := tab.New(x.Columns()...)
-	for i, sub := range subs {
-		for _, rr := range sub.Rows {
-			out.AddRow(append(l.Rows[i].Clone(), rr...))
-		}
-	}
-	return out, nil
 }
 
 // fanOut runs n independent units with at most FanOut in flight (forked
@@ -554,7 +342,7 @@ func (e *Engine) fanOut(ctx context.Context, actx *algebra.Context, n int, seria
 // identifiers (only the Tree operator does). Minting draws numbers from the
 // context's shared registry in evaluation order, and those numbers appear
 // in the constructed trees — so two units that both mint must not run
-// concurrently if the engine is to reproduce serial output exactly. The
+// concurrently if a parallel engine is to reproduce serial output exactly. The
 // check descends into SourceQuery subplans too; that is conservative
 // (pushed plans evaluate at the source), never wrong.
 func mintsSkolems(op algebra.Op) bool {

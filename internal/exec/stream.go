@@ -1,24 +1,7 @@
-// Streaming (chunked-batch pull) evaluation. Engine.Stream is the
-// counterpart of Engine.Run that returns a tab.Cursor instead of a
-// materialized table: operators pull chunks of ~tab.DefaultStreamChunk rows
-// from their inputs, transform them and hand them on, so peak memory is
-// bounded by chunk size × pipeline depth rather than by result size, and
-// the first rows surface before the sources have finished answering.
-//
-// Row fidelity: on a serial engine (Parallelism 1) the streamed rows are
-// identical, in order, to Engine.Run — pipeline operators (Bind, Select,
-// Project, Map, Tree, Distinct, the probe side of hash Join, DJoin outer
-// chunks re-expanded in outer order) preserve order chunk by chunk, and
-// inherently blocking operators (Group, Sort, Intersect, per-row DJoin)
-// fall back to materialized evaluation behind a chunking cursor. Under
-// parallelism the one divergence is Union, which interleaves child chunks
-// as they arrive (bag-equal, lower time-to-first-row); everything else
-// stays order-identical.
-//
-// Push accounting can differ from the materialized engine: a streaming
-// DJoin deduplicates binding sets per outer chunk, not globally, so
-// duplicates spanning chunk boundaries cost extra pushes unless the shared
-// result cache absorbs them. Rows are unaffected.
+// The walker: one recursive function opens a cursor per plan node, and a
+// handful of cursors carry the state that spans chunks (DJoin bites, the two
+// Union schedules, duplicate elimination). Everything an operator computes
+// from a chunk is a kernel call into internal/algebra.
 package exec
 
 import (
@@ -32,85 +15,11 @@ import (
 	"repro/internal/tab"
 )
 
-// Stream evaluates a plan as a chunk stream. The cursor must be drained or
-// closed: Close cancels the query context, which aborts in-flight source
-// I/O (client-abandon propagates to wrappers). Under AllowPartial a
-// mid-stream source failure ends the stream instead of erroring — the rows
-// already delivered stand, and the failure is recorded in actx.Partial.
-func (e *Engine) Stream(ctx context.Context, plan algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
-	var cancel context.CancelFunc
-	if e.opts.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	ectx := actx.WithContext(ctx)
-	if e.opts.BatchChunk > 0 {
-		ectx.BatchChunk = e.opts.BatchChunk
-	}
-	if e.opts.PerRowDJoin {
-		ectx.PerRowDJoin = true
-	}
-	if e.opts.AllowPartial && ectx.Partial == nil {
-		ectx.Partial = algebra.NewPartialReport()
-	}
-	cur, err := e.stream(ctx, plan, ectx)
-	if err != nil {
-		cancel()
-		if e.degrade(ectx, err) {
-			return tab.NewSliceCursor(tab.New(plan.Columns()...), 0), nil
-		}
-		return nil, err
-	}
-	return &rootCursor{e: e, ectx: ectx, cur: cur, cancel: cancel}, nil
-}
-
-// rootCursor is the top of a streamed evaluation: it owns the query
-// context (cancelled at end-of-stream, on error, and on Close) and applies
-// root-level graceful degradation, mirroring Run.
-type rootCursor struct {
-	e      *Engine
-	ectx   *algebra.Context
-	cur    tab.Cursor
-	cancel context.CancelFunc
-	done   bool
-}
-
-func (c *rootCursor) Cols() []string { return c.cur.Cols() }
-
-func (c *rootCursor) Next() (*tab.Tab, error) {
-	if c.done {
-		return nil, io.EOF
-	}
-	t, err := c.cur.Next()
-	if err == nil {
-		return t, nil
-	}
-	c.done = true
-	c.cur.Close()
-	c.cancel()
-	if err != io.EOF && c.e.degrade(c.ectx, err) {
-		// The rows already streamed stand; the failed source is on record.
-		err = io.EOF
-	}
-	return nil, err
-}
-
-func (c *rootCursor) Close() error {
-	if c.done {
-		return nil
-	}
-	c.done = true
-	err := c.cur.Close()
-	c.cancel()
-	return err
-}
-
 // stream opens a cursor over one plan node, wrapping it in a span when
-// tracing (the streaming analogue of eval): the span finishes when the
-// cursor ends, carries the produced row count, and records the instant the
-// first chunk left the operator — the per-operator time-to-first-row shown
-// by EXPLAIN ANALYZE.
+// tracing: the span finishes when the cursor ends, carries the produced row
+// count, and records the instant the first chunk left the operator — the
+// per-operator time-to-first-row shown by EXPLAIN ANALYZE. Literals are
+// never spanned: they are constants, not work.
 func (e *Engine) stream(ctx context.Context, op algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -177,21 +86,43 @@ func (c *spanCursor) Close() error {
 	return err
 }
 
-// materialize evaluates op with the materialized engine and serves the
-// result as chunks — the fallback for operators that are inherently
-// blocking (they need their whole input before emitting anything) and for
-// sources without a streaming protocol. The caller's stream() has already
-// opened this op's span, so the node evaluator is entered directly.
-func (e *Engine) materialize(ctx context.Context, op algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
-	t, err := e.evalNode(ctx, op, actx)
+// drain evaluates a subplan to a table — what an operator does with an
+// input it needs whole: the build side of a Join, a blocking operator's
+// input, the inner plan of a DJoin under one binding set.
+func (e *Engine) drain(ctx context.Context, op algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
+	cur, err := e.stream(ctx, op, actx)
 	if err != nil {
 		return nil, err
 	}
-	return tab.NewSliceCursor(t, 0), nil
+	return tab.Drain(cur)
 }
 
-// mapCursor streams in through a per-chunk transform (the 1:1 pipeline
-// shape of Bind/Select/Project/Map/Tree).
+// blocking is the shape of an operator that cannot emit before it has seen
+// its whole input (Group, Sort, a grouping Tree): drain, apply the kernel
+// once, serve the result in chunks.
+func (e *Engine) blocking(ctx context.Context, from algebra.Op, actx *algebra.Context, kernel func(*tab.Tab) (*tab.Tab, error)) (tab.Cursor, error) {
+	in, err := e.drain(ctx, from, actx)
+	if err != nil {
+		return nil, err
+	}
+	out, err := kernel(in)
+	if err != nil {
+		return nil, err
+	}
+	return tab.NewSliceCursor(out, 0), nil
+}
+
+// pipe is the shape of an operator that transforms its input chunk by chunk
+// (Bind, Select, Project, Map, Distinct, a row-local Tree, the probe side of
+// a Join): open the input, run every chunk through the kernel.
+func (e *Engine) pipe(ctx context.Context, x, from algebra.Op, actx *algebra.Context, kernel func(*tab.Tab) (*tab.Tab, error)) (tab.Cursor, error) {
+	in, err := e.stream(ctx, from, actx)
+	if err != nil {
+		return nil, err
+	}
+	return mapCursor(in, x.Columns(), kernel), nil
+}
+
 func mapCursor(in tab.Cursor, cols []string, f func(*tab.Tab) (*tab.Tab, error)) tab.Cursor {
 	return &tab.FuncCursor{
 		Columns: cols,
@@ -212,117 +143,60 @@ func mapCursor(in tab.Cursor, cols []string, f func(*tab.Tab) (*tab.Tab, error))
 }
 
 // streamNode opens a cursor for one plan node. The switch is exhaustive
-// over the algebra (yat-lint enforces it): every operator either pipelines
-// — transforming input chunks as they arrive — or deliberately falls back
-// to materialized evaluation, so the streaming path accepts exactly the
-// plans Run does.
+// over the algebra (yat-lint enforces it) and is the only place operators
+// are evaluated.
 func (e *Engine) streamNode(ctx context.Context, op algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
 	switch x := op.(type) {
 	case *algebra.Literal:
 		return tab.NewSliceCursor(x.T, 0), nil
 	case *algebra.Doc:
-		// Whole-document leaf: the forest is needed as one value.
-		return e.materialize(ctx, op, actx)
+		return x.Stream(actx)
 	case *algebra.SourceQuery:
-		cur, ok, err := x.Stream(actx)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return cur, nil
-		}
-		return e.materialize(ctx, op, actx)
+		// The subplan is evaluated by the source, not here; cancellation
+		// reaches it through actx.Ctx.
+		return x.Stream(actx)
 	case *algebra.Bind:
-		if x.Doc != "" {
-			cur, ok, err := x.StreamDoc(actx)
+		if x.From == nil {
+			return x.StreamLeaf(actx)
+		}
+		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
+	case *algebra.Select:
+		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
+	case *algebra.Project:
+		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
+	case *algebra.MapExpr:
+		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
+	case *algebra.Distinct:
+		seen := map[string]bool{}
+		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t, seen), nil })
+	case *algebra.TreeOp:
+		if !x.C.RowLocal() {
+			return e.blocking(ctx, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t, nil) })
+		}
+		// Skolem minting follows chunk consumption order, which is row order.
+		seen := map[string]bool{}
+		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t, seen) })
+	case *algebra.Group:
+		return e.blocking(ctx, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
+	case *algebra.Sort:
+		return e.blocking(ctx, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
+	case *algebra.Intersect:
+		return e.blocking(ctx, x.L, actx, func(l *tab.Tab) (*tab.Tab, error) {
+			r, err := e.drain(ctx, x.R, actx)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				return cur, nil
-			}
-			return e.materialize(ctx, op, actx)
-		}
-		if x.From == nil {
-			return e.materialize(ctx, op, actx) // parameter leaf
-		}
-		in, err := e.stream(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return mapCursor(in, x.Columns(), func(t *tab.Tab) (*tab.Tab, error) {
-			return (&algebra.Bind{From: lit(t), Col: x.Col, F: x.F}).Eval(actx)
-		}), nil
-	case *algebra.Select:
-		in, err := e.stream(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return mapCursor(in, x.Columns(), func(t *tab.Tab) (*tab.Tab, error) {
-			return (&algebra.Select{From: lit(t), Pred: x.Pred}).Eval(actx)
-		}), nil
-	case *algebra.Project:
-		in, err := e.stream(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return mapCursor(in, x.Columns(), func(t *tab.Tab) (*tab.Tab, error) {
-			return (&algebra.Project{From: lit(t), Cols: x.Cols}).Eval(actx)
-		}), nil
-	case *algebra.MapExpr:
-		in, err := e.stream(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return mapCursor(in, x.Columns(), func(t *tab.Tab) (*tab.Tab, error) {
-			return (&algebra.MapExpr{From: lit(t), Col: x.Col, E: x.E}).Eval(actx)
-		}), nil
-	case *algebra.TreeOp:
-		// Tree construction pipelines: Skolem minting follows chunk
-		// consumption order, which on the serial path equals row order.
-		in, err := e.stream(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		return mapCursor(in, x.Columns(), func(t *tab.Tab) (*tab.Tab, error) {
-			return (&algebra.TreeOp{From: lit(t), C: x.C, OutCol: x.OutCol}).Eval(actx)
-		}), nil
-	case *algebra.Distinct:
-		in, err := e.stream(ctx, x.From, actx)
-		if err != nil {
-			return nil, err
-		}
-		seen := map[string]bool{}
-		return mapCursor(in, x.Columns(), func(t *tab.Tab) (*tab.Tab, error) {
-			out := tab.New(t.Cols...)
-			for _, r := range t.Rows {
-				k := r.Key()
-				if !seen[k] {
-					seen[k] = true
-					out.Rows = append(out.Rows, r)
-				}
-			}
-			return out, nil
-		}), nil
-	case *algebra.Group, *algebra.Sort, *algebra.Intersect:
-		// Blocking operators: nothing can be emitted before the whole
-		// input is seen, so streaming them buys no memory bound.
-		return e.materialize(ctx, op, actx)
+			return x.Apply(l, r)
+		})
 	case *algebra.Join:
-		// Hash join: materialize the build side (R) once, stream the probe
-		// side — probe order is input order, so chunk-by-chunk probing
-		// reproduces the materialized row order exactly.
-		rt, err := e.eval(ctx, x.R, actx)
+		// The build side (R) is drained and hashed once; the probe side
+		// streams, and probe order is input order.
+		rt, err := e.drain(ctx, x.R, actx)
 		if err != nil {
 			return nil, err
 		}
-		in, err := e.stream(ctx, x.L, actx)
-		if err != nil {
-			return nil, err
-		}
-		return mapCursor(in, x.Columns(), func(t *tab.Tab) (*tab.Tab, error) {
-			return (&algebra.Join{L: lit(t), R: lit(rt), Pred: x.Pred}).Eval(actx)
-		}), nil
+		build := x.Build(x.L.Columns(), rt)
+		return e.pipe(ctx, x, x.L, actx, func(t *tab.Tab) (*tab.Tab, error) { return build.Apply(actx, t) })
 	case *algebra.Union:
 		return e.streamUnion(ctx, x, actx)
 	case *algebra.DJoin:
@@ -339,14 +213,9 @@ func (e *Engine) streamNode(ctx context.Context, op algebra.Op, actx *algebra.Co
 // time-to-first-row is one outer bite plus a single push round trip rather
 // than however many batches a larger chunk would need. Deduplication is per
 // outer bite; the shared result cache (when installed) restores cross-bite
-// deduplication. Results re-expand in outer order per bite, so output rows
-// equal the materialized DJoin's.
+// deduplication. Results re-expand in outer order per bite, so the output is
+// row for row what one inner evaluation per outer row would produce.
 func (e *Engine) streamDJoin(ctx context.Context, x *algebra.DJoin, actx *algebra.Context) (tab.Cursor, error) {
-	if actx.PerRowDJoin {
-		// The per-row baseline exists to measure what batching saves;
-		// keeping it materialized keeps the comparison meaningful.
-		return e.materialize(ctx, x, actx)
-	}
 	outer, err := e.stream(ctx, x.L, actx)
 	if err != nil {
 		return nil, err
@@ -387,7 +256,7 @@ func (e *Engine) streamDJoin(ctx context.Context, x *algebra.DJoin, actx *algebr
 			} else {
 				err := e.fanOut(ctx, actx, len(set.Bindings.Sets), mintsSkolems(x.R), func(u *algebra.Context, i int) error {
 					return set.EvalSet(u, i, x.R, func(c *algebra.Context, op algebra.Op) (*tab.Tab, error) {
-						return e.eval(ctx, op, c)
+						return e.drain(ctx, op, c)
 					})
 				})
 				if err != nil {
@@ -403,14 +272,18 @@ func (e *Engine) streamDJoin(ctx context.Context, x *algebra.DJoin, actx *algebr
 
 // streamUnion streams a Union. Serially (and when both branches mint Skolem
 // identifiers, whose order is observable) the branches play in plan order —
-// left exhausted, then right, opened lazily — which preserves the
-// materialized row order. Under parallelism the branches produce into a
-// bounded channel concurrently and chunks interleave in arrival order:
-// bag-identical rows, first row from whichever source answers first.
-// Graceful degradation matches evalUnionPartial: an unavailable branch is
-// recorded and contributes what it managed to stream; the other branch
-// still plays out.
+// left exhausted, then right, opened lazily. Under parallelism the branches
+// produce into a bounded channel concurrently and chunks interleave in
+// arrival order: bag-identical rows, first row from whichever source answers
+// first. Under graceful degradation both branches always play out (a failure
+// on one must not suppress the live rows of the other): an unavailable
+// branch is recorded and contributes what it managed to stream — the
+// set-oriented counterpart of the paper's §2 observation that partial
+// results still compose. Any other failure aborts as usual.
 func (e *Engine) streamUnion(ctx context.Context, x *algebra.Union, actx *algebra.Context) (tab.Cursor, error) {
+	if err := x.Check(); err != nil {
+		return nil, err
+	}
 	if e.opts.Parallelism <= 1 || (mintsSkolems(x.L) && mintsSkolems(x.R)) {
 		return &seqUnionCursor{e: e, ctx: ctx, actx: actx, cols: x.Columns(), branches: []algebra.Op{x.L, x.R}}, nil
 	}
@@ -572,6 +445,12 @@ func (e *Engine) streamUnionInterleaved(ctx context.Context, x *algebra.Union, a
 						finished = true
 						cancel()
 						merge()
+						// A producer that stopped because the query was
+						// cancelled reports nothing; the stream must not
+						// pass for complete.
+						if err := ctx.Err(); err != nil {
+							return nil, err
+						}
 						return nil, io.EOF
 					}
 				}

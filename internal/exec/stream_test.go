@@ -1,105 +1,21 @@
 package exec_test
 
-// The streaming engine's contract mirrors the parallel engine's: same rows
-// as serial evaluation, order-identical when streaming serially, bag-equal
-// when parallel Union interleaves child chunks. These tests drain the
-// cursor over live wire wrappers so the chunked framing, the conn pinning
-// and the pull-driven wrapper calls all run under -race.
+// Cursor behaviour over live wire wrappers: chunks surface before the stream
+// ends, and an abandoned cursor leaves the pinned connection reusable. The
+// chunked framing, the conn pinning and the pull-driven wrapper calls all run
+// under -race.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/tab"
 )
-
-// streamBoth evaluates the plan serially (materialized Eval) and by
-// draining the streaming engine, asserting row fidelity. ordered demands
-// byte-identical row order (the serial-stream guarantee); interleaving
-// paths assert bag equality.
-func streamBoth(t *testing.T, plan algebra.Op, mk func() *algebra.Context, opts exec.Options, ordered bool) {
-	t.Helper()
-	sctx := mk()
-	serial, err := plan.Eval(sctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty fixture: the comparison is vacuous")
-	}
-	cur, err := exec.New(opts).Stream(context.Background(), plan, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tab.Drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ordered {
-		if !serial.Equal(got) {
-			t.Fatalf("streamed rows diverge from serial:\nserial (%d rows):\n%s\nstreamed (%d rows):\n%s",
-				serial.Len(), serial, got.Len(), got)
-		}
-	} else if !serial.EqualUnordered(got) {
-		t.Fatalf("streamed rows are not the serial bag:\nserial (%d rows):\n%s\nstreamed (%d rows):\n%s",
-			serial.Len(), serial, got.Len(), got)
-	}
-}
-
-func TestStreamDJoinWire(t *testing.T) {
-	w := datagen.Generate(datagen.DefaultParams(120))
-	ctx := serveWrappers(t, w)
-	mk := func() *algebra.Context { c := *ctx; c.Stats = &algebra.Stats{}; return &c }
-	plan := &algebra.DJoin{
-		L: &algebra.Literal{T: titleRows(w, 40)},
-		R: &algebra.SourceQuery{Source: "o2artifact",
-			Plan: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$t2 = $t`)}},
-	}
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 8, FanOut: 2}, true)
-}
-
-func TestStreamJoinAndUnionWire(t *testing.T) {
-	w := datagen.Generate(datagen.DefaultParams(120))
-	ctx := serveWrappers(t, w)
-	mk := func() *algebra.Context { c := *ctx; c.Stats = &algebra.Stats{}; return &c }
-	join := &algebra.Join{
-		L:    &algebra.Literal{T: titleRows(w, 30)},
-		R:    &algebra.SourceQuery{Source: "o2artifact", Plan: o2TitlePrice()},
-		Pred: algebra.MustParseExpr(`$t = $t2`),
-	}
-	streamBoth(t, join, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, join, mk, exec.Options{Parallelism: 4}, true)
-	union := &algebra.Union{
-		L: &algebra.SourceQuery{Source: "o2artifact",
-			Plan: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$p < 100000`)}},
-		R: &algebra.SourceQuery{Source: "o2artifact",
-			Plan: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$p >= 100000`)}},
-	}
-	// Serial streaming keeps union order (left branch then right); the
-	// parallel engine interleaves child chunks, so only the bag is fixed.
-	streamBoth(t, union, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, union, mk, exec.Options{Parallelism: 4}, false)
-}
-
-func TestStreamOperatorsOverWire(t *testing.T) {
-	// The 1:1 streaming operators (Select, Project, Distinct over a fetched
-	// document) keep serial row order chunk by chunk.
-	w := datagen.Generate(datagen.DefaultParams(150))
-	ctx := serveWrappers(t, w)
-	mk := func() *algebra.Context { c := *ctx; c.Stats = &algebra.Stats{}; return &c }
-	plan := &algebra.Distinct{
-		From: &algebra.Project{
-			Cols: []string{"$t2"},
-			From: &algebra.Select{From: o2TitlePrice(), Pred: algebra.MustParseExpr(`$p >= 0`)},
-		},
-	}
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 1}, true)
-	streamBoth(t, plan, mk, exec.Options{Parallelism: 4}, true)
-}
 
 func TestStreamFirstChunkBeforeEOF(t *testing.T) {
 	// Pipelining, not batch-then-chunk: the first chunk of a multi-chunk
@@ -155,5 +71,48 @@ func TestStreamCloseEarlyReleasesPipeline(t *testing.T) {
 	}
 	if res.Len() == 0 {
 		t.Fatal("query after abandoned stream returned no rows")
+	}
+}
+
+func TestTreeGroupsAcrossChunks(t *testing.T) {
+	// A Tree that groups needs its whole input: 300 rows are three chunks,
+	// and the construction must still yield one document holding every
+	// entry, each title group intact.
+	in := tab.New("$t", "$o")
+	const titles, owners = 100, 3
+	for o := 0; o < owners; o++ {
+		for i := 0; i < titles; i++ {
+			in.Add(tab.AtomCell(data.String(fmt.Sprintf("title %d", i))), tab.AtomCell(data.Int(int64(o))))
+		}
+	}
+	grouping := &algebra.TreeOp{From: &algebra.Literal{T: in},
+		C: algebra.MustParseCons(`doc[ *entry[ title: $t, *owner: $o ] ]`)}
+	got, err := exec.RunSerial(grouping, algebra.NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 1 {
+		t.Fatalf("grouping Tree built %d documents from a chunked input, want 1", got.Len())
+	}
+	entries := got.Rows[0][0].Tree.Children("entry")
+	if len(entries) != titles {
+		t.Fatalf("document holds %d entries, want %d", len(entries), titles)
+	}
+	for _, e := range entries {
+		if n := len(e.Children("owner")); n != owners {
+			t.Fatalf("entry %s has %d owners, want %d: its group was split", e.Child("title"), n, owners)
+		}
+	}
+
+	// A row-local Tree pipelines, and still builds one tree per distinct
+	// binding however far apart its duplicates arrive.
+	local := &algebra.TreeOp{From: &algebra.Project{From: &algebra.Literal{T: in}, Cols: []string{"$t"}},
+		C: algebra.MustParseCons(`hit[ title: $t ]`)}
+	got, err = exec.RunSerial(local, algebra.NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != titles {
+		t.Fatalf("row-local Tree built %d trees, want one per distinct title (%d)", got.Len(), titles)
 	}
 }

@@ -118,11 +118,14 @@ func (e Env) clone() Env {
 // resolves references encountered during navigation, e.g. the owners of an
 // artifact.
 func (f *Filter) Match(store *data.Store, n *data.Node) *tab.Tab {
-	m := &matchCtx{model: f.Model, store: store}
-	envs := m.matchNode(f.Root, n)
-	cols := f.Vars()
-	t := tab.New(cols...)
-	for _, e := range envs {
+	t := tab.New(f.Vars()...)
+	t.Rows = f.rows(&matchCtx{model: f.Model, store: store}, n, t.Cols, nil)
+	return t
+}
+
+// rows appends the binding rows of n, laid out over cols, to out.
+func (f *Filter) rows(m *matchCtx, n *data.Node, cols []string, out []tab.Row) []tab.Row {
+	for _, e := range m.matchNode(f.Root, n) {
 		row := make(tab.Row, len(cols))
 		for i, c := range cols {
 			if cell, ok := e[c]; ok {
@@ -131,25 +134,35 @@ func (f *Filter) Match(store *data.Store, n *data.Node) *tab.Tab {
 				row[i] = tab.Null()
 			}
 		}
-		t.Rows = append(t.Rows, row)
+		out = append(out, row)
 	}
-	return t
+	return out
 }
 
 // MatchForest matches the filter against each tree of a forest and
 // concatenates the binding rows.
 func (f *Filter) MatchForest(store *data.Store, forest data.Forest) *tab.Tab {
-	t := tab.New(f.Vars()...)
-	for _, n := range forest {
-		u := f.Match(store, n)
-		t.Rows = append(t.Rows, u.Rows...)
-	}
+	t, _ := f.MatchForestResolved(store, forest)
 	return t
 }
 
+// MatchForestResolved is MatchForest that also reports whether every
+// reference the match had to chase resolved in the store. A false result
+// means rows may be missing: a caller matching a document as it arrives must
+// match again once the referenced objects have been registered.
+func (f *Filter) MatchForestResolved(store *data.Store, forest data.Forest) (*tab.Tab, bool) {
+	t := tab.New(f.Vars()...)
+	m := &matchCtx{model: f.Model, store: store}
+	for _, n := range forest {
+		t.Rows = f.rows(m, n, t.Cols, t.Rows)
+	}
+	return t, !m.dangling
+}
+
 type matchCtx struct {
-	model *pattern.Model
-	store *data.Store
+	model    *pattern.Model
+	store    *data.Store
+	dangling bool // a reference met during navigation did not resolve
 }
 
 // matchNode returns all binding environments under which n matches fn, or
@@ -166,6 +179,7 @@ func (m *matchCtx) matchNode(fn *FNode, n *data.Node) []Env {
 		}
 		target := m.store.Deref(n)
 		if target == nil {
+			m.dangling = true
 			return nil
 		}
 		n = target
@@ -329,6 +343,8 @@ func (m *matchCtx) descend(fn *FNode, k *data.Node, envs *[]Env) {
 	if k.IsRef() && m.store != nil {
 		if t := m.store.Deref(k); t != nil {
 			target = t
+		} else {
+			m.dangling = true
 		}
 	}
 	for _, kid := range target.Kids {

@@ -224,10 +224,10 @@ func TestOnePercentFaultRateQ2ByteIdentical(t *testing.T) {
 	// repeated Q2 runs must never change a row — serial execution is
 	// deterministic, so the result must be byte-identical — while the
 	// retry counters expose the recovery work.
-	// Per-row DJoin pushes give the realistic chatty traffic shape (one
-	// exchange per outer row); batched pushdown would leave a 1% rate
-	// almost nothing to hit.
-	opts := ExecOptions{Parallelism: 1, PerRowDJoin: true}
+	// One binding per push gives the chatty traffic shape (one exchange per
+	// distinct binding set); batched pushdown would leave a 1% rate almost
+	// nothing to hit.
+	opts := ExecOptions{Parallelism: 1, BatchChunk: 1}
 	cm, _ := deployFaulty(t, faultWorkloadN, nil, nil)
 	clean, err := cm.ExecuteContext(context.Background(), datagen.Q2Src, opts)
 	if err != nil {

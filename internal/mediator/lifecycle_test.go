@@ -1,0 +1,197 @@
+package mediator
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/datagen"
+	"repro/internal/faults"
+	"repro/internal/tab"
+	"repro/internal/wire"
+)
+
+// settleGoroutines waits for the goroutine count to come back down to base
+// and reports the count it settled at.
+func settleGoroutines(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// leakCheck arms the lifecycle assertions for one test; call it before the
+// deployment is built. At the very end of the test — after the deployment's
+// own cleanups have closed every server and client — the goroutine count
+// must settle back to where it started: a pump, a Union producer, a fan-out
+// worker, a stream reader or a context watcher that outlived its query
+// shows up as a surplus. The returned func is the mid-test half: once a
+// scenario is over, every wire client's request slots must be free again (a
+// cursor nobody closed holds its slot, and its pinned connection, forever).
+func leakCheck(t *testing.T) func(m *Mediator) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if n := settleGoroutines(base); n > base {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines at the end of the test, %d at its start; leaked:\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+	})
+	return func(m *Mediator) {
+		t.Helper()
+		m.regMu.RLock()
+		defer m.regMu.RUnlock()
+		for name, src := range m.sources {
+			c, ok := src.(*wire.Client)
+			if !ok {
+				continue
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for c.InFlight() > 0 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := c.InFlight(); n > 0 {
+				t.Errorf("source %s still holds %d request slot(s) after the stream ended", name, n)
+			}
+		}
+	}
+}
+
+// watchedContext is a context the standard library cannot splice a child
+// into: deriving from it costs a watcher goroutine that lives until the
+// child is cancelled or the parent is done — which this one never is.
+type watchedContext struct{ done chan struct{} }
+
+func (watchedContext) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c watchedContext) Done() <-chan struct{}     { return c.done }
+func (watchedContext) Err() error                  { return nil }
+func (watchedContext) Value(any) any               { return nil }
+
+func TestDrainedStreamReleasesItsContext(t *testing.T) {
+	// A stream drained to EOF, and one that failed, must release the query
+	// context like an abandoned one does; before the pump did so on every
+	// exit path, each left a watcher goroutine behind under a parent like
+	// this, for the parent's lifetime.
+	m, _, _ := paperSetup(t)
+	parent := watchedContext{done: make(chan struct{})}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		s, err := m.StreamContext(parent, datagen.Q2Src, ExecOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := s.Drain(); err != nil || res.Tab.Len() == 0 {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("%d goroutines after 50 drained streams, %d before: the query context is not released at EOF", n, base)
+	}
+}
+
+func TestStreamLifecycleReleasesEverything(t *testing.T) {
+	// Every way a stream can end other than by being read to its last row,
+	// on the serial and on a parallel engine: nothing may stay behind.
+	for _, par := range []int{1, 4} {
+		opts := ExecOptions{Parallelism: par, StreamBuffer: tab.DefaultStreamChunk}
+
+		t.Run(fmt.Sprintf("cancel/par%d", par), func(t *testing.T) {
+			poolsIdle := leakCheck(t)
+			m, _ := deployFaulty(t, 400, nil, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			s, err := m.StreamPlan(ctx, crossSourceUnion(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first := <-s.Chunks(); first == nil {
+				t.Fatal("no chunk before the cancel")
+			}
+			cancel()
+			for range s.Chunks() {
+			}
+			if _, err := s.Result(); !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled stream ended with %v, want context.Canceled", err)
+			}
+			poolsIdle(m)
+		})
+
+		t.Run(fmt.Sprintf("close-before-first-chunk/par%d", par), func(t *testing.T) {
+			poolsIdle := leakCheck(t)
+			m, _ := deployFaulty(t, 400, nil, nil)
+			s, err := m.StreamPlan(context.Background(), crossSourceUnion(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			poolsIdle(m)
+		})
+
+		t.Run(fmt.Sprintf("close-mid-stream/par%d", par), func(t *testing.T) {
+			poolsIdle := leakCheck(t)
+			m, _ := deployFaulty(t, 400, nil, nil)
+			s, err := m.StreamContext(context.Background(), datagen.Q2Src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first := <-s.Chunks(); first == nil {
+				t.Fatal("no chunk before the close")
+			}
+			s.Close()
+			poolsIdle(m)
+			// The connections the abandoned stream had pinned are usable or
+			// gone, not wedged: the same query still answers.
+			if res, err := m.ExecuteContext(context.Background(), datagen.Q2Src, opts); err != nil || res.Tab.Len() == 0 {
+				t.Errorf("query after an abandoned stream: %v", err)
+			}
+			poolsIdle(m)
+		})
+
+		t.Run(fmt.Sprintf("timeout-on-stuck-wrapper/par%d", par), func(t *testing.T) {
+			poolsIdle := leakCheck(t)
+			const stall = 2 * time.Second
+			waisInj := faults.New(faults.Config{Seed: 11, Rate: 1,
+				Kinds: []faults.Kind{faults.Delay}, Delay: stall, After: setupExchanges})
+			m, _ := deployFaulty(t, faultWorkloadN, nil, waisInj)
+			stuck := opts
+			stuck.Timeout = 200 * time.Millisecond
+			start := time.Now()
+			_, err := m.ExecutePlan(context.Background(), crossSourceUnion(), stuck)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("stuck wrapper under a deadline: %v, want deadline exceeded", err)
+			}
+			if d := time.Since(start); d > stall {
+				t.Errorf("the deadline took %v to fire against a %v stall", d, stall)
+			}
+			poolsIdle(m)
+		})
+
+		t.Run(fmt.Sprintf("kill-mid-stream-allow-partial/par%d", par), func(t *testing.T) {
+			poolsIdle := leakCheck(t)
+			m, killWais := deployFaulty(t, 400, nil, nil)
+			partial := opts
+			partial.AllowPartial = true
+			s, err := m.StreamPlan(context.Background(), crossSourceUnion(), partial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first := <-s.Chunks(); first == nil {
+				t.Fatal("no chunk before the kill")
+			}
+			killWais()
+			for range s.Chunks() {
+			}
+			if _, err := s.Result(); err != nil {
+				t.Errorf("AllowPartial stream failed outright after the kill: %v", err)
+			}
+			poolsIdle(m)
+		})
+	}
+}

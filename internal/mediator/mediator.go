@@ -250,7 +250,6 @@ func (m *Mediator) ensureCache(entries int) {
 // released before the context is used — evaluation never holds it.
 func (m *Mediator) newContext() *algebra.Context {
 	ctx := algebra.NewContext()
-	ctx.Cache = m.resultCache()
 	m.regMu.RLock()
 	sources := make(map[string]algebra.Source, len(m.sources))
 	for n, s := range m.sources {
@@ -409,9 +408,9 @@ func rebuildAll(op algebra.Op, fn func(algebra.Op) algebra.Op) algebra.Op {
 	}
 }
 
-// optimizerOptions assembles the optimizer configuration from the imported
+// OptimizerOptions assembles the optimizer configuration from the imported
 // capabilities.
-func (m *Mediator) optimizerOptions() optimizer.Options {
+func (m *Mediator) OptimizerOptions() optimizer.Options {
 	m.regMu.RLock()
 	defer m.regMu.RUnlock()
 	ifaces := make(map[string]*capability.Interface, len(m.ifaces))
@@ -487,7 +486,7 @@ func (m *Mediator) lintBeforeExec(stage string, plan algebra.Op) error {
 
 // Optimize runs the three-round optimizer over a composed plan.
 func (m *Mediator) Optimize(plan algebra.Op) algebra.Op {
-	return optimizer.New(m.optimizerOptions()).Optimize(plan)
+	return optimizer.New(m.OptimizerOptions()).Optimize(plan)
 }
 
 // Result bundles a query outcome with its plans and execution counters.
@@ -555,44 +554,16 @@ func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) 
 	}
 }
 
-// Query composes, optimizes and executes a YAT_L query.
-func (m *Mediator) Query(querySrc string) (*Result, error) {
-	naive, err := m.Compose(querySrc)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := optimizer.New(m.optimizerOptions()).OptimizeChecked(naive)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	ctx := m.newContext()
-	start := time.Now()
-	t, err := opt.Eval(ctx)
-	m.recordQuery(time.Since(start), *ctx.Stats, err)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Tab:       t,
-		NaivePlan: algebra.Describe(naive),
-		Plan:      algebra.Describe(opt),
-		Stats:     *ctx.Stats,
-	}, nil
-}
-
-// ExecOptions configure plan execution for ExecuteContext: Parallelism
-// bounds the worker pool (1 = serial, the exact behaviour of Query), FanOut
-// bounds one DJoin's in-flight sub-queries, Timeout is the per-query
-// deadline, BatchChunk sizes batched DJoin pushes, PerRowDJoin restores the
-// one-push-per-row baseline, CacheSize installs a shared wrapper-result
-// cache (kept warm across queries), Trace collects a per-operator span
-// tree returned in Result.Trace, and Stream/StreamBuffer route execution
-// through the chunked pipeline (StreamContext drained to a table).
-// Non-positive BatchChunk or StreamBuffer values are rejected up front by
-// Validate, which every mediator entry point calls.
+// ExecOptions configure plan execution: Parallelism bounds the worker pool
+// (1 = serial), FanOut bounds one DJoin's in-flight sub-queries, Timeout is
+// the per-query deadline, BatchChunk sizes batched DJoin pushes, CacheSize
+// installs a shared wrapper-result cache (kept warm across queries),
+// AllowPartial degrades around unreachable sources, Trace collects a
+// per-operator span tree returned in Result.Trace, StreamBuffer bounds the
+// rows buffered ahead of a Stream's consumer and CheckTypes validates
+// shipped rows against the plan's inferred types. Negative BatchChunk or
+// StreamBuffer values are rejected up front by Validate, which every
+// execution entry point calls.
 type ExecOptions = exec.Options
 
 // typecheckConfig builds the inference configuration from the imported
@@ -665,64 +636,6 @@ func (m *Mediator) installWireChecker(actx *algebra.Context, plan algebra.Op, op
 	}
 }
 
-// ExecuteContext composes, optimizes and executes a YAT_L query on the
-// parallel execution engine of internal/exec, under a cancellation context
-// and the given execution options. With Parallelism=1 it returns exactly
-// what Query returns (the serial path stays available so experiment
-// baselines remain comparable); with Parallelism>1, independent subplans
-// and DJoin sub-queries evaluate concurrently, with identical result rows
-// and identical statistics.
-func (m *Mediator) ExecuteContext(ctx context.Context, querySrc string, opts ExecOptions) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Stream {
-		// The streamed pipeline is the same path drained to a table: byte-
-		// identical rows, bounded intermediate memory.
-		return m.executeStreamed(ctx, querySrc, opts)
-	}
-	if opts.CacheSize > 0 {
-		m.ensureCache(opts.CacheSize)
-	}
-	naive, err := m.Compose(querySrc)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := optimizer.New(m.optimizerOptions()).OptimizeChecked(naive)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	actx := m.newContext()
-	if opts.AllowPartial {
-		// Pre-attach the report: Run operates on a shallow copy of the
-		// context, so a report it creates itself would be unreadable here.
-		actx.Partial = algebra.NewPartialReport()
-	}
-	m.installWireChecker(actx, opt, opts)
-	root := m.attachTrace(actx, opts)
-	start := time.Now()
-	t, err := exec.New(opts).Run(ctx, opt, actx)
-	finishTrace(root, t, err)
-	m.recordQuery(time.Since(start), *actx.Stats, err)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Tab:       t,
-		NaivePlan: algebra.Describe(naive),
-		Plan:      algebra.Describe(opt),
-		Stats:     *actx.Stats,
-		Trace:     root,
-	}
-	if actx.Partial != nil {
-		res.SourceErrors = actx.Partial.Failures()
-	}
-	return res, nil
-}
-
 // attachTrace mints a root span on the evaluation context when the options
 // ask for tracing, returning it (nil otherwise).
 func (m *Mediator) attachTrace(actx *algebra.Context, opts ExecOptions) *obs.Span {
@@ -734,108 +647,31 @@ func (m *Mediator) attachTrace(actx *algebra.Context, opts ExecOptions) *obs.Spa
 	return root
 }
 
-// finishTrace closes a query's root span (no-op for untraced runs).
-func finishTrace(root *obs.Span, t *tab.Tab, err error) {
-	if root == nil {
-		return
-	}
-	rows := -1
-	if t != nil {
-		rows = t.Len()
-	}
-	root.Finish(rows, err)
+// Query is ExecuteContext with default options on a serial engine.
+func (m *Mediator) Query(querySrc string) (*Result, error) {
+	return m.ExecuteContext(context.Background(), querySrc, ExecOptions{Parallelism: 1})
 }
 
-// ExecutePlan executes an already-built algebra plan on the execution
-// engine, under the mediator's catalog, guards and (with CheckInvariants)
-// the planlint gate. It serves callers that assemble plans outside the
-// YAT_L pipeline — tests exercising degradation shapes, or tools replaying
-// optimizer output — with the same health tracking and partial-result
-// reporting as ExecuteContext.
+// ExecuteContext is StreamContext drained to a table: compose, optimize,
+// execute, with the rows collected in Result.Tab.
+func (m *Mediator) ExecuteContext(ctx context.Context, querySrc string, opts ExecOptions) (*Result, error) {
+	s, err := m.StreamContext(ctx, querySrc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Drain()
+}
+
+// ExecutePlan is StreamPlan drained to a table. It serves callers that
+// assemble plans outside the query pipeline — the naive (unoptimized)
+// composition, optimizer ablations, degradation shapes in tests — with the
+// same gates, health tracking and partial-result reporting as a query.
 func (m *Mediator) ExecutePlan(ctx context.Context, plan algebra.Op, opts ExecOptions) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.CacheSize > 0 {
-		m.ensureCache(opts.CacheSize)
-	}
-	if err := m.lintBeforeExec("custom", plan); err != nil {
-		return nil, err
-	}
-	actx := m.newContext()
-	if opts.AllowPartial {
-		actx.Partial = algebra.NewPartialReport()
-	}
-	m.installWireChecker(actx, plan, opts)
-	root := m.attachTrace(actx, opts)
-	start := time.Now()
-	t, err := exec.New(opts).Run(ctx, plan, actx)
-	finishTrace(root, t, err)
-	m.recordQuery(time.Since(start), *actx.Stats, err)
+	s, err := m.StreamPlan(ctx, plan, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Tab:   t,
-		Plan:  algebra.Describe(plan),
-		Stats: *actx.Stats,
-		Trace: root,
-	}
-	if actx.Partial != nil {
-		res.SourceErrors = actx.Partial.Failures()
-	}
-	return res, nil
-}
-
-// QueryCustom composes and executes a query with a tuned optimizer
-// configuration; tune may flip the ablation switches (used by the
-// EXPERIMENTS.md driver to isolate the contribution of each round).
-func (m *Mediator) QueryCustom(querySrc string, tune func(*optimizer.Options)) (*Result, error) {
-	naive, err := m.Compose(querySrc)
-	if err != nil {
-		return nil, err
-	}
-	opts := m.optimizerOptions()
-	if tune != nil {
-		tune(&opts)
-	}
-	opt, err := optimizer.New(opts).OptimizeChecked(naive)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	ctx := m.newContext()
-	t, err := opt.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Tab:       t,
-		NaivePlan: algebra.Describe(naive),
-		Plan:      algebra.Describe(opt),
-		Stats:     *ctx.Stats,
-	}, nil
-}
-
-// QueryNaive composes and executes a query without optimization: the view
-// is materialized and the query evaluated on the result (the naive strategy
-// of Section 5.2).
-func (m *Mediator) QueryNaive(querySrc string) (*Result, error) {
-	naive, err := m.Compose(querySrc)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.lintBeforeExec("naive", naive); err != nil {
-		return nil, err
-	}
-	ctx := m.newContext()
-	t, err := naive.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Tab: t, NaivePlan: algebra.Describe(naive), Plan: algebra.Describe(naive), Stats: *ctx.Stats}, nil
+	return s.Drain()
 }
 
 // Materialize evaluates a view and returns its document forest (used by
@@ -849,7 +685,11 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.Eval(m.newContext())
+	res, err := m.ExecutePlan(context.Background(), plan, ExecOptions{Parallelism: 1})
+	if err != nil {
+		return nil, err
+	}
+	return res.Tab, nil
 }
 
 // MaterializeProgram evaluates every registered view within one shared
@@ -860,27 +700,32 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 // Skolem function and arguments. It returns one forest per view plus the
 // store resolving every identifier minted during materialization.
 func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, error) {
-	ctx := m.newContext()
+	actx := m.newContext()
+	opts := ExecOptions{Parallelism: 1}
 	out := map[string]data.Forest{}
 	for _, name := range m.Views() {
 		plan, err := m.substituteViews(m.View(name).Plan, 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		t, err := plan.Eval(ctx)
+		s, err := m.streamPlan(context.Background(), actx, nil, plan, "view", opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("view %s: %w", name, err)
+		}
+		res, err := s.Drain()
 		if err != nil {
 			return nil, nil, fmt.Errorf("view %s: %w", name, err)
 		}
 		var forest data.Forest
-		for _, r := range t.Rows {
+		for _, r := range res.Tab.Rows {
 			if r[0].Kind == tab.CTree {
 				forest = append(forest, r[0].Tree)
 			}
 		}
 		out[name] = forest
-		ctx.Catalog[name] = forest
+		actx.Catalog[name] = forest
 	}
-	return out, ctx.Store, nil
+	return out, actx.Store, nil
 }
 
 // Describe renders a summary of the mediator's state (console `status`).

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestMaterializeView(t *testing.T) {
 
 func TestQ1NaiveAndOptimizedAgree(t *testing.T) {
 	m, _, _ := paperSetup(t)
-	naive, err := m.QueryNaive(datagen.Q1Src)
+	naive, err := queryNaive(m, datagen.Q1Src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFigure9Q2PlanShape(t *testing.T) {
 
 func TestQ2NaiveAgreesWithOptimized(t *testing.T) {
 	m, _, _ := paperSetup(t)
-	naive, err := m.QueryNaive(datagen.Q2Src)
+	naive, err := queryNaive(m, datagen.Q2Src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestScaledWorkloadSemanticsPreserved(t *testing.T) {
 		m.Assume("artifacts", "works", "$y > 1800")
 		m.Assume("persons", "works", "$y > 1800")
 
-		naive1, err := m.QueryNaive(datagen.Q1Src)
+		naive1, err := queryNaive(m, datagen.Q1Src)
 		if err != nil {
 			t.Fatalf("n=%d naive Q1: %v", n, err)
 		}
@@ -232,7 +233,7 @@ func TestScaledWorkloadSemanticsPreserved(t *testing.T) {
 			t.Errorf("n=%d: Q1 rows = %d, ground truth %d", n, naive1.Tab.Len(), len(w.GivernyTitles))
 		}
 
-		naive2, err := m.QueryNaive(datagen.Q2Src)
+		naive2, err := queryNaive(m, datagen.Q2Src)
 		if err != nil {
 			t.Fatalf("n=%d naive Q2: %v", n, err)
 		}
@@ -255,7 +256,7 @@ func TestOptimizedTransfersLess(t *testing.T) {
 	m, _, _ := setup(t, w.DB, w.Works)
 	m.Assume("artifacts", "works", "$y > 1800")
 	m.Assume("persons", "works", "$y > 1800")
-	naive, err := m.QueryNaive(datagen.Q2Src)
+	naive, err := queryNaive(m, datagen.Q2Src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestPruningNeverDropsQueryPredicates(t *testing.T) {
 	q := `MAKE f: $t
 MATCH artworks WITH doc[ *work[ price: $p, title: $t, style: $s ] ]
 WHERE $p < 200000`
-	naive, err := m.QueryNaive(q)
+	naive, err := queryNaive(m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,16 +461,35 @@ WHERE $c = $n`)
 	}
 }
 
-func TestQueryCustomAblation(t *testing.T) {
+// queryNaive executes the unoptimized composition of a query: the view is
+// materialized and the query evaluated on the result (the naive strategy of
+// Section 5.2).
+func queryNaive(m *Mediator, src string) (*Result, error) {
+	plan, err := m.Compose(src)
+	if err != nil {
+		return nil, err
+	}
+	return m.ExecutePlan(context.Background(), plan, ExecOptions{Parallelism: 1})
+}
+
+func TestOptimizerAblation(t *testing.T) {
 	m, _, _ := paperSetup(t)
-	full, err := m.QueryCustom(datagen.Q2Src, nil)
+	full, err := m.Query(datagen.Q2Src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPush, err := m.QueryCustom(datagen.Q2Src, func(o *optimizer.Options) {
-		o.DisablePushdown = true
-		o.InfoPassing = false
-	})
+	naive, err := m.Compose(datagen.Q2Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := m.OptimizerOptions()
+	tuned.DisablePushdown = true
+	tuned.InfoPassing = false
+	plan, err := optimizer.New(tuned).OptimizeChecked(naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPush, err := m.ExecutePlan(context.Background(), plan, ExecOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +518,7 @@ MAKE catalog[ *entry($t) := entry[ title: $t, by: $a ] ]
 MATCH artworks WITH doc[ *work[ title: $t, artist: $a ] ] ;`); err != nil {
 		t.Fatal(err)
 	}
-	naive, err := m.QueryNaive(`MAKE $t MATCH summary WITH catalog[ *entry[ title: $t ] ]`)
+	naive, err := queryNaive(m, `MAKE $t MATCH summary WITH catalog[ *entry[ title: $t ] ]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +540,7 @@ func TestDescendantQueryOverView(t *testing.T) {
 	// be pushed (capabilities reject **), but must evaluate correctly.
 	m, _, _ := paperSetup(t)
 	q := `MAKE $x MATCH artworks WITH doc[ *work@$w[ **technique: $x ] ]`
-	naive, err := m.QueryNaive(q)
+	naive, err := queryNaive(m, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func statsCounts(s algebra.Stats) obs.Counts {
 // invariant (the paper-facing acceptance criterion): for Fig. 9's Q2 over
 // live wire wrappers, the per-node counts of the span tree sum to the
 // query's global Stats exactly — no double counting, no dropped work — on
-// every execution path (serial/parallel × per-row/batched DJoin).
+// every schedule (serial/parallel × batched/one-binding-per-push DJoin).
 func TestProfileSumsMatchStats(t *testing.T) {
 	m, _ := deployFaulty(t, faultWorkloadN, nil, nil)
 	modes := []struct {
@@ -46,9 +46,9 @@ func TestProfileSumsMatchStats(t *testing.T) {
 		opts ExecOptions
 	}{
 		{"serial-batched", ExecOptions{Parallelism: 1}},
-		{"serial-perrow", ExecOptions{Parallelism: 1, PerRowDJoin: true}},
+		{"serial-per-binding", ExecOptions{Parallelism: 1, BatchChunk: 1}},
 		{"parallel-batched", ExecOptions{Parallelism: 8, Timeout: time.Minute}},
-		{"parallel-perrow", ExecOptions{Parallelism: 8, PerRowDJoin: true, Timeout: time.Minute}},
+		{"parallel-per-binding", ExecOptions{Parallelism: 8, BatchChunk: 1, Timeout: time.Minute}},
 	}
 	for _, mode := range modes {
 		opts := mode.opts
@@ -72,27 +72,27 @@ func TestProfileSumsMatchStats(t *testing.T) {
 	}
 }
 
-// TestStatsConsistencyAcrossPaths pins the Stats counters across every
-// DJoin execution path: per-row and batched modes each return identical
+// TestStatsConsistencyAcrossSchedules pins the Stats counters across DJoin
+// schedules: batched and one-binding-per-push runs each return identical
 // rows and identical counters whether evaluated serially or in parallel,
 // and enabling tracing changes no counter (tracing observes the
 // evaluation; it must not alter it).
-func TestStatsConsistencyAcrossPaths(t *testing.T) {
+func TestStatsConsistencyAcrossSchedules(t *testing.T) {
 	m, _ := deployFaulty(t, faultWorkloadN, nil, nil)
 	ctx := context.Background()
 	for _, mode := range []struct {
-		name   string
-		perRow bool
-	}{{"batched", false}, {"perrow", true}} {
-		serial, err := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, PerRowDJoin: mode.perRow})
+		name  string
+		chunk int
+	}{{"batched", 0}, {"per-binding", 1}} {
+		serial, err := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, BatchChunk: mode.chunk})
 		if err != nil {
 			t.Fatalf("%s serial: %v", mode.name, err)
 		}
-		par, err := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 8, PerRowDJoin: mode.perRow, Timeout: time.Minute})
+		par, err := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 8, BatchChunk: mode.chunk, Timeout: time.Minute})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", mode.name, err)
 		}
-		traced, err := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, PerRowDJoin: mode.perRow, Trace: true})
+		traced, err := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, BatchChunk: mode.chunk, Trace: true})
 		if err != nil {
 			t.Fatalf("%s traced: %v", mode.name, err)
 		}
@@ -109,13 +109,13 @@ func TestStatsConsistencyAcrossPaths(t *testing.T) {
 	// The two modes must agree on rows but differ in push accounting
 	// (batching is the point); sanity-check the workload exercises it.
 	batched, _ := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1})
-	perRow, _ := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, PerRowDJoin: true})
-	if !batched.Tab.Equal(perRow.Tab) {
-		t.Error("batched and per-row DJoin disagree on rows")
+	perBinding, _ := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, BatchChunk: 1})
+	if !batched.Tab.Equal(perBinding.Tab) {
+		t.Error("batched and per-binding DJoin disagree on rows")
 	}
-	if batched.Stats.SourcePushes >= perRow.Stats.SourcePushes {
-		t.Errorf("batched pushes (%d) should undercut per-row pushes (%d)",
-			batched.Stats.SourcePushes, perRow.Stats.SourcePushes)
+	if batched.Stats.SourcePushes >= perBinding.Stats.SourcePushes {
+		t.Errorf("batched pushes (%d) should undercut per-binding pushes (%d)",
+			batched.Stats.SourcePushes, perBinding.Stats.SourcePushes)
 	}
 }
 

@@ -39,27 +39,3 @@ func TestExecuteContextParallelDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestExecuteContextAgreesWithQuery pins ExecuteContext to the established
-// Query path on the paper's own workload.
-func TestExecuteContextAgreesWithQuery(t *testing.T) {
-	m, _, _ := paperSetup(t)
-	m.Assume("artifacts", "works", "$y > 1800")
-	m.Assume("persons", "works", "$y > 1800")
-	for _, src := range []string{datagen.Q1Src, datagen.Q2Src} {
-		want, err := m.Query(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.ExecuteContext(context.Background(), src, ExecOptions{Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !want.Tab.Equal(got.Tab) {
-			t.Errorf("ExecuteContext diverges from Query:\nwant:\n%s\ngot:\n%s", want.Tab, got.Tab)
-		}
-		if want.Plan != got.Plan {
-			t.Errorf("optimized plans differ:\n%s\nvs\n%s", want.Plan, got.Plan)
-		}
-	}
-}

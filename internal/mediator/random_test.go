@@ -96,7 +96,7 @@ func TestRandomQueriesNaiveVsOptimized(t *testing.T) {
 
 	queries := randomArtworkQueries(40)
 	for i, query := range queries {
-		naive, err := m.QueryNaive(query)
+		naive, err := queryNaive(m, query)
 		if err != nil {
 			t.Fatalf("query %d (naive): %v\n%s", i, err, query)
 		}

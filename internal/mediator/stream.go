@@ -13,19 +13,19 @@ import (
 	"repro/internal/tab"
 )
 
-// Stream is one live streamed query: result chunks arrive on a bounded
-// channel as the pipeline produces them, so the consumer's pace
-// backpressures the whole plan down to the wrappers and the mediator never
-// holds more than the buffer. The consumer ranges over Chunks() and then
-// reads the terminal outcome from Result (or Err); abandoning early via
-// Close cancels the producing pipeline, which propagates to in-flight
-// wrapper streams.
+// Stream is one live query — the one way the mediator executes a plan:
+// result chunks arrive on a bounded channel as the pipeline produces them,
+// so the consumer's pace backpressures the whole plan down to the wrappers
+// and the mediator never holds more than the buffer. The consumer ranges
+// over Chunks() and then reads the terminal outcome from Result (or Err), or
+// calls Drain for both at once; abandoning early via Close cancels the
+// producing pipeline, which propagates to in-flight wrapper streams.
 type Stream struct {
 	cols   []string
 	chunks chan *tab.Tab
 
-	cancel   context.CancelFunc
-	stop     chan struct{} // closed by Close: unblocks a pump mid-send
+	cancel   context.CancelFunc // releases the query context; called by the pump on every exit
+	stop     chan struct{}      // closed by Close: unblocks a pump mid-send
 	stopOnce sync.Once
 	done     chan struct{} // closed when the pump exits
 
@@ -63,6 +63,21 @@ func (s *Stream) Result() (*Result, error) {
 	return s.res, nil
 }
 
+// Drain consumes the stream to completion and returns its outcome with the
+// rows collected in Result.Tab — the materialized form of a query.
+func (s *Stream) Drain() (*Result, error) {
+	out := tab.New(s.cols...)
+	for t := range s.chunks {
+		out.Rows = append(out.Rows, t.Rows...)
+	}
+	res, err := s.Result()
+	if err != nil {
+		return nil, err
+	}
+	res.Tab = out
+	return res, nil
+}
+
 // Close abandons the stream: the producing pipeline is cancelled, in-flight
 // wrapper streams are torn down, and the chunk channel drains and closes.
 // Closing a finished stream is a no-op. Safe to call concurrently with a
@@ -75,53 +90,49 @@ func (s *Stream) Close() {
 	<-s.done
 }
 
-// StreamContext composes, optimizes and executes a query exactly like
-// ExecuteContext, but returns the result as a Stream instead of a
-// materialized table: chunks surface as the pipelined engine produces them,
-// peak memory is bounded by the chunk buffer (ExecOptions.StreamBuffer
-// rows; default 2×tab.DefaultStreamChunk), and the first row arrives long
-// before the last wrapper finishes. Retries, circuit breakers, AllowPartial
-// degradation, wire conformance checking, tracing and the result cache all
-// apply unchanged.
+// StreamContext composes, optimizes and executes a query, returning the
+// result as a Stream: chunks surface as the engine produces them, peak
+// memory is bounded by the chunk buffer (ExecOptions.StreamBuffer rows;
+// default 2×tab.DefaultStreamChunk), and the first row arrives long before
+// the last wrapper finishes. Option validation, the planlint gate, retries,
+// circuit breakers, AllowPartial degradation, wire conformance checking,
+// tracing, metrics and the result cache apply to every execution, because
+// every execution comes through here.
 func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts ExecOptions) (*Stream, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.CacheSize > 0 {
-		m.ensureCache(opts.CacheSize)
-	}
 	naive, err := m.Compose(querySrc)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := optimizer.New(m.optimizerOptions()).OptimizeChecked(naive)
+	opt, err := optimizer.New(m.OptimizerOptions()).OptimizeChecked(naive)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.lintBeforeExec("optimized", opt); err != nil {
-		return nil, err
-	}
-	return m.streamPlan(ctx, naive, opt, opts)
+	return m.streamPlan(ctx, m.newContext(), naive, opt, "optimized", opts)
 }
 
-// StreamPlan is StreamContext for an already-built plan (the ExecutePlan
-// analogue).
+// StreamPlan is StreamContext for an already-built plan: the naive
+// composition, an ablated optimization, a hand-assembled shape.
 func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOptions) (*Stream, error) {
+	return m.streamPlan(ctx, m.newContext(), nil, plan, "custom", opts)
+}
+
+// streamPlan runs one plan under one evaluation context (a fresh one per
+// query; MaterializeProgram shares one across its views so Skolem
+// identifiers fuse).
+func (m *Mediator) streamPlan(ctx context.Context, actx *algebra.Context, naive, opt algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if err := m.lintBeforeExec(stage, opt); err != nil {
 		return nil, err
 	}
 	if opts.CacheSize > 0 {
 		m.ensureCache(opts.CacheSize)
 	}
-	if err := m.lintBeforeExec("custom", plan); err != nil {
-		return nil, err
-	}
-	return m.streamPlan(ctx, nil, plan, opts)
-}
-
-func (m *Mediator) streamPlan(ctx context.Context, naive, opt algebra.Op, opts ExecOptions) (*Stream, error) {
-	actx := m.newContext()
+	actx.Cache = m.resultCache()
 	if opts.AllowPartial {
+		// Pre-attach the report: the engine works on a shallow copy of the
+		// context, so a report it creates itself would be unreadable here.
 		actx.Partial = algebra.NewPartialReport()
 	}
 	m.installWireChecker(actx, opt, opts)
@@ -169,6 +180,10 @@ func (m *Mediator) streamPlan(ctx context.Context, naive, opt algebra.Op, opts E
 func (s *Stream) pump(cur tab.Cursor, m *Mediator, actx *algebra.Context, root *obs.Span, res *Result, start time.Time) {
 	defer close(s.done)
 	defer close(s.chunks)
+	// Release the query context however the stream ends — drained, failed
+	// or abandoned — or it stays registered on its parent for the parent's
+	// lifetime.
+	defer s.cancel()
 	rows := 0
 	var err error
 pull:
@@ -208,28 +223,4 @@ pull:
 	s.err = err
 	s.res = res
 	s.mu.Unlock()
-}
-
-// executeStreamed is ExecuteContext routed through the streaming pipeline
-// (ExecOptions.Stream): the same Result, produced by draining the chunk
-// stream instead of materializing bottom-up. Row content and order match
-// the serial materialized engine; only peak memory and time-to-first-row
-// differ.
-func (m *Mediator) executeStreamed(ctx context.Context, querySrc string, opts ExecOptions) (*Result, error) {
-	s, err := m.StreamContext(ctx, querySrc, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := tab.New(s.Cols()...)
-	for t := range s.Chunks() {
-		for _, r := range t.Rows {
-			out.AddRow(r)
-		}
-	}
-	res, err := s.Result()
-	if err != nil {
-		return nil, err
-	}
-	res.Tab = out
-	return res, nil
 }

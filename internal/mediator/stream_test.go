@@ -31,82 +31,6 @@ func drainStream(t *testing.T, s *Stream) (*tab.Tab, *Result) {
 	return out, res
 }
 
-func TestStreamMatchesMaterializedInProcess(t *testing.T) {
-	// The fidelity contract: a streamed query returns exactly the rows of
-	// the materialized serial engine — byte-identical under serial
-	// execution, bag-equal under parallel (Union interleaves child chunks).
-	m, _, _ := paperSetup(t)
-	for _, q := range []struct {
-		name, src string
-	}{
-		{"Q1", datagen.Q1Src},
-		{"Q2", datagen.Q2Src},
-	} {
-		t.Run(q.name, func(t *testing.T) {
-			base, err := m.ExecuteContext(context.Background(), q.src, ExecOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Direct StreamContext drain, serial: order-identical.
-			s, err := m.StreamContext(context.Background(), q.src, ExecOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, res := drainStream(t, s)
-			if rows.String() != base.Tab.String() {
-				t.Errorf("serial streamed rows not byte-identical:\n%s\nvs materialized:\n%s", rows, base.Tab)
-			}
-			if res.Tab != nil {
-				t.Error("streamed Result retained a materialized Tab")
-			}
-			// ExecuteContext with Stream routes through the same pipeline and
-			// must materialize the identical table.
-			st, err := m.ExecuteContext(context.Background(), q.src, ExecOptions{Parallelism: 1, Stream: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Tab.String() != base.Tab.String() {
-				t.Errorf("Stream:true ExecuteContext rows differ:\n%s\nvs:\n%s", st.Tab, base.Tab)
-			}
-			// Parallel streaming: same bag of rows.
-			sp, err := m.StreamContext(context.Background(), q.src, ExecOptions{Parallelism: 4, FanOut: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prows, _ := drainStream(t, sp)
-			if !prows.EqualUnordered(base.Tab) {
-				t.Errorf("parallel streamed rows differ from materialized:\n%s\nvs:\n%s", prows, base.Tab)
-			}
-		})
-	}
-}
-
-func TestStreamMatchesMaterializedOverWire(t *testing.T) {
-	// Same fidelity contract over real TCP wrappers, where the wire layer's
-	// fetchstream/pushstream framing carries the chunks.
-	m, _ := deployFaulty(t, faultWorkloadN, nil, nil)
-	base, err := m.ExecuteContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := m.StreamContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := drainStream(t, s)
-	if rows.String() != base.Tab.String() {
-		t.Errorf("streamed Q2 over wire not byte-identical:\n%s\nvs:\n%s", rows, base.Tab)
-	}
-	sp, err := m.StreamContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 4, FanOut: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prows, _ := drainStream(t, sp)
-	if !prows.EqualUnordered(base.Tab) {
-		t.Errorf("parallel streamed Q2 over wire differs:\n%s\nvs:\n%s", prows, base.Tab)
-	}
-}
-
 func TestStreamMidStreamKillAllowPartial(t *testing.T) {
 	// A wrapper dying after the first chunks have streamed: AllowPartial
 	// keeps the stream alive, hands over every row the live sources can
@@ -114,6 +38,7 @@ func TestStreamMidStreamKillAllowPartial(t *testing.T) {
 	// enough that the O₂ branch spans several chunks, so the kill lands
 	// while the works branch is still unopened.
 	const n = 400
+	poolsIdle := leakCheck(t)
 	m, killWais := deployFaulty(t, n, nil, nil)
 	full, err := m.ExecutePlan(context.Background(), crossSourceUnion(), ExecOptions{Parallelism: 1})
 	if err != nil {
@@ -171,6 +96,7 @@ func TestStreamMidStreamKillAllowPartial(t *testing.T) {
 	if ue.Source != "xmlartwork" {
 		t.Errorf("unavailable source = %q, want xmlartwork", ue.Source)
 	}
+	poolsIdle(m)
 }
 
 func TestStreamCloseCancelsInFlightWrapper(t *testing.T) {
@@ -181,6 +107,7 @@ func TestStreamCloseCancelsInFlightWrapper(t *testing.T) {
 	const stall = 3 * time.Second
 	waisInj := faults.New(faults.Config{Seed: 11, Rate: 1,
 		Kinds: []faults.Kind{faults.Delay}, Delay: stall, After: setupExchanges})
+	poolsIdle := leakCheck(t)
 	m, _ := deployFaulty(t, faultWorkloadN, nil, waisInj)
 	s, err := m.StreamPlan(context.Background(), crossSourceUnion(), ExecOptions{Parallelism: 1})
 	if err != nil {
@@ -197,19 +124,19 @@ func TestStreamCloseCancelsInFlightWrapper(t *testing.T) {
 	if d := time.Since(start); d > 1500*time.Millisecond {
 		t.Fatalf("Close took %v with a %v wrapper stall; cancellation did not propagate", d, stall)
 	}
+	poolsIdle(m)
 }
 
 func TestStreamTraceRecordsFirstRow(t *testing.T) {
-	// EXPLAIN ANALYZE over a streamed run annotates spans with the
-	// time-to-first-row mark.
+	// EXPLAIN ANALYZE annotates spans with the time-to-first-row mark.
 	m, _, _ := paperSetup(t)
 	res, err := m.ExecuteContext(context.Background(), datagen.Q1Src,
-		ExecOptions{Parallelism: 1, Stream: true, Trace: true})
+		ExecOptions{Parallelism: 1, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace == nil {
-		t.Fatal("traced streamed run returned no trace")
+		t.Fatal("traced run returned no trace")
 	}
 	if out := obs.Render(res.Trace); !strings.Contains(out, "first=") {
 		t.Errorf("rendered trace lacks first-row marks:\n%s", out)

@@ -148,6 +148,7 @@ func TestThreeFamilyAllowPartial(t *testing.T) {
 }
 
 func TestThreeFamilyAllowPartialStreaming(t *testing.T) {
+	poolsIdle := leakCheck(t)
 	m, killFeed := deployThreeFamilies(t, threeFamilyN)
 	s, err := m.StreamPlan(context.Background(), threeFamilyUnion(), ExecOptions{Parallelism: 1})
 	if err != nil {
@@ -177,6 +178,7 @@ func TestThreeFamilyAllowPartialStreaming(t *testing.T) {
 			t.Fatalf("par=%d stream SourceErrors = %v, want exactly bulkfeed", par, res.SourceErrors)
 		}
 	}
+	poolsIdle(m)
 }
 
 // TestFeedPushdownSplitsSupportedPredicates is the feed-family acceptance
@@ -191,7 +193,7 @@ MAKE result[ title: $t, year: $y ]
 MATCH records WITH records[ *record[ title: $t, journal: $j, year: $y ] ]
 WHERE $j = "Journal of Modern Art" AND $y > 1900
 `
-	naive, err := m.QueryNaive(src)
+	naive, err := queryNaive(m, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,7 @@ MAKE result[ title: $t, journal: $j ]
 MATCH records WITH records[ *record[ title: $t, journal: $j ] ]
 WHERE prefix($j, "Journal of")
 `
-	naive, err := m.QueryNaive(src)
+	naive, err := queryNaive(m, src)
 	if err != nil {
 		t.Fatal(err)
 	}

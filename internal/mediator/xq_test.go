@@ -55,7 +55,7 @@ func goldenAgainst(t *testing.T, m *Mediator, xquerySrc, yatlSrc string, wantRow
 		t.Errorf("parallel rows differ\ncompiled: %v\nhand:     %v", got, want)
 	}
 
-	naive, err := m.QueryNaive(xquerySrc)
+	naive, err := queryNaive(m, xquerySrc)
 	if err != nil {
 		t.Fatalf("compiled query (naive): %v", err)
 	}
@@ -82,7 +82,7 @@ func TestXQueryDescendantPushdown(t *testing.T) {
 	m, _, _ := paperSetup(t)
 	const src = `doc("works")/works//technique`
 
-	naive, err := m.QueryNaive(src)
+	naive, err := queryNaive(m, src)
 	if err != nil {
 		t.Fatal(err)
 	}

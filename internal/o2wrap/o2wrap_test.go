@@ -8,6 +8,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/filter"
 	"repro/internal/o2"
 	"repro/internal/pattern"
@@ -132,7 +133,7 @@ func TestPushEquivalentToMediatorEvaluation(t *testing.T) {
 	}
 	ctx := algebra.NewContext()
 	ctx.Sources["o2artifact"] = w
-	local, err := plan.Eval(ctx)
+	local, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestPushCrossExtentJoin(t *testing.T) {
 	// agrees with mediator-side evaluation
 	ctx := algebra.NewContext()
 	ctx.Sources["o2artifact"] = w
-	local, err := plan.Eval(ctx)
+	local, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestPushPredicateVariants(t *testing.T) {
 	}
 	ctx := algebra.NewContext()
 	ctx.Sources["o2artifact"] = w
-	local, err := plan.Eval(ctx)
+	local, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

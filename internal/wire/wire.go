@@ -1064,6 +1064,11 @@ func (c *Client) Name() string { return c.name }
 // deployment tooling use it to label otherwise same-named replicas.
 func (c *Client) Addr() string { return c.addr }
 
+// InFlight reports the request slots currently held: one per exchange or
+// open stream. It returns to zero when every cursor has been drained or
+// closed, which is what leak assertions check.
+func (c *Client) InFlight() int { return len(c.tokens) }
+
 // Documents implements algebra.Source.
 func (c *Client) Documents() []string { return append([]string(nil), c.docs...) }
 

@@ -4,6 +4,7 @@
 package wire_test
 
 import (
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -138,7 +139,11 @@ func TestDistributedNaiveQueryAgrees(t *testing.T) {
 	if err := m.LoadProgram(datagen.View1Src); err != nil {
 		t.Fatal(err)
 	}
-	naive, err := m.QueryNaive(datagen.Q1Src)
+	composed, err := m.Compose(datagen.Q1Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := m.ExecutePlan(context.Background(), composed, mediator.ExecOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

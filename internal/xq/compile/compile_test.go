@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/nodetab"
 	"repro/internal/tab"
 	"repro/internal/xq"
@@ -107,7 +108,7 @@ func TestRuleShapeNodesRoute(t *testing.T) {
 
 func TestEvalFilterRoute(t *testing.T) {
 	plan := compilePlan(t, `for $w in doc("works")/work where $w/style = "Impressionist" return $w/title`, Options{})
-	got, err := algebra.Run(plan, worksContext())
+	got, err := exec.RunSerial(plan, worksContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestEvalNodesRouteDescendant(t *testing.T) {
 	// //technique reaches through the history element only the node table
 	// encodes positionally.
 	plan := compilePlan(t, `doc("works")/work//technique`, Options{})
-	got, err := algebra.Run(plan, worksContext())
+	got, err := exec.RunSerial(plan, worksContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestEvalNodesRouteDescendant(t *testing.T) {
 func TestEvalNodesRoutePositionalAndValue(t *testing.T) {
 	// The second work, by value comparison on a child.
 	plan := compilePlan(t, `for $w in doc("works")/work[2] return $w/title`, Options{})
-	got, err := algebra.Run(plan, worksContext())
+	got, err := exec.RunSerial(plan, worksContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestEvalNodesRoutePositionalAndValue(t *testing.T) {
 func TestEvalNodesRouteReverseAxis(t *testing.T) {
 	// Which works contain a technique? Walk back up with ancestor::.
 	plan := compilePlan(t, `for $t in doc("works")//technique, $w in $t/ancestor::work return $w/title`, Options{})
-	got, err := algebra.Run(plan, worksContext())
+	got, err := exec.RunSerial(plan, worksContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestNodesRouteIterationBindsStayIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := algebra.Run(plan, ctx)
+	got, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestNodesRouteIterationBindsStayIndependent(t *testing.T) {
 
 	// A predicate on $a must not leak onto $b.
 	plan = compilePlan(t, `for $w in doc("dup")//work, $a in $w/title, $b in $w/title where $a = "t1" return $b`, Options{})
-	got, err = algebra.Run(plan, ctx)
+	got, err = exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestNodesRouteIterationBindsStayIndependent(t *testing.T) {
 
 func TestEvalConstructor(t *testing.T) {
 	plan := compilePlan(t, `for $w in doc("works")/work where $w/cplace = "Giverny" return <hit><title>{$w/title}</title><at>{$w/cplace}</at></hit>`, Options{})
-	got, err := algebra.Run(plan, worksContext())
+	got, err := exec.RunSerial(plan, worksContext())
 	if err != nil {
 		t.Fatal(err)
 	}

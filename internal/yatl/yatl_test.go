@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/data"
+	"repro/internal/exec"
 )
 
 // view1Src is the integration program of Section 2 (view1.yat): one
@@ -221,7 +222,7 @@ func TestView1Evaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.Eval(ctx)
+	res, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestQ1OverMaterializedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, err := vplan.Eval(ctx)
+	vres, err := exec.RunSerial(vplan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestQ1OverMaterializedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := qplan.Eval(ctx)
+	res, err := exec.RunSerial(qplan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestTranslateUnboundWhereVariable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := paperCtx()
-	if _, err := plan.Eval(ctx); err == nil {
+	if _, err := exec.RunSerial(plan, ctx); err == nil {
 		t.Error("unbound WHERE variable must surface at evaluation")
 	}
 }
@@ -317,7 +318,7 @@ MATCH works WITH works[ *work[ title: $x ] ],
 		t.Fatal(err)
 	}
 	ctx := paperCtx()
-	res, err := plan.Eval(ctx)
+	res, err := exec.RunSerial(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

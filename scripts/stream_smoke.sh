@@ -2,11 +2,12 @@
 # stream_smoke.sh — end-to-end streaming smoke test.
 #
 # Two stages:
-#   1. `yat-experiments -stream-smoke`: a large-n Q2 against out-of-process
-#      wrappers, asserting the pipelined engine's three promises — rows
-#      byte-identical to the materialized engine, mediator live-heap peak
-#      under half the materialized run's, first row in under 25% of total
-#      query time.
+#   1. `yat-experiments -stream-smoke`: queries against out-of-process
+#      wrappers, each drained to a table and then read chunk by chunk,
+#      asserting the engine's three streaming promises — byte-identical rows;
+#      on a large-result catalog dump, mediator live-heap peak while
+#      streaming under half of what holding the result takes; on a large-n
+#      Q2, first row in under 25% of total query time.
 #   2. The real Figure 2 deployment (both wrappers and the mediator console
 #      as separate processes) running the `stream` console command on Q2,
 #      checking rows arrive and the streaming summary line is printed.

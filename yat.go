@@ -23,6 +23,8 @@
 package yat
 
 import (
+	"context"
+
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/data"
@@ -136,6 +138,17 @@ func NewCulturalMediator(db *o2.DB, works data.Forest) (*mediator.Mediator, *o2w
 	m.Assume("artifacts", "works", "$y > 1800")
 	m.Assume("persons", "works", "$y > 1800")
 	return m, ow, ww, nil
+}
+
+// QueryNaive executes a query without optimization — the view is materialized
+// and the query evaluated on the result, the naive strategy of Section 5.2 —
+// as the baseline examples and benchmarks compare Mediator.Query against.
+func QueryNaive(m *mediator.Mediator, query string) (*mediator.Result, error) {
+	plan, err := m.Compose(query)
+	if err != nil {
+		return nil, err
+	}
+	return m.ExecutePlan(context.Background(), plan, mediator.ExecOptions{Parallelism: 1})
 }
 
 // ParseXML parses an XML document into a YAT tree.
