@@ -34,6 +34,7 @@ import (
 	"runtime/metrics"
 	"time"
 
+	yat "repro"
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/datagen"
@@ -295,16 +296,6 @@ func fig7Plans() [3]algebra.Op {
 	return [3]algebra.Op{mono, split, join}
 }
 
-// queryNaive executes a query without optimization: the view is materialized
-// and the query evaluated on the result (the naive strategy of Section 5.2).
-func queryNaive(m *mediator.Mediator, src string) (*mediator.Result, error) {
-	plan, err := m.Compose(src)
-	if err != nil {
-		return nil, err
-	}
-	return m.ExecutePlan(context.Background(), plan, mediator.ExecOptions{Parallelism: 1})
-}
-
 // queryTuned executes a query under a tuned optimizer configuration; tune
 // flips the ablation switches that isolate the contribution of each round.
 func queryTuned(m *mediator.Mediator, src string, tune func(*optimizer.Options)) (*mediator.Result, error) {
@@ -337,7 +328,7 @@ func figure8(sizes []int) error {
 			return err
 		}
 		printHead(fmt.Sprintf("F8: Q1 naive vs optimized (artifacts=%d, ground truth %d rows)", n, len(w.GivernyTitles)))
-		naive, nd, err := med(func() (*mediator.Result, error) { return queryNaive(m, datagen.Q1Src) })
+		naive, nd, err := med(func() (*mediator.Result, error) { return yat.QueryNaive(m, datagen.Q1Src) })
 		if err != nil {
 			return err
 		}
@@ -361,7 +352,7 @@ func figure9(sizes []int) error {
 			return err
 		}
 		printHead(fmt.Sprintf("F9: Q2 naive vs pushdown (artifacts=%d, ground truth %d rows)", n, len(w.Q2Titles)))
-		naive, nd, err := med(func() (*mediator.Result, error) { return queryNaive(m, datagen.Q2Src) })
+		naive, nd, err := med(func() (*mediator.Result, error) { return yat.QueryNaive(m, datagen.Q2Src) })
 		if err != nil {
 			return err
 		}
@@ -386,7 +377,7 @@ func e10(sweep []int) error {
 		if err != nil {
 			return err
 		}
-		naive, err := queryNaive(m, datagen.Q2Src)
+		naive, err := yat.QueryNaive(m, datagen.Q2Src)
 		if err != nil {
 			return err
 		}
@@ -1198,49 +1189,48 @@ func memorySweep(src string, sizes []int, wrappers string) ([]memRecord, error) 
 	return out, nil
 }
 
+// memRuns is how often memPoint measures each side. A live-heap sample is
+// the retained set plus whatever was allocated while that mark ran, a term
+// that only ever adds; the smallest peak of a few runs estimates the
+// retained set.
+const memRuns = 5
+
 func memPoint(m *mediator.Mediator, src string, n int) (*memRecord, error) {
 	opts := mediator.ExecOptions{Parallelism: 1, Timeout: time.Minute}
-	sampler := startLiveSampler(10 * time.Millisecond)
-	base, d, err := med(func() (*mediator.Result, error) {
-		return m.ExecuteContext(context.Background(), src, opts)
-	})
-	matPeak := sampler.stopPeak()
-	if err != nil {
-		return nil, err
-	}
-	baseSum, baseRows := tabHash(base.Tab), base.Tab.Len()
-	// Drop the materialized result before sampling the streamed run, so the
-	// streamed baseline starts from the same live set.
-	base = nil
-	_ = base
-	// The sampled peak is the retained set plus whatever frame happened to
-	// be mid-decode when a mark ran; the transient part only ever adds, so
-	// the smallest of a few runs is the estimate of the retained set.
-	var run *streamRun
-	var streamPeak int64
-	for i := 0; i < 3; i++ {
-		sampler = startLiveSampler(10 * time.Millisecond)
-		r, serr := streamMeasure(m, src, opts)
+	rec := &memRecord{Artifacts: n}
+	var baseSum uint64
+	for i := 0; i < memRuns; i++ {
+		sampler := startLiveSampler(10 * time.Millisecond)
+		base, d, err := med(func() (*mediator.Result, error) {
+			return m.ExecuteContext(context.Background(), src, opts)
+		})
 		peak := sampler.stopPeak()
-		if serr != nil {
-			return nil, serr
+		if err != nil {
+			return nil, err
 		}
-		if r.rows != baseRows || r.sum != baseSum {
+		if i == 0 || peak < rec.MaterializedPeak {
+			rec.MaterializedPeak, rec.MaterializedNs = peak, d.Nanoseconds()
+		}
+		// Only the hash outlives the iteration, so every run, drained or
+		// streamed, starts from the same live set.
+		baseSum, rec.Rows = tabHash(base.Tab), base.Tab.Len()
+	}
+	for i := 0; i < memRuns; i++ {
+		sampler := startLiveSampler(10 * time.Millisecond)
+		run, err := streamMeasure(m, src, opts)
+		peak := sampler.stopPeak()
+		if err != nil {
+			return nil, err
+		}
+		if run.rows != rec.Rows || run.sum != baseSum {
 			return nil, fmt.Errorf("memory sweep n=%d: streamed rows diverge from the drained table", n)
 		}
-		if run == nil || peak < streamPeak {
-			run, streamPeak = r, peak
+		if i == 0 || peak < rec.StreamingPeak {
+			rec.StreamingPeak = peak
+			rec.StreamingNs, rec.FirstRowNs = run.total.Nanoseconds(), run.firstRow.Nanoseconds()
 		}
 	}
-	return &memRecord{
-		Artifacts:        n,
-		Rows:             baseRows,
-		MaterializedPeak: matPeak,
-		StreamingPeak:    streamPeak,
-		MaterializedNs:   d.Nanoseconds(),
-		StreamingNs:      run.total.Nanoseconds(),
-		FirstRowNs:       run.firstRow.Nanoseconds(),
-	}, nil
+	return rec, nil
 }
 
 // catalogDumpSrc returns one small constructed tree per work: a query whose
@@ -1253,15 +1243,39 @@ MATCH works WITH works[ *work[ title: $t, artist: $a, style: $s, size: $si ] ]
 // runStreamSmoke is the -stream-smoke mode, against out-of-process wrappers,
 // each query drained to a table and then streamed, asserting the three
 // streaming promises: byte-identical rows (checked inside memPoint); bounded
-// memory — on a large-result query the mediator's live-heap peak while a
-// consumer reads chunk by chunk stays under half of what holding the result
-// takes; and low time-to-first-row — on a large-n Q2, under 25% of total
-// query time.
+// memory; and low time-to-first-row — on a large-n Q2, under 25% of total
+// query time. Memory is held to two bounds. On Q2 at n=4000 the mediator's
+// live-heap peak while a consumer reads chunk by chunk stays under 1 MB:
+// half of the ~2 MB of intermediates the materialized walker held there
+// (BENCH_PR8.json), which is the threshold this assertion applied while that
+// walker existed to be measured against. Q2's own result is too small for a
+// drained run to hold more than a streamed one, so the relative form of the
+// promise — streaming under half of what holding the result takes — is
+// checked on a large-result catalog dump.
 func runStreamSmoke(wrappers string) error {
+	const n, heapBound = 4000, 1 << 20
+	fmt.Printf("stream-smoke: Q2 over wire, artifacts=%d\n", n)
+	recs, err := memorySweep(datagen.Q2Src, []int{n}, wrappers)
+	if err != nil {
+		return err
+	}
+	r := recs[0]
+	fmt.Printf("  drained:   live-heap peak %d bytes, %s\n",
+		r.MaterializedPeak, time.Duration(r.MaterializedNs).Round(time.Millisecond))
+	fmt.Printf("  streaming: live-heap peak %d bytes, %s (first row after %s)\n",
+		r.StreamingPeak, time.Duration(r.StreamingNs).Round(time.Millisecond),
+		time.Duration(r.FirstRowNs).Round(time.Millisecond))
+	if r.StreamingPeak >= heapBound {
+		return fmt.Errorf("stream-smoke: streaming live-heap peak %d bytes is not under %d",
+			r.StreamingPeak, heapBound)
+	}
+	if 4*r.FirstRowNs >= r.StreamingNs {
+		return fmt.Errorf("stream-smoke: first row after %v of a %v query, want < 25%%",
+			time.Duration(r.FirstRowNs), time.Duration(r.StreamingNs))
+	}
 	const dumpN = 16000
 	fmt.Printf("stream-smoke: catalog dump over wire, works=%d\n", dumpN)
-	recs, err := memorySweep(catalogDumpSrc, []int{dumpN}, wrappers)
-	if err != nil {
+	if recs, err = memorySweep(catalogDumpSrc, []int{dumpN}, wrappers); err != nil {
 		return err
 	}
 	d := recs[0]
@@ -1270,19 +1284,6 @@ func runStreamSmoke(wrappers string) error {
 	if d.StreamingPeak >= d.MaterializedPeak/2 {
 		return fmt.Errorf("stream-smoke: streaming live-heap peak %d bytes is not under half the drained table's %d",
 			d.StreamingPeak, d.MaterializedPeak)
-	}
-	const n = 4000
-	fmt.Printf("stream-smoke: Q2 over wire, artifacts=%d\n", n)
-	if recs, err = memorySweep(datagen.Q2Src, []int{n}, wrappers); err != nil {
-		return err
-	}
-	r := recs[0]
-	fmt.Printf("  drained:   %s\n", time.Duration(r.MaterializedNs).Round(time.Millisecond))
-	fmt.Printf("  streaming: %s (first row after %s)\n",
-		time.Duration(r.StreamingNs).Round(time.Millisecond), time.Duration(r.FirstRowNs).Round(time.Millisecond))
-	if 4*r.FirstRowNs >= r.StreamingNs {
-		return fmt.Errorf("stream-smoke: first row after %v of a %v query, want < 25%%",
-			time.Duration(r.FirstRowNs), time.Duration(r.StreamingNs))
 	}
 	fmt.Println("stream-smoke: OK")
 	return nil

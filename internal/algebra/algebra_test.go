@@ -355,12 +355,15 @@ func (f *fakeSource) Push(plan Op, params map[string]tab.Cell) (*tab.Tab, error)
 	return f.result, nil
 }
 
-// batchSource streams its document one tree per batch, the way a wrapper's
-// frames arrive.
-type batchSource struct{ fakeSource }
+// batchSource streams its document batch trees at a time, the way a
+// wrapper's frames arrive.
+type batchSource struct {
+	fakeSource
+	batch int
+}
 
 func (f *batchSource) FetchStream(_ context.Context, doc string) (ForestCursor, error) {
-	return NewSliceForestCursor(f.docs[doc], 1), nil
+	return NewSliceForestCursor(f.docs[doc], f.batch), nil
 }
 
 func TestStreamedBindWaitsForReferencedObjects(t *testing.T) {
@@ -387,7 +390,7 @@ func TestStreamedBindWaitsForReferencedObjects(t *testing.T) {
 	}
 
 	ctx := NewContext()
-	ctx.Sources["o2"] = &batchSource{fakeSource{name: "o2", docs: map[string]data.Forest{"artifacts": doc}}}
+	ctx.Sources["o2"] = &batchSource{fakeSource{name: "o2", docs: map[string]data.Forest{"artifacts": doc}}, 1}
 	got := mustEval(t, bind, ctx)
 	if !got.Equal(want) {
 		t.Errorf("streamed bind lost rows to unresolved references:\n%s\nwant:\n%s", got, want)
@@ -406,6 +409,58 @@ func TestStreamedBindWaitsForReferencedObjects(t *testing.T) {
 	first, err := cur.Next()
 	if err != nil || first.Len() != 2 {
 		t.Fatalf("first chunk = %v, %v; want the extent's 2 rows before the stream ends", first, err)
+	}
+}
+
+func TestStreamedBindHoldsFromFirstUnresolvedTree(t *testing.T) {
+	// Trees ahead of the first unresolved reference bind as they arrive;
+	// that tree and the ones after it wait for the end of the stream, and
+	// rows still leave in document order.
+	person := func(id, name string) *data.Node {
+		n := data.Elem("class", data.Text("name", name))
+		n.ID = id
+		return n
+	}
+	work := func(title, owner string) *data.Node {
+		return data.Elem("work", data.Text("title", title), data.Elem("owner", data.RefNode("class", owner)))
+	}
+	doc := data.Forest{person("p0", "Doe"), work("Nympheas", "p0"),
+		work("Dancers", "p1"), work("Olympia", "p0"), person("p1", "Roe"), work("Lost", "nobody")}
+	bind := &Bind{Doc: "works", F: filter.MustParse(`work[ title: $t, owner.class.name: $o ]`)}
+
+	whole := NewContext()
+	whole.Sources["s"] = &fakeSource{name: "s", docs: map[string]data.Forest{"works": doc}}
+	want := mustEval(t, bind, whole)
+	if want.Len() != 3 {
+		t.Fatalf("fixture binds %d rows, want 3 (the dangling owner binds none):\n%s", want.Len(), want)
+	}
+
+	ctx := NewContext()
+	ctx.Sources["s"] = &batchSource{fakeSource{name: "s", docs: map[string]data.Forest{"works": doc}}, 3}
+	cur, err := bind.StreamLeaf(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	// The first batch is p0, Nympheas, Dancers: the first two resolve.
+	first, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 1 || !first.Rows[0].Equal(want.Rows[0]) {
+		t.Fatalf("first rows = %s, want Nympheas alone, ahead of the unresolved Dancers", first)
+	}
+	rest, err := tab.Drain(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tab.New(want.Cols...)
+	got.Rows = append(append(got.Rows, first.Rows...), rest.Rows...)
+	if !got.Equal(want) {
+		t.Errorf("streamed bind:\n%s\nwant, in document order:\n%s", got, want)
+	}
+	if ctx.Stats.BindRows != want.Len() {
+		t.Errorf("BindRows = %d, want %d", ctx.Stats.BindRows, want.Len())
 	}
 }
 

@@ -164,14 +164,18 @@ func (c *Context) InputStream(name string) (ForestCursor, error) {
 }
 
 // StreamLeaf opens the two leaf forms of a Bind (From == nil). Over a named
-// document, trees arrive in batches through InputStream and each batch is
-// matched against the filter as it lands, so neither the document nor the
-// binding table need ever be whole in memory — unless the match chases a
-// reference the store cannot resolve yet: the objects a document's
+// document, trees arrive in batches through InputStream and are matched
+// against the filter as they land, so neither the document nor the binding
+// table need ever be whole in memory — up to the first tree whose match
+// chases a reference the store cannot resolve yet. The objects a document's
 // references point at ship after the trees that mention them (an O₂ extent
-// is followed by its referenced closure), so from that batch on the stream
-// is held and matched once it has all arrived. Over a DJoin parameter, the
-// bound value is matched in one piece.
+// is one tree, followed by its referenced closure), and rows leave in
+// document order, so that tree and every tree after it are held and matched
+// once the stream has ended; a reference that never resolves holds them just
+// as long. The bound for such a Bind is therefore the rest of the document —
+// for identified objects no more than Context.Store already pins for the
+// query's lifetime. Over a DJoin parameter, the bound value is matched in
+// one piece.
 func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 	f := b.filter(ctx)
 	if b.Doc == "" {
@@ -187,7 +191,7 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	var held data.Forest // batches waiting for the objects they reference
+	var held data.Forest // trees waiting for the objects they reference
 	eof := false
 	// One tree can bind many rows (a single-rooted document binds them
 	// all): Rechunk restores the bounded-chunk invariant downstream.
@@ -196,20 +200,26 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 		NextFn: func() (*tab.Tab, error) {
 			for !eof {
 				forest, err := fc.Next()
+				var t *tab.Tab
 				switch {
-				case err == io.EOF && held != nil:
+				case err == io.EOF:
 					eof = true
-					forest = held
+					if held == nil {
+						return nil, io.EOF
+					}
+					t = f.MatchForest(ctx.Store, held)
+					held = nil
 				case err != nil:
 					return nil, err
 				case held != nil:
 					held = append(held, forest...)
 					continue
-				}
-				t, resolved := f.MatchForestResolved(ctx.Store, forest)
-				if !resolved && !eof {
-					held = append(held, forest...)
-					continue
+				default:
+					var n int
+					t, n = f.MatchResolvedPrefix(ctx.Store, forest)
+					if n < len(forest) {
+						held = append(held, forest[n:]...)
+					}
 				}
 				ctx.Stats.BindRows += t.Len()
 				return t, nil

@@ -142,21 +142,30 @@ func (f *Filter) rows(m *matchCtx, n *data.Node, cols []string, out []tab.Row) [
 // MatchForest matches the filter against each tree of a forest and
 // concatenates the binding rows.
 func (f *Filter) MatchForest(store *data.Store, forest data.Forest) *tab.Tab {
-	t, _ := f.MatchForestResolved(store, forest)
+	t, _ := f.matchForest(store, forest, false)
 	return t
 }
 
-// MatchForestResolved is MatchForest that also reports whether every
-// reference the match had to chase resolved in the store. A false result
-// means rows may be missing: a caller matching a document as it arrives must
-// match again once the referenced objects have been registered.
-func (f *Filter) MatchForestResolved(store *data.Store, forest data.Forest) (*tab.Tab, bool) {
+// MatchResolvedPrefix matches the trees of forest in order up to the first
+// one whose match had to chase a reference the store cannot resolve, and
+// returns the rows of the n trees before it. n < len(forest) means forest[n]
+// may be missing rows: a caller matching a document as it arrives must match
+// from that tree on again once the referenced objects have been registered.
+func (f *Filter) MatchResolvedPrefix(store *data.Store, forest data.Forest) (t *tab.Tab, n int) {
+	return f.matchForest(store, forest, true)
+}
+
+func (f *Filter) matchForest(store *data.Store, forest data.Forest, stopAtDangling bool) (*tab.Tab, int) {
 	t := tab.New(f.Vars()...)
 	m := &matchCtx{model: f.Model, store: store}
-	for _, n := range forest {
-		t.Rows = f.rows(m, n, t.Cols, t.Rows)
+	for i, n := range forest {
+		rows := f.rows(m, n, t.Cols, t.Rows)
+		if stopAtDangling && m.dangling {
+			return t, i
+		}
+		t.Rows = rows
 	}
-	return t, !m.dangling
+	return t, len(forest)
 }
 
 type matchCtx struct {

@@ -708,7 +708,11 @@ func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, er
 		if err != nil {
 			return nil, nil, err
 		}
-		s, err := m.streamPlan(context.Background(), actx, nil, plan, "view", opts)
+		// Store, Skolems and Catalog are shared; the counters are per view,
+		// because each view is recorded in /metrics as a query of its own.
+		vctx := *actx
+		vctx.Stats = &algebra.Stats{}
+		s, err := m.streamPlan(context.Background(), &vctx, nil, plan, "view", opts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("view %s: %w", name, err)
 		}

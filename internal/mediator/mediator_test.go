@@ -9,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/o2"
 	"repro/internal/o2wrap"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/tab"
 	"repro/internal/waiswrap"
@@ -348,12 +349,7 @@ func TestWaisEngineReceivesPushedSearch(t *testing.T) {
 	}
 }
 
-func TestMaterializeProgramSkolemFusion(t *testing.T) {
-	// Two rules connected through Skolem functions: artworks() references
-	// &person($o); persons() constructs person($o) := trees. Materializing
-	// the program in one context fuses the identifiers (object fusion).
-	m, _, _ := paperSetup(t)
-	program := `
+const fusedProgram = `
 fused_artworks() :=
 MAKE doc[ *artwork($t) := work[ title: $t, owners[ *owner: &person($o) ] ] ]
 MATCH artifacts WITH set[ *class[ artifact.tuple[ title: $t,
@@ -363,7 +359,13 @@ fused_persons() :=
 MAKE people[ *person($o) := person[ name: $o ] ]
 MATCH persons WITH set[ *class[ person.tuple[ name: $o ] ] ] ;
 `
-	if err := m.LoadProgram(program); err != nil {
+
+func TestMaterializeProgramSkolemFusion(t *testing.T) {
+	// Two rules connected through Skolem functions: artworks() references
+	// &person($o); persons() constructs person($o) := trees. Materializing
+	// the program in one context fuses the identifiers (object fusion).
+	m, _, _ := paperSetup(t)
+	if err := m.LoadProgram(fusedProgram); err != nil {
 		t.Fatal(err)
 	}
 	forests, store, err := m.MaterializeProgram()
@@ -392,6 +394,47 @@ MATCH persons WITH set[ *class[ person.tuple[ name: $o ] ] ] ;
 	})
 	if refs == 0 {
 		t.Fatal("no references constructed")
+	}
+}
+
+func TestMaterializeProgramRecordsEachViewOnce(t *testing.T) {
+	// The views share one evaluation context, but /metrics must see each
+	// view's source traffic once: the program's totals are the sum of the
+	// views materialized one at a time.
+	m, _, _ := paperSetup(t)
+	if err := m.LoadProgram(fusedProgram); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Views()) < 3 {
+		t.Fatalf("views = %v, want at least 3", m.Views())
+	}
+	counters := func(run func()) map[string]int64 {
+		reg := obs.NewRegistry()
+		m.SetMetrics(reg)
+		defer m.SetMetrics(nil)
+		run()
+		return reg.Snapshot()["counters"].(map[string]int64)
+	}
+	each := counters(func() {
+		for _, v := range m.Views() {
+			if _, err := m.Materialize(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	whole := counters(func() {
+		if _, _, err := m.MaterializeProgram(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if each["source_fetches_total"] == 0 || each["bytes_shipped_total"] == 0 {
+		t.Fatalf("fixture ships nothing: %v", each)
+	}
+	for _, name := range []string{"queries_total", "source_fetches_total", "source_pushes_total",
+		"tuples_shipped_total", "bytes_shipped_total"} {
+		if whole[name] != each[name] {
+			t.Errorf("%s = %d over the program, %d over its views one at a time", name, whole[name], each[name])
+		}
 	}
 }
 

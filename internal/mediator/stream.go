@@ -117,8 +117,8 @@ func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOpt
 }
 
 // streamPlan runs one plan under one evaluation context (a fresh one per
-// query; MaterializeProgram shares one across its views so Skolem
-// identifiers fuse).
+// query; MaterializeProgram's views share one Store, Skolems and Catalog so
+// Skolem identifiers fuse).
 func (m *Mediator) streamPlan(ctx context.Context, actx *algebra.Context, naive, opt algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -5,9 +5,10 @@
 #   1. `yat-experiments -stream-smoke`: queries against out-of-process
 #      wrappers, each drained to a table and then read chunk by chunk,
 #      asserting the engine's three streaming promises — byte-identical rows;
-#      on a large-result catalog dump, mediator live-heap peak while
-#      streaming under half of what holding the result takes; on a large-n
-#      Q2, first row in under 25% of total query time.
+#      mediator live-heap peak while streaming under 1 MB on a large-n Q2
+#      and, on a large-result catalog dump, under half of what holding the
+#      result takes; on the same Q2, first row in under 25% of total query
+#      time.
 #   2. The real Figure 2 deployment (both wrappers and the mediator console
 #      as separate processes) running the `stream` console command on Q2,
 #      checking rows arrive and the streaming summary line is printed.
