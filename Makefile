@@ -23,10 +23,14 @@ bench-build:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# A short fuzzing pass over the XQuery-FLWR parser: crash-freedom plus the
-# parse/print/re-parse fixpoint property, seeded by the checked-in corpus.
+# A short fuzzing pass, 10 s per target, seeded by the checked-in corpora:
+# the XQuery-FLWR parser (crash-freedom plus the parse/print/re-parse
+# fixpoint property) and the two byte boundaries of the wire — arbitrary
+# bytes as a request frame at a server, and as the reply frames at a client.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
+	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
+	$(GO) test -run FuzzReplyFrames -fuzz FuzzReplyFrames -fuzztime 10s ./internal/wire
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	yat-experiments [-quick]
-//	yat-experiments -bench-json BENCH_PR7.json
+//	yat-experiments -bench-json BENCH_PR8.json
 //
 // With -bench-json, only the Fig. 9 Q2 measurements run (per-binding, batched,
 // parallel, warm cache, a 1%-fault-rate recovery variant, plus the same
@@ -991,7 +991,7 @@ func streamMeasure(m *mediator.Mediator, src string, opts mediator.ExecOptions) 
 // batched serial and parallel, warm cache, per-binding under a 1% injected
 // fault rate, batched with tracing on, and the same query compiled from
 // XQuery-FLWR text) over the wire deployment and writes machine-readable
-// results — the CI artifact BENCH_PR7.json.
+// results — the CI artifact BENCH_PR8.json.
 func benchJSON(path string, n int, wrappers string) error {
 	const latency = 2 * time.Millisecond
 	m, _, teardown, err := wireDeploy(n, latency)

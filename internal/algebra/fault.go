@@ -88,7 +88,7 @@ type RetryReporter interface {
 }
 
 // drainRetryStats folds a source's pending retry counters into the
-// context's Stats; called after every fetch/push/pushbatch, on success and
+// context's Stats; called after every source call, on success and
 // failure alike (the retries preceding a final failure count too). Under
 // tracing, the ambient span records the same counts — so a profile shows
 // which operator's source calls needed recovery.

@@ -10,56 +10,25 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/faults"
+	"repro/internal/leakcheck"
 	"repro/internal/tab"
 	"repro/internal/wire"
 )
 
-// settleGoroutines waits for the goroutine count to come back down to base
-// and reports the count it settled at.
-func settleGoroutines(base int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// leakCheck arms the lifecycle assertions for one test; call it before the
-// deployment is built. At the very end of the test — after the deployment's
-// own cleanups have closed every server and client — the goroutine count
-// must settle back to where it started: a pump, a Union producer, a fan-out
-// worker, a stream reader or a context watcher that outlived its query
-// shows up as a surplus. The returned func is the mid-test half: once a
-// scenario is over, every wire client's request slots must be free again (a
-// cursor nobody closed holds its slot, and its pinned connection, forever).
+// leakCheck arms leakcheck.Arm for one test; call it before the deployment
+// is built. The returned func is the mid-test half: once a scenario is over,
+// every wire client the mediator is connected to must have all its request
+// slots free again.
 func leakCheck(t *testing.T) func(m *Mediator) {
 	t.Helper()
-	base := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		if n := settleGoroutines(base); n > base {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines at the end of the test, %d at its start; leaked:\n%s",
-				n, base, buf[:runtime.Stack(buf, true)])
-		}
-	})
+	idle := leakcheck.Arm(t)
 	return func(m *Mediator) {
 		t.Helper()
 		m.regMu.RLock()
 		defer m.regMu.RUnlock()
-		for name, src := range m.sources {
-			c, ok := src.(*wire.Client)
-			if !ok {
-				continue
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for c.InFlight() > 0 && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := c.InFlight(); n > 0 {
-				t.Errorf("source %s still holds %d request slot(s) after the stream ended", name, n)
+		for _, src := range m.sources {
+			if c, ok := src.(*wire.Client); ok {
+				idle(c)
 			}
 		}
 	}
@@ -92,7 +61,7 @@ func TestDrainedStreamReleasesItsContext(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if n := settleGoroutines(base); n > base {
+	if n := leakcheck.Settle(base); n > base {
 		t.Errorf("%d goroutines after 50 drained streams, %d before: the query context is not released at EOF", n, base)
 	}
 }

@@ -180,10 +180,29 @@ func deployObserved(t *testing.T, n int) (*Mediator, []*obs.Observer) {
 
 // TestTraceIDPropagatesOverWire is the cross-process half of the tracing
 // story: wrapper-side request spans carry the mediator's trace id, shipped
-// as a tag on the wire frames, so one distributed trace can be assembled
-// from both sides of the connection.
+// as a tag on the wire requests, so one distributed trace can be assembled
+// from both sides of the connection. Every data request is a <query>, so
+// the wrappers record exactly one such span per push and fetch the query's
+// Stats count, each carrying the id.
 func TestTraceIDPropagatesOverWire(t *testing.T) {
 	m, observers := deployObserved(t, faultWorkloadN)
+	// querySpans returns the wrapper-side data-request spans recorded since
+	// the marks, and advances them.
+	marks := make([]int, len(observers))
+	querySpans := func() (out []*obs.Span) {
+		for i, o := range observers {
+			spans := o.Spans()
+			for _, sp := range spans[marks[i]:] {
+				if sp.Name == "query" {
+					out = append(out, sp)
+				}
+			}
+			marks[i] = len(spans)
+		}
+		return out
+	}
+	querySpans() // skip the deployment's own traffic
+
 	res, err := m.ExecuteContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 1, Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -191,39 +210,24 @@ func TestTraceIDPropagatesOverWire(t *testing.T) {
 	if res.Trace == nil || res.Trace.ID == "" {
 		t.Fatal("no trace collected")
 	}
-	carried := 0
-	for _, o := range observers {
-		for _, sp := range o.Spans() {
-			switch sp.Name {
-			case "push", "pushbatch", "fetch":
-				if sp.ID != res.Trace.ID {
-					t.Errorf("wrapper %s span has trace id %q, want the caller's %q", sp.Name, sp.ID, res.Trace.ID)
-				} else {
-					carried++
-				}
-			}
+	spans := querySpans()
+	for _, sp := range spans {
+		if sp.ID != res.Trace.ID {
+			t.Errorf("wrapper span has trace id %q, want the caller's %q", sp.ID, res.Trace.ID)
 		}
 	}
-	if carried == 0 {
-		t.Fatal("no wrapper-side request span carries the caller's trace id")
+	if want := res.Stats.SourcePushes + res.Stats.SourceFetches; want == 0 || len(spans) != want {
+		t.Fatalf("%d wrapper-side data-request spans for %d pushes + %d fetches",
+			len(spans), res.Stats.SourcePushes, res.Stats.SourceFetches)
 	}
-	// An untraced query must not tag frames: the wrapper spans it records
-	// have empty trace ids.
-	for _, o := range observers {
-		o.Spans() // drain nothing; ring keeps history — count baseline first
-	}
-	before := make([]int, len(observers))
-	for i, o := range observers {
-		before[i] = len(o.Spans())
-	}
+	// An untraced query must not tag its requests: the wrapper spans it
+	// records have empty trace ids.
 	if _, err := m.ExecuteContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range observers {
-		for _, sp := range o.Spans()[before[i]:] {
-			if sp.ID != "" {
-				t.Errorf("untraced query produced wrapper span with trace id %q", sp.ID)
-			}
+	for _, sp := range querySpans() {
+		if sp.ID != "" {
+			t.Errorf("untraced query produced wrapper span with trace id %q", sp.ID)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import "context"
 type spanKey struct{}
 
 // WithSpan returns a context carrying the span. The wire client reads it to
-// tag outgoing fetch/push/pushbatch frames with the trace id, so
+// tag outgoing query requests with the trace id, so
 // wrapper-side work is attributed to the mediator operator that caused it.
 func WithSpan(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, spanKey{}, s)

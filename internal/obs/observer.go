@@ -10,9 +10,9 @@ import (
 const maxObserverSpans = 256
 
 // Observer is the server-side observability hook handed to a wire.Server:
-// it records one span per handled request (fetch/push/pushbatch/...),
-// carrying the caller's trace id when the frame was tagged, and feeds
-// per-request counters and latency histograms into its Registry.
+// it records one span per handled request (query, hello, ...), first frame
+// to last, carrying the caller's trace id when the request was tagged, and
+// feeds per-request counters and latency histograms into its Registry.
 type Observer struct {
 	Reg *Registry
 
@@ -29,8 +29,8 @@ func NewObserver(reg *Registry) *Observer {
 	return &Observer{Reg: reg}
 }
 
-// StartRequest opens a span for one wire request. kind is the frame label
-// ("fetch", "push", "pushbatch", ...); traceID is the caller's trace id
+// StartRequest opens a span for one wire request. kind is the request's
+// label ("query" for data, "hello", ...); traceID is the caller's trace id
 // from the frame tag ("" when the caller was not tracing).
 func (o *Observer) StartRequest(kind, traceID string) *Span {
 	s := &Span{ID: traceID, Name: kind, Start: time.Now(), Rows: -1}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/leakcheck"
 	"repro/internal/mediator"
 	"repro/internal/o2wrap"
 	"repro/internal/route"
@@ -96,6 +97,7 @@ func TestRouteRejectsMismatchedDocSets(t *testing.T) {
 // failed over transparently, and after FailureThreshold consecutive
 // failures its breaker opens — subsequent calls stop touching it at all.
 func TestRouteFailoverAndEviction(t *testing.T) {
+	leakcheck.Arm(t)
 	bad, good := newFakeRep("bad"), newFakeRep("good")
 	bad.setFail(errReset)
 	r := mustRoute(t, []algebra.Source{bad, good},
@@ -163,6 +165,7 @@ func TestRouteSemanticErrorSettles(t *testing.T) {
 // around the logical source), fails fast while breakers are open, and
 // re-admits a replica through a half-open probe after the cooldown.
 func TestRouteAllDownThenRecover(t *testing.T) {
+	leakcheck.Arm(t)
 	a, b := newFakeRep("a"), newFakeRep("b")
 	a.setFail(errReset)
 	b.setFail(errReset)
@@ -280,6 +283,7 @@ func deployO2Replica(t *testing.T, db *datagen.Workload) (*wire.Server, func()) 
 // answering (byte-identical to the serial baseline) and the dead replica
 // must be evicted from routing while the logical source stays healthy.
 func TestReplicaKillMidLoad(t *testing.T) {
+	idle := leakcheck.Arm(t)
 	w := datagen.Generate(datagen.DefaultParams(60))
 
 	srv0, kill0 := deployO2Replica(t, w)
@@ -357,6 +361,11 @@ func TestReplicaKillMidLoad(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// Failed-over and abandoned requests included, every replica client's
+	// request slots are free again once the load has stopped.
+	for _, rep := range reps {
+		idle(rep.(*wire.Client))
+	}
 
 	health := rt.Health()
 	var dead, live int

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -70,34 +71,10 @@ func TestPushBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPushBatchServerHandlesEmptyBindings(t *testing.T) {
-	// The client never ships an empty batch, but the server must survive one
-	// from a foreign client: zero bindings in, zero results out.
-	srv, _ := serveO2(t)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, err := algebra.MarshalPlan(batchPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := "<pushbatch><plan>" + enc + "</plan><bindings>" +
-		tab.Marshal(tab.New("$lo")) + "</bindings></pushbatch>"
-	if err := WriteFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp, "batch") || strings.Contains(resp, "error") {
-		t.Errorf("empty batch response = %q", resp)
-	}
-}
-
-func TestPushBatchMalformedFrames(t *testing.T) {
+// TestMalformedRequests plays requests no client of this package would send
+// at one connection: each is answered by a single <error> frame naming the
+// fault, and the connection keeps serving.
+func TestMalformedRequests(t *testing.T) {
 	srv, _ := serveO2(t)
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -112,11 +89,19 @@ func TestPushBatchMalformedFrames(t *testing.T) {
 		req  string
 		want string
 	}{
-		{"<pushbatch/>", "without plan"},
-		{"<pushbatch><plan><bogus-op/></plan><bindings>" +
-			tab.Marshal(tab.New("$lo")) + "</bindings></pushbatch>", "plan"},
-		{"<pushbatch><plan>" + enc + "</plan></pushbatch>", "without bindings"},
-		{"<pushbatch><plan>" + enc + "</plan><bindings><not-a-tab/></bindings></pushbatch>", "bindings"},
+		{"not xml at all", "bad request"},
+		{"<unknown-request/>", "unknown request"},
+		{"<query/>", "without doc or plan"},
+		{"<query><plan/></query>", "plan"},
+		{"<query><plan><bogus-op/></plan><bindings>" +
+			tab.Marshal(tab.New("$lo")) + "</bindings></query>", "plan"},
+		{"<query><plan>" + enc + "</plan><bindings/></query>", "bindings"},
+		{"<query><plan>" + enc + "</plan><bindings><not-a-tab/></bindings></query>", "bindings"},
+		// A binding table without rows is a parameterless push: the plan's
+		// free variable $lo stays unbound and the wrapper says so.
+		{"<query><plan>" + enc + "</plan><bindings>" +
+			tab.Marshal(tab.New("$lo")) + "</bindings></query>", "push"},
+		{`<query doc="ghost"/>`, "fetch ghost"},
 	}
 	for _, c := range cases {
 		if err := WriteFrame(conn, c.req); err != nil {
@@ -126,8 +111,8 @@ func TestPushBatchMalformedFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(resp, "error") || !strings.Contains(resp, c.want) {
-			t.Errorf("req %q: resp %q, want error mentioning %q", c.req[:40], resp, c.want)
+		if !strings.HasPrefix(resp, "<error") || !strings.Contains(resp, c.want) {
+			t.Errorf("req %.40q: resp %q, want an error mentioning %q", c.req, resp, c.want)
 		}
 	}
 	// The connection survives malformed requests: a healthy one still works.
@@ -154,8 +139,9 @@ func TestPushBatchErrorPropagates(t *testing.T) {
 	if err == nil || res != nil {
 		t.Fatalf("bad batch = %v, %v; want remote error and nil results", res, err)
 	}
-	if !strings.Contains(err.Error(), "pushbatch") {
-		t.Errorf("error should come from the pushbatch handler: %v", err)
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "push") {
+		t.Errorf("error should be the wrapper's push failure: %v", err)
 	}
 }
 
@@ -216,7 +202,7 @@ func TestPoolSurvivesRepeatedTimeouts(t *testing.T) {
 	defer srv.Close()
 
 	const maxConns = 2
-	c, err := DialPool(srv.Addr(), maxConns)
+	c, err := DialWith(context.Background(), srv.Addr(), Options{MaxConns: maxConns})
 	if err != nil {
 		t.Fatal(err)
 	}

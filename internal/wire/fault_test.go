@@ -20,7 +20,7 @@ func serveO2Idle(t *testing.T, idle time.Duration) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(ln, Exported{Source: ow}, idle, time.Second)
+	srv := ServeOpts(ln, Exported{Source: ow}, ServeOptions{IdleTimeout: idle, WriteTimeout: time.Second})
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -111,7 +111,7 @@ func TestClosedClientIdleReuseReturnsTyped(t *testing.T) {
 	}
 }
 
-func TestDialPoolContextHonorsDeadline(t *testing.T) {
+func TestDialWithHonorsDeadline(t *testing.T) {
 	// A wrapper that accepts the TCP connection but never answers the hello
 	// must not hang startup: the dial context's deadline bounds the whole
 	// handshake.
@@ -132,7 +132,7 @@ func TestDialPoolContextHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = DialPoolContext(ctx, ln.Addr().String(), 2)
+	_, err = DialWith(ctx, ln.Addr().String(), Options{MaxConns: 2})
 	if err == nil {
 		t.Fatal("dial against a mute server must fail")
 	}

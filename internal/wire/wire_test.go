@@ -168,32 +168,6 @@ func TestRemotePushMatchesLocal(t *testing.T) {
 	}
 }
 
-func TestServerRejectsGarbage(t *testing.T) {
-	srv, _ := serveO2(t)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := WriteFrame(conn, "not xml at all"); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp, "error") {
-		t.Errorf("resp = %q", resp)
-	}
-	if err := WriteFrame(conn, "<unknown-request/>"); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = ReadFrame(conn)
-	if err != nil || !strings.Contains(resp, "unknown request") {
-		t.Errorf("resp = %q, %v", resp, err)
-	}
-}
-
 func TestServerIdleTimeoutDisconnects(t *testing.T) {
 	// A client that connects and then goes silent must be disconnected when
 	// the idle deadline passes, not pin its handler goroutine forever.
@@ -202,7 +176,7 @@ func TestServerIdleTimeoutDisconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(ln, Exported{Source: ow}, 100*time.Millisecond, time.Second)
+	srv := ServeOpts(ln, Exported{Source: ow}, ServeOptions{IdleTimeout: 100 * time.Millisecond, WriteTimeout: time.Second})
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
