@@ -1,10 +1,10 @@
-// Out-of-process wrapper deployments. The in-process wireDeploy shares one
-// heap between mediator and wrappers, which makes whole-process live-heap
+// Out-of-process wrapper deployments. Wrappers served from this process
+// would share one heap with the mediator, which makes whole-process live-heap
 // measurements attribute wrapper-side evaluation (a pushed plan binds the
-// whole extent at the source) to the mediator. The memory experiments
+// whole extent at the source) to the mediator. The memory assertions
 // instead spawn the real wrapper binaries as child processes serving the
-// same generated workload, so runtime.MemStats sees exactly the mediator's
-// live set — the quantity the streaming engine bounds.
+// same generated workload, so the runtime's heap metrics see exactly the
+// mediator's live set — the quantity the streaming engine bounds.
 package main
 
 import (
@@ -128,9 +128,9 @@ func connectWire(m *mediator.Mediator, addr string) (func(), error) {
 }
 
 // externalDeploy spawns a wrapper pair serving the n-artifact workload as
-// child processes and connects a fresh mediator to them, mirroring
-// wireDeploy's view program and assumptions. Only the mediator lives in
-// this process.
+// child processes and connects a fresh mediator to them, with
+// yat.NewCulturalMediator's view program and assumptions. Only the mediator
+// lives in this process.
 func externalDeploy(dir string, n int) (*mediator.Mediator, func(), error) {
 	var closers []func()
 	teardown := func() {

@@ -46,10 +46,9 @@ type Options struct {
 	Assume []Containment
 	// InfoPassing enables round 3 (Join → DJoin with parameter passing).
 	InfoPassing bool
-	// Ablation switches (used by the EXPERIMENTS.md benchmarks).
-	DisableComposition bool // skip Bind–Tree elimination
-	DisablePushdown    bool // skip capability-based pushdown (round 2)
-	DisableTypeRules   bool // skip type-driven filter simplification
+	// DisablePushdown skips capability-based pushdown (round 2): the
+	// ablation switch of EXPERIMENTS.md's E13.
+	DisablePushdown bool
 	// PruneDeadBranches lets round 1 eliminate operators the type inference
 	// proves dead under the declared Structures: a Union branch with a
 	// provably-empty type is dropped, a Join/DJoin with a provably-empty
@@ -88,6 +87,7 @@ type Optimizer struct {
 	fresh    *freshVars
 	err      error // first invariant violation (CheckInvariants only)
 	tcfg     *typecheck.Config
+	lcfg     *planlint.Config
 	origType *typecheck.RowType // input plan's root type (typed verification baseline)
 }
 
@@ -119,7 +119,7 @@ func (o *Optimizer) OptimizeChecked(plan algebra.Op) (algebra.Op, error) {
 func (o *Optimizer) optimize(plan algebra.Op) (algebra.Op, error) {
 	o.fresh = newFreshVars(plan)
 	o.err = nil
-	o.tcfg = o.typecheckConfig()
+	o.tcfg, o.lcfg = o.typecheckConfig(), o.lintConfig()
 	o.captureRootType(plan)
 	o.verify("input", plan)
 	out := o.round1(plan)
@@ -155,7 +155,7 @@ func (o *Optimizer) verify(stage string, plan algebra.Op) {
 	if !o.opts.CheckInvariants || o.err != nil {
 		return
 	}
-	if ds := planlint.Check(plan, o.lintConfig()); len(ds) > 0 {
+	if ds := planlint.Check(plan, o.lcfg); len(ds) > 0 {
 		o.err = &InvariantError{Stage: stage, Diags: ds}
 		o.trace("INVARIANT BROKEN after %s:\n%v", stage, planlint.Error(ds))
 		return
@@ -169,22 +169,18 @@ func (o *Optimizer) verify(stage string, plan algebra.Op) {
 func (o *Optimizer) round1(plan algebra.Op) algebra.Op {
 	prev := ""
 	for iter := 0; iter < 6; iter++ {
-		if !o.opts.DisableComposition {
-			plan = o.eliminateCompositions(plan)
-			o.verify("round1/eliminateCompositions", plan)
-		}
+		plan = o.eliminateCompositions(plan)
+		o.verify("round1/eliminateCompositions", plan)
 		plan = pushSelections(plan)
 		o.verify("round1/pushSelections", plan)
 		plan = o.pruneColumns(plan, colSet(plan.Columns()))
 		o.verify("round1/pruneColumns", plan)
-		if o.opts.PruneDeadBranches && !o.opts.DisableTypeRules {
+		if o.opts.PruneDeadBranches {
 			plan = o.pruneDeadBranches(plan)
 			o.verify("round1/pruneDeadBranches", plan)
 		}
-		if !o.opts.DisableTypeRules {
-			plan = o.expandLabelVars(plan)
-			o.verify("round1/expandLabelVars", plan)
-		}
+		plan = o.expandLabelVars(plan)
+		o.verify("round1/expandLabelVars", plan)
 		plan = pushSelections(plan)
 		o.verify("round1/pushSelections", plan)
 		plan = simplifyProjects(plan)

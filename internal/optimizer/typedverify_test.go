@@ -37,7 +37,7 @@ func TestVerifyTypesCatchesBreakingRewrite(t *testing.T) {
 		Pred: algebra.MustParseExpr(`$n = "x"`),
 	}
 	o := New(typedOpts())
-	o.tcfg = o.typecheckConfig()
+	o.tcfg, o.lcfg = o.typecheckConfig(), o.lintConfig()
 	o.captureRootType(orig)
 	o.verify("round1/breakingRewrite", broken)
 	if o.err == nil {
@@ -68,7 +68,7 @@ func TestVerifyTypesAcceptsRefiningRewrite(t *testing.T) {
 	orig := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ $f ] ]`)}
 	refined := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ name@$f ] ]`)}
 	o := New(typedOpts())
-	o.tcfg = o.typecheckConfig()
+	o.tcfg, o.lcfg = o.typecheckConfig(), o.lintConfig()
 	o.captureRootType(orig)
 	o.verify("round1/refine", refined)
 	if o.err != nil {

@@ -2,7 +2,7 @@
 // yat-mediator -trace-out file) for structural validity — an object with a
 // non-trivial traceEvents array of complete ("X") events carrying a trace
 // id — and optionally probes metrics endpoints for valid JSON snapshots.
-// Used by scripts/profile_smoke.sh so CI needs no jq/python.
+// Used by scripts/smoke.sh so CI needs no jq/python.
 //
 // Usage:
 //

@@ -4,7 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/datagen"
+	"repro/internal/exec"
+	"repro/internal/filter"
+	"repro/internal/o2wrap"
+	"repro/internal/waiswrap"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -122,5 +127,71 @@ func TestMaterializedViewMatchesFigure1Integration(t *testing.T) {
 		if w.ID == "" {
 			t.Error("works must carry Skolem identifiers")
 		}
+	}
+}
+
+// sourceCtx builds an evaluation context backed by the two wrappers.
+func sourceCtx(w *datagen.Workload) *algebra.Context {
+	ctx := algebra.NewContext()
+	ow := o2wrap.New("o2artifact", w.DB)
+	ww := waiswrap.New("xmlartwork", datagen.NewWaisEngine(w.Works))
+	ctx.Sources["o2artifact"] = ow
+	ctx.Sources["xmlartwork"] = ww
+	ctx.Funcs["contains"] = waiswrap.Contains
+	return ctx
+}
+
+// fig7Plans builds the three equivalent plans of Figure 7's upper row: the
+// monolithic Bind navigating owner references, its DJoin split, and the
+// Join against the persons extent with hashable identifier columns.
+func fig7Plans() (mono, split, join algebra.Op) {
+	mono = &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
+		`set[ *class[ artifact.tuple[ title: $t,
+		      owners.list[ *class[ person.tuple[ name: $o ] ] ] ] ] ]`)}
+	split = &algebra.DJoin{
+		L: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
+			`set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`)},
+		R: &algebra.Bind{Col: "$ow", F: filter.MustParse(
+			`owners.list[ *class[ person.tuple[ name: $o ] ] ]`)},
+	}
+	join = &algebra.Join{
+		L: &algebra.MapExpr{
+			From: &algebra.DJoin{
+				L: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
+					`set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`)},
+				R: &algebra.Bind{Col: "$ow", F: filter.MustParse(`owners.list[ *%@$ref ]`)},
+			},
+			Col: "$rid", E: algebra.MustParseExpr(`id($ref)`),
+		},
+		R: &algebra.MapExpr{
+			From: &algebra.Bind{Doc: "persons", F: filter.MustParse(
+				`set[ *class@$p[ person.tuple[ name: $o ] ] ]`)},
+			Col: "$pid", E: algebra.MustParseExpr(`id($p)`),
+		},
+		Pred: algebra.MustParseExpr(`$rid = $pid`),
+	}
+	return mono, split, join
+}
+
+// TestFig7PlansEquivalent pins the Figure 7 equivalence: the three plans
+// return the same rows.
+func TestFig7PlansEquivalent(t *testing.T) {
+	mono, split, join := fig7Plans()
+	w := datagen.Generate(datagen.DefaultParams(60))
+	var results []*Tab
+	for _, plan := range []algebra.Op{mono, split, join} {
+		p := &algebra.Project{From: plan, Cols: []string{"$t", "$o"}}
+		res, err := exec.RunSerial(p, sourceCtx(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	if !results[0].EqualUnordered(results[1]) || !results[0].EqualUnordered(results[2]) {
+		t.Fatalf("Figure 7 plans disagree: %d / %d / %d rows",
+			results[0].Len(), results[1].Len(), results[2].Len())
+	}
+	if results[0].Len() == 0 {
+		t.Fatal("empty fixture")
 	}
 }
