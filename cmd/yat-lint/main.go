@@ -1,6 +1,6 @@
 // Command yat-lint is a repository-specific static analyzer for the YAT
 // mediator, built only on the standard library (go/ast, go/parser,
-// go/types). It enforces three invariants the general Go toolchain cannot:
+// go/types). It enforces four invariants the general Go toolchain cannot:
 //
 //  1. Exhaustive sealed-interface type switches: any type switch whose tag
 //     is an algebra.Op or an xq.Node must handle every implementation
@@ -19,6 +19,11 @@
 //     land without a test pinning its type inference rule (the inference
 //     switch itself degrades unknown operators to Any by design, which is
 //     exactly why the toolchain would never notice the gap).
+//  4. One way to call a source: only internal/algebra (FetchStream,
+//     PushStream, PushBatch) may ask a source which optional call interface
+//     it has. A type assertion or type-switch case on algebra.ContextSource,
+//     BatchSource, StreamSource or PushStreamSource anywhere else is a new
+//     copy of that ladder.
 //
 // A finding is suppressed by a `// yat-lint:ignore <reason>` comment on the
 // offending line or the line directly above it. A `default:` clause does
@@ -30,7 +35,7 @@
 //	yat-lint [packages...]   (defaults to ./...)
 //
 // Exits 0 when clean, 1 with findings, 2 on loader errors. Test files are
-// not analyzed by checks 1 and 2; check 3 reads the typecheck package's
+// not analyzed by checks 1, 2 and 4; check 3 reads the typecheck package's
 // test files (syntactically) and runs whenever that package is in the
 // analyzed set.
 package main
@@ -75,6 +80,11 @@ var sealedIfaces = []sealedIface{
 type sealedSet struct {
 	iface sealedIface
 	impls map[string]bool
+}
+
+// callIfaces are the optional call interfaces of algebra.Source (check 4).
+var callIfaces = map[string]bool{
+	"ContextSource": true, "BatchSource": true, "StreamSource": true, "PushStreamSource": true,
 }
 
 // tabMutators are the *tab.Tab methods that modify the receiver in place.
@@ -292,7 +302,7 @@ func implementations(imp types.Importer, si sealedIface) (map[string]bool, error
 	return impls, nil
 }
 
-// lintPackage type-checks one package from source and runs both checks.
+// lintPackage type-checks one package from source and analyzes it.
 func lintPackage(fset *token.FileSet, imp types.Importer, pkg pkgInfo, sealed []sealedSet) ([]string, error) {
 	var files []*ast.File
 	for _, name := range pkg.GoFiles {
@@ -325,7 +335,7 @@ func lintPackage(fset *token.FileSet, imp types.Importer, pkg pkgInfo, sealed []
 	return analyze(fset, files, info, pkg.ImportPath, sealed), nil
 }
 
-// analyze runs both checks over a type-checked package.
+// analyze runs checks 1, 2 and 4 over a type-checked package.
 func analyze(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath string, sealed []sealedSet) []string {
 	ignored := map[string]map[int]bool{} // filename → lines carrying an ignore tag
 	for _, f := range files {
@@ -382,6 +392,12 @@ func (c *checker) file(f *ast.File) {
 			c.pushParams(x.Type)
 		case *ast.TypeSwitchStmt:
 			c.checkOpSwitch(x)
+		case *ast.TypeAssertExpr:
+			c.checkCallIface(x.Type)
+		case *ast.CaseClause:
+			for _, e := range x.List {
+				c.checkCallIface(e)
+			}
 		case *ast.CallExpr:
 			c.checkTabCall(x)
 		case *ast.AssignStmt:
@@ -497,6 +513,26 @@ func (c *checker) checkTabWrite(as *ast.AssignStmt) {
 			c.report(lhs.Pos(), "write through shared *tab.Tab parameter %s (clone before mutating)", root)
 		}
 	}
+}
+
+// checkCallIface flags the asserted type of a type assertion, or a case of
+// a switch, that names an optional call interface outside internal/algebra.
+// Expressions that are not types (the cases of a value switch, the nil Type
+// of a switch's own x.(type)) name nothing and pass.
+func (c *checker) checkCallIface(e ast.Expr) {
+	if c.pkgPath == algebraPath || e == nil {
+		return
+	}
+	tv, ok := c.info.Types[e]
+	if !ok || !tv.IsType() {
+		return
+	}
+	named, ok := tv.Type.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != algebraPath || !callIfaces[named.Obj().Name()] {
+		return
+	}
+	c.report(e.Pos(), "type assertion to algebra.%s outside internal/algebra: call the source through algebra.FetchStream, PushStream or PushBatch",
+		named.Obj().Name())
 }
 
 // checkOpSwitch flags sealed-interface type switches (algebra.Op, xq.Node)

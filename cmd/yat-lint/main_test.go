@@ -224,6 +224,70 @@ func f(t *tab.Tab) func() {
 	}
 }
 
+func TestCallInterfaceAssertionIsFlagged(t *testing.T) {
+	findings := harness(t, `package synthetic
+
+import "repro/internal/algebra"
+
+func f(src algebra.Source) int {
+	if _, ok := src.(algebra.BatchSource); ok {
+		return 1
+	}
+	switch src.(type) {
+	case algebra.StreamSource, algebra.PushStreamSource:
+		return 2
+	}
+	// yat-lint:ignore a decorator narrowing itself to what it wraps
+	_, ok := src.(algebra.ContextSource)
+	if ok {
+		return 3
+	}
+	return 0
+}
+`)
+	if len(findings) != 3 {
+		t.Fatalf("want 3 call-interface findings (the ignored one suppressed), got %v", findings)
+	}
+	for i, name := range []string{"BatchSource", "StreamSource", "PushStreamSource"} {
+		if !strings.Contains(findings[i], "type assertion to algebra."+name) {
+			t.Errorf("finding %d = %s, want one naming %s", i, findings[i], name)
+		}
+	}
+}
+
+func TestOtherSourceAssertionsAreClean(t *testing.T) {
+	// The reporter interfaces are not ways to call a source, a sealed-Op
+	// switch names no interface, and calling through the ladder asks nothing.
+	findings := harness(t, `package synthetic
+
+import (
+	"context"
+
+	"repro/internal/algebra"
+)
+
+func f(src algebra.Source, op algebra.Op) (int, error) {
+	if rr, ok := src.(algebra.RetryReporter); ok {
+		rr.TakeRetryStats()
+	}
+	if sr, ok := src.(algebra.StateReporter); ok {
+		_ = sr.SourceState()
+	}
+	if _, ok := op.(*algebra.SourceQuery); ok {
+		return 1, nil
+	}
+	cur, err := algebra.FetchStream(context.Background(), src, "doc")
+	if err != nil {
+		return 0, err
+	}
+	return 2, cur.Close()
+}
+`)
+	if len(findings) != 0 {
+		t.Fatalf("clean source handling flagged: %v", findings)
+	}
+}
+
 // TestTreeIsClean is the regression gate: the repository itself must stay
 // lint-clean (every intentional partial switch carries an ignore comment).
 func TestTreeIsClean(t *testing.T) {

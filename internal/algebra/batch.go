@@ -220,9 +220,8 @@ type DJoinSet struct {
 	Bindings *DJoinBindings
 	Results  []*tab.Tab
 
-	src    Source
-	batch  BatchSource
-	pushed *PreparedPlan // the plan shipped by batched pushes; nil when not batchable
+	src    Source        // the source batched pushes go to; nil when not batchable
+	pushed *PreparedPlan // the plan they ship
 	source string
 }
 
@@ -238,9 +237,8 @@ func NewDJoinSet(ctx *Context, j *DJoin, l *tab.Tab) *DJoinSet {
 	s.Results = make([]*tab.Tab, len(s.Bindings.Sets))
 	if sq, ok := j.R.(*SourceQuery); ok {
 		if src, ok := ctx.Sources[sq.Source]; ok {
-			if bs, ok := src.(BatchSource); ok {
+			if _, ok := src.(BatchSource); ok {
 				s.src = src
-				s.batch = bs
 				s.pushed = sq.Prepared()
 				s.source = sq.Source
 			}
@@ -250,7 +248,7 @@ func NewDJoinSet(ctx *Context, j *DJoin, l *tab.Tab) *DJoinSet {
 }
 
 // Batchable reports whether the inner plan goes through batched pushes.
-func (s *DJoinSet) Batchable() bool { return s.batch != nil }
+func (s *DJoinSet) Batchable() bool { return s.src != nil }
 
 // PendingChunks probes the result cache for every binding set and returns
 // the cache-missing set indexes grouped into push-sized chunks. Must only
@@ -317,19 +315,10 @@ func (s *DJoinSet) evalChunk(ctx *Context, idxs []int) error {
 	for i, bi := range idxs {
 		sets[i] = s.Bindings.Sets[bi]
 	}
-	var res []*tab.Tab
-	var err error
-	if ctx.Ctx != nil {
-		res, err = s.batch.PushBatchContext(ctx.Ctx, s.pushed.Plan, sets)
-	} else {
-		res, err = s.batch.PushBatch(s.pushed.Plan, sets)
-	}
+	res, err := PushBatch(ctx.Ctx, s.src, s.pushed.Plan, sets)
 	drainRetryStats(ctx, s.src)
 	if err != nil {
 		return fmt.Errorf("source %s: %w", s.source, err)
-	}
-	if len(res) != len(sets) {
-		return fmt.Errorf("source %s: batch returned %d results for %d bindings", s.source, len(res), len(sets))
 	}
 	ctx.Stats.SourcePushes++
 	traceCounts(ctx, obs.Counts{Pushes: 1})

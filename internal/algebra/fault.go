@@ -8,12 +8,12 @@ import (
 )
 
 // UnavailableError marks a source call that failed because the source is
-// unreachable — a transport failure after retries, an expired call budget,
-// or a circuit breaker refusing the call while the source cools down. The
-// mediator's per-source guards wrap transient failures in it; graceful
-// degradation (exec.Options.AllowPartial) recognizes it and substitutes an
-// empty input instead of failing the whole query, mirroring the paper's
-// observation that Skolem-connected partial results still compose.
+// unreachable — a transport failure after retries, or every circuit breaker
+// refusing the call while the source cools down. The availability decorator
+// (internal/route) wraps such failures in it; graceful degradation
+// (exec.Options.AllowPartial) recognizes it and substitutes an empty input
+// instead of failing the whole query, mirroring the paper's observation that
+// Skolem-connected partial results still compose.
 type UnavailableError struct {
 	Source string
 	Err    error

@@ -243,17 +243,13 @@ func (c *Context) Err() error {
 	return c.Ctx.Err()
 }
 
-// Input resolves a named document whole: catalog first, then the connected
-// source exporting it.
+// Input resolves a named document whole: InputStream, drained.
 func (c *Context) Input(name string) (data.Forest, error) {
-	if f, ok := c.Catalog[name]; ok {
-		return f, nil
-	}
-	s, err := c.exporter(name)
+	fc, err := c.InputStream(name)
 	if err != nil {
 		return nil, err
 	}
-	return c.fetch(s, name)
+	return DrainForest(fc)
 }
 
 // exporter finds the connected source exporting a named document.
@@ -269,25 +265,6 @@ func (c *Context) exporter(name string) (Source, error) {
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("algebra: unknown input %q (known: %s)", name, strings.Join(names, ", "))
-}
-
-// fetch ships a whole document from its source in one piece.
-func (c *Context) fetch(s Source, name string) (data.Forest, error) {
-	var f data.Forest
-	var err error
-	if cs, ok := s.(ContextSource); ok && c.Ctx != nil {
-		f, err = cs.FetchContext(c.Ctx, name)
-	} else {
-		f, err = s.Fetch(name)
-	}
-	drainRetryStats(c, s)
-	if err != nil {
-		return nil, err
-	}
-	c.Stats.SourceFetches++
-	traceCounts(c, obs.Counts{Fetches: 1})
-	c.register(f)
-	return f, nil
 }
 
 // register accounts shipped trees and makes their identifiers resolvable.
@@ -862,5 +839,46 @@ func Walk(op Op, fn func(Op) bool) {
 	}
 	for _, c := range op.Children() {
 		Walk(c, fn)
+	}
+}
+
+// MapChildren rebuilds an operator with fn applied to each of its input
+// plans, a SourceQuery's pushed plan included; leaves are returned as they
+// are.
+func MapChildren(op Op, fn func(Op) Op) Op {
+	switch x := op.(type) {
+	case *Select:
+		return &Select{From: fn(x.From), Pred: x.Pred}
+	case *Project:
+		return &Project{From: fn(x.From), Cols: x.Cols}
+	case *MapExpr:
+		return &MapExpr{From: fn(x.From), Col: x.Col, E: x.E}
+	case *Join:
+		return &Join{L: fn(x.L), R: fn(x.R), Pred: x.Pred}
+	case *DJoin:
+		return &DJoin{L: fn(x.L), R: fn(x.R)}
+	case *Union:
+		return &Union{L: fn(x.L), R: fn(x.R)}
+	case *Intersect:
+		return &Intersect{L: fn(x.L), R: fn(x.R)}
+	case *Distinct:
+		return &Distinct{From: fn(x.From)}
+	case *Group:
+		return &Group{From: fn(x.From), Keys: x.Keys, Into: x.Into}
+	case *Sort:
+		return &Sort{From: fn(x.From), Cols: x.Cols}
+	case *TreeOp:
+		return &TreeOp{From: fn(x.From), C: x.C, OutCol: x.OutCol}
+	case *Bind:
+		if x.From != nil {
+			return &Bind{From: fn(x.From), Doc: x.Doc, Col: x.Col, F: x.F}
+		}
+		return op
+	case *SourceQuery:
+		return &SourceQuery{Source: x.Source, Plan: fn(x.Plan)}
+	case *Doc, *Literal:
+		return op
+	default:
+		return op
 	}
 }

@@ -1,10 +1,11 @@
 // Leaf cursors. Every plan leaf — a bound document, a DJoin parameter, a
 // pushed subplan — opens as a cursor. The base Source interface ships a whole
-// document (Fetch) or a whole pushed result (Push) in one piece, which a leaf
-// serves as a single chunk; sources that additionally implement the
-// interfaces below deliver the same data as a sequence of bounded chunks,
-// which is what lets the engine in internal/exec keep peak memory independent
-// of result size and surface first rows before the wrapper has finished.
+// document (Fetch) or a whole pushed result (Push) in one piece, which
+// FetchStream and PushStream (call.go) lift into a cursor; sources that
+// additionally implement the interfaces below deliver bounded chunks as they
+// are produced, which is what lets the engine in internal/exec keep peak
+// memory independent of result size and surface first rows before the
+// wrapper has finished.
 package algebra
 
 import (
@@ -106,12 +107,11 @@ func (c *funcForestCursor) Close() error {
 	return nil
 }
 
-// InputStream resolves a named document as a tree stream: catalog first,
-// then the connected source exporting it. A StreamSource delivers batches as
-// they arrive; a catalog document or a source without FetchStream is one
-// batch. Accounting matches Input: one SourceFetches per opened stream,
-// BytesShipped and Store registration per tree as batches arrive, retry
-// counters drained when the stream ends.
+// InputStream resolves a named document as a tree stream: catalog first (one
+// batch), then the connected source exporting it, opened through
+// FetchStream. Accounting: one SourceFetches per opened stream, BytesShipped
+// and Store registration per tree as batches arrive, retry counters drained
+// when the stream opens and again when it ends.
 func (c *Context) InputStream(name string) (ForestCursor, error) {
 	if f, ok := c.Catalog[name]; ok {
 		return NewSliceForestCursor(f, len(f)), nil
@@ -120,19 +120,7 @@ func (c *Context) InputStream(name string) (ForestCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss, ok := s.(StreamSource)
-	if !ok {
-		f, err := c.fetch(s, name)
-		if err != nil {
-			return nil, err
-		}
-		return NewSliceForestCursor(f, len(f)), nil
-	}
-	cctx := c.Ctx
-	if cctx == nil {
-		cctx = context.Background()
-	}
-	fc, err := ss.FetchStream(cctx, name)
+	fc, err := FetchStream(c.Ctx, s, name)
 	drainRetryStats(c, s)
 	if err != nil {
 		return nil, err
@@ -234,13 +222,12 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 // is probed first under (source, canonical plan encoding, free-variable
 // bindings) — only the plan's free variables influence what the source
 // computes, so a hit stands in for any parameter environment agreeing on
-// them — and a hit is answered locally. On a miss a PushStreamSource streams
-// its rows, which are written back to the cache only once the stream has
+// them — and a hit is answered locally. On a miss the rows come through
+// PushStream and are written back to the cache only once the stream has
 // been consumed to its end (a partially consumed stream must not poison
-// it); any other source answers one Push, which is cached.
-// Accounting is the same either way: one SourcePushes per push,
-// TuplesShipped/BytesShipped per chunk as it arrives, CheckWire applied to
-// every chunk before it is cached or released downstream.
+// it). Accounting: one SourcePushes per push, TuplesShipped/BytesShipped
+// per chunk as it arrives, CheckWire applied to every chunk before it is
+// cached or released downstream.
 func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, error) {
 	src, ok := ctx.Sources[q.Source]
 	if !ok {
@@ -266,22 +253,7 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, error) {
 	if sr, ok := src.(StateReporter); ok {
 		traceAnnotate(ctx, "breaker", sr.SourceState())
 	}
-	ss, ok := src.(PushStreamSource)
-	if !ok {
-		t, err := q.push(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		if key != "" && ctx.Cache.Put(key, t) {
-			ctx.Stats.CacheEvictions++
-		}
-		return tab.NewSliceCursor(t, 0), nil
-	}
-	cctx := ctx.Ctx
-	if cctx == nil {
-		cctx = context.Background()
-	}
-	cur, err := ss.PushStream(cctx, q.Plan, ctx.Params)
+	cur, err := PushStream(ctx.Ctx, src, q.Plan, ctx.Params)
 	drainRetryStats(ctx, src)
 	if err != nil {
 		return nil, fmt.Errorf("source %s: %w", q.Source, err)
@@ -330,30 +302,4 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, error) {
 			return cur.Close()
 		},
 	}, nil
-}
-
-// push is the one-shot protocol of a source that cannot stream: one Push,
-// the whole result in one piece, validated before the caller caches it (a
-// non-conforming response must not be served from the cache later).
-func (q *SourceQuery) push(ctx *Context, src Source) (*tab.Tab, error) {
-	var t *tab.Tab
-	var err error
-	if cs, ok := src.(ContextSource); ok && ctx.Ctx != nil {
-		t, err = cs.PushContext(ctx.Ctx, q.Plan, ctx.Params)
-	} else {
-		t, err = src.Push(q.Plan, ctx.Params)
-	}
-	drainRetryStats(ctx, src)
-	if err != nil {
-		return nil, fmt.Errorf("source %s: %w", q.Source, err)
-	}
-	ctx.Stats.SourcePushes++
-	traceCounts(ctx, obs.Counts{Pushes: 1})
-	countShipped(ctx, t)
-	if ctx.CheckWire != nil {
-		if err := ctx.CheckWire(q, t); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }

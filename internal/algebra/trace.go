@@ -7,8 +7,8 @@ import (
 )
 
 // StateReporter is implemented by sources that can report an availability
-// state ("closed", "open", "half-open" for the mediator's circuit-breaker
-// guards). Traced evaluation annotates source spans with it so a profile
+// state ("closed", "open", "half-open" for the mediator's per-source circuit
+// breakers). Traced evaluation annotates source spans with it so a profile
 // shows which pushes ran against a degraded source.
 type StateReporter interface {
 	SourceState() string

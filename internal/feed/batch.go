@@ -21,9 +21,10 @@ func (w *Wrapper) PushBatch(plan algebra.Op, bindings []map[string]tab.Cell) ([]
 }
 
 // PushBatchContext implements algebra.BatchSource: PushBatch under a
-// cancellation context, checked between bindings. The plan compiles once;
-// only the index lookups and row verification repeat per binding, which is
-// what makes a batched fetch-by-id cheap.
+// cancellation context, checked between bindings. Each binding compiles the
+// plan again (compilePush resolves the parameters into the lookup keys), then
+// does its index lookups and row verification; what a batch saves is the
+// round trip per binding.
 func (w *Wrapper) PushBatchContext(ctx context.Context, plan algebra.Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
 	out := make([]*tab.Tab, len(bindings))
 	for i, b := range bindings {

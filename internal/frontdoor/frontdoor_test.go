@@ -130,6 +130,32 @@ func TestQueryErrorIsStructured(t *testing.T) {
 	}
 }
 
+// TestQueryBodyBound pins both sides of the request-size bound: a body of
+// exactly 1 MiB is decoded and judged as a query, one byte more is refused
+// with a typed 413 before admission.
+func TestQueryBodyBound(t *testing.T) {
+	d := frontdoor.New(paperMediator(t), frontdoor.Options{})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	const bound = 1 << 20
+	envelope := len(`{"query":""}`)
+	for _, tc := range []struct {
+		name   string
+		size   int
+		status int
+		code   string
+	}{
+		{"at the bound", bound, http.StatusBadRequest, "query_error"},
+		{"one over", bound + 1, http.StatusRequestEntityTooLarge, "query_too_large"},
+	} {
+		status, lines := postQuery(t, srv.URL, "acme", strings.Repeat("x", tc.size-envelope))
+		if status != tc.status || len(lines) != 1 || lines[0].Code != tc.code {
+			t.Errorf("%s (%d bytes): status %d, body %+v; want %d %s", tc.name, tc.size, status, lines, tc.status, tc.code)
+		}
+	}
+}
+
 func TestAdmissionLimits(t *testing.T) {
 	d := frontdoor.New(paperMediator(t), frontdoor.Options{
 		Tenants: map[string]frontdoor.Limits{

@@ -3,6 +3,7 @@ package frontdoor
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -42,6 +43,11 @@ type errLine struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
+// maxQueryBytes bounds the POST /query body, which is decoded before
+// admission: without it any tenant could make the door buffer an arbitrarily
+// large request without touching its rate limit.
+const maxQueryBytes = 1 << 20
+
 // shedStatus maps a shed code to its HTTP status: rate limiting is the
 // client's pace (429), queue exhaustion is the service's capacity (503).
 func shedStatus(code string) int {
@@ -68,7 +74,13 @@ func (d *Door) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "query_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", maxQueryBytes), "")
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error(), "")
 		return
 	}

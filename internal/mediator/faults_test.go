@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/o2wrap"
+	"repro/internal/route"
 	"repro/internal/waiswrap"
 	"repro/internal/wire"
 )
@@ -153,7 +153,7 @@ func TestFaultMatrixQ2(t *testing.T) {
 					Kinds: []faults.Kind{kind}, After: setupExchanges, Max: 1})
 				m, _ := deployFaulty(t, faultWorkloadN, o2Inj, waisInj)
 				res, err := m.ExecuteContext(context.Background(), datagen.Q2Src,
-					ExecOptions{Parallelism: par, FanOut: par})
+					ExecOptions{Parallelism: par})
 				if err != nil {
 					t.Fatalf("Q2 under %s faults: %v", kind, err)
 				}
@@ -184,7 +184,7 @@ func TestFaultMatrixDelayBeyondDeadline(t *testing.T) {
 				Kinds: []faults.Kind{faults.Delay}, Delay: 2 * time.Second, After: setupExchanges})
 			m, _ := deployFaulty(t, faultWorkloadN, o2Inj, waisInj)
 			_, err := m.ExecuteContext(context.Background(), datagen.Q2Src,
-				ExecOptions{Parallelism: par, FanOut: par, Timeout: 150 * time.Millisecond})
+				ExecOptions{Parallelism: par, Timeout: 150 * time.Millisecond})
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("Q2 under stall = %v, want context.DeadlineExceeded", err)
 			}
@@ -202,7 +202,7 @@ func TestFaultMatrixKillMidQuery(t *testing.T) {
 			waisInj := faults.New(faults.Config{Seed: 5, KillNth: setupExchanges + 1})
 			m, _ := deployFaulty(t, faultWorkloadN, nil, waisInj)
 			res, err := m.ExecuteContext(context.Background(), datagen.Q2Src,
-				ExecOptions{Parallelism: par, FanOut: par})
+				ExecOptions{Parallelism: par})
 			if err != nil {
 				t.Fatalf("Q2 with killed batch conn: %v", err)
 			}
@@ -327,71 +327,11 @@ func TestAllowPartialReturnsLiveSourceRows(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	b := &breaker{opts: BreakerOptions{FailureThreshold: 2, Cooldown: 80 * time.Millisecond}.withDefaults()}
-	if err := b.allow(); err != nil {
-		t.Fatalf("fresh breaker refuses calls: %v", err)
-	}
-	transportErr := io.EOF
-	b.done(transportErr, true)
-	if err := b.allow(); err != nil {
-		t.Fatalf("one failure below threshold must not open the breaker: %v", err)
-	}
-	b.done(transportErr, true)
-	if err := b.allow(); err == nil {
-		t.Fatal("breaker must be open after reaching the failure threshold")
-	}
-	if st := b.snapshot(); st.State != "open" || st.Failures != 2 {
-		t.Fatalf("snapshot = %+v, want open with 2 failures", st)
-	}
-	// After the cooldown exactly one probe call passes; concurrent callers
-	// keep failing fast until the probe resolves.
-	time.Sleep(100 * time.Millisecond)
-	if err := b.allow(); err != nil {
-		t.Fatalf("probe after cooldown refused: %v", err)
-	}
-	if err := b.allow(); err == nil {
-		t.Fatal("second call during the probe must fail fast")
-	}
-	// The probe succeeds: breaker closes, calls flow again.
-	b.done(nil, false)
-	if err := b.allow(); err != nil {
-		t.Fatalf("breaker must close after a successful probe: %v", err)
-	}
-	// A failed probe re-opens for another cooldown.
-	b.done(transportErr, true)
-	b.done(transportErr, true)
-	time.Sleep(100 * time.Millisecond)
-	if err := b.allow(); err != nil {
-		t.Fatal("probe refused")
-	}
-	b.done(transportErr, true)
-	if err := b.allow(); err == nil {
-		t.Fatal("failed probe must re-open the breaker")
-	}
-}
-
-func TestBreakerIgnoresSemanticAndContextErrors(t *testing.T) {
-	// A server-reported <error> proves the source alive; a caller's expired
-	// budget says nothing about the source. Neither may trip a breaker.
-	b := &breaker{opts: BreakerOptions{FailureThreshold: 1}.withDefaults()}
-	for i := 0; i < 5; i++ {
-		b.done(&wire.RemoteError{Msg: "no such document"}, transient(&wire.RemoteError{Msg: "x"}))
-		b.done(context.DeadlineExceeded, transient(context.DeadlineExceeded))
-	}
-	if err := b.allow(); err != nil {
-		t.Fatalf("breaker tripped by non-transport errors: %v", err)
-	}
-	if st := b.snapshot(); st.State != "closed" || st.Failures != 0 {
-		t.Fatalf("snapshot = %+v, want pristine closed state", st)
-	}
-}
-
 func TestBreakerFailsFastWhileOpen(t *testing.T) {
 	// Once the works wrapper is down and its breaker open, queries stop
 	// paying the dial-and-retry tax: the open breaker answers immediately.
 	m, killWais := deployFaulty(t, faultWorkloadN, nil, nil)
-	m.Breaker = BreakerOptions{FailureThreshold: 2, Cooldown: time.Minute}
+	m.Breaker = route.BreakerOptions{FailureThreshold: 2, Cooldown: time.Minute}
 	killWais()
 	for i := 0; i < 2; i++ {
 		if _, err := m.ExecutePlan(context.Background(), crossSourceUnion(), ExecOptions{Parallelism: 1}); err == nil {

@@ -1,126 +1,9 @@
 package mediator
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"sync"
-	"time"
-
 	"repro/internal/algebra"
-	"repro/internal/data"
-	"repro/internal/tab"
-	"repro/internal/wire"
+	"repro/internal/route"
 )
-
-// BreakerOptions configure the per-source circuit breakers guarding every
-// connected source. A source whose calls keep failing at the transport
-// level is declared down (breaker open): further calls fail fast with
-// algebra.UnavailableError instead of burning a dial-and-retry cycle each,
-// and AllowPartial queries degrade around it. After Cooldown one probe
-// call is let through (half-open); its outcome closes or re-opens the
-// breaker.
-type BreakerOptions struct {
-	// FailureThreshold is the number of consecutive transport failures
-	// that opens the breaker (0 = default 3).
-	FailureThreshold int
-	// Cooldown is how long an open breaker refuses calls before letting a
-	// probe through (0 = default 2s).
-	Cooldown time.Duration
-}
-
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 2 * time.Second
-	}
-	return o
-}
-
-// Breaker states. A breaker is closed (calls pass) until
-// FailureThreshold consecutive transport failures open it; open until the
-// cooldown elapses; then half-open, letting exactly one probe through.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is one source's health state. Only transport-level failures
-// (wire.IsRetryable) count against it: a server-reported <error> frame or
-// a semantic failure proves the source alive and resets the count. A
-// caller's expired context does not count either — a query with a tight
-// budget must not poison the source's health for everyone else.
-type breaker struct {
-	opts BreakerOptions
-
-	mu      sync.Mutex
-	state   int
-	fails   int       // consecutive transport failures
-	until   time.Time // open: earliest probe time
-	lastErr error
-}
-
-// allow reports whether a call may proceed; when the breaker is open it
-// returns the error to fail fast with.
-func (b *breaker) allow() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		if time.Now().Before(b.until) {
-			return fmt.Errorf("circuit open after %d consecutive failures (last: %v)", b.fails, b.lastErr)
-		}
-		// Cooldown over: half-open, let this call probe. Concurrent
-		// callers keep failing fast until the probe resolves.
-		b.state = breakerHalfOpen
-		return nil
-	case breakerHalfOpen:
-		return fmt.Errorf("circuit half-open, probe in flight (last: %v)", b.lastErr)
-	default:
-		return nil
-	}
-}
-
-// done records a call outcome. transient marks transport-level failures;
-// semantic errors count as proof of life.
-func (b *breaker) done(err error, transient bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err == nil || !transient {
-		b.state = breakerClosed
-		b.fails = 0
-		b.lastErr = nil
-		return
-	}
-	b.fails++
-	b.lastErr = err
-	if b.state == breakerHalfOpen || b.fails >= b.opts.FailureThreshold {
-		b.state = breakerOpen
-		b.until = time.Now().Add(b.opts.Cooldown)
-	}
-}
-
-// snapshot reports the breaker's current state for Health.
-func (b *breaker) snapshot() SourceHealth {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	h := SourceHealth{Failures: b.fails}
-	switch b.state {
-	case breakerOpen:
-		h.State = "open"
-	case breakerHalfOpen:
-		h.State = "half-open"
-	default:
-		h.State = "closed"
-	}
-	if b.lastErr != nil {
-		h.LastErr = b.lastErr.Error()
-	}
-	return h
-}
 
 // SourceHealth is one source's breaker state as reported by
 // Mediator.Health.
@@ -130,263 +13,36 @@ type SourceHealth struct {
 	LastErr  string // most recent transport failure, if any
 }
 
-// transient classifies an error as a transport-level availability failure
-// — the class that trips breakers and that AllowPartial degrades around.
-func transient(err error) bool { return wire.IsRetryable(err) }
-
-// guard wraps a connected source with its circuit breaker: calls fail fast
-// while the breaker is open, transport failures are wrapped in
-// algebra.UnavailableError (the marker graceful degradation keys on) and
-// recorded, successes and semantic errors reset the breaker.
-type guard struct {
-	name string
-	src  algebra.Source
-	br   *breaker
-}
-
-// guardSource wraps src with its breaker, preserving the BatchSource
-// capability exactly when the underlying source has it (the DJoin batch
-// path type-asserts for it).
-func guardSource(name string, src algebra.Source, br *breaker) algebra.Source {
-	g := &guard{name: name, src: src, br: br}
-	if _, ok := src.(algebra.BatchSource); ok {
-		return &guardBatch{guard: g}
-	}
-	return g
-}
-
-// call runs one source call through the breaker.
-func (g *guard) call(fn func() error) error {
-	if err := g.br.allow(); err != nil {
-		return &algebra.UnavailableError{Source: g.name, Err: err}
-	}
-	err := fn()
-	tr := err != nil && transient(err)
-	g.br.done(err, tr)
-	if tr {
-		return &algebra.UnavailableError{Source: g.name, Err: err}
-	}
-	return err
-}
-
-// Name implements algebra.Source.
-func (g *guard) Name() string { return g.src.Name() }
-
-// Documents implements algebra.Source (local metadata; no breaker).
-func (g *guard) Documents() []string { return g.src.Documents() }
-
-// Fetch implements algebra.Source.
-func (g *guard) Fetch(doc string) (data.Forest, error) {
-	var f data.Forest
-	err := g.call(func() (e error) { f, e = g.src.Fetch(doc); return })
-	return f, err
-}
-
-// FetchContext implements algebra.ContextSource, falling back to the plain
-// call when the underlying source is not context-aware.
-func (g *guard) FetchContext(ctx context.Context, doc string) (data.Forest, error) {
-	var f data.Forest
-	err := g.call(func() (e error) {
-		if cs, ok := g.src.(algebra.ContextSource); ok {
-			f, e = cs.FetchContext(ctx, doc)
-		} else {
-			f, e = g.src.Fetch(doc)
-		}
-		return
-	})
-	return f, err
-}
-
-// Push implements algebra.Source.
-func (g *guard) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	var t *tab.Tab
-	err := g.call(func() (e error) { t, e = g.src.Push(plan, params); return })
-	return t, err
-}
-
-// PushContext implements algebra.ContextSource.
-func (g *guard) PushContext(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	var t *tab.Tab
-	err := g.call(func() (e error) {
-		if cs, ok := g.src.(algebra.ContextSource); ok {
-			t, e = cs.PushContext(ctx, plan, params)
-		} else {
-			t, e = g.src.Push(plan, params)
-		}
-		return
-	})
-	return t, err
-}
-
-// FetchStream implements algebra.StreamSource. The breaker outcome is
-// recorded at open time — a successful stream handshake is the proof of
-// life — and mid-stream transport failures are reported supplementarily by
-// the cursor wrapper, so an abandoned stream can never strand a half-open
-// probe.
-func (g *guard) FetchStream(ctx context.Context, doc string) (algebra.ForestCursor, error) {
-	var cur algebra.ForestCursor
-	err := g.call(func() (e error) {
-		if ss, ok := g.src.(algebra.StreamSource); ok {
-			cur, e = ss.FetchStream(ctx, doc)
-			return
-		}
-		// No native stream support: materialize behind the guard and chunk,
-		// so the caller sees one uniform streaming surface.
-		var f data.Forest
-		if cs, ok := g.src.(algebra.ContextSource); ok {
-			f, e = cs.FetchContext(ctx, doc)
-		} else {
-			f, e = g.src.Fetch(doc)
-		}
-		if e == nil {
-			cur = algebra.NewSliceForestCursor(f, tab.DefaultStreamChunk)
-		}
-		return
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &guardForestCursor{cur: cur, g: g}, nil
-}
-
-// PushStream implements algebra.PushStreamSource, with the same breaker
-// protocol as FetchStream.
-func (g *guard) PushStream(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (tab.Cursor, error) {
-	var cur tab.Cursor
-	err := g.call(func() (e error) {
-		if ps, ok := g.src.(algebra.PushStreamSource); ok {
-			cur, e = ps.PushStream(ctx, plan, params)
-			return
-		}
-		var t *tab.Tab
-		if cs, ok := g.src.(algebra.ContextSource); ok {
-			t, e = cs.PushContext(ctx, plan, params)
-		} else {
-			t, e = g.src.Push(plan, params)
-		}
-		if e == nil {
-			cur = tab.NewSliceCursor(t, tab.DefaultStreamChunk)
-		}
-		return
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &guardTabCursor{cur: cur, g: g}, nil
-}
-
-// guardForestCursor reports mid-stream transport failures to the breaker
-// and wraps them in UnavailableError so graceful degradation keys on them.
-type guardForestCursor struct {
-	cur algebra.ForestCursor
-	g   *guard
-}
-
-func (c *guardForestCursor) Next() (data.Forest, error) {
-	f, err := c.cur.Next()
-	if err != nil && err != io.EOF && transient(err) {
-		c.g.br.done(err, true)
-		return nil, &algebra.UnavailableError{Source: c.g.name, Err: err}
-	}
-	return f, err
-}
-
-func (c *guardForestCursor) Close() error { return c.cur.Close() }
-
-// guardTabCursor is guardForestCursor for row streams.
-type guardTabCursor struct {
-	cur tab.Cursor
-	g   *guard
-}
-
-func (c *guardTabCursor) Cols() []string { return c.cur.Cols() }
-
-func (c *guardTabCursor) Next() (*tab.Tab, error) {
-	t, err := c.cur.Next()
-	if err != nil && err != io.EOF && transient(err) {
-		c.g.br.done(err, true)
-		return nil, &algebra.UnavailableError{Source: c.g.name, Err: err}
-	}
-	return t, err
-}
-
-func (c *guardTabCursor) Close() error { return c.cur.Close() }
-
-// SourceState implements algebra.StateReporter: traced evaluation
-// annotates each push with the breaker state it ran under, so a profile
-// shows which calls went through a recovering source.
-func (g *guard) SourceState() string { return g.br.snapshot().State }
-
-// TakeRetryStats implements algebra.RetryReporter by forwarding to the
-// underlying source's transport layer.
-func (g *guard) TakeRetryStats() (retries, redials int) {
-	if rr, ok := g.src.(algebra.RetryReporter); ok {
-		return rr.TakeRetryStats()
-	}
-	return 0, 0
-}
-
-// guardBatch adds the BatchSource methods for sources that have them.
-type guardBatch struct{ *guard }
-
-// PushBatch implements algebra.BatchSource.
-func (g *guardBatch) PushBatch(plan algebra.Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
-	var ts []*tab.Tab
-	err := g.call(func() (e error) {
-		ts, e = g.src.(algebra.BatchSource).PushBatch(plan, bindings)
-		return
-	})
-	return ts, err
-}
-
-// PushBatchContext implements algebra.BatchSource.
-func (g *guardBatch) PushBatchContext(ctx context.Context, plan algebra.Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
-	var ts []*tab.Tab
-	err := g.call(func() (e error) {
-		ts, e = g.src.(algebra.BatchSource).PushBatchContext(ctx, plan, bindings)
-		return
-	})
-	return ts, err
-}
-
-// breakerFor returns (creating on first use) the named source's breaker.
-func (m *Mediator) breakerFor(name string) *breaker {
+// routerFor returns the availability decorator the engine calls the named
+// source through: a one-replica route.Replicated, whose breaker is the
+// source's health. Calls fail fast with algebra.UnavailableError while it
+// is open and transport failures are marked the same way, which is what
+// AllowPartial degrades around. Built at first use (so Mediator.Breaker may
+// be set after Connect) and then shared across queries: failures accumulate
+// and an open breaker protects every caller. A source that already is a
+// replica router is wrapped like any other — its own breakers evict single
+// replicas, this one opens only when the whole set is down.
+func (m *Mediator) routerFor(name string, src algebra.Source) *route.Replicated {
 	m.healthMu.Lock()
 	defer m.healthMu.Unlock()
-	if b, ok := m.health[name]; ok {
-		return b
+	if rt, ok := m.health[name]; ok {
+		return rt
 	}
-	b := &breaker{opts: m.Breaker.withDefaults()}
-	m.health[name] = b
-	return b
+	// New refuses only an empty or an inconsistent replica set.
+	rt, _ := route.New(name, []algebra.Source{src}, route.Options{Breaker: m.Breaker})
+	m.health[name] = rt
+	return rt
 }
 
-// Health reports every connected source's breaker state. The source list
-// is read under the registration lock and every breaker is collected under
-// a single healthMu acquisition (not one per source via breakerFor), so the
-// report is one coherent pass even while queries trip breakers and
-// operators connect sources concurrently.
+// Health reports every connected source's breaker state.
 func (m *Mediator) Health() map[string]SourceHealth {
 	m.regMu.RLock()
-	names := make([]string, 0, len(m.sources))
-	for name := range m.sources {
-		names = append(names, name)
-	}
+	sources := m.connected()
 	m.regMu.RUnlock()
-	brs := make(map[string]*breaker, len(names))
-	m.healthMu.Lock()
-	for _, name := range names {
-		b, ok := m.health[name]
-		if !ok {
-			b = &breaker{opts: m.Breaker.withDefaults()}
-			m.health[name] = b
-		}
-		brs[name] = b
-	}
-	m.healthMu.Unlock()
-	out := make(map[string]SourceHealth, len(brs))
-	for name, b := range brs {
-		out[name] = b.snapshot()
+	out := make(map[string]SourceHealth, len(sources))
+	for name, src := range sources {
+		h := m.routerFor(name, src).Health()[0]
+		out[name] = SourceHealth{State: h.State, Failures: h.Failures, LastErr: h.LastErr}
 	}
 	return out
 }

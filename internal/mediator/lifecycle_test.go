@@ -4,13 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/datagen"
 	"repro/internal/faults"
+	"repro/internal/filter"
 	"repro/internal/leakcheck"
+	"repro/internal/o2wrap"
+	"repro/internal/route"
 	"repro/internal/tab"
 	"repro/internal/wire"
 )
@@ -161,6 +166,81 @@ func TestStreamLifecycleReleasesEverything(t *testing.T) {
 				t.Errorf("AllowPartial stream failed outright after the kill: %v", err)
 			}
 			poolsIdle(m)
+		})
+	}
+}
+
+// routerLoad presents a router's open calls and streams as a leakcheck.Pool.
+type routerLoad struct{ rt *route.Replicated }
+
+func (l routerLoad) InFlight() int {
+	n := 0
+	for _, h := range l.rt.Health() {
+		n += int(h.Inflight)
+	}
+	return n
+}
+
+func TestAbandonedStreamReleasesTheDecorator(t *testing.T) {
+	// A stream abandoned while the artifacts document is still arriving must
+	// give back what the one availability decorator holds for it: the
+	// mediator's per-source router its inflight slot, a replicated source's
+	// router the slot of the replica that served the stream, and the wire
+	// clients below their request slots.
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) {
+			idle := leakcheck.Arm(t)
+			w := datagen.Generate(datagen.DefaultParams(400))
+			ow := o2wrap.New("o2artifact", w.DB)
+			var clients []algebra.Source
+			var pools []leakcheck.Pool
+			for i := 0; i < replicas; i++ {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := wire.Serve(ln, wire.Exported{Source: ow, Interface: ow.ExportInterface()})
+				t.Cleanup(srv.Close)
+				c, err := wire.Dial(srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				clients = append(clients, c)
+				pools = append(pools, c)
+			}
+			src := clients[0]
+			if replicas > 1 {
+				rt, err := route.New("o2artifact", clients, route.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				src = rt
+				pools = append(pools, routerLoad{rt})
+			}
+			m := New()
+			if err := m.Connect(src, ow.ExportInterface()); err != nil {
+				t.Fatal(err)
+			}
+			titles := &algebra.Bind{Doc: "artifacts",
+				F: filter.MustParse(`set[ *class[ artifact.tuple[ title: $t ] ] ]`)}
+			s, err := m.StreamPlan(context.Background(), titles,
+				ExecOptions{Parallelism: 1, StreamBuffer: tab.DefaultStreamChunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first := <-s.Chunks(); first == nil {
+				t.Fatal("no chunk before the close")
+			}
+			outer := routerLoad{m.routerFor("o2artifact", src)}
+			if n := outer.InFlight(); n != 1 {
+				t.Fatalf("%d streams open through the decorator after the first chunk, want 1 (not mid-document)", n)
+			}
+			s.Close()
+			idle(append(pools, outer)...)
+			if h := m.Health()["o2artifact"]; h.State != "closed" || h.Failures != 0 {
+				t.Errorf("abandoning a stream damaged the source's health: %+v", h)
+			}
 		})
 	}
 }

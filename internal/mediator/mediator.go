@@ -20,6 +20,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/pattern"
 	"repro/internal/planlint"
+	"repro/internal/route"
 	"repro/internal/tab"
 	"repro/internal/typecheck"
 	"repro/internal/xq"
@@ -40,7 +41,9 @@ type Mediator struct {
 	sources    map[string]algebra.Source
 	ifaces     map[string]*capability.Interface
 	sourceDocs map[string]string
-	structures map[string]optimizer.Structure
+	// structures is replaced, never mutated (setStructure), so queries
+	// share the map they were admitted under without copying it.
+	structures map[string]typecheck.Structure
 	funcs      map[string]algebra.Func
 	views      map[string]*View
 	viewOrder  []string
@@ -53,7 +56,7 @@ type Mediator struct {
 	CheckInvariants bool
 	// Breaker configures the per-source circuit breakers (zero value =
 	// defaults: 3 consecutive transport failures open a breaker for 2s).
-	Breaker BreakerOptions
+	Breaker route.BreakerOptions
 
 	// cache, when installed (EnableCache or ExecOptions.CacheSize),
 	// memoizes wrapper results across the rows of one DJoin and across
@@ -62,16 +65,14 @@ type Mediator struct {
 	cacheMu sync.Mutex
 	cache   *algebra.ResultCache
 
-	// health holds one circuit breaker per connected source, created
-	// lazily and shared across queries so failures accumulate and an open
-	// breaker protects every caller.
+	// health holds the one-replica router around each connected source
+	// (see routerFor).
 	healthMu sync.Mutex
-	health   map[string]*breaker
+	health   map[string]*route.Replicated
 
 	// metrics, when installed (SetMetrics), receives per-query counters
 	// and latency observations, per-Stats counter totals, and breaker
-	// state gauges/transition counts — the data the -metrics-addr HTTP
-	// plane serves.
+	// state gauges — the data the -metrics-addr HTTP plane serves.
 	metricsMu sync.Mutex
 	metrics   *obs.Registry
 }
@@ -88,10 +89,10 @@ func New() *Mediator {
 		sources:    map[string]algebra.Source{},
 		ifaces:     map[string]*capability.Interface{},
 		sourceDocs: map[string]string{},
-		structures: map[string]optimizer.Structure{},
+		structures: map[string]typecheck.Structure{},
 		funcs:      map[string]algebra.Func{},
 		views:      map[string]*View{},
-		health:     map[string]*breaker{},
+		health:     map[string]*route.Replicated{},
 	}
 }
 
@@ -120,7 +121,7 @@ func (m *Mediator) Connect(src algebra.Source, iface *capability.Interface) erro
 	if iface != nil {
 		for doc, ref := range iface.Structures {
 			if _, have := m.structures[doc]; !have && ref.Model != nil {
-				m.structures[doc] = optimizer.Structure{Model: ref.Model, Pattern: ref.Pattern}
+				m.setStructure(doc, typecheck.Structure{Model: ref.Model, Pattern: ref.Pattern})
 			}
 		}
 	}
@@ -132,7 +133,18 @@ func (m *Mediator) Connect(src algebra.Source, iface *capability.Interface) erro
 func (m *Mediator) ImportStructure(doc string, model *pattern.Model, patternName string) {
 	m.regMu.Lock()
 	defer m.regMu.Unlock()
-	m.structures[doc] = optimizer.Structure{Model: model, Pattern: patternName}
+	m.setStructure(doc, typecheck.Structure{Model: model, Pattern: patternName})
+}
+
+// setStructure records doc's structure in a fresh copy of the map; the
+// caller holds regMu for writing.
+func (m *Mediator) setStructure(doc string, st typecheck.Structure) {
+	next := make(map[string]typecheck.Structure, len(m.structures)+1)
+	for d, s := range m.structures {
+		next[d] = s
+	}
+	next[doc] = st
+	m.structures = next
 }
 
 // RegisterFunc registers an external function evaluable at the mediator
@@ -244,6 +256,15 @@ func (m *Mediator) ensureCache(entries int) {
 	m.cacheMu.Unlock()
 }
 
+// connected snapshots the source registry; the caller holds regMu.
+func (m *Mediator) connected() map[string]algebra.Source {
+	sources := make(map[string]algebra.Source, len(m.sources))
+	for n, s := range m.sources {
+		sources[n] = s
+	}
+	return sources
+}
+
 // newContext builds a fresh evaluation context for one query: a snapshot of
 // the catalog taken under the registration lock, so a Connect or
 // RegisterFunc racing the query cannot tear the maps mid-read. The lock is
@@ -251,10 +272,7 @@ func (m *Mediator) ensureCache(entries int) {
 func (m *Mediator) newContext() *algebra.Context {
 	ctx := algebra.NewContext()
 	m.regMu.RLock()
-	sources := make(map[string]algebra.Source, len(m.sources))
-	for n, s := range m.sources {
-		sources[n] = s
-	}
+	sources := m.connected()
 	for n, f := range m.funcs {
 		ctx.Funcs[n] = f
 	}
@@ -266,7 +284,7 @@ func (m *Mediator) newContext() *algebra.Context {
 	}
 	m.regMu.RUnlock()
 	for n, s := range sources {
-		ctx.Sources[n] = guardSource(n, s, m.breakerFor(n))
+		ctx.Sources[n] = m.routerFor(n, s)
 	}
 	ctx.Model = merged
 	return ctx
@@ -321,29 +339,25 @@ func (m *Mediator) substituteViews(op algebra.Op, depth int) (algebra.Op, error)
 		}
 		return out
 	}
-	// yat-lint:ignore intentionally partial: only Bind and Doc name view documents; default rebuilds children via the exhaustive rebuildAll
+	// yat-lint:ignore intentionally partial: only Bind and Doc name view documents; everything else rebuilds its children via the exhaustive algebra.MapChildren
 	switch x := op.(type) {
 	case *algebra.Bind:
-		if x.Doc != "" {
-			if v := m.View(x.Doc); v != nil {
-				inner, err := m.substituteViews(v.Plan, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				t, ok := inner.(*algebra.TreeOp)
-				if !ok {
-					return nil, fmt.Errorf("mediator: view %s does not end in a Tree", x.Doc)
-				}
-				return &algebra.Bind{From: t, Col: t.Columns()[0], F: x.F}, nil
-			}
-			if !m.docExported(x.Doc) {
-				return nil, fmt.Errorf("mediator: unknown document %q (no source or view exports it)", x.Doc)
-			}
-			return x, nil
+		if x.Doc == "" {
+			break
 		}
-		if x.From != nil {
-			out := rebuildBind(x, rebuild(x.From))
-			return out, firstErr
+		if v := m.View(x.Doc); v != nil {
+			inner, err := m.substituteViews(v.Plan, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			t, ok := inner.(*algebra.TreeOp)
+			if !ok {
+				return nil, fmt.Errorf("mediator: view %s does not end in a Tree", x.Doc)
+			}
+			return &algebra.Bind{From: t, Col: t.Columns()[0], F: x.F}, nil
+		}
+		if !m.docExported(x.Doc) {
+			return nil, fmt.Errorf("mediator: unknown document %q (no source or view exports it)", x.Doc)
 		}
 		return x, nil
 	case *algebra.Doc:
@@ -351,10 +365,9 @@ func (m *Mediator) substituteViews(op algebra.Op, depth int) (algebra.Op, error)
 			return nil, fmt.Errorf("mediator: Doc over view %q is not supported; use Bind", x.Name)
 		}
 		return x, nil
-	default:
-		out := rebuildAll(op, rebuild)
-		return out, firstErr
 	}
+	out := algebra.MapChildren(op, rebuild)
+	return out, firstErr
 }
 
 // docExported reports whether any connected source exports the document.
@@ -363,49 +376,6 @@ func (m *Mediator) docExported(doc string) bool {
 	defer m.regMu.RUnlock()
 	_, known := m.sourceDocs[doc]
 	return known
-}
-
-func rebuildBind(b *algebra.Bind, from algebra.Op) *algebra.Bind {
-	return &algebra.Bind{From: from, Doc: b.Doc, Col: b.Col, F: b.F}
-}
-
-// rebuildAll rebuilds any operator with mapped children.
-func rebuildAll(op algebra.Op, fn func(algebra.Op) algebra.Op) algebra.Op {
-	switch x := op.(type) {
-	case *algebra.Select:
-		return &algebra.Select{From: fn(x.From), Pred: x.Pred}
-	case *algebra.Project:
-		return &algebra.Project{From: fn(x.From), Cols: x.Cols}
-	case *algebra.MapExpr:
-		return &algebra.MapExpr{From: fn(x.From), Col: x.Col, E: x.E}
-	case *algebra.Join:
-		return &algebra.Join{L: fn(x.L), R: fn(x.R), Pred: x.Pred}
-	case *algebra.DJoin:
-		return &algebra.DJoin{L: fn(x.L), R: fn(x.R)}
-	case *algebra.Union:
-		return &algebra.Union{L: fn(x.L), R: fn(x.R)}
-	case *algebra.Intersect:
-		return &algebra.Intersect{L: fn(x.L), R: fn(x.R)}
-	case *algebra.Distinct:
-		return &algebra.Distinct{From: fn(x.From)}
-	case *algebra.Group:
-		return &algebra.Group{From: fn(x.From), Keys: x.Keys, Into: x.Into}
-	case *algebra.Sort:
-		return &algebra.Sort{From: fn(x.From), Cols: x.Cols}
-	case *algebra.TreeOp:
-		return &algebra.TreeOp{From: fn(x.From), C: x.C, OutCol: x.OutCol}
-	case *algebra.Bind:
-		if x.From != nil {
-			return rebuildBind(x, fn(x.From))
-		}
-		return op
-	case *algebra.SourceQuery:
-		return &algebra.SourceQuery{Source: x.Source, Plan: fn(x.Plan)}
-	case *algebra.Doc, *algebra.Literal:
-		return op // leaves
-	default:
-		return op
-	}
 }
 
 // OptimizerOptions assembles the optimizer configuration from the imported
@@ -421,14 +391,10 @@ func (m *Mediator) OptimizerOptions() optimizer.Options {
 	for d, s := range m.sourceDocs {
 		sourceDocs[d] = s
 	}
-	structures := make(map[string]optimizer.Structure, len(m.structures))
-	for d, st := range m.structures {
-		structures[d] = st
-	}
 	return optimizer.Options{
 		Interfaces:      ifaces,
 		SourceDocs:      sourceDocs,
-		Structures:      structures,
+		Structures:      m.structures,
 		Assume:          append([]optimizer.Containment(nil), m.assume...),
 		InfoPassing:     true,
 		CheckInvariants: m.CheckInvariants,
@@ -442,10 +408,6 @@ func (m *Mediator) OptimizerOptions() optimizer.Options {
 func (m *Mediator) lintConfig() *planlint.Config {
 	m.regMu.RLock()
 	defer m.regMu.RUnlock()
-	structures := make(map[string]planlint.Structure, len(m.structures))
-	for doc, st := range m.structures {
-		structures[doc] = planlint.Structure{Model: st.Model, Pattern: st.Pattern}
-	}
 	docs := make(map[string]bool, len(m.sourceDocs))
 	for d := range m.sourceDocs {
 		docs[d] = true
@@ -461,7 +423,7 @@ func (m *Mediator) lintConfig() *planlint.Config {
 	return &planlint.Config{
 		Interfaces: ifaces,
 		SourceDocs: sourceDocs,
-		Structures: structures,
+		Structures: m.structures,
 		Docs:       docs,
 	}
 }
@@ -505,8 +467,8 @@ type Result struct {
 }
 
 // SetMetrics installs a metrics registry: every subsequent query folds its
-// duration, outcome and Stats counters into it, and breaker transitions
-// are counted as they happen. Pass nil to detach.
+// duration, outcome and Stats counters into it and refreshes one breaker
+// state gauge per source (recordQuery). Pass nil to detach.
 func (m *Mediator) SetMetrics(reg *obs.Registry) {
 	m.metricsMu.Lock()
 	m.metrics = reg
@@ -555,8 +517,7 @@ func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) 
 }
 
 // ExecOptions configure plan execution: Parallelism bounds the worker pool
-// (1 = serial), FanOut bounds one DJoin's in-flight sub-queries, Timeout is
-// the per-query deadline, BatchChunk sizes batched DJoin pushes, CacheSize
+// (1 = serial), Timeout is the per-query deadline, BatchChunk sizes batched DJoin pushes, CacheSize
 // installs a shared wrapper-result cache (kept warm across queries),
 // AllowPartial degrades around unreachable sources, Trace collects a
 // per-operator span tree returned in Result.Trace, StreamBuffer bounds the
@@ -571,11 +532,7 @@ type ExecOptions = exec.Options
 func (m *Mediator) typecheckConfig() *typecheck.Config {
 	m.regMu.RLock()
 	defer m.regMu.RUnlock()
-	st := make(map[string]typecheck.Structure, len(m.structures))
-	for doc, s := range m.structures {
-		st[doc] = typecheck.Structure{Model: s.Model, Pattern: s.Pattern}
-	}
-	return &typecheck.Config{Structures: st}
+	return &typecheck.Config{Structures: m.structures}
 }
 
 // TypecheckPlan runs pattern-type inference over a plan under the
@@ -735,10 +692,7 @@ func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, er
 // Describe renders a summary of the mediator's state (console `status`).
 func (m *Mediator) Describe() string {
 	m.regMu.RLock()
-	sources := make(map[string]algebra.Source, len(m.sources))
-	for n, s := range m.sources {
-		sources[n] = s
-	}
+	sources := m.connected()
 	views := append([]string(nil), m.viewOrder...)
 	m.regMu.RUnlock()
 	var b strings.Builder

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/capability"
-	"repro/internal/pattern"
 	"repro/internal/planlint"
 	"repro/internal/typecheck"
 )
@@ -25,13 +24,6 @@ type Containment struct {
 	Modulo []string // selection conjuncts the assumption absorbs
 }
 
-// Structure names the structural pattern governing a document's data, used
-// by type-driven rewritings (Figure 7, lower middle/right).
-type Structure struct {
-	Model   *pattern.Model
-	Pattern string
-}
-
 // Options configure the optimizer. Zero-value options yield a conservative
 // optimizer that only performs composition simplification and pushdown of
 // selections/projections.
@@ -40,8 +32,9 @@ type Options struct {
 	Interfaces map[string]*capability.Interface
 	// SourceDocs maps document names to the source exporting them.
 	SourceDocs map[string]string
-	// Structures maps document names to their structural types.
-	Structures map[string]Structure
+	// Structures maps document names to their structural types, used by
+	// type-driven rewritings (Figure 7, lower middle/right).
+	Structures map[string]typecheck.Structure
 	// Assume lists containment assumptions enabling source pruning.
 	Assume []Containment
 	// InfoPassing enables round 3 (Join → DJoin with parameter passing).
@@ -136,14 +129,10 @@ func (o *Optimizer) optimize(plan algebra.Op) (algebra.Op, error) {
 // lintConfig assembles the static knowledge planlint needs from the
 // optimizer options.
 func (o *Optimizer) lintConfig() *planlint.Config {
-	structures := make(map[string]planlint.Structure, len(o.opts.Structures))
-	for doc, st := range o.opts.Structures {
-		structures[doc] = planlint.Structure{Model: st.Model, Pattern: st.Pattern}
-	}
 	return &planlint.Config{
 		Interfaces: o.opts.Interfaces,
 		SourceDocs: o.opts.SourceDocs,
-		Structures: structures,
+		Structures: o.opts.Structures,
 	}
 }
 

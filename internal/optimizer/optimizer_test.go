@@ -11,6 +11,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/pattern"
 	"repro/internal/tab"
+	"repro/internal/typecheck"
 )
 
 func worksDoc(n int) *data.Node {
@@ -249,19 +250,19 @@ func TestSimplifyProjects(t *testing.T) {
 	}
 }
 
-func worksStructure() Structure {
+func worksStructure() typecheck.Structure {
 	m := pattern.MustParseModel(`model artworks
 Works := works[ *&Work ]
 Work  := work[ artist: String, title: String, style: String, size: String, *&Field ]
 Field := Symbol[ *( Int | Float | Bool | String | &Field ) ]`)
-	return Structure{Model: m, Pattern: "Works"}
+	return typecheck.Structure{Model: m, Pattern: "Works"}
 }
 
 func TestTypeDrivenFilterSimplification(t *testing.T) {
 	// Figure 7 (lower middle): only title and artist are wanted; mandatory
 	// unused items (style, size) are dropped from the filter, the optional
 	// cplace is kept (it filters).
-	o := New(Options{Structures: map[string]Structure{"works": worksStructure()}})
+	o := New(Options{Structures: map[string]typecheck.Structure{"works": worksStructure()}})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ artist: $a, title: $t, style: $s, size: $si, cplace: $cl ] ]`)}
 	out := o.pruneColumns(b, varSet([]string{"$t", "$cl"}))
@@ -289,7 +290,7 @@ func TestTypeDrivenFilterSimplification(t *testing.T) {
 }
 
 func TestTypeSimplificationKeepsConstraints(t *testing.T) {
-	o := New(Options{Structures: map[string]Structure{"works": worksStructure()}})
+	o := New(Options{Structures: map[string]typecheck.Structure{"works": worksStructure()}})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ title: $t, style: "Impressionist" ] ]`)}
 	out := o.pruneColumns(b, varSet([]string{"$t"}))

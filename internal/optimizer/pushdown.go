@@ -146,41 +146,10 @@ func covered(e algebra.Expr, cols map[string]bool) bool {
 
 // rebuildChildren maps fn over an operator's children, rebuilding the node.
 func rebuildChildren(op algebra.Op, fn func(algebra.Op) algebra.Op) algebra.Op {
-	switch x := op.(type) {
-	case *algebra.Select:
-		return &algebra.Select{From: fn(x.From), Pred: x.Pred}
-	case *algebra.Project:
-		return &algebra.Project{From: fn(x.From), Cols: x.Cols}
-	case *algebra.MapExpr:
-		return &algebra.MapExpr{From: fn(x.From), Col: x.Col, E: x.E}
-	case *algebra.Join:
-		return &algebra.Join{L: fn(x.L), R: fn(x.R), Pred: x.Pred}
-	case *algebra.DJoin:
-		return &algebra.DJoin{L: fn(x.L), R: fn(x.R)}
-	case *algebra.Union:
-		return &algebra.Union{L: fn(x.L), R: fn(x.R)}
-	case *algebra.Intersect:
-		return &algebra.Intersect{L: fn(x.L), R: fn(x.R)}
-	case *algebra.Distinct:
-		return &algebra.Distinct{From: fn(x.From)}
-	case *algebra.Group:
-		return &algebra.Group{From: fn(x.From), Keys: x.Keys, Into: x.Into}
-	case *algebra.Sort:
-		return &algebra.Sort{From: fn(x.From), Cols: x.Cols}
-	case *algebra.TreeOp:
-		return &algebra.TreeOp{From: fn(x.From), C: x.C, OutCol: x.OutCol}
-	case *algebra.Bind:
-		if x.From != nil {
-			return &algebra.Bind{From: fn(x.From), Doc: x.Doc, Col: x.Col, F: x.F}
-		}
-		return op
-	case *algebra.SourceQuery:
+	if _, pushed := op.(*algebra.SourceQuery); pushed {
 		return op // pushed plans are opaque to mediator rewriting
-	case *algebra.Doc, *algebra.Literal:
-		return op // leaves
-	default:
-		return op
 	}
+	return algebra.MapChildren(op, fn)
 }
 
 // ---------------------------------------------------------------------------

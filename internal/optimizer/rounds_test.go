@@ -11,6 +11,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/o2wrap"
 	"repro/internal/tab"
+	"repro/internal/typecheck"
 	"repro/internal/waiswrap"
 )
 
@@ -33,7 +34,7 @@ func culturalOpts(n int) (Options, *algebra.Context, *datagen.Workload) {
 		SourceDocs: map[string]string{
 			"artifacts": "o2artifact", "persons": "o2artifact", "works": "xmlartwork",
 		},
-		Structures: map[string]Structure{
+		Structures: map[string]typecheck.Structure{
 			"artifacts": {Model: schema, Pattern: "Artifact"},
 			"persons":   {Model: schema, Pattern: "Person"},
 			"works":     {Model: ww.ExportStructure(), Pattern: "Works"},

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/pattern"
+	"repro/internal/planlint"
 	"repro/internal/tab"
 	"repro/internal/typecheck"
 )
@@ -45,14 +46,10 @@ func renderPat(p *pattern.P) string {
 	return p.String()
 }
 
-// typecheckConfig maps the optimizer's structures into the inference
-// configuration.
+// typecheckConfig is the inference configuration over the optimizer's
+// structures.
 func (o *Optimizer) typecheckConfig() *typecheck.Config {
-	st := make(map[string]typecheck.Structure, len(o.opts.Structures))
-	for doc, s := range o.opts.Structures {
-		st[doc] = typecheck.Structure{Model: s.Model, Pattern: s.Pattern}
-	}
-	return &typecheck.Config{Structures: st}
+	return &typecheck.Config{Structures: o.opts.Structures}
 }
 
 // captureRootType records the input plan's inferred root type as the
@@ -106,11 +103,11 @@ func blamePath(plan algebra.Op, ann *typecheck.Annotation, col string, want *pat
 		if op == nil {
 			return "", false
 		}
-		path = extendPath(path, opShort(op))
+		path = planlint.Extend(path, planlint.OpName(op))
 		for i, ch := range op.Children() {
 			p := path
 			if seg := childSeg(op, i); seg != "" {
-				p = extendPath(path, seg)
+				p = planlint.Extend(path, seg)
 			}
 			if bp, ok := walk(ch, p); ok {
 				return bp, ok
@@ -126,54 +123,7 @@ func blamePath(plan algebra.Op, ann *typecheck.Annotation, col string, want *pat
 	if bp, ok := walk(plan, ""); ok {
 		return bp
 	}
-	return opShort(plan)
-}
-
-func extendPath(path, seg string) string {
-	if path == "" {
-		return seg
-	}
-	return path + "/" + seg
-}
-
-// opShort mirrors planlint's operator short names so TypeError paths and
-// lint diagnostic paths read alike.
-func opShort(op algebra.Op) string {
-	// yat-lint:ignore intentionally partial: unknown operators fall back to their Go type name
-	switch op.(type) {
-	case *algebra.Doc:
-		return "Doc"
-	case *algebra.Bind:
-		return "Bind"
-	case *algebra.Select:
-		return "Select"
-	case *algebra.Project:
-		return "Project"
-	case *algebra.MapExpr:
-		return "Map"
-	case *algebra.Join:
-		return "Join"
-	case *algebra.DJoin:
-		return "DJoin"
-	case *algebra.Union:
-		return "Union"
-	case *algebra.Intersect:
-		return "Intersect"
-	case *algebra.Distinct:
-		return "Distinct"
-	case *algebra.Group:
-		return "Group"
-	case *algebra.Sort:
-		return "Sort"
-	case *algebra.TreeOp:
-		return "Tree"
-	case *algebra.SourceQuery:
-		return "SourceQuery"
-	case *algebra.Literal:
-		return "Literal"
-	default:
-		return fmt.Sprintf("%T", op)
-	}
+	return planlint.OpName(plan)
 }
 
 // childSeg returns the path segment marking which side of a binary operator

@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/filter"
 	"repro/internal/pattern"
+	"repro/internal/typecheck"
 )
 
 // typedOpts declares one document schema so the type inference has
@@ -18,7 +19,7 @@ func typedOpts() Options {
 			pattern.Node("name", pattern.Str()),
 			pattern.Node("num", pattern.Int())))))
 	return Options{
-		Structures:      map[string]Structure{"docs": {Model: m, Pattern: "Doc"}},
+		Structures:      map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}},
 		CheckInvariants: true,
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/filter"
 	"repro/internal/pattern"
+	"repro/internal/typecheck"
 )
 
 // Diagnostic codes.
@@ -61,13 +62,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s at %s [%s]: %s", d.Code, d.Path, d.Op, d.Msg)
 }
 
-// Structure names a document's structural pattern (mirrors
-// optimizer.Structure, which this package cannot import).
-type Structure struct {
-	Model   *pattern.Model
-	Pattern string
-}
-
 // Config carries the static knowledge the checks consult. Every field is
 // optional: a nil map simply disables the checks needing it, so the verifier
 // degrades gracefully when a mediator has no capability descriptions.
@@ -80,7 +74,7 @@ type Config struct {
 	SourceDocs map[string]string
 	// Structures maps document names to declared structural patterns;
 	// enables the pattern-compatibility check on document Binds.
-	Structures map[string]Structure
+	Structures map[string]typecheck.Structure
 	// Docs, when non-nil, is the complete set of resolvable document names
 	// (catalog + sources); Binds over other documents are violations.
 	Docs map[string]bool
@@ -143,8 +137,8 @@ func (c *checker) report(code, path string, op algebra.Op, format string, args .
 	})
 }
 
-// opName returns the short operator name used in plan paths.
-func opName(op algebra.Op) string {
+// OpName returns the short operator name used in plan paths.
+func OpName(op algebra.Op) string {
 	switch op.(type) {
 	case *algebra.Doc:
 		return "Doc"
@@ -181,7 +175,8 @@ func opName(op algebra.Op) string {
 	}
 }
 
-func extend(path, seg string) string {
+// Extend appends a segment to a plan path.
+func Extend(path, seg string) string {
 	if path == "" {
 		return seg
 	}
@@ -194,10 +189,10 @@ func extend(path, seg string) string {
 // pushed marks subtrees inside a SourceQuery plan.
 func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed bool) {
 	if op == nil {
-		c.report(CodeNilPlan, extend(path, "<nil>"), nil, "nil operator")
+		c.report(CodeNilPlan, Extend(path, "<nil>"), nil, "nil operator")
 		return
 	}
-	path = extend(path, opName(op))
+	path = Extend(path, OpName(op))
 	switch x := op.(type) {
 	case *algebra.Doc:
 		c.checkDoc(x.Name, path, x)
@@ -239,8 +234,8 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 				"Map introduces column %s which the input already has", x.Col)
 		}
 	case *algebra.Join:
-		c.check(x.L, extend(path, "L"), env, pushed)
-		c.check(x.R, extend(path, "R"), env, pushed)
+		c.check(x.L, Extend(path, "L"), env, pushed)
+		c.check(x.R, Extend(path, "R"), env, pushed)
 		if x.Pred == nil {
 			c.report(CodeMalformed, path, x, "Join with nil predicate")
 		} else {
@@ -249,22 +244,22 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 		}
 		c.checkDisjoint(childCols(x.L), childCols(x.R), path, x)
 	case *algebra.DJoin:
-		c.check(x.L, extend(path, "L"), env, pushed)
+		c.check(x.L, Extend(path, "L"), env, pushed)
 		// The right side sees the left columns as parameters.
 		renv := union(env, colSet(childCols(x.L)))
-		c.check(x.R, extend(path, "R"), renv, pushed)
+		c.check(x.R, Extend(path, "R"), renv, pushed)
 		c.checkDisjoint(childCols(x.L), childCols(x.R), path, x)
 		c.checkBatchShape(x, renv, path)
 	case *algebra.Union:
-		c.check(x.L, extend(path, "L"), env, pushed)
-		c.check(x.R, extend(path, "R"), env, pushed)
+		c.check(x.L, Extend(path, "L"), env, pushed)
+		c.check(x.R, Extend(path, "R"), env, pushed)
 		if len(childCols(x.L)) != len(childCols(x.R)) {
 			c.report(CodeArity, path, x, "union of incompatible inputs %v / %v",
 				childCols(x.L), childCols(x.R))
 		}
 	case *algebra.Intersect:
-		c.check(x.L, extend(path, "L"), env, pushed)
-		c.check(x.R, extend(path, "R"), env, pushed)
+		c.check(x.L, Extend(path, "L"), env, pushed)
+		c.check(x.R, Extend(path, "R"), env, pushed)
 		if len(childCols(x.L)) != len(childCols(x.R)) {
 			c.report(CodeArity, path, x, "intersect of incompatible inputs %v / %v",
 				childCols(x.L), childCols(x.R))
@@ -305,7 +300,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 	default:
 		// Unknown operator implementations are opaque: verify children only.
 		for i, child := range op.Children() {
-			c.check(child, extend(path, fmt.Sprintf("%d", i)), env, pushed)
+			c.check(child, Extend(path, fmt.Sprintf("%d", i)), env, pushed)
 		}
 	}
 }
@@ -613,12 +608,12 @@ func (c *checker) checkSourceQuery(sq *algebra.SourceQuery, path string, env map
 		if op == nil {
 			return
 		}
-		p = extend(p, opName(op))
+		p = Extend(p, OpName(op))
 		if iface != nil {
 			opname, pushable := opOperation(op)
 			if !pushable {
 				c.report(CodeCapability, p, op,
-					"operator %s cannot appear in a pushed plan", opName(op))
+					"operator %s cannot appear in a pushed plan", OpName(op))
 			} else if !iface.CoversOperation(opname, docs) {
 				c.report(CodeCapability, p, op,
 					"source %q does not declare operation %q over %v", sq.Source, opname, docs)
@@ -662,7 +657,7 @@ func (c *checker) checkSourceQuery(sq *algebra.SourceQuery, path string, env map
 				seg = []string{"L", "R"}[i]
 			}
 			if seg != "" {
-				walk(child, extend(p, seg))
+				walk(child, Extend(p, seg))
 			} else {
 				walk(child, p)
 			}

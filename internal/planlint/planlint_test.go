@@ -8,6 +8,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/filter"
 	"repro/internal/pattern"
+	"repro/internal/typecheck"
 )
 
 // testConfig builds a config with one source ("src") exporting document
@@ -34,7 +35,7 @@ func testConfig() *Config {
 	return &Config{
 		Interfaces: map[string]*capability.Interface{"src": iface},
 		SourceDocs: map[string]string{"docs": "src"},
-		Structures: map[string]Structure{"docs": {Model: m, Pattern: "Doc"}},
+		Structures: map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}},
 		Docs:       map[string]bool{"docs": true},
 	}
 }

@@ -19,11 +19,7 @@ func (c *checker) checkTypes(plan algebra.Op) {
 	if !c.cfg.Warnings || len(c.cfg.Structures) == 0 {
 		return
 	}
-	st := make(map[string]typecheck.Structure, len(c.cfg.Structures))
-	for doc, s := range c.cfg.Structures {
-		st[doc] = typecheck.Structure{Model: s.Model, Pattern: s.Pattern}
-	}
-	ann, err := typecheck.Infer(plan, &typecheck.Config{Structures: st})
+	ann, err := typecheck.Infer(plan, &typecheck.Config{Structures: c.cfg.Structures})
 	if err != nil {
 		return // nil operators are reported by the main pass
 	}
@@ -36,7 +32,7 @@ func (c *checker) checkTypes(plan algebra.Op) {
 		if op == nil {
 			return
 		}
-		path = extend(path, opName(op))
+		path = Extend(path, OpName(op))
 		kids := op.Children()
 		if len(kids) == 2 && kids[0] != nil && kids[1] != nil {
 			le, re := empty(kids[0]), empty(kids[1])
@@ -76,7 +72,7 @@ func (c *checker) checkTypes(plan algebra.Op) {
 			// yat-lint:ignore intentionally partial: only binary operators need side markers
 			switch op.(type) {
 			case *algebra.Join, *algebra.DJoin, *algebra.Union, *algebra.Intersect:
-				p = extend(path, []string{"L", "R"}[i])
+				p = Extend(path, []string{"L", "R"}[i])
 			}
 			walk(k, p)
 		}

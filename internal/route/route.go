@@ -1,25 +1,29 @@
-// Package route fans one logical source across N replica wrappers. The
-// mediator connects a *Replicated exactly like a single wrapper client; the
-// router below it picks the least-loaded live replica per call, evicts
+// Package route is the availability decorator every source call goes
+// through: one logical source over N ≥ 1 replica wrappers. The mediator
+// wraps each connected source in a one-replica router (its per-source
+// circuit breaker) and a deployment with several wrapper processes per
+// source connects a *Replicated over them exactly like a single wrapper
+// client. The router picks the least-loaded live replica per call, evicts
 // replicas whose transport keeps failing behind per-replica circuit
-// breakers (closed → open → half-open re-probe, the PR 4 semantics), and
-// fails a call over to the remaining replicas when the chosen one dies
-// mid-request. Only transport-level failures (wire.IsRetryable) trigger
-// failover: a server-reported <error> frame is proof of life and an answer
-// — replaying it elsewhere could only hide a real semantic problem — and a
-// caller's expired context is the caller's budget, not the replica's
-// fault.
+// breakers (closed → open → half-open re-probe), and fails a call over to
+// the remaining replicas when the chosen one dies mid-request. Only
+// transport-level failures (wire.IsRetryable) count: a server-reported
+// <error> frame is proof of life and an answer — replaying it elsewhere
+// could only hide a real semantic problem — and a caller's expired context
+// is the caller's budget, not the replica's fault.
 //
-// The router sits *below* the mediator's per-source guard: when every
-// replica is down, the returned error wraps the last transport failure so
-// the guard still classifies the logical source as unavailable, trips the
-// mediator-level breaker and lets AllowPartial queries degrade around it.
+// When no replica is left the call fails fast with an
+// algebra.UnavailableError around the last transport failure: AllowPartial
+// queries degrade around it, and a router stacked above (the mediator's,
+// over a replicated source) still classifies it as an outage and trips its
+// own breaker only when the whole replica set is down.
 package route
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,16 +35,17 @@ import (
 	"repro/internal/wire"
 )
 
-// BreakerOptions configure the per-replica circuit breakers. They mirror
-// the mediator's per-source breakers: FailureThreshold consecutive
-// transport failures open a replica's breaker, Cooldown later one probe is
-// let through (half-open) and its outcome closes or re-opens it.
+// BreakerOptions configure the circuit breakers, one per replica. A replica
+// whose calls keep failing at the transport level is declared down (breaker
+// open): it is passed over instead of burning a dial-and-retry cycle per
+// call. After Cooldown one probe call is let through (half-open); its
+// outcome closes or re-opens the breaker.
 type BreakerOptions struct {
 	// FailureThreshold is the number of consecutive transport failures
-	// that evicts a replica (0 = default 3).
+	// that opens the breaker (0 = default 3).
 	FailureThreshold int
-	// Cooldown is how long an evicted replica sits out before a probe
-	// re-tries it (0 = default 2s).
+	// Cooldown is how long an open breaker refuses calls before letting a
+	// probe through (0 = default 2s).
 	Cooldown time.Duration
 }
 
@@ -59,34 +64,40 @@ type Options struct {
 	Breaker BreakerOptions
 }
 
-// Breaker states, identical to the mediator's source breakers.
+// Breaker states, named as Health reports them.
 const (
-	stClosed = iota
-	stOpen
-	stHalfOpen
+	stClosed   = "closed"
+	stOpen     = "open"
+	stHalfOpen = "half-open"
 )
 
-// breaker is one replica's health state. Only transport failures count;
-// semantic errors reset it (the replica answered, hence lives).
+// breaker is one replica's health state. Only transport failures count
+// against it: a semantic error proves the replica alive and resets the
+// count, and so does a caller's expired context — a query with a tight
+// budget must not poison the source's health for everyone else.
 type breaker struct {
 	opts BreakerOptions
 
 	mu      sync.Mutex
-	state   int
-	fails   int
+	state   string
+	fails   int       // consecutive transport failures
 	until   time.Time // open: earliest probe time
 	lastErr error     // last transport failure
 }
 
+func newBreaker(opts BreakerOptions) *breaker {
+	return &breaker{opts: opts.withDefaults(), state: stClosed}
+}
+
 // ready reports whether the breaker is closed (calls flow freely).
 func (b *breaker) ready() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == stClosed
+	st, _, _ := b.snapshot()
+	return st == stClosed
 }
 
 // admit reports whether a call may proceed; an open breaker whose cooldown
-// elapsed flips to half-open and admits exactly this probe.
+// elapsed flips to half-open and admits exactly this probe. Concurrent
+// callers keep being refused until the probe resolves.
 func (b *breaker) admit() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -104,7 +115,7 @@ func (b *breaker) admit() bool {
 	}
 }
 
-// done records a call outcome.
+// done records a call outcome. transient marks transport-level failures.
 func (b *breaker) done(err error, transient bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -122,11 +133,12 @@ func (b *breaker) done(err error, transient bool) {
 	}
 }
 
-// lastFailure returns the transport failure the breaker last recorded.
-func (b *breaker) lastFailure() error {
+// snapshot reports the state, the consecutive-failure count and the
+// transport failure last recorded.
+func (b *breaker) snapshot() (state string, fails int, lastErr error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.lastErr
+	return b.state, b.fails, b.lastErr
 }
 
 // replica is one backing wrapper process with its health and load state.
@@ -140,9 +152,9 @@ type replica struct {
 
 // Replicated is one logical source backed by N replica wrappers. It
 // implements the full optional Source surface (ContextSource, BatchSource,
-// StreamSource, PushStreamSource, RetryReporter) with per-replica
-// fallbacks, so the mediator's capability type-asserts see the union of
-// what the replicas can do.
+// StreamSource, PushStreamSource, RetryReporter, StateReporter) whatever its
+// replicas implement: each is called through algebra.FetchStream, PushStream
+// and PushBatch.
 type Replicated struct {
 	name string
 	docs []string
@@ -157,7 +169,6 @@ func New(name string, replicas []algebra.Source, opts Options) (*Replicated, err
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("route: source %s: no replicas", name)
 	}
-	bo := opts.Breaker.withDefaults()
 	docs := sortedDocs(replicas[0])
 	r := &Replicated{name: name, docs: docs}
 	for i, src := range replicas {
@@ -167,7 +178,7 @@ func New(name string, replicas []algebra.Source, opts Options) (*Replicated, err
 					name, i, d, docs)
 			}
 		}
-		r.reps = append(r.reps, &replica{id: i, src: src, br: &breaker{opts: bo}})
+		r.reps = append(r.reps, &replica{id: i, src: src, br: newBreaker(opts.Breaker)})
 	}
 	return r, nil
 }
@@ -220,16 +231,19 @@ func (r *Replicated) pick(tried []bool) *replica {
 }
 
 // do runs one logical call, failing over across replicas on transport
-// errors. Each replica is attempted at most once per call; its breaker
-// absorbs the outcome either way. Success and semantic errors settle the
-// call at the replica that produced them.
-func (r *Replicated) do(ctx context.Context, fn func(*replica) error) error {
+// errors, and returns the replica that settled it. Each replica is attempted
+// at most once per call; its breaker absorbs the outcome either way. Success
+// and semantic errors settle the call at the replica that produced them.
+// When no replica is left the failure is an algebra.UnavailableError — the
+// marker graceful degradation keys on — around the last transport failure,
+// so a router above this one still classifies it as an outage.
+func (r *Replicated) do(ctx context.Context, fn func(*replica) error) (*replica, error) {
 	tried := make([]bool, len(r.reps))
 	var lastErr error
 	for n := 0; n < len(r.reps); n++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		rep := r.pick(tried)
@@ -244,16 +258,15 @@ func (r *Replicated) do(ctx context.Context, fn func(*replica) error) error {
 		tr := err != nil && wire.IsRetryable(err)
 		rep.br.done(err, tr)
 		if !tr {
-			return err
+			return rep, err
 		}
 		lastErr = err
 	}
 	if lastErr == nil {
 		// Every breaker refused (open mid-cooldown or probing): surface the
-		// failure that evicted one of them so the error still classifies as
-		// a transport-level outage upstream.
+		// failure that evicted one of them.
 		for _, rep := range r.reps {
-			if e := rep.br.lastFailure(); e != nil {
+			if _, _, e := rep.br.snapshot(); e != nil {
 				lastErr = e
 				break
 			}
@@ -262,7 +275,11 @@ func (r *Replicated) do(ctx context.Context, fn func(*replica) error) error {
 	if lastErr == nil {
 		lastErr = errors.New("no replica admitted the call")
 	}
-	return fmt.Errorf("route: source %s: all %d replicas unavailable: %w", r.name, len(r.reps), lastErr)
+	return nil, r.unavailable(fmt.Errorf("all %d replicas unavailable: %w", len(r.reps), lastErr))
+}
+
+func (r *Replicated) unavailable(err error) error {
+	return &algebra.UnavailableError{Source: r.name, Err: err}
 }
 
 // Name implements algebra.Source.
@@ -276,16 +293,16 @@ func (r *Replicated) Fetch(doc string) (data.Forest, error) {
 	return r.FetchContext(context.Background(), doc)
 }
 
-// FetchContext implements algebra.ContextSource.
+// FetchContext implements algebra.ContextSource: the whole document from one
+// replica, so a transfer that dies half way fails over like any other call.
 func (r *Replicated) FetchContext(ctx context.Context, doc string) (data.Forest, error) {
 	var f data.Forest
-	err := r.do(ctx, func(rep *replica) (e error) {
-		if cs, ok := rep.src.(algebra.ContextSource); ok {
-			f, e = cs.FetchContext(ctx, doc)
-		} else {
-			f, e = rep.src.Fetch(doc)
+	_, err := r.do(ctx, func(rep *replica) error {
+		cur, err := algebra.FetchStream(ctx, rep.src, doc)
+		if err == nil {
+			f, err = algebra.DrainForest(cur)
 		}
-		return
+		return err
 	})
 	return f, err
 }
@@ -295,16 +312,15 @@ func (r *Replicated) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab
 	return r.PushContext(context.Background(), plan, params)
 }
 
-// PushContext implements algebra.ContextSource.
+// PushContext implements algebra.ContextSource, whole like FetchContext.
 func (r *Replicated) PushContext(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
 	var t *tab.Tab
-	err := r.do(ctx, func(rep *replica) (e error) {
-		if cs, ok := rep.src.(algebra.ContextSource); ok {
-			t, e = cs.PushContext(ctx, plan, params)
-		} else {
-			t, e = rep.src.Push(plan, params)
+	_, err := r.do(ctx, func(rep *replica) error {
+		cur, err := algebra.PushStream(ctx, rep.src, plan, params)
+		if err == nil {
+			t, err = tab.Drain(cur)
 		}
-		return
+		return err
 	})
 	return t, err
 }
@@ -314,31 +330,13 @@ func (r *Replicated) PushBatch(plan algebra.Op, bindings []map[string]tab.Cell) 
 	return r.PushBatchContext(context.Background(), plan, bindings)
 }
 
-// PushBatchContext implements algebra.BatchSource. Replicas without batch
-// support evaluate per binding — all-or-error like the wire protocol's
-// batched push, and still one replica per logical call so a failover
-// cannot interleave half a batch from each of two replicas.
+// PushBatchContext implements algebra.BatchSource: all-or-error and one
+// replica per logical call, so a failover cannot interleave half a batch
+// from each of two replicas.
 func (r *Replicated) PushBatchContext(ctx context.Context, plan algebra.Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
 	var ts []*tab.Tab
-	err := r.do(ctx, func(rep *replica) (e error) {
-		if bs, ok := rep.src.(algebra.BatchSource); ok {
-			ts, e = bs.PushBatchContext(ctx, plan, bindings)
-			return
-		}
-		out := make([]*tab.Tab, 0, len(bindings))
-		for _, bind := range bindings {
-			var t *tab.Tab
-			if cs, ok := rep.src.(algebra.ContextSource); ok {
-				t, e = cs.PushContext(ctx, plan, bind)
-			} else {
-				t, e = rep.src.Push(plan, bind)
-			}
-			if e != nil {
-				return
-			}
-			out = append(out, t)
-		}
-		ts = out
+	_, err := r.do(ctx, func(rep *replica) (e error) {
+		ts, e = algebra.PushBatch(ctx, rep.src, plan, bindings)
 		return
 	})
 	return ts, err
@@ -347,110 +345,91 @@ func (r *Replicated) PushBatchContext(ctx context.Context, plan algebra.Op, bind
 // FetchStream implements algebra.StreamSource. Failover applies to the
 // stream handshake only: once rows flow, a mid-stream transport failure
 // surfaces to the caller (rows already emitted cannot be replayed
-// elsewhere without duplication) and is charged to the replica's breaker
-// by the cursor wrapper. The replica's inflight count stays raised until
-// the cursor closes, so least-loaded routing sees long streams as load.
+// elsewhere without duplication), marked unavailable and charged to the
+// replica's breaker by the stream's hold. The replica's inflight count
+// stays raised until the cursor closes, so least-loaded routing sees long
+// streams as load.
 func (r *Replicated) FetchStream(ctx context.Context, doc string) (algebra.ForestCursor, error) {
 	var cur algebra.ForestCursor
-	var on *replica
-	err := r.do(ctx, func(rep *replica) (e error) {
-		if ss, ok := rep.src.(algebra.StreamSource); ok {
-			cur, e = ss.FetchStream(ctx, doc)
-		} else {
-			var f data.Forest
-			if cs, ok := rep.src.(algebra.ContextSource); ok {
-				f, e = cs.FetchContext(ctx, doc)
-			} else {
-				f, e = rep.src.Fetch(doc)
-			}
-			if e == nil {
-				cur = algebra.NewSliceForestCursor(f, tab.DefaultStreamChunk)
-			}
-		}
-		if e == nil {
-			on = rep
-		}
+	on, err := r.do(ctx, func(rep *replica) (e error) {
+		cur, e = algebra.FetchStream(ctx, rep.src, doc)
 		return
 	})
 	if err != nil {
 		return nil, err
 	}
-	on.inflight.Add(1)
-	return &routeForestCursor{cur: cur, rep: on}, nil
+	return &routeForestCursor{cur: cur, hold: r.hold(on)}, nil
 }
 
 // PushStream implements algebra.PushStreamSource with the same handshake
 // failover and stream-lifetime load accounting as FetchStream.
 func (r *Replicated) PushStream(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (tab.Cursor, error) {
 	var cur tab.Cursor
-	var on *replica
-	err := r.do(ctx, func(rep *replica) (e error) {
-		if ps, ok := rep.src.(algebra.PushStreamSource); ok {
-			cur, e = ps.PushStream(ctx, plan, params)
-		} else {
-			var t *tab.Tab
-			if cs, ok := rep.src.(algebra.ContextSource); ok {
-				t, e = cs.PushContext(ctx, plan, params)
-			} else {
-				t, e = rep.src.Push(plan, params)
-			}
-			if e == nil {
-				cur = tab.NewSliceCursor(t, tab.DefaultStreamChunk)
-			}
-		}
-		if e == nil {
-			on = rep
-		}
+	on, err := r.do(ctx, func(rep *replica) (e error) {
+		cur, e = algebra.PushStream(ctx, rep.src, plan, params)
 		return
 	})
 	if err != nil {
 		return nil, err
 	}
-	on.inflight.Add(1)
-	return &routeTabCursor{cur: cur, rep: on}, nil
+	return &routeTabCursor{Cursor: cur, hold: r.hold(on)}, nil
 }
 
-// routeForestCursor charges mid-stream transport failures to the serving
-// replica's breaker and releases its inflight slot on Close.
-type routeForestCursor struct {
-	cur  algebra.ForestCursor
+// hold is an open stream's claim on the replica serving it: one inflight
+// slot, released once on Close.
+type hold struct {
+	r    *Replicated
 	rep  *replica
 	once sync.Once
+}
+
+func (r *Replicated) hold(rep *replica) *hold {
+	rep.inflight.Add(1)
+	return &hold{r: r, rep: rep}
+}
+
+// check passes a stream's Next error through. A transport failure is
+// charged to the replica's breaker and marked unavailable. io.EOF itself is
+// the clean end of a stream, not the connection's (wire reports a hang-up
+// as io.ErrUnexpectedEOF), although IsRetryable alone would count it.
+func (h *hold) check(err error) error {
+	if err == nil || err == io.EOF || !wire.IsRetryable(err) {
+		return err
+	}
+	h.rep.br.done(err, true)
+	return h.r.unavailable(err)
+}
+
+func (h *hold) release() { h.once.Do(func() { h.rep.inflight.Add(-1) }) }
+
+type routeForestCursor struct {
+	cur algebra.ForestCursor
+	*hold
 }
 
 func (c *routeForestCursor) Next() (data.Forest, error) {
 	f, err := c.cur.Next()
-	if err != nil && !errors.Is(err, context.Canceled) && wire.IsRetryable(err) {
-		c.rep.br.done(err, true)
-	}
-	return f, err
+	return f, c.check(err)
 }
 
 func (c *routeForestCursor) Close() error {
-	c.once.Do(func() { c.rep.inflight.Add(-1) })
+	c.release()
 	return c.cur.Close()
 }
 
-// routeTabCursor is routeForestCursor for row streams.
 type routeTabCursor struct {
-	cur  tab.Cursor
-	rep  *replica
-	once sync.Once
+	tab.Cursor
+	*hold
 }
 
-func (c *routeTabCursor) Cols() []string { return c.cur.Cols() }
-
 func (c *routeTabCursor) Next() (*tab.Tab, error) {
-	t, err := c.cur.Next()
-	if err != nil && !errors.Is(err, context.Canceled) && wire.IsRetryable(err) {
-		c.rep.br.done(err, true)
-	}
-	return t, err
+	t, err := c.Cursor.Next()
+	return t, c.check(err)
 }
 
 func (c *routeTabCursor) Close() error {
-	c.once.Do(func() { c.rep.inflight.Add(-1) })
-	return c.cur.Close()
+	c.release()
+	return c.Cursor.Close()
 }
 
 // TakeRetryStats implements algebra.RetryReporter by draining every
@@ -466,9 +445,14 @@ func (r *Replicated) TakeRetryStats() (retries, redials int) {
 	return
 }
 
-// SourceState implements algebra.StateReporter with a replica census,
-// e.g. "2/3 replicas closed".
+// SourceState implements algebra.StateReporter: the breaker state of a
+// single replica ("closed", "open", "half-open"), a census of several, e.g.
+// "2/3 replicas closed".
 func (r *Replicated) SourceState() string {
+	if len(r.reps) == 1 {
+		st, _, _ := r.reps[0].br.snapshot()
+		return st
+	}
 	up := 0
 	for _, rep := range r.reps {
 		if rep.br.ready() {
@@ -504,20 +488,11 @@ func (r *Replicated) Health() []ReplicaHealth {
 		if ar, ok := rep.src.(addrReporter); ok {
 			h.Addr = ar.Addr()
 		}
-		rep.br.mu.Lock()
-		switch rep.br.state {
-		case stOpen:
-			h.State = "open"
-		case stHalfOpen:
-			h.State = "half-open"
-		default:
-			h.State = "closed"
+		var lastErr error
+		h.State, h.Failures, lastErr = rep.br.snapshot()
+		if lastErr != nil {
+			h.LastErr = lastErr.Error()
 		}
-		h.Failures = rep.br.fails
-		if rep.br.lastErr != nil {
-			h.LastErr = rep.br.lastErr.Error()
-		}
-		rep.br.mu.Unlock()
 		out = append(out, h)
 	}
 	return out

@@ -161,9 +161,10 @@ func TestRouteSemanticErrorSettles(t *testing.T) {
 }
 
 // TestRouteAllDownThenRecover: with every replica failing the call reports
-// a transport-classified error (so the mediator's source guard degrades
-// around the logical source), fails fast while breakers are open, and
-// re-admits a replica through a half-open probe after the cooldown.
+// the logical source unavailable around a transport-classified error (so
+// AllowPartial degrades around it and a router stacked above counts it as
+// an outage), fails fast while breakers are open, and re-admits a replica
+// through a half-open probe after the cooldown.
 func TestRouteAllDownThenRecover(t *testing.T) {
 	leakcheck.Arm(t)
 	a, b := newFakeRep("a"), newFakeRep("b")
@@ -178,6 +179,10 @@ func TestRouteAllDownThenRecover(t *testing.T) {
 	}
 	if !wire.IsRetryable(err) {
 		t.Fatalf("all-replicas-down error must classify as transport-level, got %v", err)
+	}
+	var ue *algebra.UnavailableError
+	if !errors.As(err, &ue) || ue.Source != "src" {
+		t.Fatalf("all-replicas-down error must mark source src unavailable, got %v", err)
 	}
 
 	// Breakers now open: the next call is refused without touching either
@@ -200,6 +205,65 @@ func TestRouteAllDownThenRecover(t *testing.T) {
 	}
 	if who, _ := res.Rows[0][0].AsAtom(); who.S != "a" {
 		t.Fatalf("recovered call answered by %q", who.S)
+	}
+}
+
+// breakingStream is a replica whose push streams deliver one chunk and then
+// lose the connection.
+type breakingStream struct{ *fakeRep }
+
+func (s breakingStream) PushStream(context.Context, algebra.Op, map[string]tab.Cell) (tab.Cursor, error) {
+	sent := false
+	return &tab.FuncCursor{Columns: []string{"who"}, NextFn: func() (*tab.Tab, error) {
+		if sent {
+			return nil, errReset
+		}
+		sent = true
+		return tab.New("who"), nil
+	}}, nil
+}
+
+// TestRouteStreamEnds: a stream read to its clean end costs the replica
+// nothing — three that end back to back must not add up to an eviction —
+// while a connection lost mid-stream is charged to the serving replica and
+// reaches the caller marked unavailable, with no failover (rows already
+// delivered cannot be replayed). Either way the inflight slot comes back.
+func TestRouteStreamEnds(t *testing.T) {
+	rep := newFakeRep("a")
+	r := mustRoute(t, []algebra.Source{rep}, route.Options{})
+	var open []tab.Cursor
+	for i := 0; i < 3; i++ {
+		cur, err := r.PushStream(context.Background(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, cur)
+	}
+	for _, cur := range open {
+		if _, err := tab.Drain(cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := r.Health()[0]; h.State != "closed" || h.Failures != 0 || h.LastErr != "" || h.Inflight != 0 {
+		t.Fatalf("three clean stream ends left the replica at %+v", h)
+	}
+
+	r = mustRoute(t, []algebra.Source{breakingStream{rep}}, route.Options{})
+	cur, err := r.PushStream(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Next(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = cur.Next()
+	var ue *algebra.UnavailableError
+	if !errors.As(err, &ue) || ue.Source != "src" || !errors.Is(err, errReset) {
+		t.Fatalf("mid-stream hang-up = %v, want source src unavailable around the reset", err)
+	}
+	cur.Close()
+	if h := r.Health()[0]; h.Failures != 1 || h.Inflight != 0 {
+		t.Fatalf("mid-stream hang-up left the replica at %+v, want one failure and no open stream", h)
 	}
 }
 

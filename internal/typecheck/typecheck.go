@@ -32,9 +32,9 @@ import (
 )
 
 // Structure pairs a structural model with the name of the pattern (within
-// that model) governing a document. It mirrors optimizer.Structure and
-// planlint.Structure, redeclared here so those packages can depend on
-// typecheck without a cycle.
+// that model) governing a document — what the type-driven rewritings of
+// Section 5.1, planlint's pattern-compatibility check and the inference
+// below all consult.
 type Structure struct {
 	Model   *pattern.Model
 	Pattern string

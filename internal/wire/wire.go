@@ -468,18 +468,10 @@ func (s *Server) answer(w *frameWriter, n *data.Node) (rows int, err error) {
 	return -1, w.err
 }
 
-// sendDoc ships a document's trees: as they come when the source streams
-// them, else from the whole forest — the frames are bounded either way.
+// sendDoc ships a document's trees in bounded frames, as the source
+// produces them.
 func (s *Server) sendDoc(w *frameWriter, doc string) error {
-	ss, ok := s.Exp.Source.(algebra.StreamSource)
-	if !ok {
-		f, err := s.Exp.Source.Fetch(doc)
-		if err != nil {
-			return err
-		}
-		return w.trees(f)
-	}
-	cur, err := ss.FetchStream(context.Background(), doc)
+	cur, err := algebra.FetchStream(context.Background(), s.Exp.Source, doc)
 	if err != nil {
 		return err
 	}
@@ -500,9 +492,8 @@ func (s *Server) sendDoc(w *frameWriter, doc string) error {
 
 // sendPlan evaluates a pushed plan once per binding row — once, without
 // parameters, when there are none — and ships one result per row. The plan
-// ships once however many rows there are: more than one is a batch, which an
-// algebra.BatchSource evaluates natively; anything else goes through push,
-// and looping it here still collapses a batch to one round trip.
+// ships once however many rows there are: more than one is a batch, answered
+// whole in one round trip; a single evaluation streams its rows.
 func (s *Server) sendPlan(w *frameWriter, n *data.Node) error {
 	pn := n.Child("plan")
 	if pn == nil {
@@ -526,37 +517,18 @@ func (s *Server) sendPlan(w *frameWriter, n *data.Node) error {
 			bindings = append(bindings, m)
 		}
 	}
-	if len(bindings) == 0 {
-		bindings = []map[string]tab.Cell{{}} // one evaluation, without parameters
-	}
-	if bs, ok := s.Exp.Source.(algebra.BatchSource); ok && len(bindings) > 1 {
-		res, err := bs.PushBatch(plan, bindings)
-		if err == nil && len(res) != len(bindings) {
-			err = fmt.Errorf("source returned %d results for %d bindings", len(res), len(bindings))
-		}
+	if len(bindings) > 1 {
+		res, err := algebra.PushBatch(context.Background(), s.Exp.Source, plan, bindings)
 		for i := 0; err == nil && i < len(res); i++ {
 			err = w.rows(i, res[i])
 		}
 		return err
 	}
-	for i := 0; err == nil && i < len(bindings); i++ {
-		err = s.push(w, i, plan, bindings[i])
+	params := map[string]tab.Cell{} // one evaluation, without parameters
+	if len(bindings) == 1 {
+		params = bindings[0]
 	}
-	return err
-}
-
-// push evaluates plan under one binding and writes the rows as they come:
-// chunk by chunk when the source streams, else from the whole result.
-func (s *Server) push(w *frameWriter, bind int, plan algebra.Op, params map[string]tab.Cell) error {
-	ps, ok := s.Exp.Source.(algebra.PushStreamSource)
-	if !ok {
-		res, err := s.Exp.Source.Push(plan, params)
-		if err != nil {
-			return err
-		}
-		return w.rows(bind, res)
-	}
-	cur, err := ps.PushStream(context.Background(), plan, params)
+	cur, err := algebra.PushStream(context.Background(), s.Exp.Source, plan, params)
 	if err != nil {
 		return err
 	}
@@ -564,13 +536,13 @@ func (s *Server) push(w *frameWriter, bind int, plan algebra.Op, params map[stri
 	for sent := false; ; sent = true {
 		t, err := cur.Next()
 		if err == io.EOF && !sent {
-			return w.rows(bind, tab.New(cur.Cols()...)) // an empty result still ships its columns
+			return w.rows(0, tab.New(cur.Cols()...)) // an empty result still ships its columns
 		}
 		if err == io.EOF {
 			return nil
 		}
 		if err == nil {
-			err = w.rows(bind, t)
+			err = w.rows(0, t)
 		}
 		if err != nil {
 			return err
