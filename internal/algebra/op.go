@@ -243,8 +243,12 @@ func (c *Context) Err() error {
 	return c.Ctx.Err()
 }
 
-// Input resolves a named document whole: InputStream, drained.
+// Input resolves a named document whole: the catalog's forest as it is,
+// else InputStream drained.
 func (c *Context) Input(name string) (data.Forest, error) {
+	if f, ok := c.Catalog[name]; ok {
+		return f, nil
+	}
 	fc, err := c.InputStream(name)
 	if err != nil {
 		return nil, err

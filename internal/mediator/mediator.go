@@ -517,9 +517,9 @@ func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) 
 }
 
 // ExecOptions configure plan execution: Parallelism bounds the worker pool
-// (1 = serial), Timeout is the per-query deadline, BatchChunk sizes batched DJoin pushes, CacheSize
-// installs a shared wrapper-result cache (kept warm across queries),
-// AllowPartial degrades around unreachable sources, Trace collects a
+// (1 = serial), Timeout is the per-query deadline, BatchChunk sizes batched
+// DJoin pushes, CacheSize installs a shared wrapper-result cache (kept warm
+// across queries), AllowPartial degrades around unreachable sources, Trace collects a
 // per-operator span tree returned in Result.Trace, StreamBuffer bounds the
 // rows buffered ahead of a Stream's consumer and CheckTypes validates
 // shipped rows against the plan's inferred types. Negative BatchChunk or

@@ -524,11 +524,10 @@ func (s *Server) sendPlan(w *frameWriter, n *data.Node) error {
 		}
 		return err
 	}
-	params := map[string]tab.Cell{} // one evaluation, without parameters
-	if len(bindings) == 1 {
-		params = bindings[0]
+	if len(bindings) == 0 {
+		bindings = []map[string]tab.Cell{{}} // one evaluation, without parameters
 	}
-	cur, err := algebra.PushStream(context.Background(), s.Exp.Source, plan, params)
+	cur, err := algebra.PushStream(context.Background(), s.Exp.Source, plan, bindings[0])
 	if err != nil {
 		return err
 	}
