@@ -527,7 +527,12 @@ func (s *Server) sendPlan(w *frameWriter, n *data.Node) error {
 	if len(bindings) == 0 {
 		bindings = []map[string]tab.Cell{{}} // one evaluation, without parameters
 	}
-	cur, err := algebra.PushStream(context.Background(), s.Exp.Source, plan, bindings[0])
+	return s.push(w, plan, bindings[0])
+}
+
+// push evaluates plan under one binding and writes the rows as they come.
+func (s *Server) push(w *frameWriter, plan algebra.Op, params map[string]tab.Cell) error {
+	cur, err := algebra.PushStream(context.Background(), s.Exp.Source, plan, params)
 	if err != nil {
 		return err
 	}
