@@ -25,12 +25,15 @@ bench-build:
 
 # A short fuzzing pass, 10 s per target, seeded by the checked-in corpora:
 # the XQuery-FLWR parser (crash-freedom plus the parse/print/re-parse
-# fixpoint property) and the two byte boundaries of the wire — arbitrary
-# bytes as a request frame at a server, and as the reply frames at a client.
+# fixpoint property), the two byte boundaries of the wire — arbitrary
+# bytes as a request frame at a server, and as the reply frames at a client —
+# and the OQL parser (the same two properties; its corpus is the queries
+# o2wrap emits, whose text Wrapper.LastOQL promises can be replayed).
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzReplyFrames -fuzz FuzzReplyFrames -fuzztime 10s ./internal/wire
+	$(GO) test -run FuzzParseOQL -fuzz FuzzParseOQL -fuzztime 10s ./internal/o2
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

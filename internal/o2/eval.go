@@ -7,9 +7,10 @@ import (
 
 // OQL evaluation: nested-loop iteration over the from-ranges with dependent
 // paths, predicate filtering, struct projection, distinct and order-by.
-// When the where-clause contains `var.attr = literal` over an extent range
-// with a hash index, the index restricts that range's candidates — the
-// associative access of Section 5.3.
+// When the where-clause equates indexed attributes of an extent range with
+// literals or with paths on variables bound further out, the most selective
+// of those hash indexes restricts the range's candidates (extentCandidates)
+// — the associative access of Section 5.3.
 
 type oenv map[string]Val
 
@@ -154,95 +155,110 @@ func (db *DB) iterate(q *Query, ranges []Range, env oenv, fn func() error) error
 	if len(ranges) == 0 {
 		return fn()
 	}
-	r := ranges[0]
-	coll, err := db.rangeCandidates(q, r, env)
-	if err != nil {
-		return err
+	r, rest := ranges[0], ranges[1:]
+	defer delete(env, r.Var)
+	if oids, ok := db.extentCandidates(q, r, env); ok {
+		for _, oid := range oids {
+			env[r.Var] = Oid(oid)
+			if err := db.iterate(q, rest, env, fn); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	for _, elem := range coll {
-		env[r.Var] = elem
-		if err := db.iterate(q, ranges[1:], env, fn); err != nil {
+	var coll Val
+	if r.Lit != nil {
+		coll = *r.Lit
+	} else {
+		var err error
+		if coll, err = db.evalPath(r.Path, env); err != nil {
 			return err
 		}
 	}
-	delete(env, r.Var)
+	if coll.Kind != VColl {
+		return fmt.Errorf("oql: range %s iterates a non-collection %s", r.Var, coll)
+	}
+	for _, elem := range coll.Elems {
+		env[r.Var] = elem
+		if err := db.iterate(q, rest, env, fn); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// rangeCandidates resolves the collection a range iterates, using a hash
-// index when the range scans a whole extent and the where-clause pins an
-// indexed attribute to a literal.
-func (db *DB) rangeCandidates(q *Query, r Range, env oenv) ([]Val, error) {
-	// Direct extent scan: try the index.
-	if len(r.Path.Steps) == 0 {
-		if _, bound := env[r.Path.Root]; !bound {
-			if oids, ok := db.Extents[r.Path.Root]; ok {
-				cls := db.Schema.ClassByExtent(r.Path.Root)
-				if cls != nil && q.Where != nil {
-					if sel, ok := db.indexableConjunct(q.Where, r.Var, cls); ok {
-						return sel, nil
-					}
-				}
-				out := make([]Val, len(oids))
-				for i, oid := range oids {
-					out[i] = Oid(oid)
-				}
-				return out, nil
-			}
-		}
+// extentCandidates is the access path of a range that scans a whole extent:
+// the oids to try, in extent order, and whether r is such a range. Every
+// where-conjunct `r.attr = e` whose e is a literal or a path on a variable
+// bound further out (a binding passed in, an outer range: index nested
+// loop) probes the hash index on attr, if there is one, and the shortest
+// posting list wins; without a usable index it is the extent itself. The
+// caller still checks the whole where-clause on each candidate, so the
+// choice changes what is visited, never what is answered.
+func (db *DB) extentCandidates(q *Query, r Range, env oenv) ([]string, bool) {
+	if r.Path == nil || len(r.Path.Steps) != 0 {
+		return nil, false
 	}
-	v, err := db.evalPath(r.Path, env)
-	if err != nil {
-		return nil, err
+	if _, bound := env[r.Path.Root]; bound {
+		return nil, false
 	}
-	if v.Kind != VColl {
-		return nil, fmt.Errorf("oql: range %s iterates a non-collection %s", r.Var, v)
+	best, ok := db.Extents[r.Path.Root]
+	if !ok {
+		return nil, false
 	}
-	return v.Elems, nil
+	if cls := db.Schema.ClassByExtent(r.Path.Root); cls != nil && q.Where != nil {
+		db.probe(q.Where, r.Var, cls, env, &best)
+	}
+	return best, true
 }
 
-// indexableConjunct scans the where-clause conjuncts for `var.attr = lit`
-// with an index on (class, attr); it returns the restricted candidates.
-func (db *DB) indexableConjunct(e OExpr, rangeVar string, cls *Class) ([]Val, bool) {
+// probe walks the conjuncts of e and leaves in best the shortest posting
+// list that an equality on rangeVar selects.
+func (db *DB) probe(e OExpr, rangeVar string, cls *Class, env oenv, best *[]string) {
 	switch x := e.(type) {
 	case OBool:
 		if x.Op == "and" {
-			if got, ok := db.indexableConjunct(x.L, rangeVar, cls); ok {
-				return got, true
-			}
-			return db.indexableConjunct(x.R, rangeVar, cls)
+			db.probe(x.L, rangeVar, cls, env, best)
+			db.probe(x.R, rangeVar, cls, env, best)
 		}
 	case OCmp:
 		if x.Op != "=" {
-			return nil, false
+			return
 		}
-		path, lit := x.L, x.R
-		p, ok := path.(*OPath)
-		if !ok {
-			p, ok = lit.(*OPath)
-			if !ok {
-				return nil, false
+		attr, key := x.L, x.R
+		p, ok := attr.(*OPath)
+		if !ok || p.Root != rangeVar {
+			attr, key = x.R, x.L
+			if p, ok = attr.(*OPath); !ok || p.Root != rangeVar {
+				return
 			}
-			lit = x.L
 		}
-		l, ok := lit.(OLit)
+		if len(p.Steps) != 1 || p.Steps[0].Method {
+			return
+		}
+		idx, ok := db.indexes[cls.Name+"."+p.Steps[0].Name]
 		if !ok {
-			return nil, false
+			return
 		}
-		if p.Root != rangeVar || len(p.Steps) != 1 || p.Steps[0].Method {
-			return nil, false
+		var v Val
+		switch k := key.(type) {
+		case OLit:
+			v = k.V
+		case *OPath:
+			if _, bound := env[k.Root]; !bound {
+				return
+			}
+			var err error
+			if v, err = db.evalPath(k, env); err != nil {
+				return // the where-clause check reports it, if a candidate gets there
+			}
+		default:
+			return
 		}
-		oids, ok := db.IndexLookup(cls.Name, p.Steps[0].Name, l.V)
-		if !ok {
-			return nil, false
+		if oids := idx[v.String()]; len(oids) < len(*best) {
+			*best = oids
 		}
-		out := make([]Val, len(oids))
-		for i, oid := range oids {
-			out[i] = Oid(oid)
-		}
-		return out, true
 	}
-	return nil, false
 }
 
 func (db *DB) truth(e OExpr, env oenv) (bool, error) {

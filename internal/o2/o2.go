@@ -216,7 +216,11 @@ func (v Val) String() string {
 	case VInt:
 		return fmt.Sprintf("%d", v.I)
 	case VFloat:
-		return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v.F), "0"), ".")
+		s := strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v.F), "0"), ".")
+		if s == "-0" { // a negative too small to print is the 0 it reads back as
+			s = "0"
+		}
+		return s
 	case VBool:
 		return fmt.Sprintf("%t", v.B)
 	case VStr:
@@ -430,7 +434,7 @@ func NewDB(s *Schema) *DB {
 }
 
 // NewObject creates an object of the class, inserts it in the class extent
-// and returns its oid.
+// and in every index built on the class, and returns its oid.
 func (db *DB) NewObject(class string, v Val) (string, error) {
 	c := db.Schema.Classes[class]
 	if c == nil {
@@ -443,6 +447,12 @@ func (db *DB) NewObject(class string, v Val) (string, error) {
 	oid := fmt.Sprintf("%s%d", strings.ToLower(class[:1]), db.nextOID)
 	db.Objects[oid] = &Object{OID: oid, Class: class, Value: v}
 	db.Extents[c.Extent] = append(db.Extents[c.Extent], oid)
+	for _, f := range c.Type.Fields {
+		if idx, ok := db.indexes[class+"."+f.Name]; ok {
+			key := v.Fields[f.Name].String()
+			idx[key] = append(idx[key], oid)
+		}
+	}
 	return oid, nil
 }
 

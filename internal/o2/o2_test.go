@@ -232,6 +232,46 @@ func TestIndexedAccess(t *testing.T) {
 	}
 }
 
+func TestCollectionLiteralRange(t *testing.T) {
+	// A range over a collection literal: the values read back as Val.String
+	// wrote them (Go string escapes, negative and float numbers), and the
+	// query joins the extent with them in literal order.
+	db := artDB(t)
+	bindings := Coll(CBag,
+		Tuple("i", Int(0), "c", Str("Claude Monet"), "y", Int(-1900)),
+		Tuple("i", Int(1), "c", Str("a \"q\" \\ \n\t\x00\xff é"), "y", Float(-0.25)),
+		Tuple("i", Int(2), "c", Str("Anonymous"), "y", Float(1e300)))
+	src := "select bi: B.i, t: A.title from B in " + bindings.String() +
+		", A in artifacts where A.creator = B.c and A.year > B.y"
+	q, err := ParseOQL(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lit := q.Ranges[0].Lit; lit == nil || !lit.Equal(bindings) || lit.String() != bindings.String() {
+		t.Fatalf("literal read back as %v, want %s", lit, bindings)
+	}
+	res, err := db.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `bag(tuple(bi: 0, t: "Nympheas"), tuple(bi: 0, t: "Waterloo Bridge"))`
+	if res.String() != want {
+		t.Errorf("res = %s\nwant %s", res, want)
+	}
+	for _, bad := range []string{
+		`select x from B in bag(tuple(i 0))`,
+		`select x from B in bag(tuple(i: 0)`,
+		`select x from B in bag(1 2)`,
+		`select x from B in bag(A.title)`,
+		`select x from B in tuple(i: 0)`,
+		`select x from B in frob(1)`,
+	} {
+		if _, err := ParseOQL(bad); err == nil {
+			t.Errorf("ParseOQL(%q) should fail", bad)
+		}
+	}
+}
+
 func TestOQLParseErrors(t *testing.T) {
 	bad := []string{
 		``,
@@ -282,6 +322,7 @@ func TestOQLPrintParseStability(t *testing.T) {
 		`select t: A.title from A in artifacts order by t desc`,
 		`select p: A.current_price() from A in artifacts`,
 		`select v: (A.price + 1) * 2 - 3 / 4 from A in artifacts`,
+		`select bi: B.i, t: A.title from B in bag(tuple(i: 0, c: "Claude Monet", y: -5, p: 0.5)), A in artifacts where A.creator = B.c and A.year > -1800`,
 	}
 	for _, src := range cases {
 		q, err := ParseOQL(src)

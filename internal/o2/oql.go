@@ -8,7 +8,8 @@ import (
 
 // OQL subset: select [distinct] <projection> from <ranges> [where <pred>]
 // [order by <exprs>], with path expressions navigating attributes and
-// references, dependent ranges over nested collections (o in A.owners), and
+// references, dependent ranges over nested collections (o in A.owners),
+// ranges over a collection literal (b in bag(tuple(i: 0, t: "x"), …)) and
 // method calls (A.current_price()). This is the fragment exercised by the
 // wrapper translation of Section 4.1.
 
@@ -28,10 +29,20 @@ type ProjItem struct {
 	E    OExpr
 }
 
-// Range is `var in path`.
+// Range is `var in path`, or `var in bag(tuple(i: 0, a: "x"), …)`: a
+// collection literal (Lit, with Path nil) that the range iterates in place
+// of a path. That is how a wrapper hands a set of bindings to one query.
 type Range struct {
 	Var  string
 	Path *OPath
+	Lit  *Val
+}
+
+func (r Range) oqlString() string {
+	if r.Lit != nil {
+		return r.Var + " in " + r.Lit.String()
+	}
+	return r.Var + " in " + r.Path.oqlString()
 }
 
 // OrderItem is one order-by key.
@@ -81,7 +92,23 @@ type OCmp struct {
 }
 
 func (c OCmp) oqlString() string {
-	return fmt.Sprintf("%s %s %s", c.L.oqlString(), c.Op, c.R.oqlString())
+	return operand(c.L) + " " + c.Op + " " + operand(c.R)
+}
+
+// operand prints an operand of a comparison or of arithmetic. A comparison
+// or a negation in that place was written in parentheses, which the tree
+// does not keep; and/or and arithmetic print their own.
+func operand(e OExpr) string {
+	s := e.oqlString()
+	switch x := e.(type) {
+	case OCmp:
+		return "(" + s + ")"
+	case OBool:
+		if x.Op == "not" {
+			return "(" + s + ")"
+		}
+	}
+	return s
 }
 
 // OBool is a boolean connective (and/or) or negation (not, L nil).
@@ -104,7 +131,7 @@ type OArith struct {
 }
 
 func (a OArith) oqlString() string {
-	return "(" + a.L.oqlString() + " " + a.Op + " " + a.R.oqlString() + ")"
+	return "(" + operand(a.L) + " " + a.Op + " " + operand(a.R) + ")"
 }
 
 // String renders the query in OQL concrete syntax.
@@ -130,7 +157,7 @@ func (q *Query) String() string {
 	b.WriteString("\nfrom ")
 	parts := make([]string, len(q.Ranges))
 	for i, r := range q.Ranges {
-		parts[i] = r.Var + " in " + r.Path.oqlString()
+		parts[i] = r.oqlString()
 	}
 	b.WriteString(strings.Join(parts, ", "))
 	if q.Where != nil {
@@ -190,11 +217,29 @@ func olex(src string) ([]otok, error) {
 			i++
 			var b strings.Builder
 			for i < len(src) && src[i] != q {
-				if src[i] == '\\' && i+1 < len(src) {
+				if src[i] != '\\' {
+					b.WriteByte(src[i])
 					i++
+					continue
 				}
-				b.WriteByte(src[i])
-				i++
+				// The escapes Val.String writes (Go's %q) read back as the
+				// byte or rune they stand for; after any other backslash the
+				// next byte stands for itself.
+				r, multibyte, tail, err := strconv.UnquoteChar(src[i:], q)
+				if err != nil {
+					i++
+					if i < len(src) {
+						b.WriteByte(src[i])
+						i++
+					}
+					continue
+				}
+				if multibyte {
+					b.WriteRune(r)
+				} else {
+					b.WriteByte(byte(r))
+				}
+				i = len(src) - len(tail)
 			}
 			if i >= len(src) {
 				return nil, fmt.Errorf("oql: unterminated string at offset %d", start)
@@ -245,6 +290,12 @@ func (p *oparser) punct(s string) bool {
 	return t.kind == "punct" && t.text == s
 }
 
+// next reports whether the token after the current one is the punctuation s.
+func (p *oparser) next(s string) bool {
+	t := p.toks[p.i+1]
+	return t.kind == "punct" && t.text == s
+}
+
 func (p *oparser) expectKw(s string) error {
 	if !p.kw(s) {
 		return fmt.Errorf("oql: expected %q at offset %d, got %q", s, p.cur().pos, p.cur().text)
@@ -275,7 +326,7 @@ func ParseOQL(src string) (*Query, error) {
 		for {
 			item := ProjItem{}
 			// Labeled projection: IDENT ':' expr
-			if p.cur().kind == "ident" && p.toks[p.i+1].kind == "punct" && p.toks[p.i+1].text == ":" {
+			if p.cur().kind == "ident" && p.next(":") {
 				item.Name = p.cur().text
 				p.i += 2
 			}
@@ -304,11 +355,21 @@ func ParseOQL(src string) (*Query, error) {
 		if err := p.expectKw("in"); err != nil {
 			return nil, err
 		}
-		path, err := p.path()
-		if err != nil {
+		r := Range{Var: v.text}
+		if p.cur().kind == "ident" && p.next("(") {
+			// No path has a '(' after its root: a collection literal.
+			lit, err := p.value()
+			if err != nil {
+				return nil, err
+			}
+			if lit.Kind != VColl {
+				return nil, fmt.Errorf("oql: range %s iterates a non-collection %s", v.text, lit)
+			}
+			r.Lit = &lit
+		} else if r.Path, err = p.path(); err != nil {
 			return nil, err
 		}
-		q.Ranges = append(q.Ranges, Range{Var: v.text, Path: path})
+		q.Ranges = append(q.Ranges, r)
 		if p.punct(",") {
 			p.i++
 			continue
@@ -389,6 +450,58 @@ func (p *oparser) path() (*OPath, error) {
 		path.Steps = append(path.Steps, step)
 	}
 	return path, nil
+}
+
+var collKinds = map[string]CollKind{"set": CSet, "bag": CBag, "list": CList, "array": CArray}
+
+// value parses a literal as Val.String writes it: an atom, tuple(name: v, …)
+// or a collection constructor over values, bag(v, …).
+func (p *oparser) value() (Val, error) {
+	t := p.cur()
+	kind, isColl := collKinds[t.text]
+	if cons := t.kind == "ident" && p.next("(") && (isColl || t.text == "tuple"); !cons {
+		e, err := p.unary()
+		if err != nil {
+			return Nil(), err
+		}
+		lit, ok := e.(OLit)
+		if !ok {
+			return Nil(), fmt.Errorf("oql: expected a literal at offset %d", t.pos)
+		}
+		return lit.V, nil
+	}
+	p.i += 2
+	var elems []Val
+	var pairs []any
+	for !p.punct(")") {
+		if len(elems)+len(pairs) > 0 {
+			if !p.punct(",") {
+				return Nil(), fmt.Errorf("oql: expected ',' or ')' at offset %d", p.cur().pos)
+			}
+			p.i++
+		}
+		if !isColl {
+			if p.cur().kind != "ident" || !p.next(":") {
+				return Nil(), fmt.Errorf("oql: expected a field name at offset %d", p.cur().pos)
+			}
+			pairs = append(pairs, p.cur().text)
+			p.i += 2
+		}
+		v, err := p.value()
+		if err != nil {
+			return Nil(), err
+		}
+		if isColl {
+			elems = append(elems, v)
+		} else {
+			pairs = append(pairs, v)
+		}
+	}
+	p.i++
+	if isColl {
+		return Coll(kind, elems...), nil
+	}
+	return Tuple(pairs...), nil
 }
 
 func (p *oparser) expr() (OExpr, error) { return p.orExpr() }
@@ -501,6 +614,13 @@ func (p *oparser) unary() (OExpr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A negated number is a literal, so that `x = -5` prints as it was
+		// read and can pin an index.
+		if lit, ok := e.(OLit); ok && lit.V.Kind == VInt {
+			return OLit{Int(-lit.V.I)}, nil
+		} else if ok && lit.V.Kind == VFloat {
+			return OLit{Float(-lit.V.F)}, nil
+		}
 		return OArith{Op: "-", L: OLit{Int(0)}, R: e}, nil
 	case p.punct("("):
 		p.i++
@@ -515,18 +635,16 @@ func (p *oparser) unary() (OExpr, error) {
 		return e, nil
 	case t.kind == "num":
 		p.i++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("oql: bad number %q", t.text)
-			}
-			return OLit{Float(f)}, nil
+		// Digits alone are an integer, unless they overflow one: a large
+		// float prints without a fraction (Val.String).
+		if v, err := strconv.ParseInt(t.text, 10, 64); err == nil {
+			return OLit{Int(v)}, nil
 		}
-		v, err := strconv.ParseInt(t.text, 10, 64)
+		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("oql: bad number %q", t.text)
 		}
-		return OLit{Int(v)}, nil
+		return OLit{Float(f)}, nil
 	case t.kind == "str":
 		p.i++
 		return OLit{Str(t.text)}, nil

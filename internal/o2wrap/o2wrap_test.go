@@ -143,8 +143,8 @@ func TestPushEquivalentToMediatorEvaluation(t *testing.T) {
 }
 
 func TestPushWithParameters(t *testing.T) {
-	// Information passing: $pt/$pa arrive from a DJoin's left side and are
-	// inlined as OQL literals (Figure 9's right branch).
+	// Information passing: $pt/$pa arrive from a DJoin's left side as a
+	// binding tuple the query ranges over (Figure 9's right branch).
 	w := wrapper()
 	plan := &algebra.Select{
 		From: &algebra.Bind{Doc: "artifacts",
@@ -162,8 +162,10 @@ func TestPushWithParameters(t *testing.T) {
 	if res.Len() != 1 {
 		t.Fatalf("rows = %d\n%s", res.Len(), res)
 	}
-	if !strings.Contains(w.LastOQL, `R1.title = "Nympheas"`) {
-		t.Errorf("parameter not inlined:\n%s", w.LastOQL)
+	for _, frag := range []string{`B in bag(tuple(i: 0, p0: "Nympheas", p1: "Claude Monet"))`, `R1.title = B.p0`} {
+		if !strings.Contains(w.LastOQL, frag) {
+			t.Errorf("OQL missing %q:\n%s", frag, w.LastOQL)
+		}
 	}
 	if a, _ := res.Rows[0][res.ColIndex("$p")].AsAtom(); a.AsFloat() != 1500000 {
 		t.Errorf("price = %v", a)

@@ -1,13 +1,13 @@
 package o2wrap
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/filter"
-	"repro/internal/nodetab"
 	"repro/internal/o2"
 	"repro/internal/tab"
 )
@@ -15,53 +15,16 @@ import (
 // Push implements algebra.Source: it translates a pushed algebraic subplan
 // (Project* / Select* over a Bind on one extent, exactly the shapes admitted
 // by the capability interface) into a single OQL query, executes it, and
-// converts the result back into a Tab. Free variables of the plan are
-// resolved against params and inlined as literals — the "information
-// passing" of Section 5.3, where a DJoin feeds left-hand bindings into the
-// query pushed to O₂.
+// converts the result back into a Tab. It is pushSet with a batch of one:
+// the free variables of the plan are resolved against params — the
+// "information passing" of Section 5.3, where a DJoin feeds left-hand
+// bindings into the query pushed to O₂.
 func (w *Wrapper) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	if nodetab.TouchesPlan(plan) {
-		// Node-table plans bypass OQL: they evaluate against the cached
-		// pre/post numbering of the extent (axis predicates are ordinary
-		// comparisons there, including the range joins of descendant steps).
-		return nodetab.Eval(plan, params, w.nodeTable)
-	}
-	tr := &translator{w: w, params: params, varInfo: map[string]varBinding{}}
-	if err := tr.build(plan); err != nil {
+	out, _, err := w.pushSet(context.Background(), plan, []map[string]tab.Cell{params})
+	if err != nil {
 		return nil, err
 	}
-	outCols := plan.Columns()
-	q := &o2.Query{Ranges: tr.ranges}
-	if len(tr.where) > 0 {
-		q.Where = conjOQL(tr.where)
-	}
-	aliases := make([]string, len(outCols))
-	for i, col := range outCols {
-		vb, ok := tr.varInfo[col]
-		if !ok {
-			return nil, fmt.Errorf("o2wrap: output column %s is not bound by the pushed plan", col)
-		}
-		aliases[i] = fmt.Sprintf("c%d", i)
-		q.Proj = append(q.Proj, o2.ProjItem{Name: aliases[i], E: vb.path})
-	}
-	w.setLastOQL(q.String())
-	res, err := w.DB.Run(q)
-	if err != nil {
-		return nil, fmt.Errorf("o2wrap: %w", err)
-	}
-	out := tab.New(outCols...)
-	for _, rv := range res.Elems {
-		row := make(tab.Row, len(outCols))
-		for i, col := range outCols {
-			cell, err := w.valToCell(tr.varInfo[col], rv.Fields[aliases[i]])
-			if err != nil {
-				return nil, err
-			}
-			row[i] = cell
-		}
-		out.AddRow(row)
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // varBinding records how an algebra variable maps to OQL: the path that
@@ -83,8 +46,10 @@ const (
 )
 
 type translator struct {
-	w       *Wrapper
-	params  map[string]tab.Cell
+	w *Wrapper
+	// free lists the plan's free variables in the order the predicates
+	// mention them: variable k is field p<k> of the binding tuples.
+	free    []string
 	ranges  []o2.Range
 	where   []o2.OExpr
 	varInfo map[string]varBinding
@@ -277,23 +242,29 @@ func (tr *translator) collectionFilter(path *o2.OPath, fty *o2.Type, coll *filte
 	}
 }
 
-// expr converts an algebra predicate to OQL, inlining parameters.
+// param is the OQL path of a free variable: a field of the binding range.
+func (tr *translator) param(name string) *o2.OPath {
+	k := 0
+	for k < len(tr.free) && tr.free[k] != name {
+		k++
+	}
+	if k == len(tr.free) {
+		tr.free = append(tr.free, name)
+	}
+	return &o2.OPath{Root: bindVar, Steps: []o2.OStep{{Name: paramField(k)}}}
+}
+
+func paramField(k int) string { return fmt.Sprintf("p%d", k) }
+
+// expr converts an algebra predicate to OQL; a variable the plan does not
+// bind is a parameter.
 func (tr *translator) expr(e algebra.Expr) (o2.OExpr, error) {
 	switch x := e.(type) {
 	case algebra.Var:
 		if vb, ok := tr.varInfo[x.Name]; ok {
 			return vb.path, nil
 		}
-		if tr.params != nil {
-			if c, ok := tr.params[x.Name]; ok {
-				v, err := cellToVal(c)
-				if err != nil {
-					return nil, fmt.Errorf("o2wrap: parameter %s: %w", x.Name, err)
-				}
-				return o2.OLit{V: v}, nil
-			}
-		}
-		return nil, fmt.Errorf("o2wrap: unbound variable %s in pushed predicate", x.Name)
+		return tr.param(x.Name), nil
 	case algebra.Const:
 		return o2.OLit{V: atomToVal(x.Atom)}, nil
 	case algebra.Cmp:
