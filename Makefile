@@ -27,13 +27,16 @@ bench-build:
 # the XQuery-FLWR parser (crash-freedom plus the parse/print/re-parse
 # fixpoint property), the two byte boundaries of the wire — arbitrary
 # bytes as a request frame at a server, and as the reply frames at a client —
-# and the OQL parser (the same two properties; its corpus is the queries
-# o2wrap emits, whose text Wrapper.LastOQL promises can be replayed).
+# the OQL parser (the same two properties; its corpus is the queries
+# o2wrap emits, whose text Wrapper.LastOQL promises can be replayed), and the
+# text a tenant sends: arbitrary bytes through Compose never panic (the YAT_L
+# parser included), and a clean naive plan optimizes under CheckInvariants.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzReplyFrames -fuzz FuzzReplyFrames -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzParseOQL -fuzz FuzzParseOQL -fuzztime 10s ./internal/o2
+	$(GO) test -run FuzzPlan -fuzz FuzzPlan -fuzztime 10s ./internal/mediator
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

@@ -193,7 +193,7 @@ func main() {
 	}
 	host, _ := os.Hostname()
 	fmt.Printf(" yat-mediator is running at %s\n", host)
-	opts := mediator.ExecOptions{Parallelism: *parallel, Timeout: *timeout, CacheSize: *cache,
+	opts := mediator.ExecOptions{Parallelism: *parallel, Timeout: *timeout,
 		AllowPartial: *partial, CheckTypes: *checkTypes,
 		BatchChunk: *batchChunk, StreamBuffer: *streamBuffer}
 	// Reject bad tuning values at startup, not silently at the first query.
@@ -204,6 +204,7 @@ func main() {
 
 	m := mediator.New()
 	m.CheckInvariants = *lint
+	m.EnableCache(*cache)
 	m.RegisterFunc("contains", waiswrap.Contains)
 	m.RegisterFunc("prefix", feed.Prefix)
 	if sess.metrics != nil {

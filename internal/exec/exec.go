@@ -65,11 +65,6 @@ type Options struct {
 	// Parallelism so push counts stay identical between serial and
 	// parallel runs of the same query.
 	BatchChunk int
-	// CacheSize, when positive, asks the mediator to install a shared
-	// wrapper-result cache bounded to this many entries (see
-	// algebra.ResultCache). The engine itself does not consume it: the
-	// cache must outlive individual queries to be useful.
-	CacheSize int
 	// AllowPartial enables graceful per-source degradation: when a plan
 	// branch fails because a source is unreachable
 	// (algebra.UnavailableError — transport failure after retries, or an

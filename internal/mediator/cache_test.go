@@ -7,15 +7,16 @@ import (
 	"repro/internal/datagen"
 )
 
-// TestWarmCacheSkipsPushes is the mediator-level cache contract: with
-// ExecOptions.CacheSize set, rerunning a pushdown query answers every wrapper
+// TestWarmCacheSkipsPushes is the mediator-level cache contract: with a
+// cache installed (EnableCache), rerunning a pushdown query answers every wrapper
 // push from the installed cache — zero additional round trips, identical rows.
 func TestWarmCacheSkipsPushes(t *testing.T) {
 	m, _, _ := paperSetup(t)
 	m.Assume("artifacts", "works", "$y > 1800")
 	m.Assume("persons", "works", "$y > 1800")
 
-	opts := ExecOptions{Parallelism: 1, CacheSize: 256}
+	m.EnableCache(256)
+	opts := ExecOptions{Parallelism: 1}
 	cold, err := m.ExecuteContext(context.Background(), datagen.Q2Src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestWarmCacheSkipsPushes(t *testing.T) {
 		t.Errorf("warm run still pushed %d times", warm.Stats.SourcePushes)
 	}
 
-	// Without CacheSize no cache is installed and the counters stay silent.
+	// Without EnableCache no cache is installed and the counters stay silent.
 	m2, _, _ := paperSetup(t)
 	m2.Assume("artifacts", "works", "$y > 1800")
 	m2.Assume("persons", "works", "$y > 1800")
@@ -54,9 +55,9 @@ func TestWarmCacheSkipsPushes(t *testing.T) {
 	}
 }
 
-// TestEnableCacheSurvivesAcrossOptions pins the install-once semantics: an
-// explicitly enabled cache stays warm across queries even when later calls
-// pass a different CacheSize.
+// TestEnableCacheSurvivesAcrossOptions pins the cache's lifetime: it belongs
+// to the mediator, so it stays warm across queries whatever options they
+// run under, until EnableCache replaces or removes it.
 func TestEnableCacheSurvivesAcrossOptions(t *testing.T) {
 	m, _, _ := paperSetup(t)
 	m.Assume("artifacts", "works", "$y > 1800")
@@ -66,7 +67,7 @@ func TestEnableCacheSurvivesAcrossOptions(t *testing.T) {
 	if _, err := m.ExecuteContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := m.ExecuteContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 1, CacheSize: 8})
+	warm, err := m.ExecuteContext(context.Background(), datagen.Q2Src, ExecOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/tab"
 	"repro/internal/waiswrap"
+	"repro/internal/yatl"
 )
 
 // regSource is a minimal source used to exercise Connect during live
@@ -29,10 +31,12 @@ func (s *regSource) Push(algebra.Op, map[string]tab.Cell) (*tab.Tab, error) {
 // TestRegistrationRacesLiveQueries is the regression test for the
 // registration-map data race: Connect/DefineView/RegisterFunc/
 // ImportStructure mutating the catalog while queries read it through
-// newContext/Compose. Before the regMu fix this fails under -race (catalog
-// map writes torn against query-side iteration); with it, registrations
-// linearize against query admission and every query still answers
-// correctly.
+// newContext/Compose. Unsynchronized, this fails under -race (catalog map
+// writes torn against query-side iteration); with the catalog one immutable
+// value a query loads once, registrations linearize against query admission
+// and every query still answers correctly — including one that names a view
+// twice while a second writer keeps redefining it: both mentions get the
+// same definition, never one of each.
 func TestRegistrationRacesLiveQueries(t *testing.T) {
 	m, _, _ := paperSetup(t)
 	m.Assume("artifacts", "works", "$y > 1800")
@@ -43,8 +47,44 @@ func TestRegistrationRacesLiveQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// flip alternates between two definitions whose answers share no row;
+	// flipTwice pairs every row of one mention with every row of the other.
+	const flipTwice = `MAKE pair[ a: $a, b: $b ] MATCH flip WITH doc[ *f[ t: $a ] ], flip WITH doc[ *f[ t: $b ] ] ;`
+	var flips [2]*yatl.Rule
+	var flipRows [2][]string
+	for i, title := range []string{"Nympheas", "Waterloo Bridge"} {
+		flips[i] = &yatl.MustParse(fmt.Sprintf(
+			`flip() := MAKE doc[ *f($t) := f[ t: $t ] ] MATCH works WITH works[ *work[ title: $t ] ] WHERE $t = %q ;`, title)).Rules[0]
+		if err := m.DefineView(flips[i]); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Query(flipTwice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flipRows[i] = renderRows(res.Tab); len(flipRows[i]) != 1 {
+			t.Fatalf("flip as %q paired with itself: %v, want one row", title, flipRows[i])
+		}
+	}
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := m.DefineView(flips[i%2]); err != nil {
+				t.Errorf("DefineView: %v", err)
+				return
+			}
+		}
+	}()
 
 	// Writer: keeps registering new catalog entries — fresh sources, views,
 	// functions and structures — as a long-running service's operator would.
@@ -93,6 +133,15 @@ func TestRegistrationRacesLiveQueries(t *testing.T) {
 					t.Errorf("rows diverged during registration churn")
 					return
 				}
+				res, err = m.ExecuteContext(context.Background(), flipTwice, ExecOptions{Parallelism: 2, Timeout: time.Minute})
+				if err != nil {
+					t.Errorf("twice-bound view during redefinition: %v", err)
+					return
+				}
+				if got := renderRows(res.Tab); !reflect.DeepEqual(got, flipRows[0]) && !reflect.DeepEqual(got, flipRows[1]) {
+					t.Errorf("a query naming flip twice saw two definitions: %v (want %v or %v)", got, flipRows[0], flipRows[1])
+					return
+				}
 			}
 		}()
 	}
@@ -132,7 +181,7 @@ func TestConcurrentSharedMediator(t *testing.T) {
 				qi := (g + i) % len(queries)
 				opts := ExecOptions{Parallelism: 1 + (g % 4), Timeout: time.Minute}
 				if g%2 == 0 {
-					opts.CacheSize = 64 // cached path: shared LRU under contention
+					m.EnableCache(64) // cached path: shared LRU under contention, swapped under the readers' feet
 				}
 				var got *tab.Tab
 				if (g+i)%3 == 0 {

@@ -36,9 +36,7 @@ func (m *Mediator) routerFor(name string, src algebra.Source) *route.Replicated 
 
 // Health reports every connected source's breaker state.
 func (m *Mediator) Health() map[string]SourceHealth {
-	m.regMu.RLock()
-	sources := m.connected()
-	m.regMu.RUnlock()
+	sources := m.cat.Load().sources
 	out := make(map[string]SourceHealth, len(sources))
 	for name, src := range sources {
 		h := m.routerFor(name, src).Health()[0]

@@ -29,9 +29,7 @@ func leakCheck(t *testing.T) func(m *Mediator) {
 	idle := leakcheck.Arm(t)
 	return func(m *Mediator) {
 		t.Helper()
-		m.regMu.RLock()
-		defer m.regMu.RUnlock()
-		for _, src := range m.sources {
+		for _, src := range m.cat.Load().sources {
 			if c, ok := src.(*wire.Client); ok {
 				idle(c)
 			}

@@ -8,8 +8,11 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
@@ -29,25 +32,19 @@ import (
 )
 
 // Mediator coordinates sources, views and query evaluation.
+//
+// Everything registration decides — sources, interfaces, document owners,
+// structures, functions, views, containment assumptions — is one immutable
+// catalog value behind an atomic pointer. A query loads it once at admission
+// and composes, substitutes views, optimizes, verifies and evaluates under
+// that value, holding no lock: a registration racing it publishes a new value
+// the query never sees, so a query that names a view twice gets one
+// definition, and a plan was compiled under exactly one catalog somebody can
+// hold. A registration that is refused publishes nothing.
 type Mediator struct {
-	// regMu guards the registration catalog below. A long-running service
-	// interleaves Connect/DefineView/RegisterFunc (the front door's
-	// operators re-pointing sources, a console session loading views) with
-	// live queries, whose newContext/Compose snapshots read these maps; the
-	// lock makes registration linearizable against query admission. Readers
-	// take snapshots under RLock and never hold the lock across evaluation,
-	// so a query in flight keeps the catalog it was admitted under.
-	regMu      sync.RWMutex
-	sources    map[string]algebra.Source
-	ifaces     map[string]*capability.Interface
-	sourceDocs map[string]string
-	// structures is replaced, never mutated (setStructure), so queries
-	// share the map they were admitted under without copying it.
-	structures map[string]typecheck.Structure
-	funcs      map[string]algebra.Func
-	views      map[string]*View
-	viewOrder  []string
-	assume     []optimizer.Containment
+	// regMu serializes writers (register); readers never take it.
+	regMu sync.Mutex
+	cat   atomic.Pointer[catalog]
 	// Trace receives optimizer rewriting lines when non-nil.
 	Trace func(string)
 	// CheckInvariants verifies plans with planlint after every optimizer
@@ -58,10 +55,9 @@ type Mediator struct {
 	// defaults: 3 consecutive transport failures open a breaker for 2s).
 	Breaker route.BreakerOptions
 
-	// cache, when installed (EnableCache or ExecOptions.CacheSize),
-	// memoizes wrapper results across the rows of one DJoin and across
-	// queries; cacheMu guards installation, the cache itself is
-	// thread-safe.
+	// cache, when installed (EnableCache), memoizes wrapper results across
+	// the rows of one DJoin and across queries; cacheMu guards installation,
+	// the cache itself is thread-safe.
 	cacheMu sync.Mutex
 	cache   *algebra.ResultCache
 
@@ -77,6 +73,32 @@ type Mediator struct {
 	metrics   *obs.Registry
 }
 
+// catalog is what planning is a function of: the mediator's registrations at
+// one instant. It is never written after it is published; the next value
+// shares every map the registration did not change and holds a fresh copy of
+// the one it did. Planning, verification and evaluation are handed these maps
+// themselves, not copies.
+type catalog struct {
+	sources    map[string]algebra.Source
+	ifaces     map[string]*capability.Interface
+	sourceDocs map[string]string
+	schemas    *typecheck.Schemas
+	funcs      map[string]algebra.Func // with the builtins of algebra.NewContext
+	views      map[string]*View
+	viewOrder  []string
+	assume     []optimizer.Containment
+	// routed is sources seen through their availability routers, replaced
+	// only by Connect.
+	routed *routedSources
+}
+
+// routedSources is built by the first query that needs it — not by Connect,
+// so Mediator.Breaker may be set after it — and shared by every later one.
+type routedSources struct {
+	once sync.Once
+	m    map[string]algebra.Source
+}
+
 // View is a registered YAT_L rule with its algebraic translation.
 type View struct {
 	Rule *yatl.Rule
@@ -85,74 +107,90 @@ type View struct {
 
 // New returns an empty mediator.
 func New() *Mediator {
-	return &Mediator{
-		sources:    map[string]algebra.Source{},
-		ifaces:     map[string]*capability.Interface{},
+	m := &Mediator{health: map[string]*route.Replicated{}}
+	m.cat.Store(&catalog{
 		sourceDocs: map[string]string{},
-		structures: map[string]typecheck.Structure{},
-		funcs:      map[string]algebra.Func{},
-		views:      map[string]*View{},
-		health:     map[string]*route.Replicated{},
+		funcs:      algebra.NewContext().Funcs,
+		routed:     &routedSources{},
+	})
+	return m
+}
+
+// register is the one way the catalog changes: change edits a shallow copy
+// of the current value — replacing, never writing through, any map it
+// changes (with, maps.Clone) and clipping a slice before it appends, so the
+// append cannot land in the published value's spare capacity — and the copy
+// is published only if change accepts it.
+func (m *Mediator) register(change func(next *catalog) error) error {
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	next := *m.cat.Load()
+	if err := change(&next); err != nil {
+		return err
 	}
+	m.cat.Store(&next)
+	return nil
+}
+
+// with returns a copy of a registration map with one entry added or replaced.
+func with[V any](m map[string]V, key string, v V) map[string]V {
+	next := make(map[string]V, len(m)+1)
+	for k, have := range m {
+		next[k] = have
+	}
+	next[key] = v
+	return next
 }
 
 // Connect registers a wrapper and imports its operational interface (the
 // `connect` + `import` steps of Figure 2). Every document the source
 // exports becomes resolvable.
 func (m *Mediator) Connect(src algebra.Source, iface *capability.Interface) error {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	name := src.Name()
-	if _, dup := m.sources[name]; dup {
-		return fmt.Errorf("mediator: source %q already connected", name)
-	}
-	m.sources[name] = src
-	if iface != nil {
-		m.ifaces[name] = iface
-	}
-	for _, d := range src.Documents() {
-		if owner, dup := m.sourceDocs[d]; dup {
-			return fmt.Errorf("mediator: document %q exported by both %s and %s", d, owner, name)
+	return m.register(func(c *catalog) error {
+		name := src.Name()
+		if _, dup := c.sources[name]; dup {
+			return fmt.Errorf("mediator: source %q already connected", name)
 		}
-		m.sourceDocs[d] = name
-	}
-	// Seed plan typing from the schemas the capability description
-	// carries; an explicit ImportStructure can still override them.
-	if iface != nil {
+		c.sources = with(c.sources, name, src)
+		c.routed = &routedSources{}
+		c.sourceDocs = maps.Clone(c.sourceDocs)
+		for _, d := range src.Documents() {
+			if owner, dup := c.sourceDocs[d]; dup {
+				return fmt.Errorf("mediator: document %q exported by both %s and %s", d, owner, name)
+			}
+			c.sourceDocs[d] = name
+		}
+		if iface == nil {
+			return nil
+		}
+		c.ifaces = with(c.ifaces, name, iface)
+		// Seed plan typing from the schemas the capability description
+		// carries; an explicit ImportStructure can still override them.
 		for doc, ref := range iface.Structures {
-			if _, have := m.structures[doc]; !have && ref.Model != nil {
-				m.setStructure(doc, typecheck.Structure{Model: ref.Model, Pattern: ref.Pattern})
+			if _, have := c.schemas.Doc(doc); !have && ref.Model != nil {
+				c.schemas = c.schemas.With(doc, typecheck.Structure{Model: ref.Model, Pattern: ref.Pattern})
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ImportStructure records the structural pattern governing a document,
 // enabling the type-driven rewritings of Section 5.1.
 func (m *Mediator) ImportStructure(doc string, model *pattern.Model, patternName string) {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	m.setStructure(doc, typecheck.Structure{Model: model, Pattern: patternName})
-}
-
-// setStructure records doc's structure in a fresh copy of the map; the
-// caller holds regMu for writing.
-func (m *Mediator) setStructure(doc string, st typecheck.Structure) {
-	next := make(map[string]typecheck.Structure, len(m.structures)+1)
-	for d, s := range m.structures {
-		next[d] = s
-	}
-	next[doc] = st
-	m.structures = next
+	m.register(func(c *catalog) error {
+		c.schemas = c.schemas.With(doc, typecheck.Structure{Model: model, Pattern: patternName})
+		return nil
+	})
 }
 
 // RegisterFunc registers an external function evaluable at the mediator
 // (e.g. contains, or a method the wrapper exposes for callback).
 func (m *Mediator) RegisterFunc(name string, fn algebra.Func) {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	m.funcs[name] = fn
+	m.register(func(c *catalog) error {
+		c.funcs = with(c.funcs, name, fn)
+		return nil
+	})
 }
 
 // Assume declares a containment assumption enabling source pruning
@@ -161,61 +199,60 @@ func (m *Mediator) RegisterFunc(name string, fn algebra.Func) {
 // are the selections the assumption absorbs; branches carrying any other
 // selection are never pruned.
 func (m *Mediator) Assume(drop, keep string, modulo ...string) {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	m.assume = append(m.assume, optimizer.Containment{Drop: drop, Keep: keep, Modulo: modulo})
+	m.register(func(c *catalog) error {
+		c.assume = append(slices.Clip(c.assume), optimizer.Containment{Drop: drop, Keep: keep, Modulo: modulo})
+		return nil
+	})
 }
 
 // LoadProgram parses a YAT_L integration program and registers each rule as
-// a view (the `load "view1.yat"` step of Figure 2).
+// a view (the `load "view1.yat"` step of Figure 2) — all of them or, when one
+// fails to translate, none.
 func (m *Mediator) LoadProgram(src string) error {
 	p, err := yatl.Parse(src)
 	if err != nil {
 		return err
 	}
-	for i := range p.Rules {
-		if err := m.DefineView(&p.Rules[i]); err != nil {
-			return err
+	return m.register(func(c *catalog) error {
+		for i := range p.Rules {
+			if err := c.defineView(&p.Rules[i]); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // DefineView translates and registers one rule.
 func (m *Mediator) DefineView(r *yatl.Rule) error {
+	return m.register(func(c *catalog) error { return c.defineView(r) })
+}
+
+// defineView adds or redefines one view in a catalog not yet published.
+func (c *catalog) defineView(r *yatl.Rule) error {
 	plan, err := yatl.Translate(r)
 	if err != nil {
 		return err
 	}
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	if _, dup := m.views[r.Name]; !dup {
-		m.viewOrder = append(m.viewOrder, r.Name)
+	if _, dup := c.views[r.Name]; !dup {
+		c.viewOrder = append(slices.Clip(c.viewOrder), r.Name)
 	}
-	m.views[r.Name] = &View{Rule: r, Plan: plan}
+	c.views = with(c.views, r.Name, &View{Rule: r, Plan: plan})
 	return nil
 }
 
 // Views lists the registered view names in definition order.
 func (m *Mediator) Views() []string {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
-	return append([]string(nil), m.viewOrder...)
+	return append([]string(nil), m.cat.Load().viewOrder...)
 }
 
 // View returns a registered view, or nil.
-func (m *Mediator) View(name string) *View {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
-	return m.views[name]
-}
+func (m *Mediator) View(name string) *View { return m.cat.Load().views[name] }
 
 // Sources lists connected source names.
 func (m *Mediator) Sources() []string {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
 	var out []string
-	for n := range m.sources {
+	for n := range m.cat.Load().sources {
 		out = append(out, n)
 	}
 	return out
@@ -223,9 +260,7 @@ func (m *Mediator) Sources() []string {
 
 // Interface returns a connected source's capability interface.
 func (m *Mediator) Interface(source string) *capability.Interface {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
-	return m.ifaces[source]
+	return m.cat.Load().ifaces[source]
 }
 
 // EnableCache installs a wrapper-result cache bounded to the given number
@@ -245,48 +280,18 @@ func (m *Mediator) resultCache() *algebra.ResultCache {
 	return m.cache
 }
 
-// ensureCache installs a cache if none is present yet (the
-// ExecOptions.CacheSize path; an explicitly enabled cache is kept, so a
-// warm cache survives across queries with the same options).
-func (m *Mediator) ensureCache(entries int) {
-	m.cacheMu.Lock()
-	if m.cache == nil {
-		m.cache = algebra.NewResultCache(entries)
-	}
-	m.cacheMu.Unlock()
-}
-
-// connected snapshots the source registry; the caller holds regMu.
-func (m *Mediator) connected() map[string]algebra.Source {
-	sources := make(map[string]algebra.Source, len(m.sources))
-	for n, s := range m.sources {
-		sources[n] = s
-	}
-	return sources
-}
-
-// newContext builds a fresh evaluation context for one query: a snapshot of
-// the catalog taken under the registration lock, so a Connect or
-// RegisterFunc racing the query cannot tear the maps mid-read. The lock is
-// released before the context is used — evaluation never holds it.
-func (m *Mediator) newContext() *algebra.Context {
-	ctx := algebra.NewContext()
-	m.regMu.RLock()
-	sources := m.connected()
-	for n, f := range m.funcs {
-		ctx.Funcs[n] = f
-	}
-	merged := pattern.NewModel("mediator")
-	for _, st := range m.structures {
-		for _, name := range st.Model.Names() {
-			merged.Define(name, st.Model.Defs[name])
+// newContext builds a fresh evaluation context for one query over the
+// catalog it was admitted under: the sources (through their routers), the
+// functions and the merged structure model are the catalog's own.
+func (m *Mediator) newContext(cat *catalog) *algebra.Context {
+	cat.routed.once.Do(func() {
+		cat.routed.m = make(map[string]algebra.Source, len(cat.sources))
+		for n, s := range cat.sources {
+			cat.routed.m[n] = m.routerFor(n, s)
 		}
-	}
-	m.regMu.RUnlock()
-	for n, s := range sources {
-		ctx.Sources[n] = m.routerFor(n, s)
-	}
-	ctx.Model = merged
+	})
+	ctx := algebra.NewContext()
+	ctx.Sources, ctx.Funcs, ctx.Model = cat.routed.m, cat.funcs, cat.schemas.Model()
 	return ctx
 }
 
@@ -296,20 +301,26 @@ func (m *Mediator) newContext() *algebra.Context {
 // (MAKE/MATCH/WHERE) and XPath/XQuery-FLWR text (`for $v in doc(...)...` or
 // a bare path), which internal/xq/compile lowers to the same algebra.
 func (m *Mediator) Compose(querySrc string) (algebra.Op, error) {
-	plan, err := m.compose(querySrc)
+	return m.cat.Load().compose(querySrc)
+}
+
+func (c *catalog) compose(querySrc string) (algebra.Op, error) {
+	plan, err := c.parse(querySrc)
 	if err != nil {
 		return nil, err
 	}
-	return m.substituteViews(plan, 0)
+	return c.substituteViews(plan, 0)
 }
 
-func (m *Mediator) compose(querySrc string) (algebra.Op, error) {
+func (c *catalog) parse(querySrc string) (algebra.Op, error) {
 	if xq.IsQuery(querySrc) {
 		q, err := xq.Parse(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(querySrc), ";")))
 		if err != nil {
 			return nil, err
 		}
-		return xqcompile.Compile(q, m.xqOptions())
+		return xqcompile.Compile(q, xqcompile.Options{IsView: func(doc string) bool {
+			return c.views[doc] != nil
+		}})
 	}
 	q, err := yatl.ParseQuery(querySrc)
 	if err != nil {
@@ -318,22 +329,15 @@ func (m *Mediator) compose(querySrc string) (algebra.Op, error) {
 	return yatl.Translate(q)
 }
 
-// xqOptions configures the xq compiler against this mediator's catalog.
-func (m *Mediator) xqOptions() xqcompile.Options {
-	return xqcompile.Options{IsView: func(doc string) bool {
-		return m.View(doc) != nil
-	}}
-}
-
 // substituteViews replaces Bind(doc) leaves naming views with Binds over
 // the view's Tree plan.
-func (m *Mediator) substituteViews(op algebra.Op, depth int) (algebra.Op, error) {
+func (c *catalog) substituteViews(op algebra.Op, depth int) (algebra.Op, error) {
 	if depth > 16 {
 		return nil, fmt.Errorf("mediator: view nesting too deep (cycle?)")
 	}
 	var firstErr error
-	rebuild := func(c algebra.Op) algebra.Op {
-		out, err := m.substituteViews(c, depth)
+	rebuild := func(child algebra.Op) algebra.Op {
+		out, err := c.substituteViews(child, depth)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -345,8 +349,8 @@ func (m *Mediator) substituteViews(op algebra.Op, depth int) (algebra.Op, error)
 		if x.Doc == "" {
 			break
 		}
-		if v := m.View(x.Doc); v != nil {
-			inner, err := m.substituteViews(v.Plan, depth+1)
+		if v := c.views[x.Doc]; v != nil {
+			inner, err := c.substituteViews(v.Plan, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -356,12 +360,12 @@ func (m *Mediator) substituteViews(op algebra.Op, depth int) (algebra.Op, error)
 			}
 			return &algebra.Bind{From: t, Col: t.Columns()[0], F: x.F}, nil
 		}
-		if !m.docExported(x.Doc) {
+		if _, exported := c.sourceDocs[x.Doc]; !exported {
 			return nil, fmt.Errorf("mediator: unknown document %q (no source or view exports it)", x.Doc)
 		}
 		return x, nil
 	case *algebra.Doc:
-		if m.View(x.Name) != nil {
+		if c.views[x.Name] != nil {
 			return nil, fmt.Errorf("mediator: Doc over view %q is not supported; use Bind", x.Name)
 		}
 		return x, nil
@@ -370,80 +374,45 @@ func (m *Mediator) substituteViews(op algebra.Op, depth int) (algebra.Op, error)
 	return out, firstErr
 }
 
-// docExported reports whether any connected source exports the document.
-func (m *Mediator) docExported(doc string) bool {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
-	_, known := m.sourceDocs[doc]
-	return known
+// OptimizerOptions assembles the optimizer configuration from the imported
+// capabilities. The maps are the catalog's own: read them, do not write.
+func (m *Mediator) OptimizerOptions() optimizer.Options {
+	return m.optimizerOptions(m.cat.Load())
 }
 
-// OptimizerOptions assembles the optimizer configuration from the imported
-// capabilities.
-func (m *Mediator) OptimizerOptions() optimizer.Options {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
-	ifaces := make(map[string]*capability.Interface, len(m.ifaces))
-	for n, i := range m.ifaces {
-		ifaces[n] = i
-	}
-	sourceDocs := make(map[string]string, len(m.sourceDocs))
-	for d, s := range m.sourceDocs {
-		sourceDocs[d] = s
-	}
+func (m *Mediator) optimizerOptions(cat *catalog) optimizer.Options {
 	return optimizer.Options{
-		Interfaces:      ifaces,
-		SourceDocs:      sourceDocs,
-		Structures:      m.structures,
-		Assume:          append([]optimizer.Containment(nil), m.assume...),
+		Interfaces:      cat.ifaces,
+		SourceDocs:      cat.sourceDocs,
+		Structures:      cat.schemas,
+		Assume:          cat.assume,
 		InfoPassing:     true,
 		CheckInvariants: m.CheckInvariants,
 		Trace:           m.Trace,
 	}
 }
 
-// lintConfig assembles the planlint configuration from the mediator's
-// catalog. Unlike the optimizer, the mediator knows the full document
-// catalog, so unknown-document diagnostics are enabled.
-func (m *Mediator) lintConfig() *planlint.Config {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
-	docs := make(map[string]bool, len(m.sourceDocs))
-	for d := range m.sourceDocs {
-		docs[d] = true
+// plan is planning as a function of (catalog, text): the naive composition
+// and its optimization, both read from the one catalog value.
+func (m *Mediator) plan(cat *catalog, querySrc string) (naive, opt algebra.Op, err error) {
+	if naive, err = cat.compose(querySrc); err != nil {
+		return nil, nil, err
 	}
-	ifaces := make(map[string]*capability.Interface, len(m.ifaces))
-	for n, i := range m.ifaces {
-		ifaces[n] = i
-	}
-	sourceDocs := make(map[string]string, len(m.sourceDocs))
-	for d, s := range m.sourceDocs {
-		sourceDocs[d] = s
-	}
-	return &planlint.Config{
-		Interfaces: ifaces,
-		SourceDocs: sourceDocs,
-		Structures: m.structures,
-		Docs:       docs,
-	}
+	opt, err = optimizer.New(m.optimizerOptions(cat)).OptimizeChecked(naive)
+	return naive, opt, err
+}
+
+// lint verifies a plan against the catalog and its capability interfaces.
+// The mediator's SourceDocs is the full document catalog, so a document no
+// source exports is a diagnostic.
+func (c *catalog) lint(plan algebra.Op) []planlint.Diagnostic {
+	return planlint.Check(plan, &planlint.Config{Interfaces: c.ifaces, SourceDocs: c.sourceDocs, Structures: c.schemas})
 }
 
 // Lint verifies a plan against the mediator's catalog and capability
 // interfaces, returning every violation found.
 func (m *Mediator) Lint(plan algebra.Op) []planlint.Diagnostic {
-	return planlint.Check(plan, m.lintConfig())
-}
-
-// lintBeforeExec is the pre-execution gate: with CheckInvariants set, a plan
-// that fails verification is refused instead of evaluated.
-func (m *Mediator) lintBeforeExec(stage string, plan algebra.Op) error {
-	if !m.CheckInvariants {
-		return nil
-	}
-	if ds := m.Lint(plan); len(ds) > 0 {
-		return fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
-	}
-	return nil
+	return m.cat.Load().lint(plan)
 }
 
 // Optimize runs the three-round optimizer over a composed plan.
@@ -518,8 +487,7 @@ func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) 
 
 // ExecOptions configure plan execution: Parallelism bounds the worker pool
 // (1 = serial), Timeout is the per-query deadline, BatchChunk sizes batched
-// DJoin pushes, CacheSize installs a shared wrapper-result cache (kept warm
-// across queries), AllowPartial degrades around unreachable sources, Trace collects a
+// DJoin pushes, AllowPartial degrades around unreachable sources, Trace collects a
 // per-operator span tree returned in Result.Trace, StreamBuffer bounds the
 // rows buffered ahead of a Stream's consumer and CheckTypes validates
 // shipped rows against the plan's inferred types. Negative BatchChunk or
@@ -527,19 +495,15 @@ func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) 
 // execution entry point calls.
 type ExecOptions = exec.Options
 
-// typecheckConfig builds the inference configuration from the imported
-// structures (capability exports and ImportStructure calls).
-func (m *Mediator) typecheckConfig() *typecheck.Config {
-	m.regMu.RLock()
-	defer m.regMu.RUnlock()
-	return &typecheck.Config{Structures: m.structures}
-}
-
 // TypecheckPlan runs pattern-type inference over a plan under the
 // mediator's imported structures (the console's `typecheck` command and
 // the wire conformance mode both build on it).
 func (m *Mediator) TypecheckPlan(plan algebra.Op) (*typecheck.Annotation, error) {
-	return typecheck.Infer(plan, m.typecheckConfig())
+	return m.cat.Load().typecheck(plan)
+}
+
+func (c *catalog) typecheck(plan algebra.Op) (*typecheck.Annotation, error) {
+	return typecheck.Infer(plan, &typecheck.Config{Structures: c.schemas})
 }
 
 // ConformanceError reports a wrapper response row that does not
@@ -562,11 +526,11 @@ func (e *ConformanceError) Error() string {
 // row is checked against the SourceQuery's inferred column types, a
 // violation aborts the query with a ConformanceError and increments the
 // type_violations_total counter.
-func (m *Mediator) installWireChecker(actx *algebra.Context, plan algebra.Op, opts ExecOptions) {
+func (m *Mediator) installWireChecker(cat *catalog, actx *algebra.Context, plan algebra.Op, opts ExecOptions) {
 	if !opts.CheckTypes {
 		return
 	}
-	ann, err := m.TypecheckPlan(plan)
+	ann, err := cat.typecheck(plan)
 	if err != nil {
 		return // malformed plans are the lint gate's concern
 	}
@@ -634,15 +598,20 @@ func (m *Mediator) ExecutePlan(ctx context.Context, plan algebra.Op, opts ExecOp
 // Materialize evaluates a view and returns its document forest (used by
 // examples to display the integrated XML).
 func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
-	v := m.View(view)
+	cat := m.cat.Load()
+	v := cat.views[view]
 	if v == nil {
 		return nil, fmt.Errorf("mediator: unknown view %q", view)
 	}
-	plan, err := m.substituteViews(v.Plan, 1)
+	plan, err := cat.substituteViews(v.Plan, 1)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.ExecutePlan(context.Background(), plan, ExecOptions{Parallelism: 1})
+	s, err := m.streamPlan(context.Background(), cat, m.newContext(cat), nil, plan, "custom", ExecOptions{Parallelism: 1})
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.Drain()
 	if err != nil {
 		return nil, err
 	}
@@ -657,11 +626,12 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 // Skolem function and arguments. It returns one forest per view plus the
 // store resolving every identifier minted during materialization.
 func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, error) {
-	actx := m.newContext()
+	cat := m.cat.Load()
+	actx := m.newContext(cat)
 	opts := ExecOptions{Parallelism: 1}
 	out := map[string]data.Forest{}
-	for _, name := range m.Views() {
-		plan, err := m.substituteViews(m.View(name).Plan, 1)
+	for _, name := range cat.viewOrder {
+		plan, err := cat.substituteViews(cat.views[name].Plan, 1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -669,7 +639,7 @@ func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, er
 		// because each view is recorded in /metrics as a query of its own.
 		vctx := *actx
 		vctx.Stats = &algebra.Stats{}
-		s, err := m.streamPlan(context.Background(), &vctx, nil, plan, "view", opts)
+		s, err := m.streamPlan(context.Background(), cat, &vctx, nil, plan, "view", opts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("view %s: %w", name, err)
 		}
@@ -691,15 +661,12 @@ func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, er
 
 // Describe renders a summary of the mediator's state (console `status`).
 func (m *Mediator) Describe() string {
-	m.regMu.RLock()
-	sources := m.connected()
-	views := append([]string(nil), m.viewOrder...)
-	m.regMu.RUnlock()
+	cat := m.cat.Load()
 	var b strings.Builder
 	fmt.Fprintf(&b, "sources:\n")
-	for n, s := range sources {
+	for n, s := range cat.sources {
 		fmt.Fprintf(&b, "  %s exports %s\n", n, strings.Join(s.Documents(), ", "))
 	}
-	fmt.Fprintf(&b, "views: %s\n", strings.Join(views, ", "))
+	fmt.Fprintf(&b, "views: %s\n", strings.Join(cat.viewOrder, ", "))
 	return b.String()
 }

@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/optimizer"
+	"repro/internal/planlint"
 	"repro/internal/tab"
 )
 
@@ -99,35 +100,33 @@ func (s *Stream) Close() {
 // tracing, metrics and the result cache apply to every execution, because
 // every execution comes through here.
 func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts ExecOptions) (*Stream, error) {
-	naive, err := m.Compose(querySrc)
+	cat := m.cat.Load()
+	naive, opt, err := m.plan(cat, querySrc)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := optimizer.New(m.OptimizerOptions()).OptimizeChecked(naive)
-	if err != nil {
-		return nil, err
-	}
-	return m.streamPlan(ctx, m.newContext(), naive, opt, "optimized", opts)
+	return m.streamPlan(ctx, cat, m.newContext(cat), naive, opt, "optimized", opts)
 }
 
 // StreamPlan is StreamContext for an already-built plan: the naive
 // composition, an ablated optimization, a hand-assembled shape.
 func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOptions) (*Stream, error) {
-	return m.streamPlan(ctx, m.newContext(), nil, plan, "custom", opts)
+	cat := m.cat.Load()
+	return m.streamPlan(ctx, cat, m.newContext(cat), nil, plan, "custom", opts)
 }
 
-// streamPlan runs one plan under one evaluation context (a fresh one per
-// query; MaterializeProgram's views share one Store, Skolems and Catalog so
-// Skolem identifiers fuse).
-func (m *Mediator) streamPlan(ctx context.Context, actx *algebra.Context, naive, opt algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
+// streamPlan runs one plan under one catalog and one evaluation context (a
+// fresh one per query; MaterializeProgram's views share one Store, Skolems
+// and Catalog so Skolem identifiers fuse). With CheckInvariants set, a plan
+// that fails verification is refused instead of evaluated.
+func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, naive, opt algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if err := m.lintBeforeExec(stage, opt); err != nil {
-		return nil, err
-	}
-	if opts.CacheSize > 0 {
-		m.ensureCache(opts.CacheSize)
+	if m.CheckInvariants {
+		if ds := cat.lint(opt); len(ds) > 0 {
+			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
+		}
 	}
 	actx.Cache = m.resultCache()
 	if opts.AllowPartial {
@@ -135,7 +134,7 @@ func (m *Mediator) streamPlan(ctx context.Context, actx *algebra.Context, naive,
 		// context, so a report it creates itself would be unreadable here.
 		actx.Partial = algebra.NewPartialReport()
 	}
-	m.installWireChecker(actx, opt, opts)
+	m.installWireChecker(cat, actx, opt, opts)
 	root := m.attachTrace(actx, opts)
 	// The cancel lever covers the whole pipeline: Close (abandon) cancels
 	// it, which unblocks any in-flight pull down to the wrapper reads.

@@ -57,7 +57,7 @@ func TestCheckTypesCatchesLyingSource(t *testing.T) {
 	if err := m.Connect(&lyingSource{rows: rows}, liarInterface()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.structures["docs"]; !ok {
+	if _, ok := m.cat.Load().schemas.Doc("docs"); !ok {
 		t.Fatal("Connect did not seed the structure from the capability interface")
 	}
 	m.SetMetrics(obs.NewRegistry())

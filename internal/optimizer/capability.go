@@ -4,6 +4,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/data"
+	"repro/internal/planlint"
 )
 
 // Round 2 — capability-based pushdown (Section 5.3, Figure 9). Three steps:
@@ -50,13 +51,12 @@ func (o *Optimizer) mergeSourceJoins(op algebra.Op) algebra.Op {
 	// A single declared join entry must cover every document the merged plan
 	// touches: a source may join its extents and, separately, its node
 	// tables, without claiming it can join across the two families.
-	docs := bindDocsUnder(&algebra.Join{L: l.Plan, R: r.Plan})
+	docs := planlint.PushedDocs(&algebra.Join{L: l.Plan, R: r.Plan})
 	if iface == nil || !iface.CoversOperation("join", docs) {
 		return op
 	}
-	bound := colSet(append(l.Columns(), r.Columns()...))
 	for _, c := range algebra.SplitConj(j.Pred) {
-		if !o.predAcceptable(iface, c, bound, docs) {
+		if !pushable(iface, c, docs) {
 			return op
 		}
 	}
@@ -65,19 +65,15 @@ func (o *Optimizer) mergeSourceJoins(op algebra.Op) algebra.Op {
 		Plan: &algebra.Join{L: l.Plan, R: r.Plan, Pred: j.Pred}}
 }
 
-// bindDocsUnder returns the distinct documents bound anywhere in a (pushed)
-// plan, the document set capability scoping is checked against.
-func bindDocsUnder(op algebra.Op) []string {
-	seen := map[string]bool{}
-	var docs []string
-	algebra.Walk(op, func(n algebra.Op) bool {
-		if b, ok := n.(*algebra.Bind); ok && b.Doc != "" && !seen[b.Doc] {
-			seen[b.Doc] = true
-			docs = append(docs, b.Doc)
-		}
-		return true
-	})
-	return docs
+// pushable reports whether the source can evaluate one conjunct over the
+// documents the pushed plan touches. The feasibility table is planlint's
+// (PredFeasible); the one conjunct it accepts that is never pushed is a bare
+// constant, which no wrapper was ever handed to translate.
+func pushable(iface *capability.Interface, conj algebra.Expr, docs []string) bool {
+	if _, isConst := conj.(algebra.Const); isConst {
+		return false
+	}
+	return planlint.PredFeasible(iface, conj, docs) == nil
 }
 
 func (o *Optimizer) ifaceFor(doc string) *capability.Interface {
@@ -239,12 +235,6 @@ func insertAboveBind(op algebra.Op, target *algebra.Bind, pred algebra.Expr) alg
 // Source wrapping
 // ---------------------------------------------------------------------------
 
-var boolOpNames = map[algebra.CmpOp]string{
-	algebra.OpEq: "eq", algebra.OpNe: "neq",
-	algebra.OpLt: "lt", algebra.OpLe: "leq",
-	algebra.OpGt: "gt", algebra.OpGe: "geq",
-}
-
 // wrapSources wraps maximal admissible chains in SourceQuery nodes,
 // splitting Selects into pushable and residual parts.
 func (o *Optimizer) wrapSources(op algebra.Op) algebra.Op {
@@ -285,7 +275,6 @@ chain:
 		return nil, false
 	}
 	docs := []string{bind.Doc}
-	boundVars := colSet(bind.F.Vars())
 	// Rebuild the chain bottom-up, pushing what the interface accepts.
 	var build func(op algebra.Op) (pushed algebra.Op, residual []func(algebra.Op) algebra.Op)
 	build = func(op algebra.Op) (algebra.Op, []func(algebra.Op) algebra.Op) {
@@ -307,7 +296,7 @@ chain:
 			inner, res := build(x.From)
 			var push, keep []algebra.Expr
 			for _, c := range algebra.SplitConj(x.Pred) {
-				if iface.CoversOperation("select", docs) && o.predAcceptable(iface, c, boundVars, docs) && len(res) == 0 {
+				if iface.CoversOperation("select", docs) && pushable(iface, c, docs) && len(res) == 0 {
 					push = append(push, c)
 				} else {
 					keep = append(keep, c)
@@ -334,64 +323,6 @@ chain:
 	}
 	o.trace("pushed to %s:\n%s", o.opts.SourceDocs[bind.Doc], algebra.Describe(pushed))
 	return sq, true
-}
-
-// predAcceptable reports whether a conjunct can be evaluated by the source
-// for the documents the pushed plan touches: comparisons need the
-// corresponding declared boolean operation covering docs, calls the declared
-// external/method operation; every variable must be bound by the pushed Bind
-// or arrive as a DJoin parameter (free in this plan).
-func (o *Optimizer) predAcceptable(iface *capability.Interface, e algebra.Expr, bound map[string]bool, docs []string) bool {
-	switch x := e.(type) {
-	case algebra.Cmp:
-		if !iface.CoversOperation(boolOpNames[x.Op], docs) {
-			return false
-		}
-		return o.operandAcceptable(iface, x.L, bound, docs) && o.operandAcceptable(iface, x.R, bound, docs)
-	case algebra.Call:
-		op := iface.OperationFor(x.Name, docs)
-		if op == nil || (op.Kind != "external" && op.Kind != "method") {
-			return false
-		}
-		for _, a := range x.Args {
-			if !o.operandAcceptable(iface, a, bound, docs) {
-				return false
-			}
-		}
-		return true
-	case algebra.And:
-		return o.predAcceptable(iface, x.L, bound, docs) && o.predAcceptable(iface, x.R, bound, docs)
-	case algebra.Or:
-		return o.predAcceptable(iface, x.L, bound, docs) && o.predAcceptable(iface, x.R, bound, docs)
-	case algebra.Not:
-		return o.predAcceptable(iface, x.E, bound, docs)
-	default:
-		return false
-	}
-}
-
-func (o *Optimizer) operandAcceptable(iface *capability.Interface, e algebra.Expr, bound map[string]bool, docs []string) bool {
-	switch x := e.(type) {
-	case algebra.Var:
-		return true // bound vars evaluate at the source; free vars arrive as parameters
-	case algebra.Const:
-		return true
-	case algebra.Arith:
-		return o.operandAcceptable(iface, x.L, bound, docs) && o.operandAcceptable(iface, x.R, bound, docs)
-	case algebra.Call:
-		op := iface.OperationFor(x.Name, docs)
-		if op == nil || (op.Kind != "external" && op.Kind != "method") {
-			return false
-		}
-		for _, a := range x.Args {
-			if !o.operandAcceptable(iface, a, bound, docs) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +352,7 @@ func (o *Optimizer) round3(op algebra.Op) algebra.Op {
 		}
 	}
 	iface := o.opts.Interfaces[sq.Source]
-	sqDocs := bindDocsUnder(sq.Plan)
+	sqDocs := planlint.PushedDocs(sq.Plan)
 	if iface == nil || !iface.CoversOperation("select", sqDocs) {
 		return op
 	}

@@ -145,13 +145,13 @@ func TestOptimizerPreservesInvariantsOnRandomPlans(t *testing.T) {
 	g := &planGen{seed: 20000531}
 	for i := 0; i < 500; i++ {
 		plan, _, _ := g.gen(1 + g.next(4))
-		cfg := New(opts).lintConfig()
+		cfg := New(opts).lcfg
 		if ds := planlint.Check(plan, cfg); len(ds) > 0 {
 			t.Fatalf("generator produced an invalid plan (seed %d):\n%s\n%v",
 				i, algebra.Describe(plan), planlint.Error(ds))
 		}
 		o := New(opts)
-		tcfg := o.typecheckConfig()
+		tcfg := o.tcfg
 		orig, err := typecheck.Infer(plan, tcfg)
 		if err != nil {
 			t.Fatalf("plan %d: lint-accepted plan fails to typecheck: %v\n%s",

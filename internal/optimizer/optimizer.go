@@ -32,9 +32,9 @@ type Options struct {
 	Interfaces map[string]*capability.Interface
 	// SourceDocs maps document names to the source exporting them.
 	SourceDocs map[string]string
-	// Structures maps document names to their structural types, used by
-	// type-driven rewritings (Figure 7, lower middle/right).
-	Structures map[string]typecheck.Structure
+	// Structures holds the documents' structural types, used by type-driven
+	// rewritings (Figure 7, lower middle/right).
+	Structures *typecheck.Schemas
 	// Assume lists containment assumptions enabling source pruning.
 	Assume []Containment
 	// InfoPassing enables round 3 (Join → DJoin with parameter passing).
@@ -81,11 +81,19 @@ type Optimizer struct {
 	err      error // first invariant violation (CheckInvariants only)
 	tcfg     *typecheck.Config
 	lcfg     *planlint.Config
-	origType *typecheck.RowType // input plan's root type (typed verification baseline)
+	origType *typecheck.RowType // root type every step is verified against (typedverify.go)
+	pruned   bool               // pruneColumns dropped a branch under a Containment since the last verify
 }
 
-// New returns an optimizer over the given options.
-func New(opts Options) *Optimizer { return &Optimizer{opts: opts} }
+// New returns an optimizer over the given options. What verification
+// consults is the options' own maps: nothing is copied or rebuilt per plan.
+func New(opts Options) *Optimizer {
+	return &Optimizer{
+		opts: opts,
+		tcfg: &typecheck.Config{Structures: opts.Structures},
+		lcfg: &planlint.Config{Interfaces: opts.Interfaces, SourceDocs: opts.SourceDocs, Structures: opts.Structures},
+	}
+}
 
 func (o *Optimizer) trace(format string, args ...any) {
 	if o.opts.Trace != nil {
@@ -111,8 +119,7 @@ func (o *Optimizer) OptimizeChecked(plan algebra.Op) (algebra.Op, error) {
 
 func (o *Optimizer) optimize(plan algebra.Op) (algebra.Op, error) {
 	o.fresh = newFreshVars(plan)
-	o.err = nil
-	o.tcfg, o.lcfg = o.typecheckConfig(), o.lintConfig()
+	o.err, o.pruned = nil, false
 	o.captureRootType(plan)
 	o.verify("input", plan)
 	out := o.round1(plan)
@@ -124,16 +131,6 @@ func (o *Optimizer) optimize(plan algebra.Op) (algebra.Op, error) {
 		o.verify("round3/infoPassing", out)
 	}
 	return out, o.err
-}
-
-// lintConfig assembles the static knowledge planlint needs from the
-// optimizer options.
-func (o *Optimizer) lintConfig() *planlint.Config {
-	return &planlint.Config{
-		Interfaces: o.opts.Interfaces,
-		SourceDocs: o.opts.SourceDocs,
-		Structures: o.opts.Structures,
-	}
 }
 
 // verify checks the plan after one rewriting step and records the first

@@ -262,7 +262,7 @@ func TestTypeDrivenFilterSimplification(t *testing.T) {
 	// Figure 7 (lower middle): only title and artist are wanted; mandatory
 	// unused items (style, size) are dropped from the filter, the optional
 	// cplace is kept (it filters).
-	o := New(Options{Structures: map[string]typecheck.Structure{"works": worksStructure()}})
+	o := New(Options{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"works": worksStructure()})})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ artist: $a, title: $t, style: $s, size: $si, cplace: $cl ] ]`)}
 	out := o.pruneColumns(b, varSet([]string{"$t", "$cl"}))
@@ -290,7 +290,7 @@ func TestTypeDrivenFilterSimplification(t *testing.T) {
 }
 
 func TestTypeSimplificationKeepsConstraints(t *testing.T) {
-	o := New(Options{Structures: map[string]typecheck.Structure{"works": worksStructure()}})
+	o := New(Options{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"works": worksStructure()})})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ title: $t, style: "Impressionist" ] ]`)}
 	out := o.pruneColumns(b, varSet([]string{"$t"}))
@@ -334,5 +334,32 @@ func TestPropertyPushdownPreservesSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPushableTable pins what round 2 pushes, conjunct by conjunct, over
+// O₂'s artifacts. The table is planlint's (planlint.TestPredFeasibleTable);
+// the optimizer's one own answer is the bare constant, which it keeps at the
+// mediator: no wrapper was ever handed one to translate.
+func TestPushableTable(t *testing.T) {
+	opts, _, _ := culturalOpts(10)
+	iface := opts.Interfaces["o2artifact"]
+	for _, tc := range []struct {
+		conj string
+		want bool
+	}{
+		{`$y > 1800`, true},
+		{`$p < 200000 AND $y >= 1800`, true},
+		{`$c = $a`, true}, // $a free: arrives as a DJoin parameter
+		{`$p < $y * 100`, true},
+		{`NOT ($y > 1800) OR $t = "x"`, true},
+		{`true`, false},
+		{`NOT (false)`, false},
+		{`true OR $y > 1800`, false},
+		{`contains($t, "x")`, false}, // Wais's function, not O₂'s
+	} {
+		if got := pushable(iface, algebra.MustParseExpr(tc.conj), []string{"artifacts"}); got != tc.want {
+			t.Errorf("pushable(%s) = %v, want %v", tc.conj, got, tc.want)
+		}
 	}
 }

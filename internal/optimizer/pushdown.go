@@ -295,6 +295,7 @@ func (o *Optimizer) pruneJoinBranch(j *algebra.Join, drop, keep algebra.Op, need
 	}
 	sortStrings(cols)
 	o.trace("pruned join branch under containment assumption: kept %v", cols)
+	o.pruned = true
 	return &algebra.Project{From: keep, Cols: cols}, true
 }
 
@@ -418,7 +419,7 @@ func varSet(vs []string) map[string]bool {
 // when the type guarantees their presence (structured queries over
 // semistructured data — the projection rewriting of Figure 7).
 func (o *Optimizer) simplifyBindFilter(b *algebra.Bind, needed map[string]bool) algebra.Op {
-	st, ok := o.opts.Structures[b.Doc]
+	st, ok := o.opts.Structures.Doc(b.Doc)
 	if !ok {
 		return b
 	}
@@ -504,7 +505,7 @@ func (o *Optimizer) expandLabelVars(op algebra.Op) algebra.Op {
 	if !ok || b.Doc == "" {
 		return op
 	}
-	st, stOK := o.opts.Structures[b.Doc]
+	st, stOK := o.opts.Structures.Doc(b.Doc)
 	if !stOK {
 		return op
 	}

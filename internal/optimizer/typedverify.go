@@ -8,7 +8,13 @@ package optimizer
 // stays well-formed, and is reported as a *TypeError naming the stage and
 // the deepest operator that introduced the offending type. A step whose
 // result is provably empty is exempt (every per-column claim is vacuous),
-// which is exactly what makes dead-branch pruning type-sound.
+// which is exactly what makes dead-branch pruning type-sound. One step is
+// licensed by something the types cannot see: source pruning under a declared
+// Containment (Figure 8) sources a dropped branch's columns from the kept
+// document — $t, a String in O₂, from the semistructured works' title — which
+// is sound because the assumption says so, not because the types do. After
+// such a prune, and only then, the pruned plan's root type becomes the
+// baseline the remaining steps are held to.
 
 import (
 	"fmt"
@@ -46,12 +52,6 @@ func renderPat(p *pattern.P) string {
 	return p.String()
 }
 
-// typecheckConfig is the inference configuration over the optimizer's
-// structures.
-func (o *Optimizer) typecheckConfig() *typecheck.Config {
-	return &typecheck.Config{Structures: o.opts.Structures}
-}
-
 // captureRootType records the input plan's inferred root type as the
 // baseline every rewriting step is verified against.
 func (o *Optimizer) captureRootType(plan algebra.Op) {
@@ -67,6 +67,11 @@ func (o *Optimizer) captureRootType(plan algebra.Op) {
 // verifyTypes asserts the rewritten plan's root type is subsumed per column
 // by the original's; called from verify after the well-formedness lint.
 func (o *Optimizer) verifyTypes(stage string, plan algebra.Op) {
+	if o.pruned {
+		o.pruned = false
+		o.captureRootType(plan)
+		return
+	}
 	if o.origType == nil || o.origType.Empty || o.err != nil {
 		return
 	}

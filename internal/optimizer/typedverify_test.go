@@ -19,7 +19,7 @@ func typedOpts() Options {
 			pattern.Node("name", pattern.Str()),
 			pattern.Node("num", pattern.Int())))))
 	return Options{
-		Structures:      map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}},
+		Structures:      typecheck.NewSchemas(map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}}),
 		CheckInvariants: true,
 	}
 }
@@ -38,7 +38,6 @@ func TestVerifyTypesCatchesBreakingRewrite(t *testing.T) {
 		Pred: algebra.MustParseExpr(`$n = "x"`),
 	}
 	o := New(typedOpts())
-	o.tcfg, o.lcfg = o.typecheckConfig(), o.lintConfig()
 	o.captureRootType(orig)
 	o.verify("round1/breakingRewrite", broken)
 	if o.err == nil {
@@ -69,7 +68,6 @@ func TestVerifyTypesAcceptsRefiningRewrite(t *testing.T) {
 	orig := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ $f ] ]`)}
 	refined := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ name@$f ] ]`)}
 	o := New(typedOpts())
-	o.tcfg, o.lcfg = o.typecheckConfig(), o.lintConfig()
 	o.captureRootType(orig)
 	o.verify("round1/refine", refined)
 	if o.err != nil {

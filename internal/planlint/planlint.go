@@ -70,14 +70,13 @@ type Config struct {
 	// feasibility check of SourceQuery subplans.
 	Interfaces map[string]*capability.Interface
 	// SourceDocs maps document names to the source exporting them; a pushed
-	// Bind over a document owned by a different source is a violation.
+	// Bind over a document owned by a different source is a violation. When
+	// non-nil its keys are the complete set of resolvable document names:
+	// a Bind or Doc over any other document is a violation too.
 	SourceDocs map[string]string
-	// Structures maps document names to declared structural patterns;
+	// Structures holds the declared structural pattern of each document;
 	// enables the pattern-compatibility check on document Binds.
-	Structures map[string]typecheck.Structure
-	// Docs, when non-nil, is the complete set of resolvable document names
-	// (catalog + sources); Binds over other documents are violations.
-	Docs map[string]bool
+	Structures *typecheck.Schemas
 	// Params lists variables the environment provides (e.g. when checking a
 	// subplan that runs under a DJoin).
 	Params map[string]bool
@@ -315,7 +314,7 @@ func childCols(op algebra.Op) []string {
 }
 
 func (c *checker) checkDoc(name, path string, op algebra.Op) {
-	if c.cfg.Docs != nil && !c.cfg.Docs[name] {
+	if _, known := c.cfg.SourceDocs[name]; !known && c.cfg.SourceDocs != nil {
 		c.report(CodeUnknownDoc, path, op, "no source or catalog exports document %q", name)
 	}
 }
@@ -493,7 +492,7 @@ func (c *checker) checkSkolems(cons *algebra.Cons, path string, op algebra.Op) {
 // pattern describes one instance, while the exported document wraps the
 // extent in a collection level the matcher aligns through.
 func (c *checker) checkPattern(b *algebra.Bind, path string) {
-	st, ok := c.cfg.Structures[b.Doc]
+	st, ok := c.cfg.Structures.Doc(b.Doc)
 	if !ok || st.Model == nil {
 		return
 	}
@@ -597,7 +596,7 @@ func (c *checker) checkSourceQuery(sq *algebra.SourceQuery, path string, env map
 	}
 	// The document set the pushed plan touches; scoped capability
 	// declarations must cover all of them with a single entry.
-	docs := pushedDocs(sq.Plan)
+	docs := PushedDocs(sq.Plan)
 	// Variables bound by Binds inside the pushed plan evaluate at the
 	// source; free variables arrive as DJoin parameters. For scoping inside
 	// the pushed plan the surrounding env therefore still applies — a pushed
@@ -635,14 +634,14 @@ func (c *checker) checkSourceQuery(sq *algebra.SourceQuery, path string, env map
 				}
 			case *algebra.Select:
 				for _, conj := range algebra.SplitConj(x.Pred) {
-					if err := predFeasible(iface, conj, docs); err != nil {
+					if err := PredFeasible(iface, conj, docs); err != nil {
 						c.report(CodeCapability, p, op,
 							"source %q cannot evaluate %s: %v", sq.Source, conj, err)
 					}
 				}
 			case *algebra.Join:
 				for _, conj := range algebra.SplitConj(x.Pred) {
-					if err := predFeasible(iface, conj, docs); err != nil {
+					if err := PredFeasible(iface, conj, docs); err != nil {
 						c.report(CodeCapability, p, op,
 							"source %q cannot evaluate %s: %v", sq.Source, conj, err)
 					}
@@ -669,16 +668,30 @@ func (c *checker) checkSourceQuery(sq *algebra.SourceQuery, path string, env map
 }
 
 // cmpOperations maps comparison operators to the boolean operation names a
-// capability interface declares (mirrors the optimizer's pushdown table).
+// capability interface declares.
 var cmpOperations = map[algebra.CmpOp]string{
 	algebra.OpEq: "eq", algebra.OpNe: "neq",
 	algebra.OpLt: "lt", algebra.OpLe: "leq",
 	algebra.OpGt: "gt", algebra.OpGe: "geq",
 }
 
-// predFeasible reports why a predicate exceeds a source's declared
-// operations for the documents a pushed plan touches (nil when the source
-// can evaluate it).
+// PredFeasible reports why one conjunct of a pushed selection or join
+// predicate exceeds a source's declared operations for the documents the
+// pushed plan touches (nil when the source can evaluate it). It is the one
+// pushdown-feasibility table: the optimizer pushes a conjunct only when this
+// returns nil, and the lint holds every pushed plan to the same answer.
+// Comparisons need the corresponding declared boolean operation covering
+// docs, calls the declared external/method operation; variables are always
+// fine — those the pushed Bind binds evaluate at the source, free ones arrive
+// as DJoin parameters. A conjunct that is a bare constant (algebra.Conj of
+// nothing) is feasible: there is nothing to evaluate.
+func PredFeasible(iface *capability.Interface, conj algebra.Expr, docs []string) error {
+	if _, ok := conj.(algebra.Const); ok {
+		return nil
+	}
+	return predFeasible(iface, conj, docs)
+}
+
 func predFeasible(iface *capability.Interface, e algebra.Expr, docs []string) error {
 	switch x := e.(type) {
 	case algebra.Cmp:
@@ -691,16 +704,7 @@ func predFeasible(iface *capability.Interface, e algebra.Expr, docs []string) er
 		}
 		return operandFeasible(iface, x.R, docs)
 	case algebra.Call:
-		op := iface.OperationFor(x.Name, docs)
-		if op == nil || (op.Kind != "external" && op.Kind != "method") {
-			return fmt.Errorf("function %s is not declared", x.Name)
-		}
-		for _, a := range x.Args {
-			if err := operandFeasible(iface, a, docs); err != nil {
-				return err
-			}
-		}
-		return nil
+		return operandFeasible(iface, x, docs)
 	case algebra.And:
 		if err := predFeasible(iface, x.L, docs); err != nil {
 			return err
@@ -713,8 +717,6 @@ func predFeasible(iface *capability.Interface, e algebra.Expr, docs []string) er
 		return predFeasible(iface, x.R, docs)
 	case algebra.Not:
 		return predFeasible(iface, x.E, docs)
-	case algebra.Const:
-		return nil
 	default:
 		return fmt.Errorf("predicate form %T is not pushable", e)
 	}
@@ -745,8 +747,9 @@ func operandFeasible(iface *capability.Interface, e algebra.Expr, docs []string)
 	}
 }
 
-// pushedDocs returns the distinct documents bound inside a pushed plan.
-func pushedDocs(plan algebra.Op) []string {
+// PushedDocs returns the distinct documents bound inside a (pushed) plan: the
+// document set capability scoping is checked against.
+func PushedDocs(plan algebra.Op) []string {
 	seen := map[string]bool{}
 	var docs []string
 	algebra.Walk(plan, func(n algebra.Op) bool {

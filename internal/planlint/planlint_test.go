@@ -35,8 +35,7 @@ func testConfig() *Config {
 	return &Config{
 		Interfaces: map[string]*capability.Interface{"src": iface},
 		SourceDocs: map[string]string{"docs": "src"},
-		Structures: map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}},
-		Docs:       map[string]bool{"docs": true},
+		Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}}),
 	}
 }
 
@@ -181,7 +180,6 @@ func TestUnknownSourceInterface(t *testing.T) {
 func TestForeignDocumentPushed(t *testing.T) {
 	cfg := testConfig()
 	cfg.SourceDocs["other"] = "elsewhere"
-	cfg.Docs["other"] = true
 	plan := &algebra.SourceQuery{Source: "src", Plan: &algebra.Bind{
 		Doc: "other", F: filter.MustParse(`doc[ *item[ name: $n ] ]`)}}
 	d := one(t, Check(plan, cfg), CodeCapability, "SourceQuery/Bind")
@@ -307,5 +305,36 @@ func TestDJoinDegenerateWarning(t *testing.T) {
 	}
 	if ds := Check(genuine, cfg); len(ds) != 0 {
 		t.Fatalf("genuine DJoin flagged under Warnings: %v", ds)
+	}
+}
+
+// TestPredFeasibleTable pins the one pushdown-feasibility table, conjunct by
+// conjunct, against the test interface (bind, select, eq). The bare constant
+// is the one entry the optimizer answers differently (it never pushes one;
+// see optimizer.TestPushableTable): a hand-built pushed Select(true) or
+// cross-product Join(true) gives the source nothing to evaluate.
+func TestPredFeasibleTable(t *testing.T) {
+	iface := testConfig().Interfaces["src"]
+	for _, tc := range []struct {
+		conj     string
+		feasible bool
+	}{
+		{`$n = "x"`, true},
+		{`$v = $n`, true},
+		{`$v = $w + 1`, true},
+		{`$n = "x" OR $v = 1`, true},
+		{`NOT ($n = "x")`, true},
+		{`true`, true},
+		{`$v < 3`, false}, // lt is not declared
+		{`$n = "x" OR $v < 3`, false},
+		{`contains($n, "x")`, false}, // no such external function
+		{`$v = len($n)`, false},
+		{`NOT (false)`, false}, // a constant below a connective is a predicate form no wrapper translates
+		{`true OR $n = "x"`, false},
+	} {
+		err := PredFeasible(iface, algebra.MustParseExpr(tc.conj), []string{"docs"})
+		if (err == nil) != tc.feasible {
+			t.Errorf("PredFeasible(%s) = %v, want feasible = %v", tc.conj, err, tc.feasible)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // structures to prove anything, and its walk mirrors check()'s path
 // construction so both diagnostic classes locate operators identically.
 func (c *checker) checkTypes(plan algebra.Op) {
-	if !c.cfg.Warnings || len(c.cfg.Structures) == 0 {
+	if !c.cfg.Warnings || c.cfg.Structures.Len() == 0 {
 		return
 	}
 	ann, err := typecheck.Infer(plan, &typecheck.Config{Structures: c.cfg.Structures})

@@ -40,11 +40,84 @@ type Structure struct {
 	Pattern string
 }
 
+// Schemas is the declared structural schema of every typed document together
+// with the one model their definitions merge into, so that references inside
+// inferred patterns resolve regardless of which source they came from. It is
+// immutable: the merge happens once, when the value is built, and the model
+// is shared by every inference and by the evaluation context
+// (algebra.Context.Model). A nil *Schemas declares nothing.
+type Schemas struct {
+	docs  map[string]Structure
+	model *pattern.Model
+}
+
+var noSchemas = NewSchemas(nil)
+
+// NewSchemas merges the documents' models (in document-name order, so a
+// pattern name two models both define resolves the same way every time). The
+// map is kept, not copied: the caller must not write to it afterwards.
+func NewSchemas(docs map[string]Structure) *Schemas {
+	merged := pattern.NewModel("schemas")
+	names := make([]string, 0, len(docs))
+	for d := range docs {
+		names = append(names, d)
+	}
+	sort.Strings(names)
+	for _, d := range names {
+		st := docs[d]
+		if st.Model == nil {
+			continue
+		}
+		for _, name := range st.Model.Names() {
+			merged.Define(name, st.Model.Defs[name])
+		}
+	}
+	return &Schemas{docs: docs, model: merged}
+}
+
+// With returns the schemas with doc's structure added or replaced; the
+// receiver is unchanged.
+func (s *Schemas) With(doc string, st Structure) *Schemas {
+	docs := make(map[string]Structure, s.Len()+1)
+	if s != nil {
+		for d, have := range s.docs {
+			docs[d] = have
+		}
+	}
+	docs[doc] = st
+	return NewSchemas(docs)
+}
+
+// Doc returns the declared structure of a document.
+func (s *Schemas) Doc(doc string) (Structure, bool) {
+	if s == nil {
+		return Structure{}, false
+	}
+	st, ok := s.docs[doc]
+	return st, ok
+}
+
+// Len reports how many documents have a declared structure.
+func (s *Schemas) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.docs)
+}
+
+// Model returns the merged model (empty, never nil, when nothing is declared).
+func (s *Schemas) Model() *pattern.Model {
+	if s == nil {
+		return noSchemas.model
+	}
+	return s.model
+}
+
 // Config seeds inference with the declared document schemas and the types
 // of externally supplied parameters.
 type Config struct {
-	// Structures maps a document name to its declared structural schema.
-	Structures map[string]Structure
+	// Structures holds the declared structural schema of each document.
+	Structures *Schemas
 	// Params types externally supplied parameters (Context.Params);
 	// untyped parameters default to Any.
 	Params map[string]*pattern.P
@@ -113,7 +186,7 @@ func Infer(plan algebra.Op, cfg *Config) (*Annotation, error) {
 	}
 	in := &inferrer{
 		cfg:   cfg,
-		model: mergedModel(cfg.Structures),
+		model: cfg.Structures.Model(),
 		ann:   &Annotation{Types: map[algebra.Op]*RowType{}},
 	}
 	in.ann.Model = in.model
@@ -129,28 +202,6 @@ func Infer(plan algebra.Op, cfg *Config) (*Annotation, error) {
 	return in.ann, nil
 }
 
-// mergedModel folds every structure's definitions into one model so that
-// references inside inferred patterns resolve regardless of which source
-// they came from (the same merge the mediator performs for Context.Model).
-func mergedModel(structures map[string]Structure) *pattern.Model {
-	merged := pattern.NewModel("typecheck")
-	docs := make([]string, 0, len(structures))
-	for d := range structures {
-		docs = append(docs, d)
-	}
-	sort.Strings(docs)
-	for _, d := range docs {
-		st := structures[d]
-		if st.Model == nil {
-			continue
-		}
-		for _, name := range st.Model.Names() {
-			merged.Define(name, st.Model.Defs[name])
-		}
-	}
-	return merged
-}
-
 type inferrer struct {
 	cfg   *Config
 	model *pattern.Model
@@ -159,7 +210,7 @@ type inferrer struct {
 
 // docPattern returns the declared pattern of a document, nil if unknown.
 func (in *inferrer) docPattern(doc string) *pattern.P {
-	st, ok := in.cfg.Structures[doc]
+	st, ok := in.cfg.Structures.Doc(doc)
 	if !ok || st.Model == nil || st.Model.Lookup(st.Pattern) == nil {
 		return nil
 	}

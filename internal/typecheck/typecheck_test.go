@@ -24,11 +24,11 @@ Work  := work[ artist: String, title: String, style: String ]`)
 	// extent member while filters match the set-wrapped extent.
 	classModel := pattern.MustParseModel(`model o2
 Artifact := class[ artifact: tuple[ title: String, year: Int, price: Int ] ]`)
-	return &Config{Structures: map[string]Structure{
+	return &Config{Structures: NewSchemas(map[string]Structure{
 		"docs":      {Model: docsModel, Pattern: "Doc"},
 		"works":     {Model: worksModel, Pattern: "Works"},
 		"artifacts": {Model: classModel, Pattern: "Artifact"},
-	}}
+	})}
 }
 
 func wantType(t *testing.T, rt *RowType, col, want string) {
