@@ -216,3 +216,27 @@ func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryVariableNamedLikeAViewVariable: FuzzPlan's find. Q1 with its
+// variable for cplace spelled $t — the name view1 uses for the title —
+// composed to a residual Bind that rebound the view's own $t column: the
+// gate refused the query, and without the gate it silently answered nothing.
+// Such a composition is now left uneliminated, and answers what Q1 does.
+func TestQueryVariableNamedLikeAViewVariable(t *testing.T) {
+	const captured = `MAKE $s MATCH artworks WITH doc[ *work[ title: $s, more.cplace: $t ] ] WHERE $t = "Giverny"`
+	for _, gate := range []bool{false, true} {
+		m := figure8Setup(t)
+		m.CheckInvariants = gate
+		want, err := m.Query(datagen.Q1Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Query(captured)
+		if err != nil {
+			t.Fatalf("CheckInvariants=%v: %v", gate, err)
+		}
+		if !reflect.DeepEqual(renderRows(got.Tab), renderRows(want.Tab)) {
+			t.Errorf("CheckInvariants=%v: rows\n%s\nwant Q1's\n%s", gate, got.Tab, want.Tab)
+		}
+	}
+}

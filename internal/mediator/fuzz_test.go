@@ -14,8 +14,11 @@ import (
 // CheckInvariants without an InvariantError or a TypeError — every rewriting
 // step of all three rounds keeps a well-formed, well-typed plan well-formed
 // and well-typed. testdata/fuzz/FuzzPlan holds Q1, Q2, their XQuery forms
-// and view1's body as a query; the second property found the Figure 8
-// refusal (TestFigure8PruningPassesTypedVerification) from those seeds alone.
+// and view1's body as a query, plus what the fuzzer found. The second
+// property found the Figure 8 refusal from those seeds alone
+// (TestFigure8PruningPassesTypedVerification), then a query variable
+// captured by a view variable of the same name
+// (TestQueryVariableNamedLikeAViewVariable).
 func FuzzPlan(f *testing.F) {
 	m := figure8Setup(f)
 	m.CheckInvariants = true

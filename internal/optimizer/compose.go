@@ -120,17 +120,26 @@ func EliminateBindTree(b *algebra.Bind, t *algebra.TreeOp) (algebra.Op, bool) {
 			keep = append(keep, rb.consVar)
 		}
 	}
+	srcOf := map[string]string{}
+	for _, r := range comp.renames {
+		i := indexEq(r)
+		srcOf[r[:i]] = r[i+1:]
+	}
+	// The residual Binds and constant Maps below add the query's variables
+	// as columns beside the view's own. A query variable that happens to be
+	// named like one of those would be captured by it (rows silently
+	// lost), so such a composition is left to evaluate as written.
+	for _, fv := range outCols {
+		if seen[fv] && srcOf[fv] == "" {
+			return nil, false
+		}
+	}
 	cur = &algebra.Distinct{From: &algebra.Project{From: cur, Cols: keep}}
 	for _, rb := range comp.residuals {
 		cur = &algebra.Bind{From: cur, Col: rb.consVar, F: filter.New(rb.f).WithModel(b.F.Model)}
 	}
 	// Final projection: filter variables in order, renamed from cons
 	// variables or computed constants.
-	srcOf := map[string]string{}
-	for _, r := range comp.renames {
-		i := indexEq(r)
-		srcOf[r[:i]] = r[i+1:]
-	}
 	var maps algebra.Op = cur
 	final := make([]string, 0, len(outCols))
 	for _, fv := range outCols {
