@@ -30,13 +30,17 @@ bench-build:
 # the OQL parser (the same two properties; its corpus is the queries
 # o2wrap emits, whose text Wrapper.LastOQL promises can be replayed), and the
 # text a tenant sends: arbitrary bytes through Compose never panic (the YAT_L
-# parser included), and a clean naive plan optimizes under CheckInvariants.
+# parser included), a YAT_L query re-parses from its printed form, and a
+# clean naive plan optimizes under CheckInvariants — and the plan a wrapper
+# decodes from a push: arbitrary bytes never panic, and an accepted plan
+# marshals to text that decodes to the same plan.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzReplyFrames -fuzz FuzzReplyFrames -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzParseOQL -fuzz FuzzParseOQL -fuzztime 10s ./internal/o2
 	$(GO) test -run FuzzPlan -fuzz FuzzPlan -fuzztime 10s ./internal/mediator
+	$(GO) test -run FuzzUnmarshalPlan -fuzz FuzzUnmarshalPlan -fuzztime 10s ./internal/algebra
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

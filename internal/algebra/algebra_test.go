@@ -516,9 +516,16 @@ func TestExprEval(t *testing.T) {
 		{`true`, "true"},
 		{`false OR true`, "true"},
 		{`"a" = "a"`, "true"},
+		{`($x = 3) = ($y = 1.5)`, "true"},
+		{`(NOT ($x = 4)) = true`, "true"},
 	}
 	for _, c := range cases {
 		e := MustParseExpr(c.src)
+		// The printed form is what a pushed predicate ships: it re-parses
+		// to itself.
+		if back, err := ParseExpr(e.String()); err != nil || back.String() != e.String() {
+			t.Errorf("%s prints as %s, which re-parses as %v (%v)", c.src, e, back, err)
+		}
 		v, err := e.Eval(ctx, cols, row)
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
@@ -556,6 +563,9 @@ func TestExprErrors(t *testing.T) {
 	}
 	if _, err := ParseExpr(`name`); err == nil {
 		t.Error("bare name must fail (functions need parentheses)")
+	}
+	if _, err := ParseExpr(`$x = NOT($x)`); err == nil {
+		t.Error("a keyword is not a function name")
 	}
 }
 

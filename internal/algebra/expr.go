@@ -142,7 +142,18 @@ func (c Cmp) Vars() []string { return append(c.L.Vars(), c.R.Vars()...) }
 
 // String implements Expr.
 func (c Cmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
+	return fmt.Sprintf("%s %s %s", operand(c.L), c.Op, operand(c.R))
+}
+
+// operand prints an operand of a comparison or an arithmetic operator,
+// parenthesized when it is itself a comparison or a negation, which would
+// otherwise re-parse as the outer expression's parent.
+func operand(e Expr) string {
+	switch e.(type) {
+	case Cmp, Not:
+		return "(" + e.String() + ")"
+	}
+	return e.String()
 }
 
 // And is conjunction.
@@ -332,7 +343,7 @@ func (a Arith) String() string {
 	if a.Op == OpMul {
 		op = "*"
 	}
-	return fmt.Sprintf("(%s %s %s)", a.L, op, a.R)
+	return fmt.Sprintf("(%s %s %s)", operand(a.L), op, operand(a.R))
 }
 
 // truth evaluates e and coerces to boolean.

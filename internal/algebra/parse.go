@@ -2,10 +2,9 @@ package algebra
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/data"
+	"repro/internal/syntax"
 )
 
 // Textual syntaxes for construction patterns and predicate expressions.
@@ -20,135 +19,18 @@ import (
 // Expressions (WHERE clauses, Select predicates):
 //
 //	$y > 1800 AND $c = $a AND contains($w, "Impressionist")
+//
+// Tokens are internal/syntax's.
 
-type atok struct {
-	kind string // name,var,str,num,punct,eof
-	text string
-	pos  int
-}
-
-func alex(src string) ([]atok, error) {
-	var toks []atok
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == ':' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, atok{"punct", ":=", i})
-			i += 2
-		case c == '!' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, atok{"punct", "!=", i})
-			i += 2
-		case c == '<' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, atok{"punct", "<=", i})
-			i += 2
-		case c == '>' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, atok{"punct", ">=", i})
-			i += 2
-		case strings.IndexByte("[]():,.~&*+-/<>=%", c) >= 0:
-			toks = append(toks, atok{"punct", string(c), i})
-			i++
-		case c == '$':
-			start := i
-			i++
-			for i < len(src) && (isWordByte(src[i]) || src[i] == '\'') {
-				i++
-			}
-			if i == start+1 {
-				return nil, fmt.Errorf("parse: empty variable at offset %d", start)
-			}
-			toks = append(toks, atok{"var", src[start:i], start})
-		case c == '"':
-			start := i
-			i++
-			var b strings.Builder
-			for i < len(src) && src[i] != '"' {
-				if src[i] == '\\' && i+1 < len(src) {
-					i++
-				}
-				b.WriteByte(src[i])
-				i++
-			}
-			if i >= len(src) {
-				return nil, fmt.Errorf("parse: unterminated string at offset %d", start)
-			}
-			i++
-			toks = append(toks, atok{"str", b.String(), start})
-		case c >= '0' && c <= '9':
-			start := i
-			for i < len(src) && (src[i] >= '0' && src[i] <= '9' || src[i] == '.') {
-				i++
-			}
-			toks = append(toks, atok{"num", src[start:i], start})
-		case isWordStartByte(c):
-			start := i
-			for i < len(src) && (isWordByte(src[i]) || src[i] == '\'') {
-				i++
-			}
-			toks = append(toks, atok{"name", src[start:i], start})
-		default:
-			return nil, fmt.Errorf("parse: unexpected character %q at offset %d", c, i)
-		}
-	}
-	toks = append(toks, atok{"eof", "", i})
-	return toks, nil
-}
-
-func isWordStartByte(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isWordByte(c byte) bool {
-	return isWordStartByte(c) || c == '-' || (c >= '0' && c <= '9')
-}
-
-type aparser struct {
-	toks []atok
-	i    int
-}
-
-func (p *aparser) cur() atok { return p.toks[p.i] }
-
-func (p *aparser) isPunct(s string) bool {
-	t := p.cur()
-	return t.kind == "punct" && t.text == s
-}
-
-func (p *aparser) isKeyword(s string) bool {
-	t := p.cur()
-	return t.kind == "name" && strings.EqualFold(t.text, s)
-}
-
-func (p *aparser) eat(s string) error {
-	if !p.isPunct(s) {
-		return fmt.Errorf("parse: expected %q at offset %d, got %q", s, p.cur().pos, p.cur().text)
-	}
-	p.i++
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Construction parser
-// ---------------------------------------------------------------------------
+type aparser struct{ *syntax.Cursor }
 
 // ParseCons parses a construction pattern.
-func ParseCons(src string) (*Cons, error) {
-	toks, err := alex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &aparser{toks: toks}
-	c, err := p.cons()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind != "eof" {
-		return nil, fmt.Errorf("parse: trailing input at offset %d", p.cur().pos)
-	}
-	return c, nil
-}
+func ParseCons(src string) (*Cons, error) { return syntax.Parse(src, "parse", ParseConsNext) }
+
+// ParseConsNext parses the construction starting at c's current token and
+// stops at the first token it cannot use; YAT_L's MAKE clause embeds a
+// construction this way.
+func ParseConsNext(c *syntax.Cursor) (*Cons, error) { return (&aparser{c}).cons() }
 
 // MustParseCons is ParseCons panicking on error.
 func MustParseCons(src string) *Cons {
@@ -162,18 +44,17 @@ func MustParseCons(src string) *Cons {
 func (p *aparser) cons() (*Cons, error) {
 	c := &Cons{}
 	// Skolem head: NAME ( vars ) :=
-	if p.cur().kind == "name" && p.i+1 < len(p.toks) &&
-		p.toks[p.i+1].kind == "punct" && p.toks[p.i+1].text == "(" {
-		name := p.cur().text
-		p.i += 2
+	if p.Cur().Kind == syntax.Word && p.Peek().Kind == syntax.Punct && p.Peek().Text == "(" {
+		name := p.Next().Text
+		p.Next()
 		args, err := p.varList()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.eat(")"); err != nil {
+		if err := p.Eat(")"); err != nil {
 			return nil, err
 		}
-		if err := p.eat(":="); err != nil {
+		if err := p.Eat(":="); err != nil {
 			return nil, err
 		}
 		body, err := p.cons()
@@ -184,120 +65,107 @@ func (p *aparser) cons() (*Cons, error) {
 		body.SkolemArgs = args
 		return body, nil
 	}
-	t := p.cur()
+	if a, ok, err := p.Literal(); ok {
+		c.Const = &a
+		return c, err
+	}
+	t := p.Cur()
 	switch {
-	case p.isPunct("&"):
-		p.i++
-		n := p.cur()
-		if n.kind != "name" {
-			return nil, fmt.Errorf("parse: expected Skolem name after '&' at offset %d", n.pos)
+	case p.IsPunct("&"):
+		p.Next()
+		n := p.Next()
+		if n.Kind != syntax.Word {
+			return nil, fmt.Errorf("expected Skolem name after '&' at offset %d", n.Pos)
 		}
-		p.i++
-		if err := p.eat("("); err != nil {
+		if err := p.Eat("("); err != nil {
 			return nil, err
 		}
 		args, err := p.varList()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.eat(")"); err != nil {
+		if err := p.Eat(")"); err != nil {
 			return nil, err
 		}
-		c.RefTo = n.text
+		c.RefTo = n.Text
 		c.RefArgs = args
 		return c, nil
-	case t.kind == "var":
-		p.i++
-		c.Var = t.text
+	case t.Kind == syntax.Var:
+		p.Next()
+		c.Var = t.Text
 		return c, nil
-	case t.kind == "str":
-		p.i++
-		a := data.String(t.text)
-		c.Const = &a
-		return c, nil
-	case t.kind == "num":
-		p.i++
-		a, err := parseNumAtom(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("parse: %v at offset %d", err, t.pos)
+	case p.IsPunct("~"):
+		p.Next()
+		v := p.Next()
+		if v.Kind != syntax.Var {
+			return nil, fmt.Errorf("expected variable after '~' at offset %d", v.Pos)
 		}
-		c.Const = &a
-		return c, nil
-	case p.isPunct("~"):
-		p.i++
-		v := p.cur()
-		if v.kind != "var" {
-			return nil, fmt.Errorf("parse: expected variable after '~' at offset %d", v.pos)
-		}
-		p.i++
-		c.LabelVar = v.text
-	case t.kind == "name":
-		p.i++
-		c.Label = t.text
+		c.LabelVar = v.Text
+	case t.Kind == syntax.Word:
+		p.Next()
+		c.Label = t.Text
 	default:
-		return nil, fmt.Errorf("parse: unexpected %q at offset %d", t.text, t.pos)
+		return nil, p.Unexpected()
 	}
 	// tail
 	switch {
-	case p.isPunct("["):
-		p.i++
-		for !p.isPunct("]") {
+	case p.IsPunct("["):
+		p.Next()
+		for !p.IsPunct("]") {
 			it, err := p.consItem()
 			if err != nil {
 				return nil, err
 			}
 			c.Kids = append(c.Kids, it)
-			if p.isPunct(",") {
-				p.i++
+			if p.IsPunct(",") {
+				p.Next()
 				continue
 			}
 			break
 		}
-		if err := p.eat("]"); err != nil {
+		if err := p.Eat("]"); err != nil {
 			return nil, err
 		}
-	case p.isPunct(":"):
-		p.i++
-		t := p.cur()
-		// `label: $v` and `label: "const"` attach content directly.
-		switch {
-		case t.kind == "var":
-			p.i++
-			c.Var = t.text
-		case t.kind == "str":
-			p.i++
-			a := data.String(t.text)
-			c.Const = &a
-		case t.kind == "num":
-			p.i++
-			a, err := parseNumAtom(t.text)
-			if err != nil {
-				return nil, fmt.Errorf("parse: %v at offset %d", err, t.pos)
+		// `label[ $v ]` builds what `label: $v` builds, and prints as it:
+		// read it as that, so that printing and re-reading is a fixpoint.
+		if len(c.Kids) == 1 && !c.Kids[0].Star {
+			if k := c.Kids[0].C; k.Label == "" && k.LabelVar == "" && k.Skolem == "" && k.RefTo == "" && len(k.Kids) == 0 {
+				c.Var, c.Const, c.Kids = k.Var, k.Const, nil
 			}
-			c.Const = &a
-		default:
-			kid, err := p.cons()
-			if err != nil {
-				return nil, err
-			}
-			c.Kids = append(c.Kids, ConsItem{C: kid})
 		}
+	case p.IsPunct(":"):
+		p.Next()
+		// `label: $v` and `label: "const"` attach content directly.
+		if a, ok, err := p.Literal(); ok {
+			c.Const = &a
+			return c, err
+		}
+		if t := p.Cur(); t.Kind == syntax.Var {
+			p.Next()
+			c.Var = t.Text
+			return c, nil
+		}
+		kid, err := p.cons()
+		if err != nil {
+			return nil, err
+		}
+		c.Kids = append(c.Kids, ConsItem{C: kid})
 	}
 	return c, nil
 }
 
 func (p *aparser) consItem() (ConsItem, error) {
 	it := ConsItem{}
-	if p.isPunct("*") {
-		p.i++
+	if p.IsPunct("*") {
+		p.Next()
 		it.Star = true
-		if p.isPunct("(") {
-			p.i++
+		if p.IsPunct("(") {
+			p.Next()
 			keys, err := p.varList()
 			if err != nil {
 				return it, err
 			}
-			if err := p.eat(")"); err != nil {
+			if err := p.Eat(")"); err != nil {
 				return it, err
 			}
 			it.Keys = keys
@@ -314,36 +182,21 @@ func (p *aparser) consItem() (ConsItem, error) {
 func (p *aparser) varList() ([]string, error) {
 	var out []string
 	for {
-		t := p.cur()
-		if t.kind != "var" {
-			if len(out) == 0 && p.isPunct(")") {
+		t := p.Cur()
+		if t.Kind != syntax.Var {
+			if len(out) == 0 && p.IsPunct(")") {
 				return out, nil
 			}
-			return nil, fmt.Errorf("parse: expected variable at offset %d", t.pos)
+			return nil, fmt.Errorf("expected variable at offset %d", t.Pos)
 		}
-		out = append(out, t.text)
-		p.i++
-		if p.isPunct(",") {
-			p.i++
+		out = append(out, t.Text)
+		p.Next()
+		if p.IsPunct(",") {
+			p.Next()
 			continue
 		}
 		return out, nil
 	}
-}
-
-func parseNumAtom(text string) (data.Atom, error) {
-	if strings.Contains(text, ".") {
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return data.Atom{}, fmt.Errorf("bad number %q", text)
-		}
-		return data.Float(f), nil
-	}
-	v, err := strconv.ParseInt(text, 10, 64)
-	if err != nil {
-		return data.Atom{}, fmt.Errorf("bad number %q", text)
-	}
-	return data.Int(v), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -351,21 +204,12 @@ func parseNumAtom(text string) (data.Atom, error) {
 // ---------------------------------------------------------------------------
 
 // ParseExpr parses a predicate/value expression.
-func ParseExpr(src string) (Expr, error) {
-	toks, err := alex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &aparser{toks: toks}
-	e, err := p.orExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind != "eof" {
-		return nil, fmt.Errorf("parse: trailing input at offset %d", p.cur().pos)
-	}
-	return e, nil
-}
+func ParseExpr(src string) (Expr, error) { return syntax.Parse(src, "parse", ParseExprNext) }
+
+// ParseExprNext parses the expression starting at c's current token and
+// stops at the first token it cannot use; YAT_L's WHERE clause embeds an
+// expression this way.
+func ParseExprNext(c *syntax.Cursor) (Expr, error) { return (&aparser{c}).orExpr() }
 
 // MustParseExpr is ParseExpr panicking on error.
 func MustParseExpr(src string) Expr {
@@ -381,8 +225,8 @@ func (p *aparser) orExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.isKeyword("OR") {
-		p.i++
+	for p.IsKeyword("OR") {
+		p.Next()
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
@@ -397,8 +241,8 @@ func (p *aparser) andExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.isKeyword("AND") {
-		p.i++
+	for p.IsKeyword("AND") {
+		p.Next()
 		r, err := p.notExpr()
 		if err != nil {
 			return nil, err
@@ -409,8 +253,8 @@ func (p *aparser) andExpr() (Expr, error) {
 }
 
 func (p *aparser) notExpr() (Expr, error) {
-	if p.isKeyword("NOT") {
-		p.i++
+	if p.IsKeyword("NOT") {
+		p.Next()
 		e, err := p.notExpr()
 		if err != nil {
 			return nil, err
@@ -426,8 +270,8 @@ func (p *aparser) cmpExpr() (Expr, error) {
 		return nil, err
 	}
 	for _, op := range []string{"<=", ">=", "!=", "=", "<", ">"} {
-		if p.isPunct(op) {
-			p.i++
+		if p.IsPunct(op) {
+			p.Next()
 			r, err := p.sumExpr()
 			if err != nil {
 				return nil, err
@@ -445,15 +289,15 @@ func (p *aparser) sumExpr() (Expr, error) {
 	}
 	for {
 		switch {
-		case p.isPunct("+"):
-			p.i++
+		case p.IsPunct("+"):
+			p.Next()
 			r, err := p.termExpr()
 			if err != nil {
 				return nil, err
 			}
 			l = Arith{Op: OpAdd, L: l, R: r}
-		case p.isPunct("-"):
-			p.i++
+		case p.IsPunct("-"):
+			p.Next()
 			r, err := p.termExpr()
 			if err != nil {
 				return nil, err
@@ -472,15 +316,15 @@ func (p *aparser) termExpr() (Expr, error) {
 	}
 	for {
 		switch {
-		case p.isPunct("*"):
-			p.i++
+		case p.IsPunct("*"):
+			p.Next()
 			r, err := p.factorExpr()
 			if err != nil {
 				return nil, err
 			}
 			l = Arith{Op: OpMul, L: l, R: r}
-		case p.isPunct("/"):
-			p.i++
+		case p.IsPunct("/"):
+			p.Next()
 			r, err := p.factorExpr()
 			if err != nil {
 				return nil, err
@@ -493,63 +337,55 @@ func (p *aparser) termExpr() (Expr, error) {
 }
 
 func (p *aparser) factorExpr() (Expr, error) {
-	t := p.cur()
+	t := p.Cur()
 	switch {
-	case p.isPunct("("):
-		p.i++
+	case p.IsPunct("("):
+		p.Next()
 		e, err := p.orExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.eat(")"); err != nil {
+		if err := p.Eat(")"); err != nil {
 			return nil, err
 		}
 		return e, nil
-	case t.kind == "var":
-		p.i++
-		return Var{t.text}, nil
-	case t.kind == "str":
-		p.i++
-		return Const{data.String(t.text)}, nil
-	case t.kind == "num":
-		p.i++
-		a, err := parseNumAtom(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("parse: %v at offset %d", err, t.pos)
-		}
-		return Const{a}, nil
-	case p.isPunct("-"):
-		p.i++
+	case t.Kind == syntax.Var:
+		p.Next()
+		return Var{t.Text}, nil
+	case p.IsPunct("-"): // an operator here, never the sign of a constant
+		p.Next()
 		e, err := p.factorExpr()
 		if err != nil {
 			return nil, err
 		}
 		return Arith{Op: OpSub, L: Const{data.Int(0)}, R: e}, nil
-	case t.kind == "name" && strings.EqualFold(t.text, "true"):
-		p.i++
+	case p.IsKeyword("true"):
+		p.Next()
 		return Const{data.Bool(true)}, nil
-	case t.kind == "name" && strings.EqualFold(t.text, "false"):
-		p.i++
+	case p.IsKeyword("false"):
+		p.Next()
 		return Const{data.Bool(false)}, nil
-	case t.kind == "name":
-		p.i++
-		if err := p.eat("("); err != nil {
-			return nil, fmt.Errorf("parse: expected '(' after function %s at offset %d", t.text, t.pos)
+	case t.Kind == syntax.Word && !p.IsKeyword("NOT") && !p.IsKeyword("AND") && !p.IsKeyword("OR"):
+		p.Next()
+		if err := p.Eat("("); err != nil {
+			return nil, fmt.Errorf("expected '(' after function %s at offset %d", t.Text, t.Pos)
 		}
 		var args []Expr
-		for !p.isPunct(")") {
+		for !p.IsPunct(")") {
 			a, err := p.orExpr()
 			if err != nil {
 				return nil, err
 			}
 			args = append(args, a)
-			if p.isPunct(",") {
-				p.i++
+			if p.IsPunct(",") {
+				p.Next()
 			}
 		}
-		p.i++
-		return Call{Name: t.text, Args: args}, nil
-	default:
-		return nil, fmt.Errorf("parse: unexpected %q at offset %d", t.text, t.pos)
+		p.Next()
+		return Call{Name: t.Text, Args: args}, nil
 	}
+	if a, ok, err := p.Literal(); ok {
+		return Const{a}, err
+	}
+	return nil, p.Unexpected()
 }

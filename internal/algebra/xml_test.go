@@ -55,22 +55,40 @@ func TestPlanXMLRoundTrip(t *testing.T) {
 	}
 }
 
+// awkwardConsts are constants whose printed form the plan codec must read
+// back as the same atom: escapes %q writes (a newline, a tab, a control
+// byte, a backslash), a non-ASCII rune, and floats Atom.Text prints with an
+// exponent.
+var awkwardConsts = []data.Atom{
+	data.String(`a <b> & "c"  double  space`),
+	data.String("a\nb"), data.String("a\tb"), data.String("a\x01b"), data.String("é"), data.String(`a\b`),
+	data.Float(1e6), data.Float(2.5000005e6), data.Float(1e-5),
+}
+
 func TestPlanXMLPreservesStringConstants(t *testing.T) {
-	// Embedded string constants with awkward characters must survive.
-	plan := &Select{
-		From: &Bind{Doc: "works", F: filter.MustParse(`works[ *work[ title: $t ] ]`)},
-		Pred: MustParseExpr(`$t = "a <b> & \"c\"  double  space"`),
-	}
-	s, err := MarshalPlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalPlan(s)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, s)
-	}
-	if Describe(back) != Describe(plan) {
-		t.Errorf("constants corrupted:\n%s\nvs\n%s", Describe(plan), Describe(back))
+	// Each constant sits in a filter, a predicate and a construction,
+	// built as values so that no parser has touched them before the codec.
+	for _, a := range awkwardConsts {
+		f := filter.New(&filter.FNode{Label: "work", Items: []filter.FItem{
+			{F: &filter.FNode{Label: "title", Items: []filter.FItem{{F: &filter.FNode{Var: "$t"}}}}},
+			{F: &filter.FNode{Label: "note", Items: []filter.FItem{{F: &filter.FNode{Const: &a}}}}},
+		}})
+		plan := &TreeOp{
+			From: &Select{From: &Bind{Doc: "works", F: f}, Pred: Cmp{Op: OpEq, L: Var{"$t"}, R: Const{a}}},
+			C:    &Cons{Label: "r", Kids: []ConsItem{{C: &Cons{Label: "k", Const: &a}}}},
+		}
+		s, err := MarshalPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalPlan(s)
+		if err != nil {
+			t.Errorf("%s: %v\n%s", a.Text(), err, s)
+			continue
+		}
+		if Describe(back) != Describe(plan) {
+			t.Errorf("constants corrupted:\n%s\nvs\n%s", Describe(plan), Describe(back))
+		}
 	}
 }
 
@@ -155,7 +173,11 @@ func genPlan(seed int64, depth int) Op {
 		}
 		switch next(8) {
 		case 0:
-			return &Select{From: build(d - 1), Pred: MustParseExpr(fmt.Sprintf(`$x%d = %d`, next(10), next(100)))}
+			c := data.Int(next(100))
+			if next(2) == 0 {
+				c = awkwardConsts[next(int64(len(awkwardConsts)))]
+			}
+			return &Select{From: build(d - 1), Pred: Cmp{Op: OpEq, L: Var{fmt.Sprintf("$x%d", next(10))}, R: Const{c}}}
 		case 1:
 			return &Project{From: build(d - 1), Cols: []string{fmt.Sprintf("$a%d=$b%d", next(10), next(10))}}
 		case 2:

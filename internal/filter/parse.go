@@ -2,11 +2,9 @@ package filter
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
-	"repro/internal/data"
 	"repro/internal/pattern"
+	"repro/internal/syntax"
 )
 
 // The textual filter syntax, used by tests, the YATL translator and the
@@ -20,122 +18,18 @@ import (
 //	work[ price: $p@Float ]             — type filters
 //	doc.**.technique: $x                — descent at any depth (GPE)
 //	work@$w[ title: $t ]                — bind the work subtree itself to $w
-type ftok struct {
-	kind string // "name","var","str","num","punct","eof"
-	text string
-	pos  int
-}
-
-func flex(src string) ([]ftok, error) {
-	var toks []ftok
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '*':
-			if i+1 < len(src) && src[i+1] == '*' {
-				toks = append(toks, ftok{"punct", "**", i})
-				i += 2
-			} else {
-				toks = append(toks, ftok{"punct", "*", i})
-				i++
-			}
-		case strings.IndexByte("[]():,.~%@", c) >= 0:
-			toks = append(toks, ftok{"punct", string(c), i})
-			i++
-		case c == '$':
-			start := i
-			i++
-			for i < len(src) && (isWord(src[i]) || src[i] == '\'') {
-				i++
-			}
-			if i == start+1 {
-				return nil, fmt.Errorf("filter: empty variable at offset %d", start)
-			}
-			toks = append(toks, ftok{"var", src[start:i], start})
-		case c == '"':
-			start := i
-			i++
-			var b strings.Builder
-			for i < len(src) && src[i] != '"' {
-				if src[i] == '\\' && i+1 < len(src) {
-					i++
-				}
-				b.WriteByte(src[i])
-				i++
-			}
-			if i >= len(src) {
-				return nil, fmt.Errorf("filter: unterminated string at offset %d", start)
-			}
-			i++
-			toks = append(toks, ftok{"str", b.String(), start})
-		case c >= '0' && c <= '9' || c == '-':
-			start := i
-			i++
-			for i < len(src) && (src[i] >= '0' && src[i] <= '9' || src[i] == '.') {
-				// Keep "1897" and "29.2"; a trailing ".label" path after an
-				// integer is ambiguous and unsupported — filters never
-				// navigate below constants.
-				i++
-			}
-			toks = append(toks, ftok{"num", src[start:i], start})
-		case isWordStart(c):
-			start := i
-			for i < len(src) && (isWord(src[i]) || src[i] == '\'') {
-				i++
-			}
-			toks = append(toks, ftok{"name", src[start:i], start})
-		default:
-			return nil, fmt.Errorf("filter: unexpected character %q at offset %d", c, i)
-		}
-	}
-	toks = append(toks, ftok{"eof", "", i})
-	return toks, nil
-}
-
-func isWordStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isWord(c byte) bool {
-	return isWordStart(c) || c == '-' || (c >= '0' && c <= '9')
-}
-
-type fparser struct {
-	toks []ftok
-	i    int
-}
-
-func (p *fparser) cur() ftok { return p.toks[p.i] }
-
-func (p *fparser) isPunct(s string) bool {
-	t := p.cur()
-	return t.kind == "punct" && t.text == s
-}
-
-func (p *fparser) eat(s string) error {
-	if !p.isPunct(s) {
-		return fmt.Errorf("filter: expected %q at offset %d, got %q", s, p.cur().pos, p.cur().text)
-	}
-	p.i++
-	return nil
-}
+//
+// Tokens are internal/syntax's.
 
 // Parse parses a filter in the textual syntax.
-func Parse(src string) (*Filter, error) {
-	toks, err := flex(src)
+func Parse(src string) (*Filter, error) { return syntax.Parse(src, "filter", ParseNext) }
+
+// ParseNext parses the filter starting at c's current token and stops at
+// the first token it cannot use; YAT_L's MATCH clauses embed filters this way.
+func ParseNext(c *syntax.Cursor) (*Filter, error) {
+	root, err := (&fparser{c}).node()
 	if err != nil {
 		return nil, err
-	}
-	p := &fparser{toks: toks}
-	root, err := p.node()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind != "eof" {
-		return nil, fmt.Errorf("filter: trailing input at offset %d", p.cur().pos)
 	}
 	f := New(root)
 	if err := validate(f); err != nil {
@@ -143,6 +37,8 @@ func Parse(src string) (*Filter, error) {
 	}
 	return f, nil
 }
+
+type fparser struct{ *syntax.Cursor }
 
 // MustParse is Parse panicking on error, for fixtures and tests.
 func MustParse(src string) *Filter {
@@ -161,7 +57,7 @@ func validate(f *Filter) error {
 			return nil
 		}
 		if prev, ok := seen[v]; ok {
-			return fmt.Errorf("filter: variable %s bound twice (%s and %s); filters require distinct variables", v, prev, kind)
+			return fmt.Errorf("variable %s bound twice (%s and %s); filters require distinct variables", v, prev, kind)
 		}
 		seen[v] = kind
 		return nil
@@ -181,7 +77,7 @@ func validate(f *Filter) error {
 				return err
 			}
 			if it.CollectVar != "" && it.F != nil && it.F.HasVars() {
-				return fmt.Errorf("filter: collect-star *(%s) cannot bind inner variables", it.CollectVar)
+				return fmt.Errorf("collect-star *(%s) cannot bind inner variables", it.CollectVar)
 			}
 			if err := walk(it.F); err != nil {
 				return err
@@ -201,13 +97,13 @@ func (p *fparser) node() (*FNode, error) {
 	cur := n
 	for {
 		switch {
-		case p.isPunct("."):
-			p.i++
+		case p.IsPunct("."):
+			p.Next()
 			descend := false
-			if p.isPunct("**") {
-				p.i++
+			if p.IsPunct("**") {
+				p.Next()
 				descend = true
-				if err := p.eat("."); err != nil {
+				if err := p.Eat("."); err != nil {
 					return nil, err
 				}
 			}
@@ -217,19 +113,19 @@ func (p *fparser) node() (*FNode, error) {
 			}
 			cur.Items = append(cur.Items, FItem{F: kid, Descend: descend})
 			cur = kid
-		case p.isPunct("["):
-			p.i++
+		case p.IsPunct("["):
+			p.Next()
 			items, err := p.items()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.eat("]"); err != nil {
+			if err := p.Eat("]"); err != nil {
 				return nil, err
 			}
 			cur.Items = append(cur.Items, items...)
 			return n, nil
-		case p.isPunct(":"):
-			p.i++
+		case p.IsPunct(":"):
+			p.Next()
 			kid, err := p.node()
 			if err != nil {
 				return nil, err
@@ -244,79 +140,55 @@ func (p *fparser) node() (*FNode, error) {
 
 // head parses the label/variable/constant/type core of a node.
 func (p *fparser) head() (*FNode, error) {
-	t := p.cur()
 	n := &FNode{}
-	switch {
-	case t.kind == "name":
-		p.i++
-		n.Label = t.text
-	case t.kind == "var":
-		p.i++
-		n.Var = t.text
-	case t.kind == "str":
-		p.i++
-		a := data.String(t.text)
+	a, isConst, err := p.Literal()
+	if err != nil {
+		return nil, err
+	}
+	switch t := p.Cur(); {
+	case isConst:
 		n.Const = &a
-	case t.kind == "num":
-		p.i++
-		a, err := numAtom(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("filter: %v at offset %d", err, t.pos)
-		}
-		n.Const = &a
-	case p.isPunct("%"):
-		p.i++
+	case t.Kind == syntax.Word:
+		p.Next()
+		n.Label = t.Text
+	case t.Kind == syntax.Var:
+		p.Next()
+		n.Var = t.Text
+	case p.IsPunct("%"):
+		p.Next()
 		n.AnyLabel = true
-	case p.isPunct("~"):
-		p.i++
-		v := p.cur()
-		if v.kind != "var" {
-			return nil, fmt.Errorf("filter: expected variable after '~' at offset %d", v.pos)
+	case p.IsPunct("~"):
+		p.Next()
+		v := p.Next()
+		if v.Kind != syntax.Var {
+			return nil, fmt.Errorf("expected variable after '~' at offset %d", v.Pos)
 		}
-		p.i++
-		n.LabelVar = v.text
-	case p.isPunct("@"):
+		n.LabelVar = v.Text
+	case p.IsPunct("@"):
 		// type-only content node, e.g. `owners: @Any`
 	default:
-		return nil, fmt.Errorf("filter: unexpected %q at offset %d", t.text, t.pos)
+		return nil, p.Unexpected()
 	}
 	// '@' suffixes: bind the node (@$v) or constrain its type (@T).
-	for p.isPunct("@") {
-		p.i++
-		s := p.cur()
-		switch s.kind {
-		case "var":
+	for p.IsPunct("@") {
+		p.Next()
+		s := p.Next()
+		switch s.Kind {
+		case syntax.Var:
 			if n.Var != "" {
-				return nil, fmt.Errorf("filter: node bound twice at offset %d", s.pos)
+				return nil, fmt.Errorf("node bound twice at offset %d", s.Pos)
 			}
-			n.Var = s.text
-			p.i++
-		case "name":
+			n.Var = s.Text
+		case syntax.Word:
 			if n.Type != nil {
-				return nil, fmt.Errorf("filter: two type filters at offset %d", s.pos)
+				return nil, fmt.Errorf("two type filters at offset %d", s.Pos)
 			}
-			n.Type = typeByName(s.text)
-			p.i++
+			n.Type = typeByName(s.Text)
 		default:
-			return nil, fmt.Errorf("filter: expected variable or type after '@' at offset %d", s.pos)
+			return nil, fmt.Errorf("expected variable or type after '@' at offset %d", s.Pos)
 		}
 	}
 	return n, nil
-}
-
-func numAtom(text string) (data.Atom, error) {
-	if strings.Contains(text, ".") {
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return data.Atom{}, fmt.Errorf("bad number %q", text)
-		}
-		return data.Float(f), nil
-	}
-	v, err := strconv.ParseInt(text, 10, 64)
-	if err != nil {
-		return data.Atom{}, fmt.Errorf("bad number %q", text)
-	}
-	return data.Int(v), nil
 }
 
 func typeByName(name string) *pattern.P {
@@ -338,30 +210,29 @@ func typeByName(name string) *pattern.P {
 
 func (p *fparser) items() ([]FItem, error) {
 	var items []FItem
-	if p.isPunct("]") {
+	if p.IsPunct("]") {
 		return items, nil
 	}
 	for {
 		it := FItem{}
 		switch {
-		case p.isPunct("*"):
-			p.i++
-			if p.isPunct("(") {
-				p.i++
-				v := p.cur()
-				if v.kind != "var" {
-					return nil, fmt.Errorf("filter: expected variable in *( ) at offset %d", v.pos)
+		case p.IsPunct("*"):
+			p.Next()
+			if p.IsPunct("(") {
+				p.Next()
+				v := p.Next()
+				if v.Kind != syntax.Var {
+					return nil, fmt.Errorf("expected variable in *( ) at offset %d", v.Pos)
 				}
-				p.i++
-				if err := p.eat(")"); err != nil {
+				if err := p.Eat(")"); err != nil {
 					return nil, err
 				}
-				it.CollectVar = v.text
+				it.CollectVar = v.Text
 				it.Star = true
 			} else {
 				it.Star = true
-				if p.isPunct("**") {
-					p.i++
+				if p.IsPunct("**") {
+					p.Next()
 					it.Descend = true
 				}
 				f, err := p.node()
@@ -370,8 +241,8 @@ func (p *fparser) items() ([]FItem, error) {
 				}
 				it.F = f
 			}
-		case p.isPunct("**"):
-			p.i++
+		case p.IsPunct("**"):
+			p.Next()
 			it.Descend = true
 			f, err := p.node()
 			if err != nil {
@@ -386,8 +257,8 @@ func (p *fparser) items() ([]FItem, error) {
 			it.F = f
 		}
 		items = append(items, it)
-		if p.isPunct(",") {
-			p.i++
+		if p.IsPunct(",") {
+			p.Next()
 			continue
 		}
 		return items, nil

@@ -5,15 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/optimizer"
+	"repro/internal/yatl"
 )
 
 // FuzzPlan sends arbitrary bytes where a tenant's query text goes, on the
-// paper deployment with the Figure 8 assumptions declared. Two properties:
+// paper deployment with the Figure 8 assumptions declared. Three properties:
 // composing never panics (both dialects' parsers, the XQuery compiler, view
-// substitution), and a text whose naive plan lints clean optimizes under
-// CheckInvariants without an InvariantError or a TypeError — every rewriting
-// step of all three rounds keeps a well-formed, well-typed plan well-formed
-// and well-typed. testdata/fuzz/FuzzPlan holds Q1, Q2, their XQuery forms
+// substitution); a YAT_L query the parser accepts prints, as a rule, to text
+// that re-parses and prints identically — the property a view definition or
+// a pushed filter relies on; and a text whose naive plan lints clean
+// optimizes under CheckInvariants without an InvariantError or a TypeError
+// — every rewriting step of all three rounds keeps a well-formed, well-typed
+// plan well-formed and well-typed. testdata/fuzz/FuzzPlan holds Q1, Q2, their XQuery forms
 // and view1's body as a query, plus what the fuzzer found. The second
 // property found the Figure 8 refusal from those seeds alone
 // (TestFigure8PruningPassesTypedVerification), then a query variable
@@ -24,6 +27,13 @@ func FuzzPlan(f *testing.F) {
 	m.CheckInvariants = true
 	cat := m.cat.Load()
 	f.Fuzz(func(t *testing.T, src string) {
+		if q, err := yatl.ParseQuery(src); err == nil {
+			printed := q.String()
+			p, err := yatl.Parse(printed)
+			if err != nil || len(p.Rules) != 1 || p.Rules[0].String() != printed {
+				t.Fatalf("a query does not re-parse from its printed form:\n src = %q\n printed = %q\n err = %v\n again = %q", src, printed, err, p)
+			}
+		}
 		naive, err := cat.compose(src)
 		if err != nil || len(cat.lint(naive)) > 0 {
 			return

@@ -2,10 +2,9 @@ package pattern
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/data"
+	"repro/internal/syntax"
 )
 
 // The textual pattern syntax, used throughout tests and by the mediator
@@ -21,125 +20,14 @@ import (
 // `label: p` abbreviates `label[ p ]`. The labels set/bag/list/array carry
 // their collection kind.
 
-type tokKind int
+// Tokens are internal/syntax's; an attribute label such as @id is an "@"
+// glued to a word.
 
-const (
-	tEOF tokKind = iota
-	tName
-	tString
-	tNumber
-	tPunct // one of []():,*&|=
-)
-
-type token struct {
-	kind tokKind
-	text string
-	pos  int
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case c == '#': // comment to end of line
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-		case strings.IndexByte("[]():,*&|=", c) >= 0:
-			// ":=" is two tokens (':' '='); callers handle it.
-			l.toks = append(l.toks, token{tPunct, string(c), l.pos})
-			l.pos++
-		case c == '"':
-			start := l.pos
-			l.pos++
-			var b strings.Builder
-			for l.pos < len(l.src) && l.src[l.pos] != '"' {
-				if l.src[l.pos] == '\\' && l.pos+1 < len(l.src) {
-					l.pos++
-				}
-				b.WriteByte(l.src[l.pos])
-				l.pos++
-			}
-			if l.pos >= len(l.src) {
-				return nil, fmt.Errorf("pattern: unterminated string at offset %d", start)
-			}
-			l.pos++
-			l.toks = append(l.toks, token{tString, b.String(), start})
-		case c >= '0' && c <= '9' || c == '-':
-			start := l.pos
-			l.pos++
-			for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9' || l.src[l.pos] == '.') {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{tNumber, l.src[start:l.pos], start})
-		case isIdentStart(c):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{tName, l.src[start:l.pos], start})
-		default:
-			return nil, fmt.Errorf("pattern: unexpected character %q at offset %d", c, l.pos)
-		}
-	}
-	l.toks = append(l.toks, token{tEOF, "", l.pos})
-	return l.toks, nil
-}
-
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '@' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isIdentChar(c byte) bool {
-	return isIdentStart(c) || c == '\'' || c == '-' || (c >= '0' && c <= '9')
-}
-
-type parser struct {
-	toks []token
-	i    int
-}
-
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
-
-func (p *parser) expect(text string) error {
-	t := p.cur()
-	if t.kind == tPunct && t.text == text {
-		p.i++
-		return nil
-	}
-	return fmt.Errorf("pattern: expected %q at offset %d, got %q", text, t.pos, t.text)
-}
-
-func (p *parser) isPunct(text string) bool {
-	t := p.cur()
-	return t.kind == tPunct && t.text == text
-}
+type parser struct{ *syntax.Cursor }
 
 // ParsePattern parses a single pattern in the textual syntax.
 func ParsePattern(src string) (*P, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	pat, err := p.pattern()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind != tEOF {
-		return nil, fmt.Errorf("pattern: trailing input at offset %d", p.cur().pos)
-	}
-	return pat, nil
+	return syntax.Parse(src, "pattern", func(c *syntax.Cursor) (*P, error) { return (&parser{c}).pattern() })
 }
 
 // MustParse is ParsePattern panicking on error; for fixtures and tests.
@@ -157,36 +45,31 @@ func MustParse(src string) *P {
 //	Name := pattern
 //	...
 func ParseModel(src string) (*Model, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	return syntax.Parse(src, "pattern", func(c *syntax.Cursor) (*Model, error) { return (&parser{c}).model() })
+}
+
+func (p *parser) model() (*Model, error) {
+	if t := p.Next(); t.Kind != syntax.Word || t.Text != "model" {
+		return nil, fmt.Errorf("expected 'model' at offset %d", t.Pos)
 	}
-	p := &parser{toks: toks}
-	t := p.next()
-	if t.kind != tName || t.text != "model" {
-		return nil, fmt.Errorf("pattern: expected 'model' at offset %d", t.pos)
+	nameTok := p.Next()
+	if nameTok.Kind != syntax.Word {
+		return nil, fmt.Errorf("expected model name at offset %d", nameTok.Pos)
 	}
-	nameTok := p.next()
-	if nameTok.kind != tName {
-		return nil, fmt.Errorf("pattern: expected model name at offset %d", nameTok.pos)
-	}
-	m := NewModel(nameTok.text)
-	for p.cur().kind != tEOF {
-		def := p.next()
-		if def.kind != tName {
-			return nil, fmt.Errorf("pattern: expected definition name at offset %d", def.pos)
+	m := NewModel(nameTok.Text)
+	for p.Cur().Kind != syntax.EOF {
+		def := p.Next()
+		if def.Kind != syntax.Word {
+			return nil, fmt.Errorf("expected definition name at offset %d", def.Pos)
 		}
-		if err := p.expect(":"); err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
+		if err := p.Eat(":="); err != nil {
 			return nil, err
 		}
 		pat, err := p.pattern()
 		if err != nil {
 			return nil, err
 		}
-		m.Define(def.text, pat)
+		m.Define(def.Text, pat)
 	}
 	return m, nil
 }
@@ -201,73 +84,59 @@ func MustParseModel(src string) *Model {
 }
 
 func (p *parser) pattern() (*P, error) {
-	t := p.cur()
-	switch t.kind {
-	case tString:
-		p.i++
+	t := p.Cur()
+	switch {
+	case t.Kind == syntax.String:
+		p.Next()
 		// A quoted name followed by '[' or ':' is a node label: XML names
 		// may contain characters outside the identifier alphabet or collide
 		// with reserved words, and String() quotes them (cf. writeLabel).
 		// Quoted labels never carry reserved meaning — no Symbol wildcard,
 		// no collection kind.
-		if p.isPunct("[") || p.isPunct(":") {
-			node := &P{Kind: KNode, Label: t.text}
+		if p.IsPunct("[") || p.IsPunct(":") {
+			node := &P{Kind: KNode, Label: t.Text}
 			if err := p.nodeSuffix(node); err != nil {
 				return nil, err
 			}
 			return node, nil
 		}
-		return Const(data.String(t.text)), nil
-	case tNumber:
-		p.i++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
+		return Const(data.String(t.Text)), nil
+	case p.IsPunct("&"):
+		p.Next()
+		n := p.Next()
+		if n.Kind != syntax.Word {
+			return nil, fmt.Errorf("expected name after '&' at offset %d", n.Pos)
+		}
+		return Ref(n.Text), nil
+	case p.IsPunct("("):
+		p.Next()
+		var alts []*P
+		for {
+			a, err := p.pattern()
 			if err != nil {
-				return nil, fmt.Errorf("pattern: bad number %q at offset %d", t.text, t.pos)
-			}
-			return Const(data.Float(f)), nil
-		}
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("pattern: bad number %q at offset %d", t.text, t.pos)
-		}
-		return Const(data.Int(v)), nil
-	case tPunct:
-		switch t.text {
-		case "&":
-			p.i++
-			n := p.next()
-			if n.kind != tName {
-				return nil, fmt.Errorf("pattern: expected name after '&' at offset %d", n.pos)
-			}
-			return Ref(n.text), nil
-		case "(":
-			p.i++
-			var alts []*P
-			for {
-				a, err := p.pattern()
-				if err != nil {
-					return nil, err
-				}
-				alts = append(alts, a)
-				if p.isPunct("|") {
-					p.i++
-					continue
-				}
-				break
-			}
-			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
-			if len(alts) == 1 {
-				return alts[0], nil
+			alts = append(alts, a)
+			if p.IsPunct("|") {
+				p.Next()
+				continue
 			}
-			return Union(alts...), nil
+			break
 		}
-		return nil, fmt.Errorf("pattern: unexpected %q at offset %d", t.text, t.pos)
-	case tName:
-		p.i++
-		switch t.text {
+		if err := p.Eat(")"); err != nil {
+			return nil, err
+		}
+		if len(alts) == 1 {
+			return alts[0], nil
+		}
+		return Union(alts...), nil
+	case p.IsPunct("@") && p.Glued(syntax.Word):
+		p.Next()
+		node := &P{Kind: KNode, Label: "@" + p.Next().Text}
+		return node, p.nodeSuffix(node)
+	case t.Kind == syntax.Word:
+		p.Next()
+		switch t.Text {
 		case "Int":
 			return Int(), nil
 		case "Float":
@@ -283,38 +152,36 @@ func (p *parser) pattern() (*P, error) {
 		case "false":
 			return Const(data.Bool(false)), nil
 		}
-		node := &P{Kind: KNode, Label: t.text}
-		if t.text == "Symbol" {
+		node := &P{Kind: KNode, Label: t.Text}
+		if t.Text == "Symbol" {
 			node.Label, node.AnyLabel = "", true
 		}
-		node.Col = ColFromString(t.text)
+		node.Col = ColFromString(t.Text)
 		if err := p.nodeSuffix(node); err != nil {
 			return nil, err
 		}
 		return node, nil
-	default:
-		return nil, fmt.Errorf("pattern: unexpected end of input")
 	}
+	if a, ok, err := p.Literal(); ok {
+		return Const(a), err
+	}
+	return nil, p.Unexpected()
 }
 
 // nodeSuffix parses a node's child sequence: `[ items ]`, the `label: p`
-// scalar abbreviation, or nothing (a leaf node). A following ":=" definition
-// head is left untouched.
+// scalar abbreviation, or nothing (a leaf node).
 func (p *parser) nodeSuffix(node *P) error {
 	switch {
-	case p.isPunct("["):
-		p.i++
+	case p.IsPunct("["):
+		p.Next()
 		items, err := p.items()
 		if err != nil {
 			return err
 		}
 		node.Items = items
-		return p.expect("]")
-	case p.isPunct(":"):
-		if p.i+1 < len(p.toks) && p.toks[p.i+1].kind == tPunct && p.toks[p.i+1].text == "=" {
-			return nil
-		}
-		p.i++
+		return p.Eat("]")
+	case p.IsPunct(":"):
+		p.Next()
 		kid, err := p.pattern()
 		if err != nil {
 			return err
@@ -326,13 +193,13 @@ func (p *parser) nodeSuffix(node *P) error {
 
 func (p *parser) items() ([]Item, error) {
 	var items []Item
-	if p.isPunct("]") {
+	if p.IsPunct("]") {
 		return items, nil
 	}
 	for {
 		star := false
-		if p.isPunct("*") {
-			p.i++
+		if p.IsPunct("*") {
+			p.Next()
 			star = true
 		}
 		pat, err := p.pattern()
@@ -340,8 +207,8 @@ func (p *parser) items() ([]Item, error) {
 			return nil, err
 		}
 		items = append(items, Item{P: pat, Star: star})
-		if p.isPunct(",") {
-			p.i++
+		if p.IsPunct(",") {
+			p.Next()
 			continue
 		}
 		return items, nil

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/data"
+	"repro/internal/syntax"
 )
 
 // Kind enumerates pattern node kinds.
@@ -650,16 +651,12 @@ func writeLabel(b *strings.Builder, label string, col Col) {
 	b.WriteByte('"')
 }
 
-// plainLabel reports whether the label lexes back as the same bare name and
-// re-parses to the same node (no reserved meaning, collection kind intact).
+// plainLabel reports whether the label lexes back as the same bare name —
+// a word, or an attribute's "@" glued to a word — and re-parses to the same
+// node (no reserved meaning, collection kind intact).
 func plainLabel(label string, col Col) bool {
-	if label == "" || !isIdentStart(label[0]) {
+	if !syntax.IsWord(strings.TrimPrefix(label, "@")) {
 		return false
-	}
-	for i := 1; i < len(label); i++ {
-		if !isIdentChar(label[i]) {
-			return false
-		}
 	}
 	switch label {
 	case "Int", "Float", "Bool", "String", "Any", "Symbol", "true", "false", "model":

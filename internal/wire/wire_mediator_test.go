@@ -11,15 +11,21 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/mediator"
+	"repro/internal/o2"
 	"repro/internal/o2wrap"
 	"repro/internal/waiswrap"
 	"repro/internal/wire"
 )
 
-// deployO2 starts an O₂ wrapper server on an ephemeral port.
+// deployO2 starts an O₂ wrapper server over the paper's database on an
+// ephemeral port.
 func deployO2(t *testing.T) *wire.Server {
 	t.Helper()
-	ow := o2wrap.New("o2artifact", datagen.PaperDB())
+	return serveO2(t, o2wrap.New("o2artifact", datagen.PaperDB()))
+}
+
+func serveO2(t *testing.T, ow *o2wrap.Wrapper) *wire.Server {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -156,5 +162,68 @@ func TestDistributedNaiveQueryAgrees(t *testing.T) {
 	}
 	if naive.Stats.SourceFetches == 0 {
 		t.Error("naive strategy must fetch documents")
+	}
+}
+
+// TestPushedConstantsSurviveTheWire pins the plan codec on the constants a
+// pushed Select carries: strings with escaped bytes, a non-ASCII rune or a
+// backslash, and a float that prints with an exponent select the same rows
+// at an O₂ wrapper behind wire as at the same wrapper in-process. The rows
+// are the distinct prices, not the titles: the reply codec turns a title's
+// newline or tab into a space, which is a different layer's defect.
+func TestPushedConstantsSurviveTheWire(t *testing.T) {
+	titles := []string{"a\nb", "a\tb", "a\x01b", "é", `a\b`}
+	db := o2.NewDB(datagen.NewTradingSchema())
+	for i, title := range titles {
+		if _, err := db.NewObject("Artifact", o2.Tuple("title", o2.Str(title), "year", o2.Int(1900),
+			"creator", o2.Str("X"), "price", o2.Float(2500000.5*float64(i)), "owners", o2.Coll(o2.CList))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ow := o2wrap.New("o2artifact", db)
+	local := mediator.New()
+	if err := local.Connect(ow, ow.ExportInterface()); err != nil {
+		t.Fatal(err)
+	}
+	local.ImportStructure("artifacts", ow.ExportSchema(), "Artifact")
+	c, err := wire.Dial(serveO2(t, ow).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	iface, err := c.ImportInterface()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := mediator.New()
+	if err := remote.Connect(c, iface); err != nil {
+		t.Fatal(err)
+	}
+	remote.ImportStructure("artifacts", ow.ExportSchema(), "Artifact")
+
+	const match = `MAKE $p MATCH artifacts WITH set[ *class[ artifact.tuple[ title: $t, price: $p ] ] ] WHERE `
+	// Raw bytes in the query text: only the wire has escapes to get right.
+	quote := strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+	var queries []string
+	for _, title := range titles {
+		queries = append(queries, match+`$t = "`+quote.Replace(title)+`"`)
+	}
+	queries = append(queries, match+"$p > 2000000.0")
+	for _, q := range queries {
+		want, err := local.Query(q)
+		if err != nil {
+			t.Fatalf("in-process %q: %v", q, err)
+		}
+		if want.Tab.Len() == 0 || !strings.Contains(want.Plan, "SourceQuery") {
+			t.Fatalf("in-process %q: %d rows, plan:\n%s", q, want.Tab.Len(), want.Plan)
+		}
+		got, err := remote.Query(q)
+		if err != nil {
+			t.Errorf("over wire %q: %v", q, err)
+			continue
+		}
+		if !got.Tab.EqualUnordered(want.Tab) {
+			t.Errorf("%q: over wire\n%s\nin-process\n%s", q, got.Tab, want.Tab)
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/filter"
+	"repro/internal/syntax"
 )
 
 // Rule is one YAT_L rule: a named query. The rule name is the name of the
@@ -92,24 +93,32 @@ func (r *Rule) String() string {
 // Parsing
 // ---------------------------------------------------------------------------
 
-// Parse parses a YAT_L program: rules terminated by ';'. Comments run from
+// Parse parses a YAT_L program: rules separated by ';'. Comments run from
 // '#' to end of line.
 func Parse(src string) (*Program, error) {
-	p := &Program{}
-	for _, chunk := range splitRules(src) {
-		if strings.TrimSpace(chunk) == "" {
-			continue
+	return syntax.Parse(src, "yatl", func(c *syntax.Cursor) (*Program, error) {
+		p := &Program{}
+		for c.Cur().Kind != syntax.EOF {
+			if c.IsPunct(";") {
+				c.Next()
+				continue
+			}
+			r, err := rule(c)
+			if err != nil {
+				return nil, err
+			}
+			p.Rules = append(p.Rules, *r)
+			if c.Cur().Kind != syntax.EOF {
+				if err := c.Eat(";"); err != nil {
+					return nil, fmt.Errorf("rule %s: %w", r.Name, err)
+				}
+			}
 		}
-		r, err := parseRule(chunk)
-		if err != nil {
-			return nil, err
+		if len(p.Rules) == 0 {
+			return nil, fmt.Errorf("empty program")
 		}
-		p.Rules = append(p.Rules, *r)
-	}
-	if len(p.Rules) == 0 {
-		return nil, fmt.Errorf("yatl: empty program")
-	}
-	return p, nil
+		return p, nil
+	})
 }
 
 // MustParse is Parse panicking on error.
@@ -122,11 +131,16 @@ func MustParse(src string) *Program {
 }
 
 // ParseQuery parses a single anonymous query (a MAKE/MATCH/WHERE block
-// without a rule head), as typed at the mediator console (e.g. Q1).
+// without a rule head, optionally ending in ';'), as typed at the mediator
+// console (e.g. Q1).
 func ParseQuery(src string) (*Rule, error) {
-	src = stripComments(src)
-	src = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(src), ";"))
-	return parseBody("query", nil, src)
+	return syntax.Parse(src, "yatl", func(c *syntax.Cursor) (*Rule, error) {
+		r, err := body(c, "query", nil)
+		if err == nil && c.IsPunct(";") {
+			c.Next()
+		}
+		return r, err
+	})
 }
 
 // MustParseQuery is ParseQuery panicking on error.
@@ -138,207 +152,85 @@ func MustParseQuery(src string) *Rule {
 	return r
 }
 
-func stripComments(src string) string {
-	lines := strings.Split(src, "\n")
-	for i, l := range lines {
-		inStr := false
-		for j := 0; j < len(l); j++ {
-			switch l[j] {
-			case '"':
-				inStr = !inStr
-			case '#':
-				if !inStr {
-					lines[i] = l[:j]
-					j = len(l)
-				}
-			}
-		}
+// rule parses `name(params) := body`.
+func rule(c *syntax.Cursor) (*Rule, error) {
+	name := c.Next()
+	if name.Kind != syntax.Word {
+		return nil, fmt.Errorf("expected rule name at offset %d", name.Pos)
 	}
-	return strings.Join(lines, "\n")
-}
-
-func splitRules(src string) []string {
-	src = stripComments(src)
-	var out []string
-	start := 0
-	inStr := false
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '"':
-			inStr = !inStr
-		case ';':
-			if !inStr {
-				out = append(out, src[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if strings.TrimSpace(src[start:]) != "" {
-		out = append(out, src[start:])
-	}
-	return out
-}
-
-func parseRule(src string) (*Rule, error) {
-	// head: NAME '(' params ')' ':='
-	idx := strings.Index(src, ":=")
-	if idx < 0 {
-		return nil, fmt.Errorf("yatl: rule without ':=' head in %q", firstLine(src))
-	}
-	head := strings.TrimSpace(src[:idx])
-	open := strings.IndexByte(head, '(')
-	close_ := strings.LastIndexByte(head, ')')
-	if open < 0 || close_ < open {
-		return nil, fmt.Errorf("yatl: malformed rule head %q", head)
-	}
-	name := strings.TrimSpace(head[:open])
-	if name == "" {
-		return nil, fmt.Errorf("yatl: rule without a name")
+	if err := c.Eat("("); err != nil {
+		return nil, fmt.Errorf("rule %s: %w", name.Text, err)
 	}
 	var params []string
-	for _, pstr := range strings.Split(head[open+1:close_], ",") {
-		if s := strings.TrimSpace(pstr); s != "" {
-			params = append(params, s)
+	for !c.IsPunct(")") {
+		t := c.Next()
+		if t.Kind != syntax.Word && t.Kind != syntax.Var {
+			return nil, fmt.Errorf("rule %s: expected parameter at offset %d", name.Text, t.Pos)
+		}
+		params = append(params, t.Text)
+		if !c.IsPunct(")") {
+			if err := c.Eat(","); err != nil {
+				return nil, fmt.Errorf("rule %s: %w", name.Text, err)
+			}
 		}
 	}
-	return parseBody(name, params, src[idx+2:])
+	c.Next()
+	if err := c.Eat(":="); err != nil {
+		return nil, fmt.Errorf("rule %s: %w", name.Text, err)
+	}
+	return body(c, name.Text, params)
 }
 
-func firstLine(s string) string {
-	s = strings.TrimSpace(s)
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// parseBody parses `MAKE ... MATCH ... [WHERE ...]`, locating the keywords
-// at bracket depth zero and delegating the three sections to the
-// construction, filter and expression parsers.
-func parseBody(name string, params []string, src string) (*Rule, error) {
-	makePos := keywordPos(src, "MAKE")
-	matchPos := keywordPos(src, "MATCH")
-	wherePos := keywordPos(src, "WHERE")
-	if makePos < 0 || matchPos < 0 || matchPos < makePos {
-		return nil, fmt.Errorf("yatl: rule %s must have MAKE followed by MATCH", name)
-	}
-	makeSrc := src[makePos+4 : matchPos]
-	var matchSrc, whereSrc string
-	if wherePos >= 0 {
-		if wherePos < matchPos {
-			return nil, fmt.Errorf("yatl: rule %s has WHERE before MATCH", name)
+// body parses `MAKE cons MATCH doc WITH filter {, doc WITH filter} [WHERE
+// expr]`, handing the one token stream to the construction, filter and
+// expression parsers in turn; each stops at the first token it cannot use.
+func body(c *syntax.Cursor, name string, params []string) (*Rule, error) {
+	keyword := func(kw string) error {
+		if !c.IsKeyword(kw) {
+			return fmt.Errorf("rule %s: expected %s: %w", name, kw, c.Unexpected())
 		}
-		matchSrc = src[matchPos+5 : wherePos]
-		whereSrc = src[wherePos+5:]
-	} else {
-		matchSrc = src[matchPos+5:]
+		c.Next()
+		return nil
+	}
+	if err := keyword("MAKE"); err != nil {
+		return nil, err
 	}
 	r := &Rule{Name: name, Params: params}
-	cons, err := algebra.ParseCons(strings.TrimSpace(makeSrc))
+	cons, err := algebra.ParseConsNext(c)
 	if err != nil {
-		return nil, fmt.Errorf("yatl: rule %s MAKE: %w", name, err)
+		return nil, fmt.Errorf("rule %s MAKE: %w", name, err)
 	}
 	r.Make = cons
-	for _, clause := range splitTop(matchSrc) {
-		parts := splitKeyword(clause, "WITH")
-		if parts == nil {
-			return nil, fmt.Errorf("yatl: rule %s: MATCH clause %q lacks WITH", name, firstLine(clause))
-		}
-		doc := strings.TrimSpace(parts[0])
-		if doc == "" || strings.ContainsAny(doc, " \t\n") {
-			return nil, fmt.Errorf("yatl: rule %s: bad document name %q", name, doc)
-		}
-		f, err := filter.Parse(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return nil, fmt.Errorf("yatl: rule %s MATCH %s: %w", name, doc, err)
-		}
-		r.Matches = append(r.Matches, Match{Doc: doc, F: f})
+	if err := keyword("MATCH"); err != nil {
+		return nil, err
 	}
-	if len(r.Matches) == 0 {
-		return nil, fmt.Errorf("yatl: rule %s has no MATCH clauses", name)
-	}
-	if strings.TrimSpace(whereSrc) != "" {
-		e, err := algebra.ParseExpr(strings.TrimSpace(whereSrc))
+	for {
+		doc := c.Next()
+		if doc.Kind != syntax.Word {
+			return nil, fmt.Errorf("rule %s: expected a document name at offset %d", name, doc.Pos)
+		}
+		if err := keyword("WITH"); err != nil {
+			return nil, err
+		}
+		f, err := filter.ParseNext(c)
 		if err != nil {
-			return nil, fmt.Errorf("yatl: rule %s WHERE: %w", name, err)
+			return nil, fmt.Errorf("rule %s MATCH %s: %w", name, doc.Text, err)
+		}
+		r.Matches = append(r.Matches, Match{Doc: doc.Text, F: f})
+		if !c.IsPunct(",") {
+			break
+		}
+		c.Next()
+	}
+	if c.IsKeyword("WHERE") {
+		c.Next()
+		e, err := algebra.ParseExprNext(c)
+		if err != nil {
+			return nil, fmt.Errorf("rule %s WHERE: %w", name, err)
 		}
 		r.Where = e
 	}
 	return r, nil
-}
-
-// keywordPos finds a top-level (bracket depth 0, outside strings) keyword
-// occurrence delimited by non-word characters. It returns -1 when absent.
-func keywordPos(src, kw string) int {
-	depth, inStr := 0, false
-	for i := 0; i+len(kw) <= len(src); i++ {
-		c := src[i]
-		switch c {
-		case '"':
-			inStr = !inStr
-			continue
-		case '[', '(':
-			if !inStr {
-				depth++
-			}
-			continue
-		case ']', ')':
-			if !inStr {
-				depth--
-			}
-			continue
-		}
-		if inStr || depth != 0 {
-			continue
-		}
-		if src[i:i+len(kw)] == kw &&
-			(i == 0 || !isWordByte(src[i-1])) &&
-			(i+len(kw) == len(src) || !isWordByte(src[i+len(kw)])) {
-			return i
-		}
-	}
-	return -1
-}
-
-// splitTop splits on commas at bracket depth zero.
-func splitTop(src string) []string {
-	var out []string
-	depth, inStr, start := 0, false, 0
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '"':
-			inStr = !inStr
-		case '[', '(':
-			if !inStr {
-				depth++
-			}
-		case ']', ')':
-			if !inStr {
-				depth--
-			}
-		case ',':
-			if !inStr && depth == 0 {
-				out = append(out, src[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if strings.TrimSpace(src[start:]) != "" {
-		out = append(out, src[start:])
-	}
-	return out
-}
-
-func splitKeyword(src, kw string) []string {
-	i := keywordPos(src, kw)
-	if i < 0 {
-		return nil
-	}
-	return []string{src[:i], src[i+len(kw):]}
-}
-
-func isWordByte(c byte) bool {
-	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
 // ---------------------------------------------------------------------------

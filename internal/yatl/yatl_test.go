@@ -175,6 +175,21 @@ WHERE $x != "WHERE" ;`
 	if len(p.Rules[0].Matches) != 1 {
 		t.Errorf("matches = %d", len(p.Rules[0].Matches))
 	}
+	// Neither an escaped quote's ';' nor its '#' ends the rule or the line.
+	p, err = Parse(`r() := MAKE $t MATCH a WITH b[ t: $t ] WHERE $t = "a\";b" ;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Rules[0].Where.String(); got != `$t = "a\";b"` {
+		t.Errorf("where = %s", got)
+	}
+	q, err := ParseQuery(`MAKE $t MATCH a WITH b[ t: $t ] WHERE $t = "a\" # b"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Where.String(); got != `$t = "a\" # b"` {
+		t.Errorf("where = %s", got)
+	}
 }
 
 func TestFigure5Translation(t *testing.T) {
