@@ -178,6 +178,9 @@ func (c *composition) match(fn *filter.FNode, cn *algebra.Cons, depth int) bool 
 	if fn.Type != nil || fn.LabelVar != "" && cn.LabelVar != "" {
 		return false // type filters and label-var/label-var need runtime data
 	}
+	if fn.Const != nil && len(fn.Items) > 0 {
+		return false // the branches below would drop the items' variables
+	}
 	// Label discipline.
 	label := cn.Label
 	switch {
