@@ -126,30 +126,21 @@ func (p *aparser) cons() (*Cons, error) {
 		if err := p.Eat("]"); err != nil {
 			return nil, err
 		}
-		// `label[ $v ]` builds what `label: $v` builds, and prints as it:
-		// read it as that, so that printing and re-reading is a fixpoint.
-		if len(c.Kids) == 1 && !c.Kids[0].Star {
-			if k := c.Kids[0].C; k.Label == "" && k.LabelVar == "" && k.Skolem == "" && k.RefTo == "" && len(k.Kids) == 0 {
-				c.Var, c.Const, c.Kids = k.Var, k.Const, nil
-			}
-		}
 	case p.IsPunct(":"):
 		p.Next()
-		// `label: $v` and `label: "const"` attach content directly.
-		if a, ok, err := p.Literal(); ok {
-			c.Const = &a
-			return c, err
-		}
-		if t := p.Cur(); t.Kind == syntax.Var {
-			p.Next()
-			c.Var = t.Text
-			return c, nil
-		}
 		kid, err := p.cons()
 		if err != nil {
 			return nil, err
 		}
 		c.Kids = append(c.Kids, ConsItem{C: kid})
+	}
+	// A single unstarred `$v` or constant child is attached directly:
+	// `label: $v` and `label[ $v ]` build the same tree and both print as
+	// the former, so printing and re-reading is a fixpoint.
+	if len(c.Kids) == 1 && !c.Kids[0].Star {
+		if k := c.Kids[0].C; k.Label == "" && k.LabelVar == "" && k.Skolem == "" && k.RefTo == "" && len(k.Kids) == 0 {
+			c.Var, c.Const, c.Kids = k.Var, k.Const, nil
+		}
 	}
 	return c, nil
 }
