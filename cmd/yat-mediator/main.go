@@ -135,7 +135,7 @@ type dialConfig struct {
 
 func main() {
 	script := flag.String("script", "", "read commands from a file instead of stdin")
-	lint := flag.Bool("lint", false, "verify plan invariants after every rewrite and before execution")
+	lint := flag.Bool("lint", false, "verify plan invariants after each optimizer round and refuse plans that fail")
 	checkTypes := flag.Bool("check-types", false, "validate wrapper responses against their declared structural types")
 	parallel := flag.Int("parallel", 1, "execution workers per query (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 30s")

@@ -29,8 +29,10 @@ func figure8Setup(t testing.TB) *Mediator {
 // Containment sources $t from the semistructured works where the original
 // plan read it from O₂'s String title, so the root type legitimately widens.
 // The typed check used to refuse exactly the paper's own Figure 8 rewrite
-// ("type changed after round1/pruneColumns"); it re-baselines after a prune
-// the assumption licensed, and the gate answers what the ungated run does.
+// ("type changed after round1/pruneColumns"); round 1 now checks the plan a
+// prune the assumption licensed was given against the old baseline and then
+// re-baselines on the pruned plan, and the gate answers what the ungated run
+// does.
 func TestFigure8PruningPassesTypedVerification(t *testing.T) {
 	for _, src := range []string{datagen.Q1Src, datagen.Q1XQuerySrc} {
 		m := figure8Setup(t)

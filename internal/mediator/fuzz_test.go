@@ -15,8 +15,8 @@ import (
 // that re-parses and prints identically — the property a view definition or
 // a pushed filter relies on; and a text whose naive plan lints clean
 // optimizes under CheckInvariants without an InvariantError or a TypeError
-// — every rewriting step of all three rounds keeps a well-formed, well-typed
-// plan well-formed and well-typed. testdata/fuzz/FuzzPlan holds Q1, Q2, their XQuery forms
+// — each of the three rounds keeps a well-formed, well-typed plan
+// well-formed and well-typed. testdata/fuzz/FuzzPlan holds Q1, Q2, their XQuery forms
 // and view1's body as a query, plus what the fuzzer found. The second
 // property found the Figure 8 refusal from those seeds alone
 // (TestFigure8PruningPassesTypedVerification), then a query variable

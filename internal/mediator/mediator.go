@@ -47,9 +47,11 @@ type Mediator struct {
 	cat   atomic.Pointer[catalog]
 	// Trace receives optimizer rewriting lines when non-nil.
 	Trace func(string)
-	// CheckInvariants verifies plans with planlint after every optimizer
-	// rewriting step and again immediately before execution; a violation
-	// aborts the query instead of producing a wrong answer.
+	// CheckInvariants verifies plans with planlint and typed verification:
+	// the optimizer checks its input and the output of each round, and a
+	// plan no optimizer verified (StreamPlan's, Materialize's and
+	// MaterializeProgram's) is linted before execution; a violation aborts
+	// the query instead of producing a wrong answer.
 	CheckInvariants bool
 	// Breaker configures the per-source circuit breakers (zero value =
 	// defaults: 3 consecutive transport failures open a breaker for 2s).

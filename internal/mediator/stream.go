@@ -105,7 +105,7 @@ func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts Exec
 	if err != nil {
 		return nil, err
 	}
-	return m.streamPlan(ctx, cat, m.newContext(cat), naive, opt, "optimized", opts)
+	return m.streamPlan(ctx, cat, m.newContext(cat), naive, opt, "", opts)
 }
 
 // StreamPlan is StreamContext for an already-built plan: the naive
@@ -118,12 +118,14 @@ func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOpt
 // streamPlan runs one plan under one catalog and one evaluation context (a
 // fresh one per query; MaterializeProgram's views share one Store, Skolems
 // and Catalog so Skolem identifiers fuse). With CheckInvariants set, a plan
-// that fails verification is refused instead of evaluated.
+// that fails verification is refused instead of evaluated; stage names the
+// plan in the refusal, and is empty for a plan the optimizer has just
+// verified, which is not linted twice.
 func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, naive, opt algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if m.CheckInvariants {
+	if m.CheckInvariants && stage != "" {
 		if ds := cat.lint(opt); len(ds) > 0 {
 			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
 		}

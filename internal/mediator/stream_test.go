@@ -10,6 +10,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/datagen"
 	"repro/internal/faults"
+	"repro/internal/filter"
 	"repro/internal/obs"
 	"repro/internal/tab"
 )
@@ -158,5 +159,38 @@ func TestStreamOptionsValidated(t *testing.T) {
 		if _, err := m.ExecutePlan(context.Background(), crossSourceUnion(), bad); err == nil {
 			t.Errorf("ExecutePlan accepted invalid options %+v", bad)
 		}
+	}
+}
+
+// TestCheckInvariantsRefusesIllFormedPlan: a hand-built plan no optimizer
+// verified is linted before it runs. Under CheckInvariants an ill-formed
+// one is refused before any source is called; without the gate the same
+// plan reaches the source.
+func TestCheckInvariantsRefusesIllFormedPlan(t *testing.T) {
+	m, _, _ := paperSetup(t)
+	reg := obs.NewRegistry()
+	m.SetMetrics(reg)
+	ghost := &algebra.Select{
+		From: &algebra.Bind{Doc: "works", F: filter.MustParse(`works[ *work[ title: $t ] ]`)},
+		Pred: algebra.MustParseExpr(`$ghost = 1`),
+	}
+	sourceCalls := func() int64 {
+		return reg.Counter("source_pushes_total").Value() + reg.Counter("source_fetches_total").Value()
+	}
+	const refusal = "mediator: refusing to execute custom plan"
+	m.CheckInvariants = true
+	if _, err := m.ExecutePlan(context.Background(), ghost, ExecOptions{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Errorf("ExecutePlan: err = %v, want %q", err, refusal)
+	}
+	if _, err := m.StreamPlan(context.Background(), ghost, ExecOptions{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Errorf("StreamPlan: err = %v, want %q", err, refusal)
+	}
+	if n := sourceCalls(); n != 0 {
+		t.Errorf("a refused plan called sources %d times", n)
+	}
+	m.CheckInvariants = false
+	_, _ = m.ExecutePlan(context.Background(), ghost, ExecOptions{Parallelism: 1})
+	if sourceCalls() == 0 {
+		t.Error("without the gate the plan never reached a source: the counters cannot see a call")
 	}
 }

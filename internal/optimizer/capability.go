@@ -20,16 +20,10 @@ import (
 
 func (o *Optimizer) round2(plan algebra.Op) algebra.Op {
 	plan = o.splitForCapabilities(plan)
-	o.verify("round2/splitForCapabilities", plan)
 	plan = o.introduceEquivalences(plan)
-	o.verify("round2/introduceEquivalences", plan)
 	plan = pushSelections(plan)
-	o.verify("round2/pushSelections", plan)
 	plan = o.wrapSources(plan)
-	o.verify("round2/wrapSources", plan)
-	plan = o.mergeSourceJoins(plan)
-	o.verify("round2/mergeSourceJoins", plan)
-	return plan
+	return o.mergeSourceJoins(plan)
 }
 
 // mergeSourceJoins merges a Join of two queries pushed to the same source

@@ -133,12 +133,12 @@ func (g *planGen) gen(depth int) (algebra.Op, []string, map[string]bool) {
 
 // TestOptimizerPreservesInvariantsOnRandomPlans is the property test: for N
 // random valid plans, every rewriting round's output still passes
-// planlint.Check — OptimizeChecked verifies after each rule and returns the
-// first violation with the rule's name. The same loop is the type-system
+// planlint.Check — OptimizeChecked verifies after each round and returns the
+// first violation with the round's name. The same loop is the type-system
 // property test: every planlint-accepted plan typechecks (with a non-empty
 // root — the generator only builds satisfiable filters), and all three
 // optimizer rounds preserve the inferred root type, both through the
-// per-stage internal verification and an explicit end-to-end subsumption
+// per-round internal verification and an explicit end-to-end subsumption
 // check on the final plan.
 func TestOptimizerPreservesInvariantsOnRandomPlans(t *testing.T) {
 	opts, _, _ := culturalOpts(30)
@@ -172,8 +172,8 @@ func TestOptimizerPreservesInvariantsOnRandomPlans(t *testing.T) {
 				i, algebra.Describe(out), planlint.Error(ds))
 		}
 		// End-to-end: the optimized root type is subsumed per shared column
-		// by the original's (the per-stage verification asserts this after
-		// every rule; this re-checks the composition from outside).
+		// by the original's (the per-round verification asserts this after
+		// each round; this re-checks the composition from outside).
 		opt, err := typecheck.Infer(out, tcfg)
 		if err != nil {
 			t.Errorf("plan %d: optimized plan fails to typecheck: %v", i, err)
@@ -217,9 +217,8 @@ func TestOptimizeCheckedReportsBrokenInput(t *testing.T) {
 	}
 }
 
-// TestVerifyNamesRoundAndRule checks the stage naming contract: a violation
-// introduced mid-pipeline carries the round/rule label of the step that
-// produced it.
+// TestVerifyNamesRoundAndRule checks the stage naming contract: verify
+// records a violation under the stage label it is given.
 func TestVerifyNamesRoundAndRule(t *testing.T) {
 	opts, _, _ := culturalOpts(10)
 	o := New(opts)

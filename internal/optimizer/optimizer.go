@@ -42,28 +42,23 @@ type Options struct {
 	// DisablePushdown skips capability-based pushdown (round 2): the
 	// ablation switch of EXPERIMENTS.md's E13.
 	DisablePushdown bool
-	// PruneDeadBranches lets round 1 eliminate operators the type inference
-	// proves dead under the declared Structures: a Union branch with a
-	// provably-empty type is dropped, a Join/DJoin with a provably-empty
-	// side collapses to an empty literal. Off by default — it changes plan
-	// shape based on schema claims, so callers opt in.
-	PruneDeadBranches bool
-	// CheckInvariants verifies plan well-formedness with planlint after
-	// every rewriting step of every round; the first violation — named by
-	// the round and rule that introduced it — is reported through Trace and
-	// returned by OptimizeChecked. A rewrite that unbinds a variable,
-	// breaks Skolem arity or pushes an infeasible subplan is caught at the
-	// step that did it, not as a wrong answer at execution time. The same
-	// gate verifies every step against the input plan's inferred type: a
-	// rewrite whose root row type is no longer subsumed by the original's
-	// is reported as a *TypeError (see typedverify.go).
+	// CheckInvariants verifies plan well-formedness with planlint on the
+	// input and on the output of each round; the first violation — named by
+	// its stage ("input", "round1", "round2", "round3") and located by its
+	// plan path — is reported through Trace and returned by OptimizeChecked.
+	// A round that unbinds a variable, breaks Skolem arity or pushes an
+	// infeasible subplan is caught before execution, not as a wrong answer.
+	// The same gate verifies each round against the input plan's inferred
+	// type: a round whose root row type is no longer subsumed by the
+	// original's is reported as a *TypeError (see typedverify.go).
 	CheckInvariants bool
 	// Trace receives one line per applied rewriting when non-nil.
 	Trace func(string)
 }
 
-// InvariantError reports a plan invariant broken by a rewriting step: Stage
-// names the round and rule ("round2/wrapSources"), Diags the violations.
+// InvariantError reports a broken plan invariant: Stage names the plan that
+// failed ("input" or the round that produced it, "round2"), Diags the
+// violations, each located by its plan path.
 type InvariantError struct {
 	Stage string
 	Diags []planlint.Diagnostic
@@ -81,8 +76,8 @@ type Optimizer struct {
 	err      error // first invariant violation (CheckInvariants only)
 	tcfg     *typecheck.Config
 	lcfg     *planlint.Config
-	origType *typecheck.RowType // root type every step is verified against (typedverify.go)
-	pruned   bool               // pruneColumns dropped a branch under a Containment since the last verify
+	origType *typecheck.RowType // root type each round is verified against (typedverify.go)
+	pruned   bool               // pruneColumns dropped a branch under a Containment
 }
 
 // New returns an optimizer over the given options. What verification
@@ -119,34 +114,43 @@ func (o *Optimizer) OptimizeChecked(plan algebra.Op) (algebra.Op, error) {
 
 func (o *Optimizer) optimize(plan algebra.Op) (algebra.Op, error) {
 	o.fresh = newFreshVars(plan)
-	o.err, o.pruned = nil, false
+	o.err = nil
+	// The input's type is the baseline, so the input needs only the lint.
 	o.captureRootType(plan)
-	o.verify("input", plan)
+	o.lint("input", plan)
 	out := o.round1(plan)
+	o.verify("round1", out)
 	if !o.opts.DisablePushdown {
 		out = o.round2(out)
+		o.verify("round2", out)
 	}
 	if o.opts.InfoPassing {
 		out = o.round3(out)
-		o.verify("round3/infoPassing", out)
+		o.verify("round3", out)
 	}
 	return out, o.err
 }
 
-// verify checks the plan after one rewriting step and records the first
-// violation, naming the stage (round and rule) that introduced it. Verifying
-// after every step — not only at round boundaries — pins a miscompile to the
-// exact rule.
+// verify checks a plan with planlint and against the baseline type,
+// recording the first violation under stage.
 func (o *Optimizer) verify(stage string, plan algebra.Op) {
+	if o.lint(stage, plan) {
+		o.verifyTypes(stage, plan)
+	}
+}
+
+// lint records plan's planlint violations under stage; it reports whether
+// the gate is on, no violation has been recorded and the plan is clean.
+func (o *Optimizer) lint(stage string, plan algebra.Op) bool {
 	if !o.opts.CheckInvariants || o.err != nil {
-		return
+		return false
 	}
 	if ds := planlint.Check(plan, o.lcfg); len(ds) > 0 {
 		o.err = &InvariantError{Stage: stage, Diags: ds}
 		o.trace("INVARIANT BROKEN after %s:\n%v", stage, planlint.Error(ds))
-		return
+		return false
 	}
-	o.verifyTypes(stage, plan)
+	return true
 }
 
 // round1 simplifies compositions: Bind–Tree elimination, selection
@@ -156,21 +160,20 @@ func (o *Optimizer) round1(plan algebra.Op) algebra.Op {
 	prev := ""
 	for iter := 0; iter < 6; iter++ {
 		plan = o.eliminateCompositions(plan)
-		o.verify("round1/eliminateCompositions", plan)
 		plan = pushSelections(plan)
-		o.verify("round1/pushSelections", plan)
+		given := plan
+		o.pruned = false
 		plan = o.pruneColumns(plan, colSet(plan.Columns()))
-		o.verify("round1/pruneColumns", plan)
-		if o.opts.PruneDeadBranches {
-			plan = o.pruneDeadBranches(plan)
-			o.verify("round1/pruneDeadBranches", plan)
+		if o.pruned {
+			// The assumption, not the types, licenses the prune
+			// (typedverify.go): hold what pruneColumns was given to the
+			// old baseline, the rest of the optimization to the new one.
+			o.verify("round1", given)
+			o.captureRootType(plan)
 		}
 		plan = o.expandLabelVars(plan)
-		o.verify("round1/expandLabelVars", plan)
 		plan = pushSelections(plan)
-		o.verify("round1/pushSelections", plan)
 		plan = simplifyProjects(plan)
-		o.verify("round1/simplifyProjects", plan)
 		cur := algebra.Describe(plan)
 		if cur == prev {
 			break

@@ -74,58 +74,3 @@ func TestVerifyTypesAcceptsRefiningRewrite(t *testing.T) {
 		t.Fatalf("refining rewrite rejected: %v", o.err)
 	}
 }
-
-func TestPruneDeadBranchesUnion(t *testing.T) {
-	live := func() *algebra.Bind {
-		return &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ name: $n ] ]`)}
-	}
-	// Well-formed (planlint accepts it: every label exists in the schema) but
-	// provably dead: num can never carry the string constant.
-	dead := func() *algebra.Bind {
-		return &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ name: $n, num: "zap" ] ]`)}
-	}
-	opts := typedOpts()
-	opts.PruneDeadBranches = true
-	for name, plan := range map[string]algebra.Op{
-		"DeadRight": &algebra.Union{L: live(), R: dead()},
-		"DeadLeft":  &algebra.Union{L: dead(), R: live()},
-	} {
-		t.Run(name, func(t *testing.T) {
-			out, err := New(opts).OptimizeChecked(plan)
-			if err != nil {
-				t.Fatalf("OptimizeChecked: %v", err)
-			}
-			if got, want := algebra.Describe(out), algebra.Describe(live()); got != want {
-				t.Errorf("pruned plan:\n%s\nwant:\n%s", got, want)
-			}
-		})
-	}
-	// Without the flag the union survives.
-	out, err := New(typedOpts()).OptimizeChecked(&algebra.Union{L: live(), R: dead()})
-	if err != nil {
-		t.Fatalf("OptimizeChecked: %v", err)
-	}
-	if _, ok := out.(*algebra.Union); !ok {
-		t.Errorf("union pruned without PruneDeadBranches: %s", algebra.Describe(out))
-	}
-}
-
-func TestPruneDeadBranchesCollapsesJoin(t *testing.T) {
-	live := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ name: $n ] ]`)}
-	dead := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ name: $m, num: "zap" ] ]`)}
-	opts := typedOpts()
-	opts.PruneDeadBranches = true
-	out, err := New(opts).OptimizeChecked(&algebra.Join{
-		L: live, R: dead, Pred: algebra.MustParseExpr(`$n = $m`),
-	})
-	if err != nil {
-		t.Fatalf("OptimizeChecked: %v", err)
-	}
-	lit, ok := out.(*algebra.Literal)
-	if !ok {
-		t.Fatalf("join not collapsed: %s", algebra.Describe(out))
-	}
-	if lit.T.Len() != 0 {
-		t.Errorf("collapsed literal has %d rows", lit.T.Len())
-	}
-}

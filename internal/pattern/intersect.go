@@ -12,8 +12,8 @@ package pattern
 // "Instance" here means a materialized (non-reference) data tree:
 // reference nodes match every node pattern under MatchData, so with refs
 // admitted nothing involving node patterns would ever be disjoint. The
-// analyses that build on these predicates (dead-branch pruning, wire
-// conformance) deal in shipped wrapper rows, which are materialized.
+// analyses that build on these predicates (a Bind's provable emptiness,
+// wire conformance) deal in shipped wrapper rows, which are materialized.
 
 // Empty reports whether p provably has no instances under m: an
 // unresolvable reference, a union with no satisfiable alternative, a node

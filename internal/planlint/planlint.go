@@ -7,10 +7,11 @@
 //
 // The paper's pattern type system is used "both for data description and for
 // optimization"; this package is the operational counterpart for plans: the
-// optimizer verifies the plan after every rewriting step (the
+// optimizer verifies its input and the output of each round (the
 // Options.CheckInvariants hook in internal/optimizer), and the mediator
-// verifies once more before execution, so a miscompiled rewrite is caught at
-// the rewrite that introduced it rather than as a wrong answer at runtime.
+// verifies every plan no optimizer verified before executing it, so a
+// miscompiled rewrite is caught before execution, located by the plan path
+// of the operator at fault, rather than as a wrong answer at runtime.
 package planlint
 
 import (
@@ -38,18 +39,11 @@ const (
 	CodeUnknownDoc    = "unknown-doc"    // named document no source or catalog exports
 	CodeMalformed     = "malformed"      // an operator form Eval and Columns disagree on
 	CodeBatchShape    = "batch-shape"    // DJoin inner plan reads parameters nothing provides
-
-	// Warning codes: emitted only with Config.Warnings, so callers that
-	// abort on any diagnostic (the optimizer's CheckInvariants gate) never
-	// see them.
-	CodeDJoinDegenerate = "djoin-degenerate" // DJoin inner plan has no free variables
-	CodeTypeEmpty       = "type-empty"       // operator provably produces no rows (type inference)
-	CodeDeadBranch      = "dead-branch"      // one side of a set-combining operator is provably empty
 )
 
 // Diagnostic is one invariant violation, located by a plan path: operator
-// short names joined by '/', with 'L'/'R' marking which side of a binary
-// operator was entered (e.g. "Select/Join/R/Bind").
+// kinds (algebra.OpKind) joined by '/', with 'L'/'R' marking which side of
+// a binary operator was entered (e.g. "Select/Join/R/Bind").
 type Diagnostic struct {
 	Code string // one of the Code* constants
 	Path string // plan path from the root to the offending operator
@@ -80,10 +74,6 @@ type Config struct {
 	// Params lists variables the environment provides (e.g. when checking a
 	// subplan that runs under a DJoin).
 	Params map[string]bool
-	// Warnings enables advisory diagnostics (the CodeDJoinDegenerate class):
-	// plans that will run correctly but suggest a missed rewrite. Off by
-	// default so invariant gates that abort on any diagnostic stay strict.
-	Warnings bool
 }
 
 // Check verifies a plan and returns its violations (nil when clean).
@@ -98,7 +88,6 @@ func Check(plan algebra.Op, cfg *Config) []Diagnostic {
 		env[p] = true
 	}
 	c.check(plan, "", env, false)
-	c.checkTypes(plan)
 	return c.diags
 }
 
@@ -136,44 +125,6 @@ func (c *checker) report(code, path string, op algebra.Op, format string, args .
 	})
 }
 
-// OpName returns the short operator name used in plan paths.
-func OpName(op algebra.Op) string {
-	switch op.(type) {
-	case *algebra.Doc:
-		return "Doc"
-	case *algebra.Bind:
-		return "Bind"
-	case *algebra.Select:
-		return "Select"
-	case *algebra.Project:
-		return "Project"
-	case *algebra.MapExpr:
-		return "Map"
-	case *algebra.Join:
-		return "Join"
-	case *algebra.DJoin:
-		return "DJoin"
-	case *algebra.Union:
-		return "Union"
-	case *algebra.Intersect:
-		return "Intersect"
-	case *algebra.Distinct:
-		return "Distinct"
-	case *algebra.Group:
-		return "Group"
-	case *algebra.Sort:
-		return "Sort"
-	case *algebra.TreeOp:
-		return "Tree"
-	case *algebra.SourceQuery:
-		return "SourceQuery"
-	case *algebra.Literal:
-		return "Literal"
-	default:
-		return fmt.Sprintf("%T", op)
-	}
-}
-
 // Extend appends a segment to a plan path.
 func Extend(path, seg string) string {
 	if path == "" {
@@ -191,7 +142,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 		c.report(CodeNilPlan, Extend(path, "<nil>"), nil, "nil operator")
 		return
 	}
-	path = Extend(path, OpName(op))
+	path = Extend(path, algebra.OpKind(op))
 	switch x := op.(type) {
 	case *algebra.Doc:
 		c.checkDoc(x.Name, path, x)
@@ -340,16 +291,6 @@ func (c *checker) checkBatchShape(x *algebra.DJoin, renv map[string]bool, path s
 			c.report(CodeBatchShape, path, x,
 				"DJoin inner plan reads parameter %s which neither the outer columns nor the environment provide; its binding sets are under-determined", v)
 		}
-	}
-	// Advisory: a DJoin whose inner plan reads nothing from the outer row is
-	// a plain Join (or cross product) in disguise. It still evaluates
-	// correctly — per-row evaluation repeats the identical inner query once
-	// per outer row, and batching collapses the bindings to one — but a Join
-	// evaluates the inner side exactly once with no information passing
-	// machinery at all.
-	if c.cfg.Warnings && len(free) == 0 {
-		c.report(CodeDJoinDegenerate, path, x,
-			"DJoin inner plan has no free variables; it does not depend on the outer row — a plain Join evaluates it once instead")
 	}
 }
 
@@ -607,12 +548,12 @@ func (c *checker) checkSourceQuery(sq *algebra.SourceQuery, path string, env map
 		if op == nil {
 			return
 		}
-		p = Extend(p, OpName(op))
+		p = Extend(p, algebra.OpKind(op))
 		if iface != nil {
 			opname, pushable := opOperation(op)
 			if !pushable {
 				c.report(CodeCapability, p, op,
-					"operator %s cannot appear in a pushed plan", OpName(op))
+					"operator %s cannot appear in a pushed plan", algebra.OpKind(op))
 			} else if !iface.CoversOperation(opname, docs) {
 				c.report(CodeCapability, p, op,
 					"source %q does not declare operation %q over %v", sq.Source, opname, docs)

@@ -275,8 +275,7 @@ func TestErrorFolding(t *testing.T) {
 
 func TestDJoinDegenerateWarning(t *testing.T) {
 	// The inner plan never reads an outer column: the DJoin is a plain Join
-	// in disguise. The advisory fires only with Warnings enabled, so strict
-	// invariant gates (abort on any diagnostic) never see it.
+	// in disguise, but it evaluates correctly, so it is not a violation.
 	plan := &algebra.DJoin{
 		L: docBind(`doc[ *item[ name: $n ] ]`),
 		R: &algebra.Select{
@@ -285,27 +284,25 @@ func TestDJoinDegenerateWarning(t *testing.T) {
 		},
 	}
 	if ds := Check(plan, testConfig()); len(ds) != 0 {
-		t.Fatalf("degenerate DJoin must stay clean without Warnings: %v", ds)
+		t.Fatalf("degenerate DJoin must stay clean: %v", ds)
 	}
-	cfg := testConfig()
-	cfg.Warnings = true
-	d := one(t, Check(plan, cfg), CodeDJoinDegenerate, "DJoin")
-	if !strings.Contains(d.Msg, "no free variables") {
-		t.Errorf("diagnostic should explain the degeneracy: %s", d)
-	}
+}
 
-	// A DJoin whose inner plan does read an outer column is genuine
-	// information passing: no warning even with Warnings on.
-	genuine := &algebra.DJoin{
-		L: docBind(`doc[ *item[ name: $n ] ]`),
-		R: &algebra.Select{
-			From: docBind(`doc[ *item[ num: $v ] ]`),
-			Pred: algebra.MustParseExpr(`$v > 1 AND $n = "a"`),
+// TestDiagnosticPathsCarryNesting pins the path format: a diagnostic
+// locates its operator with L/R side markers under binary operators.
+func TestDiagnosticPathsCarryNesting(t *testing.T) {
+	bad := &algebra.Select{
+		From: &algebra.Join{
+			L: docBind(`doc[ *item[ name: $n ] ]`),
+			R: &algebra.Select{
+				From: docBind(`doc[ *item[ num: $v ] ]`),
+				Pred: algebra.MustParseExpr(`$zap > 1`),
+			},
+			Pred: algebra.MustParseExpr(`$n = $v`),
 		},
+		Pred: algebra.MustParseExpr(`$v > 10`),
 	}
-	if ds := Check(genuine, cfg); len(ds) != 0 {
-		t.Fatalf("genuine DJoin flagged under Warnings: %v", ds)
-	}
+	one(t, Check(bad, testConfig()), CodeUnboundVar, "Select/Join/R/Select")
 }
 
 // TestPredFeasibleTable pins the one pushdown-feasibility table, conjunct by

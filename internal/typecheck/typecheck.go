@@ -5,11 +5,9 @@
 // order: the inferred pattern of an operator is a schema any produced data
 // must instantiate).
 //
-// The inferred types feed three consumers:
-//   - the optimizer's typed rewrite verification (every rewrite must keep
+// The inferred types feed two consumers:
+//   - the optimizer's typed rewrite verification (each round must keep
 //     the plan's root type subsumed by the original's),
-//   - planlint's static emptiness analysis (type-empty / dead-branch
-//     diagnostics over provably dead operators),
 //   - the mediator's wire conformance mode (ExecOptions.CheckTypes), which
 //     validates shipped wrapper rows against the inferred types.
 //
