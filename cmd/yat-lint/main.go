@@ -1,6 +1,6 @@
 // Command yat-lint is a repository-specific static analyzer for the YAT
 // mediator, built only on the standard library (go/ast, go/parser,
-// go/types). It enforces four invariants the general Go toolchain cannot:
+// go/types). It enforces five invariants the general Go toolchain cannot:
 //
 //  1. Exhaustive sealed-interface type switches: any type switch whose tag
 //     is an algebra.Op or an xq.Node must handle every implementation
@@ -24,6 +24,11 @@
 //     it has. A type assertion or type-switch case on algebra.ContextSource,
 //     BatchSource, StreamSource or PushStreamSource anywhere else is a new
 //     copy of that ladder.
+//  5. One way to count: a write (++, +=, =, ...) to a field of
+//     algebra.Stats (obs.Counts) outside algebra's Context.count and
+//     Counts.Add. Everything else counts through Context.count, which adds
+//     to the query's Stats and the ambient trace span together — a counter
+//     written any other way is missing from one of the two.
 //
 // A finding is suppressed by a `// yat-lint:ignore <reason>` comment on the
 // offending line or the line directly above it. A `default:` clause does
@@ -35,7 +40,7 @@
 //	yat-lint [packages...]   (defaults to ./...)
 //
 // Exits 0 when clean, 1 with findings, 2 on loader errors. Test files are
-// not analyzed by checks 1, 2 and 4; check 3 reads the typecheck package's
+// not analyzed by checks 1, 2, 4 and 5; check 3 reads the typecheck package's
 // test files (syntactically) and runs whenever that package is in the
 // analyzed set.
 package main
@@ -58,6 +63,7 @@ import (
 
 const (
 	algebraPath   = "repro/internal/algebra"
+	obsPath       = "repro/internal/obs"
 	xqPath        = "repro/internal/xq"
 	tabPath       = "repro/internal/tab"
 	typecheckPath = "repro/internal/typecheck"
@@ -335,7 +341,7 @@ func lintPackage(fset *token.FileSet, imp types.Importer, pkg pkgInfo, sealed []
 	return analyze(fset, files, info, pkg.ImportPath, sealed), nil
 }
 
-// analyze runs checks 1, 2 and 4 over a type-checked package.
+// analyze runs checks 1, 2, 4 and 5 over a type-checked package.
 func analyze(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath string, sealed []sealedSet) []string {
 	ignored := map[string]map[int]bool{} // filename → lines carrying an ignore tag
 	for _, f := range files {
@@ -363,6 +369,9 @@ type checker struct {
 	ignored  map[string]map[int]bool
 	pkgPath  string
 	findings []string
+	// counts is set while visiting one of the two functions that may write
+	// a counter field (check 5).
+	counts bool
 	// params holds, per enclosing function (innermost last), the *tab.Tab
 	// parameters considered shared operands.
 	params []map[types.Object]bool
@@ -384,37 +393,73 @@ func (c *checker) report(pos token.Pos, format string, args ...any) {
 }
 
 func (c *checker) file(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
-			c.pushParams(x.Type)
-		case *ast.FuncLit:
-			c.pushParams(x.Type)
-		case *ast.TypeSwitchStmt:
-			c.checkOpSwitch(x)
-		case *ast.TypeAssertExpr:
-			c.checkCallIface(x.Type)
-		case *ast.CaseClause:
-			for _, e := range x.List {
-				c.checkCallIface(e)
+	for _, d := range f.Decls {
+		c.counts = c.isCounterWriter(d)
+		ast.Inspect(d, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				c.pushParams(x.Type)
+			case *ast.FuncLit:
+				c.pushParams(x.Type)
+			case *ast.TypeSwitchStmt:
+				c.checkOpSwitch(x)
+			case *ast.TypeAssertExpr:
+				c.checkCallIface(x.Type)
+			case *ast.CaseClause:
+				for _, e := range x.List {
+					c.checkCallIface(e)
+				}
+			case *ast.CallExpr:
+				c.checkTabCall(x)
+			case *ast.AssignStmt:
+				c.checkTabWrite(x)
+				for _, lhs := range x.Lhs {
+					c.checkCounterWrite(lhs)
+				}
+			case *ast.IncDecStmt:
+				if root := c.sharedTabRoot(x.X); root != "" {
+					c.report(x.Pos(), "mutation of shared *tab.Tab parameter %s", root)
+				}
+				c.checkCounterWrite(x.X)
+			case nil:
 			}
-		case *ast.CallExpr:
-			c.checkTabCall(x)
-		case *ast.AssignStmt:
-			c.checkTabWrite(x)
-		case *ast.IncDecStmt:
-			if root := c.sharedTabRoot(x.X); root != "" {
-				c.report(x.Pos(), "mutation of shared *tab.Tab parameter %s", root)
-			}
-		case nil:
-		}
-		return true
-	})
+			return true
+		})
+	}
 	// ast.Inspect gives no post-order hook for popping one frame at a time,
 	// so params frames are pushed eagerly and the stack reset per file; the
 	// over-approximation is harmless because parameter objects are compared
 	// by identity, never by name.
 	c.params = nil
+}
+
+// isCounterWriter reports whether d is algebra's (*Context).count or obs's
+// (*Counts).Add, the only functions check 5 lets write a counter field.
+func (c *checker) isCounterWriter(d ast.Decl) bool {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok {
+		return false
+	}
+	fn, _ := c.info.Defs[fd.Name].(*types.Func)
+	return fn != nil && (fn.FullName() == "(*"+algebraPath+".Context).count" || fn.FullName() == "(*"+obsPath+".Counts).Add")
+}
+
+// checkCounterWrite (check 5) flags an assignment or increment whose target
+// is a field of obs.Counts — algebra.Stats — outside the counter writers.
+func (c *checker) checkCounterWrite(lhs ast.Expr) {
+	sel, ok := lhs.(*ast.SelectorExpr)
+	if !ok || c.counts {
+		return
+	}
+	t := types.Unalias(c.info.Types[sel.X].Type)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(ptr.Elem())
+	}
+	if t == nil || t.String() != obsPath+".Counts" {
+		return
+	}
+	c.report(lhs.Pos(), "write to counter %s outside algebra.Context.count: count through it, so the query's Stats and its trace span both see the work",
+		sel.Sel.Name)
 }
 
 // pushParams records the function's *tab.Tab parameters. The tab package

@@ -288,6 +288,48 @@ func f(src algebra.Source, op algebra.Op) (int, error) {
 	}
 }
 
+func TestCounterWriteIsFlagged(t *testing.T) {
+	findings := harness(t, `package synthetic
+
+import "repro/internal/algebra"
+
+func f(ctx *algebra.Context, s *algebra.Stats) {
+	ctx.Stats.SourcePushes++
+	s.BytesShipped += 16
+	var local algebra.Stats
+	local.CacheHits = 1
+}
+`)
+	if len(findings) != 3 {
+		t.Fatalf("want 3 counter-write findings, got %v", findings)
+	}
+	for i, name := range []string{"SourcePushes", "BytesShipped", "CacheHits"} {
+		if !strings.Contains(findings[i], "write to counter "+name) {
+			t.Errorf("finding %d = %s, want one naming %s", i, findings[i], name)
+		}
+	}
+}
+
+func TestCounterReadsAndWholeValuesAreClean(t *testing.T) {
+	// Reading a counter, merging whole values with Add and replacing a
+	// Stats value or pointer write no counter field.
+	findings := harness(t, `package synthetic
+
+import "repro/internal/algebra"
+
+func f(ctx *algebra.Context, s *algebra.Stats) int {
+	var total algebra.Stats
+	total.Add(*ctx.Stats)
+	*s = algebra.Stats{SourcePushes: 1}
+	ctx.Stats = &total
+	return s.SourcePushes + total.TuplesShipped
+}
+`)
+	if len(findings) != 0 {
+		t.Fatalf("clean counter handling flagged: %v", findings)
+	}
+}
+
 // TestTreeIsClean is the regression gate: the repository itself must stay
 // lint-clean (every intentional partial switch carries an ignore comment).
 func TestTreeIsClean(t *testing.T) {

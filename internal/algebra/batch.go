@@ -29,27 +29,6 @@ type BatchSource interface {
 // when Context.BatchChunk is unset.
 const DefaultBatchChunk = 64
 
-// PreparedPlan caches the per-plan work that set-at-a-time evaluation would
-// otherwise repeat per row: the canonical XML encoding (used for cache keys)
-// and the plan's free variables (the parameters it reads).
-type PreparedPlan struct {
-	Plan Op
-	Enc  string   // canonical encoding; "" when the plan is not encodable
-	Vars []string // sorted free variables
-}
-
-// PreparePlan computes a plan's PreparedPlan. Plans that cannot be encoded
-// (e.g. carrying a Literal of unserializable cells is fine — Literal encodes
-// — but an unknown operator type is not) get an empty Enc, which disables
-// result caching for them without disabling evaluation.
-func PreparePlan(op Op) *PreparedPlan {
-	p := &PreparedPlan{Plan: op, Vars: FreeVars(op)}
-	if enc, err := MarshalPlan(op); err == nil {
-		p.Enc = enc
-	}
-	return p
-}
-
 // FreeVars returns, sorted, the variables a plan reads from Context.Params
 // when evaluated: expression variables not bound by the operator's input
 // columns, plus parameter Binds (From == nil, Doc == ""). These are exactly
@@ -158,7 +137,6 @@ func colSetOf(cols []string) map[string]bool {
 type DJoinBindings struct {
 	Vars []string              // the inner plan's free variables, sorted
 	Sets []map[string]tab.Cell // distinct binding sets, first-occurrence order
-	Keys []string              // ParamsKey fragment per set, for cache keys
 	Row  []int                 // outer row index -> Sets index
 }
 
@@ -204,7 +182,6 @@ func NewDJoinBindings(l *tab.Tab, vars []string, outer map[string]tab.Cell) *DJo
 			idx = len(b.Sets)
 			seen[k] = idx
 			b.Sets = append(b.Sets, set)
-			b.Keys = append(b.Keys, k)
 		}
 		b.Row[ri] = idx
 	}
@@ -220,9 +197,7 @@ type DJoinSet struct {
 	Bindings *DJoinBindings
 	Results  []*tab.Tab
 
-	src    Source        // the source batched pushes go to; nil when not batchable
-	pushed *PreparedPlan // the plan they ship
-	source string
+	q *SourceQuery // the inner plan when batched pushes evaluate it; nil otherwise
 }
 
 // NewDJoinSet builds the set-at-a-time state for evaluating j over the
@@ -232,23 +207,19 @@ type DJoinSet struct {
 // binding set.
 func NewDJoinSet(ctx *Context, j *DJoin, l *tab.Tab) *DJoinSet {
 	s := &DJoinSet{
-		Bindings: NewDJoinBindings(l, j.Prepared().Vars, ctx.Params),
+		Bindings: NewDJoinBindings(l, j.innerVars(), ctx.Params),
 	}
 	s.Results = make([]*tab.Tab, len(s.Bindings.Sets))
-	if sq, ok := j.R.(*SourceQuery); ok {
-		if src, ok := ctx.Sources[sq.Source]; ok {
-			if _, ok := src.(BatchSource); ok {
-				s.src = src
-				s.pushed = sq.Prepared()
-				s.source = sq.Source
-			}
+	if q, ok := j.R.(*SourceQuery); ok {
+		if _, ok := ctx.Sources[q.Source].(BatchSource); ok {
+			s.q = q
 		}
 	}
 	return s
 }
 
 // Batchable reports whether the inner plan goes through batched pushes.
-func (s *DJoinSet) Batchable() bool { return s.src != nil }
+func (s *DJoinSet) Batchable() bool { return s.q != nil }
 
 // PendingChunks probes the result cache for every binding set and returns
 // the cache-missing set indexes grouped into push-sized chunks. Must only
@@ -263,8 +234,8 @@ func (s *DJoinSet) PendingChunks(ctx *Context) ([][]int, error) {
 		return nil, fmt.Errorf("algebra: Context.BatchChunk must be positive, got %d (exec.Options.Validate rejects this at the edge)", chunk)
 	}
 	var pending []int
-	for i := range s.Bindings.Sets {
-		if t, ok := s.cacheGet(ctx, i); ok {
+	for i, set := range s.Bindings.Sets {
+		if t, ok := ctx.cached(s.q.cacheKey(ctx, set)); ok {
 			s.Results[i] = t
 			continue
 		}
@@ -282,13 +253,16 @@ func (s *DJoinSet) PendingChunks(ctx *Context) ([][]int, error) {
 }
 
 // EvalChunk ships one batched push (a single round trip) for the given set
-// indexes, stores the per-set results and populates the cache. On error no
-// result of the failed push is stored or cached. Under tracing, each chunk
-// gets its own span (child of the ambient DJoin or worker span) so a
-// profile shows every batched round trip individually.
+// indexes: the same source call, row bookkeeping and cache fill as a
+// SourceQuery's own push, for many bindings at once. Results are stored and
+// cached only when the call succeeded and every result passed arrived, so a
+// failed push — or one result failing the conformance check — leaves the
+// cache untouched. Under tracing, each chunk gets its own span (child of
+// the ambient DJoin or worker span) so a profile shows every batched round
+// trip individually.
 func (s *DJoinSet) EvalChunk(ctx *Context, idxs []int) error {
 	if ctx.Trace != nil {
-		sp := ctx.Trace.NewChild("chunk", fmt.Sprintf("PushBatch(%s) [%d bindings]", s.source, len(idxs)))
+		sp := ctx.Trace.NewChild("chunk", fmt.Sprintf("PushBatch(%s) [%d bindings]", s.q.Source, len(idxs)))
 		cc := *ctx
 		cc.Trace = sp
 		if cc.Ctx != nil {
@@ -308,24 +282,26 @@ func (s *DJoinSet) EvalChunk(ctx *Context, idxs []int) error {
 }
 
 func (s *DJoinSet) evalChunk(ctx *Context, idxs []int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	sets := make([]map[string]tab.Cell, len(idxs))
 	for i, bi := range idxs {
 		sets[i] = s.Bindings.Sets[bi]
 	}
-	res, err := PushBatch(ctx.Ctx, s.src, s.pushed.Plan, sets)
-	drainRetryStats(ctx, s.src)
+	var res []*tab.Tab
+	_, err := s.q.call(ctx, func(src Source) (err error) {
+		res, err = PushBatch(ctx.Ctx, src, s.q.Plan, sets)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("source %s: %w", s.source, err)
+		return err
 	}
-	ctx.Stats.SourcePushes++
-	traceCounts(ctx, obs.Counts{Pushes: 1})
+	for _, t := range res {
+		if err := s.q.arrived(ctx, t); err != nil {
+			return err
+		}
+	}
 	for i, bi := range idxs {
-		countShipped(ctx, res[i])
 		s.Results[bi] = res[i]
-		s.cachePut(ctx, bi, res[i])
+		ctx.fill(s.q.cacheKey(ctx, sets[i]), res[i])
 	}
 	return nil
 }
@@ -355,40 +331,4 @@ func (s *DJoinSet) Expand(l *tab.Tab, cols []string) *tab.Tab {
 		}
 	}
 	return out
-}
-
-func (s *DJoinSet) cacheGet(ctx *Context, i int) (*tab.Tab, bool) {
-	if ctx.Cache == nil || s.pushed.Enc == "" {
-		return nil, false
-	}
-	t, ok := ctx.Cache.Get(CacheKey(s.source, s.pushed.Enc, s.Bindings.Keys[i]))
-	if ok {
-		ctx.Stats.CacheHits++
-		traceCounts(ctx, obs.Counts{CacheHits: 1})
-	} else {
-		ctx.Stats.CacheMisses++
-		traceCounts(ctx, obs.Counts{CacheMisses: 1})
-	}
-	return t, ok
-}
-
-func (s *DJoinSet) cachePut(ctx *Context, i int, t *tab.Tab) {
-	if ctx.Cache == nil || s.pushed.Enc == "" {
-		return
-	}
-	if ctx.Cache.Put(CacheKey(s.source, s.pushed.Enc, s.Bindings.Keys[i]), t) {
-		ctx.Stats.CacheEvictions++
-	}
-}
-
-// countShipped accounts rows received from a source (shared by the per-push
-// and batched paths).
-func countShipped(ctx *Context, t *tab.Tab) {
-	ctx.Stats.TuplesShipped += t.Len()
-	traceCounts(ctx, obs.Counts{Tuples: t.Len()})
-	for _, r := range t.Rows {
-		for _, c := range r {
-			ctx.Stats.BytesShipped += int64(len(c.Key()))
-		}
-	}
 }

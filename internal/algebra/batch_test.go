@@ -2,6 +2,7 @@ package algebra_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	. "repro/internal/algebra"
 	"repro/internal/exec"
@@ -103,7 +104,7 @@ func TestDJoinBindingsDedup(t *testing.T) {
 	if _, ok := b.Sets[0]["$ghost"]; ok {
 		t.Error("unbound variable must be absent, not null")
 	}
-	if b.Keys[0] == b.Keys[1] {
+	if ParamsKey(b.Vars, b.Sets[0]) == ParamsKey(b.Vars, b.Sets[1]) {
 		t.Error("distinct sets must have distinct keys")
 	}
 
@@ -284,6 +285,26 @@ func TestDJoinBatchErrorLeavesCacheClean(t *testing.T) {
 	}
 	if cache.Len() != 0 {
 		t.Errorf("partial batch results leaked into the cache: %d entries", cache.Len())
+	}
+
+	// A batch the wrapper answers in full but whose second result fails the
+	// wire conformance check is refused whole: the first result passed, yet
+	// nothing of the batch is cached.
+	j, _, ctx = batchFixture()
+	ctx.Cache = cache
+	lie := errors.New("row does not conform")
+	checked := 0
+	ctx.CheckWire = func(q *SourceQuery, t *tab.Tab) error {
+		if checked++; checked == 2 {
+			return lie
+		}
+		return nil
+	}
+	if _, err := exec.RunSerial(j, ctx); !errors.Is(err, lie) {
+		t.Fatalf("conformance error must propagate, got %v", err)
+	}
+	if cache.Len() != 0 {
+		t.Errorf("a batch that failed the check leaked into the cache: %d entries", cache.Len())
 	}
 }
 

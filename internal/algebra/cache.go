@@ -89,6 +89,31 @@ func (c *ResultCache) Len() int {
 	return c.lru.Len()
 }
 
+// cached is the one result-cache probe of a source call: a hit or a miss
+// under key is counted. The empty key (no cache, or a plan that is never
+// cached) probes nothing.
+func (c *Context) cached(key string) (*tab.Tab, bool) {
+	if key == "" {
+		return nil, false
+	}
+	t, ok := c.Cache.Get(key)
+	if ok {
+		c.count(Stats{CacheHits: 1})
+	} else {
+		c.count(Stats{CacheMisses: 1})
+	}
+	return t, ok
+}
+
+// fill is the one result-cache fill of a source call: t is stored under key,
+// and the entry it displaces, if any, is counted. The empty key stores
+// nothing.
+func (c *Context) fill(key string, t *tab.Tab) {
+	if key != "" && c.Cache.Put(key, t) {
+		c.count(Stats{CacheEvictions: 1})
+	}
+}
+
 // CacheKey builds a cache key from a source name, a canonical plan encoding
 // and a parameter-binding fragment (see ParamsKey). The components are
 // length-separated by construction: source names contain no NUL and the

@@ -248,7 +248,7 @@ func (c Call) Eval(ctx *Context, cols map[string]int, row tab.Row) (tab.Cell, er
 		}
 		args[i] = v
 	}
-	ctx.Stats.FuncCalls++
+	ctx.count(Stats{FuncCalls: 1})
 	return fn(args)
 }
 

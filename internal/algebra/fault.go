@@ -3,8 +3,6 @@ package algebra
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // UnavailableError marks a source call that failed because the source is
@@ -88,18 +86,17 @@ type RetryReporter interface {
 }
 
 // drainRetryStats folds a source's pending retry counters into the
-// context's Stats; called after every source call, on success and
+// context's counters; called after every source call, on success and
 // failure alike (the retries preceding a final failure count too). Under
-// tracing, the ambient span records the same counts — so a profile shows
-// which operator's source calls needed recovery.
+// tracing the ambient span is annotated as well — so a profile shows which
+// operator's source calls needed recovery.
 func drainRetryStats(ctx *Context, src Source) {
-	if rr, ok := src.(RetryReporter); ok {
-		r, d := rr.TakeRetryStats()
-		ctx.Stats.Retries += r
-		ctx.Stats.Redials += d
-		if (r > 0 || d > 0) && ctx.Trace != nil {
-			ctx.Trace.AddCounts(obs.Counts{Retries: r, Redials: d})
-			ctx.Trace.Annotate("recovered", fmt.Sprintf("%d retries, %d redials", r, d))
-		}
+	rr, ok := src.(RetryReporter)
+	if !ok {
+		return
+	}
+	if r, d := rr.TakeRetryStats(); r > 0 || d > 0 {
+		ctx.count(Stats{Retries: r, Redials: d})
+		traceAnnotate(ctx, "recovered", fmt.Sprintf("%d retries, %d redials", r, d))
 	}
 }

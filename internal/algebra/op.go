@@ -44,37 +44,19 @@ type ContextSource interface {
 	PushContext(ctx context.Context, plan Op, params map[string]tab.Cell) (*tab.Tab, error)
 }
 
-// Stats counts the externally observable work of a plan execution; the
-// experiments of EXPERIMENTS.md report these counters.
-type Stats struct {
-	SourceFetches int   // whole documents shipped to the mediator
-	SourcePushes  int   // push requests issued to sources (a batched push counts once)
-	TuplesShipped int   // rows returned by sources
-	BytesShipped  int64 // approximate serialized volume received from sources
-	FuncCalls     int   // external predicate/method invocations
-	BindRows      int   // rows produced by mediator-side Bind operations
+// Stats are the execution counters of a plan evaluation; the experiments of
+// EXPERIMENTS.md report them. They are obs.Counts, the type a trace span
+// carries its share in, and Context.count writes both at once.
+type Stats = obs.Counts
 
-	CacheHits      int // pushes answered by the wrapper-result cache
-	CacheMisses    int // cache probes that went to the source
-	CacheEvictions int // entries displaced by the cache's LRU bound
-
-	Retries int // transport exchanges retried after a transient failure
-	Redials int // stale pooled connections transparently redialed
-}
-
-// Add accumulates s2 into s.
-func (s *Stats) Add(s2 Stats) {
-	s.SourceFetches += s2.SourceFetches
-	s.SourcePushes += s2.SourcePushes
-	s.TuplesShipped += s2.TuplesShipped
-	s.BytesShipped += s2.BytesShipped
-	s.FuncCalls += s2.FuncCalls
-	s.BindRows += s2.BindRows
-	s.CacheHits += s2.CacheHits
-	s.CacheMisses += s2.CacheMisses
-	s.CacheEvictions += s2.CacheEvictions
-	s.Retries += s2.Retries
-	s.Redials += s2.Redials
+// count adds s to the query's counters and to the ambient span, if tracing.
+// It is the only code outside Stats.Add that writes a counter (yat-lint
+// check 5), which is what makes a trace's TreeCounts equal Stats exactly.
+func (c *Context) count(s Stats) {
+	c.Stats.Add(s)
+	if c.Trace != nil {
+		c.Trace.AddCounts(s)
+	}
 }
 
 // Skolems mints stable identifiers: one per (function name, argument
@@ -157,16 +139,17 @@ type Context struct {
 	// records into the same report.
 	Partial *PartialReport
 	// Trace, when non-nil, is the span the current work belongs to: the
-	// engine opens a child span per plan node under it, and the
-	// counter-mutation sites mirror their Stats increments into it (see
+	// engine opens a child span per plan node under it, and every counter
+	// written through count lands in it as well as in Stats (see
 	// internal/obs). Nil means tracing is off — the only cost is a nil
 	// check per operator.
 	Trace *obs.Span
 	// CheckWire, when non-nil, validates every wrapper response the
-	// moment it arrives: SourceQuery.Stream calls it with each shipped
-	// chunk before caching or releasing it, and a non-nil error aborts the
-	// query. The mediator installs a checker comparing rows against the
-	// plan's inferred types when ExecOptions.CheckTypes is set.
+	// moment it arrives: a pushed plan's rows — each chunk of a streamed
+	// push, each binding's result of a batched one — are checked before
+	// they are cached or released, and a non-nil error aborts the query.
+	// The mediator installs a checker comparing rows against the plan's
+	// inferred types when ExecOptions.CheckTypes is set.
 	CheckWire func(q *SourceQuery, t *tab.Tab) error
 }
 
@@ -273,10 +256,12 @@ func (c *Context) exporter(name string) (Source, error) {
 
 // register accounts shipped trees and makes their identifiers resolvable.
 func (c *Context) register(f data.Forest) {
+	var bytes int64
 	for _, n := range f {
-		c.Stats.BytesShipped += int64(n.Size()) * 16
+		bytes += int64(n.Size()) * 16
 		c.Store.Register(n)
 	}
+	c.count(Stats{BytesShipped: bytes})
 }
 
 // Op is a node of an algebraic plan.
@@ -398,7 +383,7 @@ func (b *Bind) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 			out.AddRow(append(r.Clone(), sr...))
 		}
 	}
-	ctx.Stats.BindRows += out.Len()
+	ctx.count(Stats{BindRows: out.Len()})
 	return out, nil
 }
 
@@ -604,22 +589,23 @@ func (b *JoinBuild) Apply(ctx *Context, l *tab.Tab) (*tab.Tab, error) {
 // Section 5.3 and the Bind-split of Figure 7). Evaluation is set-at-a-time:
 // outer rows are deduplicated to distinct binding sets over the inner
 // plan's free variables, each set is evaluated once — through one batched
-// push per chunk when the inner plan is a SourceQuery over a BatchSource —
-// and the results are re-expanded per outer row, so the output is row for
+// push per chunk when the inner plan is a SourceQuery over a BatchSource,
+// accounted, cached and checked exactly as that SourceQuery's own pushes are
+// — and the results are re-expanded per outer row, so the output is row for
 // row what one evaluation per outer row would produce. DJoinSet holds that
 // state; the engine drives it one outer bite at a time.
 type DJoin struct {
 	L, R Op
 
-	prepOnce sync.Once
-	prep     *PreparedPlan
+	varsOnce sync.Once
+	vars     []string
 }
 
-// Prepared returns the per-DJoin preparation of the inner plan (free
-// variables, canonical encoding), computed once instead of once per row.
-func (j *DJoin) Prepared() *PreparedPlan {
-	j.prepOnce.Do(func() { j.prep = PreparePlan(j.R) })
-	return j.prep
+// innerVars returns the inner plan's free variables — the bindings passed
+// sideways — computed once per node instead of once per outer bite.
+func (j *DJoin) innerVars() []string {
+	j.varsOnce.Do(func() { j.vars = FreeVars(j.R) })
+	return j.vars
 }
 
 // Columns implements Op.
@@ -773,16 +759,9 @@ type SourceQuery struct {
 	Source string
 	Plan   Op
 
-	prepOnce sync.Once
-	prep     *PreparedPlan
-}
-
-// Prepared returns the canonical encoding and free variables of the pushed
-// plan, computed once per node instead of once per push (cache keys and
-// batched pushes both need them).
-func (q *SourceQuery) Prepared() *PreparedPlan {
-	q.prepOnce.Do(func() { q.prep = PreparePlan(q.Plan) })
-	return q.prep
+	keyOnce sync.Once
+	enc     string   // canonical plan encoding; "" when not encodable
+	vars    []string // sorted free variables of Plan
 }
 
 // Columns implements Op.

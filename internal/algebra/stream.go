@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"repro/internal/data"
-	"repro/internal/obs"
 	"repro/internal/tab"
 )
 
@@ -125,8 +124,7 @@ func (c *Context) InputStream(name string) (ForestCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Stats.SourceFetches++
-	traceCounts(c, obs.Counts{Fetches: 1})
+	c.count(Stats{SourceFetches: 1})
 	done := false
 	fin := func() {
 		if !done {
@@ -172,7 +170,7 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 			return nil, fmt.Errorf("algebra: Bind over unbound parameter %s", b.Col)
 		}
 		t := f.MatchForest(ctx.Store, cell.AsForest())
-		ctx.Stats.BindRows += t.Len()
+		ctx.count(Stats{BindRows: t.Len()})
 		return tab.NewSliceCursor(t, 0), nil
 	}
 	fc, err := ctx.InputStream(b.Doc)
@@ -209,7 +207,7 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 						held = append(held, forest[n:]...)
 					}
 				}
-				ctx.Stats.BindRows += t.Len()
+				ctx.count(Stats{BindRows: t.Len()})
 				return t, nil
 			}
 			return nil, io.EOF
@@ -218,48 +216,29 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 	}, tab.DefaultStreamChunk), nil
 }
 
-// Stream opens the evaluation of a pushed subplan. The wrapper-result cache
-// is probed first under (source, canonical plan encoding, free-variable
-// bindings) — only the plan's free variables influence what the source
-// computes, so a hit stands in for any parameter environment agreeing on
-// them — and a hit is answered locally. On a miss the rows come through
-// PushStream and are written back to the cache only once the stream has
-// been consumed to its end (a partially consumed stream must not poison
-// it). Accounting: one SourcePushes per push, TuplesShipped/BytesShipped
-// per chunk as it arrives, CheckWire applied to every chunk before it is
-// cached or released downstream.
+// Stream opens the evaluation of a pushed subplan under one binding of its
+// free variables. The wrapper-result cache is probed first — only the plan's
+// free variables influence what the source computes, so a hit stands in for
+// any parameter environment agreeing on them — and a hit is answered
+// locally. On a miss the rows come through PushStream, every chunk passing
+// arrived before it is released, and are written back to the cache only
+// once the stream has been consumed to its end (a partially consumed stream
+// must not poison it). DJoinSet.EvalChunk is the same bookkeeping for a
+// batch of bindings.
 func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, error) {
-	src, ok := ctx.Sources[q.Source]
-	if !ok {
-		return nil, fmt.Errorf("algebra: unknown source %q", q.Source)
+	key := q.cacheKey(ctx, ctx.Params)
+	if t, ok := ctx.cached(key); ok {
+		traceAnnotate(ctx, "cache", "hit")
+		return tab.NewSliceCursor(t, 0), nil
 	}
-	if err := ctx.Err(); err != nil {
+	var cur tab.Cursor
+	src, err := q.call(ctx, func(src Source) (err error) {
+		cur, err = PushStream(ctx.Ctx, src, q.Plan, ctx.Params)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	var key string
-	if ctx.Cache != nil {
-		if p := q.Prepared(); p.Enc != "" {
-			key = CacheKey(q.Source, p.Enc, ParamsKey(p.Vars, ctx.Params))
-			if t, ok := ctx.Cache.Get(key); ok {
-				ctx.Stats.CacheHits++
-				traceCounts(ctx, obs.Counts{CacheHits: 1})
-				traceAnnotate(ctx, "cache", "hit")
-				return tab.NewSliceCursor(t, 0), nil
-			}
-			ctx.Stats.CacheMisses++
-			traceCounts(ctx, obs.Counts{CacheMisses: 1})
-		}
-	}
-	if sr, ok := src.(StateReporter); ok {
-		traceAnnotate(ctx, "breaker", sr.SourceState())
-	}
-	cur, err := PushStream(ctx.Ctx, src, q.Plan, ctx.Params)
-	drainRetryStats(ctx, src)
-	if err != nil {
-		return nil, fmt.Errorf("source %s: %w", q.Source, err)
-	}
-	ctx.Stats.SourcePushes++
-	traceCounts(ctx, obs.Counts{Pushes: 1})
 	done := false
 	fin := func() {
 		if !done {
@@ -278,19 +257,16 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, error) {
 			if err != nil {
 				if err != io.EOF {
 					err = fmt.Errorf("source %s: %w", q.Source, err)
-				} else if whole != nil && !done && ctx.Cache.Put(key, whole) {
-					ctx.Stats.CacheEvictions++
+				} else if whole != nil && !done {
+					ctx.fill(key, whole)
 				}
 				fin()
 				return nil, err
 			}
-			countShipped(ctx, t)
-			if ctx.CheckWire != nil {
-				if cerr := ctx.CheckWire(q, t); cerr != nil {
-					cur.Close()
-					whole = nil
-					return nil, cerr
-				}
+			if err := q.arrived(ctx, t); err != nil {
+				cur.Close()
+				whole = nil
+				return nil, err
 			}
 			if whole != nil {
 				whole.Rows = append(whole.Rows, t.Rows...)
@@ -302,4 +278,68 @@ func (q *SourceQuery) Stream(ctx *Context) (tab.Cursor, error) {
 			return cur.Close()
 		},
 	}, nil
+}
+
+// cacheKey is the result-cache key of a push of q under params: source,
+// canonical plan encoding and the bindings of the plan's free variables,
+// the encoding and the variables computed once per node. It is "" — nothing
+// is probed or filled — when the context has no cache or the plan has no
+// canonical encoding.
+func (q *SourceQuery) cacheKey(ctx *Context, params map[string]tab.Cell) string {
+	if ctx.Cache == nil {
+		return ""
+	}
+	q.keyOnce.Do(func() {
+		q.vars = FreeVars(q.Plan)
+		if enc, err := MarshalPlan(q.Plan); err == nil {
+			q.enc = enc
+		}
+	})
+	if q.enc == "" {
+		return ""
+	}
+	return CacheKey(q.Source, q.enc, ParamsKey(q.vars, params))
+}
+
+// call is the one way a pushed plan reaches its source, whether for one
+// binding (Stream) or a batch of them (DJoinSet): it resolves the source,
+// annotates the ambient span with the source's breaker state, runs push,
+// drains the source's retry counters and, when the call succeeded, counts
+// one push.
+func (q *SourceQuery) call(ctx *Context, push func(Source) error) (Source, error) {
+	src, ok := ctx.Sources[q.Source]
+	if !ok {
+		return nil, fmt.Errorf("algebra: unknown source %q", q.Source)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if sr, ok := src.(StateReporter); ok {
+		traceAnnotate(ctx, "breaker", sr.SourceState())
+	}
+	err := push(src)
+	drainRetryStats(ctx, src)
+	if err != nil {
+		return nil, fmt.Errorf("source %s: %w", q.Source, err)
+	}
+	ctx.count(Stats{SourcePushes: 1})
+	return src, nil
+}
+
+// arrived is the one step every row a source ships for q passes: the rows
+// and their approximate volume are counted, then checked against the
+// context's wire conformance validator, if any. An error means the rows
+// must be neither cached nor released.
+func (q *SourceQuery) arrived(ctx *Context, t *tab.Tab) error {
+	var bytes int64
+	for _, r := range t.Rows {
+		for _, c := range r {
+			bytes += int64(len(c.Key()))
+		}
+	}
+	ctx.count(Stats{TuplesShipped: t.Len(), BytesShipped: bytes})
+	if ctx.CheckWire == nil {
+		return nil
+	}
+	return ctx.CheckWire(q, t)
 }

@@ -1,10 +1,6 @@
 package algebra
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // StateReporter is implemented by sources that can report an availability
 // state ("closed", "open", "half-open" for the mediator's per-source circuit
@@ -51,16 +47,6 @@ func OpKind(op Op) string {
 		return "Tree"
 	default:
 		return fmt.Sprintf("%T", op)
-	}
-}
-
-// traceCounts folds source-work counts into the ambient span, if tracing.
-// Every Stats counter mutation in this package pairs with a traceCounts call
-// on the span the work happened under — that is what makes a trace's
-// TreeCounts sum to the global Stats exactly (TestProfileSumsMatchStats).
-func traceCounts(ctx *Context, c obs.Counts) {
-	if ctx.Trace != nil {
-		ctx.Trace.AddCounts(c)
 	}
 }
 

@@ -176,7 +176,7 @@ func (e *Engine) Stream(ctx context.Context, plan algebra.Op, actx *algebra.Cont
 		// the run); degrade into a private one otherwise.
 		ectx.Partial = algebra.NewPartialReport()
 	}
-	cur, err := e.stream(ctx, plan, ectx)
+	cur, err := e.stream(plan, ectx)
 	if err != nil {
 		cancel()
 		if e.degrade(ectx, err) {
@@ -251,9 +251,9 @@ func (e *Engine) degrade(actx *algebra.Context, err error) bool {
 // concurrently — and its index. Units must only write disjoint state.
 // Serial execution (Parallelism 1, a single unit, or serialOnly) calls the
 // units in order on actx itself.
-func (e *Engine) fanOut(ctx context.Context, actx *algebra.Context, n int, serialOnly bool, unit func(*algebra.Context, int) error) error {
+func (e *Engine) fanOut(actx *algebra.Context, n int, serialOnly bool, unit func(*algebra.Context, int) error) error {
 	run := func(u *algebra.Context, i int) error {
-		if err := ctx.Err(); err != nil {
+		if err := actx.Err(); err != nil {
 			return err
 		}
 		return unit(u, i)

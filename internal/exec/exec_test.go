@@ -12,6 +12,7 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -21,7 +22,9 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/filter"
+	"repro/internal/leakcheck"
 	"repro/internal/o2wrap"
+	"repro/internal/obs"
 	"repro/internal/tab"
 	"repro/internal/waiswrap"
 	"repro/internal/wire"
@@ -278,4 +281,67 @@ func TestSkolemMintOrderUnderParallelism(t *testing.T) {
 		C: algebra.MustParseCons(`hit($t) := hit[ title: $t, price: $p ]`),
 	}
 	runBoth(t, plan, mk, exec.Options{Parallelism: 8}, true)
+}
+
+// failingSource answers every push with errBoom once a delay has passed.
+type failingSource struct{ after time.Duration }
+
+var errBoom = errors.New("boom")
+
+func (s *failingSource) Name() string                      { return "boom" }
+func (s *failingSource) Documents() []string               { return []string{"crater"} }
+func (s *failingSource) Fetch(string) (data.Forest, error) { return nil, errBoom }
+func (s *failingSource) Push(algebra.Op, map[string]tab.Cell) (*tab.Tab, error) {
+	time.Sleep(s.after)
+	return nil, errBoom
+}
+
+func TestUnionBranchFailureCancelsSibling(t *testing.T) {
+	// One branch of a parallel Union fails after 150 ms while the other waits
+	// on a wire source that never answers: the failure must cancel the
+	// sibling's in-flight call and surface at once, traced or not.
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			leakcheck.Arm(t)
+			stuck := &stuckSource{release: make(chan struct{})}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := wire.Serve(ln, wire.Exported{Source: stuck})
+			t.Cleanup(srv.Close)
+			// LIFO: unblock the parked handlers before Close waits for them
+			t.Cleanup(func() { close(stuck.release) })
+			c, err := wire.Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+
+			actx := algebra.NewContext()
+			actx.Sources["stuck"] = c
+			actx.Sources["boom"] = &failingSource{after: 150 * time.Millisecond}
+			if traced {
+				actx.Trace = obs.NewTrace("query")
+			}
+			leaf := func(source string) algebra.Op {
+				return &algebra.SourceQuery{Source: source,
+					Plan: &algebra.Bind{Doc: "pit", F: filter.MustParse(`pit@$x`)}}
+			}
+			plan := &algebra.Union{L: leaf("stuck"), R: leaf("boom")}
+			done := make(chan error, 1)
+			go func() {
+				_, err := exec.New(exec.Options{Parallelism: 2}).Run(context.Background(), plan, actx)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, errBoom) {
+					t.Fatalf("err = %v, want the failing branch's error", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the failing branch did not cancel its sibling's source call: the union still waits on it")
+			}
+		})
+	}
 }

@@ -20,22 +20,21 @@ import (
 // count, and records the instant the first chunk left the operator — the
 // per-operator time-to-first-row shown by EXPLAIN ANALYZE. Literals are
 // never spanned: they are constants, not work.
-func (e *Engine) stream(ctx context.Context, op algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
-	if err := ctx.Err(); err != nil {
+func (e *Engine) stream(op algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
+	if err := actx.Err(); err != nil {
 		return nil, err
 	}
 	if actx.Trace == nil {
-		return e.streamNode(ctx, op, actx)
+		return e.streamNode(op, actx)
 	}
 	if _, ok := op.(*algebra.Literal); ok {
-		return e.streamNode(ctx, op, actx)
+		return e.streamNode(op, actx)
 	}
 	sp := actx.Trace.NewChild(algebra.OpKind(op), op.Detail())
 	cc := *actx
 	cc.Trace = sp
-	tctx := obs.WithSpan(ctx, sp)
-	cc.Ctx = tctx
-	cur, err := e.streamNode(tctx, op, &cc)
+	cc.Ctx = obs.WithSpan(actx.Ctx, sp)
+	cur, err := e.streamNode(op, &cc)
 	if err != nil {
 		sp.Finish(-1, err)
 		return nil, err
@@ -89,8 +88,8 @@ func (c *spanCursor) Close() error {
 // drain evaluates a subplan to a table — what an operator does with an
 // input it needs whole: the build side of a Join, a blocking operator's
 // input, the inner plan of a DJoin under one binding set.
-func (e *Engine) drain(ctx context.Context, op algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
-	cur, err := e.stream(ctx, op, actx)
+func (e *Engine) drain(op algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
+	cur, err := e.stream(op, actx)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +99,8 @@ func (e *Engine) drain(ctx context.Context, op algebra.Op, actx *algebra.Context
 // blocking is the shape of an operator that cannot emit before it has seen
 // its whole input (Group, Sort, a grouping Tree): drain, apply the kernel
 // once, serve the result in chunks.
-func (e *Engine) blocking(ctx context.Context, from algebra.Op, actx *algebra.Context, kernel func(*tab.Tab) (*tab.Tab, error)) (tab.Cursor, error) {
-	in, err := e.drain(ctx, from, actx)
+func (e *Engine) blocking(from algebra.Op, actx *algebra.Context, kernel func(*tab.Tab) (*tab.Tab, error)) (tab.Cursor, error) {
+	in, err := e.drain(from, actx)
 	if err != nil {
 		return nil, err
 	}
@@ -115,8 +114,8 @@ func (e *Engine) blocking(ctx context.Context, from algebra.Op, actx *algebra.Co
 // pipe is the shape of an operator that transforms its input chunk by chunk
 // (Bind, Select, Project, Map, Distinct, a row-local Tree, the probe side of
 // a Join): open the input, run every chunk through the kernel.
-func (e *Engine) pipe(ctx context.Context, x, from algebra.Op, actx *algebra.Context, kernel func(*tab.Tab) (*tab.Tab, error)) (tab.Cursor, error) {
-	in, err := e.stream(ctx, from, actx)
+func (e *Engine) pipe(x, from algebra.Op, actx *algebra.Context, kernel func(*tab.Tab) (*tab.Tab, error)) (tab.Cursor, error) {
+	in, err := e.stream(from, actx)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +144,7 @@ func mapCursor(in tab.Cursor, cols []string, f func(*tab.Tab) (*tab.Tab, error))
 // streamNode opens a cursor for one plan node. The switch is exhaustive
 // over the algebra (yat-lint enforces it) and is the only place operators
 // are evaluated.
-func (e *Engine) streamNode(ctx context.Context, op algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
+func (e *Engine) streamNode(op algebra.Op, actx *algebra.Context) (tab.Cursor, error) {
 	switch x := op.(type) {
 	case *algebra.Literal:
 		return tab.NewSliceCursor(x.T, 0), nil
@@ -159,30 +158,30 @@ func (e *Engine) streamNode(ctx context.Context, op algebra.Op, actx *algebra.Co
 		if x.From == nil {
 			return x.StreamLeaf(actx)
 		}
-		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
+		return e.pipe(x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
 	case *algebra.Select:
-		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
+		return e.pipe(x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
 	case *algebra.Project:
-		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
+		return e.pipe(x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
 	case *algebra.MapExpr:
-		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
+		return e.pipe(x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t) })
 	case *algebra.Distinct:
 		seen := map[string]bool{}
-		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t, seen), nil })
+		return e.pipe(x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t, seen), nil })
 	case *algebra.TreeOp:
 		if !x.C.RowLocal() {
-			return e.blocking(ctx, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t, nil) })
+			return e.blocking(x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t, nil) })
 		}
 		// Skolem minting follows chunk consumption order, which is row order.
 		seen := map[string]bool{}
-		return e.pipe(ctx, x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t, seen) })
+		return e.pipe(x, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(actx, t, seen) })
 	case *algebra.Group:
-		return e.blocking(ctx, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
+		return e.blocking(x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
 	case *algebra.Sort:
-		return e.blocking(ctx, x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
+		return e.blocking(x.From, actx, func(t *tab.Tab) (*tab.Tab, error) { return x.Apply(t), nil })
 	case *algebra.Intersect:
-		return e.blocking(ctx, x.L, actx, func(l *tab.Tab) (*tab.Tab, error) {
-			r, err := e.drain(ctx, x.R, actx)
+		return e.blocking(x.L, actx, func(l *tab.Tab) (*tab.Tab, error) {
+			r, err := e.drain(x.R, actx)
 			if err != nil {
 				return nil, err
 			}
@@ -191,16 +190,16 @@ func (e *Engine) streamNode(ctx context.Context, op algebra.Op, actx *algebra.Co
 	case *algebra.Join:
 		// The build side (R) is drained and hashed once; the probe side
 		// streams, and probe order is input order.
-		rt, err := e.drain(ctx, x.R, actx)
+		rt, err := e.drain(x.R, actx)
 		if err != nil {
 			return nil, err
 		}
 		build := x.Build(x.L.Columns(), rt)
-		return e.pipe(ctx, x, x.L, actx, func(t *tab.Tab) (*tab.Tab, error) { return build.Apply(actx, t) })
+		return e.pipe(x, x.L, actx, func(t *tab.Tab) (*tab.Tab, error) { return build.Apply(actx, t) })
 	case *algebra.Union:
-		return e.streamUnion(ctx, x, actx)
+		return e.streamUnion(x, actx)
 	case *algebra.DJoin:
-		return e.streamDJoin(ctx, x, actx)
+		return e.streamDJoin(x, actx)
 	default:
 		return nil, fmt.Errorf("exec: unknown operator %T", op)
 	}
@@ -215,8 +214,8 @@ func (e *Engine) streamNode(ctx context.Context, op algebra.Op, actx *algebra.Co
 // outer bite; the shared result cache (when installed) restores cross-bite
 // deduplication. Results re-expand in outer order per bite, so the output is
 // row for row what one inner evaluation per outer row would produce.
-func (e *Engine) streamDJoin(ctx context.Context, x *algebra.DJoin, actx *algebra.Context) (tab.Cursor, error) {
-	outer, err := e.stream(ctx, x.L, actx)
+func (e *Engine) streamDJoin(x *algebra.DJoin, actx *algebra.Context) (tab.Cursor, error) {
+	outer, err := e.stream(x.L, actx)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +245,7 @@ func (e *Engine) streamDJoin(ctx context.Context, x *algebra.DJoin, actx *algebr
 					outer.Close()
 					return nil, err
 				}
-				err = e.fanOut(ctx, actx, len(chunks), false, func(u *algebra.Context, i int) error {
+				err = e.fanOut(actx, len(chunks), false, func(u *algebra.Context, i int) error {
 					return set.EvalChunk(u, chunks[i])
 				})
 				if err != nil {
@@ -254,9 +253,9 @@ func (e *Engine) streamDJoin(ctx context.Context, x *algebra.DJoin, actx *algebr
 					return nil, err
 				}
 			} else {
-				err := e.fanOut(ctx, actx, len(set.Bindings.Sets), mintsSkolems(x.R), func(u *algebra.Context, i int) error {
+				err := e.fanOut(actx, len(set.Bindings.Sets), mintsSkolems(x.R), func(u *algebra.Context, i int) error {
 					return set.EvalSet(u, i, x.R, func(c *algebra.Context, op algebra.Op) (*tab.Tab, error) {
-						return e.drain(ctx, op, c)
+						return e.drain(op, c)
 					})
 				})
 				if err != nil {
@@ -280,20 +279,19 @@ func (e *Engine) streamDJoin(ctx context.Context, x *algebra.DJoin, actx *algebr
 // branch is recorded and contributes what it managed to stream — the
 // set-oriented counterpart of the paper's §2 observation that partial
 // results still compose. Any other failure aborts as usual.
-func (e *Engine) streamUnion(ctx context.Context, x *algebra.Union, actx *algebra.Context) (tab.Cursor, error) {
+func (e *Engine) streamUnion(x *algebra.Union, actx *algebra.Context) (tab.Cursor, error) {
 	if err := x.Check(); err != nil {
 		return nil, err
 	}
 	if e.opts.Parallelism <= 1 || (mintsSkolems(x.L) && mintsSkolems(x.R)) {
-		return &seqUnionCursor{e: e, ctx: ctx, actx: actx, cols: x.Columns(), branches: []algebra.Op{x.L, x.R}}, nil
+		return &seqUnionCursor{e: e, actx: actx, cols: x.Columns(), branches: []algebra.Op{x.L, x.R}}, nil
 	}
-	return e.streamUnionInterleaved(ctx, x, actx)
+	return e.streamUnionInterleaved(x, actx)
 }
 
 // seqUnionCursor plays its branches in order, opening each lazily.
 type seqUnionCursor struct {
 	e        *Engine
-	ctx      context.Context
 	actx     *algebra.Context
 	cols     []string
 	branches []algebra.Op
@@ -309,7 +307,7 @@ func (c *seqUnionCursor) Next() (*tab.Tab, error) {
 			if c.i >= len(c.branches) {
 				return nil, io.EOF
 			}
-			cur, err := c.e.stream(c.ctx, c.branches[c.i], c.actx)
+			cur, err := c.e.stream(c.branches[c.i], c.actx)
 			c.i++
 			if err != nil {
 				if c.e.degrade(c.actx, err) {
@@ -351,22 +349,23 @@ func (c *seqUnionCursor) Close() error {
 // Stats fork (merged exactly once when the stream ends), and yields chunks
 // in arrival order through a bounded channel — the backpressure bound: a
 // branch stalls once the consumer falls two chunks behind.
-func (e *Engine) streamUnionInterleaved(ctx context.Context, x *algebra.Union, actx *algebra.Context) (tab.Cursor, error) {
+func (e *Engine) streamUnionInterleaved(x *algebra.Union, actx *algebra.Context) (tab.Cursor, error) {
 	type item struct {
 		t   *tab.Tab
 		err error
 	}
-	cctx, cancel := context.WithCancel(ctx)
+	cctx, cancel := context.WithCancel(actx.Ctx)
 	ch := make(chan item, 2)
 	var wg sync.WaitGroup
 	forks := make([]*algebra.Context, 2)
 	for i, br := range []algebra.Op{x.L, x.R} {
 		fctx := actx.Fork() // Partial and Cache are shared; Stats is forked
+		fctx.Ctx = cctx     // a failing branch cancels its sibling's source calls
 		forks[i] = fctx
 		wg.Add(1)
 		go func(br algebra.Op, fctx *algebra.Context) {
 			defer wg.Done()
-			cur, err := e.stream(cctx, br, fctx)
+			cur, err := e.stream(br, fctx)
 			if err != nil {
 				if !e.degrade(fctx, err) {
 					select {
@@ -448,7 +447,7 @@ func (e *Engine) streamUnionInterleaved(ctx context.Context, x *algebra.Union, a
 						// A producer that stopped because the query was
 						// cancelled reports nothing; the stream must not
 						// pass for complete.
-						if err := ctx.Err(); err != nil {
+						if err := actx.Err(); err != nil {
 							return nil, err
 						}
 						return nil, io.EOF

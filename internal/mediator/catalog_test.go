@@ -142,7 +142,7 @@ func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 	cat := m.cat.Load()
 	marshal := func(src string) string {
 		t.Helper()
-		_, opt, err := m.plan(cat, src)
+		opt, err := m.plan(cat, src)
 		if err != nil {
 			t.Fatal(err)
 		}

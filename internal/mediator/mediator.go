@@ -394,14 +394,14 @@ func (m *Mediator) optimizerOptions(cat *catalog) optimizer.Options {
 	}
 }
 
-// plan is planning as a function of (catalog, text): the naive composition
-// and its optimization, both read from the one catalog value.
-func (m *Mediator) plan(cat *catalog, querySrc string) (naive, opt algebra.Op, err error) {
-	if naive, err = cat.compose(querySrc); err != nil {
-		return nil, nil, err
+// plan is planning as a function of (catalog, text): the text composed
+// with the catalog's views and optimized under its capabilities.
+func (m *Mediator) plan(cat *catalog, querySrc string) (algebra.Op, error) {
+	naive, err := cat.compose(querySrc)
+	if err != nil {
+		return nil, err
 	}
-	opt, err = optimizer.New(m.optimizerOptions(cat)).OptimizeChecked(naive)
-	return naive, opt, err
+	return optimizer.New(m.optimizerOptions(cat)).OptimizeChecked(naive)
 }
 
 // lint verifies a plan against the catalog and its capability interfaces.
@@ -422,7 +422,7 @@ func (m *Mediator) Optimize(plan algebra.Op) algebra.Op {
 	return optimizer.New(m.OptimizerOptions()).Optimize(plan)
 }
 
-// Result bundles a query outcome with its plans and execution counters.
+// Result bundles a query outcome with its plan and execution counters.
 // SourceErrors is non-empty only for AllowPartial executions that degraded:
 // it lists the sources the query could not reach, and marks the rows as a
 // lower bound of the complete answer. Trace is non-nil only for executions
@@ -430,7 +430,6 @@ func (m *Mediator) Optimize(plan algebra.Op) algebra.Op {
 // (render with obs.Render, export with obs.ChromeTrace).
 type Result struct {
 	Tab          *tab.Tab
-	NaivePlan    string
 	Plan         string
 	Stats        algebra.Stats
 	SourceErrors []algebra.SourceFailure
@@ -609,7 +608,7 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := m.streamPlan(context.Background(), cat, m.newContext(cat), nil, plan, "custom", ExecOptions{Parallelism: 1})
+	s, err := m.streamPlan(context.Background(), cat, m.newContext(cat), plan, "custom", ExecOptions{Parallelism: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -641,7 +640,7 @@ func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, er
 		// because each view is recorded in /metrics as a query of its own.
 		vctx := *actx
 		vctx.Stats = &algebra.Stats{}
-		s, err := m.streamPlan(context.Background(), cat, &vctx, nil, plan, "view", opts)
+		s, err := m.streamPlan(context.Background(), cat, &vctx, plan, "view", opts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("view %s: %w", name, err)
 		}

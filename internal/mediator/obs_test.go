@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -20,40 +21,58 @@ import (
 	"repro/internal/wire"
 )
 
-// statsCounts projects the traced slice of algebra.Stats into obs.Counts for
-// exact comparison with a trace's TreeCounts.
-func statsCounts(s algebra.Stats) obs.Counts {
-	return obs.Counts{
-		Fetches:     s.SourceFetches,
-		Pushes:      s.SourcePushes,
-		Tuples:      s.TuplesShipped,
-		CacheHits:   s.CacheHits,
-		CacheMisses: s.CacheMisses,
-		Retries:     s.Retries,
-		Redials:     s.Redials,
-	}
-}
-
 // TestProfileSumsMatchStats is the tracing subsystem's accounting
-// invariant (the paper-facing acceptance criterion): for Fig. 9's Q2 over
-// live wire wrappers, the per-node counts of the span tree sum to the
-// query's global Stats exactly — no double counting, no dropped work — on
-// every schedule (serial/parallel × batched/one-binding-per-push DJoin).
+// invariant (the paper-facing acceptance criterion): over live wire
+// wrappers, the per-node counts of the span tree sum to the query's global
+// Stats exactly, as a whole struct — no double counting, no dropped work —
+// on every schedule (serial/parallel × batched/one-binding-per-push DJoin)
+// and with every counter at work in some mode: a result cache small enough
+// to evict, transport faults the wire client recovers from, a plan that
+// fetches whole documents and Binds them at the mediator, and one that
+// calls a function there.
 func TestProfileSumsMatchStats(t *testing.T) {
+	ctx := context.Background()
 	m, _ := deployFaulty(t, faultWorkloadN, nil, nil)
+	cached, _ := deployFaulty(t, faultWorkloadN, nil, nil)
+	cached.EnableCache(4)
+	faulty, _ := deployFaulty(t, faultWorkloadN,
+		faults.New(faults.Config{Seed: 7, Rate: 1, Kinds: []faults.Kind{faults.Garble}, After: setupExchanges, Max: 1}),
+		faults.New(faults.Config{Seed: 5, KillNth: setupExchanges + 1}))
+	query := func(m *Mediator, src string) func(ExecOptions) (*Result, error) {
+		return func(opts ExecOptions) (*Result, error) { return m.ExecuteContext(ctx, src, opts) }
+	}
+	naive := func(src string) func(ExecOptions) (*Result, error) {
+		return func(opts ExecOptions) (*Result, error) {
+			plan, err := m.Compose(src)
+			if err != nil {
+				return nil, err
+			}
+			return m.ExecutePlan(ctx, plan, opts)
+		}
+	}
 	modes := []struct {
 		name string
+		run  func(ExecOptions) (*Result, error)
 		opts ExecOptions
 	}{
-		{"serial-batched", ExecOptions{Parallelism: 1}},
-		{"serial-per-binding", ExecOptions{Parallelism: 1, BatchChunk: 1}},
-		{"parallel-batched", ExecOptions{Parallelism: 8, Timeout: time.Minute}},
-		{"parallel-per-binding", ExecOptions{Parallelism: 8, BatchChunk: 1, Timeout: time.Minute}},
+		{"serial-batched", query(m, datagen.Q2Src), ExecOptions{Parallelism: 1}},
+		{"serial-per-binding", query(m, datagen.Q2Src), ExecOptions{Parallelism: 1, BatchChunk: 1}},
+		{"parallel-batched", query(m, datagen.Q2Src), ExecOptions{Parallelism: 8, Timeout: time.Minute}},
+		{"parallel-per-binding", query(m, datagen.Q2Src), ExecOptions{Parallelism: 8, BatchChunk: 1, Timeout: time.Minute}},
+		// Four entries hold less than one Q2 run pushes: both runs evict,
+		// and the second hits what the first left behind.
+		{"evicting-cache-cold", query(cached, datagen.Q2Src), ExecOptions{Parallelism: 1}},
+		{"evicting-cache-warm", query(cached, datagen.Q2Src), ExecOptions{Parallelism: 1}},
+		{"recovered", query(faulty, datagen.Q2Src), ExecOptions{Parallelism: 1}},
+		{"naive-fetch", naive(datagen.Q2Src), ExecOptions{Parallelism: 1}},
+		{"mediator-call", naive(`MAKE $t MATCH artworks WITH doc[ *work[ title: $t, style: $s ] ] WHERE contains($s, "Impression")`),
+			ExecOptions{Parallelism: 4, Timeout: time.Minute}},
 	}
+	var seen algebra.Stats
 	for _, mode := range modes {
 		opts := mode.opts
 		opts.Trace = true
-		res, err := m.ExecuteContext(context.Background(), datagen.Q2Src, opts)
+		res, err := mode.run(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
@@ -66,8 +85,15 @@ func TestProfileSumsMatchStats(t *testing.T) {
 		if got, want := res.Trace.Rows, res.Tab.Len(); got != want {
 			t.Errorf("%s: root span rows = %d, result rows = %d", mode.name, got, want)
 		}
-		if got, want := res.Trace.TreeCounts(), statsCounts(res.Stats); got != want {
+		if got, want := res.Trace.TreeCounts(), res.Stats; got != want {
 			t.Errorf("%s: span tree counts %+v != global stats %+v", mode.name, got, want)
+		}
+		seen.Add(res.Stats)
+	}
+	v := reflect.ValueOf(seen)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("no mode exercises %s: its span accounting goes unchecked", v.Type().Field(i).Name)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func (s *Stream) Err() error {
 }
 
 // Result blocks until the stream terminates and returns the query outcome:
-// plans, statistics, trace and partial-failure report. Result.Tab is nil —
+// plan, statistics, trace and partial-failure report. Result.Tab is nil —
 // the rows went through Chunks and were never retained. An AllowPartial
 // stream that degraded reports the unreachable sources in SourceErrors; the
 // rows already streamed stand as a lower bound of the complete answer.
@@ -101,18 +101,18 @@ func (s *Stream) Close() {
 // every execution comes through here.
 func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts ExecOptions) (*Stream, error) {
 	cat := m.cat.Load()
-	naive, opt, err := m.plan(cat, querySrc)
+	opt, err := m.plan(cat, querySrc)
 	if err != nil {
 		return nil, err
 	}
-	return m.streamPlan(ctx, cat, m.newContext(cat), naive, opt, "", opts)
+	return m.streamPlan(ctx, cat, m.newContext(cat), opt, "", opts)
 }
 
 // StreamPlan is StreamContext for an already-built plan: the naive
 // composition, an ablated optimization, a hand-assembled shape.
 func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOptions) (*Stream, error) {
 	cat := m.cat.Load()
-	return m.streamPlan(ctx, cat, m.newContext(cat), nil, plan, "custom", opts)
+	return m.streamPlan(ctx, cat, m.newContext(cat), plan, "custom", opts)
 }
 
 // streamPlan runs one plan under one catalog and one evaluation context (a
@@ -121,12 +121,12 @@ func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOpt
 // that fails verification is refused instead of evaluated; stage names the
 // plan in the refusal, and is empty for a plan the optimizer has just
 // verified, which is not linted twice.
-func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, naive, opt algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
+func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, plan algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if m.CheckInvariants && stage != "" {
-		if ds := cat.lint(opt); len(ds) > 0 {
+		if ds := cat.lint(plan); len(ds) > 0 {
 			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
 		}
 	}
@@ -136,13 +136,13 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 		// context, so a report it creates itself would be unreadable here.
 		actx.Partial = algebra.NewPartialReport()
 	}
-	m.installWireChecker(cat, actx, opt, opts)
+	m.installWireChecker(cat, actx, plan, opts)
 	root := m.attachTrace(actx, opts)
 	// The cancel lever covers the whole pipeline: Close (abandon) cancels
 	// it, which unblocks any in-flight pull down to the wrapper reads.
 	sctx, cancel := context.WithCancel(ctx)
 	start := time.Now()
-	cur, err := exec.New(opts).Stream(sctx, opt, actx)
+	cur, err := exec.New(opts).Stream(sctx, plan, actx)
 	if err != nil {
 		cancel()
 		if root != nil {
@@ -166,10 +166,7 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	res := &Result{Plan: algebra.Describe(opt), Trace: root}
-	if naive != nil {
-		res.NaivePlan = algebra.Describe(naive)
-	}
+	res := &Result{Plan: algebra.Describe(plan), Trace: root}
 	go s.pump(cur, m, actx, root, res, start)
 	return s, nil
 }

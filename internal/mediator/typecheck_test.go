@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/filter"
+	"repro/internal/o2wrap"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/tab"
@@ -122,5 +125,32 @@ Field := Symbol[ *( Int | Float | Bool | String | &Field ) ]`)
 	}
 	if ce.Source != "xmlartwork" {
 		t.Errorf("violation source = %q, want xmlartwork", ce.Source)
+	}
+}
+
+// TestCheckTypesCoversBatchedPushes: Q2's O₂ side is a batched DJoin push,
+// and its rows are checked as a single push's are. With O₂'s price declared
+// String — in the model both artifacts and persons import, since merged
+// structures take each pattern from the first document to define it — Q2
+// fails with a ConformanceError naming the O₂ wrapper on every schedule.
+func TestCheckTypesCoversBatchedPushes(t *testing.T) {
+	const n = 40
+	m, _ := deployFaulty(t, n, nil, nil)
+	schema := o2wrap.New("o2artifact", datagen.Generate(datagen.DefaultParams(n)).DB).ExportSchema().String()
+	if !strings.Contains(schema, "price: Float") {
+		t.Fatalf("O₂ schema declares no Float price:\n%s", schema)
+	}
+	wrong := pattern.MustParseModel(strings.Replace(schema, "price: Float", "price: String", 1))
+	m.ImportStructure("artifacts", wrong, "Artifact")
+	m.ImportStructure("persons", wrong, "Person")
+	for _, par := range []int{1, 8} {
+		for _, chunk := range []int{0, 1} {
+			opts := ExecOptions{Parallelism: par, BatchChunk: chunk, CheckTypes: true, Timeout: time.Minute}
+			_, err := m.ExecuteContext(context.Background(), datagen.Q2Src, opts)
+			var ce *ConformanceError
+			if !errors.As(err, &ce) || ce.Source != "o2artifact" {
+				t.Errorf("Parallelism %d BatchChunk %d: err = %v, want a ConformanceError from o2artifact", par, chunk, err)
+			}
+		}
 	}
 }

@@ -19,13 +19,13 @@ func TestSpanTreeAndCounts(t *testing.T) {
 		t.Fatal("empty trace id")
 	}
 	a := root.NewChild("DJoin", "DJoin(...)")
-	a.AddCounts(Counts{Pushes: 2, Tuples: 10})
+	a.AddCounts(Counts{SourcePushes: 2, TuplesShipped: 10})
 	b := a.NewChild("chunk", "chunk [5 bindings]")
-	b.AddCounts(Counts{Pushes: 1, Tuples: 5, CacheMisses: 1})
+	b.AddCounts(Counts{SourcePushes: 1, TuplesShipped: 5, CacheMisses: 1})
 	b.Finish(5, nil)
 	a.Finish(10, nil)
 	c := root.NewChild("Project", "Project(x)")
-	c.AddCounts(Counts{Fetches: 1})
+	c.AddCounts(Counts{SourceFetches: 1})
 	c.Finish(10, errors.New("boom"))
 	root.Finish(10, nil)
 
@@ -33,7 +33,7 @@ func TestSpanTreeAndCounts(t *testing.T) {
 		t.Fatal("children must inherit the trace id")
 	}
 	total := root.TreeCounts()
-	want := Counts{Fetches: 1, Pushes: 3, Tuples: 15, CacheMisses: 1}
+	want := Counts{SourceFetches: 1, SourcePushes: 3, TuplesShipped: 15, CacheMisses: 1}
 	if total != want {
 		t.Fatalf("TreeCounts = %+v, want %+v", total, want)
 	}
@@ -53,7 +53,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			s := root.NewChild("worker", fmt.Sprintf("unit %d", i))
-			s.AddCounts(Counts{Tuples: 1})
+			s.AddCounts(Counts{TuplesShipped: 1})
 			s.Annotate("i", fmt.Sprint(i))
 			s.Finish(-1, nil)
 		}(i)
@@ -63,15 +63,15 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	if got := len(root.Children()); got != 32 {
 		t.Fatalf("children = %d, want 32", got)
 	}
-	if tc := root.TreeCounts(); tc.Tuples != 32 {
-		t.Fatalf("tuples = %d, want 32", tc.Tuples)
+	if tc := root.TreeCounts(); tc.TuplesShipped != 32 {
+		t.Fatalf("tuples = %d, want 32", tc.TuplesShipped)
 	}
 }
 
 func TestRender(t *testing.T) {
 	root := NewTrace("query")
 	d := root.NewChild("DJoin", "DJoin(free=x)")
-	d.AddCounts(Counts{Pushes: 3, Tuples: 148, CacheHits: 2, CacheMisses: 1})
+	d.AddCounts(Counts{SourcePushes: 3, TuplesShipped: 148, CacheHits: 2, CacheMisses: 1})
 	d.Annotate("chunks", "3")
 	d.Finish(148, nil)
 	root.Finish(148, nil)

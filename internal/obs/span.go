@@ -7,13 +7,15 @@
 // saved, tuples shipped, rounds of rewriting — but global counters cannot
 // say *where* a query spends its time or issues its pushes. A span tree
 // attributes both to individual algebra operators: every operator
-// evaluation opens a span carrying wall time, output rows and the source
-// work (fetches, pushes, shipped tuples, cache hits, retries) performed
-// inside it, with annotations for cache probes, batch chunks, retry
-// recovery and breaker state. Under parallel execution, per-worker spans
-// parent to the operator that fanned them out, and the trace id travels
-// over the wire so wrapper-side request spans correlate with the mediator
-// operator that caused them.
+// evaluation opens a span carrying wall time, output rows and the Counts of
+// the work performed inside it (fetches, pushes, shipped tuples and bytes,
+// Bind rows, function calls, cache traffic, retries), with annotations for
+// cache probes, batch chunks, retry recovery and breaker state. Counts is
+// also the type of the query's global counters (algebra.Stats), so a span
+// tree sums to them field for field. Under parallel execution, per-worker
+// spans parent to the operator that fanned them out, and the trace id
+// travels over the wire so wrapper-side request spans correlate with the
+// mediator operator that caused them.
 //
 // Tracing is strictly opt-in and designed to cost one nil pointer check per
 // operator evaluation when off (pinned by BenchmarkTraceOverhead).
@@ -29,28 +31,40 @@ import (
 	"time"
 )
 
-// Counts is the source-work accounting a span carries: the slice of the
-// global algebra.Stats attributable to work performed directly inside the
-// span (not inside its children). Summing Counts over a whole trace must
-// reproduce the corresponding global counters exactly — pinned by
-// TestProfileSumsMatchStats.
+// Counts are the execution counters of a query: the externally observable
+// work of a plan (the counters EXPERIMENTS.md reports) and the mediator-side
+// work that explains it. One type serves both the query's global totals
+// (algebra.Stats is an alias) and a span's share of them — the work done
+// directly inside the span, not inside its children — and the evaluator
+// writes both through one call, so summing Counts over a whole trace
+// reproduces the global counters exactly (TestProfileSumsMatchStats).
 type Counts struct {
-	Fetches     int `json:"fetches,omitempty"`      // whole documents shipped
-	Pushes      int `json:"pushes,omitempty"`       // push round trips issued
-	Tuples      int `json:"tuples,omitempty"`       // rows shipped by sources
-	CacheHits   int `json:"cache_hits,omitempty"`   // pushes answered locally
-	CacheMisses int `json:"cache_misses,omitempty"` // cache probes that missed
-	Retries     int `json:"retries,omitempty"`      // transport retries
-	Redials     int `json:"redials,omitempty"`      // stale-conn redials
+	SourceFetches int   `json:"fetches,omitempty"`       // whole documents shipped to the mediator
+	SourcePushes  int   `json:"pushes,omitempty"`        // push requests issued to sources (a batched push counts once)
+	TuplesShipped int   `json:"tuples,omitempty"`        // rows returned by sources
+	BytesShipped  int64 `json:"bytes_shipped,omitempty"` // approximate serialized volume received from sources
+	FuncCalls     int   `json:"func_calls,omitempty"`    // external predicate/method invocations
+	BindRows      int   `json:"bind_rows,omitempty"`     // rows produced by mediator-side Bind operations
+
+	CacheHits      int `json:"cache_hits,omitempty"`      // pushes answered by the wrapper-result cache
+	CacheMisses    int `json:"cache_misses,omitempty"`    // cache probes that went to the source
+	CacheEvictions int `json:"cache_evictions,omitempty"` // entries displaced by the cache's LRU bound
+
+	Retries int `json:"retries,omitempty"` // transport exchanges retried after a transient failure
+	Redials int `json:"redials,omitempty"` // stale pooled connections transparently redialed
 }
 
 // Add accumulates c2 into c.
 func (c *Counts) Add(c2 Counts) {
-	c.Fetches += c2.Fetches
-	c.Pushes += c2.Pushes
-	c.Tuples += c2.Tuples
+	c.SourceFetches += c2.SourceFetches
+	c.SourcePushes += c2.SourcePushes
+	c.TuplesShipped += c2.TuplesShipped
+	c.BytesShipped += c2.BytesShipped
+	c.FuncCalls += c2.FuncCalls
+	c.BindRows += c2.BindRows
 	c.CacheHits += c2.CacheHits
 	c.CacheMisses += c2.CacheMisses
+	c.CacheEvictions += c2.CacheEvictions
 	c.Retries += c2.Retries
 	c.Redials += c2.Redials
 }
@@ -189,8 +203,8 @@ func (s *Span) Walk(fn func(*Span)) {
 	}
 }
 
-// TreeCounts sums Counts over the whole subtree; for a root span this must
-// equal the global execution counters.
+// TreeCounts sums Counts over the whole subtree; for a root span this
+// equals the query's Stats.
 func (s *Span) TreeCounts() Counts {
 	var total Counts
 	s.Walk(func(sp *Span) { total.Add(sp.Counts()) })
@@ -238,14 +252,14 @@ func renderSpan(b *strings.Builder, s *Span, depth int) {
 		fmt.Fprintf(b, " first=%s", first.Round(time.Microsecond))
 	}
 	c := s.Counts()
-	if c.Fetches > 0 {
-		fmt.Fprintf(b, " fetches=%d", c.Fetches)
+	if c.SourceFetches > 0 {
+		fmt.Fprintf(b, " fetches=%d", c.SourceFetches)
 	}
-	if c.Pushes > 0 {
-		fmt.Fprintf(b, " pushes=%d", c.Pushes)
+	if c.SourcePushes > 0 {
+		fmt.Fprintf(b, " pushes=%d", c.SourcePushes)
 	}
-	if c.Tuples > 0 {
-		fmt.Fprintf(b, " tuples=%d", c.Tuples)
+	if c.TuplesShipped > 0 {
+		fmt.Fprintf(b, " tuples=%d", c.TuplesShipped)
 	}
 	if c.CacheHits > 0 || c.CacheMisses > 0 {
 		fmt.Fprintf(b, " cache=%d/%d", c.CacheHits, c.CacheHits+c.CacheMisses)
