@@ -33,7 +33,10 @@ bench-build:
 # parser included), a YAT_L query re-parses from its printed form, and a
 # clean naive plan optimizes under CheckInvariants — and the plan a wrapper
 # decodes from a push: arbitrary bytes never panic, and an accepted plan
-# marshals to text that decodes to the same plan.
+# marshals to text that decodes to the same plan. The last two read the XML
+# every frame, document and capability description arrives in: arbitrary
+# text through xmlenc.Parse and capability.Unmarshal never panics, and what
+# either accepts serializes to text that reads back the same.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
@@ -41,6 +44,8 @@ fuzz-short:
 	$(GO) test -run FuzzParseOQL -fuzz FuzzParseOQL -fuzztime 10s ./internal/o2
 	$(GO) test -run FuzzPlan -fuzz FuzzPlan -fuzztime 10s ./internal/mediator
 	$(GO) test -run FuzzUnmarshalPlan -fuzz FuzzUnmarshalPlan -fuzztime 10s ./internal/algebra
+	$(GO) test -run FuzzParseXML -fuzz FuzzParseXML -fuzztime 10s ./internal/xmlenc
+	$(GO) test -run FuzzInterfaceXML -fuzz FuzzInterfaceXML -fuzztime 10s ./internal/capability
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

@@ -172,23 +172,6 @@ func fig7Plans() [3]algebra.Op {
 	return [3]algebra.Op{mono, split, join}
 }
 
-// queryTuned executes a query under a tuned optimizer configuration; tune
-// flips the ablation switches that isolate the contribution of each round.
-func queryTuned(m *mediator.Mediator, src string, tune func(*optimizer.Options)) (*mediator.Result, error) {
-	plan, err := m.Compose(src)
-	if err != nil {
-		return nil, err
-	}
-	opts := m.OptimizerOptions()
-	if tune != nil {
-		tune(&opts)
-	}
-	if plan, err = optimizer.New(opts).OptimizeChecked(plan); err != nil {
-		return nil, err
-	}
-	return m.ExecutePlan(context.Background(), plan, mediator.ExecOptions{Parallelism: 1})
-}
-
 func sourceCtx(w *datagen.Workload) *algebra.Context {
 	ctx := algebra.NewContext()
 	ctx.Sources["o2artifact"] = o2wrap.New("o2artifact", w.DB)
@@ -351,32 +334,36 @@ func e12() error {
 }
 
 // e13 isolates the optimizer rounds on Q2: composition only, plus
-// capability pushdown, plus information passing.
+// capability pushdown, plus information passing. The three plans are the
+// rounds of one optimization.
 func e13(n int) error {
 	m, w, err := setup(n)
 	if err != nil {
 		return err
 	}
 	printHead(fmt.Sprintf("E13: optimizer-round ablation on Q2 (artifacts=%d)", n))
-	variants := []struct {
-		name string
-		tune func(*optimizer.Options)
-	}{
-		{"round 1 only", func(o *optimizer.Options) { o.DisablePushdown = true; o.InfoPassing = false }},
-		{"rounds 1+2", func(o *optimizer.Options) { o.InfoPassing = false }},
-		{"rounds 1+2+3 (full)", nil},
+	naive, err := m.Compose(datagen.Q2Src)
+	if err != nil {
+		return err
 	}
+	rounds, err := optimizer.New(m.OptimizerOptions()).Rounds(naive)
+	if err != nil {
+		return err
+	}
+	names := []string{"round 1 only", "rounds 1+2", "rounds 1+2+3 (full)"}
 	var first *mediator.Result
-	for _, v := range variants {
-		res, d, err := med(func() (*mediator.Result, error) { return queryTuned(m, datagen.Q2Src, v.tune) })
+	for i, plan := range rounds {
+		res, d, err := med(func() (*mediator.Result, error) {
+			return m.ExecutePlan(context.Background(), plan, mediator.ExecOptions{Parallelism: 1})
+		})
 		if err != nil {
 			return err
 		}
-		printRow(v.name, res, d)
+		printRow(names[i], res, d)
 		if first == nil {
 			first = res
 		} else if !first.Tab.EqualUnordered(res.Tab) {
-			return fmt.Errorf("E13 variants disagree (%s)", v.name)
+			return fmt.Errorf("E13 variants disagree (%s)", names[i])
 		}
 	}
 	if first.Tab.Len() != len(w.Q2Titles) {

@@ -29,6 +29,11 @@
 //     Counts.Add. Everything else counts through Context.count, which adds
 //     to the query's Stats and the ambient trace span together — a counter
 //     written any other way is missing from one of the two.
+//  6. One reader of the Project rename format: in a package that imports
+//     internal/tab or internal/algebra, searching a string for "=" with
+//     strings.IndexByte, Index, Cut or SplitN outside tab.SplitRename. A
+//     projection entry "new=old" is split there and nowhere else, so a
+//     change to the format has one place to change.
 //
 // A finding is suppressed by a `// yat-lint:ignore <reason>` comment on the
 // offending line or the line directly above it. A `default:` clause does
@@ -40,7 +45,7 @@
 //	yat-lint [packages...]   (defaults to ./...)
 //
 // Exits 0 when clean, 1 with findings, 2 on loader errors. Test files are
-// not analyzed by checks 1, 2, 4 and 5; check 3 reads the typecheck package's
+// not analyzed by checks 1, 2, 4, 5 and 6; check 3 reads the typecheck package's
 // test files (syntactically) and runs whenever that package is in the
 // analyzed set.
 package main
@@ -48,6 +53,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -341,10 +347,16 @@ func lintPackage(fset *token.FileSet, imp types.Importer, pkg pkgInfo, sealed []
 	return analyze(fset, files, info, pkg.ImportPath, sealed), nil
 }
 
-// analyze runs checks 1, 2, 4 and 5 over a type-checked package.
+// analyze runs checks 1, 2, 4, 5 and 6 over a type-checked package.
 func analyze(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath string, sealed []sealedSet) []string {
 	ignored := map[string]map[int]bool{} // filename → lines carrying an ignore tag
+	renames := pkgPath == tabPath || pkgPath == algebraPath
 	for _, f := range files {
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p == tabPath || p == algebraPath {
+				renames = true
+			}
+		}
 		lines := map[int]bool{}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -355,7 +367,7 @@ func analyze(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath s
 		}
 		ignored[fset.Position(f.Pos()).Filename] = lines
 	}
-	c := &checker{fset: fset, info: info, sealed: sealed, ignored: ignored, pkgPath: pkgPath}
+	c := &checker{fset: fset, info: info, sealed: sealed, ignored: ignored, pkgPath: pkgPath, renames: renames}
 	for _, f := range files {
 		c.file(f)
 	}
@@ -372,6 +384,9 @@ type checker struct {
 	// counts is set while visiting one of the two functions that may write
 	// a counter field (check 5).
 	counts bool
+	// renames is set in a package that knows the Project rename format
+	// (check 6); splitter while visiting tab.SplitRename itself.
+	renames, splitter bool
 	// params holds, per enclosing function (innermost last), the *tab.Tab
 	// parameters considered shared operands.
 	params []map[types.Object]bool
@@ -395,6 +410,7 @@ func (c *checker) report(pos token.Pos, format string, args ...any) {
 func (c *checker) file(f *ast.File) {
 	for _, d := range f.Decls {
 		c.counts = c.isCounterWriter(d)
+		c.splitter = c.isFunc(d, tabPath+".SplitRename")
 		ast.Inspect(d, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
@@ -411,6 +427,7 @@ func (c *checker) file(f *ast.File) {
 				}
 			case *ast.CallExpr:
 				c.checkTabCall(x)
+				c.checkRenameParse(x)
 			case *ast.AssignStmt:
 				c.checkTabWrite(x)
 				for _, lhs := range x.Lhs {
@@ -436,12 +453,50 @@ func (c *checker) file(f *ast.File) {
 // isCounterWriter reports whether d is algebra's (*Context).count or obs's
 // (*Counts).Add, the only functions check 5 lets write a counter field.
 func (c *checker) isCounterWriter(d ast.Decl) bool {
+	return c.isFunc(d, "(*"+algebraPath+".Context).count") || c.isFunc(d, "(*"+obsPath+".Counts).Add")
+}
+
+// isFunc reports whether d declares the function with the given full name.
+func (c *checker) isFunc(d ast.Decl, fullName string) bool {
 	fd, ok := d.(*ast.FuncDecl)
 	if !ok {
 		return false
 	}
 	fn, _ := c.info.Defs[fd.Name].(*types.Func)
-	return fn != nil && (fn.FullName() == "(*"+algebraPath+".Context).count" || fn.FullName() == "(*"+obsPath+".Counts).Add")
+	return fn != nil && fn.FullName() == fullName
+}
+
+// stringSearches are the strings functions check 6 watches, each taking the
+// searched-for separator as its second argument.
+var stringSearches = map[string]bool{"IndexByte": true, "Index": true, "Cut": true, "SplitN": true}
+
+// checkRenameParse (check 6) flags a search for "=" in a package that knows
+// the Project rename format, outside tab.SplitRename.
+func (c *checker) checkRenameParse(call *ast.CallExpr) {
+	if !c.renames || c.splitter || len(call.Args) < 2 {
+		return
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !stringSearches[sel.Sel.Name] {
+		return
+	}
+	if pkg, ok := sel.X.(*ast.Ident); !ok || !isPkg(c.info.Uses[pkg], "strings") {
+		return
+	}
+	v := c.info.Types[call.Args[1]].Value
+	if v == nil {
+		return
+	}
+	if v.Kind() == constant.String && constant.StringVal(v) == "=" ||
+		v.Kind() == constant.Int && constant.Compare(v, token.EQL, constant.MakeInt64('=')) {
+		c.report(call.Pos(), "strings.%s splits on \"=\" beside the Project rename format: read a projection entry with tab.SplitRename",
+			sel.Sel.Name)
+	}
+}
+
+func isPkg(obj types.Object, path string) bool {
+	pn, ok := obj.(*types.PkgName)
+	return ok && pn.Imported().Path() == path
 }
 
 // checkCounterWrite (check 5) flags an assignment or increment whose target

@@ -330,6 +330,60 @@ func f(ctx *algebra.Context, s *algebra.Stats) int {
 	}
 }
 
+func TestRenameParseIsFlagged(t *testing.T) {
+	findings := harness(t, `package synthetic
+
+import (
+	"strings"
+
+	"repro/internal/algebra"
+)
+
+func f(p *algebra.Project) {
+	for _, c := range p.Cols {
+		_ = strings.IndexByte(c, '=')
+		_ = strings.Index(c, "=")
+		_, _, _ = strings.Cut(c, "=")
+		_ = strings.SplitN(c, "=", 2)
+	}
+}
+`)
+	if len(findings) != 4 {
+		t.Fatalf("want 4 rename-parse findings, got %v", findings)
+	}
+	for i, name := range []string{"IndexByte", "Index", "Cut", "SplitN"} {
+		if !strings.Contains(findings[i], "strings."+name+" splits on") {
+			t.Errorf("finding %d = %s, want one naming strings.%s", i, findings[i], name)
+		}
+	}
+}
+
+func TestRenameSplitterAndOtherSearchesAreClean(t *testing.T) {
+	// The splitter itself, searches for other separators, a non-constant
+	// separator and an ignored line are all clean.
+	findings := harness(t, `package synthetic
+
+import (
+	"strings"
+
+	"repro/internal/tab"
+)
+
+func f(c, sep string) (string, string) {
+	name, src := tab.SplitRename(c)
+	_ = strings.IndexByte(c, ':')
+	_, _, _ = strings.Cut(c, ",")
+	_ = strings.Index(c, sep)
+	// yat-lint:ignore a key=value flag, not a projection entry
+	_, _, _ = strings.Cut(c, "=")
+	return name, tab.Rename(name, src)
+}
+`)
+	if len(findings) != 0 {
+		t.Fatalf("clean rename handling flagged: %v", findings)
+	}
+}
+
 // TestTreeIsClean is the regression gate: the repository itself must stay
 // lint-clean (every intentional partial switch carries an ignore comment).
 func TestTreeIsClean(t *testing.T) {

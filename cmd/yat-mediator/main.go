@@ -259,6 +259,7 @@ func main() {
 func parseInjectSpec(spec string) (faults.Config, error) {
 	var cfg faults.Config
 	for _, part := range strings.Split(spec, ",") {
+		// yat-lint:ignore a flag's key=value pair, not a projection entry
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return cfg, fmt.Errorf("bad entry %q (want key=value)", part)

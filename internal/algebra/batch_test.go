@@ -46,6 +46,28 @@ func TestFreeVars(t *testing.T) {
 	}
 }
 
+func TestDocs(t *testing.T) {
+	plan := &Union{
+		L: &DJoin{
+			L: &Bind{Doc: "works", F: mustFilter(t, `works[ *work@$w ]`)},
+			R: &Select{From: &Bind{Doc: "artifacts", F: mustFilter(t, `set[ *class@$a ]`)},
+				Pred: MustParseExpr(`$a = $outer`)},
+		},
+		R: &Join{
+			L:    &Bind{Doc: "works", F: mustFilter(t, `works[ *work@$w ]`)},
+			R:    &Bind{From: &Doc{Name: "persons"}, Col: "$doc", F: mustFilter(t, `set[ *class@$a ]`)},
+			Pred: TrueExpr(),
+		},
+	}
+	// Distinct, in first-occurrence order, Doc names included.
+	if got := strings.Join(Docs(plan), ","); got != "works,artifacts,persons" {
+		t.Errorf("Docs = %q, want works,artifacts,persons", got)
+	}
+	if got := Docs(&Literal{T: tab.New("$v")}); len(got) != 0 {
+		t.Errorf("Docs of a literal = %v, want none", got)
+	}
+}
+
 func TestResultCacheLRU(t *testing.T) {
 	one := tab.New("$a")
 	if NewResultCache(0) != nil {

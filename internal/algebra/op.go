@@ -3,6 +3,7 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -432,11 +433,7 @@ type Project struct {
 func (p *Project) Columns() []string {
 	out := make([]string, len(p.Cols))
 	for i, c := range p.Cols {
-		if j := strings.IndexByte(c, '='); j >= 0 {
-			out[i] = c[:j]
-		} else {
-			out[i] = c
-		}
+		out[i], _ = tab.SplitRename(c)
 	}
 	return out
 }
@@ -823,6 +820,30 @@ func Walk(op Op, fn func(Op) bool) {
 	for _, c := range op.Children() {
 		Walk(c, fn)
 	}
+}
+
+// Docs returns the documents a plan reads, each Bind's document and each
+// Doc's name, distinct and in first-occurrence order: the document set a
+// pushed plan's capabilities are scoped by and a containment assumption
+// names.
+func Docs(plan Op) []string {
+	var docs []string
+	add := func(name string) {
+		if name != "" && !slices.Contains(docs, name) {
+			docs = append(docs, name)
+		}
+	}
+	Walk(plan, func(n Op) bool {
+		// yat-lint:ignore intentionally partial: only Bind and Doc name documents
+		switch x := n.(type) {
+		case *Bind:
+			add(x.Doc)
+		case *Doc:
+			add(x.Name)
+		}
+		return true
+	})
+	return docs
 }
 
 // MapChildren rebuilds an operator with fn applied to each of its input

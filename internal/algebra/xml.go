@@ -130,16 +130,16 @@ func PlanFromXML(n *data.Node) (Op, error) {
 	}
 	switch n.Label {
 	case "doc":
-		return &Doc{Name: xattr(n, "name"), Col: xattr(n, "col")}, nil
+		return &Doc{Name: n.Attr("name"), Col: n.Attr("col")}, nil
 	case "bind":
-		fsrc := xattr(n, "filter")
+		fsrc := n.Attr("filter")
 		f, err := filter.Parse(fsrc)
 		if err != nil {
 			return nil, fmt.Errorf("algebra: bind filter: %w", err)
 		}
-		b := &Bind{Doc: xattr(n, "doc"), Col: xattr(n, "col"), F: f}
+		b := &Bind{Doc: n.Attr("doc"), Col: n.Attr("col"), F: f}
 		if from := n.Child("from"); from != nil {
-			inner, err := PlanFromXML(firstChildElem(from))
+			inner, err := PlanFromXML(from.FirstElem())
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +151,7 @@ func PlanFromXML(n *data.Node) (Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := ParseExpr(xattr(n, "pred"))
+		pred, err := ParseExpr(n.Attr("pred"))
 		if err != nil {
 			return nil, fmt.Errorf("algebra: select pred: %w", err)
 		}
@@ -161,23 +161,23 @@ func PlanFromXML(n *data.Node) (Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Project{From: from, Cols: fields(xattr(n, "cols"))}, nil
+		return &Project{From: from, Cols: fields(n.Attr("cols"))}, nil
 	case "map":
 		from, err := fromOf(n)
 		if err != nil {
 			return nil, err
 		}
-		e, err := ParseExpr(xattr(n, "expr"))
+		e, err := ParseExpr(n.Attr("expr"))
 		if err != nil {
 			return nil, fmt.Errorf("algebra: map expr: %w", err)
 		}
-		return &MapExpr{From: from, Col: xattr(n, "col"), E: e}, nil
+		return &MapExpr{From: from, Col: n.Attr("col"), E: e}, nil
 	case "join":
 		l, r, err := sidesOf(n)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := ParseExpr(xattr(n, "pred"))
+		pred, err := ParseExpr(n.Attr("pred"))
 		if err != nil {
 			return nil, fmt.Errorf("algebra: join pred: %w", err)
 		}
@@ -211,35 +211,35 @@ func PlanFromXML(n *data.Node) (Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Group{From: from, Keys: fields(xattr(n, "keys")), Into: xattr(n, "into")}, nil
+		return &Group{From: from, Keys: fields(n.Attr("keys")), Into: n.Attr("into")}, nil
 	case "sort":
 		from, err := fromOf(n)
 		if err != nil {
 			return nil, err
 		}
-		return &Sort{From: from, Cols: fields(xattr(n, "cols"))}, nil
+		return &Sort{From: from, Cols: fields(n.Attr("cols"))}, nil
 	case "tree":
 		from, err := fromOf(n)
 		if err != nil {
 			return nil, err
 		}
-		c, err := ParseCons(xattr(n, "cons"))
+		c, err := ParseCons(n.Attr("cons"))
 		if err != nil {
 			return nil, fmt.Errorf("algebra: tree cons: %w", err)
 		}
-		return &TreeOp{From: from, C: c, OutCol: xattr(n, "out")}, nil
+		return &TreeOp{From: from, C: c, OutCol: n.Attr("out")}, nil
 	case "sourcequery":
 		plan := n.Child("plan")
 		if plan == nil {
 			return nil, fmt.Errorf("algebra: sourcequery without plan")
 		}
-		inner, err := PlanFromXML(firstChildElem(plan))
+		inner, err := PlanFromXML(plan.FirstElem())
 		if err != nil {
 			return nil, err
 		}
-		return &SourceQuery{Source: xattr(n, "source"), Plan: inner}, nil
+		return &SourceQuery{Source: n.Attr("source"), Plan: inner}, nil
 	case "literal":
-		t, err := tab.FromXML(firstChildElem(n))
+		t, err := tab.FromXML(n.FirstElem())
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +254,7 @@ func fromOf(n *data.Node) (Op, error) {
 	if from == nil {
 		return nil, fmt.Errorf("algebra: <%s> without <from>", n.Label)
 	}
-	return PlanFromXML(firstChildElem(from))
+	return PlanFromXML(from.FirstElem())
 }
 
 func sidesOf(n *data.Node) (Op, Op, error) {
@@ -262,31 +262,15 @@ func sidesOf(n *data.Node) (Op, Op, error) {
 	if ln == nil || rn == nil {
 		return nil, nil, fmt.Errorf("algebra: <%s> without both sides", n.Label)
 	}
-	l, err := PlanFromXML(firstChildElem(ln))
+	l, err := PlanFromXML(ln.FirstElem())
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := PlanFromXML(firstChildElem(rn))
+	r, err := PlanFromXML(rn.FirstElem())
 	if err != nil {
 		return nil, nil, err
 	}
 	return l, r, nil
-}
-
-func xattr(n *data.Node, name string) string {
-	if c := n.Child("@" + name); c != nil && c.Atom != nil {
-		return c.Atom.S
-	}
-	return ""
-}
-
-func firstChildElem(n *data.Node) *data.Node {
-	for _, k := range n.Kids {
-		if len(k.Label) > 0 && k.Label[0] != '@' {
-			return k
-		}
-	}
-	return nil
 }
 
 func fields(s string) []string {

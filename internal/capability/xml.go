@@ -2,6 +2,7 @@ package capability
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/data"
@@ -105,7 +106,7 @@ func FTFromXML(n *data.Node) (*FT, error) {
 	case "any":
 		return &FT{Kind: pattern.KAny}, nil
 	case "leaf":
-		switch attr(n, "label") {
+		switch n.Attr("label") {
 		case "Int":
 			return &FT{Kind: pattern.KInt}, nil
 		case "Float":
@@ -115,18 +116,18 @@ func FTFromXML(n *data.Node) (*FT, error) {
 		case "String":
 			return &FT{Kind: pattern.KString}, nil
 		default:
-			return nil, fmt.Errorf("capability: unknown leaf label %q", attr(n, "label"))
+			return nil, fmt.Errorf("capability: unknown leaf label %q", n.Attr("label"))
 		}
 	case "ref", "value":
-		name := attr(n, "pattern")
+		name := n.Attr("pattern")
 		if name == "" {
 			return nil, fmt.Errorf("capability: <%s> without pattern attribute", n.Label)
 		}
-		return &FT{Kind: pattern.KRef, Name: name, Bind: BindFlagFromString(attr(n, "bind"))}, nil
+		return &FT{Kind: pattern.KRef, Name: name, Bind: BindFlagFromString(n.Attr("bind"))}, nil
 	case "union":
 		u := &FT{Kind: pattern.KUnion}
 		for _, k := range n.Kids {
-			if isAttr(k) {
+			if k.IsAttr() {
 				continue
 			}
 			a, err := FTFromXML(k)
@@ -139,24 +140,24 @@ func FTFromXML(n *data.Node) (*FT, error) {
 	case "node":
 		f := &FT{
 			Kind:  pattern.KNode,
-			Label: attr(n, "label"),
-			Col:   pattern.ColFromString(attr(n, "col")),
-			Bind:  BindFlagFromString(attr(n, "bind")),
-			Inst:  InstFlagFromString(attr(n, "inst")),
+			Label: n.Attr("label"),
+			Col:   pattern.ColFromString(n.Attr("col")),
+			Bind:  BindFlagFromString(n.Attr("bind")),
+			Inst:  InstFlagFromString(n.Attr("inst")),
 		}
 		if f.Label == "Symbol" {
 			f.Label, f.AnyLabel = "", true
 		}
 		for _, k := range n.Kids {
-			if isAttr(k) {
+			if k.IsAttr() {
 				continue
 			}
 			it := FTItem{}
 			src := k
 			if k.Label == "star" {
 				it.Star = true
-				it.Inst = InstFlagFromString(attr(k, "inst"))
-				src = firstElem(k)
+				it.Inst = InstFlagFromString(k.Attr("inst"))
+				src = k.FirstElem()
 				if src == nil {
 					return nil, fmt.Errorf("capability: empty <star>")
 				}
@@ -194,7 +195,7 @@ func ToXML(i *Interface) *data.Node {
 	for d := range i.Binds {
 		docs = append(docs, d)
 	}
-	sortStrings(docs)
+	sort.Strings(docs)
 	for _, d := range docs {
 		bc := i.Binds[d]
 		be := data.Elem("bindcap")
@@ -208,7 +209,7 @@ func ToXML(i *Interface) *data.Node {
 	for d := range i.Structures {
 		sdocs = append(sdocs, d)
 	}
-	sortStrings(sdocs)
+	sort.Strings(sdocs)
 	for _, d := range sdocs {
 		ref := i.Structures[d]
 		if ref.Model == nil {
@@ -275,7 +276,7 @@ func FromXML(n *data.Node) (*Interface, error) {
 	if n == nil || n.Label != "interface" {
 		return nil, fmt.Errorf("capability: expected <interface>")
 	}
-	name := attr(n, "name")
+	name := n.Attr("name")
 	where := func(elem string) string {
 		return fmt.Sprintf("capability: interface %q: %s", name, elem)
 	}
@@ -283,58 +284,58 @@ func FromXML(n *data.Node) (*Interface, error) {
 	for _, k := range n.Kids {
 		switch k.Label {
 		case "fmodel":
-			m := NewFModel(attr(k, "name"))
+			m := NewFModel(k.Attr("name"))
 			for _, pe := range k.Kids {
 				if pe.Label != "fpattern" {
 					continue
 				}
-				body := firstElem(pe)
+				body := pe.FirstElem()
 				if body == nil {
-					return nil, fmt.Errorf("%s: empty <fpattern %q>", where(fmt.Sprintf("fmodel %q", attr(k, "name"))), attr(pe, "name"))
+					return nil, fmt.Errorf("%s: empty <fpattern %q>", where(fmt.Sprintf("fmodel %q", k.Attr("name"))), pe.Attr("name"))
 				}
 				ft, err := FTFromXML(body)
 				if err != nil {
-					return nil, fmt.Errorf("%s: fpattern %q: %w", where(fmt.Sprintf("fmodel %q", attr(k, "name"))), attr(pe, "name"), err)
+					return nil, fmt.Errorf("%s: fpattern %q: %w", where(fmt.Sprintf("fmodel %q", k.Attr("name"))), pe.Attr("name"), err)
 				}
-				m.Define(attr(pe, "name"), ft)
+				m.Define(pe.Attr("name"), ft)
 			}
 			i.FModels = append(i.FModels, m)
 		case "bindcap":
-			if attr(k, "doc") == "" {
+			if k.Attr("doc") == "" {
 				return nil, fmt.Errorf("%s without doc attribute", where("<bindcap>"))
 			}
-			i.Binds[attr(k, "doc")] = BindCap{FModel: attr(k, "fmodel"), FPattern: attr(k, "fpattern")}
+			i.Binds[k.Attr("doc")] = BindCap{FModel: k.Attr("fmodel"), FPattern: k.Attr("fpattern")}
 		case "structure":
 			me := k.Child("model")
 			if me == nil || me.Atom == nil || strings.TrimSpace(me.Atom.S) == "" {
-				return nil, fmt.Errorf("%s without model text", where(fmt.Sprintf("<structure doc=%q>", attr(k, "doc"))))
+				return nil, fmt.Errorf("%s without model text", where(fmt.Sprintf("<structure doc=%q>", k.Attr("doc"))))
 			}
 			m, err := pattern.ParseModel(me.Atom.S)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", where(fmt.Sprintf("<structure doc=%q>", attr(k, "doc"))), err)
+				return nil, fmt.Errorf("%s: %w", where(fmt.Sprintf("<structure doc=%q>", k.Attr("doc"))), err)
 			}
-			i.Structures[attr(k, "doc")] = StructureRef{Model: m, Pattern: attr(k, "pattern")}
+			i.Structures[k.Attr("doc")] = StructureRef{Model: m, Pattern: k.Attr("pattern")}
 		case "operation":
-			op := Operation{Name: attr(k, "name"), Kind: attr(k, "kind")}
+			op := Operation{Name: k.Attr("name"), Kind: k.Attr("kind")}
 			if op.Name == "" {
 				return nil, fmt.Errorf("%s without name attribute", where("<operation>"))
 			}
 			if op.Kind == "" {
 				return nil, fmt.Errorf("%s without kind attribute", where(fmt.Sprintf("<operation name=%q>", op.Name)))
 			}
-			if ds := attr(k, "docs"); ds != "" {
+			if ds := k.Attr("docs"); ds != "" {
 				op.Docs = strings.Fields(ds)
 			}
 			if in := k.Child("input"); in != nil {
 				for _, s := range in.Kids {
-					if isAttr(s) {
+					if s.IsAttr() {
 						continue
 					}
 					op.Inputs = append(op.Inputs, sigFromXML(s))
 				}
 			}
 			if out := k.Child("output"); out != nil {
-				if s := firstElem(out); s != nil {
+				if s := out.FirstElem(); s != nil {
 					sig := sigFromXML(s)
 					op.Output = &sig
 				}
@@ -342,10 +343,10 @@ func FromXML(n *data.Node) (*Interface, error) {
 			i.Operations = append(i.Operations, op)
 		case "equivalence":
 			i.Equivalences = append(i.Equivalences, Equivalence{
-				Name:  attr(k, "name"),
-				From:  attr(k, "from"),
-				To:    attr(k, "to"),
-				Scope: attr(k, "scope"),
+				Name:  k.Attr("name"),
+				From:  k.Attr("from"),
+				To:    k.Attr("to"),
+				Scope: k.Attr("scope"),
 			})
 		}
 	}
@@ -354,11 +355,11 @@ func FromXML(n *data.Node) (*Interface, error) {
 
 func sigFromXML(n *data.Node) Sig {
 	if n.Label == "leaf" {
-		return Sig{Leaf: attr(n, "label")}
+		return Sig{Leaf: n.Attr("label")}
 	}
 	return Sig{
-		Model:    attr(n, "model"),
-		Pattern:  attr(n, "pattern"),
+		Model:    n.Attr("model"),
+		Pattern:  n.Attr("pattern"),
 		IsFilter: n.Label == "filter",
 	}
 }
@@ -373,30 +374,4 @@ func Unmarshal(src string) (*Interface, error) {
 		return nil, err
 	}
 	return FromXML(n)
-}
-
-func attr(n *data.Node, name string) string {
-	if c := n.Child("@" + name); c != nil && c.Atom != nil {
-		return c.Atom.S
-	}
-	return ""
-}
-
-func isAttr(n *data.Node) bool { return len(n.Label) > 0 && n.Label[0] == '@' }
-
-func firstElem(n *data.Node) *data.Node {
-	for _, k := range n.Kids {
-		if !isAttr(k) {
-			return k
-		}
-	}
-	return nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -215,6 +215,42 @@ func (n *Node) Child(label string) *Node {
 	return nil
 }
 
+// IsAttr reports whether n is an XML attribute. An attribute name="v" is a
+// child labelled "@name" (internal/xmlenc's convention), with v as its atom.
+func (n *Node) IsAttr() bool { return n != nil && len(n.Label) > 0 && n.Label[0] == '@' }
+
+// Attr returns the value of n's attribute name: the atom of its first child
+// labelled "@name", "" when there is none or it holds no atom.
+func (n *Node) Attr(name string) string {
+	if n == nil {
+		return ""
+	}
+	for _, k := range n.Kids {
+		if k.IsAttr() && k.Label[1:] == name {
+			if k.Atom == nil {
+				return ""
+			}
+			return k.Atom.S
+		}
+	}
+	return ""
+}
+
+// FirstElem returns n's first child element: the first child with a label
+// that is not an attribute. Unlabelled text is skipped. It is nil when n has
+// none.
+func (n *Node) FirstElem() *Node {
+	if n == nil {
+		return nil
+	}
+	for _, k := range n.Kids {
+		if k.Label != "" && !k.IsAttr() {
+			return k
+		}
+	}
+	return nil
+}
+
 // Children returns all children with the given label.
 func (n *Node) Children(label string) []*Node {
 	var out []*Node

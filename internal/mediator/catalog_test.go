@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,7 +224,8 @@ func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 // variable for cplace spelled $t — the name view1 uses for the title —
 // composed to a residual Bind that rebound the view's own $t column: the
 // gate refused the query, and without the gate it silently answered nothing.
-// Such a composition is now left uneliminated, and answers what Q1 does.
+// Composition now renames the view's kept column instead, so the query
+// costs what Q1 costs and the view's Tree is gone from its plan.
 func TestQueryVariableNamedLikeAViewVariable(t *testing.T) {
 	const captured = `MAKE $s MATCH artworks WITH doc[ *work[ title: $s, more.cplace: $t ] ] WHERE $t = "Giverny"`
 	for _, gate := range []bool{false, true} {
@@ -239,6 +241,42 @@ func TestQueryVariableNamedLikeAViewVariable(t *testing.T) {
 		}
 		if !reflect.DeepEqual(renderRows(got.Tab), renderRows(want.Tab)) {
 			t.Errorf("CheckInvariants=%v: rows\n%s\nwant Q1's\n%s", gate, got.Tab, want.Tab)
+		}
+		if got.Stats != want.Stats {
+			t.Errorf("CheckInvariants=%v: stats %+v, want Q1's %+v", gate, got.Stats, want.Stats)
+		}
+		if n := strings.Count(got.Plan, "Tree("); n != 1 {
+			t.Errorf("CheckInvariants=%v: %d Trees, want only the query's own:\n%s", gate, n, got.Plan)
+		}
+	}
+}
+
+// TestViewNamedTwice: two mentions of one view each produced the view Tree's
+// output column, which the gate refused as a duplicate join column. The
+// second mention now gets a column of its own.
+func TestViewNamedTwice(t *testing.T) {
+	const twice = `MAKE $s MATCH artworks WITH doc[ *work[ title: $s ] ], artworks WITH doc[ *work[ title: $s2, more.cplace: $c ] ] WHERE $s = $s2 and $c = "Giverny"`
+	for _, setup := range []func(testing.TB) *Mediator{
+		func(t testing.TB) *Mediator { m, _, _ := paperSetup(t); return m },
+		figure8Setup,
+	} {
+		m := setup(t)
+		naive, err := queryNaive(m, twice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if naive.Tab.Len() != 1 {
+			t.Errorf("naive plan: %d rows, want 1:\n%s", naive.Tab.Len(), naive.Tab)
+		}
+		for _, gate := range []bool{false, true} {
+			m.CheckInvariants = gate
+			got, err := m.Query(twice)
+			if err != nil {
+				t.Fatalf("CheckInvariants=%v: %v", gate, err)
+			}
+			if !reflect.DeepEqual(renderRows(got.Tab), renderRows(naive.Tab)) {
+				t.Errorf("CheckInvariants=%v: rows\n%s\nwant the naive plan's\n%s", gate, got.Tab, naive.Tab)
+			}
 		}
 	}
 }

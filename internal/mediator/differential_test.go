@@ -119,7 +119,7 @@ func runDiff(t *testing.T, m *Mediator, q diffQuery, variant string, opts ExecOp
 			plan = q.plan()
 		}
 		if err == nil && variant == "optimized" {
-			plan, err = optimizer.New(m.OptimizerOptions()).OptimizeChecked(plan)
+			plan, err = optimizer.New(m.OptimizerOptions()).Optimize(plan)
 		}
 		if err == nil {
 			s, err = m.StreamPlan(context.Background(), plan, opts)

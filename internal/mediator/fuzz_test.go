@@ -38,7 +38,7 @@ func FuzzPlan(f *testing.F) {
 		if err != nil || len(cat.lint(naive)) > 0 {
 			return
 		}
-		_, err = optimizer.New(m.optimizerOptions(cat)).OptimizeChecked(naive)
+		_, err = optimizer.New(m.optimizerOptions(cat)).Optimize(naive)
 		var ie *optimizer.InvariantError
 		var te *optimizer.TypeError
 		if errors.As(err, &ie) || errors.As(err, &te) {

@@ -6,10 +6,12 @@
 package mediator
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -332,48 +334,76 @@ func (c *catalog) parse(querySrc string) (algebra.Op, error) {
 }
 
 // substituteViews replaces Bind(doc) leaves naming views with Binds over
-// the view's Tree plan.
-func (c *catalog) substituteViews(op algebra.Op, depth int) (algebra.Op, error) {
+// the view's Tree plan. Each Bind keeps the Tree's output column beside its
+// own variables, so a plan naming views twice would produce that column
+// twice: the first mention keeps it, and each later one gets a new Tree
+// over a column no column of the plan uses. The catalog's view plan is
+// shared by concurrent queries and never mutated.
+func (c *catalog) substituteViews(plan algebra.Op, depth int) (algebra.Op, error) {
 	if depth > 16 {
 		return nil, fmt.Errorf("mediator: view nesting too deep (cycle?)")
 	}
+	outCols := map[string]bool{} // output columns of the Trees substituted so far
 	var firstErr error
-	rebuild := func(child algebra.Op) algebra.Op {
-		out, err := c.substituteViews(child, depth)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return out
-	}
-	// yat-lint:ignore intentionally partial: only Bind and Doc name view documents; everything else rebuilds its children via the exhaustive algebra.MapChildren
-	switch x := op.(type) {
-	case *algebra.Bind:
-		if x.Doc == "" {
-			break
-		}
-		if v := c.views[x.Doc]; v != nil {
-			inner, err := c.substituteViews(v.Plan, depth+1)
-			if err != nil {
-				return nil, err
+	var subst func(op algebra.Op) algebra.Op
+	subst = func(op algebra.Op) algebra.Op {
+		// yat-lint:ignore intentionally partial: only Bind and Doc name view documents; everything else rebuilds its children via the exhaustive algebra.MapChildren
+		switch x := op.(type) {
+		case *algebra.Bind:
+			if x.Doc == "" {
+				break
 			}
-			t, ok := inner.(*algebra.TreeOp)
-			if !ok {
-				return nil, fmt.Errorf("mediator: view %s does not end in a Tree", x.Doc)
+			if v := c.views[x.Doc]; v != nil {
+				inner, err := c.substituteViews(v.Plan, depth+1)
+				if err != nil {
+					firstErr = cmp.Or(firstErr, err)
+					return op
+				}
+				t, ok := inner.(*algebra.TreeOp)
+				if !ok {
+					firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: view %s does not end in a Tree", x.Doc))
+					return op
+				}
+				if outCols[t.Columns()[0]] {
+					t = &algebra.TreeOp{From: t.From, C: t.C, OutCol: unusedCol(plan, t.Columns()[0], outCols)}
+				}
+				outCols[t.Columns()[0]] = true
+				return &algebra.Bind{From: t, Col: t.Columns()[0], F: x.F}
 			}
-			return &algebra.Bind{From: t, Col: t.Columns()[0], F: x.F}, nil
+			if _, exported := c.sourceDocs[x.Doc]; !exported {
+				firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: unknown document %q (no source or view exports it)", x.Doc))
+			}
+			return x
+		case *algebra.Doc:
+			if c.views[x.Name] != nil {
+				firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: Doc over view %q is not supported; use Bind", x.Name))
+			}
+			return x
 		}
-		if _, exported := c.sourceDocs[x.Doc]; !exported {
-			return nil, fmt.Errorf("mediator: unknown document %q (no source or view exports it)", x.Doc)
-		}
-		return x, nil
-	case *algebra.Doc:
-		if c.views[x.Name] != nil {
-			return nil, fmt.Errorf("mediator: Doc over view %q is not supported; use Bind", x.Name)
-		}
-		return x, nil
+		return algebra.MapChildren(op, subst)
 	}
-	out := algebra.MapChildren(op, rebuild)
-	return out, firstErr
+	out := subst(plan)
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return out, nil
+}
+
+// unusedCol returns base followed by the smallest number from 2 up that
+// names neither a column of plan nor one of taken.
+func unusedCol(plan algebra.Op, base string, taken map[string]bool) string {
+	used := map[string]bool{}
+	algebra.Walk(plan, func(n algebra.Op) bool {
+		for _, c := range n.Columns() {
+			used[c] = true
+		}
+		return true
+	})
+	for i := 2; ; i++ {
+		if c := base + strconv.Itoa(i); !used[c] && !taken[c] {
+			return c
+		}
+	}
 }
 
 // OptimizerOptions assembles the optimizer configuration from the imported
@@ -388,7 +418,6 @@ func (m *Mediator) optimizerOptions(cat *catalog) optimizer.Options {
 		SourceDocs:      cat.sourceDocs,
 		Structures:      cat.schemas,
 		Assume:          cat.assume,
-		InfoPassing:     true,
 		CheckInvariants: m.CheckInvariants,
 		Trace:           m.Trace,
 	}
@@ -401,7 +430,7 @@ func (m *Mediator) plan(cat *catalog, querySrc string) (algebra.Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	return optimizer.New(m.optimizerOptions(cat)).OptimizeChecked(naive)
+	return optimizer.New(m.optimizerOptions(cat)).Optimize(naive)
 }
 
 // lint verifies a plan against the catalog and its capability interfaces.
@@ -417,9 +446,12 @@ func (m *Mediator) Lint(plan algebra.Op) []planlint.Diagnostic {
 	return m.cat.Load().lint(plan)
 }
 
-// Optimize runs the three-round optimizer over a composed plan.
+// Optimize runs the three-round optimizer over a composed plan. An invariant
+// violation (CheckInvariants) reaches Trace only; the plan is returned either
+// way.
 func (m *Mediator) Optimize(plan algebra.Op) algebra.Op {
-	return optimizer.New(m.OptimizerOptions()).Optimize(plan)
+	out, _ := optimizer.New(m.OptimizerOptions()).Optimize(plan)
+	return out
 }
 
 // Result bundles a query outcome with its plan and execution counters.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/o2"
@@ -525,29 +526,46 @@ func TestOptimizerAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned := m.OptimizerOptions()
-	tuned.DisablePushdown = true
-	tuned.InfoPassing = false
-	plan, err := optimizer.New(tuned).OptimizeChecked(naive)
+	opts := m.OptimizerOptions()
+	opts.CheckInvariants = true
+	rounds, err := optimizer.New(opts).Rounds(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPush, err := m.ExecutePlan(context.Background(), plan, ExecOptions{Parallelism: 1})
+	if len(rounds) != 3 {
+		t.Fatalf("Rounds returned %d plans, want 3", len(rounds))
+	}
+	res := make([]*Result, len(rounds))
+	for i, plan := range rounds {
+		if res[i], err = m.ExecutePlan(context.Background(), plan, ExecOptions{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if !full.Tab.EqualUnordered(res[i].Tab) {
+			t.Errorf("round %d disagrees with the optimized query on rows", i+1)
+		}
+	}
+	// Round 1 pushes nothing, so it fetches.
+	if strings.Contains(res[0].Plan, "SourceQuery") || res[0].Stats.SourceFetches == 0 {
+		t.Errorf("round 1 must fetch, not push (fetches=%d):\n%s", res[0].Stats.SourceFetches, res[0].Plan)
+	}
+	// Round 2 pushes but passes no information yet.
+	if !strings.Contains(res[1].Plan, "SourceQuery") || strings.Contains(res[1].Plan, "DJoin") {
+		t.Errorf("round 2 must push without a DJoin:\n%s", res[1].Plan)
+	}
+	// Round 3 is the optimizer's plan.
+	final, err := optimizer.New(opts).Optimize(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full.Tab.EqualUnordered(noPush.Tab) {
-		t.Error("ablation variants must agree on rows")
+	got, err := algebra.MarshalPlan(rounds[2])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Contains(noPush.Plan, "SourceQuery") {
-		t.Errorf("DisablePushdown left source queries:\n%s", noPush.Plan)
+	if want, err := algebra.MarshalPlan(final); err != nil || got != want {
+		t.Errorf("round 3 differs from Optimize's plan (%v):\n%s\nvs\n%s", err, got, want)
 	}
-	if !strings.Contains(full.Plan, "SourceQuery") {
-		t.Errorf("full optimizer must push:\n%s", full.Plan)
-	}
-	if noPush.Stats.SourceFetches == 0 || full.Stats.SourceFetches != 0 {
-		t.Errorf("fetch stats: noPush=%d full=%d",
-			noPush.Stats.SourceFetches, full.Stats.SourceFetches)
+	if full.Stats.SourceFetches != 0 {
+		t.Errorf("the optimized query fetched %d documents", full.Stats.SourceFetches)
 	}
 }
 

@@ -3,7 +3,6 @@ package o2wrap
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/data"
@@ -70,9 +69,9 @@ func (tr *translator) build(op algebra.Op) error {
 		}
 		// Apply renames new=old.
 		for _, c := range x.Cols {
-			if i := strings.IndexByte(c, '='); i >= 0 {
-				if vb, ok := tr.varInfo[c[i+1:]]; ok {
-					tr.varInfo[c[:i]] = vb
+			if name, src := tab.SplitRename(c); name != src {
+				if vb, ok := tr.varInfo[src]; ok {
+					tr.varInfo[name] = vb
 				}
 			}
 		}

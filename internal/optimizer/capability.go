@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"slices"
+
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/data"
@@ -45,7 +47,7 @@ func (o *Optimizer) mergeSourceJoins(op algebra.Op) algebra.Op {
 	// A single declared join entry must cover every document the merged plan
 	// touches: a source may join its extents and, separately, its node
 	// tables, without claiming it can join across the two families.
-	docs := planlint.PushedDocs(&algebra.Join{L: l.Plan, R: r.Plan})
+	docs := algebra.Docs(&algebra.Join{L: l.Plan, R: r.Plan})
 	if iface == nil || !iface.CoversOperation("join", docs) {
 		return op
 	}
@@ -166,14 +168,14 @@ func (o *Optimizer) containsTarget(op algebra.Op, v string) (string, *algebra.Bi
 		if !ok || rb.Col == "" || rb.Doc != "" {
 			return true
 		}
-		if !contains(rb.F.Vars(), v) {
+		if !slices.Contains(rb.F.Vars(), v) {
 			return true
 		}
 		// rb binds v over column rb.Col; find the document Bind below that
 		// binds rb.Col over a source with the equivalence.
 		algebra.Walk(rb, func(m algebra.Op) bool {
 			db, ok := m.(*algebra.Bind)
-			if !ok || db.Doc == "" || !contains(db.F.Vars(), rb.Col) {
+			if !ok || db.Doc == "" || !slices.Contains(db.F.Vars(), rb.Col) {
 				return true
 			}
 			iface := o.ifaceFor(db.Doc)
@@ -186,15 +188,6 @@ func (o *Optimizer) containsTarget(op algebra.Op, v string) (string, *algebra.Bi
 		return docBind == nil
 	})
 	return docVar, docBind
-}
-
-func contains(vs []string, v string) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // hasContains reports whether an identical contains selection already
@@ -346,7 +339,7 @@ func (o *Optimizer) round3(op algebra.Op) algebra.Op {
 		}
 	}
 	iface := o.opts.Interfaces[sq.Source]
-	sqDocs := planlint.PushedDocs(sq.Plan)
+	sqDocs := algebra.Docs(sq.Plan)
 	if iface == nil || !iface.CoversOperation("select", sqDocs) {
 		return op
 	}

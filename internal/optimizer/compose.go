@@ -12,6 +12,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -69,12 +70,15 @@ func SplitBindDoc(b *algebra.Bind, fresh func() string) (*algebra.Bind, *algebra
 // composition is the outcome of matching a query filter against a view's
 // construction pattern.
 type composition struct {
-	renames   []string          // projection entries "fvar=cvar"
+	renames   []rename          // filter variables read from cons variables
 	constCols map[string]string // fvar bound to a constant label/value
 	consts    []algebra.Expr    // equality constraints on cons variables
 	residuals []residualBind    // navigation into spliced variables
 	empty     bool              // the filter requires structure never built
 }
+
+// rename binds the filter variable fvar to the cons variable cvar's column.
+type rename struct{ fvar, cvar string }
 
 type residualBind struct {
 	consVar string
@@ -85,8 +89,10 @@ type residualBind struct {
 // renaming) over the Tree's input, plus residual Binds for navigation into
 // spliced variables and Selects for constants — the key equivalence of
 // Section 5.2. It returns (rewritten, true) on success; the rewritten plan
-// has exactly the filter's variables as columns.
-func EliminateBindTree(b *algebra.Bind, t *algebra.TreeOp) (algebra.Op, bool) {
+// has exactly the filter's variables as columns. A filter variable named
+// like a view variable the rewriting keeps as a column is not captured by
+// it: the kept column takes a name from fresh instead.
+func EliminateBindTree(b *algebra.Bind, t *algebra.TreeOp, fresh func() string) (algebra.Op, bool) {
 	if b.From != t || b.Col != t.Columns()[0] {
 		return nil, false
 	}
@@ -108,10 +114,9 @@ func EliminateBindTree(b *algebra.Bind, t *algebra.TreeOp) (algebra.Op, bool) {
 	var keep []string
 	seen := map[string]bool{}
 	for _, r := range comp.renames {
-		cv := r[indexEq(r)+1:]
-		if !seen[cv] {
-			seen[cv] = true
-			keep = append(keep, cv)
+		if !seen[r.cvar] {
+			seen[r.cvar] = true
+			keep = append(keep, r.cvar)
 		}
 	}
 	for _, rb := range comp.residuals {
@@ -122,21 +127,26 @@ func EliminateBindTree(b *algebra.Bind, t *algebra.TreeOp) (algebra.Op, bool) {
 	}
 	srcOf := map[string]string{}
 	for _, r := range comp.renames {
-		i := indexEq(r)
-		srcOf[r[:i]] = r[i+1:]
+		srcOf[r.fvar] = r.cvar
 	}
 	// The residual Binds and constant Maps below add the query's variables
-	// as columns beside the view's own. A query variable that happens to be
-	// named like one of those would be captured by it (rows silently
-	// lost), so such a composition is left to evaluate as written.
+	// as columns beside the kept ones. A kept column named like one of those
+	// variables would capture it, so it is renamed to a fresh column.
+	renamed := map[string]string{} // kept column → its fresh name
 	for _, fv := range outCols {
 		if seen[fv] && srcOf[fv] == "" {
-			return nil, false
+			renamed[fv] = fresh()
+		}
+	}
+	colOf := func(cv string) string { return cmp.Or(renamed[cv], cv) }
+	for i, cv := range keep {
+		if c := renamed[cv]; c != "" {
+			keep[i] = tab.Rename(c, cv)
 		}
 	}
 	cur = &algebra.Distinct{From: &algebra.Project{From: cur, Cols: keep}}
 	for _, rb := range comp.residuals {
-		cur = &algebra.Bind{From: cur, Col: rb.consVar, F: filter.New(rb.f).WithModel(b.F.Model)}
+		cur = &algebra.Bind{From: cur, Col: colOf(rb.consVar), F: filter.New(rb.f).WithModel(b.F.Model)}
 	}
 	// Final projection: filter variables in order, renamed from cons
 	// variables or computed constants.
@@ -145,7 +155,7 @@ func EliminateBindTree(b *algebra.Bind, t *algebra.TreeOp) (algebra.Op, bool) {
 	for _, fv := range outCols {
 		switch {
 		case srcOf[fv] != "":
-			final = append(final, fv+"="+srcOf[fv])
+			final = append(final, tab.Rename(fv, colOf(srcOf[fv])))
 		case comp.constCols[fv] != "":
 			maps = &algebra.MapExpr{From: maps, Col: fv,
 				E: algebra.Const{Atom: data.String(comp.constCols[fv])}}
@@ -156,15 +166,6 @@ func EliminateBindTree(b *algebra.Bind, t *algebra.TreeOp) (algebra.Op, bool) {
 		}
 	}
 	return &algebra.Project{From: maps, Cols: final}, true
-}
-
-func indexEq(s string) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '=' {
-			return i
-		}
-	}
-	return -1
 }
 
 // match relates a filter node with a construction node. starSeen counts the
@@ -235,7 +236,7 @@ func (c *composition) match(fn *filter.FNode, cn *algebra.Cons, depth int) bool 
 	if cn.Var != "" {
 		if fn.Var != "" && cn.Label == "" {
 			// bare splice bound as a whole
-			c.renames = append(c.renames, fn.Var+"="+cn.Var)
+			c.renames = append(c.renames, rename{fn.Var, cn.Var})
 			return len(fn.Items) == 0
 		}
 		if fn.Var != "" {
@@ -256,7 +257,7 @@ func (c *composition) match(fn *filter.FNode, cn *algebra.Cons, depth int) bool 
 			}
 			if varOnly(it.F) {
 				// content variable over an atomic splice: direct rename
-				c.renames = append(c.renames, it.F.Var+"="+cn.Var)
+				c.renames = append(c.renames, rename{it.F.Var, cn.Var})
 				return true
 			}
 			c.residuals = append(c.residuals, residualBind{consVar: cn.Var, f: it.F.Clone()})

@@ -133,7 +133,7 @@ func (g *planGen) gen(depth int) (algebra.Op, []string, map[string]bool) {
 
 // TestOptimizerPreservesInvariantsOnRandomPlans is the property test: for N
 // random valid plans, every rewriting round's output still passes
-// planlint.Check — OptimizeChecked verifies after each round and returns the
+// planlint.Check — Optimize verifies after each round and returns the
 // first violation with the round's name. The same loop is the type-system
 // property test: every planlint-accepted plan typechecks (with a non-empty
 // root — the generator only builds satisfiable filters), and all three
@@ -161,7 +161,7 @@ func TestOptimizerPreservesInvariantsOnRandomPlans(t *testing.T) {
 			t.Fatalf("plan %d: satisfiable plan inferred empty (%s)\n%s",
 				i, orig.Root, algebra.Describe(plan))
 		}
-		out, err := o.OptimizeChecked(plan)
+		out, err := o.Optimize(plan)
 		if err != nil {
 			t.Errorf("plan %d: %v\ninput:\n%s", i, err, algebra.Describe(plan))
 			continue
@@ -192,15 +192,15 @@ func TestOptimizerPreservesInvariantsOnRandomPlans(t *testing.T) {
 	}
 }
 
-// TestOptimizeCheckedReportsBrokenInput verifies the diagnostic path: an
-// invalid plan is caught at the "input" stage with a typed error.
-func TestOptimizeCheckedReportsBrokenInput(t *testing.T) {
+// TestOptimizeReportsBrokenInput verifies the diagnostic path: an invalid
+// plan is caught at the "input" stage with a typed error.
+func TestOptimizeReportsBrokenInput(t *testing.T) {
 	opts, _, _ := culturalOpts(10)
 	bad := &algebra.Select{
 		From: &algebra.Bind{Doc: "works", F: filter.MustParse(`works[ *work[ title: $t ] ]`)},
 		Pred: algebra.MustParseExpr(`$ghost = 1`),
 	}
-	_, err := New(opts).OptimizeChecked(bad)
+	out, err := New(opts).Optimize(bad)
 	var ie *InvariantError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want *InvariantError, got %v", err)
@@ -211,8 +211,8 @@ func TestOptimizeCheckedReportsBrokenInput(t *testing.T) {
 	if len(ie.Diags) == 0 || ie.Diags[0].Code != planlint.CodeUnboundVar {
 		t.Errorf("diagnostics = %v", ie.Diags)
 	}
-	// Optimize (unchecked) still returns a plan and does not panic.
-	if New(opts).Optimize(bad) == nil {
+	// The rewritten plan is returned beside the error.
+	if out == nil {
 		t.Error("Optimize must still return the rewritten plan")
 	}
 }

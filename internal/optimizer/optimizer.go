@@ -6,6 +6,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/planlint"
+	"repro/internal/tab"
 	"repro/internal/typecheck"
 )
 
@@ -24,9 +25,11 @@ type Containment struct {
 	Modulo []string // selection conjuncts the assumption absorbs
 }
 
-// Options configure the optimizer. Zero-value options yield a conservative
-// optimizer that only performs composition simplification and pushdown of
-// selections/projections.
+// Options configure the optimizer. Every plan goes through all three
+// rounds; what a round can do is bounded by what the options declare:
+// without interfaces nothing is pushed, so round 3 finds no source query to
+// pass information to, and without structures or assumptions round 1 only
+// composes views and moves selections and projections.
 type Options struct {
 	// Interfaces maps source names to their capability interfaces.
 	Interfaces map[string]*capability.Interface
@@ -37,15 +40,10 @@ type Options struct {
 	Structures *typecheck.Schemas
 	// Assume lists containment assumptions enabling source pruning.
 	Assume []Containment
-	// InfoPassing enables round 3 (Join → DJoin with parameter passing).
-	InfoPassing bool
-	// DisablePushdown skips capability-based pushdown (round 2): the
-	// ablation switch of EXPERIMENTS.md's E13.
-	DisablePushdown bool
 	// CheckInvariants verifies plan well-formedness with planlint on the
 	// input and on the output of each round; the first violation — named by
 	// its stage ("input", "round1", "round2", "round3") and located by its
-	// plan path — is reported through Trace and returned by OptimizeChecked.
+	// plan path — is reported through Trace and returned by Optimize.
 	// A round that unbinds a variable, breaks Skolem arity or pushes an
 	// infeasible subplan is caught before execution, not as a wrong answer.
 	// The same gate verifies each round against the input plan's inferred
@@ -97,38 +95,31 @@ func (o *Optimizer) trace(format string, args ...any) {
 }
 
 // Optimize runs the three rewriting rounds of Section 6 and returns the
-// rewritten plan. The input plan is not mutated. With CheckInvariants set,
-// violations are reported through Trace only; use OptimizeChecked to also
-// receive them as an error.
-func (o *Optimizer) Optimize(plan algebra.Op) algebra.Op {
-	out, _ := o.optimize(plan)
-	return out
+// rewritten plan. The input plan is not mutated. The error is the first
+// invariant violation as an *InvariantError, always nil unless
+// Options.CheckInvariants is set; the returned plan is the full rewriting
+// result either way.
+func (o *Optimizer) Optimize(plan algebra.Op) (algebra.Op, error) {
+	rounds, err := o.Rounds(plan)
+	return rounds[len(rounds)-1], err
 }
 
-// OptimizeChecked optimizes like Optimize and returns the first invariant
-// violation as an *InvariantError (always nil unless Options.CheckInvariants
-// is set). The returned plan is the full rewriting result either way.
-func (o *Optimizer) OptimizeChecked(plan algebra.Op) (algebra.Op, error) {
-	return o.optimize(plan)
-}
-
-func (o *Optimizer) optimize(plan algebra.Op) (algebra.Op, error) {
+// Rounds optimizes like Optimize and returns the plan after each of the
+// three rounds, in order: composition simplification, capability-based
+// pushdown, information passing. Each is verified as Optimize verifies it.
+func (o *Optimizer) Rounds(plan algebra.Op) ([]algebra.Op, error) {
 	o.fresh = newFreshVars(plan)
 	o.err = nil
 	// The input's type is the baseline, so the input needs only the lint.
 	o.captureRootType(plan)
 	o.lint("input", plan)
-	out := o.round1(plan)
-	o.verify("round1", out)
-	if !o.opts.DisablePushdown {
-		out = o.round2(out)
-		o.verify("round2", out)
+	rounds := make([]algebra.Op, 0, 3)
+	for i, round := range []func(algebra.Op) algebra.Op{o.round1, o.round2, o.round3} {
+		plan = round(plan)
+		o.verify(fmt.Sprintf("round%d", i+1), plan)
+		rounds = append(rounds, plan)
 	}
-	if o.opts.InfoPassing {
-		out = o.round3(out)
-		o.verify("round3", out)
-	}
-	return out, o.err
+	return rounds, o.err
 }
 
 // verify checks a plan with planlint and against the baseline type,
@@ -196,7 +187,7 @@ func (o *Optimizer) eliminateCompositions(op algebra.Op) algebra.Op {
 	if !ok {
 		return op
 	}
-	if out, ok := EliminateBindTree(b, t); ok {
+	if out, ok := EliminateBindTree(b, t, o.fresh.fresh); ok {
 		o.trace("eliminated Bind–Tree composition over %s", t.Detail())
 		return out
 	}
@@ -214,25 +205,19 @@ func simplifyProjects(op algebra.Op) algebra.Op {
 		// compose the rename maps
 		innerSrc := map[string]string{}
 		for _, c := range inner.Cols {
-			name, src := c, c
-			if i := indexEq(c); i >= 0 {
-				name, src = c[:i], c[i+1:]
-			}
+			name, src := tab.SplitRename(c)
 			innerSrc[name] = src
 		}
 		cols := make([]string, len(p.Cols))
 		for i, c := range p.Cols {
-			name, src := c, c
-			if j := indexEq(c); j >= 0 {
-				name, src = c[:j], c[j+1:]
-			}
+			name, src := tab.SplitRename(c)
 			if deep, ok := innerSrc[src]; ok {
 				src = deep
 			}
 			if name == src {
 				cols[i] = name
 			} else {
-				cols[i] = name + "=" + src
+				cols[i] = tab.Rename(name, src)
 			}
 		}
 		return simplifyProjects(&algebra.Project{From: inner.From, Cols: cols})

@@ -97,7 +97,7 @@ func TestEliminateBindTreeBasic(t *testing.T) {
 	tree := viewPlan(viewRows(), `doc[ *w($t, $a) := work[ title: $t, artist: $a, more: $fields ] ]`)
 	bind := &algebra.Bind{From: tree, Col: "$doc",
 		F: filter.MustParse(`doc[ *work[ title: $qt, more.cplace: $cl ] ]`)}
-	out, ok := EliminateBindTree(bind, tree)
+	out, ok := EliminateBindTree(bind, tree, newFreshVars(bind).fresh)
 	if !ok {
 		t.Fatal("composition failed")
 	}
@@ -125,7 +125,7 @@ func TestEliminateBindTreeConstants(t *testing.T) {
 	// Constant agreement: filter checks the constructed constant.
 	ok1 := &algebra.Bind{From: tree, Col: "$doc",
 		F: filter.MustParse(`doc[ *work[ title: $qt, kind: "painting" ] ]`)}
-	out, ok := EliminateBindTree(ok1, tree)
+	out, ok := EliminateBindTree(ok1, tree, newFreshVars(ok1).fresh)
 	if !ok {
 		t.Fatal("composition failed")
 	}
@@ -139,7 +139,7 @@ func TestEliminateBindTreeConstants(t *testing.T) {
 	// Constant disagreement: statically empty.
 	bad := &algebra.Bind{From: tree, Col: "$doc",
 		F: filter.MustParse(`doc[ *work[ title: $qt, kind: "sculpture" ] ]`)}
-	out2, ok := EliminateBindTree(bad, tree)
+	out2, ok := EliminateBindTree(bad, tree, newFreshVars(bad).fresh)
 	if !ok {
 		t.Fatal("composition failed")
 	}
@@ -149,7 +149,7 @@ func TestEliminateBindTreeConstants(t *testing.T) {
 	// Constant bound to a variable.
 	cv := &algebra.Bind{From: tree, Col: "$doc",
 		F: filter.MustParse(`doc[ *work[ title: $qt, kind: $k ] ]`)}
-	out3, ok := EliminateBindTree(cv, tree)
+	out3, ok := EliminateBindTree(cv, tree, newFreshVars(cv).fresh)
 	if !ok {
 		t.Fatal("composition failed")
 	}
@@ -166,7 +166,7 @@ func TestEliminateBindTreeMissingElement(t *testing.T) {
 	tree := viewPlan(viewRows(), `doc[ *w($t) := work[ title: $t ] ]`)
 	bind := &algebra.Bind{From: tree, Col: "$doc",
 		F: filter.MustParse(`doc[ *work[ ghost: $g ] ]`)}
-	out, ok := EliminateBindTree(bind, tree)
+	out, ok := EliminateBindTree(bind, tree, newFreshVars(bind).fresh)
 	if !ok {
 		t.Fatal("composition failed")
 	}
@@ -183,7 +183,7 @@ func TestEliminateBindTreeRefusesCrossStars(t *testing.T) {
 	tree := viewPlan(viewRows(), `doc[ *w($t) := work[ title: $t ], *v($a) := artist[ name: $a ] ]`)
 	bind := &algebra.Bind{From: tree, Col: "$doc",
 		F: filter.MustParse(`doc[ *work[ title: $qt ], *artist[ name: $qa ] ]`)}
-	if _, ok := EliminateBindTree(bind, tree); ok {
+	if _, ok := EliminateBindTree(bind, tree, newFreshVars(bind).fresh); ok {
 		t.Error("two var-binding star items must refuse composition (cross-product hazard)")
 	}
 }
@@ -193,7 +193,7 @@ func TestEliminateBindTreeSkolemLabelVar(t *testing.T) {
 	// label variable over a fixed construction label binds the constant
 	bind := &algebra.Bind{From: tree, Col: "$doc",
 		F: filter.MustParse(`doc[ *~$l[ title: $qt ] ]`)}
-	out, ok := EliminateBindTree(bind, tree)
+	out, ok := EliminateBindTree(bind, tree, newFreshVars(bind).fresh)
 	if !ok {
 		t.Fatal("composition failed")
 	}
@@ -305,8 +305,8 @@ func TestOptimizeIsIdempotentOnSimplePlans(t *testing.T) {
 		From: &algebra.Bind{Doc: "works", F: filter.MustParse(`works[ *work[ title: $t ] ]`)},
 		Pred: algebra.MustParseExpr(`$t = "Ta"`),
 	}
-	once := o.Optimize(plan)
-	twice := o.Optimize(once)
+	once, _ := o.Optimize(plan)
+	twice, _ := o.Optimize(once)
 	if algebra.Describe(once) != algebra.Describe(twice) {
 		t.Errorf("not idempotent:\n%s\nvs\n%s", algebra.Describe(once), algebra.Describe(twice))
 	}

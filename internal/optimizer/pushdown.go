@@ -1,12 +1,13 @@
 package optimizer
 
 import (
-	"strings"
+	"sort"
 
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/filter"
 	"repro/internal/pattern"
+	"repro/internal/tab"
 )
 
 // ---------------------------------------------------------------------------
@@ -80,10 +81,7 @@ func sink(op algebra.Op, conjs []algebra.Expr) (algebra.Op, []algebra.Expr) {
 		// variables all survive below the projection sink through it.
 		toSrc := map[string]string{}
 		for _, c := range x.Cols {
-			name, src := c, c
-			if i := strings.IndexByte(c, '='); i >= 0 {
-				name, src = c[:i], c[i+1:]
-			}
+			name, src := tab.SplitRename(c)
 			toSrc[name] = src
 		}
 		var down []algebra.Expr
@@ -170,10 +168,7 @@ func (o *Optimizer) pruneColumns(op algebra.Op, needed map[string]bool) algebra.
 		below := map[string]bool{}
 		cols := make([]string, 0, len(x.Cols))
 		for _, c := range x.Cols {
-			name, src := c, c
-			if i := strings.IndexByte(c, '='); i >= 0 {
-				name, src = c[:i], c[i+1:]
-			}
+			name, src := tab.SplitRename(c)
 			if needed[name] {
 				below[src] = true
 				cols = append(cols, c)
@@ -182,13 +177,9 @@ func (o *Optimizer) pruneColumns(op algebra.Op, needed map[string]bool) algebra.
 		if len(cols) == 0 && len(x.Cols) > 0 {
 			// Nothing above needs any column (e.g. a constant construction):
 			// keep one so the plan stays well-formed.
-			c := x.Cols[0]
-			src := c
-			if i := strings.IndexByte(c, '='); i >= 0 {
-				src = c[i+1:]
-			}
+			_, src := tab.SplitRename(x.Cols[0])
 			below[src] = true
-			cols = []string{c}
+			cols = []string{x.Cols[0]}
 		}
 		return &algebra.Project{From: o.pruneColumns(x.From, below), Cols: cols}
 	case *algebra.Select:
@@ -212,8 +203,7 @@ func (o *Optimizer) pruneColumns(op algebra.Op, needed map[string]bool) algebra.
 			Pred: x.Pred,
 		}
 	case *algebra.DJoin:
-		rfree := freeVars(x.R)
-		n2 := union(needed, rfree)
+		n2 := union(needed, varSet(algebra.FreeVars(x.R)))
 		return &algebra.DJoin{
 			L: o.pruneColumns(x.L, intersect(n2, colSet(x.L.Columns()))),
 			R: x.R,
@@ -290,10 +280,10 @@ func (o *Optimizer) pruneJoinBranch(j *algebra.Join, drop, keep algebra.Op, need
 			if !ok {
 				return nil, false
 			}
-			cols = append(cols, c+"="+src)
+			cols = append(cols, tab.Rename(c, src))
 		}
 	}
-	sortStrings(cols)
+	sort.Strings(cols)
 	o.trace("pruned join branch under containment assumption: kept %v", cols)
 	o.pruned = true
 	return &algebra.Project{From: keep, Cols: cols}, true
@@ -302,7 +292,7 @@ func (o *Optimizer) pruneJoinBranch(j *algebra.Join, drop, keep algebra.Op, need
 // assumed returns the containment assumption covering dropping the drop
 // side while keeping keep, or nil.
 func (o *Optimizer) assumed(drop, keep algebra.Op) *Containment {
-	dropDocs, keepDocs := docsUnder(drop), docsUnder(keep)
+	dropDocs, keepDocs := algebra.Docs(drop), algebra.Docs(keep)
 	for i := range o.opts.Assume {
 		a := &o.opts.Assume[i]
 		for _, dd := range dropDocs {
@@ -317,68 +307,6 @@ func (o *Optimizer) assumed(drop, keep algebra.Op) *Containment {
 		}
 	}
 	return nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func docsUnder(op algebra.Op) []string {
-	var out []string
-	algebra.Walk(op, func(n algebra.Op) bool {
-		// yat-lint:ignore intentionally partial: only Bind and Doc name documents
-		switch x := n.(type) {
-		case *algebra.Bind:
-			if x.Doc != "" {
-				out = append(out, x.Doc)
-			}
-		case *algebra.Doc:
-			out = append(out, x.Name)
-		}
-		return true
-	})
-	return out
-}
-
-// freeVars returns the variables an operator subtree references but does
-// not itself bind (DJoin parameters).
-func freeVars(op algebra.Op) map[string]bool {
-	bound := map[string]bool{}
-	free := map[string]bool{}
-	algebra.Walk(op, func(n algebra.Op) bool {
-		for _, c := range n.Columns() {
-			bound[c] = true
-		}
-		var refs []string
-		// yat-lint:ignore intentionally partial: only predicate/expression/parameter operators reference variables; columns of others are collected above
-		switch x := n.(type) {
-		case *algebra.Select:
-			refs = x.Pred.Vars()
-		case *algebra.MapExpr:
-			refs = x.E.Vars()
-		case *algebra.Join:
-			refs = x.Pred.Vars()
-		case *algebra.Bind:
-			if x.From == nil && x.Doc == "" {
-				refs = append(refs, x.Col)
-			}
-		}
-		for _, v := range refs {
-			free[v] = true
-		}
-		return true
-	})
-	out := map[string]bool{}
-	for v := range free {
-		if !bound[v] {
-			out[v] = true
-		}
-	}
-	return out
 }
 
 func union(a, b map[string]bool) map[string]bool {

@@ -39,7 +39,6 @@ func culturalOpts(n int) (Options, *algebra.Context, *datagen.Workload) {
 			"persons":   {Model: schema, Pattern: "Person"},
 			"works":     {Model: ww.ExportStructure(), Pattern: "Works"},
 		}),
-		InfoPassing:     true,
 		CheckInvariants: true,
 	}
 	return opts, ctx, w
@@ -69,7 +68,7 @@ func TestFullPipelinePushesBothSources(t *testing.T) {
 	opts.Trace = func(s string) { traces = append(traces, s) }
 	o := New(opts)
 	plan := q2LikePlan()
-	opt, err := o.OptimizeChecked(plan)
+	opt, err := o.Optimize(plan)
 	if err != nil {
 		t.Fatalf("invariant broken during optimization: %v", err)
 	}
@@ -306,25 +305,6 @@ func TestExpandLabelVarsDirect(t *testing.T) {
 		}
 		return true
 	})
-}
-
-func TestFreeVarsAndDocsUnder(t *testing.T) {
-	plan := &algebra.DJoin{
-		L: &algebra.Bind{Doc: "works", F: filter.MustParse(`works[ *work@$w ]`)},
-		R: &algebra.Select{
-			From: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-				`set[ *class[ artifact.tuple[ title: $t2 ] ] ]`)},
-			Pred: algebra.MustParseExpr(`$t2 = $outer`),
-		},
-	}
-	fv := freeVars(plan.R)
-	if !fv["$outer"] || fv["$t2"] {
-		t.Errorf("freeVars = %v", fv)
-	}
-	docs := docsUnder(plan)
-	if len(docs) != 2 {
-		t.Errorf("docsUnder = %v", docs)
-	}
 }
 
 func TestMergeSourceJoins(t *testing.T) {

@@ -89,7 +89,7 @@ func FromXML(n *data.Node) (*P, error) {
 	case "nil":
 		return nil, fmt.Errorf("pattern: nil pattern element")
 	case "leaf":
-		l := attr(n, "label")
+		l := n.Attr("label")
 		switch l {
 		case "Int":
 			return Int(), nil
@@ -105,7 +105,7 @@ func FromXML(n *data.Node) (*P, error) {
 	case "const":
 		return constFromXML(n)
 	case "ref":
-		name := attr(n, "pattern")
+		name := n.Attr("pattern")
 		if name == "" {
 			return nil, fmt.Errorf("pattern: <ref> without pattern attribute")
 		}
@@ -113,7 +113,7 @@ func FromXML(n *data.Node) (*P, error) {
 	case "union":
 		u := &P{Kind: KUnion}
 		for _, k := range n.Kids {
-			if isAttr(k) {
+			if k.IsAttr() {
 				continue
 			}
 			a, err := FromXML(k)
@@ -124,20 +124,20 @@ func FromXML(n *data.Node) (*P, error) {
 		}
 		return u, nil
 	case "node":
-		p := &P{Kind: KNode, Label: attr(n, "label")}
+		p := &P{Kind: KNode, Label: n.Attr("label")}
 		if p.Label == "Symbol" {
 			p.Label, p.AnyLabel = "", true
 		}
-		p.Col = ColFromString(attr(n, "col"))
+		p.Col = ColFromString(n.Attr("col"))
 		for _, k := range n.Kids {
-			if isAttr(k) {
+			if k.IsAttr() {
 				continue
 			}
 			star := false
 			src := k
 			if k.Label == "star" {
 				star = true
-				src = firstElem(k)
+				src = k.FirstElem()
 				if src == nil {
 					return nil, fmt.Errorf("pattern: empty <star>")
 				}
@@ -155,7 +155,7 @@ func FromXML(n *data.Node) (*P, error) {
 }
 
 func constFromXML(n *data.Node) (*P, error) {
-	typ, val := attr(n, "type"), attr(n, "value")
+	typ, val := n.Attr("type"), n.Attr("value")
 	switch typ {
 	case "Int":
 		v, err := strconv.ParseInt(val, 10, 64)
@@ -178,26 +178,6 @@ func constFromXML(n *data.Node) (*P, error) {
 	}
 }
 
-func attr(n *data.Node, name string) string {
-	if c := n.Child("@" + name); c != nil && c.Atom != nil {
-		return c.Atom.S
-	}
-	return ""
-}
-
-func isAttr(n *data.Node) bool {
-	return len(n.Label) > 0 && n.Label[0] == '@'
-}
-
-func firstElem(n *data.Node) *data.Node {
-	for _, k := range n.Kids {
-		if !isAttr(k) {
-			return k
-		}
-	}
-	return nil
-}
-
 // ModelToXML serializes a model to its XML tree.
 func ModelToXML(m *Model) *data.Node {
 	root := data.Elem("model")
@@ -216,13 +196,13 @@ func ModelFromXML(n *data.Node) (*Model, error) {
 	if n == nil || n.Label != "model" {
 		return nil, fmt.Errorf("pattern: expected <model> element")
 	}
-	m := NewModel(attr(n, "name"))
+	m := NewModel(n.Attr("name"))
 	for _, k := range n.Kids {
 		if k.Label != "pattern" {
 			continue
 		}
-		name := attr(k, "name")
-		body := firstElem(k)
+		name := k.Attr("name")
+		body := k.FirstElem()
 		if name == "" || body == nil {
 			return nil, fmt.Errorf("pattern: malformed <pattern> element")
 		}

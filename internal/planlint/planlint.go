@@ -23,6 +23,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/filter"
 	"repro/internal/pattern"
+	"repro/internal/tab"
 	"repro/internal/typecheck"
 )
 
@@ -163,11 +164,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 		c.check(x.From, path, env, pushed)
 		from := colSet(childCols(x.From))
 		for _, col := range x.Cols {
-			src := col
-			if i := strings.IndexByte(col, '='); i >= 0 {
-				src = col[i+1:]
-			}
-			if !from[src] {
+			if _, src := tab.SplitRename(col); !from[src] {
 				c.report(CodeUnknownColumn, path, x,
 					"projected column %s is not produced by the input (has %v)", src, childCols(x.From))
 			}
@@ -537,7 +534,7 @@ func (c *checker) checkSourceQuery(sq *algebra.SourceQuery, path string, env map
 	}
 	// The document set the pushed plan touches; scoped capability
 	// declarations must cover all of them with a single entry.
-	docs := PushedDocs(sq.Plan)
+	docs := algebra.Docs(sq.Plan)
 	// Variables bound by Binds inside the pushed plan evaluate at the
 	// source; free variables arrive as DJoin parameters. For scoping inside
 	// the pushed plan the surrounding env therefore still applies — a pushed
@@ -686,21 +683,6 @@ func operandFeasible(iface *capability.Interface, e algebra.Expr, docs []string)
 	default:
 		return fmt.Errorf("operand form %T is not pushable", e)
 	}
-}
-
-// PushedDocs returns the distinct documents bound inside a (pushed) plan: the
-// document set capability scoping is checked against.
-func PushedDocs(plan algebra.Op) []string {
-	seen := map[string]bool{}
-	var docs []string
-	algebra.Walk(plan, func(n algebra.Op) bool {
-		if b, ok := n.(*algebra.Bind); ok && b.Doc != "" && !seen[b.Doc] {
-			seen[b.Doc] = true
-			docs = append(docs, b.Doc)
-		}
-		return true
-	})
-	return docs
 }
 
 func colSet(cols []string) map[string]bool {

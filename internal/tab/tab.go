@@ -288,9 +288,22 @@ func (t *Tab) Cell(row int, col string) Cell {
 	return t.Rows[row][i]
 }
 
+// SplitRename splits a projection entry into the column it names and the
+// input column it reads: "new=old" renames old to new, a bare name keeps
+// its column. It is the one reader of the rename format.
+func SplitRename(col string) (name, src string) {
+	if name, src, ok := strings.Cut(col, "="); ok {
+		return name, src
+	}
+	return col, col
+}
+
+// Rename is the projection entry "name=src" that SplitRename reads back.
+func Rename(name, src string) string { return name + "=" + src }
+
 // Project returns a new Tab with the named columns in the given order.
 // Unknown columns yield all-null columns (outer semantics on optional
-// fields); renames are performed with "new=old" entries.
+// fields); renames are performed with "new=old" entries (SplitRename).
 func (t *Tab) Project(cols ...string) *Tab {
 	type src struct {
 		name string
@@ -298,10 +311,7 @@ func (t *Tab) Project(cols ...string) *Tab {
 	}
 	plan := make([]src, len(cols))
 	for i, c := range cols {
-		name, old := c, c
-		if j := strings.IndexByte(c, '='); j >= 0 {
-			name, old = c[:j], c[j+1:]
-		}
+		name, old := SplitRename(c)
 		plan[i] = src{name, t.ColIndex(old)}
 	}
 	out := &Tab{Cols: make([]string, len(cols))}

@@ -70,8 +70,8 @@ func FromXML(n *data.Node) (*Tab, error) {
 		return nil, fmt.Errorf("tab: expected <tab> element, got %v", n)
 	}
 	var cols []string
-	if c := n.Child("@cols"); c != nil && c.Atom != nil && c.Atom.S != "" {
-		cols = splitFields(c.Atom.S)
+	if s := n.Attr("cols"); s != "" {
+		cols = splitFields(s)
 	}
 	t := New(cols...)
 	for _, k := range n.Kids {
@@ -80,7 +80,7 @@ func FromXML(n *data.Node) (*Tab, error) {
 		}
 		row := make(Row, 0, len(cols))
 		for _, cn := range k.Kids {
-			if len(cn.Label) > 0 && cn.Label[0] == '@' {
+			if cn.IsAttr() {
 				continue
 			}
 			c, err := cellFromXML(cn)
@@ -102,10 +102,7 @@ func cellFromXML(n *data.Node) (Cell, error) {
 	case "null":
 		return Null(), nil
 	case "atom":
-		typ := ""
-		if c := n.Child("@type"); c != nil && c.Atom != nil {
-			typ = c.Atom.S
-		}
+		typ := n.Attr("type")
 		text := ""
 		if n.Atom != nil {
 			text = n.Atom.Text()
@@ -140,14 +137,7 @@ func cellFromXML(n *data.Node) (Cell, error) {
 			return Null(), fmt.Errorf("tab: unknown atom type %q", typ)
 		}
 	case "tree":
-		var body *data.Node
-		for _, k := range n.Kids {
-			if len(k.Label) > 0 && k.Label[0] == '@' {
-				continue
-			}
-			body = k
-			break
-		}
+		body := n.FirstElem()
 		if body == nil {
 			return Null(), fmt.Errorf("tab: empty <tree> cell")
 		}
@@ -155,10 +145,9 @@ func cellFromXML(n *data.Node) (Cell, error) {
 	case "seq":
 		var f data.Forest
 		for _, k := range n.Kids {
-			if len(k.Label) > 0 && k.Label[0] == '@' {
-				continue
+			if !k.IsAttr() {
+				f = append(f, k)
 			}
-			f = append(f, k)
 		}
 		return SeqCell(f), nil
 	case "tab":

@@ -27,6 +27,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/pattern"
+	"repro/internal/tab"
 )
 
 // Structure pairs a structural model with the name of the pattern (within
@@ -287,11 +288,8 @@ func (in *inferrer) inferOp(op algebra.Op, env map[string]*pattern.P) (*RowType,
 		rt := newRowType(x.Columns())
 		rt.Empty = inRT.Empty
 		for _, c := range x.Cols {
-			if eq := strings.IndexByte(c, '='); eq >= 0 {
-				rt.Types[c[:eq]] = inRT.Type(c[eq+1:])
-			} else {
-				rt.Types[c] = inRT.Type(c)
-			}
+			name, src := tab.SplitRename(c)
+			rt.Types[name] = inRT.Type(src)
 		}
 		return rt, nil
 

@@ -297,8 +297,8 @@ func renamedFrom(plan algebra.Op, col string) string {
 	algebra.Walk(plan, func(op algebra.Op) bool {
 		if p, ok := op.(*algebra.Project); ok {
 			for _, c := range p.Cols {
-				if i := strings.IndexByte(c, '='); i >= 0 && c[:i] == cur {
-					cur = c[i+1:]
+				if name, src := tab.SplitRename(c); name == cur {
+					cur = src
 				}
 			}
 		}

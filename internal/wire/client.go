@@ -184,8 +184,8 @@ func DialWith(ctx context.Context, addr string, opts Options) (*Client, error) {
 		c.Close()
 		return nil, err
 	}
-	c.name = attr(resp[0], "name")
-	c.docs = strings.Fields(attr(resp[0], "docs"))
+	c.name = resp[0].Attr("name")
+	c.docs = strings.Fields(resp[0].Attr("docs"))
 	return c, nil
 }
 
@@ -423,7 +423,7 @@ func (r *reply) next() (*data.Node, error) {
 		// The server is back at its request loop: an error frame is a
 		// clean terminal, before the first chunk or mid-reply.
 		r.finish(n)
-		return nil, &RemoteError{Msg: attr(n, "msg")}
+		return nil, &RemoteError{Msg: n.Attr("msg")}
 	}
 	if n.Label != "chunk" || n.Child("@end") != nil {
 		r.finish(n)
@@ -439,7 +439,7 @@ func (r *reply) finish(end *data.Node) {
 	r.done = true
 	r.unwatch()
 	if sp := obs.SpanFrom(r.ctx); sp != nil {
-		if v := attr(end, "obs-ns"); v != "" {
+		if v := end.Attr("obs-ns"); v != "" {
 			sp.Annotate("wrapper_ns", v)
 		}
 	}
@@ -569,7 +569,7 @@ func trees(frame *data.Node, out data.Forest) (data.Forest, error) {
 		return nil, fmt.Errorf("wire: unexpected reply <%s>", frame.Label)
 	}
 	for _, n := range frame.Kids {
-		if !strings.HasPrefix(n.Label, "@") {
+		if !n.IsAttr() {
 			out = append(out, xmlenc.InferAtoms(n))
 		}
 	}
@@ -684,14 +684,14 @@ func tabs(frame *data.Node, out []*tab.Tab) error {
 		return fmt.Errorf("wire: unexpected reply <%s>", frame.Label)
 	}
 	for _, n := range frame.Kids {
-		if strings.HasPrefix(n.Label, "@") {
+		if n.IsAttr() {
 			continue
 		}
 		t, err := tab.FromXML(n)
 		if err != nil {
 			return err
 		}
-		bind := cmp.Or(attr(n, "bind"), "0")
+		bind := cmp.Or(n.Attr("bind"), "0")
 		i, err := strconv.Atoi(bind)
 		switch {
 		case err != nil || i < 0 || i >= len(out):
@@ -848,7 +848,7 @@ func (c *Client) ImportStructures() (map[string]StructureRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[attr(k, "doc")] = StructureRef{Model: m, Pattern: attr(k, "pattern")}
+		out[k.Attr("doc")] = StructureRef{Model: m, Pattern: k.Attr("pattern")}
 	}
 	return out, nil
 }

@@ -420,7 +420,7 @@ func (s *Server) serve(w *frameWriter, req string) {
 		s.answer(w, n)
 		return
 	}
-	traceID := attr(n, "trace")
+	traceID := n.Attr("trace")
 	w.traced = traceID != ""
 	sp := s.Exp.Obs.StartRequest(n.Label, traceID)
 	rows, err := s.answer(w, n)
@@ -455,8 +455,8 @@ func (s *Server) answer(w *frameWriter, n *data.Node) (rows int, err error) {
 	case "query":
 		w.start = time.Now()
 		if n.Child("@doc") != nil {
-			if err = s.sendDoc(w, attr(n, "doc")); err != nil {
-				err = fmt.Errorf("fetch %s: %v", attr(n, "doc"), err)
+			if err = s.sendDoc(w, n.Attr("doc")); err != nil {
+				err = fmt.Errorf("fetch %s: %v", n.Attr("doc"), err)
 			}
 		} else if err = s.sendPlan(w, n); err != nil {
 			err = fmt.Errorf("push: %v", err)
@@ -499,13 +499,13 @@ func (s *Server) sendPlan(w *frameWriter, n *data.Node) error {
 	if pn == nil {
 		return errors.New("query without doc or plan")
 	}
-	plan, err := algebra.PlanFromXML(firstElem(pn))
+	plan, err := algebra.PlanFromXML(pn.FirstElem())
 	if err != nil {
 		return fmt.Errorf("plan: %v", err)
 	}
 	var bindings []map[string]tab.Cell
 	if bn := n.Child("bindings"); bn != nil {
-		bt, err := tab.FromXML(firstElem(bn))
+		bt, err := tab.FromXML(bn.FirstElem())
 		if err != nil {
 			return fmt.Errorf("bindings: %v", err)
 		}
@@ -725,20 +725,4 @@ func halve(ps []piece) (a, b []piece) {
 	h := t.Len() / 2
 	return []piece{{rows: &tab.Tab{Cols: t.Cols, Rows: t.Rows[:h:h]}, bind: ps[0].bind}},
 		[]piece{{rows: &tab.Tab{Cols: t.Cols, Rows: t.Rows[h:]}, bind: ps[0].bind}}
-}
-
-func attr(n *data.Node, name string) string {
-	if c := n.Child("@" + name); c != nil && c.Atom != nil {
-		return c.Atom.S
-	}
-	return ""
-}
-
-func firstElem(n *data.Node) *data.Node {
-	for _, k := range n.Kids {
-		if len(k.Label) > 0 && k.Label[0] != '@' {
-			return k
-		}
-	}
-	return nil
 }

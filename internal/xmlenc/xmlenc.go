@@ -184,7 +184,9 @@ func (s *scanner) element() (*data.Node, error) {
 		return nil, err
 	}
 	n := &data.Node{Label: label}
-	// attributes
+	// attributes; the references of a refs attribute follow the others, where
+	// Serialize writes it
+	var refs []*data.Node
 	for {
 		s.skipSpace()
 		if s.eof() {
@@ -215,12 +217,13 @@ func (s *scanner) element() (*data.Node, error) {
 			n.Ref = aval
 		case "refs":
 			for _, id := range strings.Fields(aval) {
-				n.Add(data.RefNode("ref", id))
+				refs = append(refs, data.RefNode("ref", id))
 			}
 		default:
 			n.Add(data.Text("@"+aname, aval))
 		}
 	}
+	n.Add(refs...)
 	if s.peek() == '/' {
 		s.pos++
 		if s.peek() != '>' {
@@ -466,13 +469,15 @@ func serialize(b *strings.Builder, n *data.Node, indent int) {
 	if n.Ref != "" {
 		fmt.Fprintf(b, ` ref="%s"`, Escape(n.Ref))
 	}
-	// Split children: attributes, pure-ref run, others.
+	// Split children: attributes, the run of bare references before any
+	// other child (a refs attribute, which Parse reads back to the same
+	// place), others.
 	var attrs, refs, kids []*data.Node
 	for _, k := range n.Kids {
 		switch {
-		case strings.HasPrefix(k.Label, "@") && k.Atom != nil:
+		case k.IsAttr() && k.Atom != nil:
 			attrs = append(attrs, k)
-		case k.Label == "ref" && k.IsRef() && k.ID == "":
+		case len(kids) == 0 && k.Label == "ref" && k.IsRef() && k.ID == "" && k.Atom == nil && len(k.Kids) == 0:
 			refs = append(refs, k)
 		default:
 			kids = append(kids, k)

@@ -167,12 +167,10 @@ func ParseFilter(src string) (*filter.Filter, error) { return filter.Parse(src) 
 func DescribePlan(op algebra.Op) string { return algebra.Describe(op) }
 
 // Optimize rewrites a plan with a standalone optimizer configured from the
-// given interfaces and document-source map (most callers should use
-// Mediator.Query, which wires this automatically).
+// given interfaces and document-source map, running all three rounds (most
+// callers should use Mediator.Query, which wires this automatically). No
+// invariant is checked, so the plan is the only result.
 func Optimize(plan algebra.Op, ifaces map[string]*capability.Interface, sourceDocs map[string]string) algebra.Op {
-	return optimizer.New(optimizer.Options{
-		Interfaces:  ifaces,
-		SourceDocs:  sourceDocs,
-		InfoPassing: true,
-	}).Optimize(plan)
+	out, _ := optimizer.New(optimizer.Options{Interfaces: ifaces, SourceDocs: sourceDocs}).Optimize(plan)
+	return out
 }
