@@ -186,7 +186,7 @@ func (s *scanner) element() (*data.Node, error) {
 	n := &data.Node{Label: label}
 	// attributes; the references of a refs attribute follow the others, where
 	// Serialize writes it
-	var refs []*data.Node
+	refs := ""
 	for {
 		s.skipSpace()
 		if s.eof() {
@@ -216,14 +216,18 @@ func (s *scanner) element() (*data.Node, error) {
 		case "ref":
 			n.Ref = aval
 		case "refs":
-			for _, id := range strings.Fields(aval) {
-				refs = append(refs, data.RefNode("ref", id))
+			if refs == "" {
+				refs = aval
+			} else {
+				refs += " " + aval
 			}
 		default:
 			n.Add(data.Text("@"+aname, aval))
 		}
 	}
-	n.Add(refs...)
+	for _, id := range strings.Fields(refs) {
+		n.Add(data.RefNode("ref", id))
+	}
 	if s.peek() == '/' {
 		s.pos++
 		if s.peek() != '>' {
