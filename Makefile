@@ -7,8 +7,11 @@ check: build vet test lint bench-build fuzz-short fault-matrix experiments smoke
 build:
 	$(GO) build ./...
 
+# gofmt -l prints every file whose formatting gofmt would change; any
+# output fails the target.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test -race ./...

@@ -19,11 +19,11 @@
 //     land without a test pinning its type inference rule (the inference
 //     switch itself degrades unknown operators to Any by design, which is
 //     exactly why the toolchain would never notice the gap).
-//  4. One way to call a source: only internal/algebra (FetchStream,
+//  4. One way to call a source: only internal/algebra/call.go (FetchStream,
 //     PushStream, PushBatch) may ask a source which optional call interface
 //     it has. A type assertion or type-switch case on algebra.ContextSource,
-//     BatchSource, StreamSource or PushStreamSource anywhere else is a new
-//     copy of that ladder.
+//     BatchSource, StreamSource or PushStreamSource anywhere else — the rest
+//     of internal/algebra included — is a new copy of that ladder.
 //  5. One way to count: a write (++, +=, =, ...) to a field of
 //     algebra.Stats (obs.Counts) outside algebra's Context.count and
 //     Counts.Add. Everything else counts through Context.count, which adds
@@ -73,6 +73,7 @@ const (
 	xqPath        = "repro/internal/xq"
 	tabPath       = "repro/internal/tab"
 	typecheckPath = "repro/internal/typecheck"
+	ladderFile    = "call.go" // in algebraPath: the one caller of a source (check 4)
 	ignoreTag     = "yat-lint:ignore"
 )
 
@@ -387,6 +388,9 @@ type checker struct {
 	// renames is set in a package that knows the Project rename format
 	// (check 6); splitter while visiting tab.SplitRename itself.
 	renames, splitter bool
+	// ladder is set while visiting internal/algebra/call.go, the one file
+	// that may ask a source for an optional call interface (check 4).
+	ladder bool
 	// params holds, per enclosing function (innermost last), the *tab.Tab
 	// parameters considered shared operands.
 	params []map[types.Object]bool
@@ -408,6 +412,7 @@ func (c *checker) report(pos token.Pos, format string, args ...any) {
 }
 
 func (c *checker) file(f *ast.File) {
+	c.ladder = c.pkgPath == algebraPath && filepath.Base(c.fset.Position(f.Pos()).Filename) == ladderFile
 	for _, d := range f.Decls {
 		c.counts = c.isCounterWriter(d)
 		c.splitter = c.isFunc(d, tabPath+".SplitRename")
@@ -616,11 +621,11 @@ func (c *checker) checkTabWrite(as *ast.AssignStmt) {
 }
 
 // checkCallIface flags the asserted type of a type assertion, or a case of
-// a switch, that names an optional call interface outside internal/algebra.
+// a switch, that names an optional call interface outside the ladder's file.
 // Expressions that are not types (the cases of a value switch, the nil Type
 // of a switch's own x.(type)) name nothing and pass.
 func (c *checker) checkCallIface(e ast.Expr) {
-	if c.pkgPath == algebraPath || e == nil {
+	if c.ladder || e == nil {
 		return
 	}
 	tv, ok := c.info.Types[e]
@@ -631,7 +636,7 @@ func (c *checker) checkCallIface(e ast.Expr) {
 	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != algebraPath || !callIfaces[named.Obj().Name()] {
 		return
 	}
-	c.report(e.Pos(), "type assertion to algebra.%s outside internal/algebra: call the source through algebra.FetchStream, PushStream or PushBatch",
+	c.report(e.Pos(), "type assertion to algebra.%s outside internal/algebra/call.go: call the source through algebra.FetchStream, PushStream or PushBatch",
 		named.Obj().Name())
 }
 

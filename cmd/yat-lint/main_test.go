@@ -17,6 +17,13 @@ import (
 // algebra, tab and xq packages and returns the lint findings.
 func harness(t *testing.T, src string) []string {
 	t.Helper()
+	return harnessAt(t, "synthetic", "synthetic.go", src)
+}
+
+// harnessAt is harness for a file of the given name in a package of the
+// given import path.
+func harnessAt(t *testing.T, pkgPath, filename, src string) []string {
+	t.Helper()
 	exports, err := exportData([]string{algebraPath, tabPath, xqPath})
 	if err != nil {
 		t.Fatalf("export data: %v", err)
@@ -37,7 +44,7 @@ func harness(t *testing.T, src string) []string {
 		}
 		sealed = append(sealed, sealedSet{iface: si, impls: impls})
 	}
-	f, err := parser.ParseFile(fset, "synthetic.go", src, parser.ParseComments|parser.SkipObjectResolution)
+	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -47,8 +54,8 @@ func harness(t *testing.T, src string) []string {
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: imp, Error: func(err error) { t.Errorf("type error: %v", err) }}
-	conf.Check("synthetic", fset, []*ast.File{f}, info)
-	return analyze(fset, []*ast.File{f}, info, "synthetic", sealed)
+	conf.Check(pkgPath, fset, []*ast.File{f}, info)
+	return analyze(fset, []*ast.File{f}, info, pkgPath, sealed)
 }
 
 func TestImplementationSets(t *testing.T) {
@@ -252,6 +259,37 @@ func f(src algebra.Source) int {
 		if !strings.Contains(findings[i], "type assertion to algebra."+name) {
 			t.Errorf("finding %d = %s, want one naming %s", i, findings[i], name)
 		}
+	}
+}
+
+// ladderSrc is a stand-in for internal/algebra asking a source for an
+// optional call interface of its own.
+const ladderSrc = `package algebra
+
+type Source interface{ Name() string }
+
+type BatchSource interface {
+	Source
+	PushBatchContext() error
+}
+
+func batchOf(src Source) bool {
+	_, ok := src.(BatchSource)
+	return ok
+}
+`
+
+func TestCallInterfaceAssertionInAlgebraIsFlagged(t *testing.T) {
+	// internal/algebra itself is not exempt: only its call.go asks.
+	findings := harnessAt(t, algebraPath, "batch.go", ladderSrc)
+	if len(findings) != 1 || !strings.Contains(findings[0], "type assertion to algebra.BatchSource outside internal/algebra/call.go") {
+		t.Fatalf("want one call-interface finding in algebra/batch.go, got %v", findings)
+	}
+}
+
+func TestCallInterfaceAssertionInCallGoIsClean(t *testing.T) {
+	if findings := harnessAt(t, algebraPath, "call.go", ladderSrc); len(findings) != 0 {
+		t.Fatalf("the ladder's own file flagged: %v", findings)
 	}
 }
 

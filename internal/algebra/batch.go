@@ -201,20 +201,16 @@ type DJoinSet struct {
 }
 
 // NewDJoinSet builds the set-at-a-time state for evaluating j over the
-// outer rows l. The batched push path engages when the inner
-// plan is directly a SourceQuery over a connected BatchSource; any other
-// inner plan still benefits from deduplication, evaluated once per distinct
-// binding set.
+// outer rows l. The batched push path engages when the inner plan is
+// directly a SourceQuery — PushBatch decides how its source takes a batch;
+// any other inner plan still benefits from deduplication, evaluated once
+// per distinct binding set.
 func NewDJoinSet(ctx *Context, j *DJoin, l *tab.Tab) *DJoinSet {
 	s := &DJoinSet{
 		Bindings: NewDJoinBindings(l, j.innerVars(), ctx.Params),
 	}
 	s.Results = make([]*tab.Tab, len(s.Bindings.Sets))
-	if q, ok := j.R.(*SourceQuery); ok {
-		if _, ok := ctx.Sources[q.Source].(BatchSource); ok {
-			s.q = q
-		}
-	}
+	s.q, _ = j.R.(*SourceQuery)
 	return s
 }
 

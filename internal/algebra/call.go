@@ -1,11 +1,14 @@
 // The one way to call a source. A Source must implement four methods and may
-// implement up to four optional interfaces on top (ContextSource,
-// StreamSource, PushStreamSource, BatchSource); the three functions below
-// are the only code that asks which of them a source has. Every caller — the
-// engine's leaves, the replica router, the wire server — goes through them
-// and sees one shape: a context and a document name or a plan with bindings
-// go in, a cursor or one result per binding comes out. yat-lint refuses a
-// type assertion to an optional call interface anywhere else.
+// implement up to three optional interfaces on top (StreamSource,
+// PushStreamSource, BatchSource); the three functions below are the only
+// code that asks which of them a source has, and a wrapper implements one
+// only when it answers that call better than the rung beneath: streaming
+// where it can pace its own evaluation, a batch only where its language has
+// a set-at-a-time form. Every caller — the engine's leaves, the replica
+// router, the wire server — goes through them and sees one shape: a context
+// and a document name or a plan with bindings go in, a cursor or one result
+// per binding comes out. yat-lint refuses a type assertion to an optional
+// call interface anywhere but this file.
 package algebra
 
 import (
@@ -18,10 +21,9 @@ import (
 )
 
 // FetchStream opens doc at src as a tree stream: natively when the source
-// streams, else one whole fetch (under ctx when the source takes one) served
-// as a single batch — the forest is in memory anyway, and in one piece the
-// objects a document's references point at arrive with the trees that
-// mention them. A nil ctx means context.Background().
+// streams, else one whole fetch served as a single batch — the forest is in
+// memory anyway, and in one piece the objects a document's references point
+// at arrive with the trees that mention them. A nil ctx means context.Background().
 func FetchStream(ctx context.Context, src Source, doc string) (ForestCursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -29,13 +31,7 @@ func FetchStream(ctx context.Context, src Source, doc string) (ForestCursor, err
 	if ss, ok := src.(StreamSource); ok {
 		return ss.FetchStream(ctx, doc)
 	}
-	var f data.Forest
-	var err error
-	if cs, ok := src.(ContextSource); ok {
-		f, err = cs.FetchContext(ctx, doc)
-	} else {
-		f, err = src.Fetch(doc)
-	}
+	f, err := src.Fetch(doc)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +48,7 @@ func PushStream(ctx context.Context, src Source, plan Op, params map[string]tab.
 	if ps, ok := src.(PushStreamSource); ok {
 		return ps.PushStream(ctx, plan, params)
 	}
-	t, err := pushWhole(ctx, src, plan, params)
+	t, err := src.Push(plan, params)
 	if err != nil {
 		return nil, err
 	}
@@ -61,8 +57,9 @@ func PushStream(ctx context.Context, src Source, plan Op, params map[string]tab.
 
 // PushBatch evaluates plan once per binding set at src and returns exactly
 // one result per binding, in binding order, all or error: in one call when
-// the source takes batches, else binding by binding. A nil ctx means
-// context.Background().
+// the source takes batches, else binding by binding — ctx is checked before
+// each, and a failing binding is named in the error ("binding i: ..."), as a
+// native batch names it. A nil ctx means context.Background().
 func PushBatch(ctx context.Context, src Source, plan Op, bindings []map[string]tab.Cell) ([]*tab.Tab, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -71,9 +68,12 @@ func PushBatch(ctx context.Context, src Source, plan Op, bindings []map[string]t
 	if !ok {
 		out := make([]*tab.Tab, len(bindings))
 		for i, params := range bindings {
-			t, err := pushWhole(ctx, src, plan, params)
-			if err != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, err
+			}
+			t, err := src.Push(plan, params)
+			if err != nil {
+				return nil, fmt.Errorf("binding %d: %w", i, err)
 			}
 			out[i] = t
 		}
@@ -84,14 +84,6 @@ func PushBatch(ctx context.Context, src Source, plan Op, bindings []map[string]t
 		err = fmt.Errorf("batch returned %d results for %d bindings", len(out), len(bindings))
 	}
 	return out, err
-}
-
-// pushWhole is one push answered in one piece.
-func pushWhole(ctx context.Context, src Source, plan Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	if cs, ok := src.(ContextSource); ok {
-		return cs.PushContext(ctx, plan, params)
-	}
-	return src.Push(plan, params)
 }
 
 // DrainForest reads a tree stream to its end and closes it.

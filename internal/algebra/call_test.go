@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -56,19 +57,7 @@ func (s plainSrc) Push(_ Op, params map[string]tab.Cell) (*tab.Tab, error) {
 	return s.rows(params), nil
 }
 
-type ctxSrc struct{ plainSrc }
-
-func (s ctxSrc) FetchContext(ctx context.Context, _ string) (data.Forest, error) {
-	s.note(ctx, "FetchContext")
-	return s.forest(), nil
-}
-
-func (s ctxSrc) PushContext(ctx context.Context, _ Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	s.note(ctx, "PushContext")
-	return s.rows(params), nil
-}
-
-type streamSrc struct{ ctxSrc }
+type streamSrc struct{ plainSrc }
 
 func (s streamSrc) FetchStream(ctx context.Context, _ string) (ForestCursor, error) {
 	s.note(ctx, "FetchStream")
@@ -118,13 +107,11 @@ func TestCallLadderTakesTheMostCapableRung(t *testing.T) {
 	}{
 		{"plain", func(p plainSrc) Source { return p },
 			"Fetch", "Push", "Push Push Push"},
-		{"+Context", func(p plainSrc) Source { return ctxSrc{p} },
-			"FetchContext+ctx", "PushContext+ctx", "PushContext+ctx PushContext+ctx PushContext+ctx"},
-		{"+Stream", func(p plainSrc) Source { return streamSrc{ctxSrc{p}} },
-			"FetchStream+ctx FetchStream.Close", "PushContext+ctx", "PushContext+ctx PushContext+ctx PushContext+ctx"},
-		{"+PushStream", func(p plainSrc) Source { return pushStreamSrc{streamSrc{ctxSrc{p}}} },
-			"FetchStream+ctx FetchStream.Close", "PushStream+ctx PushStream.Close", "PushContext+ctx PushContext+ctx PushContext+ctx"},
-		{"+Batch", func(p plainSrc) Source { return batchSrc{pushStreamSrc{streamSrc{ctxSrc{p}}}} },
+		{"+Stream", func(p plainSrc) Source { return streamSrc{p} },
+			"FetchStream+ctx FetchStream.Close", "Push", "Push Push Push"},
+		{"+PushStream", func(p plainSrc) Source { return pushStreamSrc{streamSrc{p}} },
+			"FetchStream+ctx FetchStream.Close", "PushStream+ctx PushStream.Close", "Push Push Push"},
+		{"+Batch", func(p plainSrc) Source { return batchSrc{pushStreamSrc{streamSrc{p}}} },
 			"FetchStream+ctx FetchStream.Close", "PushStream+ctx PushStream.Close", "PushBatchContext+ctx"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,7 +184,7 @@ func TestCallLadderTakesTheMostCapableRung(t *testing.T) {
 
 func TestCallLadderNilContextIsBackground(t *testing.T) {
 	var log []string
-	src := batchSrc{pushStreamSrc{streamSrc{ctxSrc{plainSrc{log: &log}}}}}
+	src := batchSrc{pushStreamSrc{streamSrc{plainSrc{log: &log}}}}
 	var nilCtx context.Context
 	if _, err := FetchStream(nilCtx, src, "doc"); err != nil {
 		t.Fatal(err)
@@ -223,9 +210,54 @@ func (s shortBatch) PushBatchContext(ctx context.Context, plan Op, bindings []ma
 
 func TestPushBatchRefusesAMiscountedAnswer(t *testing.T) {
 	var log []string
-	src := shortBatch{batchSrc{pushStreamSrc{streamSrc{ctxSrc{plainSrc{log: &log}}}}}}
+	src := shortBatch{batchSrc{pushStreamSrc{streamSrc{plainSrc{log: &log}}}}}
 	_, err := PushBatch(context.Background(), src, nil, []map[string]tab.Cell{{}, {}})
 	if err == nil || !strings.Contains(err.Error(), "1 results for 2 bindings") {
 		t.Fatalf("PushBatch over a short answer = %v, want a count mismatch", err)
+	}
+}
+
+// failingSrc answers a push by binding $x: "cancel" cancels the caller's
+// context before answering, "fail" fails.
+type failingSrc struct {
+	plainSrc
+	cancel context.CancelFunc
+}
+
+func (s failingSrc) Push(plan Op, params map[string]tab.Cell) (*tab.Tab, error) {
+	switch params["$x"].Atom.S {
+	case "cancel":
+		s.cancel()
+	case "fail":
+		return nil, fmt.Errorf("no such row")
+	}
+	return s.plainSrc.Push(plan, params)
+}
+
+func TestPushBatchFallbackStopsAndNamesTheBinding(t *testing.T) {
+	x := func(v string) map[string]tab.Cell { return map[string]tab.Cell{"$x": tab.AtomCell(data.String(v))} }
+	var log []string
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := failingSrc{plainSrc{log: &log}, cancel}
+
+	// A context cancelled between bindings stops the loop before the next
+	// push.
+	_, err := PushBatch(ctx, src, nil, []map[string]tab.Cell{x("a"), x("cancel"), x("b"), x("c")})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled between bindings: err = %v, want context.Canceled", err)
+	}
+	if got := strings.Join(log, " "); got != "Push Push" {
+		t.Errorf("cancelled between bindings: calls %q, want two pushes", got)
+	}
+
+	// A failing push is named by its binding's index.
+	log = nil
+	_, err = PushBatch(context.Background(), src, nil, []map[string]tab.Cell{x("a"), x("b"), x("fail"), x("c")})
+	if err == nil || err.Error() != "binding 2: no such row" {
+		t.Fatalf("failing binding: err = %v, want binding 2: no such row", err)
+	}
+	if got := strings.Join(log, " "); got != "Push Push" {
+		t.Errorf("failing binding: calls %q, want the two pushes before it", got)
 	}
 }

@@ -32,11 +32,12 @@ type Source interface {
 	Push(plan Op, params map[string]tab.Cell) (*tab.Tab, error)
 }
 
-// ContextSource is the optional cancellable extension of Source: sources
-// that perform I/O (the wire client above TCP wrappers) implement it so a
-// query deadline or cancellation propagates into in-flight requests instead
-// of hanging the evaluation on a dead wrapper. Evaluation uses these
-// variants whenever the evaluation context carries a context.Context.
+// ContextSource is Fetch and Push under a cancellation context. The call
+// ladder (call.go) no longer consults it: a source that honours a context
+// does so through StreamSource, PushStreamSource or BatchSource, and no
+// type in this module implements it. It stays declared only because the
+// benchmark's recording decorator names it, and goes with the one source
+// interface (ROADMAP item 6(ii)).
 type ContextSource interface {
 	Source
 	// FetchContext is Fetch under a cancellation context.
@@ -120,8 +121,9 @@ type Context struct {
 	// Stats accumulates execution counters.
 	Stats *Stats
 	// Ctx, when non-nil, carries the query's cancellation context:
-	// long-running operators check it between units of work and
-	// ContextSource connections receive it for in-flight I/O.
+	// long-running operators check it between units of work, and the call
+	// ladder hands it to a source's streaming and batch calls for in-flight
+	// I/O.
 	Ctx context.Context
 	// Cache, when non-nil, memoizes pushed-subplan results across rows and
 	// queries (see ResultCache); the mediator installs a shared instance.
@@ -586,7 +588,7 @@ func (b *JoinBuild) Apply(ctx *Context, l *tab.Tab) (*tab.Tab, error) {
 // Section 5.3 and the Bind-split of Figure 7). Evaluation is set-at-a-time:
 // outer rows are deduplicated to distinct binding sets over the inner
 // plan's free variables, each set is evaluated once — through one batched
-// push per chunk when the inner plan is a SourceQuery over a BatchSource,
+// push per chunk (PushBatch) when the inner plan is a SourceQuery,
 // accounted, cached and checked exactly as that SourceQuery's own pushes are
 // — and the results are re-expanded per outer row, so the output is row for
 // row what one evaluation per outer row would produce. DJoinSet holds that

@@ -26,8 +26,8 @@ type ForestCursor interface {
 }
 
 // StreamSource is a source that can ship a bound document incrementally
-// instead of as one forest. Sources without it are read through FetchContext
-// / Fetch and served as a one-batch stream.
+// instead of as one forest. Sources without it are read through Fetch and
+// served as a one-batch stream.
 type StreamSource interface {
 	Source
 	// FetchStream opens a tree stream over doc. The cursor honours ctx:
@@ -36,8 +36,8 @@ type StreamSource interface {
 }
 
 // PushStreamSource is a source that can evaluate a pushed plan and return
-// its rows incrementally. Sources without it are read through PushContext /
-// Push (one-shot result, chunked mediator-side).
+// its rows incrementally. Sources without it are read through Push (one-shot
+// result, chunked mediator-side).
 type PushStreamSource interface {
 	Source
 	// PushStream evaluates plan under params at the source and streams the

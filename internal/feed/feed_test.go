@@ -396,24 +396,3 @@ func TestPushStreamHonoursContext(t *testing.T) {
 		t.Fatalf("cancelled stream must fail, got %v", err)
 	}
 }
-
-func TestPushBatch(t *testing.T) {
-	w, c := feedFixture(t)
-	plan := &algebra.Select{
-		From: &algebra.Bind{Doc: "records", F: filter.MustParse(
-			`records[ *record[ id: $id, title: $t ] ]`)},
-		Pred: algebra.MustParseExpr(`$id = $k`),
-	}
-	bindings := []map[string]tab.Cell{
-		{"$k": tab.AtomCell(data.String(c.Records[0].ID))},
-		{"$k": tab.AtomCell(data.String(c.Records[1].ID))},
-		{"$k": tab.AtomCell(data.String("rec-nosuch"))},
-	}
-	tabs, err := w.PushBatch(plan, bindings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 3 || tabs[0].Len() != 1 || tabs[1].Len() != 1 || tabs[2].Len() != 0 {
-		t.Fatalf("batch lens = %v", []int{tabs[0].Len(), tabs[1].Len(), tabs[2].Len()})
-	}
-}

@@ -18,17 +18,27 @@ import (
 // already adapts Fetch into bounded stream frames.
 var _ algebra.PushStreamSource = (*Wrapper)(nil)
 
-// PushStream implements algebra.PushStreamSource: the same compilation and
-// index narrowing as Push, but candidate records are matched, verified and
-// projected lazily in bounded chunks as the consumer pulls — a large result
-// never materializes wrapper-side.
+// Push implements algebra.Source: PushStream drained — compile, check the
+// column lineup, narrow through the indexes, match, verify, project.
+func (w *Wrapper) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
+	cur, err := w.PushStream(context.Background(), plan, params)
+	if err != nil {
+		return nil, err
+	}
+	return tab.Drain(cur)
+}
+
+// PushStream implements algebra.PushStreamSource, and is the wrapper's one
+// evaluation of a push: compilation and index narrowing run at open, and
+// candidate records are matched, verified and projected lazily in bounded
+// chunks as the consumer pulls — a large result never materializes
+// wrapper-side.
 func (w *Wrapper) PushStream(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (tab.Cursor, error) {
 	q, err := w.compilePush(plan, params)
 	if err != nil {
 		return nil, err
 	}
-	// Unlike Push, which discovers a column mismatch when the rows land,
-	// validate the output column lineup at open time so a bad plan fails
+	// Validate the output column lineup at open time, so a bad plan fails
 	// before any chunk is shipped. The filter's binding columns are
 	// deterministic (pre-order variables), so the projected shape is known
 	// without evaluating a row.

@@ -459,13 +459,3 @@ func operand(e algebra.Expr, t *tab.Tab, row tab.Row, params map[string]tab.Cell
 		return tab.Null(), fmt.Errorf("feed: unsupported predicate operand %T", e)
 	}
 }
-
-// Push implements algebra.Source: compile, narrow through the indexes,
-// match, verify, project.
-func (w *Wrapper) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	q, err := w.compilePush(plan, params)
-	if err != nil {
-		return nil, err
-	}
-	return w.evalRows(q, w.candidates(q), params)
-}

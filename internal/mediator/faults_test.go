@@ -14,7 +14,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/o2wrap"
-	"repro/internal/route"
 	"repro/internal/waiswrap"
 	"repro/internal/wire"
 )
@@ -330,10 +329,11 @@ func TestAllowPartialReturnsLiveSourceRows(t *testing.T) {
 func TestBreakerFailsFastWhileOpen(t *testing.T) {
 	// Once the works wrapper is down and its breaker open, queries stop
 	// paying the dial-and-retry tax: the open breaker answers immediately.
+	// route's default breaker opens after 3 consecutive transport failures
+	// and stays open for 2s.
 	m, killWais := deployFaulty(t, faultWorkloadN, nil, nil)
-	m.Breaker = route.BreakerOptions{FailureThreshold: 2, Cooldown: time.Minute}
 	killWais()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if _, err := m.ExecutePlan(context.Background(), crossSourceUnion(), ExecOptions{Parallelism: 1}); err == nil {
 			t.Fatal("query against dead source must fail")
 		}

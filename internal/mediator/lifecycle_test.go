@@ -230,7 +230,7 @@ func TestAbandonedStreamReleasesTheDecorator(t *testing.T) {
 			if first := <-s.Chunks(); first == nil {
 				t.Fatal("no chunk before the close")
 			}
-			outer := routerLoad{m.routerFor("o2artifact", src)}
+			outer := routerLoad{m.cat.Load().routers["o2artifact"].(*route.Replicated)}
 			if n := outer.InFlight(); n != 1 {
 				t.Fatalf("%d streams open through the decorator after the first chunk, want 1 (not mid-document)", n)
 			}

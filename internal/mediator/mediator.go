@@ -35,8 +35,9 @@ import (
 
 // Mediator coordinates sources, views and query evaluation.
 //
-// Everything registration decides — sources, interfaces, document owners,
-// structures, functions, views, containment assumptions — is one immutable
+// Everything registration decides — sources and their availability routers,
+// interfaces, document owners, structures, functions, views, containment
+// assumptions, the result cache and the metrics registry — is one immutable
 // catalog value behind an atomic pointer. A query loads it once at admission
 // and composes, substitutes views, optimizes, verifies and evaluates under
 // that value, holding no lock: a registration racing it publishes a new value
@@ -55,26 +56,6 @@ type Mediator struct {
 	// MaterializeProgram's) is linted before execution; a violation aborts
 	// the query instead of producing a wrong answer.
 	CheckInvariants bool
-	// Breaker configures the per-source circuit breakers (zero value =
-	// defaults: 3 consecutive transport failures open a breaker for 2s).
-	Breaker route.BreakerOptions
-
-	// cache, when installed (EnableCache), memoizes wrapper results across
-	// the rows of one DJoin and across queries; cacheMu guards installation,
-	// the cache itself is thread-safe.
-	cacheMu sync.Mutex
-	cache   *algebra.ResultCache
-
-	// health holds the one-replica router around each connected source
-	// (see routerFor).
-	healthMu sync.Mutex
-	health   map[string]*route.Replicated
-
-	// metrics, when installed (SetMetrics), receives per-query counters
-	// and latency observations, per-Stats counter totals, and breaker
-	// state gauges — the data the -metrics-addr HTTP plane serves.
-	metricsMu sync.Mutex
-	metrics   *obs.Registry
 }
 
 // catalog is what planning is a function of: the mediator's registrations at
@@ -91,16 +72,24 @@ type catalog struct {
 	views      map[string]*View
 	viewOrder  []string
 	assume     []optimizer.Containment
-	// routed is sources seen through their availability routers, replaced
-	// only by Connect.
-	routed *routedSources
-}
-
-// routedSources is built by the first query that needs it — not by Connect,
-// so Mediator.Breaker may be set after it — and shared by every later one.
-type routedSources struct {
-	once sync.Once
-	m    map[string]algebra.Source
+	// routers holds each source's availability router, made by Connect: a
+	// one-replica route.Replicated whose breaker is the source's health
+	// (Health). The engine calls every source through it, so calls fail
+	// fast with algebra.UnavailableError while the breaker is open and
+	// transport failures are marked the same way, which is what
+	// AllowPartial degrades around. A later catalog shares the router, so
+	// failures accumulate across queries and an open breaker protects
+	// every caller. A source that already is a replica router is wrapped
+	// like any other: its own breakers evict single replicas, this one
+	// opens only when the whole set is down.
+	routers map[string]algebra.Source
+	// cache, when installed (EnableCache), memoizes wrapper results across
+	// the rows of one DJoin and across queries; it is itself thread-safe.
+	cache *algebra.ResultCache
+	// metrics, when installed (SetMetrics), receives per-query counters
+	// and latency observations, per-Stats counter totals, and breaker
+	// state gauges — the data the -metrics-addr HTTP plane serves.
+	metrics *obs.Registry
 }
 
 // View is a registered YAT_L rule with its algebraic translation.
@@ -111,11 +100,10 @@ type View struct {
 
 // New returns an empty mediator.
 func New() *Mediator {
-	m := &Mediator{health: map[string]*route.Replicated{}}
+	m := &Mediator{}
 	m.cat.Store(&catalog{
 		sourceDocs: map[string]string{},
 		funcs:      algebra.NewContext().Funcs,
-		routed:     &routedSources{},
 	})
 	return m
 }
@@ -148,15 +136,17 @@ func with[V any](m map[string]V, key string, v V) map[string]V {
 
 // Connect registers a wrapper and imports its operational interface (the
 // `connect` + `import` steps of Figure 2). Every document the source
-// exports becomes resolvable.
+// exports becomes resolvable, and the source gets its availability router.
 func (m *Mediator) Connect(src algebra.Source, iface *capability.Interface) error {
 	return m.register(func(c *catalog) error {
 		name := src.Name()
 		if _, dup := c.sources[name]; dup {
 			return fmt.Errorf("mediator: source %q already connected", name)
 		}
+		// New refuses only an empty or an inconsistent replica set.
+		rt, _ := route.New(name, []algebra.Source{src}, route.Options{})
 		c.sources = with(c.sources, name, src)
-		c.routed = &routedSources{}
+		c.routers = with(c.routers, name, algebra.Source(rt))
 		c.sourceDocs = maps.Clone(c.sourceDocs)
 		for _, d := range src.Documents() {
 			if owner, dup := c.sourceDocs[d]; dup {
@@ -272,30 +262,19 @@ func (m *Mediator) Interface(source string) *capability.Interface {
 // algebra.ResultCache; the cache assumes quiescent sources). A bound below
 // 1 removes the cache. Replacing an existing cache drops its contents.
 func (m *Mediator) EnableCache(entries int) {
-	m.cacheMu.Lock()
-	m.cache = algebra.NewResultCache(entries)
-	m.cacheMu.Unlock()
-}
-
-// resultCache returns the installed cache (nil when caching is off).
-func (m *Mediator) resultCache() *algebra.ResultCache {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	return m.cache
+	m.register(func(c *catalog) error {
+		c.cache = algebra.NewResultCache(entries)
+		return nil
+	})
 }
 
 // newContext builds a fresh evaluation context for one query over the
 // catalog it was admitted under: the sources (through their routers), the
-// functions and the merged structure model are the catalog's own.
-func (m *Mediator) newContext(cat *catalog) *algebra.Context {
-	cat.routed.once.Do(func() {
-		cat.routed.m = make(map[string]algebra.Source, len(cat.sources))
-		for n, s := range cat.sources {
-			cat.routed.m[n] = m.routerFor(n, s)
-		}
-	})
+// functions, the merged structure model and the result cache are the
+// catalog's own.
+func (c *catalog) newContext() *algebra.Context {
 	ctx := algebra.NewContext()
-	ctx.Sources, ctx.Funcs, ctx.Model = cat.routed.m, cat.funcs, cat.schemas.Model()
+	ctx.Sources, ctx.Funcs, ctx.Model, ctx.Cache = c.routers, c.funcs, c.schemas.Model(), c.cache
 	return ctx
 }
 
@@ -472,24 +451,21 @@ type Result struct {
 // duration, outcome and Stats counters into it and refreshes one breaker
 // state gauge per source (recordQuery). Pass nil to detach.
 func (m *Mediator) SetMetrics(reg *obs.Registry) {
-	m.metricsMu.Lock()
-	m.metrics = reg
-	m.metricsMu.Unlock()
+	m.register(func(c *catalog) error {
+		c.metrics = reg
+		return nil
+	})
 }
 
 // Metrics returns the installed registry (nil when none).
-func (m *Mediator) Metrics() *obs.Registry {
-	m.metricsMu.Lock()
-	defer m.metricsMu.Unlock()
-	return m.metrics
-}
+func (m *Mediator) Metrics() *obs.Registry { return m.cat.Load().metrics }
 
-// recordQuery folds one query execution into the installed registry:
+// recordQuery folds one query execution into the catalog's registry:
 // outcome counters, a latency observation, the run's Stats (recorded on
 // failure too — the work done before a failure is still work done), and a
 // state gauge per source breaker (0 closed, 1 half-open, 2 open).
-func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) {
-	reg := m.Metrics()
+func (c *catalog) recordQuery(d time.Duration, stats algebra.Stats, err error) {
+	reg := c.metrics
 	if reg == nil {
 		return
 	}
@@ -498,15 +474,10 @@ func (m *Mediator) recordQuery(d time.Duration, stats algebra.Stats, err error) 
 		reg.Counter("query_errors_total").Add(1)
 	}
 	reg.Histogram("query_ms").Observe(float64(d) / float64(time.Millisecond))
-	reg.Counter("source_fetches_total").Add(int64(stats.SourceFetches))
-	reg.Counter("source_pushes_total").Add(int64(stats.SourcePushes))
-	reg.Counter("tuples_shipped_total").Add(int64(stats.TuplesShipped))
-	reg.Counter("bytes_shipped_total").Add(stats.BytesShipped)
-	reg.Counter("cache_hits_total").Add(int64(stats.CacheHits))
-	reg.Counter("cache_misses_total").Add(int64(stats.CacheMisses))
-	reg.Counter("retries_total").Add(int64(stats.Retries))
-	reg.Counter("redials_total").Add(int64(stats.Redials))
-	for name, h := range m.Health() {
+	for _, cv := range stats.Totals() {
+		reg.Counter(cv.Name).Add(cv.Value)
+	}
+	for name, h := range c.health() {
 		var v int64
 		switch h.State {
 		case "half-open":
@@ -559,11 +530,11 @@ func (e *ConformanceError) Error() string {
 // row is checked against the SourceQuery's inferred column types, a
 // violation aborts the query with a ConformanceError and increments the
 // type_violations_total counter.
-func (m *Mediator) installWireChecker(cat *catalog, actx *algebra.Context, plan algebra.Op, opts ExecOptions) {
+func (c *catalog) installWireChecker(actx *algebra.Context, plan algebra.Op, opts ExecOptions) {
 	if !opts.CheckTypes {
 		return
 	}
-	ann, err := cat.typecheck(plan)
+	ann, err := c.typecheck(plan)
 	if err != nil {
 		return // malformed plans are the lint gate's concern
 	}
@@ -579,7 +550,7 @@ func (m *Mediator) installWireChecker(cat *catalog, actx *algebra.Context, plan 
 			}
 			for ri, row := range t.Rows {
 				if !typecheck.CellConforms(ann.Model, p, row[ci]) {
-					if reg := m.Metrics(); reg != nil {
+					if reg := c.metrics; reg != nil {
 						reg.Counter("type_violations_total").Add(1)
 					}
 					return &ConformanceError{Source: q.Source, Column: col, Row: ri, Pattern: p.String()}
@@ -640,7 +611,7 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := m.streamPlan(context.Background(), cat, m.newContext(cat), plan, "custom", ExecOptions{Parallelism: 1})
+	s, err := m.streamPlan(context.Background(), cat, cat.newContext(), plan, "custom", ExecOptions{Parallelism: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -660,7 +631,7 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 // store resolving every identifier minted during materialization.
 func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, error) {
 	cat := m.cat.Load()
-	actx := m.newContext(cat)
+	actx := cat.newContext()
 	opts := ExecOptions{Parallelism: 1}
 	out := map[string]data.Forest{}
 	for _, name := range cat.viewOrder {

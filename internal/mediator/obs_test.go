@@ -98,6 +98,63 @@ func TestProfileSumsMatchStats(t *testing.T) {
 	}
 }
 
+// TestMetricsCarryEveryCounter pins /metrics to Result.Stats: after queries
+// that evict from a small cache, fetch and Bind at the mediator and call a
+// function there, each *_total counter is the sum of its Stats field over
+// the queries — all eleven of them.
+func TestMetricsCarryEveryCounter(t *testing.T) {
+	ctx := context.Background()
+	m, _ := deployFaulty(t, faultWorkloadN, nil, nil)
+	m.EnableCache(4)
+	reg := obs.NewRegistry()
+	m.SetMetrics(reg)
+	naive := func(src string) (*Result, error) {
+		plan, err := m.Compose(src)
+		if err != nil {
+			return nil, err
+		}
+		return m.ExecutePlan(ctx, plan, ExecOptions{Parallelism: 1})
+	}
+	var sum algebra.Stats
+	for i, run := range []func() (*Result, error){
+		func() (*Result, error) { return m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1}) },
+		func() (*Result, error) { return m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1}) },
+		func() (*Result, error) { return naive(datagen.Q2Src) },
+		func() (*Result, error) {
+			return naive(`MAKE $t MATCH artworks WITH doc[ *work[ title: $t, style: $s ] ] WHERE contains($s, "Impression")`)
+		},
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		sum.Add(res.Stats)
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"source_fetches_total", int64(sum.SourceFetches)},
+		{"source_pushes_total", int64(sum.SourcePushes)},
+		{"tuples_shipped_total", int64(sum.TuplesShipped)},
+		{"bytes_shipped_total", sum.BytesShipped},
+		{"func_calls_total", int64(sum.FuncCalls)},
+		{"bind_rows_total", int64(sum.BindRows)},
+		{"cache_hits_total", int64(sum.CacheHits)},
+		{"cache_misses_total", int64(sum.CacheMisses)},
+		{"cache_evictions_total", int64(sum.CacheEvictions)},
+		{"retries_total", int64(sum.Retries)},
+		{"redials_total", int64(sum.Redials)},
+	} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d (the sum over Result.Stats)", c.name, got, c.want)
+		}
+	}
+	if sum.FuncCalls == 0 || sum.BindRows == 0 || sum.CacheEvictions == 0 {
+		t.Errorf("the queries must call a function, Bind and evict: %+v", sum)
+	}
+}
+
 // TestStatsConsistencyAcrossSchedules pins the Stats counters across DJoin
 // schedules: batched and one-binding-per-push runs each return identical
 // rows and identical counters whether evaluated serially or in parallel,

@@ -105,14 +105,14 @@ func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts Exec
 	if err != nil {
 		return nil, err
 	}
-	return m.streamPlan(ctx, cat, m.newContext(cat), opt, "", opts)
+	return m.streamPlan(ctx, cat, cat.newContext(), opt, "", opts)
 }
 
 // StreamPlan is StreamContext for an already-built plan: the naive
 // composition, an ablated optimization, a hand-assembled shape.
 func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOptions) (*Stream, error) {
 	cat := m.cat.Load()
-	return m.streamPlan(ctx, cat, m.newContext(cat), plan, "custom", opts)
+	return m.streamPlan(ctx, cat, cat.newContext(), plan, "custom", opts)
 }
 
 // streamPlan runs one plan under one catalog and one evaluation context (a
@@ -130,13 +130,12 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
 		}
 	}
-	actx.Cache = m.resultCache()
 	if opts.AllowPartial {
 		// Pre-attach the report: the engine works on a shallow copy of the
 		// context, so a report it creates itself would be unreadable here.
 		actx.Partial = algebra.NewPartialReport()
 	}
-	m.installWireChecker(cat, actx, plan, opts)
+	cat.installWireChecker(actx, plan, opts)
 	root := m.attachTrace(actx, opts)
 	// The cancel lever covers the whole pipeline: Close (abandon) cancels
 	// it, which unblocks any in-flight pull down to the wrapper reads.
@@ -148,7 +147,7 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 		if root != nil {
 			root.Finish(-1, err)
 		}
-		m.recordQuery(time.Since(start), *actx.Stats, err)
+		cat.recordQuery(time.Since(start), *actx.Stats, err)
 		return nil, err
 	}
 	buf := opts.StreamBuffer
@@ -167,7 +166,7 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 		done:   make(chan struct{}),
 	}
 	res := &Result{Plan: algebra.Describe(plan), Trace: root}
-	go s.pump(cur, m, actx, root, res, start)
+	go s.pump(cur, cat, actx, root, res, start)
 	return s, nil
 }
 
@@ -175,7 +174,7 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 // failure or abandon, then settles the stream's outcome: trace root closed
 // with the row count, metrics recorded, statistics and the partial report
 // snapshotted into the Result.
-func (s *Stream) pump(cur tab.Cursor, m *Mediator, actx *algebra.Context, root *obs.Span, res *Result, start time.Time) {
+func (s *Stream) pump(cur tab.Cursor, cat *catalog, actx *algebra.Context, root *obs.Span, res *Result, start time.Time) {
 	defer close(s.done)
 	defer close(s.chunks)
 	// Release the query context however the stream ends — drained, failed
@@ -212,7 +211,7 @@ pull:
 			root.Finish(rows, nil)
 		}
 	}
-	m.recordQuery(time.Since(start), *actx.Stats, err)
+	cat.recordQuery(time.Since(start), *actx.Stats, err)
 	res.Stats = *actx.Stats
 	if actx.Partial != nil {
 		res.SourceErrors = actx.Partial.Failures()

@@ -69,6 +69,31 @@ func (c *Counts) Add(c2 Counts) {
 	c.Redials += c2.Redials
 }
 
+// CounterValue is one counter under the name the metrics registry gives it.
+type CounterValue struct {
+	Name  string
+	Value int64
+}
+
+// Totals lists every counter under its registry name, one "*_total" per
+// field: the one list /metrics is fed from, kept beside Add so a new field
+// is named in both.
+func (c Counts) Totals() []CounterValue {
+	return []CounterValue{
+		{"source_fetches_total", int64(c.SourceFetches)},
+		{"source_pushes_total", int64(c.SourcePushes)},
+		{"tuples_shipped_total", int64(c.TuplesShipped)},
+		{"bytes_shipped_total", c.BytesShipped},
+		{"func_calls_total", int64(c.FuncCalls)},
+		{"bind_rows_total", int64(c.BindRows)},
+		{"cache_hits_total", int64(c.CacheHits)},
+		{"cache_misses_total", int64(c.CacheMisses)},
+		{"cache_evictions_total", int64(c.CacheEvictions)},
+		{"retries_total", int64(c.Retries)},
+		{"redials_total", int64(c.Redials)},
+	}
+}
+
 // Attr is one span annotation (cache probe outcome, batch chunk size,
 // breaker state, wrapper-side timing, ...).
 type Attr struct {

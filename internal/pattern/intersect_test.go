@@ -8,7 +8,7 @@ import (
 
 func TestEmpty(t *testing.T) {
 	m := NewModel("m")
-	m.Define("Loop", Node("a", Ref("Loop")))          // no finite base case
+	m.Define("Loop", Node("a", Ref("Loop")))            // no finite base case
 	m.Define("Grounded", Union(Ref("Grounded"), Int())) // base case via union
 	m.Define("Dead", Node("a", Ref("Missing")))
 

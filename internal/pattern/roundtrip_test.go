@@ -131,8 +131,8 @@ func TestLabelRoundTrip(t *testing.T) {
 	}
 	for _, label := range labels {
 		for _, p := range []*P{
-			Node(label),           // leaf: renders as label[]
-			Node(label, Str()),    // scalar abbreviation: label: String
+			Node(label),                             // leaf: renders as label[]
+			Node(label, Str()),                      // scalar abbreviation: label: String
 			Node(label, Node("work", Int()), Str()), // bracketed sequence
 		} {
 			src := p.String()

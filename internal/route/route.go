@@ -1,6 +1,6 @@
 // Package route is the availability decorator every source call goes
-// through: one logical source over N ≥ 1 replica wrappers. The mediator
-// wraps each connected source in a one-replica router (its per-source
+// through: one logical source over N ≥ 1 replica wrappers. The mediator's
+// Connect wraps each source in a one-replica router (its per-source
 // circuit breaker) and a deployment with several wrapper processes per
 // source connects a *Replicated over them exactly like a single wrapper
 // client. The router picks the least-loaded live replica per call, evicts
@@ -24,7 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,10 +151,10 @@ type replica struct {
 }
 
 // Replicated is one logical source backed by N replica wrappers. It
-// implements the full optional Source surface (ContextSource, BatchSource,
-// StreamSource, PushStreamSource, RetryReporter, StateReporter) whatever its
-// replicas implement: each is called through algebra.FetchStream, PushStream
-// and PushBatch.
+// implements every optional call interface the ladder asks for (BatchSource,
+// StreamSource, PushStreamSource) and the two reporters (RetryReporter,
+// StateReporter) whatever its replicas implement: each replica is called
+// through algebra.FetchStream, PushStream and PushBatch.
 type Replicated struct {
 	name string
 	docs []string
@@ -173,7 +173,7 @@ func New(name string, replicas []algebra.Source, opts Options) (*Replicated, err
 	r := &Replicated{name: name, docs: docs}
 	for i, src := range replicas {
 		if i > 0 {
-			if d := sortedDocs(src); !equalStrings(d, docs) {
+			if d := sortedDocs(src); !slices.Equal(d, docs) {
 				return nil, fmt.Errorf("route: source %s: replica %d exports %v, replica 0 exports %v",
 					name, i, d, docs)
 			}
@@ -184,21 +184,9 @@ func New(name string, replicas []algebra.Source, opts Options) (*Replicated, err
 }
 
 func sortedDocs(src algebra.Source) []string {
-	d := append([]string(nil), src.Documents()...)
-	sort.Strings(d)
+	d := slices.Clone(src.Documents())
+	slices.Sort(d)
 	return d
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // pick chooses the replica for the next attempt: the least-loaded among
@@ -288,14 +276,10 @@ func (r *Replicated) Name() string { return r.name }
 // Documents implements algebra.Source.
 func (r *Replicated) Documents() []string { return append([]string(nil), r.docs...) }
 
-// Fetch implements algebra.Source.
+// Fetch implements algebra.Source: the whole document from one replica, so
+// a transfer that dies half way fails over like any other call.
 func (r *Replicated) Fetch(doc string) (data.Forest, error) {
-	return r.FetchContext(context.Background(), doc)
-}
-
-// FetchContext implements algebra.ContextSource: the whole document from one
-// replica, so a transfer that dies half way fails over like any other call.
-func (r *Replicated) FetchContext(ctx context.Context, doc string) (data.Forest, error) {
+	ctx := context.Background()
 	var f data.Forest
 	_, err := r.do(ctx, func(rep *replica) error {
 		cur, err := algebra.FetchStream(ctx, rep.src, doc)
@@ -307,13 +291,9 @@ func (r *Replicated) FetchContext(ctx context.Context, doc string) (data.Forest,
 	return f, err
 }
 
-// Push implements algebra.Source.
+// Push implements algebra.Source, whole like Fetch.
 func (r *Replicated) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	return r.PushContext(context.Background(), plan, params)
-}
-
-// PushContext implements algebra.ContextSource, whole like FetchContext.
-func (r *Replicated) PushContext(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
+	ctx := context.Background()
 	var t *tab.Tab
 	_, err := r.do(ctx, func(rep *replica) error {
 		cur, err := algebra.PushStream(ctx, rep.src, plan, params)

@@ -15,12 +15,25 @@ import (
 // paced by the consumer below.
 var _ algebra.PushStreamSource = (*Wrapper)(nil)
 
-// PushStream implements algebra.PushStreamSource: the same capability check
-// and full-text search as Push, but the matched documents are retrieved
-// lazily in bounded chunks as the consumer pulls — a large result never
-// materializes wrapper-side. Node-table plans keep the materialized
-// evaluation (their results are joins over the whole numbering anyway) and
-// are served as a chunked slice.
+// Push implements algebra.Source: PushStream drained. The only supported
+// shapes — exactly the declared capabilities — are Project*/Select* over
+// Bind(works) with the Fworks filter; selections may only carry contains
+// predicates over the bound document variable (possibly with parameters
+// inlined from a DJoin).
+func (w *Wrapper) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
+	cur, err := w.PushStream(context.Background(), plan, params)
+	if err != nil {
+		return nil, err
+	}
+	return tab.Drain(cur)
+}
+
+// PushStream implements algebra.PushStreamSource, and is the wrapper's one
+// evaluation of a push: the capability check and full-text search run at
+// open, and the matched documents are retrieved lazily in bounded chunks as
+// the consumer pulls — a large result never materializes wrapper-side.
+// Node-table plans keep the materialized evaluation (their results are joins
+// over the whole numbering anyway) and are served as a chunked slice.
 func (w *Wrapper) PushStream(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (tab.Cursor, error) {
 	if nodetab.TouchesPlan(plan) {
 		t, err := nodetab.Eval(plan, params, w.nodeTable)
@@ -34,8 +47,7 @@ func (w *Wrapper) PushStream(ctx context.Context, plan algebra.Op, params map[st
 		return nil, err
 	}
 	outCols := plan.Columns()
-	// Unlike Push, which discovers an unbound output column on the first
-	// row, validate the whole column set at open time so a bad plan fails
+	// Validate the whole column set at open time, so a bad plan fails
 	// before any chunk is shipped.
 	for _, c := range outCols {
 		if c != docVar && renamedFrom(plan, c) != docVar {

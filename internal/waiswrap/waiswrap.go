@@ -153,40 +153,10 @@ func Contains(args []tab.Cell) (tab.Cell, error) {
 	return tab.AtomCell(data.Bool(true)), nil
 }
 
-// Push implements algebra.Source. The only supported shapes — exactly the
-// declared capabilities — are Project*/Select* over Bind(works) with the
-// Fworks filter; selections may only carry contains predicates over the
-// bound document variable (possibly with parameters inlined from a DJoin).
-func (w *Wrapper) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	if nodetab.TouchesPlan(plan) {
-		return nodetab.Eval(plan, params, w.nodeTable)
-	}
-	docVar, ids, err := w.compilePush(plan, params)
-	if err != nil {
-		return nil, err
-	}
-	outCols := plan.Columns()
-	out := tab.New(outCols...)
-	for _, id := range ids {
-		doc := w.E.Retrieve(id)
-		row := make(tab.Row, len(outCols))
-		for i, c := range outCols {
-			if c == docVar || renamedFrom(plan, c) == docVar {
-				row[i] = tab.TreeCell(doc)
-			} else {
-				return nil, fmt.Errorf("waiswrap: output column %s is not bound", c)
-			}
-		}
-		out.AddRow(row)
-	}
-	return out, nil
-}
-
-// compilePush runs the capability check and search evaluation shared by
-// Push and PushStream: it validates the plan against the declared shapes,
-// performs the full-text searches, and returns the bound document variable
-// plus the matching document ids — everything but the row retrieval, which
-// the two entry points pace differently.
+// compilePush runs PushStream's capability check and search evaluation: it
+// validates the plan against the declared shapes, performs the full-text
+// searches, and returns the bound document variable plus the matching
+// document ids — everything but the row retrieval, which the stream paces.
 func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) (string, []int, error) {
 	var docVar string
 	var searches []string

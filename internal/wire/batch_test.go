@@ -212,7 +212,7 @@ func TestPoolSurvivesRepeatedTimeouts(t *testing.T) {
 	src.setDelay(300 * time.Millisecond)
 	for i := 0; i < 3*maxConns; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-		_, err := c.PushContext(ctx, plan, nil)
+		_, err := c.PushBatchContext(ctx, plan, []map[string]tab.Cell{nil})
 		cancel()
 		if err == nil {
 			t.Fatalf("push %d should have timed out", i)
@@ -225,7 +225,7 @@ func TestPoolSurvivesRepeatedTimeouts(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.PushContext(ctx, plan, nil)
+		_, err := c.PushBatchContext(ctx, plan, []map[string]tab.Cell{nil})
 		done <- err
 	}()
 	select {

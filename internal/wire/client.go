@@ -27,7 +27,6 @@ import (
 
 // Compile-time: a remote wrapper client has every optional source extension.
 var (
-	_ algebra.ContextSource    = (*Client)(nil)
 	_ algebra.BatchSource      = (*Client)(nil)
 	_ algebra.StreamSource     = (*Client)(nil)
 	_ algebra.PushStreamSource = (*Client)(nil)
@@ -35,8 +34,8 @@ var (
 )
 
 // Client is the mediator-side proxy for a remote wrapper; it implements
-// algebra.Source and its optional extensions (ContextSource, BatchSource,
-// StreamSource, PushStreamSource, RetryReporter) over a small pool of TCP
+// algebra.Source and its optional extensions (BatchSource, StreamSource,
+// PushStreamSource, RetryReporter) over a small pool of TCP
 // connections. A serial caller reuses one connection; the parallel
 // execution engine's overlapping requests grow the pool on demand up to its
 // bound, so concurrent DJoin pushes really overlap at the wrapper instead
@@ -576,15 +575,10 @@ func trees(frame *data.Node, out data.Forest) (data.Forest, error) {
 	return out, nil
 }
 
-// Fetch implements algebra.Source.
+// Fetch implements algebra.Source: the whole document in one exchange, so a
+// failure at any frame retries it whole.
 func (c *Client) Fetch(doc string) (data.Forest, error) {
-	return c.FetchContext(context.Background(), doc)
-}
-
-// FetchContext implements algebra.ContextSource: Fetch under a cancellation
-// context.
-func (c *Client) FetchContext(ctx context.Context, doc string) (data.Forest, error) {
-	frames, err := c.drain(ctx, docRequest(ctx, doc))
+	frames, err := c.drain(context.Background(), docRequest(context.Background(), doc))
 	if err != nil {
 		return nil, err
 	}
@@ -731,15 +725,10 @@ func (c *Client) push(ctx context.Context, plan algebra.Op, bindings []map[strin
 	return out, nil
 }
 
-// Push implements algebra.Source.
+// Push implements algebra.Source: the whole result in one exchange, retried
+// whole like Fetch.
 func (c *Client) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	return c.PushContext(context.Background(), plan, params)
-}
-
-// PushContext implements algebra.ContextSource: Push under a cancellation
-// context.
-func (c *Client) PushContext(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	res, err := c.push(ctx, plan, []map[string]tab.Cell{params}, 1)
+	res, err := c.push(context.Background(), plan, []map[string]tab.Cell{params}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/o2wrap"
@@ -228,7 +229,10 @@ func TestDelayBeyondDeadlineIsDeadlineExceeded(t *testing.T) {
 	c.TakeRetryStats()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
-	_, err = c.FetchContext(ctx, "artifacts")
+	cur, err := c.FetchStream(ctx, "artifacts")
+	if err == nil {
+		_, err = algebra.DrainForest(cur)
+	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("fetch under stall = %v, want context.DeadlineExceeded", err)
 	}

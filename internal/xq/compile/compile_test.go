@@ -234,14 +234,14 @@ func TestEvalConstructor(t *testing.T) {
 func TestCompileErrors(t *testing.T) {
 	isView := func(d string) bool { return d == "artworks" }
 	cases := []string{
-		`doc("artworks")//title`,                              // nodes route over a view
-		`for $w in doc("d")/a where $q/x = 1 return $w`,       // unbound variable
-		`for $w in doc("d")/a where x = 1 return $w`,          // relative path outside a step predicate
-		`for $w in doc("d")/parent::b return $w`,              // the document root has no parent
-		`for $w in doc("d")/a, $t in $w/parent::b return $w`,  // reverse axis on filter anchor
-		`for $w in doc("d")/a, $w in $w/b return $w`,          // duplicate binding
-		`for $w in doc("d")/a[2][3] return $w`,                // two positional predicates on one step
-		`for $w in doc("d")/*[2] return $w`,                   // positional predicate on a wildcard step
+		`doc("artworks")//title`,                             // nodes route over a view
+		`for $w in doc("d")/a where $q/x = 1 return $w`,      // unbound variable
+		`for $w in doc("d")/a where x = 1 return $w`,         // relative path outside a step predicate
+		`for $w in doc("d")/parent::b return $w`,             // the document root has no parent
+		`for $w in doc("d")/a, $t in $w/parent::b return $w`, // reverse axis on filter anchor
+		`for $w in doc("d")/a, $w in $w/b return $w`,         // duplicate binding
+		`for $w in doc("d")/a[2][3] return $w`,               // two positional predicates on one step
+		`for $w in doc("d")/*[2] return $w`,                  // positional predicate on a wildcard step
 	}
 	for _, src := range cases {
 		q, err := xq.Parse(src)
