@@ -1,6 +1,6 @@
 // Command yat-lint is a repository-specific static analyzer for the YAT
 // mediator, built only on the standard library (go/ast, go/parser,
-// go/types). It enforces five invariants the general Go toolchain cannot:
+// go/types). It enforces seven invariants the general Go toolchain cannot:
 //
 //  1. Exhaustive sealed-interface type switches: any type switch whose tag
 //     is an algebra.Op or an xq.Node must handle every implementation
@@ -34,6 +34,11 @@
 //     strings.IndexByte, Index, Cut or SplitN outside tab.SplitRename. A
 //     projection entry "new=old" is split there and nowhere else, so a
 //     change to the format has one place to change.
+//  7. One evaluator of a Bind filter: a call to (*filter.Filter).Match,
+//     MatchForest or MatchResolvedPrefix outside internal/algebra and
+//     internal/filter. A wrapper answers the part of a push its source
+//     engine does not through internal/exec, so a filter matched anywhere
+//     else is a second evaluator that can disagree with the algebra.
 //
 // A finding is suppressed by a `// yat-lint:ignore <reason>` comment on the
 // offending line or the line directly above it. A `default:` clause does
@@ -45,7 +50,7 @@
 //	yat-lint [packages...]   (defaults to ./...)
 //
 // Exits 0 when clean, 1 with findings, 2 on loader errors. Test files are
-// not analyzed by checks 1, 2, 4, 5 and 6; check 3 reads the typecheck package's
+// not analyzed by checks 1, 2, 4, 5, 6 and 7; check 3 reads the typecheck package's
 // test files (syntactically) and runs whenever that package is in the
 // analyzed set.
 package main
@@ -69,6 +74,7 @@ import (
 
 const (
 	algebraPath   = "repro/internal/algebra"
+	filterPath    = "repro/internal/filter"
 	obsPath       = "repro/internal/obs"
 	xqPath        = "repro/internal/xq"
 	tabPath       = "repro/internal/tab"
@@ -348,7 +354,7 @@ func lintPackage(fset *token.FileSet, imp types.Importer, pkg pkgInfo, sealed []
 	return analyze(fset, files, info, pkg.ImportPath, sealed), nil
 }
 
-// analyze runs checks 1, 2, 4, 5 and 6 over a type-checked package.
+// analyze runs checks 1, 2, 4, 5, 6 and 7 over a type-checked package.
 func analyze(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath string, sealed []sealedSet) []string {
 	ignored := map[string]map[int]bool{} // filename → lines carrying an ignore tag
 	renames := pkgPath == tabPath || pkgPath == algebraPath
@@ -433,6 +439,8 @@ func (c *checker) file(f *ast.File) {
 			case *ast.CallExpr:
 				c.checkTabCall(x)
 				c.checkRenameParse(x)
+			case *ast.SelectorExpr:
+				c.checkFilterMatch(x)
 			case *ast.AssignStmt:
 				c.checkTabWrite(x)
 				for _, lhs := range x.Lhs {
@@ -497,6 +505,23 @@ func (c *checker) checkRenameParse(call *ast.CallExpr) {
 		c.report(call.Pos(), "strings.%s splits on \"=\" beside the Project rename format: read a projection entry with tab.SplitRename",
 			sel.Sel.Name)
 	}
+}
+
+// filterMatches are the methods of filter.Filter that match it (check 7).
+var filterMatches = map[string]bool{"Match": true, "MatchForest": true, "MatchResolvedPrefix": true}
+
+// checkFilterMatch (check 7) flags a use of a filter.Filter matching method
+// outside internal/algebra and internal/filter.
+func (c *checker) checkFilterMatch(sel *ast.SelectorExpr) {
+	if c.pkgPath == algebraPath || c.pkgPath == filterPath || !filterMatches[sel.Sel.Name] {
+		return
+	}
+	fn, ok := c.info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.FullName() != "(*"+filterPath+".Filter)."+sel.Sel.Name {
+		return
+	}
+	c.report(sel.Pos(), "filter.Filter.%s outside internal/algebra and internal/filter: a Bind filter is matched only by the algebra; answer the plan through internal/exec",
+		sel.Sel.Name)
 }
 
 func isPkg(obj types.Object, path string) bool {

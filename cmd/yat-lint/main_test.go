@@ -422,6 +422,59 @@ func f(c, sep string) (string, string) {
 	}
 }
 
+// filterMatchSrc matches a Bind filter three ways.
+const filterMatchSrc = `package %s
+
+import (
+	"repro/internal/data"
+	"repro/internal/filter"
+)
+
+func f(fl *filter.Filter, forest data.Forest) int {
+	t := fl.MatchForest(nil, forest)
+	u := fl.Match(nil, forest[0])
+	prefix := fl.MatchResolvedPrefix
+	v, _ := prefix(nil, forest)
+	return t.Len() + u.Len() + v.Len()
+}
+`
+
+func TestFilterMatchOutsideAlgebraIsFlagged(t *testing.T) {
+	findings := harnessAt(t, "repro/internal/feed", "wrapper.go", fmt.Sprintf(filterMatchSrc, "feed"))
+	if len(findings) != 3 {
+		t.Fatalf("want 3 filter-match findings, got %v", findings)
+	}
+	for i, name := range []string{"MatchForest", "Match", "MatchResolvedPrefix"} {
+		if !strings.Contains(findings[i], "filter.Filter."+name+" outside internal/algebra") {
+			t.Errorf("finding %d = %s, want one naming %s", i, findings[i], name)
+		}
+	}
+}
+
+func TestFilterMatchInAlgebraAndOtherFilterUsesAreClean(t *testing.T) {
+	// The algebra matches filters; elsewhere a filter may be read, printed
+	// and cloned, and an ignored line is clean.
+	if findings := harnessAt(t, algebraPath, "stream.go", fmt.Sprintf(filterMatchSrc, "algebra")); len(findings) != 0 {
+		t.Fatalf("the algebra's own matching flagged: %v", findings)
+	}
+	findings := harness(t, `package synthetic
+
+import (
+	"repro/internal/data"
+	"repro/internal/filter"
+)
+
+func f(fl *filter.Filter, n *data.Node) ([]string, string, *filter.Filter) {
+	// yat-lint:ignore a test fixture compares against the matcher directly
+	_ = fl.Match(nil, n)
+	return fl.Vars(), fl.String(), fl.Clone()
+}
+`)
+	if len(findings) != 0 {
+		t.Fatalf("clean filter handling flagged: %v", findings)
+	}
+}
+
 // TestTreeIsClean is the regression gate: the repository itself must stay
 // lint-clean (every intentional partial switch carries an ignore comment).
 func TestTreeIsClean(t *testing.T) {

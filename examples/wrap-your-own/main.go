@@ -22,7 +22,9 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/filter"
+	"repro/internal/mediator"
 	"repro/internal/pattern"
 	"repro/internal/tab"
 )
@@ -53,79 +55,98 @@ func (l *Ledger) Fetch(doc string) (data.Forest, error) {
 	if doc != "sales" {
 		return nil, fmt.Errorf("ledger: unknown document %q", doc)
 	}
-	root := data.Elem("sales")
-	for _, r := range l.rows {
-		root.Add(data.Elem("sale",
-			data.Text("title", r.title),
-			data.FloatLeaf("hammer", r.hammer),
-			data.IntLeaf("year", r.year),
-		))
-	}
-	return data.Forest{root}, nil
+	return l.sales(func(ledgerRow) bool { return true }), nil
 }
 
-// Push implements the single declared capability: Select(title = const)
-// over the sale bind — a point lookup. Anything else is refused, exactly
-// as the capability interface advertises.
+// sales is the sales document made of the ledger rows keep accepts.
+func (l *Ledger) sales(keep func(ledgerRow) bool) data.Forest {
+	root := data.Elem("sales")
+	for _, r := range l.rows {
+		if keep(r) {
+			root.Add(data.Elem("sale",
+				data.Text("title", r.title),
+				data.FloatLeaf("hammer", r.hammer),
+				data.IntLeaf("year", r.year),
+			))
+		}
+	}
+	return data.Forest{root}
+}
+
+// Push implements the single declared capability: equality selections over
+// the sale bind, one of which fixes the title — a point lookup. Anything
+// else is refused, exactly as the capability interface advertises. The
+// lookup is all the ledger answers itself: it narrows the document to the
+// sales of that title, and the algebra answers the plan over them, so the
+// query's variable names, the filter's constants and the other equalities
+// mean what they mean at the mediator.
 func (l *Ledger) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, error) {
-	var title string
-	var cols []string
-	// yat-lint:ignore intentionally partial: the ledger declares a single capability (title point lookup); everything else is refused
-	switch x := plan.(type) {
-	case *algebra.Select:
-		b, ok := x.From.(*algebra.Bind)
-		if !ok || b.Doc != "sales" {
-			return nil, fmt.Errorf("ledger: only selections over the sales bind are supported")
-		}
-		cols = b.F.Vars()
-		for _, c := range algebra.SplitConj(x.Pred) {
-			cmp, ok := c.(algebra.Cmp)
-			if !ok || cmp.Op != algebra.OpEq {
-				return nil, fmt.Errorf("ledger: only title equality is supported, got %s", c)
-			}
-			// One side is the bound title column; the other is a constant
-			// or a DJoin parameter.
-			for _, side := range []algebra.Expr{cmp.L, cmp.R} {
-				if k, ok := side.(algebra.Const); ok && k.Atom.Kind == data.KindString {
-					title = k.Atom.S
-				}
-				if v, ok := side.(algebra.Var); ok {
-					if cell, ok := params[v.Name]; ok {
-						if a, ok := cell.AsAtom(); ok {
-							title = a.S
-						}
-					}
-				}
-			}
-		}
-	default:
+	sel, ok := plan.(*algebra.Select)
+	if !ok {
 		return nil, fmt.Errorf("ledger: operator %T is beyond the declared capabilities", plan)
 	}
-	if title == "" {
-		return nil, fmt.Errorf("ledger: the lookup needs a title")
+	b, ok := sel.From.(*algebra.Bind)
+	if !ok || b.Doc != "sales" || b.From != nil {
+		return nil, fmt.Errorf("ledger: only selections over the sales bind are supported")
+	}
+	title, err := titleLookup(titleVar(b.F.Root), sel.Pred, params)
+	if err != nil {
+		return nil, err
 	}
 	l.Lookups++
-	out := tab.New(cols...)
-	for _, r := range l.rows {
-		if r.title != title {
+	ctx := algebra.NewContext()
+	ctx.Params = params
+	ctx.Catalog["sales"] = l.sales(func(r ledgerRow) bool { return r.title == title })
+	return exec.RunSerial(plan, ctx)
+}
+
+// titleVar returns the variable a sales filter binds to a sale's title, or
+// "" when it binds none.
+func titleVar(n *filter.FNode) string {
+	for _, it := range n.Items {
+		if it.F == nil {
 			continue
 		}
-		row := make(tab.Row, len(cols))
-		for i, c := range cols {
-			switch c {
-			case "$lt":
-				row[i] = tab.AtomCell(data.String(r.title))
-			case "$hammer":
-				row[i] = tab.AtomCell(data.Float(r.hammer))
-			case "$saleyear":
-				row[i] = tab.AtomCell(data.Int(r.year))
-			default:
-				row[i] = tab.Null()
+		if it.F.Label == "title" && len(it.F.Items) == 1 && it.F.Items[0].F != nil {
+			return it.F.Items[0].F.Var
+		}
+		if v := titleVar(it.F); v != "" {
+			return v
+		}
+	}
+	return ""
+}
+
+// titleLookup checks that every conjunct is an equality and returns the
+// title one of them fixes: the title variable against a string constant or
+// a DJoin parameter.
+func titleLookup(tv string, pred algebra.Expr, params map[string]tab.Cell) (string, error) {
+	title, found := "", false
+	for _, c := range algebra.SplitConj(pred) {
+		cmp, ok := c.(algebra.Cmp)
+		if !ok || cmp.Op != algebra.OpEq {
+			return "", fmt.Errorf("ledger: only equality is supported, got %s", c)
+		}
+		for _, side := range [][2]algebra.Expr{{cmp.L, cmp.R}, {cmp.R, cmp.L}} {
+			if v, ok := side[0].(algebra.Var); !ok || tv == "" || v.Name != tv {
+				continue
+			}
+			var key tab.Cell
+			switch g := side[1].(type) {
+			case algebra.Const:
+				key = tab.AtomCell(g.Atom)
+			case algebra.Var:
+				key = params[g.Name]
+			}
+			if a, ok := key.AsAtom(); ok && a.Kind == data.KindString {
+				title, found = a.S, true
 			}
 		}
-		out.AddRow(row)
 	}
-	return out, nil
+	if !found {
+		return "", fmt.Errorf("ledger: the lookup needs a title")
+	}
+	return title, nil
 }
 
 // ExportStructure describes the ledger's data shape (Figure 3 style).
@@ -168,21 +189,29 @@ func main() {
 	}
 }
 
+// connect builds the paper's cultural mediator and connects the ledger to it.
+func connect(ledger *Ledger) (*mediator.Mediator, error) {
+	med, _, _, err := yat.NewCulturalMediator(yat.PaperDB(), yat.PaperWorks())
+	if err != nil {
+		return nil, err
+	}
+	if err := med.Connect(ledger, ledger.ExportInterface()); err != nil {
+		return nil, err
+	}
+	med.ImportStructure("sales", ledger.ExportStructure(), "Sales")
+	return med, nil
+}
+
 func run() error {
 	ledger := &Ledger{rows: []ledgerRow{
 		{"Nympheas", 2100000, 1998},
 		{"Waterloo Bridge", 410000, 1997},
 		{"Dancers", 65000, 1999},
 	}}
-
-	med, _, _, err := yat.NewCulturalMediator(yat.PaperDB(), yat.PaperWorks())
+	med, err := connect(ledger)
 	if err != nil {
 		return err
 	}
-	if err := med.Connect(ledger, ledger.ExportInterface()); err != nil {
-		return err
-	}
-	med.ImportStructure("sales", ledger.ExportStructure(), "Sales")
 
 	fmt.Println("== The ledger's capability interface (what the mediator imported) ==")
 	fmt.Println(capability.Marshal(ledger.ExportInterface()))

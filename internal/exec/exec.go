@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/tab"
 )
@@ -150,7 +151,78 @@ func (e *Engine) Run(ctx context.Context, plan algebra.Op, actx *algebra.Context
 // caller holding just a plan and a context needs (a wrapper answering a
 // pushed plan locally, a test evaluating a hand-built plan).
 func RunSerial(plan algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
-	return New(Options{Parallelism: 1}).Run(context.Background(), plan, actx)
+	return serial.Run(context.Background(), plan, actx)
+}
+
+// serial is the engine RunSerial and Candidates evaluate on.
+var serial = New(Options{Parallelism: 1})
+
+// Candidates opens plan on a serial engine whose document doc is made of the
+// trees item(id) for id in ids, under params and funcs. It is how a wrapper
+// answers a push: its own engine narrows the document to candidates, and the
+// algebra answers the plan over them, in an evaluation context of the
+// wrapper's own. The document arrives as doc-labelled roots of at most
+// tab.DefaultStreamChunk candidates, each root built only when the plan
+// pulls it, so a large answer never materializes. Paging the document this
+// way is exact only for binds that leave the root unbound and iterate its
+// children with one star item — the shapes the wrappers accept, none of
+// which constructs trees.
+func Candidates(ctx context.Context, plan algebra.Op, params map[string]tab.Cell, funcs map[string]algebra.Func, doc string, ids []int, item func(id int) *data.Node) (tab.Cursor, error) {
+	actx := &algebra.Context{
+		Sources:    map[string]algebra.Source{doc: &pages{doc: doc, ids: ids, item: item}},
+		Store:      data.NewStore(),
+		Funcs:      funcs,
+		Params:     params,
+		Stats:      &algebra.Stats{},
+		BatchChunk: algebra.DefaultBatchChunk,
+	}
+	return serial.Stream(ctx, plan, actx)
+}
+
+// pages is the source of the one document Candidates serves, and the
+// cursor it streams that document through.
+type pages struct {
+	doc  string
+	ids  []int
+	item func(int) *data.Node
+	ctx  context.Context
+}
+
+func (p *pages) Name() string        { return p.doc }
+func (p *pages) Documents() []string { return []string{p.doc} }
+
+func (p *pages) Fetch(string) (data.Forest, error) {
+	return nil, fmt.Errorf("exec: the candidates of %s are read as a stream", p.doc)
+}
+
+func (p *pages) Push(algebra.Op, map[string]tab.Cell) (*tab.Tab, error) {
+	return nil, fmt.Errorf("exec: the candidates of %s answer no push", p.doc)
+}
+
+func (p *pages) FetchStream(ctx context.Context, _ string) (algebra.ForestCursor, error) {
+	p.ctx = ctx
+	return p, nil
+}
+
+func (p *pages) Next() (data.Forest, error) {
+	if err := p.ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(p.ids) == 0 {
+		return nil, io.EOF
+	}
+	n := min(len(p.ids), tab.DefaultStreamChunk)
+	root := &data.Node{Label: p.doc, Kids: make([]*data.Node, n)}
+	for i, id := range p.ids[:n] {
+		root.Kids[i] = p.item(id)
+	}
+	p.ids = p.ids[n:]
+	return data.Forest{root}, nil
+}
+
+func (p *pages) Close() error {
+	p.ids = nil
+	return nil
 }
 
 // Stream evaluates a plan as a chunk stream, applying the engine's timeout

@@ -8,8 +8,12 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/data"
+	"repro/internal/datagen"
+	"repro/internal/exec"
+	"repro/internal/feed"
 	"repro/internal/filter"
 	"repro/internal/tab"
+	"repro/internal/waiswrap"
 	"repro/internal/wire"
 )
 
@@ -22,42 +26,61 @@ func lookupPlan(field string) algebra.Op {
 	}
 }
 
-func TestPushBatchEqualsPushPerBinding(t *testing.T) {
-	// The wrapper has no set form of its own: algebra.PushBatch answers a
-	// batch binding by binding, in-process and at a wire server alike, and
-	// each answer must be exactly the scalar push of that binding.
-	w, c := feedFixture(t)
+// prefixPlan selects the records whose journal starts with $k.
+var prefixPlan = &algebra.Select{
+	From: &algebra.Bind{Doc: "records", F: filter.MustParse(`records[ *record[ id: $id, journal: $j ] ]`)},
+	Pred: algebra.MustParseExpr(`prefix($j, $k)`),
+}
+
+func key(s string) map[string]tab.Cell {
+	return map[string]tab.Cell{"$k": tab.AtomCell(data.String(s))}
+}
+
+// pushCases are the id, issn and prefix lookups, each with one binding that
+// matches nothing.
+func pushCases(c *datagen.FeedCorpus) []struct {
+	name     string
+	plan     algebra.Op
+	bindings []map[string]tab.Cell
+} {
+	return []struct {
+		name     string
+		plan     algebra.Op
+		bindings []map[string]tab.Cell
+	}{
+		{"id", lookupPlan("id"), []map[string]tab.Cell{key(c.Records[0].ID), key("rec-nosuch"), key(c.Records[7].ID)}},
+		{"issn", lookupPlan("issn"), []map[string]tab.Cell{key(c.Records[3].ISSN), key(c.Records[9].ISSN), key("0000-0000")}},
+		{"prefix", prefixPlan, []map[string]tab.Cell{key("Journal of"), key("No such journal"), key("Revue")}},
+	}
+}
+
+// sources returns the wrapper in-process and behind a loopback wire server.
+func sources(t *testing.T, w *feed.Wrapper) map[string]algebra.Source {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := wire.Serve(ln, wire.Exported{Source: w, Interface: w.ExportInterface()})
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	client, err := wire.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	t.Cleanup(func() { client.Close() })
+	return map[string]algebra.Source{"in-process": w, "wire": client}
+}
 
-	str := func(s string) map[string]tab.Cell { return map[string]tab.Cell{"$k": tab.AtomCell(data.String(s))} }
-	prefix := &algebra.Select{
-		From: &algebra.Bind{Doc: "records", F: filter.MustParse(`records[ *record[ id: $id, journal: $j ] ]`)},
-		Pred: algebra.MustParseExpr(`prefix($j, $k)`),
-	}
-	cases := []struct {
-		name     string
-		plan     algebra.Op
-		bindings []map[string]tab.Cell
-	}{
-		{"id", lookupPlan("id"), []map[string]tab.Cell{str(c.Records[0].ID), str("rec-nosuch"), str(c.Records[7].ID)}},
-		{"issn", lookupPlan("issn"), []map[string]tab.Cell{str(c.Records[3].ISSN), str(c.Records[9].ISSN), str("0000-0000")}},
-		{"prefix", prefix, []map[string]tab.Cell{str("Journal of"), str("No such journal"), str("Revue")}},
-	}
+func TestPushBatchEqualsPushPerBinding(t *testing.T) {
+	// The wrapper has no set form of its own: algebra.PushBatch answers a
+	// batch binding by binding, in-process and at a wire server alike, and
+	// each answer must be exactly the scalar push of that binding.
+	w, c := feedFixture(t)
 	// A failing binding arrives named, under the server's "push:" context
 	// over the wire.
 	failPrefix := map[string]string{"in-process": "binding 2: ", "wire": "wire: remote error: push: binding 2: "}
-	for name, src := range map[string]algebra.Source{"in-process": w, "wire": client} {
-		for _, tc := range cases {
+	for name, src := range sources(t, w) {
+		for _, tc := range pushCases(c) {
 			got, err := algebra.PushBatch(context.Background(), src, tc.plan, tc.bindings)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, tc.name, err)
@@ -81,9 +104,42 @@ func TestPushBatchEqualsPushPerBinding(t *testing.T) {
 		}
 
 		// A binding without a prefix fails, and the batch names it.
-		bad := []map[string]tab.Cell{str("Journal of"), str("Revue"), {}}
-		if _, err := algebra.PushBatch(context.Background(), src, prefix, bad); err == nil || !strings.HasPrefix(err.Error(), failPrefix[name]) {
+		bad := []map[string]tab.Cell{key("Journal of"), key("Revue"), {}}
+		if _, err := algebra.PushBatch(context.Background(), src, prefixPlan, bad); err == nil || !strings.HasPrefix(err.Error(), failPrefix[name]) {
 			t.Errorf("%s: failing binding reported as %v, want the prefix %q", name, err, failPrefix[name])
+		}
+	}
+}
+
+func TestPushEqualsAlgebraOverFetch(t *testing.T) {
+	// What the wrapper declares it answers as the algebra would: every push
+	// is bag-equal to the plan evaluated over the fetched records, with the
+	// mediator's functions registered, in-process and over wire.
+	w, c := feedFixture(t)
+	for name, src := range sources(t, w) {
+		records, err := src.Fetch("records")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range pushCases(c) {
+			for i, b := range tc.bindings {
+				got, err := src.Push(tc.plan, b)
+				if err != nil {
+					t.Fatalf("%s %s binding %d: %v", name, tc.name, i, err)
+				}
+				ctx := algebra.NewContext()
+				ctx.Catalog["records"] = records
+				ctx.Params = b
+				ctx.Funcs["contains"] = waiswrap.Contains
+				ctx.Funcs["prefix"] = feed.Prefix
+				want, err := exec.RunSerial(tc.plan, ctx)
+				if err != nil {
+					t.Fatalf("%s %s binding %d over the fetched records: %v", name, tc.name, i, err)
+				}
+				if !got.EqualUnordered(want) {
+					t.Errorf("%s %s binding %d: push\n%s\nalgebra over the fetched records\n%s", name, tc.name, i, got, want)
+				}
+			}
 		}
 	}
 }

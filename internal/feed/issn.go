@@ -11,7 +11,10 @@
 // whitespace, ranged years — and quarantines malformed records with
 // per-reason counters instead of aborting the feed. The store indexes the
 // surviving records per field for the exact operations the capability
-// interface (wrapper.go) declares; everything else stays mediator-side.
+// interface (wrapper.go) declares; everything else stays mediator-side. A
+// pushed plan is answered in two steps (stream.go): the indexes narrow the
+// records to candidates, and the algebra answers the plan over them, so the
+// wrapper evaluates nothing the mediator would evaluate differently.
 package feed
 
 import (

@@ -129,54 +129,40 @@ func cellText(c tab.Cell) string {
 	return b.String()
 }
 
-// pushedPred is one pushed conjunct in compiled form: eq or prefix, with
-// the operand expressions kept for per-row verification and — when one side
-// is a field variable and the other a ground value — the index lookup that
-// narrows the candidate records.
-type pushedPred struct {
-	prefix bool // prefix(l, r) rather than l = r
-	l, r   algebra.Expr
-	field  string // indexed field, "" when the predicate cannot use an index
-	key    string // ground comparand for the index lookup
-}
-
-// pushQuery is a compiled pushed plan: the bind filter, the field each
-// filter variable names (docVar maps to ""), the pushed predicates and the
-// projection steps to replay on the matched rows.
-type pushQuery struct {
-	f        *filter.Filter
-	varField map[string]string
-	preds    []pushedPred
-	projects [][]string
-	outCols  []string
+// indexLookup is the index probe one pushed conjunct allows: the records
+// whose field equals key, or starts with it for prefix.
+type indexLookup struct {
+	prefix     bool
+	field, key string
 }
 
 // compilePush validates a pushed plan against the declared capability
 // shapes — Select*/Project* over Bind(records) with a field-enumerating
 // filter, predicates limited to eq and prefix over bound variables,
-// constants and DJoin parameters — and compiles it for evaluation.
-func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) (*pushQuery, error) {
-	q := &pushQuery{outCols: plan.Columns()}
+// constants and DJoin parameters — and returns the index lookups its
+// conjuncts allow. The lookups only narrow the records: the algebra answers
+// the whole plan over the records they leave.
+func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) ([]indexLookup, error) {
+	var varField map[string]string
+	var lookups []indexLookup
 	var walk func(op algebra.Op) error
 	walk = func(op algebra.Op) error {
 		// yat-lint:ignore intentionally partial: accepts exactly the declared capability shapes; the default refuses the push
 		switch x := op.(type) {
 		case *algebra.Project:
-			if err := walk(x.From); err != nil {
-				return err
-			}
-			q.projects = append(q.projects, x.Cols)
-			return nil
+			return walk(x.From)
 		case *algebra.Select:
 			if err := walk(x.From); err != nil {
 				return err
 			}
 			for _, conj := range algebra.SplitConj(x.Pred) {
-				p, err := w.compilePred(q, conj, params)
+				l, ok, err := w.compilePred(varField, conj, params)
 				if err != nil {
 					return err
 				}
-				q.preds = append(q.preds, p)
+				if ok {
+					lookups = append(lookups, l)
+				}
 			}
 			return nil
 		case *algebra.Bind:
@@ -187,8 +173,7 @@ func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) (*pus
 			if err != nil {
 				return err
 			}
-			q.f = x.F
-			q.varField = vf
+			varField = vf
 			return nil
 		default:
 			return fmt.Errorf("feed: operator %T cannot be pushed", op)
@@ -197,71 +182,59 @@ func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) (*pus
 	if err := walk(plan); err != nil {
 		return nil, err
 	}
-	return q, nil
+	return lookups, nil
 }
 
-// compilePred compiles one conjunct: an equality comparison or a prefix
-// call. Operands must be variables (bound by the filter or arriving as
-// DJoin parameters) or constants; when a field variable meets a ground
-// value, the predicate is annotated for index lookup.
-func (w *Wrapper) compilePred(q *pushQuery, e algebra.Expr, params map[string]tab.Cell) (pushedPred, error) {
+// compilePred checks one conjunct — an equality comparison or a prefix
+// call — and returns the index lookup it allows, if any.
+func (w *Wrapper) compilePred(varField map[string]string, e algebra.Expr, params map[string]tab.Cell) (indexLookup, bool, error) {
 	switch x := e.(type) {
 	case algebra.Cmp:
 		if x.Op != algebra.OpEq {
-			return pushedPred{}, fmt.Errorf("feed: only equality comparisons can be pushed, got %s", e)
+			return indexLookup{}, false, fmt.Errorf("feed: only equality comparisons can be pushed, got %s", e)
 		}
-		p := pushedPred{l: x.L, r: x.R}
-		w.annotateIndex(q, &p, params)
-		return p, nil
+		l, ok := w.annotateIndex(varField, false, x.L, x.R, params)
+		if !ok {
+			l, ok = w.annotateIndex(varField, false, x.R, x.L, params)
+		}
+		return l, ok, nil
 	case algebra.Call:
 		if x.Name != "prefix" || len(x.Args) != 2 {
-			return pushedPred{}, fmt.Errorf("feed: only prefix predicates can be pushed, got %s", e)
+			return indexLookup{}, false, fmt.Errorf("feed: only prefix predicates can be pushed, got %s", e)
 		}
-		p := pushedPred{prefix: true, l: x.Args[0], r: x.Args[1]}
-		w.annotateIndex(q, &p, params)
-		return p, nil
+		l, ok := w.annotateIndex(varField, true, x.Args[0], x.Args[1], params)
+		return l, ok, nil
 	default:
-		return pushedPred{}, fmt.Errorf("feed: predicate %s cannot be pushed", e)
+		return indexLookup{}, false, fmt.Errorf("feed: predicate %s cannot be pushed", e)
 	}
 }
 
-// annotateIndex marks a predicate for index lookup when one operand is a
-// field-bound variable and the other resolves to a ground atom. Equality is
-// symmetric; prefix only indexes through its first argument.
-func (w *Wrapper) annotateIndex(q *pushQuery, p *pushedPred, params map[string]tab.Cell) {
-	try := func(fe, ge algebra.Expr) bool {
-		v, ok := fe.(algebra.Var)
-		if !ok {
-			return false
-		}
-		field, bound := q.varField[v.Name]
-		if !bound || field == "" || !w.S.Indexed(field) {
-			return false
-		}
-		key, ok := groundText(ge, q, params)
-		if !ok {
-			return false
-		}
-		p.field, p.key = field, key
-		return true
+// annotateIndex returns the index lookup of a predicate whose operand fe is
+// a field-bound variable and whose operand ge resolves to a ground atom.
+// Equality is symmetric, so compilePred tries both orders; prefix only
+// indexes through its first argument.
+func (w *Wrapper) annotateIndex(varField map[string]string, prefix bool, fe, ge algebra.Expr, params map[string]tab.Cell) (indexLookup, bool) {
+	v, ok := fe.(algebra.Var)
+	if !ok {
+		return indexLookup{}, false
 	}
-	if try(p.l, p.r) {
-		return
+	field, bound := varField[v.Name]
+	if !bound || field == "" || !w.S.Indexed(field) {
+		return indexLookup{}, false
 	}
-	if !p.prefix {
-		try(p.r, p.l)
-	}
+	key, ok := groundText(ge, varField, params)
+	return indexLookup{prefix: prefix, field: field, key: key}, ok
 }
 
 // groundText resolves an expression to ground text: a constant, or a
 // variable answered by the DJoin parameters (a variable the filter binds is
 // not ground — it varies per row).
-func groundText(e algebra.Expr, q *pushQuery, params map[string]tab.Cell) (string, bool) {
+func groundText(e algebra.Expr, varField map[string]string, params map[string]tab.Cell) (string, bool) {
 	switch x := e.(type) {
 	case algebra.Const:
 		return x.Atom.Text(), true
 	case algebra.Var:
-		if _, bound := q.varField[x.Name]; bound {
+		if _, bound := varField[x.Name]; bound {
 			return "", false
 		}
 		if c, ok := params[x.Name]; ok {
@@ -325,17 +298,13 @@ func fieldVarsOf(root *filter.FNode) (map[string]string, error) {
 	return vars, nil
 }
 
-// candidates returns the record positions the pushed predicates allow,
-// intersecting one index lookup per annotated predicate; nil means every
-// record (a bare bind is a scan — still correct, just not narrowed).
-func (w *Wrapper) candidates(q *pushQuery) []int {
+// candidates returns the record positions the index lookups allow,
+// intersecting them; with no lookup every record is a candidate (a bare
+// bind is a scan — still correct, just not narrowed).
+func (w *Wrapper) candidates(lookups []indexLookup) []int {
 	var ids []int
 	first := true
-	for i := range q.preds {
-		p := &q.preds[i]
-		if p.field == "" {
-			continue
-		}
+	for _, p := range lookups {
 		var hit []int
 		if p.prefix {
 			hit = w.S.ByPrefix(p.field, p.key)
@@ -374,88 +343,4 @@ func intersect(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-// evalRows matches the bind filter against the candidate records and
-// verifies every pushed predicate per binding row (index lookups narrow,
-// the predicates decide), then replays the projection steps.
-func (w *Wrapper) evalRows(q *pushQuery, ids []int, params map[string]tab.Cell) (*tab.Tab, error) {
-	root := data.Elem("records")
-	for _, id := range ids {
-		root.Kids = append(root.Kids, w.S.recs[id])
-	}
-	t := q.f.MatchForest(nil, data.Forest{root})
-	if len(q.preds) > 0 {
-		kept := tab.New(t.Cols...)
-		for _, row := range t.Rows {
-			ok, err := q.holds(t, row, params)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept.AddRow(row)
-			}
-		}
-		t = kept
-	}
-	for _, cols := range q.projects {
-		t = t.Project(cols...)
-	}
-	if len(t.Cols) != len(q.outCols) {
-		return nil, fmt.Errorf("feed: pushed plan columns %v do not line up with %v", t.Cols, q.outCols)
-	}
-	for i, c := range t.Cols {
-		if c != q.outCols[i] {
-			return nil, fmt.Errorf("feed: pushed plan columns %v do not line up with %v", t.Cols, q.outCols)
-		}
-	}
-	return t, nil
-}
-
-// holds evaluates every pushed predicate on one binding row.
-func (q *pushQuery) holds(t *tab.Tab, row tab.Row, params map[string]tab.Cell) (bool, error) {
-	for i := range q.preds {
-		p := &q.preds[i]
-		l, err := operand(p.l, t, row, params)
-		if err != nil {
-			return false, err
-		}
-		r, err := operand(p.r, t, row, params)
-		if err != nil {
-			return false, err
-		}
-		if p.prefix {
-			pa, ok := r.AsAtom()
-			if !ok || pa.Kind != data.KindString {
-				return false, fmt.Errorf("feed: prefix expects a string prefix argument")
-			}
-			if !strings.HasPrefix(cellText(l), pa.S) {
-				return false, nil
-			}
-			continue
-		}
-		if !l.Equal(r) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// operand resolves one predicate operand on a row: a constant, a variable
-// bound by the filter, or a DJoin parameter.
-func operand(e algebra.Expr, t *tab.Tab, row tab.Row, params map[string]tab.Cell) (tab.Cell, error) {
-	switch x := e.(type) {
-	case algebra.Const:
-		return tab.AtomCell(x.Atom), nil
-	case algebra.Var:
-		if i := t.ColIndex(x.Name); i >= 0 {
-			return row[i], nil
-		}
-		if c, ok := params[x.Name]; ok {
-			return c, nil
-		}
-		return tab.Null(), fmt.Errorf("feed: predicate variable %s is not bound", x.Name)
-	default:
-		return tab.Null(), fmt.Errorf("feed: unsupported predicate operand %T", e)
-	}
 }

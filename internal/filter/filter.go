@@ -13,6 +13,7 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -59,27 +60,26 @@ func (f *Filter) WithModel(m *pattern.Model) *Filter {
 // Vars returns the filter's variables in pre-order (the Tab column order
 // of the Bind that uses this filter).
 func (f *Filter) Vars() []string {
-	var out []string
-	seen := map[string]bool{}
+	return f.Root.appendVars(nil)
+}
+
+// appendVars appends the variables of the subtree not yet in out, pre-order.
+// A filter binds a handful of variables, so a linear search beats a set.
+func (n *FNode) appendVars(out []string) []string {
+	if n == nil {
+		return out
+	}
 	add := func(v string) {
-		if v != "" && !seen[v] {
-			seen[v] = true
+		if v != "" && !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
-	var walk func(n *FNode)
-	walk = func(n *FNode) {
-		if n == nil {
-			return
-		}
-		add(n.LabelVar)
-		add(n.Var)
-		for _, it := range n.Items {
-			add(it.CollectVar)
-			walk(it.F)
-		}
+	add(n.LabelVar)
+	add(n.Var)
+	for _, it := range n.Items {
+		add(it.CollectVar)
+		out = it.F.appendVars(out)
 	}
-	walk(f.Root)
 	return out
 }
 
@@ -102,15 +102,44 @@ func (n *FNode) Clone() *FNode {
 	return &c
 }
 
-// Env is one set of variable bindings produced by a match.
-type Env map[string]tab.Cell
+// Env is one set of variable bindings produced by a match, each variable
+// bound once. A match binds a handful of variables, so a slice searched
+// linearly is cheaper than a map, whose first binding of a 96-byte cell
+// allocates a whole eight-slot group.
+type Env []binding
 
-func (e Env) clone() Env {
-	c := make(Env, len(e))
-	for k, v := range e {
-		c[k] = v
+type binding struct {
+	v string
+	c tab.Cell
+}
+
+// index returns the position of v's binding, or -1.
+func (e Env) index(v string) int {
+	for i := range e {
+		if e[i].v == v {
+			return i
+		}
 	}
-	return c
+	return -1
+}
+
+// merge returns e extended with the bindings of f, or false when the two
+// bind one variable to unequal cells; of two equal cells f's is kept. e is
+// left unchanged.
+func (e Env) merge(f Env) (Env, bool) {
+	out := make(Env, len(e), len(e)+len(f))
+	copy(out, e)
+	for _, b := range f {
+		switch i := out.index(b.v); {
+		case i < 0:
+			out = append(out, b)
+		case out[i].c.Equal(b.c):
+			out[i].c = b.c
+		default:
+			return nil, false
+		}
+	}
+	return out, true
 }
 
 // Match matches the filter against a tree and returns the binding rows as a
@@ -128,8 +157,8 @@ func (f *Filter) rows(m *matchCtx, n *data.Node, cols []string, out []tab.Row) [
 	for _, e := range m.matchNode(f.Root, n) {
 		row := make(tab.Row, len(cols))
 		for i, c := range cols {
-			if cell, ok := e[c]; ok {
-				row[i] = cell
+			if j := e.index(c); j >= 0 {
+				row[i] = e[j].c
 			} else {
 				row[i] = tab.Null()
 			}
@@ -213,12 +242,12 @@ func (m *matchCtx) matchNode(fn *FNode, n *data.Node) []Env {
 	if fn.Type != nil && !pattern.MatchData(m.model, fn.Type, n) {
 		return nil
 	}
-	base := Env{}
-	if fn.LabelVar != "" {
-		base[fn.LabelVar] = tab.AtomCell(data.String(n.Label))
+	var base Env
+	if fn.LabelVar != "" && fn.LabelVar != fn.Var {
+		base = append(base, binding{fn.LabelVar, tab.AtomCell(data.String(n.Label))})
 	}
 	if fn.Var != "" {
-		base[fn.Var] = bindCell(n)
+		base = append(base, binding{fn.Var, bindCell(n)})
 	}
 	if len(fn.Items) == 0 {
 		return []Env{base}
@@ -284,12 +313,12 @@ func (m *matchCtx) matchItems(items []FItem, kids []*data.Node, base Env) []Env 
 			}
 			seq = append(seq, k)
 		}
-		perItem = append(perItem, []Env{{it.CollectVar: tab.SeqCell(seq)}})
+		perItem = append(perItem, []Env{{{it.CollectVar, tab.SeqCell(seq)}}})
 	}
 	// Fast paths for the dominant shapes: a single item list over an empty
 	// base (the document-iteration star), and all-singleton item lists (one
 	// match per child requirement) — both avoid the general cross product's
-	// intermediate map churn.
+	// intermediate copies.
 	if len(perItem) == 1 && len(base) == 0 {
 		return perItem[0]
 	}
@@ -301,13 +330,11 @@ func (m *matchCtx) matchItems(items []FItem, kids []*data.Node, base Env) []Env 
 		}
 	}
 	if allSingle {
-		merged := base.clone()
+		merged := base
 		for _, envs := range perItem {
-			for k, v := range envs[0] {
-				if prev, ok := merged[k]; ok && !prev.Equal(v) {
-					return nil
-				}
-				merged[k] = v
+			var ok bool
+			if merged, ok = merged.merge(envs[0]); !ok {
+				return nil
 			}
 		}
 		return []Env{merged}
@@ -318,16 +345,7 @@ func (m *matchCtx) matchItems(items []FItem, kids []*data.Node, base Env) []Env 
 		next := make([]Env, 0, len(out)*len(envs))
 		for _, acc := range out {
 			for _, e := range envs {
-				merged := acc.clone()
-				compatible := true
-				for k, v := range e {
-					if prev, ok := merged[k]; ok && !prev.Equal(v) {
-						compatible = false
-						break
-					}
-					merged[k] = v
-				}
-				if compatible {
+				if merged, ok := acc.merge(e); ok {
 					next = append(next, merged)
 				}
 			}
@@ -424,10 +442,7 @@ func (n *FNode) HasConstraints() bool {
 }
 
 // VarsBelow returns the variables bound in the subtree, pre-order.
-func (n *FNode) VarsBelow() []string {
-	f := Filter{Root: n}
-	return f.Vars()
-}
+func (n *FNode) VarsBelow() []string { return n.appendVars(nil) }
 
 // String renders the filter in the textual syntax accepted by Parse.
 func (f *Filter) String() string { return f.Root.String() }

@@ -20,8 +20,8 @@
 // (the interval containment of the pre/post plane; see DESIGN.md §12).
 // The package also centralizes the capability fragments both wrappers
 // export for their node tables (filter pattern, structural schema, scoped
-// operations) and a small evaluator wrappers use to answer pushed plans
-// over node tables.
+// operations) and Eval, which answers a pushed plan over the built tables
+// with the algebra.
 package nodetab
 
 import (
@@ -204,8 +204,11 @@ func Export(iface *capability.Interface, baseDocs []string) []string {
 
 // Eval answers a pushed plan over node-table documents: Bind/Select/Project/
 // Join shapes only, comparison predicates only — exactly the operations
-// Operations declares. table resolves a base document to its already-built
-// node table (typically Cache.Get over the wrapper's ordinary fetch path).
+// Operations declares. Building the tables is all a wrapper does itself:
+// table resolves a base document to its already-built node table (typically
+// Cache.Get over the wrapper's ordinary fetch path), and exec.RunSerial
+// answers the plan over them, as feed's and Wais's pushes are answered over
+// their candidates.
 func Eval(plan algebra.Op, params map[string]tab.Cell, table func(base string) (data.Forest, error)) (*tab.Tab, error) {
 	docs := map[string]bool{}
 	if err := validate(plan, docs); err != nil {

@@ -2,17 +2,16 @@ package waiswrap
 
 import (
 	"context"
-	"fmt"
-	"io"
 
 	"repro/internal/algebra"
+	"repro/internal/exec"
 	"repro/internal/nodetab"
 	"repro/internal/tab"
 )
 
 // The Wais wrapper streams pushed queries natively: the search phase is
-// cheap (id lists), only document retrieval is O(result), and retrieval is
-// paced by the consumer below.
+// cheap (id lists), only document retrieval is O(result), and
+// exec.Candidates paces retrieval by the consumer.
 var _ algebra.PushStreamSource = (*Wrapper)(nil)
 
 // Push implements algebra.Source: PushStream drained. The only supported
@@ -29,11 +28,11 @@ func (w *Wrapper) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, e
 }
 
 // PushStream implements algebra.PushStreamSource, and is the wrapper's one
-// evaluation of a push: the capability check and full-text search run at
-// open, and the matched documents are retrieved lazily in bounded chunks as
-// the consumer pulls — a large result never materializes wrapper-side.
-// Node-table plans keep the materialized evaluation (their results are joins
-// over the whole numbering anyway) and are served as a chunked slice.
+// answer to a push: the capability check and the full-text search run at
+// open, and the algebra answers what the search leaves of the plan — the
+// bind and its projections — over the matched documents, retrieved in
+// bounded chunks as the consumer pulls. Node-table plans are answered by
+// nodetab.Eval over the built table and served as a chunked slice.
 func (w *Wrapper) PushStream(ctx context.Context, plan algebra.Op, params map[string]tab.Cell) (tab.Cursor, error) {
 	if nodetab.TouchesPlan(plan) {
 		t, err := nodetab.Eval(plan, params, w.nodeTable)
@@ -42,45 +41,9 @@ func (w *Wrapper) PushStream(ctx context.Context, plan algebra.Op, params map[st
 		}
 		return tab.NewSliceCursor(t, tab.DefaultStreamChunk), nil
 	}
-	docVar, ids, err := w.compilePush(plan, params)
+	rest, ids, err := w.compilePush(plan, params)
 	if err != nil {
 		return nil, err
 	}
-	outCols := plan.Columns()
-	// Validate the whole column set at open time, so a bad plan fails
-	// before any chunk is shipped.
-	for _, c := range outCols {
-		if c != docVar && renamedFrom(plan, c) != docVar {
-			return nil, fmt.Errorf("waiswrap: output column %s is not bound", c)
-		}
-	}
-	pos := 0
-	return &tab.FuncCursor{
-		Columns: outCols,
-		NextFn: func() (*tab.Tab, error) {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if pos >= len(ids) {
-				return nil, io.EOF
-			}
-			hi := pos + tab.DefaultStreamChunk
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			out := tab.New(outCols...)
-			for _, id := range ids[pos:hi] {
-				doc := w.E.Retrieve(id)
-				row := make(tab.Row, len(outCols))
-				for i := range outCols {
-					row[i] = tab.TreeCell(doc)
-				}
-				out.AddRow(row)
-			}
-			pos = hi
-			return out, nil
-		},
-	}, nil
+	return exec.Candidates(ctx, rest, params, nil, "works", ids, w.E.Retrieve)
 }

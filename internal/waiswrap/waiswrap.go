@@ -3,7 +3,9 @@
 // (Figure 3), the restrictive capability interface of Section 4.2 — only
 // whole documents can be bound, the only pushable predicate is the
 // full-text contains — and the declared equivalence connecting contains
-// with the algebra's equality predicate.
+// with the algebra's equality predicate. A pushed plan is answered in two
+// steps: the full-text search answers its contains conjuncts, and the
+// algebra answers the rest of the plan over the documents the search found.
 package waiswrap
 
 import (
@@ -153,73 +155,82 @@ func Contains(args []tab.Cell) (tab.Cell, error) {
 	return tab.AtomCell(data.Bool(true)), nil
 }
 
-// compilePush runs PushStream's capability check and search evaluation: it
-// validates the plan against the declared shapes, performs the full-text
-// searches, and returns the bound document variable plus the matching
-// document ids — everything but the row retrieval, which the stream paces.
-func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) (string, []int, error) {
+// compilePush is PushStream's capability check and full-text search: it
+// validates the plan against the declared shapes, runs one search per
+// contains conjunct and intersects the answers. It returns the plan the
+// search leaves for the algebra — the plan without its contains conjuncts,
+// which the search has answered — and the matching document ids. A contains
+// whose text has no search terms restricts nothing, as Contains holds for
+// every work.
+func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) (algebra.Op, []int, error) {
 	var docVar string
 	var searches []string
-	var walk func(op algebra.Op) error
-	walk = func(op algebra.Op) error {
+	var walk func(op algebra.Op) (algebra.Op, error)
+	walk = func(op algebra.Op) (algebra.Op, error) {
 		// yat-lint:ignore intentionally partial: accepts exactly the declared capability shapes; the default refuses the push
 		switch x := op.(type) {
 		case *algebra.Project:
-			return walk(x.From)
+			from, err := walk(x.From)
+			if err != nil {
+				return nil, err
+			}
+			return &algebra.Project{From: from, Cols: x.Cols}, nil
 		case *algebra.Select:
-			if err := walk(x.From); err != nil {
-				return err
+			from, err := walk(x.From)
+			if err != nil {
+				return nil, err
 			}
 			for _, conj := range algebra.SplitConj(x.Pred) {
 				call, ok := conj.(algebra.Call)
 				if !ok || call.Name != "contains" || len(call.Args) != 2 {
-					return fmt.Errorf("waiswrap: only contains predicates can be pushed, got %s", conj)
+					return nil, fmt.Errorf("waiswrap: only contains predicates can be pushed, got %s", conj)
 				}
 				v, ok := call.Args[0].(algebra.Var)
 				if !ok || v.Name != docVar {
-					return fmt.Errorf("waiswrap: contains must apply to the bound document variable")
+					return nil, fmt.Errorf("waiswrap: contains must apply to the bound document variable")
 				}
 				text, err := stringArg(call.Args[1], params)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				searches = append(searches, text)
+				if len(wais.Tokenize(text)) > 0 {
+					searches = append(searches, text)
+				}
 			}
-			return nil
+			return from, nil
 		case *algebra.Bind:
 			if x.Doc != "works" {
-				return fmt.Errorf("waiswrap: only binds over works can be pushed")
+				return nil, fmt.Errorf("waiswrap: only binds over works can be pushed")
 			}
 			v, err := docVarOf(x.F.Root)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			docVar = v
-			return nil
+			return x, nil
 		default:
-			return fmt.Errorf("waiswrap: operator %T cannot be pushed", op)
+			return nil, fmt.Errorf("waiswrap: operator %T cannot be pushed", op)
 		}
 	}
-	if err := walk(plan); err != nil {
-		return "", nil, err
+	rest, err := walk(plan)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Evaluate: full-text search for each contains, intersected.
-	var ids []int
 	if len(searches) == 0 {
-		ids = make([]int, w.E.Size())
+		ids := make([]int, w.E.Size())
 		for i := range ids {
 			ids[i] = i
 		}
-	} else {
-		ids = w.E.Search(searches[0])
-		for _, s := range searches[1:] {
-			ids = wais.And(ids, w.E.Search(s))
-		}
-		w.lastMu.Lock()
-		w.LastSearch = strings.Join(searches, " AND ")
-		w.lastMu.Unlock()
+		return rest, ids, nil
 	}
-	return docVar, ids, nil
+	ids := w.E.Search(searches[0])
+	for _, s := range searches[1:] {
+		ids = wais.And(ids, w.E.Search(s))
+	}
+	w.lastMu.Lock()
+	w.LastSearch = strings.Join(searches, " AND ")
+	w.lastMu.Unlock()
+	return rest, ids, nil
 }
 
 // docVarOf checks the Fworks shape works[ *work@$w ] and returns $w.
@@ -258,21 +269,4 @@ func stringArg(e algebra.Expr, params map[string]tab.Cell) (string, error) {
 	default:
 		return "", fmt.Errorf("waiswrap: unsupported contains argument %T", e)
 	}
-}
-
-// renamedFrom resolves a projected output column back to its source column
-// through Project renames (new=old).
-func renamedFrom(plan algebra.Op, col string) string {
-	cur := col
-	algebra.Walk(plan, func(op algebra.Op) bool {
-		if p, ok := op.(*algebra.Project); ok {
-			for _, c := range p.Cols {
-				if name, src := tab.SplitRename(c); name == cur {
-					cur = src
-				}
-			}
-		}
-		return true
-	})
-	return cur
 }
