@@ -14,9 +14,9 @@ import (
 
 // Wrapper serves one ingested store over the source interfaces: the records
 // document, the restricted capability profile (field-enumerating binds,
-// equality and prefix selections, nothing else) and pushed evaluation
-// answered from the field indexes. The store must be fully ingested before
-// the wrapper starts serving; reads are lock-free.
+// equality and prefix selections, nothing else) and pushes narrowed by the
+// field indexes. The store must be fully ingested before the wrapper starts
+// serving; reads are lock-free.
 type Wrapper struct {
 	S         *Store
 	SourceNme string

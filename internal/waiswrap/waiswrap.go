@@ -216,20 +216,22 @@ func (w *Wrapper) compilePush(plan algebra.Op, params map[string]tab.Cell) (alge
 	if err != nil {
 		return nil, nil, err
 	}
+	// Evaluate: full-text search for each contains, intersected.
+	var ids []int
 	if len(searches) == 0 {
-		ids := make([]int, w.E.Size())
+		ids = make([]int, w.E.Size())
 		for i := range ids {
 			ids[i] = i
 		}
-		return rest, ids, nil
+	} else {
+		ids = w.E.Search(searches[0])
+		for _, s := range searches[1:] {
+			ids = wais.And(ids, w.E.Search(s))
+		}
+		w.lastMu.Lock()
+		w.LastSearch = strings.Join(searches, " AND ")
+		w.lastMu.Unlock()
 	}
-	ids := w.E.Search(searches[0])
-	for _, s := range searches[1:] {
-		ids = wais.And(ids, w.E.Search(s))
-	}
-	w.lastMu.Lock()
-	w.LastSearch = strings.Join(searches, " AND ")
-	w.lastMu.Unlock()
 	return rest, ids, nil
 }
 
