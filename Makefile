@@ -34,12 +34,15 @@ bench-build:
 # o2wrap emits, whose text Wrapper.LastOQL promises can be replayed), and the
 # text a tenant sends: arbitrary bytes through Compose never panic (the YAT_L
 # parser included), a YAT_L query re-parses from its printed form, and a
-# clean naive plan optimizes under CheckInvariants — and the plan a wrapper
-# decodes from a push: arbitrary bytes never panic, and an accepted plan
-# marshals to text that decodes to the same plan. The last two read the XML
-# every frame, document and capability description arrives in: arbitrary
-# text through xmlenc.Parse and capability.Unmarshal never panics, and what
-# either accepts serializes to text that reads back the same.
+# clean naive plan optimizes under CheckInvariants, to the plan the plan map
+# then serves — and the plan a wrapper decodes from a push: arbitrary bytes
+# never panic, and an accepted plan marshals to text that decodes to the same
+# plan. The next two read the XML every frame, document and capability
+# description arrives in: arbitrary text through xmlenc.Parse and
+# capability.Unmarshal never panics, and what either accepts serializes to
+# text that reads back the same. The last reads a feed dump: arbitrary bytes through the newline-delimited XML reader never
+# panic, and every non-blank line yields one record or one malformed-line
+# error naming it, with reading going on past the error.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
@@ -49,6 +52,7 @@ fuzz-short:
 	$(GO) test -run FuzzUnmarshalPlan -fuzz FuzzUnmarshalPlan -fuzztime 10s ./internal/algebra
 	$(GO) test -run FuzzParseXML -fuzz FuzzParseXML -fuzztime 10s ./internal/xmlenc
 	$(GO) test -run FuzzInterfaceXML -fuzz FuzzInterfaceXML -fuzztime 10s ./internal/capability
+	$(GO) test -run FuzzNDXML -fuzz FuzzNDXML -fuzztime 10s ./internal/feed
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

@@ -8,79 +8,71 @@ import (
 	"repro/internal/tab"
 )
 
-// ResultCache is a bounded, thread-safe LRU cache of wrapper results. The
-// mediator installs one shared instance so repeated pushes of the same
-// subplan under the same parameter bindings — across the rows of one DJoin
-// or across whole queries — are answered locally instead of paying another
-// source round trip. Keys combine the source name, the canonical plan
-// encoding and the binding values (see CacheKey); cached tabs are shared,
-// never copied, relying on the repo-wide convention that result rows are
-// treated as immutable.
-//
-// The cache assumes quiescent sources (the paper's read-only integration
-// scenario): it has no invalidation beyond LRU eviction.
-type ResultCache struct {
+// LRU is a bounded, thread-safe map that evicts its least recently used
+// entry to admit one beyond its bound. It is the repository's one bounded
+// map: the result cache (ResultCache) and the mediator's per-catalog plan
+// map both instantiate it. A nil *LRU holds nothing and stores nothing.
+type LRU[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
 	lru   *list.List // front = most recently used
-	byKey map[string]*list.Element
+	byKey map[K]*list.Element
 }
 
-type cacheSlot struct {
-	key string
-	t   *tab.Tab
+type lruSlot[K comparable, V any] struct {
+	key K
+	v   V
 }
 
-// NewResultCache returns a cache bounded to the given number of entries;
-// a bound below 1 disables caching (nil is returned, and a nil *ResultCache
-// is safe to use everywhere).
-func NewResultCache(entries int) *ResultCache {
+// NewLRU returns a map bounded to the given number of entries; a bound
+// below 1 returns nil, which holds nothing.
+func NewLRU[K comparable, V any](entries int) *LRU[K, V] {
 	if entries < 1 {
 		return nil
 	}
-	return &ResultCache{cap: entries, lru: list.New(), byKey: map[string]*list.Element{}}
+	return &LRU[K, V]{cap: entries, lru: list.New(), byKey: map[K]*list.Element{}}
 }
 
-// Get returns the cached result for key, marking it most recently used.
-func (c *ResultCache) Get(key string) (*tab.Tab, bool) {
+// Get returns the value stored under key, marking it most recently used.
+func (c *LRU[K, V]) Get(key K) (v V, ok bool) {
 	if c == nil {
-		return nil, false
+		return v, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		return v, false
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheSlot).t, true
+	return el.Value.(*lruSlot[K, V]).v, true
 }
 
-// Put stores a result under key, reporting whether an older entry was
-// evicted to make room.
-func (c *ResultCache) Put(key string, t *tab.Tab) (evicted bool) {
+// Put stores v under key, reporting whether an older entry was evicted to
+// make room.
+func (c *LRU[K, V]) Put(key K, v V) (evicted bool) {
 	if c == nil {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheSlot).t = t
+		el.Value.(*lruSlot[K, V]).v = v
 		c.lru.MoveToFront(el)
 		return false
 	}
-	c.byKey[key] = c.lru.PushFront(&cacheSlot{key: key, t: t})
+	c.byKey[key] = c.lru.PushFront(&lruSlot[K, V]{key: key, v: v})
 	if c.lru.Len() <= c.cap {
 		return false
 	}
 	oldest := c.lru.Back()
 	c.lru.Remove(oldest)
-	delete(c.byKey, oldest.Value.(*cacheSlot).key)
+	delete(c.byKey, oldest.Value.(*lruSlot[K, V]).key)
 	return true
 }
 
-// Len reports the number of cached entries.
-func (c *ResultCache) Len() int {
+// Len reports the number of stored entries.
+func (c *LRU[K, V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -88,6 +80,23 @@ func (c *ResultCache) Len() int {
 	defer c.mu.Unlock()
 	return c.lru.Len()
 }
+
+// ResultCache is the bounded LRU of wrapper results. The mediator installs
+// one shared instance so repeated pushes of the same subplan under the same
+// parameter bindings — across the rows of one DJoin or across whole queries
+// — are answered locally instead of paying another source round trip. Keys
+// combine the source name, the canonical plan encoding and the binding
+// values (see CacheKey); cached tabs are shared, never copied, relying on
+// the repo-wide convention that result rows are treated as immutable.
+//
+// The cache assumes quiescent sources (the paper's read-only integration
+// scenario): it has no invalidation beyond LRU eviction.
+type ResultCache = LRU[string, *tab.Tab]
+
+// NewResultCache returns a result cache bounded to the given number of
+// entries; a bound below 1 disables caching (nil is returned, and a nil
+// *ResultCache is safe to use everywhere).
+func NewResultCache(entries int) *ResultCache { return NewLRU[string, *tab.Tab](entries) }
 
 // cached is the one result-cache probe of a source call: a hit or a miss
 // under key is counted. The empty key (no cache, or a plan that is never

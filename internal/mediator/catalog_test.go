@@ -11,6 +11,8 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/datagen"
 	"repro/internal/filter"
+	"repro/internal/obs"
+	"repro/internal/optimizer"
 	"repro/internal/pattern"
 	"repro/internal/tab"
 	"repro/internal/waiswrap"
@@ -133,20 +135,41 @@ three() := MAKE r[ t: $t ] MATCH works WITH ;`)
 	}
 }
 
-// TestPlanningIsAFunctionOfTheCatalog pins what a plan cache keyed by
-// (catalog, text) would lean on: planning the same text against one catalog
-// gives the same plan, byte for byte; every registration publishes a
-// different catalog value; and an optimized plan is a value any number of
-// executions can share.
+// planUncached is planning without the plan map: the text composed and
+// optimized under the catalog, as StreamContext does on a miss.
+func planUncached(t testing.TB, m *Mediator, cat *catalog, src string) algebra.Op {
+	t.Helper()
+	naive, err := cat.compose(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := optimizer.New(m.optimizerOptions(cat)).Optimize(naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt
+}
+
+// TestPlanningIsAFunctionOfTheCatalog pins what the plan map keyed by
+// (catalog, CheckInvariants, text) leans on: planning the same text against
+// one catalog gives the same plan, byte for byte; the map then answers it
+// with the very plan value; every registration publishes a different catalog
+// value with an empty map; toggling CheckInvariants or setting Trace plans
+// anew; a text that fails to plan is not stored; and an optimized plan is a
+// value any number of executions can share.
 func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 	m := figure8Setup(t)
 	cat := m.cat.Load()
-	marshal := func(src string) string {
+	plan := func(cat *catalog, src string) (algebra.Op, bool) {
 		t.Helper()
-		opt, err := m.plan(cat, src)
+		p, cached, err := m.plan(cat, src)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return p.plan, cached
+	}
+	marshal := func(opt algebra.Op) string {
+		t.Helper()
 		s, err := algebra.MarshalPlan(opt)
 		if err != nil {
 			t.Fatal(err)
@@ -154,12 +177,48 @@ func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 		return s
 	}
 	for _, src := range []string{datagen.Q1Src, datagen.Q2Src, datagen.Q1XQuerySrc, datagen.Q2XQuerySrc} {
-		want := marshal(src)
+		first, cached := plan(cat, src)
+		if cached {
+			t.Errorf("the first plan of %q under a fresh catalog was answered by the map", src)
+		}
+		want := marshal(first)
 		for i := 0; i < 300; i++ {
-			if got := marshal(src); got != want {
+			if got := marshal(planUncached(t, m, cat, src)); got != want {
 				t.Fatalf("planning %q, run %d:\n%s\nfirst run:\n%s", src, i, got, want)
 			}
 		}
+		if again, cached := plan(cat, src); !cached || again != first {
+			t.Errorf("second plan of %q: cached = %v, same plan value = %v; want the first plan back", src, cached, again == first)
+		}
+	}
+
+	m.CheckInvariants = !m.CheckInvariants
+	if _, cached := plan(cat, datagen.Q2Src); cached {
+		t.Errorf("CheckInvariants = %v was served the plan made under %v", m.CheckInvariants, !m.CheckInvariants)
+	}
+	m.CheckInvariants = !m.CheckInvariants
+	if _, cached := plan(cat, datagen.Q2Src); !cached {
+		t.Error("toggling CheckInvariants back planned again; both entries should be held")
+	}
+
+	var lines int
+	m.Trace = func(string) { lines++ }
+	for i := 0; i < 2; i++ {
+		before := lines
+		if _, cached := plan(cat, datagen.Q2Src); cached || lines == before {
+			t.Errorf("traced plan %d: cached = %v, %d trace lines; want planned with its rewriting traced", i, cached, lines-before)
+		}
+	}
+	m.Trace = nil
+
+	held := cat.plans.Len()
+	for i := 0; i < 2; i++ {
+		if p, cached, err := m.plan(cat, `MAKE $t MATCH nowhere WITH doc[ *x: $t ]`); err == nil || p != nil || cached {
+			t.Fatalf("a text over an unknown document planned: %v, cached = %v, err = %v", p, cached, err)
+		}
+	}
+	if got := cat.plans.Len(); got != held {
+		t.Errorf("a text that failed to plan was stored: %d entries, want %d", got, held)
 	}
 
 	registrations := map[string]func() error{
@@ -173,14 +232,20 @@ func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 		"LoadProgram": func() error {
 			return m.LoadProgram(`extra2() := MAKE r[ t: $t ] MATCH works WITH works[ *work[ title: $t ] ] ;`)
 		},
+		"EnableCache": func() error { m.EnableCache(8); return nil },
+		"SetMetrics":  func() error { m.SetMetrics(obs.NewRegistry()); return nil },
 	}
 	for name, register := range registrations {
 		before := m.cat.Load()
+		plan(before, datagen.Q1Src)
 		if err := register(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if m.cat.Load() == before {
 			t.Errorf("%s did not publish a new catalog value", name)
+		}
+		if _, cached := plan(m.cat.Load(), datagen.Q1Src); cached {
+			t.Errorf("after %s the plan map answered a plan made under the previous catalog", name)
 		}
 	}
 	if m.cat.Load() == cat || len(cat.views) != 1 || len(cat.sources) != 2 || len(cat.assume) != 2 {
@@ -192,14 +257,14 @@ func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := m.Optimize(naive)
+	shared := m.Optimize(naive)
 	tables := make([]*tab.Tab, 8)
 	var wg sync.WaitGroup
 	for i := range tables {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := m.StreamPlan(context.Background(), plan, ExecOptions{Parallelism: 1 + i%3})
+			s, err := m.StreamPlan(context.Background(), shared, ExecOptions{Parallelism: 1 + i%3})
 			if err != nil {
 				t.Error(err)
 				return
@@ -278,5 +343,44 @@ func TestViewNamedTwice(t *testing.T) {
 				t.Errorf("CheckInvariants=%v: rows\n%s\nwant the naive plan's\n%s", gate, got.Tab, naive.Tab)
 			}
 		}
+	}
+}
+
+// TestOptionsValidatedBeforePlanning: StreamContext used to compose and
+// optimize a text before validating its options, so a bad-options request
+// paid a full planning and, with a bad text too, reported the planning
+// error. It now refuses the options first and plans nothing.
+func TestOptionsValidatedBeforePlanning(t *testing.T) {
+	m := figure8Setup(t)
+	reg := obs.NewRegistry()
+	m.SetMetrics(reg)
+	opts := ExecOptions{Parallelism: 1, BatchChunk: -1}
+	_, err := m.StreamContext(context.Background(), `MAKE $t MATCH`, opts)
+	if want := opts.Validate(); err == nil || err.Error() != want.Error() {
+		t.Errorf("err = %v, want the options error %v", err, want)
+	}
+	if n := reg.Counter("plan_cache_misses_total").Value(); n != 0 {
+		t.Errorf("plan_cache_misses_total = %d; a request with invalid options was planned", n)
+	}
+}
+
+// TestWarmPlanAllocatesAlmostNothing: a text the catalog's map holds costs a
+// lookup, not a planning.
+func TestWarmPlanAllocatesAlmostNothing(t *testing.T) {
+	m := figure8Setup(t)
+	m.CheckInvariants = true
+	cat := m.cat.Load()
+	cold := testing.AllocsPerRun(3, func() { planUncached(t, m, cat, datagen.Q2Src) })
+	if _, _, err := m.plan(cat, datagen.Q2Src); err != nil {
+		t.Fatal(err)
+	}
+	warm := testing.AllocsPerRun(100, func() {
+		if _, cached, _ := m.plan(cat, datagen.Q2Src); !cached {
+			t.Fatal("warm plan of Q2 was a miss")
+		}
+	})
+	t.Logf("Q2 plan: %.0f allocations cold, %.0f warm", cold, warm)
+	if warm > 5 {
+		t.Errorf("warm plan of Q2: %.0f allocations (cold: %.0f), want at most 5", warm, cold)
 	}
 }

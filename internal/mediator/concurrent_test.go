@@ -264,3 +264,86 @@ func TestHealthSnapshotConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPlanMapUnderConcurrentQueries drives one mediator's plan map from 8
+// goroutines × 50 ExecuteContext calls of Q1, Q2 and their XQuery forms, at
+// Parallelism 1 and 4, in-process (the Figure 8 deployment) and over wire
+// (the three-family deployment), while a DefineView races them: every run's
+// rows and Stats equal a serial run of a freshly planned plan, and after the
+// race the redefined view's answer is the one returned.
+func TestPlanMapUnderConcurrentQueries(t *testing.T) {
+	for name, deploy := range map[string]func(*testing.T) *Mediator{
+		"in-process": func(t *testing.T) *Mediator { return figure8Setup(t) },
+		"wire": func(t *testing.T) *Mediator {
+			m, _ := deployThreeFamilies(t, threeFamilyN)
+			if err := m.LoadProgram(datagen.View1Src); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := deploy(t)
+			m.CheckInvariants = true
+			ctx := context.Background()
+			uncached := func(src string) *Result {
+				t.Helper()
+				res, err := m.ExecutePlan(ctx, planUncached(t, m, m.cat.Load(), src), ExecOptions{Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			const latest = `MAKE $a MATCH latest WITH doc[ *f[ t: $a ] ]`
+			define := func(field string) {
+				t.Helper()
+				if err := m.DefineView(&yatl.MustParse(fmt.Sprintf(
+					`latest() := MAKE doc[ *f($t) := f[ t: $t ] ] MATCH works WITH works[ *work[ %s: $t ] ] ;`, field)).Rules[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			define("title")
+			before := renderRows(uncached(latest).Tab)
+
+			texts := []string{datagen.Q1Src, datagen.Q2Src, datagen.Q1XQuerySrc, datagen.Q2XQuerySrc}
+			want := make([]*Result, len(texts))
+			for i, src := range texts {
+				want[i] = uncached(src)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					opts := ExecOptions{Parallelism: 1 + 3*(g%2), Timeout: time.Minute}
+					for i := 0; i < 50; i++ {
+						if g == 0 && i == 25 {
+							define("artist")
+						}
+						qi := (g + i) % len(texts)
+						res, err := m.ExecuteContext(ctx, texts[qi], opts)
+						if err != nil {
+							t.Errorf("worker %d call %d: %v", g, i, err)
+							return
+						}
+						if !reflect.DeepEqual(renderRows(res.Tab), renderRows(want[qi].Tab)) || res.Stats != want[qi].Stats {
+							t.Errorf("worker %d call %d (%s): rows %v stats %+v, want %v %+v",
+								g, i, texts[qi], renderRows(res.Tab), res.Stats, renderRows(want[qi].Tab), want[qi].Stats)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+
+			res, err := m.ExecuteContext(ctx, latest, ExecOptions{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := renderRows(res.Tab)
+			if !reflect.DeepEqual(got, renderRows(uncached(latest).Tab)) || reflect.DeepEqual(got, before) {
+				t.Errorf("after the redefinition the view answers %v; want its new answer, not the old %v", got, before)
+			}
+		})
+	}
+}

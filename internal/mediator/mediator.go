@@ -43,7 +43,10 @@ import (
 // that value, holding no lock: a registration racing it publishes a new value
 // the query never sees, so a query that names a view twice gets one
 // definition, and a plan was compiled under exactly one catalog somebody can
-// hold. A registration that is refused publishes nothing.
+// hold. A registration that is refused publishes nothing. Each catalog also
+// holds a bounded map of the plans made under it, so a text is planned once
+// per catalog: every registration starts an empty one, and nothing is ever
+// invalidated.
 type Mediator struct {
 	// regMu serializes writers (register); readers never take it.
 	regMu sync.Mutex
@@ -90,7 +93,13 @@ type catalog struct {
 	// and latency observations, per-Stats counter totals, and breaker
 	// state gauges — the data the -metrics-addr HTTP plane serves.
 	metrics *obs.Registry
+	// plans maps the texts StreamContext planned under this catalog to
+	// their plans; register gives every catalog it publishes an empty one.
+	plans *algebra.LRU[planKey, *planned]
 }
+
+// planEntries bounds each catalog's plan map.
+const planEntries = 256
 
 // View is a registered YAT_L rule with its algebraic translation.
 type View struct {
@@ -104,6 +113,7 @@ func New() *Mediator {
 	m.cat.Store(&catalog{
 		sourceDocs: map[string]string{},
 		funcs:      algebra.NewContext().Funcs,
+		plans:      algebra.NewLRU[planKey, *planned](planEntries),
 	})
 	return m
 }
@@ -112,7 +122,7 @@ func New() *Mediator {
 // of the current value — replacing, never writing through, any map it
 // changes (with, maps.Clone) and clipping a slice before it appends, so the
 // append cannot land in the published value's spare capacity — and the copy
-// is published only if change accepts it.
+// is published only if change accepts it, with an empty plan map.
 func (m *Mediator) register(change func(next *catalog) error) error {
 	m.regMu.Lock()
 	defer m.regMu.Unlock()
@@ -120,6 +130,7 @@ func (m *Mediator) register(change func(next *catalog) error) error {
 	if err := change(&next); err != nil {
 		return err
 	}
+	next.plans = algebra.NewLRU[planKey, *planned](planEntries)
 	m.cat.Store(&next)
 	return nil
 }
@@ -402,14 +413,53 @@ func (m *Mediator) optimizerOptions(cat *catalog) optimizer.Options {
 	}
 }
 
+// planKey is what a plan depends on besides its catalog: the text, and
+// whether planning verified it.
+type planKey struct {
+	text  string
+	check bool
+}
+
+// planned is one entry of a catalog's plan map: a text's optimized plan and,
+// once an execution asks for CheckTypes, its conformance annotation.
+type planned struct {
+	plan    algebra.Op
+	annOnce sync.Once
+	ann     *typecheck.Annotation // nil when inference failed
+}
+
+// annotation infers the plan's types under the catalog, once per entry.
+func (p *planned) annotation(c *catalog) *typecheck.Annotation {
+	p.annOnce.Do(func() { p.ann, _ = c.typecheck(p.plan) })
+	return p.ann
+}
+
 // plan is planning as a function of (catalog, text): the text composed
-// with the catalog's views and optimized under its capabilities.
-func (m *Mediator) plan(cat *catalog, querySrc string) (algebra.Op, error) {
+// with the catalog's views and optimized under its capabilities. The
+// catalog's plan map answers a text planned before under the same
+// CheckInvariants, unless Trace asks to see the rewriting; only a plan that
+// succeeds is stored. cached reports whether the map answered.
+func (m *Mediator) plan(cat *catalog, querySrc string) (p *planned, cached bool, err error) {
+	opts := m.optimizerOptions(cat)
+	key := planKey{text: querySrc, check: opts.CheckInvariants}
+	if p, ok := cat.plans.Get(key); ok && opts.Trace == nil {
+		cat.count("plan_cache_hits_total")
+		return p, true, nil
+	}
+	cat.count("plan_cache_misses_total")
 	naive, err := cat.compose(querySrc)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return optimizer.New(m.optimizerOptions(cat)).Optimize(naive)
+	opt, err := optimizer.New(opts).Optimize(naive)
+	if err != nil {
+		return nil, false, err
+	}
+	p = &planned{plan: opt}
+	if cat.plans.Put(key, p) {
+		cat.count("plan_cache_evictions_total")
+	}
+	return p, false, nil
 }
 
 // lint verifies a plan against the catalog and its capability interfaces.
@@ -459,6 +509,13 @@ func (m *Mediator) SetMetrics(reg *obs.Registry) {
 
 // Metrics returns the installed registry (nil when none).
 func (m *Mediator) Metrics() *obs.Registry { return m.cat.Load().metrics }
+
+// count adds one to a counter of the catalog's registry, if one is installed.
+func (c *catalog) count(name string) {
+	if c.metrics != nil {
+		c.metrics.Counter(name).Add(1)
+	}
+}
 
 // recordQuery folds one query execution into the catalog's registry:
 // outcome counters, a latency observation, the run's Stats (recorded on
@@ -529,13 +586,14 @@ func (e *ConformanceError) Error() string {
 // evaluation context when the options request it: every shipped wrapper
 // row is checked against the SourceQuery's inferred column types, a
 // violation aborts the query with a ConformanceError and increments the
-// type_violations_total counter.
-func (c *catalog) installWireChecker(actx *algebra.Context, plan algebra.Op, opts ExecOptions) {
+// type_violations_total counter. The types are the plan entry's, inferred
+// once however many executions share it.
+func (c *catalog) installWireChecker(actx *algebra.Context, p *planned, opts ExecOptions) {
 	if !opts.CheckTypes {
 		return
 	}
-	ann, err := c.typecheck(plan)
-	if err != nil {
+	ann := p.annotation(c)
+	if ann == nil {
 		return // malformed plans are the lint gate's concern
 	}
 	actx.CheckWire = func(q *algebra.SourceQuery, t *tab.Tab) error {
@@ -550,9 +608,7 @@ func (c *catalog) installWireChecker(actx *algebra.Context, plan algebra.Op, opt
 			}
 			for ri, row := range t.Rows {
 				if !typecheck.CellConforms(ann.Model, p, row[ci]) {
-					if reg := c.metrics; reg != nil {
-						reg.Counter("type_violations_total").Add(1)
-					}
+					c.count("type_violations_total")
 					return &ConformanceError{Source: q.Source, Column: col, Row: ri, Pattern: p.String()}
 				}
 			}
@@ -562,12 +618,14 @@ func (c *catalog) installWireChecker(actx *algebra.Context, plan algebra.Op, opt
 }
 
 // attachTrace mints a root span on the evaluation context when the options
-// ask for tracing, returning it (nil otherwise).
-func (m *Mediator) attachTrace(actx *algebra.Context, opts ExecOptions) *obs.Span {
+// ask for tracing, returning it (nil otherwise). Its plan attribute says
+// where the plan came from (see streamPlan).
+func (m *Mediator) attachTrace(actx *algebra.Context, opts ExecOptions, stage string) *obs.Span {
 	if !opts.Trace {
 		return nil
 	}
 	root := obs.NewTrace("query")
+	root.Annotate("plan", stage)
 	actx.Trace = root
 	return root
 }
@@ -611,7 +669,7 @@ func (m *Mediator) Materialize(view string) (*tab.Tab, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := m.streamPlan(context.Background(), cat, cat.newContext(), plan, "custom", ExecOptions{Parallelism: 1})
+	s, err := m.streamPlan(context.Background(), cat, cat.newContext(), &planned{plan: plan}, "custom", ExecOptions{Parallelism: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -643,7 +701,7 @@ func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, er
 		// because each view is recorded in /metrics as a query of its own.
 		vctx := *actx
 		vctx.Stats = &algebra.Stats{}
-		s, err := m.streamPlan(context.Background(), cat, &vctx, plan, "view", opts)
+		s, err := m.streamPlan(context.Background(), cat, &vctx, &planned{plan: plan}, "view", opts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("view %s: %w", name, err)
 		}

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -388,5 +390,64 @@ func TestHealthAndMetricsConcurrentWithQueries(t *testing.T) {
 	}
 	if counters["source_pushes_total"] == 0 {
 		t.Error("source_pushes_total stayed zero across six queries")
+	}
+}
+
+// TestPlanMapIsObservable: /metrics counts the plan map's hits, misses and
+// evictions as plan_cache_*_total, and a traced query's root span carries a
+// plan attribute, planned or cached, which the Chrome trace exports.
+func TestPlanMapIsObservable(t *testing.T) {
+	m := figure8Setup(t)
+	reg := obs.NewRegistry()
+	m.SetMetrics(reg)
+	ctx := context.Background()
+	counters := func() [3]int64 {
+		c := reg.Snapshot()["counters"].(map[string]int64)
+		return [3]int64{c["plan_cache_hits_total"], c["plan_cache_misses_total"], c["plan_cache_evictions_total"]}
+	}
+	for i, want := range []string{"planned", "cached"} {
+		res, err := m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Trace.Attrs(); !reflect.DeepEqual(got, []obs.Attr{{Key: "plan", Value: want}}) {
+			t.Errorf("run %d: root span attributes %v, want plan=%s", i, got, want)
+		}
+		b, err := obs.ChromeTrace(res.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chrome struct {
+			TraceEvents []struct {
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b, &chrome); err != nil || chrome.TraceEvents[0].Args["plan"] != want {
+			t.Errorf("run %d: the Chrome trace's root event lacks plan=%s (err %v)", i, want, err)
+		}
+	}
+	if got, want := counters(), [3]int64{1, 1, 0}; got != want {
+		t.Errorf("hits, misses, evictions = %v, want %v", got, want)
+	}
+
+	// planEntries further texts push Q2's entry, the oldest, out.
+	cat := m.cat.Load()
+	for i := 0; i < planEntries; i++ {
+		if _, _, err := m.plan(cat, fmt.Sprintf(`MAKE $t MATCH works WITH works[ *work[ title: $t ] ] WHERE $t = "%d"`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, cached, err := m.plan(cat, datagen.Q2Src); err != nil || cached {
+		t.Errorf("Q2 after %d newer texts: cached = %v, err = %v; want it evicted and planned again", planEntries, cached, err)
+	}
+	if got, want := counters(), [3]int64{1, 2 + planEntries, 2}; got != want {
+		t.Errorf("hits, misses, evictions = %v, want %v", got, want)
+	}
+	rec := httptest.NewRecorder()
+	reg.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, name := range []string{"plan_cache_hits_total", "plan_cache_misses_total", "plan_cache_evictions_total"} {
+		if !strings.Contains(rec.Body.String(), name) {
+			t.Errorf("/metrics lacks %s", name)
+		}
 	}
 }

@@ -100,32 +100,42 @@ func (s *Stream) Close() {
 // tracing, metrics and the result cache apply to every execution, because
 // every execution comes through here.
 func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts ExecOptions) (*Stream, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	cat := m.cat.Load()
-	opt, err := m.plan(cat, querySrc)
+	p, cached, err := m.plan(cat, querySrc)
 	if err != nil {
 		return nil, err
 	}
-	return m.streamPlan(ctx, cat, cat.newContext(), opt, "", opts)
+	stage := "planned"
+	if cached {
+		stage = "cached"
+	}
+	return m.streamPlan(ctx, cat, cat.newContext(), p, stage, opts)
 }
 
 // StreamPlan is StreamContext for an already-built plan: the naive
 // composition, an ablated optimization, a hand-assembled shape.
 func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOptions) (*Stream, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	cat := m.cat.Load()
-	return m.streamPlan(ctx, cat, cat.newContext(), plan, "custom", opts)
+	return m.streamPlan(ctx, cat, cat.newContext(), &planned{plan: plan}, "custom", opts)
 }
 
 // streamPlan runs one plan under one catalog and one evaluation context (a
 // fresh one per query; MaterializeProgram's views share one Store, Skolems
-// and Catalog so Skolem identifiers fuse). With CheckInvariants set, a plan
-// that fails verification is refused instead of evaluated; stage names the
-// plan in the refusal, and is empty for a plan the optimizer has just
-// verified, which is not linted twice.
-func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, plan algebra.Op, stage string, opts ExecOptions) (*Stream, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if m.CheckInvariants && stage != "" {
+// and Catalog so Skolem identifiers fuse), with options already validated.
+// stage says where the plan came from: "planned" or "cached" for a query
+// text's plan, which the optimizer verified and is not linted twice, and
+// "custom" or "view" for one no optimizer verified. With CheckInvariants
+// set, such a plan that fails verification is refused, named by its stage,
+// instead of evaluated.
+func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, p *planned, stage string, opts ExecOptions) (*Stream, error) {
+	plan := p.plan
+	if m.CheckInvariants && stage != "planned" && stage != "cached" {
 		if ds := cat.lint(plan); len(ds) > 0 {
 			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
 		}
@@ -135,8 +145,8 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 		// context, so a report it creates itself would be unreadable here.
 		actx.Partial = algebra.NewPartialReport()
 	}
-	cat.installWireChecker(actx, plan, opts)
-	root := m.attachTrace(actx, opts)
+	cat.installWireChecker(actx, p, opts)
+	root := m.attachTrace(actx, opts, stage)
 	// The cancel lever covers the whole pipeline: Close (abandon) cancels
 	// it, which unblocks any in-flight pull down to the wrapper reads.
 	sctx, cancel := context.WithCancel(ctx)

@@ -96,7 +96,7 @@ func TestCheckTypesCatchesLyingSource(t *testing.T) {
 // wire conformance mode: with the truthfully imported structures the
 // checked run returns exactly the unchecked result; after re-importing a
 // deliberately wrong works schema (artist declared Int) the same query
-// aborts with a ConformanceError naming the XML wrapper.
+// aborts with a ConformanceError naming the XML wrapper, planned or cached.
 func TestCheckTypesWireEndToEnd(t *testing.T) {
 	m, _ := deployFaulty(t, 40, nil, nil)
 	ctx := context.Background()
@@ -118,13 +118,20 @@ Work  := work[ artist: Int, title: String, style: String, size: String,
                *&Field ]
 Field := Symbol[ *( Int | Float | Bool | String | &Field ) ]`)
 	m.ImportStructure("works", wrong, "Works")
-	_, err = m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, CheckTypes: true})
-	var ce *ConformanceError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *ConformanceError", err)
+	// The second run's plan, and the types it is checked against, come from
+	// the plan map of the catalog the import published.
+	for run := 0; run < 2; run++ {
+		_, err = m.ExecuteContext(ctx, datagen.Q2Src, ExecOptions{Parallelism: 1, CheckTypes: true})
+		var ce *ConformanceError
+		if !errors.As(err, &ce) {
+			t.Fatalf("run %d: err = %v, want *ConformanceError", run, err)
+		}
+		if ce.Source != "xmlartwork" {
+			t.Errorf("run %d: violation source = %q, want xmlartwork", run, ce.Source)
+		}
 	}
-	if ce.Source != "xmlartwork" {
-		t.Errorf("violation source = %q, want xmlartwork", ce.Source)
+	if p, cached, err := m.plan(m.cat.Load(), datagen.Q2Src); err != nil || !cached || p.ann == nil {
+		t.Errorf("Q2's plan-map entry: cached = %v, annotation held = %v, err = %v", cached, p != nil && p.ann != nil, err)
 	}
 }
 
