@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -221,6 +222,24 @@ func TestPlanningIsAFunctionOfTheCatalog(t *testing.T) {
 		t.Errorf("a text that failed to plan was stored: %d entries, want %d", got, held)
 	}
 
+	// A text of maxPlanText bytes is stored; one byte more, and it is
+	// planned on every execution.
+	literal := func(n int) string {
+		const pre, post = `MAKE $t MATCH works WITH works[ *work[ title: $t ] ] WHERE $t = "`, `"`
+		return pre + strings.Repeat("x", n-len(pre)-len(post)) + post
+	}
+	for _, c := range []struct {
+		n      int
+		stored bool
+	}{{maxPlanText, true}, {maxPlanText + 1, false}} {
+		src := literal(c.n)
+		first, _ := plan(cat, src)
+		again, cached := plan(cat, src)
+		if cached != c.stored || (again == first) != c.stored {
+			t.Errorf("a %d-byte text planned twice: cached = %v, same plan value = %v; want both %v", c.n, cached, again == first, c.stored)
+		}
+	}
+
 	registrations := map[string]func() error{
 		"Connect":         func() error { return m.Connect(&regSource{name: "extra"}, nil) },
 		"ImportStructure": func() error { m.ImportStructure("extra.doc", pattern.NewModel("extra"), "X"); return nil },
@@ -382,5 +401,38 @@ func TestWarmPlanAllocatesAlmostNothing(t *testing.T) {
 	t.Logf("Q2 plan: %.0f allocations cold, %.0f warm", cold, warm)
 	if warm > 5 {
 		t.Errorf("warm plan of Q2: %.0f allocations (cold: %.0f), want at most 5", warm, cold)
+	}
+}
+
+// TestPlanMapMissCostsAlmostNothing: traffic whose texts never repeat (a new
+// literal per query) gains nothing from the map, and on a full map every miss
+// also evicts; that costs at most a few allocations over planning without
+// the map.
+func TestPlanMapMissCostsAlmostNothing(t *testing.T) {
+	m := figure8Setup(t)
+	m.CheckInvariants = true
+	cat := m.cat.Load()
+	n := 0
+	text := func() string {
+		n++
+		return fmt.Sprintf(`MAKE $t MATCH artworks WITH doc[ *work[ title: $t, more.cplace: $cl ] ] WHERE $cl = "%06d"`, n)
+	}
+	for i := 0; i < planEntries; i++ {
+		if _, _, err := m.plan(cat, text()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss := testing.AllocsPerRun(50, func() {
+		if _, cached, err := m.plan(cat, text()); err != nil || cached {
+			t.Fatalf("a new text: cached = %v, err = %v; want a miss", cached, err)
+		}
+	})
+	uncached := testing.AllocsPerRun(50, func() { planUncached(t, m, cat, text()) })
+	t.Logf("Q1 with a new literal: %.0f allocations planned through a full map, %.0f without it", miss, uncached)
+	if miss > uncached+5 {
+		t.Errorf("a miss on a full map: %.0f allocations, planning without the map: %.0f; want at most 5 more", miss, uncached)
+	}
+	if got := cat.plans.Len(); got != planEntries {
+		t.Errorf("%d entries after %d misses, want the bound %d", got, planEntries+51, planEntries)
 	}
 }

@@ -98,8 +98,15 @@ type catalog struct {
 	plans *algebra.LRU[planKey, *planned]
 }
 
-// planEntries bounds each catalog's plan map.
-const planEntries = 256
+// planEntries bounds each catalog's plan map, and maxPlanText the length of
+// a text it stores: a longer one is planned on every execution. Traffic
+// whose texts never repeat gains nothing from the map and still keeps
+// planEntries plans alive, so the bound covers a working set of point
+// queries, not every text a tenant may send.
+const (
+	planEntries = 64
+	maxPlanText = 4 << 10
+)
 
 // View is a registered YAT_L rule with its algebraic translation.
 type View struct {
@@ -421,11 +428,14 @@ type planKey struct {
 }
 
 // planned is one entry of a catalog's plan map: a text's optimized plan and,
-// once an execution asks for CheckTypes, its conformance annotation.
+// once an execution asks for CheckTypes, its conformance annotation. verified
+// says the optimizer checked every rewrite of the plan (CheckInvariants), so
+// the execution gate need not lint it again; any other plan is linted.
 type planned struct {
-	plan    algebra.Op
-	annOnce sync.Once
-	ann     *typecheck.Annotation // nil when inference failed
+	plan     algebra.Op
+	verified bool
+	annOnce  sync.Once
+	ann      *typecheck.Annotation // nil when inference failed
 }
 
 // annotation infers the plan's types under the catalog, once per entry.
@@ -438,7 +448,8 @@ func (p *planned) annotation(c *catalog) *typecheck.Annotation {
 // with the catalog's views and optimized under its capabilities. The
 // catalog's plan map answers a text planned before under the same
 // CheckInvariants, unless Trace asks to see the rewriting; only a plan that
-// succeeds is stored. cached reports whether the map answered.
+// succeeds, of a text no longer than maxPlanText, is stored. cached reports
+// whether the map answered.
 func (m *Mediator) plan(cat *catalog, querySrc string) (p *planned, cached bool, err error) {
 	opts := m.optimizerOptions(cat)
 	key := planKey{text: querySrc, check: opts.CheckInvariants}
@@ -455,8 +466,8 @@ func (m *Mediator) plan(cat *catalog, querySrc string) (p *planned, cached bool,
 	if err != nil {
 		return nil, false, err
 	}
-	p = &planned{plan: opt}
-	if cat.plans.Put(key, p) {
+	p = &planned{plan: opt, verified: opts.CheckInvariants}
+	if len(querySrc) <= maxPlanText && cat.plans.Put(key, p) {
 		cat.count("plan_cache_evictions_total")
 	}
 	return p, false, nil

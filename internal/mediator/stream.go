@@ -128,14 +128,13 @@ func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOpt
 // streamPlan runs one plan under one catalog and one evaluation context (a
 // fresh one per query; MaterializeProgram's views share one Store, Skolems
 // and Catalog so Skolem identifiers fuse), with options already validated.
-// stage says where the plan came from: "planned" or "cached" for a query
-// text's plan, which the optimizer verified and is not linted twice, and
-// "custom" or "view" for one no optimizer verified. With CheckInvariants
-// set, such a plan that fails verification is refused, named by its stage,
-// instead of evaluated.
+// stage says where the plan came from ("planned", "cached", "custom" or
+// "view") and labels the trace. With CheckInvariants set, a plan the
+// optimizer did not verify is linted first and, if it fails, refused, named
+// by its stage, instead of evaluated.
 func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, p *planned, stage string, opts ExecOptions) (*Stream, error) {
 	plan := p.plan
-	if m.CheckInvariants && stage != "planned" && stage != "cached" {
+	if m.CheckInvariants && !p.verified {
 		if ds := cat.lint(plan); len(ds) > 0 {
 			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
 		}
