@@ -40,9 +40,13 @@ bench-build:
 # plan. The next two read the XML every frame, document and capability
 # description arrives in: arbitrary text through xmlenc.Parse and
 # capability.Unmarshal never panics, and what either accepts serializes to
-# text that reads back the same. The last reads a feed dump: arbitrary bytes through the newline-delimited XML reader never
-# panic, and every non-blank line yields one record or one malformed-line
-# error naming it, with reading going on past the error.
+# text that reads back the same. The last two read a feed dump: arbitrary
+# bytes through the newline-delimited XML reader never panic, and every
+# non-blank line yields one record or one malformed-line error naming it,
+# with reading going on past the error; arbitrary bytes through the zip
+# reader never panic, and over an archive of chosen entries every non-blank
+# line of each .ndxml or .xml entry yields, in entry order, one record or one
+# malformed-line error naming the entry and line, the other entries nothing.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
@@ -53,6 +57,7 @@ fuzz-short:
 	$(GO) test -run FuzzParseXML -fuzz FuzzParseXML -fuzztime 10s ./internal/xmlenc
 	$(GO) test -run FuzzInterfaceXML -fuzz FuzzInterfaceXML -fuzztime 10s ./internal/capability
 	$(GO) test -run FuzzNDXML -fuzz FuzzNDXML -fuzztime 10s ./internal/feed
+	$(GO) test -run FuzzZipDump -fuzz FuzzZipDump -fuzztime 10s ./internal/feed
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

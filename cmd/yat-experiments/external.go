@@ -9,7 +9,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -103,7 +102,7 @@ func spawnWrapper(bin string, args ...string) (addr string, stop func(), err err
 // connectWire dials a wrapper and registers it (interface and exported
 // structures) with the mediator.
 func connectWire(m *mediator.Mediator, addr string) (func(), error) {
-	c, err := wire.DialWith(context.Background(), addr, wire.Options{})
+	c, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -127,7 +127,7 @@ import (
 // injector wrapping each new wrapper connection.
 type dialConfig struct {
 	connectTimeout time.Duration
-	retry          *wire.RetryPolicy
+	retry          int // transport attempts per request (0 = wire's default)
 	inject         *faults.Injector
 	traceOut       string        // -trace-out: Chrome trace JSON destination for `profile`
 	metrics        *obs.Registry // -metrics-addr registry, fed by every query
@@ -166,12 +166,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	sess := &dialConfig{connectTimeout: *connectTimeout}
-	if *retries > 0 {
-		p := wire.DefaultRetryPolicy
-		p.MaxAttempts = *retries
-		sess.retry = &p
-	}
+	sess := &dialConfig{connectTimeout: *connectTimeout, retry: *retries}
 	if *inject != "" {
 		cfg, err := parseInjectSpec(*inject)
 		if err != nil {
@@ -230,7 +225,8 @@ func main() {
 			os.Exit(1)
 		}
 		// No WriteTimeout: responses stream for as long as the query runs;
-		// the per-query deadline (door MaxTimeout) bounds them instead.
+		// the per-query deadline (-timeout, else the door's 30 s) bounds
+		// them instead.
 		srv := &http.Server{Handler: door.Handler(), ReadHeaderTimeout: 10 * time.Second}
 		go func() {
 			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -432,7 +428,7 @@ func connect(m *mediator.Mediator, clients map[string][]*wire.Client, routes map
 		ctx, cancel = context.WithTimeout(ctx, sess.connectTimeout)
 		defer cancel()
 	}
-	wopts := wire.Options{Retry: sess.retry}
+	wopts := wire.Options{Attempts: sess.retry}
 	if sess.inject != nil {
 		wopts.WrapConn = sess.inject.WrapConn
 	}

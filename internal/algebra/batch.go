@@ -26,7 +26,9 @@ type BatchSource interface {
 }
 
 // DefaultBatchChunk is the number of binding sets shipped per batched push
-// when Context.BatchChunk is unset.
+// when exec.Options.BatchChunk is unset. A fixed default (rather than one
+// derived from worker counts) keeps push counts identical between serial and
+// parallel execution.
 const DefaultBatchChunk = 64
 
 // FreeVars returns, sorted, the variables a plan reads from Context.Params
@@ -74,7 +76,7 @@ func freeVars(op Op, out map[string]bool) {
 		freeVars(x.L, out)
 		inner := map[string]bool{}
 		freeVars(x.R, inner)
-		lcols := colSetOf(safeCols(x.L))
+		lcols := SetOf(safeCols(x.L))
 		for v := range inner {
 			if !lcols[v] {
 				out[v] = true
@@ -107,7 +109,7 @@ func exprFree(e Expr, inputCols []string, out map[string]bool) {
 	if e == nil {
 		return
 	}
-	cols := colSetOf(inputCols)
+	cols := SetOf(inputCols)
 	for _, v := range e.Vars() {
 		if !cols[v] {
 			out[v] = true
@@ -122,12 +124,25 @@ func safeCols(op Op) []string {
 	return op.Columns()
 }
 
-func colSetOf(cols []string) map[string]bool {
-	m := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		m[c] = true
+// SetOf returns the set of the given column or variable names.
+func SetOf(names []string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
 	}
 	return m
+}
+
+// SetUnion returns a new set holding the members of a and b.
+func SetUnion(a, b map[string]bool) map[string]bool {
+	out := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		out[k] = true
+	}
+	for k := range b {
+		out[k] = true
+	}
+	return out
 }
 
 // DJoinBindings is the set-at-a-time form of a DJoin's outer input: the
@@ -218,17 +233,9 @@ func NewDJoinSet(ctx *Context, j *DJoin, l *tab.Tab) *DJoinSet {
 func (s *DJoinSet) Batchable() bool { return s.q != nil }
 
 // PendingChunks probes the result cache for every binding set and returns
-// the cache-missing set indexes grouped into push-sized chunks. Must only
-// be called when Batchable. A non-positive Context.BatchChunk is an error:
-// chunk sizes are validated where they enter the system (exec.Options.
-// Validate, the yat-mediator flag) and defaulted by NewContext, so a bad
-// value reaching this point is a configuration bug worth surfacing, not
-// silently papering over.
-func (s *DJoinSet) PendingChunks(ctx *Context) ([][]int, error) {
-	chunk := ctx.BatchChunk
-	if chunk < 1 {
-		return nil, fmt.Errorf("algebra: Context.BatchChunk must be positive, got %d (exec.Options.Validate rejects this at the edge)", chunk)
-	}
+// the cache-missing set indexes grouped into chunks of at most chunk (> 0)
+// sets, one push each. Must only be called when Batchable.
+func (s *DJoinSet) PendingChunks(ctx *Context, chunk int) [][]int {
 	var pending []int
 	for i, set := range s.Bindings.Sets {
 		if t, ok := ctx.cached(s.q.cacheKey(ctx, set)); ok {
@@ -239,13 +246,9 @@ func (s *DJoinSet) PendingChunks(ctx *Context) ([][]int, error) {
 	}
 	var chunks [][]int
 	for start := 0; start < len(pending); start += chunk {
-		end := start + chunk
-		if end > len(pending) {
-			end = len(pending)
-		}
-		chunks = append(chunks, pending[start:end])
+		chunks = append(chunks, pending[start:min(start+chunk, len(pending))])
 	}
-	return chunks, nil
+	return chunks
 }
 
 // EvalChunk ships one batched push (a single round trip) for the given set

@@ -235,8 +235,7 @@ func TestDJoinBatchedMatchesPerOuterRow(t *testing.T) {
 	// A chunk bound of 2 also bounds the outer bite to 2 rows, and binding
 	// sets are shared within a bite only: [1 2] [1 3] [2 1] is 3 round trips.
 	j3, src3, ctx3 := batchFixture()
-	ctx3.BatchChunk = 2
-	if _, err := exec.RunSerial(j3, ctx3); err != nil {
+	if _, err := exec.New(exec.Options{Parallelism: 1, BatchChunk: 2}).Run(context.Background(), j3, ctx3); err != nil {
 		t.Fatal(err)
 	}
 	if src3.batchCalls != 3 || ctx3.Stats.SourcePushes != 3 {
@@ -246,8 +245,7 @@ func TestDJoinBatchedMatchesPerOuterRow(t *testing.T) {
 	// A chunk bound of 1 is the unbatched baseline: every bite is one outer
 	// row, so every outer row costs its own round trip.
 	j4, src4, ctx4 := batchFixture()
-	ctx4.BatchChunk = 1
-	got4, err := exec.RunSerial(j4, ctx4)
+	got4, err := exec.New(exec.Options{Parallelism: 1, BatchChunk: 1}).Run(context.Background(), j4, ctx4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,19 +110,15 @@ func (it ConsItem) groupKeys() []string {
 	return it.C.DirectVars()
 }
 
-// BuildForest evaluates the construction over a Tab: rows are partitioned
+// buildForest evaluates the construction over a Tab: rows are partitioned
 // by the root's direct variables (one tree per distinct binding), starred
 // children by their grouping keys within the parent partition. Skolem
 // identifiers are minted through the registry; the same (function, args)
 // always yields the same identifier, letting separate rules fuse trees.
-func (c *Cons) BuildForest(t *tab.Tab, reg *Skolems) (data.Forest, error) {
-	return c.buildForest(t, reg, nil)
-}
-
-// buildForest is BuildForest over one chunk of a longer input: root
-// partitions whose key is already in seen were built from an earlier chunk
-// and are skipped, new keys are added. Sound only for a RowLocal
-// construction, where a partition's tree is fixed by its first row.
+// With a seen set, t is one chunk of a longer input: root partitions whose
+// key is already in seen were built from an earlier chunk and are skipped,
+// new keys are added. That is sound only for a RowLocal construction, where
+// a partition's tree is fixed by its first row.
 func (c *Cons) buildForest(t *tab.Tab, reg *Skolems, seen map[string]bool) (data.Forest, error) {
 	cols := colIndex(t.Cols)
 	keys, parts := partition(t.Rows, cols, c.DirectVars())

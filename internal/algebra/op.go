@@ -128,13 +128,6 @@ type Context struct {
 	// Cache, when non-nil, memoizes pushed-subplan results across rows and
 	// queries (see ResultCache); the mediator installs a shared instance.
 	Cache *ResultCache
-	// BatchChunk bounds the binding sets shipped per batched push; it must
-	// be positive (NewContext seeds DefaultBatchChunk; values entering from
-	// configuration are validated by exec.Options.Validate and the console
-	// flag, never silently defaulted downstream). A fixed default (rather
-	// than one derived from worker counts) keeps push counts identical
-	// between serial and parallel execution.
-	BatchChunk int
 	// Partial, when non-nil, enables graceful degradation: source
 	// failures marked UnavailableError are recorded here and the failing
 	// input replaced by an empty one instead of aborting the query (see
@@ -163,13 +156,12 @@ type Context struct {
 // compares owner references with the persons extent this way).
 func NewContext() *Context {
 	ctx := &Context{
-		Catalog:    make(map[string]data.Forest),
-		Sources:    make(map[string]Source),
-		Store:      data.NewStore(),
-		Skolem:     NewSkolems(),
-		Funcs:      make(map[string]Func),
-		Stats:      &Stats{},
-		BatchChunk: DefaultBatchChunk,
+		Catalog: make(map[string]data.Forest),
+		Sources: make(map[string]Source),
+		Store:   data.NewStore(),
+		Skolem:  NewSkolems(),
+		Funcs:   make(map[string]Func),
+		Stats:   &Stats{},
 	}
 	ctx.Funcs["id"] = func(args []tab.Cell) (tab.Cell, error) {
 		if len(args) != 1 || args[0].Kind != tab.CTree {

@@ -60,11 +60,10 @@ type Options struct {
 	// Timeout is the per-query deadline; zero disables it.
 	Timeout time.Duration
 	// BatchChunk bounds the binding sets per batched DJoin push; zero means
-	// "use the evaluation context's default" (algebra.DefaultBatchChunk).
-	// Negative values are configuration errors, rejected by Validate —
-	// never silently replaced downstream. Deliberately independent of
-	// Parallelism so push counts stay identical between serial and
-	// parallel runs of the same query.
+	// algebra.DefaultBatchChunk, resolved once by New. Negative values are
+	// configuration errors, rejected by Validate — never silently replaced
+	// downstream. Deliberately independent of Parallelism so push counts
+	// stay identical between serial and parallel runs of the same query.
 	BatchChunk int
 	// AllowPartial enables graceful per-source degradation: when a plan
 	// branch fails because a source is unreachable
@@ -132,11 +131,11 @@ func New(opts Options) *Engine {
 	if opts.Parallelism < 1 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	if opts.BatchChunk == 0 {
+		opts.BatchChunk = algebra.DefaultBatchChunk
+	}
 	return &Engine{opts: opts, tokens: make(chan struct{}, opts.Parallelism-1)}
 }
-
-// Options reports the engine's effective configuration.
-func (e *Engine) Options() Options { return e.opts }
 
 // Run evaluates a plan to a table: Stream, drained.
 func (e *Engine) Run(ctx context.Context, plan algebra.Op, actx *algebra.Context) (*tab.Tab, error) {
@@ -169,12 +168,11 @@ var serial = New(Options{Parallelism: 1})
 // which constructs trees.
 func Candidates(ctx context.Context, plan algebra.Op, params map[string]tab.Cell, funcs map[string]algebra.Func, doc string, ids []int, item func(id int) *data.Node) (tab.Cursor, error) {
 	actx := &algebra.Context{
-		Sources:    map[string]algebra.Source{doc: &pages{doc: doc, ids: ids, item: item}},
-		Store:      data.NewStore(),
-		Funcs:      funcs,
-		Params:     params,
-		Stats:      &algebra.Stats{},
-		BatchChunk: algebra.DefaultBatchChunk,
+		Sources: map[string]algebra.Source{doc: &pages{doc: doc, ids: ids, item: item}},
+		Store:   data.NewStore(),
+		Funcs:   funcs,
+		Params:  params,
+		Stats:   &algebra.Stats{},
 	}
 	return serial.Stream(ctx, plan, actx)
 }
@@ -240,9 +238,6 @@ func (e *Engine) Stream(ctx context.Context, plan algebra.Op, actx *algebra.Cont
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	ectx := actx.WithContext(ctx)
-	if e.opts.BatchChunk > 0 {
-		ectx.BatchChunk = e.opts.BatchChunk
-	}
 	if e.opts.AllowPartial && ectx.Partial == nil {
 		// The caller usually pre-attaches a report (to read it back after
 		// the run); degrade into a private one otherwise.

@@ -219,10 +219,7 @@ func (e *Engine) streamDJoin(x *algebra.DJoin, actx *algebra.Context) (tab.Curso
 	if err != nil {
 		return nil, err
 	}
-	bite := actx.BatchChunk
-	if bite <= 0 {
-		bite = algebra.DefaultBatchChunk
-	}
+	bite := e.opts.BatchChunk
 	if p := e.opts.Parallelism; p > 1 {
 		bite *= p
 	}
@@ -240,12 +237,8 @@ func (e *Engine) streamDJoin(x *algebra.DJoin, actx *algebra.Context) (tab.Curso
 			}
 			set := algebra.NewDJoinSet(actx, x, l)
 			if set.Batchable() {
-				chunks, err := set.PendingChunks(actx)
-				if err != nil {
-					outer.Close()
-					return nil, err
-				}
-				err = e.fanOut(actx, len(chunks), false, func(u *algebra.Context, i int) error {
+				chunks := set.PendingChunks(actx, e.opts.BatchChunk)
+				err := e.fanOut(actx, len(chunks), false, func(u *algebra.Context, i int) error {
 					return set.EvalChunk(u, chunks[i])
 				})
 				if err != nil {

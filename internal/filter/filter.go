@@ -14,7 +14,6 @@ package filter
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/data"
@@ -544,11 +543,4 @@ func typeName(p *pattern.P) string {
 	default:
 		return "(" + p.String() + ")"
 	}
-}
-
-// SortVars sorts a variable list in place and returns it; a convenience
-// for comparing variable sets in tests and rewritings.
-func SortVars(vs []string) []string {
-	sort.Strings(vs)
-	return vs
 }

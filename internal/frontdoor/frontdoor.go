@@ -86,12 +86,10 @@ type Options struct {
 	// Tenants overrides Limits per tenant id.
 	Tenants map[string]Limits
 	// Exec is the base execution configuration applied to every query
-	// (parallelism, caching, partial-result policy). Per-request options
-	// may tighten the timeout but never loosen anything.
+	// (parallelism, caching, partial-result policy). Its Timeout caps the
+	// per-query deadline (0 = 30 s); a request may ask for less, never
+	// more, and may loosen nothing else.
 	Exec mediator.ExecOptions
-	// MaxTimeout caps the per-query deadline; requests may ask for less,
-	// never more (0 = default 30s).
-	MaxTimeout time.Duration
 	// Metrics, when non-nil, receives per-tenant admission and latency
 	// instruments (fd_* names) alongside the mediator's own metrics.
 	Metrics *obs.Registry
@@ -99,12 +97,11 @@ type Options struct {
 
 // Door is the multi-tenant admission layer over one shared Mediator.
 type Door struct {
-	med        *mediator.Mediator
-	defaults   Limits
-	overrides  map[string]Limits
-	exec       mediator.ExecOptions
-	maxTimeout time.Duration
-	metrics    *obs.Registry
+	med       *mediator.Mediator
+	defaults  Limits
+	overrides map[string]Limits
+	exec      mediator.ExecOptions
+	metrics   *obs.Registry
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -150,22 +147,18 @@ func (b *bucket) allow(lim Limits, now time.Time) bool {
 
 // New builds a front door over m.
 func New(m *mediator.Mediator, opts Options) *Door {
-	if opts.MaxTimeout <= 0 {
-		opts.MaxTimeout = 30 * time.Second
+	if opts.Exec.Timeout <= 0 {
+		opts.Exec.Timeout = 30 * time.Second
 	}
 	return &Door{
-		med:        m,
-		defaults:   opts.Limits.withDefaults(),
-		overrides:  opts.Tenants,
-		exec:       opts.Exec,
-		maxTimeout: opts.MaxTimeout,
-		metrics:    opts.Metrics,
-		tenants:    map[string]*tenant{},
+		med:       m,
+		defaults:  opts.Limits.withDefaults(),
+		overrides: opts.Tenants,
+		exec:      opts.Exec,
+		metrics:   opts.Metrics,
+		tenants:   map[string]*tenant{},
 	}
 }
-
-// Mediator exposes the shared mediator behind the door.
-func (d *Door) Mediator() *mediator.Mediator { return d.med }
 
 // tenantFor returns (creating on first sight) a tenant's admission state.
 func (d *Door) tenantFor(name string) *tenant {

@@ -13,20 +13,34 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/datagen"
 	"repro/internal/frontdoor"
 	"repro/internal/mediator"
 	"repro/internal/o2wrap"
 	"repro/internal/obs"
+	"repro/internal/tab"
 	"repro/internal/waiswrap"
 )
 
-// paperMediator builds the Figure 2 deployment in-process.
+// paperMediator builds the Figure 2 deployment in-process, with the
+// Figure 8 assumptions declared.
 func paperMediator(t *testing.T) *mediator.Mediator {
+	t.Helper()
+	m := paperMediatorOver(t, func(ow *o2wrap.Wrapper) algebra.Source { return ow })
+	m.Assume("artifacts", "works", "$y > 1800")
+	m.Assume("persons", "works", "$y > 1800")
+	return m
+}
+
+// paperMediatorOver builds the Figure 2 deployment with the O₂ wrapper
+// behind the source o2 makes of it. Without the Figure 8 assumptions, Q1
+// reaches that source.
+func paperMediatorOver(t *testing.T, o2 func(*o2wrap.Wrapper) algebra.Source) *mediator.Mediator {
 	t.Helper()
 	m := mediator.New()
 	ow := o2wrap.New("o2artifact", datagen.PaperDB())
-	if err := m.Connect(ow, ow.ExportInterface()); err != nil {
+	if err := m.Connect(o2(ow), ow.ExportInterface()); err != nil {
 		t.Fatal(err)
 	}
 	ww := waiswrap.New("xmlartwork", datagen.NewWaisEngine(datagen.PaperWorks()))
@@ -37,8 +51,6 @@ func paperMediator(t *testing.T) *mediator.Mediator {
 	if err := m.LoadProgram(datagen.View1Src); err != nil {
 		t.Fatal(err)
 	}
-	m.Assume("artifacts", "works", "$y > 1800")
-	m.Assume("persons", "works", "$y > 1800")
 	return m
 }
 
@@ -55,7 +67,14 @@ type ndLine struct {
 // postQuery runs one query through the handler and parses the NDJSON.
 func postQuery(t *testing.T, url, tenant, query string) (int, []ndLine) {
 	t.Helper()
-	body, _ := json.Marshal(frontdoor.QueryRequest{Query: query})
+	return postRequest(t, url, tenant, frontdoor.QueryRequest{Query: query})
+}
+
+// postRequest posts one request body through the handler and parses the
+// NDJSON.
+func postRequest(t *testing.T, url, tenant string, qr frontdoor.QueryRequest) (int, []ndLine) {
+	t.Helper()
+	body, _ := json.Marshal(qr)
 	req, err := http.NewRequest(http.MethodPost, url+"/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +132,51 @@ func TestQueryStreamsNDJSON(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(lines[1].Row, " "), "Nympheas") {
 		t.Fatalf("Q1 row = %v", lines[1].Row)
+	}
+}
+
+// stalled is an O₂ wrapper that has stopped answering: every call blocks
+// until the query's context ends.
+type stalled struct{ *o2wrap.Wrapper }
+
+func (stalled) FetchStream(ctx context.Context, _ string) (algebra.ForestCursor, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+func (stalled) PushStream(ctx context.Context, _ algebra.Op, _ map[string]tab.Cell) (tab.Cursor, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+func (stalled) PushBatchContext(ctx context.Context, _ algebra.Op, _ []map[string]tab.Cell) ([]*tab.Tab, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestExecTimeoutCapsQueries pins the door's deadline to Exec.Timeout: a
+// query over a stalled wrapper ends with a deadline error once the
+// configured 50 ms pass — not after the 30 s the door falls back to when
+// Exec.Timeout is zero — and a request asking for more time gets no more.
+func TestExecTimeoutCapsQueries(t *testing.T) {
+	m := paperMediatorOver(t, func(ow *o2wrap.Wrapper) algebra.Source { return stalled{ow} })
+	d := frontdoor.New(m, frontdoor.Options{Exec: mediator.ExecOptions{Parallelism: 1, Timeout: 50 * time.Millisecond}})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	for _, ms := range []int{0, 60_000} {
+		start := time.Now()
+		_, lines := postRequest(t, srv.URL, "acme", frontdoor.QueryRequest{Query: datagen.Q1Src, TimeoutMS: ms})
+		elapsed := time.Since(start)
+		if len(lines) == 0 {
+			t.Fatalf("timeout_ms %d: empty response", ms)
+		}
+		if last := lines[len(lines)-1]; !strings.Contains(last.Error, context.DeadlineExceeded.Error()) {
+			t.Errorf("timeout_ms %d: terminal line %+v, want a deadline error", ms, last)
+		}
+		if elapsed > 5*time.Second {
+			t.Errorf("timeout_ms %d: the query ran %v under a 50ms cap", ms, elapsed)
+		}
 	}
 }
 

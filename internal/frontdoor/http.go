@@ -110,11 +110,8 @@ func (d *Door) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	opts := d.exec
-	opts.Timeout = d.maxTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < opts.Timeout {
-			opts.Timeout = t
-		}
+	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < opts.Timeout {
+		opts.Timeout = t
 	}
 
 	d.count("fd_queries", tenant)

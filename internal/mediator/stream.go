@@ -39,15 +39,8 @@ type Stream struct {
 func (s *Stream) Cols() []string { return append([]string(nil), s.cols...) }
 
 // Chunks is the bounded result channel. It is closed after the last chunk
-// (or after a failure — check Err or Result then).
+// (or after a failure — check Result then).
 func (s *Stream) Chunks() <-chan *tab.Tab { return s.chunks }
-
-// Err reports the stream's failure, if any; valid once Chunks is closed.
-func (s *Stream) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
 
 // Result blocks until the stream terminates and returns the query outcome:
 // plan, statistics, trace and partial-failure report. Result.Tab is nil —

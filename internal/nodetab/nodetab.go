@@ -337,13 +337,3 @@ func (c *Cache) Invalidate(base string) {
 	}
 	delete(c.m, base)
 }
-
-// FieldIndex returns the canonical position of a field label, or -1.
-func FieldIndex(label string) int {
-	for i, f := range FieldOrder {
-		if f == label {
-			return i
-		}
-	}
-	return -1
-}

@@ -415,15 +415,6 @@ func ParseOQL(src string) (*Query, error) {
 	return q, nil
 }
 
-// MustParseOQL is ParseOQL panicking on error.
-func MustParseOQL(src string) *Query {
-	q, err := ParseOQL(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 func (p *oparser) path() (*OPath, error) {
 	t := p.cur()
 	if t.kind != "ident" {

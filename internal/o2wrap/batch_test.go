@@ -250,10 +250,9 @@ func TestPushBatchLadderOverWireAndRoute(t *testing.T) {
 			for _, par := range []int{1, 4} {
 				actx := algebra.NewContext()
 				actx.Sources[w.Name()] = src
-				actx.BatchChunk = 16
 				plan := &algebra.DJoin{L: &algebra.Literal{T: left}, R: &algebra.SourceQuery{Source: w.Name(), Plan: c.plan}}
 				before := w.DB.QueriesRun
-				res, err := exec.New(exec.Options{Parallelism: par}).Run(context.Background(), plan, actx)
+				res, err := exec.New(exec.Options{Parallelism: par, BatchChunk: 16}).Run(context.Background(), plan, actx)
 				if err != nil {
 					t.Fatalf("%s over %s, parallelism %d: %v", c.name, name, par, err)
 				}

@@ -343,8 +343,8 @@ func (o *Optimizer) round3(op algebra.Op) algebra.Op {
 	if iface == nil || !iface.CoversOperation("select", sqDocs) {
 		return op
 	}
-	lcols := colSet(j.L.Columns())
-	rcols := colSet(j.R.Columns())
+	lcols := algebra.SetOf(j.L.Columns())
+	rcols := algebra.SetOf(j.R.Columns())
 	var inject, rest []algebra.Expr
 	for _, c := range algebra.SplitConj(j.Pred) {
 		a, b, ok := algebra.EqColumns(c)

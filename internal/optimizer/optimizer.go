@@ -154,7 +154,7 @@ func (o *Optimizer) round1(plan algebra.Op) algebra.Op {
 		plan = pushSelections(plan)
 		given := plan
 		o.pruned = false
-		plan = o.pruneColumns(plan, colSet(plan.Columns()))
+		plan = o.pruneColumns(plan, algebra.SetOf(plan.Columns()))
 		if o.pruned {
 			// The assumption, not the types, licenses the prune
 			// (typedverify.go): hold what pruneColumns was given to the

@@ -265,7 +265,7 @@ func TestTypeDrivenFilterSimplification(t *testing.T) {
 	o := New(Options{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"works": worksStructure()})})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ artist: $a, title: $t, style: $s, size: $si, cplace: $cl ] ]`)}
-	out := o.pruneColumns(b, varSet([]string{"$t", "$cl"}))
+	out := o.pruneColumns(b, algebra.SetOf([]string{"$t", "$cl"}))
 	nb := out.(*algebra.Bind)
 	fs := nb.F.String()
 	if strings.Contains(fs, "style") || strings.Contains(fs, "size") || strings.Contains(fs, "artist") {
@@ -293,7 +293,7 @@ func TestTypeSimplificationKeepsConstraints(t *testing.T) {
 	o := New(Options{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"works": worksStructure()})})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ title: $t, style: "Impressionist" ] ]`)}
-	out := o.pruneColumns(b, varSet([]string{"$t"}))
+	out := o.pruneColumns(b, algebra.SetOf([]string{"$t"}))
 	if !strings.Contains(out.(*algebra.Bind).F.String(), "Impressionist") {
 		t.Error("constant constraints must never be dropped")
 	}

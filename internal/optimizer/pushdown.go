@@ -40,7 +40,7 @@ func sink(op algebra.Op, conjs []algebra.Expr) (algebra.Op, []algebra.Expr) {
 		// Merge and retry below.
 		return sink(x.From, append(algebra.SplitConj(x.Pred), conjs...))
 	case *algebra.Join:
-		lcols, rcols := colSet(x.L.Columns()), colSet(x.R.Columns())
+		lcols, rcols := algebra.SetOf(x.L.Columns()), algebra.SetOf(x.R.Columns())
 		var lp, rp, here []algebra.Expr
 		for _, c := range conjs {
 			switch {
@@ -62,7 +62,7 @@ func sink(op algebra.Op, conjs []algebra.Expr) (algebra.Op, []algebra.Expr) {
 	case *algebra.DJoin:
 		// The right side of a DJoin sees left columns as parameters; only
 		// left-covered conjuncts sink safely into the left side.
-		lcols := colSet(x.L.Columns())
+		lcols := algebra.SetOf(x.L.Columns())
 		var lp, rest []algebra.Expr
 		for _, c := range conjs {
 			if covered(c, lcols) {
@@ -100,7 +100,7 @@ func sink(op algebra.Op, conjs []algebra.Expr) (algebra.Op, []algebra.Expr) {
 			return op, conjs
 		}
 		// Conjuncts over the input columns can sink below the Bind.
-		below := colSet(x.From.Columns())
+		below := algebra.SetOf(x.From.Columns())
 		var lp, rest []algebra.Expr
 		for _, c := range conjs {
 			if covered(c, below) {
@@ -123,14 +123,6 @@ func wrapSelect(op algebra.Op, conjs []algebra.Expr) algebra.Op {
 		return op
 	}
 	return &algebra.Select{From: op, Pred: algebra.Conj(conjs...)}
-}
-
-func colSet(cols []string) map[string]bool {
-	m := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		m[c] = true
-	}
-	return m
 }
 
 func covered(e algebra.Expr, cols map[string]bool) bool {
@@ -183,19 +175,19 @@ func (o *Optimizer) pruneColumns(op algebra.Op, needed map[string]bool) algebra.
 		}
 		return &algebra.Project{From: o.pruneColumns(x.From, below), Cols: cols}
 	case *algebra.Select:
-		n2 := union(needed, varSet(x.Pred.Vars()))
+		n2 := algebra.SetUnion(needed, algebra.SetOf(x.Pred.Vars()))
 		return &algebra.Select{From: o.pruneColumns(x.From, n2), Pred: x.Pred}
 	case *algebra.MapExpr:
-		n2 := union(needed, varSet(x.E.Vars()))
+		n2 := algebra.SetUnion(needed, algebra.SetOf(x.E.Vars()))
 		return &algebra.MapExpr{From: o.pruneColumns(x.From, n2), Col: x.Col, E: x.E}
 	case *algebra.Join:
-		n2 := union(needed, varSet(x.Pred.Vars()))
-		lcols, rcols := colSet(x.L.Columns()), colSet(x.R.Columns())
+		n2 := algebra.SetUnion(needed, algebra.SetOf(x.Pred.Vars()))
+		lcols, rcols := algebra.SetOf(x.L.Columns()), algebra.SetOf(x.R.Columns())
 		if repl, ok := o.pruneJoinBranch(x, x.L, x.R, needed); ok {
-			return o.pruneColumns(repl, colSet(repl.Columns()))
+			return o.pruneColumns(repl, algebra.SetOf(repl.Columns()))
 		}
 		if repl, ok := o.pruneJoinBranch(x, x.R, x.L, needed); ok {
-			return o.pruneColumns(repl, colSet(repl.Columns()))
+			return o.pruneColumns(repl, algebra.SetOf(repl.Columns()))
 		}
 		return &algebra.Join{
 			L:    o.pruneColumns(x.L, intersect(n2, lcols)),
@@ -203,9 +195,9 @@ func (o *Optimizer) pruneColumns(op algebra.Op, needed map[string]bool) algebra.
 			Pred: x.Pred,
 		}
 	case *algebra.DJoin:
-		n2 := union(needed, varSet(algebra.FreeVars(x.R)))
+		n2 := algebra.SetUnion(needed, algebra.SetOf(algebra.FreeVars(x.R)))
 		return &algebra.DJoin{
-			L: o.pruneColumns(x.L, intersect(n2, colSet(x.L.Columns()))),
+			L: o.pruneColumns(x.L, intersect(n2, algebra.SetOf(x.L.Columns()))),
 			R: x.R,
 		}
 	case *algebra.Distinct:
@@ -214,14 +206,14 @@ func (o *Optimizer) pruneColumns(op algebra.Op, needed map[string]bool) algebra.
 		if x.From == nil {
 			return o.simplifyBindFilter(x, needed)
 		}
-		n2 := union(needed, map[string]bool{x.Col: true})
+		n2 := algebra.SetUnion(needed, map[string]bool{x.Col: true})
 		return &algebra.Bind{From: o.pruneColumns(x.From, n2), Doc: x.Doc, Col: x.Col,
 			F: x.F}
 	case *algebra.TreeOp:
-		return &algebra.TreeOp{From: o.pruneColumns(x.From, varSet(x.C.AllVars())), C: x.C, OutCol: x.OutCol}
+		return &algebra.TreeOp{From: o.pruneColumns(x.From, algebra.SetOf(x.C.AllVars())), C: x.C, OutCol: x.OutCol}
 	default:
 		return rebuildChildren(op, func(c algebra.Op) algebra.Op {
-			return o.pruneColumns(c, colSet(c.Columns()))
+			return o.pruneColumns(c, algebra.SetOf(c.Columns()))
 		})
 	}
 }
@@ -257,7 +249,7 @@ func (o *Optimizer) pruneJoinBranch(j *algebra.Join, drop, keep algebra.Op, need
 	if !sound {
 		return nil, false
 	}
-	dropCols, keepCols := colSet(drop.Columns()), colSet(keep.Columns())
+	dropCols, keepCols := algebra.SetOf(drop.Columns()), algebra.SetOf(keep.Columns())
 	// Equalities usable for substitution.
 	eqMap := map[string]string{}
 	for _, c := range algebra.SplitConj(j.Pred) {
@@ -309,17 +301,6 @@ func (o *Optimizer) assumed(drop, keep algebra.Op) *Containment {
 	return nil
 }
 
-func union(a, b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
 func intersect(a, b map[string]bool) map[string]bool {
 	out := map[string]bool{}
 	for k := range a {
@@ -328,14 +309,6 @@ func intersect(a, b map[string]bool) map[string]bool {
 		}
 	}
 	return out
-}
-
-func varSet(vs []string) map[string]bool {
-	m := make(map[string]bool, len(vs))
-	for _, v := range vs {
-		m[v] = true
-	}
-	return m
 }
 
 // ---------------------------------------------------------------------------

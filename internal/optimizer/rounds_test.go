@@ -243,7 +243,7 @@ func TestPruneJoinBranchWithAssumption(t *testing.T) {
 			`works[ *work[ title: $t', style: $s ] ]`)},
 		Pred: algebra.MustParseExpr(`$t = $t'`),
 	}
-	pruned := o.pruneColumns(join, varSet([]string{"$t", "$s"}))
+	pruned := o.pruneColumns(join, algebra.SetOf([]string{"$t", "$s"}))
 	s := algebra.Describe(pruned)
 	if strings.Contains(s, "artifacts") {
 		t.Fatalf("branch not pruned:\n%s", s)
@@ -265,12 +265,12 @@ func TestPruneJoinBranchWithAssumption(t *testing.T) {
 	}
 	// Without the assumption nothing is pruned.
 	o2 := New(Options{})
-	if !strings.Contains(algebra.Describe(o2.pruneColumns(join, varSet([]string{"$t", "$s"}))), "artifacts") {
+	if !strings.Contains(algebra.Describe(o2.pruneColumns(join, algebra.SetOf([]string{"$t", "$s"}))), "artifacts") {
 		t.Error("pruning requires a declared assumption")
 	}
 	// With a needed column that has no equality image, pruning must refuse.
 	o3 := New(opts)
-	kept := o3.pruneColumns(join, varSet([]string{"$t", "$s", "$t'"}))
+	kept := o3.pruneColumns(join, algebra.SetOf([]string{"$t", "$s", "$t'"}))
 	_ = kept // $t and $t' both needed: rename works for both ($t=$t', $t' direct)
 }
 

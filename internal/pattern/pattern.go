@@ -216,16 +216,6 @@ func (m *Model) Names() []string {
 	return out
 }
 
-// Clone returns a deep copy of the model (patterns shared; patterns are
-// treated as immutable once defined).
-func (m *Model) Clone() *Model {
-	c := NewModel(m.Name)
-	for _, n := range m.Roots {
-		c.Define(n, m.Defs[n])
-	}
-	return c
-}
-
 // ---------------------------------------------------------------------------
 // Data matching
 // ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 		}
 	case *algebra.Project:
 		c.check(x.From, path, env, pushed)
-		from := colSet(childCols(x.From))
+		from := algebra.SetOf(childCols(x.From))
 		for _, col := range x.Cols {
 			if _, src := tab.SplitRename(col); !from[src] {
 				c.report(CodeUnknownColumn, path, x,
@@ -176,7 +176,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 		} else {
 			c.checkVars(x.E.Vars(), childCols(x.From), env, path, x)
 		}
-		if colSet(childCols(x.From))[x.Col] {
+		if algebra.SetOf(childCols(x.From))[x.Col] {
 			c.report(CodeDuplicateCol, path, x,
 				"Map introduces column %s which the input already has", x.Col)
 		}
@@ -193,7 +193,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 	case *algebra.DJoin:
 		c.check(x.L, Extend(path, "L"), env, pushed)
 		// The right side sees the left columns as parameters.
-		renv := union(env, colSet(childCols(x.L)))
+		renv := algebra.SetUnion(env, algebra.SetOf(childCols(x.L)))
 		c.check(x.R, Extend(path, "R"), renv, pushed)
 		c.checkDisjoint(childCols(x.L), childCols(x.R), path, x)
 		c.checkBatchShape(x, renv, path)
@@ -215,7 +215,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 		c.check(x.From, path, env, pushed)
 	case *algebra.Group:
 		c.check(x.From, path, env, pushed)
-		from := colSet(childCols(x.From))
+		from := algebra.SetOf(childCols(x.From))
 		for _, k := range x.Keys {
 			if !from[k] {
 				c.report(CodeUnknownColumn, path, x,
@@ -228,7 +228,7 @@ func (c *checker) check(op algebra.Op, path string, env map[string]bool, pushed 
 		}
 	case *algebra.Sort:
 		c.check(x.From, path, env, pushed)
-		from := colSet(childCols(x.From))
+		from := algebra.SetOf(childCols(x.From))
 		for _, col := range x.Cols {
 			if !from[col] {
 				c.report(CodeUnknownColumn, path, x,
@@ -305,7 +305,7 @@ func freeVarsOf(op algebra.Op) (vars []string, ok bool) {
 // checkVars verifies that every referenced variable is a column of the input
 // or a parameter the environment provides.
 func (c *checker) checkVars(vars, cols []string, env map[string]bool, path string, op algebra.Op) {
-	set := colSet(cols)
+	set := algebra.SetOf(cols)
 	seen := map[string]bool{}
 	for _, v := range vars {
 		if set[v] || env[v] || seen[v] {
@@ -321,7 +321,7 @@ func (c *checker) checkVars(vars, cols []string, env map[string]bool, path strin
 // the concatenated row would carry two columns with one name, and every
 // later positional lookup silently reads the left one.
 func (c *checker) checkDisjoint(l, r []string, path string, op algebra.Op) {
-	ls := colSet(l)
+	ls := algebra.SetOf(l)
 	for _, col := range r {
 		if ls[col] {
 			c.report(CodeDuplicateCol, path, op,
@@ -356,7 +356,7 @@ func (c *checker) checkBind(b *algebra.Bind, path string, env map[string]bool, p
 		}
 	default:
 		c.check(b.From, path, env, pushed)
-		if !colSet(childCols(b.From))[b.Col] {
+		if !algebra.SetOf(childCols(b.From))[b.Col] {
 			c.report(CodeUnknownColumn, path, b,
 				"Bind over column %s which the input does not produce (has %v)", b.Col, childCols(b.From))
 		}
@@ -364,7 +364,7 @@ func (c *checker) checkBind(b *algebra.Bind, path string, env map[string]bool, p
 	// Filter variables must not collide with input columns: Bind appends
 	// them to the row, and a duplicate silently shadows.
 	if b.From != nil {
-		in := colSet(childCols(b.From))
+		in := algebra.SetOf(childCols(b.From))
 		for _, v := range b.F.Vars() {
 			if in[v] {
 				c.report(CodeDuplicateCol, path, b,
@@ -683,23 +683,4 @@ func operandFeasible(iface *capability.Interface, e algebra.Expr, docs []string)
 	default:
 		return fmt.Errorf("operand form %T is not pushable", e)
 	}
-}
-
-func colSet(cols []string) map[string]bool {
-	m := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		m[c] = true
-	}
-	return m
-}
-
-func union(a, b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
-	}
-	return out
 }

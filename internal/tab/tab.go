@@ -279,15 +279,6 @@ func (t *Tab) ColIndex(name string) int {
 	return -1
 }
 
-// Cell returns the cell at (row, column name); Null if the column is absent.
-func (t *Tab) Cell(row int, col string) Cell {
-	i := t.ColIndex(col)
-	if i < 0 {
-		return Null()
-	}
-	return t.Rows[row][i]
-}
-
 // SplitRename splits a projection entry into the column it names and the
 // input column it reads: "new=old" renames old to new, a bare name keeps
 // its column. It is the one reader of the rename format.

@@ -201,8 +201,8 @@ func TestPoolSurvivesRepeatedTimeouts(t *testing.T) {
 	srv := Serve(ln, Exported{Source: src})
 	defer srv.Close()
 
-	const maxConns = 2
-	c, err := DialWith(context.Background(), srv.Addr(), Options{MaxConns: maxConns})
+	const conns = 2
+	c, err := newClient(srv.Addr(), Options{}, conns, maxConnIdle, retryBase).hello(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPoolSurvivesRepeatedTimeouts(t *testing.T) {
 
 	plan := &algebra.Bind{Doc: "d", F: filter.MustParse(`x: $v`)}
 	src.setDelay(300 * time.Millisecond)
-	for i := 0; i < 3*maxConns; i++ {
+	for i := 0; i < 3*conns; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 		_, err := c.PushBatchContext(ctx, plan, []map[string]tab.Cell{nil})
 		cancel()

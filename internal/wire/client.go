@@ -46,11 +46,12 @@ type Client struct {
 	docs []string
 
 	// dial opens one new connection; Options.WrapConn (fault injection)
-	// hooks it. maxIdle bounds how long a parked connection stays
-	// reusable; retry is the transport retry policy.
-	dial    func(ctx context.Context) (net.Conn, error)
-	maxIdle time.Duration
-	retry   RetryPolicy
+	// hooks it. maxIdle bounds how long a parked connection stays reusable;
+	// attempts and base are the transport retry budget and first backoff.
+	dial     func(ctx context.Context) (net.Conn, error)
+	maxIdle  time.Duration
+	attempts int
+	base     time.Duration
 
 	// retries and redials count transport-level retry work; the mediator
 	// drains them into algebra.Stats after every source call (see
@@ -58,7 +59,7 @@ type Client struct {
 	retries atomic.Int64
 	redials atomic.Int64
 
-	// rng drives backoff jitter, deterministic under the policy's seed.
+	// rng drives backoff jitter, deterministic under retrySeed.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -118,54 +119,40 @@ func Dial(addr string) (*Client, error) {
 
 // Options configure DialWith.
 type Options struct {
-	// MaxConns bounds the connection pool (0 = DefaultMaxConns, minimum 1).
-	MaxConns int
-	// Retry overrides the transport retry policy; nil means
-	// DefaultRetryPolicy, and a policy with MaxAttempts <= 1 disables
-	// retrying.
-	Retry *RetryPolicy
-	// MaxConnIdle drops pooled connections parked longer than this
-	// instead of reusing them (0 = DefaultMaxConnIdle, negative = no
-	// bound). Keep it below the server's idle deadline.
-	MaxConnIdle time.Duration
+	// Attempts is the number of tries per request, the first included;
+	// values below 1 mean 3, and 1 disables retrying.
+	Attempts int
 	// WrapConn, when non-nil, wraps every new connection — the fault
 	// injection hook (see internal/faults).
 	WrapConn func(net.Conn) net.Conn
 }
 
-// DialWith is the fully configurable dial: pool bound, retry policy,
-// pooled-connection freshness bound and connection wrapping. Both the TCP
+// DialWith is Dial with a retry budget and connection wrapping. Both the TCP
 // dial and the hello exchange respect the context's deadline, so startup
 // against a black-holed or dead address fails when the deadline passes
 // instead of hanging for the OS connect timeout.
 func DialWith(ctx context.Context, addr string, opts Options) (*Client, error) {
-	maxConns := opts.MaxConns
-	if maxConns == 0 {
-		maxConns = DefaultMaxConns
-	}
-	if maxConns < 1 {
-		maxConns = 1
-	}
-	retry := DefaultRetryPolicy
-	if opts.Retry != nil {
-		retry = *opts.Retry
-	}
-	maxIdle := opts.MaxConnIdle
-	if maxIdle == 0 {
-		maxIdle = DefaultMaxConnIdle
-	}
-	if maxIdle < 0 {
-		maxIdle = 0 // explicit "no freshness bound"
+	return newClient(addr, opts, maxConns, maxConnIdle, retryBase).hello(ctx)
+}
+
+// newClient builds a client of addr without touching the network, with its
+// bounds as parameters: conns connections in the pool, parked ones reused for
+// at most maxIdle, a first backoff of base.
+func newClient(addr string, opts Options, conns int, maxIdle, base time.Duration) *Client {
+	attempts := opts.Attempts
+	if attempts < 1 {
+		attempts = defaultAttempts
 	}
 	c := &Client{
-		addr:    addr,
-		maxIdle: maxIdle,
-		retry:   retry,
-		rng:     rand.New(rand.NewSource(retry.Seed)),
-		tokens:  make(chan struct{}, maxConns),
-		idle:    make(chan pooled, maxConns),
-		encs:    map[algebra.Op]string{},
-		conns:   map[net.Conn]bool{},
+		addr:     addr,
+		maxIdle:  maxIdle,
+		attempts: attempts,
+		base:     base,
+		rng:      rand.New(rand.NewSource(retrySeed)),
+		tokens:   make(chan struct{}, conns),
+		idle:     make(chan pooled, conns),
+		encs:     map[algebra.Op]string{},
+		conns:    map[net.Conn]bool{},
 	}
 	c.dial = func(ctx context.Context) (net.Conn, error) {
 		var d net.Dialer
@@ -178,6 +165,12 @@ func DialWith(ctx context.Context, addr string, opts Options) (*Client, error) {
 		}
 		return conn, nil
 	}
+	return c
+}
+
+// hello performs the hello exchange that learns the wrapper's name and
+// documents; on failure it closes the client.
+func (c *Client) hello(ctx context.Context) (*Client, error) {
 	resp, err := c.drain(ctx, `<hello/>`)
 	if err != nil {
 		c.Close()
@@ -230,7 +223,7 @@ func (c *Client) acquire(ctx context.Context) (conn net.Conn, reused bool, err e
 		}
 		// A conn parked past the freshness bound has likely been hung up
 		// on by the server's idle deadline; drop it and keep draining.
-		if c.maxIdle > 0 && time.Since(p.parked) > c.maxIdle {
+		if time.Since(p.parked) > c.maxIdle {
 			c.drop(p.conn)
 			continue
 		}
@@ -461,15 +454,15 @@ func (r *reply) abort() {
 	r.c.discard(r.conn)
 }
 
-// send sends a request under the client's retry policy and returns its
+// send sends a request under the client's retry budget and returns its
 // reply, the first frame in hand. Every request is a read-only query, hence
 // idempotent, and may be re-sent for as long as nothing of its reply has
 // been handed to the caller: a cursor reads the reply it is given, so only
 // failures up to the first frame retry — exactly the window start covers —
 // and later ones surface to the consumer; a caller that materializes passes
 // read, which consumes the reply as part of the attempt, so a failure at any
-// frame retries the whole exchange. Retry k waits BaseDelay·2^(k-1), jittered
-// and capped at MaxDelay, and gives up early when the context's remaining
+// frame retries the whole exchange. Retry k waits the backoff (base·2^(k-1),
+// capped and jittered), and gives up early when the context's remaining
 // budget cannot cover the wait. Only transport-class failures retry
 // (IsRetryable); server <error> frames and context cancellation return
 // immediately.
@@ -494,11 +487,11 @@ func (c *Client) send(ctx context.Context, req string, read func(*reply) error) 
 			c.redials.Add(1)
 			continue
 		}
-		if n >= c.retry.MaxAttempts {
+		if n >= c.attempts {
 			return nil, err
 		}
 		c.rngMu.Lock()
-		d := c.retry.backoff(n-1, c.rng.Float64())
+		d := backoff(c.base, n-1, c.rng.Float64())
 		c.rngMu.Unlock()
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
 			return nil, err // the context budget cannot cover the wait

@@ -21,7 +21,7 @@ func serveO2Idle(t *testing.T, idle time.Duration) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeOpts(ln, Exported{Source: ow}, ServeOptions{IdleTimeout: idle, WriteTimeout: time.Second})
+	srv := serve(ln, Exported{Source: ow}, idle, time.Second, maxServerConns)
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -55,10 +55,11 @@ func TestStaleIdleConnRedialRegression(t *testing.T) {
 	// A connection parked in the pool while the server's idle deadline
 	// passes is dead on reuse: the next request on it fails with EOF before
 	// any response byte arrives. The client must transparently redial and
-	// retry that request, not surface the EOF. MaxConnIdle is disabled here
-	// so the redial layer alone is exercised.
+	// retry that request, not surface the EOF. The client's freshness bound
+	// (maxConnIdle) is far above the gap, so the redial layer alone is
+	// exercised.
 	srv := serveO2Idle(t, 100*time.Millisecond)
-	c, err := DialWith(context.Background(), srv.Addr(), Options{MaxConnIdle: -1})
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestMaxConnIdleDropsStaleBeforeReuse(t *testing.T) {
 	// parked too long is dropped at acquire time: the request runs on a
 	// fresh dial and never observes the stale EOF at all.
 	srv := serveO2Idle(t, 100*time.Millisecond)
-	c, err := DialWith(context.Background(), srv.Addr(), Options{MaxConnIdle: 50 * time.Millisecond})
+	c, err := newClient(srv.Addr(), Options{}, maxConns, 50*time.Millisecond, retryBase).hello(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestDialWithHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = DialWith(ctx, ln.Addr().String(), Options{MaxConns: 2})
+	_, err = DialWith(ctx, ln.Addr().String(), Options{})
 	if err == nil {
 		t.Fatal("dial against a mute server must fail")
 	}
@@ -172,7 +173,7 @@ func TestRetryRecoversFromSingleFault(t *testing.T) {
 
 func TestGarbleExhaustsRetriesToCorruptError(t *testing.T) {
 	// Every response garbled: retries are exhausted and the typed corrupt
-	// error surfaces, with exactly MaxAttempts-1 retries counted.
+	// error surfaces, with exactly defaultAttempts-1 retries counted.
 	inj := faults.New(faults.Config{Seed: 1, Rate: 1, Kinds: []faults.Kind{faults.Garble}, After: 1})
 	srv := serveO2Faulty(t, inj)
 	c, err := Dial(srv.Addr())
@@ -187,7 +188,7 @@ func TestGarbleExhaustsRetriesToCorruptError(t *testing.T) {
 		t.Fatalf("fetch error = %v, want CorruptError", err)
 	}
 	retries, _ := c.TakeRetryStats()
-	if want := DefaultRetryPolicy.MaxAttempts - 1; retries != want {
+	if want := defaultAttempts - 1; retries != want {
 		t.Errorf("retries = %d, want %d", retries, want)
 	}
 }

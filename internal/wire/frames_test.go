@@ -211,7 +211,7 @@ func serveFat(t *testing.T, src *fat) (*Client, *atomic.Int32) {
 // one frame is split by encoded size and arrives whole. Before the frame
 // writer bounded frames by size, the server hung up on the oversized
 // <batch>, the client took the EOF for a transport failure, and the wrapper
-// evaluated the request MaxAttempts (3) times before the caller got a bare
+// evaluated the request defaultAttempts (3) times before the caller got a bare
 // EOF.
 func TestReplyLargerThanMaxFrame(t *testing.T) {
 	src := &fat{rowBytes: 1 << 20}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"net"
 	"slices"
 	"strings"
@@ -81,7 +80,7 @@ func FuzzServeRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv := ServeOpts(ln, Exported{Source: echo{}}, ServeOptions{MaxConns: -1})
+	srv := Serve(ln, Exported{Source: echo{}})
 	f.Cleanup(srv.Close)
 
 	// One connection for the whole run: the hello after every request shows
@@ -155,14 +154,7 @@ func FuzzReplyFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		// A client whose every connection is an in-memory pipe to a fake
 		// wrapper that reads one request, plays the bytes and hangs up.
-		c := &Client{
-			retry:  RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond},
-			rng:    rand.New(rand.NewSource(1)),
-			tokens: make(chan struct{}, 1),
-			idle:   make(chan pooled, 1),
-			encs:   map[algebra.Op]string{},
-			conns:  map[net.Conn]bool{},
-		}
+		c := newClient("", Options{Attempts: 2}, 1, maxConnIdle, time.Microsecond)
 		c.dial = func(context.Context) (net.Conn, error) {
 			near, far := net.Pipe()
 			go func() {

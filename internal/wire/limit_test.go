@@ -13,15 +13,14 @@ import (
 )
 
 // serveO2Limited starts an O₂ wrapper server with an explicit connection cap.
-func serveO2Limited(t *testing.T, maxConns int) *Server {
+func serveO2Limited(t *testing.T, conns int) *Server {
 	t.Helper()
 	ow := o2wrap.New("o2artifact", datagen.PaperDB())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeOpts(ln, Exported{Source: ow, Interface: ow.ExportInterface()},
-		ServeOptions{MaxConns: maxConns})
+	srv := serve(ln, Exported{Source: ow, Interface: ow.ExportInterface()}, idleTimeout, writeTimeout, conns)
 	t.Cleanup(srv.Close)
 	return srv
 }

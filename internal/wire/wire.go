@@ -62,27 +62,32 @@ import (
 // connection rather than exhausting memory.
 const MaxFrame = 16 << 20
 
-// DefaultIdleTimeout bounds how long a server connection may sit between
-// requests: a stalled or vanished client is disconnected instead of pinning
-// its handler goroutine (and its slot in the accept loop's wait group)
-// forever.
-const DefaultIdleTimeout = 2 * time.Minute
+// The serving side's bounds. idleTimeout is how long a connection may sit
+// between requests: a stalled or vanished client is disconnected instead of
+// pinning its handler goroutine (and its slot in the accept loop's wait
+// group) forever. writeTimeout bounds writing one response frame to a client
+// that has stopped reading. maxServerConns bounds the connections handled
+// concurrently: each pins a handler goroutine for its lifetime, so without a
+// bound one misbehaving client (or a mediator fleet sized beyond the wrapper)
+// can exhaust the process; excess connections are refused with a structured
+// <error> frame instead of being accepted and starved.
+const (
+	idleTimeout    = 2 * time.Minute
+	writeTimeout   = 30 * time.Second
+	maxServerConns = 256
+)
 
-// DefaultWriteTimeout bounds writing one response frame to a client that
-// has stopped reading.
-const DefaultWriteTimeout = 30 * time.Second
-
-// DefaultMaxConns bounds the connection pool a Client grows on demand when
-// the parallel execution engine issues overlapping requests.
-const DefaultMaxConns = 8
-
-// DefaultMaxServerConns bounds the connections one Server handles
-// concurrently. Each accepted connection pins a handler goroutine for its
-// lifetime, so without a bound one misbehaving client (or a mediator fleet
-// sized beyond the wrapper) can exhaust the process; excess connections are
-// refused with a structured <error> frame instead of being accepted and
-// starved.
-const DefaultMaxServerConns = 256
+// The client's bounds. maxConns bounds the connection pool a Client grows on
+// demand when the parallel execution engine issues overlapping requests.
+// maxConnIdle bounds how long a pooled connection may sit parked before the
+// client drops it instead of reusing it: a conn parked longer than the
+// server's idle deadline has likely been hung up on already, and reusing it
+// yields a bare EOF on the next request, so the bound is derived from that
+// deadline and stays below it.
+const (
+	maxConns    = 8
+	maxConnIdle = idleTimeout / 2
+)
 
 // ErrServerBusy is the message a server at its connection cap answers new
 // connections with (as a RemoteError on the client side) before closing
@@ -90,14 +95,6 @@ const DefaultMaxServerConns = 256
 // count against retry budgets or circuit breakers; a replica router routes
 // around the busy wrapper instead.
 const ErrServerBusy = "wrapper busy: connection limit reached"
-
-// DefaultMaxConnIdle bounds how long a pooled connection may sit parked
-// before the client drops it instead of reusing it. Servers disconnect
-// idle clients (DefaultIdleTimeout), so a conn parked longer than the
-// server's idle window has likely been hung up on already; reusing it
-// yields a bare EOF on the next request. This bound must stay below the
-// serving side's idle deadline.
-const DefaultMaxConnIdle = time.Minute
 
 // ErrClientClosed is returned for requests issued on a closed client —
 // including requests racing Close that would otherwise fail with a
@@ -156,60 +153,32 @@ func IsRetryable(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// RetryPolicy bounds the client's transparent retries. Every request the
-// client issues (hello, the two imports, query) is a read-only query,
-// hence idempotent: re-sending a failed exchange cannot duplicate effects
-// at the wrapper. Retries apply only to transport failures (IsRetryable);
-// RemoteError and context cancellation return immediately.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per request including
-	// the first; values <= 1 disable retrying.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; every further
-	// retry doubles it, capped at MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff.
-	MaxDelay time.Duration
-	// Jitter randomizes each backoff multiplicatively within
-	// [1-Jitter, 1+Jitter], decorrelating the retry storms of concurrent
-	// requests.
-	Jitter float64
-	// Seed seeds the jitter stream, making retry timing reproducible.
-	Seed int64
-}
+// The transport retries. Every request the client issues (hello, the two
+// imports, query) is a read-only query, hence idempotent: re-sending a failed
+// exchange cannot duplicate effects at the wrapper. Retries apply only to
+// transport failures (IsRetryable); RemoteError and context cancellation
+// return immediately. A request gets defaultAttempts tries unless
+// Options.Attempts says otherwise; retry k waits retryBase·2^(k-1), capped at
+// retryMaxDelay and jittered within ±retryJitter — decorrelating the retry
+// storms of concurrent requests — from a stream seeded with retrySeed, so
+// retry timing is reproducible.
+const (
+	defaultAttempts = 3
+	retryBase       = 5 * time.Millisecond
+	retryMaxDelay   = 250 * time.Millisecond
+	retryJitter     = 0.5
+	retrySeed       = 1
+)
 
-// DefaultRetryPolicy is the policy installed by Dial.
-var DefaultRetryPolicy = RetryPolicy{
-	MaxAttempts: 3,
-	BaseDelay:   5 * time.Millisecond,
-	MaxDelay:    250 * time.Millisecond,
-	Jitter:      0.5,
-	Seed:        1,
-}
-
-// backoff computes the wait before retry number `retry` (0-based): an
-// exponentially grown BaseDelay capped at MaxDelay, jittered by rnd ∈ [0,1).
-func (p RetryPolicy) backoff(retry int, rnd float64) time.Duration {
-	d := p.BaseDelay
-	if d <= 0 {
-		d = DefaultRetryPolicy.BaseDelay
-	}
-	for i := 0; i < retry; i++ {
+// backoff computes the wait before retry number `retry` (0-based): base
+// doubled per retry, capped at retryMaxDelay, jittered by rnd ∈ [0,1).
+func backoff(base time.Duration, retry int, rnd float64) time.Duration {
+	d := base
+	for i := 0; i < retry && d < retryMaxDelay; i++ {
 		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			break
-		}
 	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 + p.Jitter*(2*rnd-1)))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	d = min(d, retryMaxDelay)
+	return time.Duration(float64(d) * (1 + retryJitter*(2*rnd-1)))
 }
 
 // WriteFrame writes one length-prefixed XML payload.
@@ -279,51 +248,21 @@ type Server struct {
 	refused atomic.Int64
 }
 
-// ServeOptions configure ServeOpts. The zero value gives the defaults of
-// Serve: DefaultIdleTimeout, DefaultWriteTimeout, DefaultMaxServerConns.
-type ServeOptions struct {
-	// IdleTimeout bounds the wait for the next request on a connection;
-	// negative disables the deadline.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds sending one response frame; negative disables.
-	WriteTimeout time.Duration
-	// MaxConns bounds concurrently handled connections (0 =
-	// DefaultMaxServerConns, negative = no bound). A connection beyond the
-	// cap is answered with one <error> frame (ErrServerBusy) and closed —
-	// refused cleanly rather than accepted and starved, so a client sees a
-	// structured refusal instead of a hang.
-	MaxConns int
-}
-
-// Serve starts serving on the listener with the default idle and write
-// deadlines and returns immediately; call Close to stop. Each connection
-// handles a sequence of requests.
+// Serve starts serving on the listener under the package's idle, write and
+// connection bounds and returns immediately; call Close to stop. Each
+// connection handles a sequence of requests.
 func Serve(ln net.Listener, exp Exported) *Server {
-	return ServeOpts(ln, exp, ServeOptions{})
+	return serve(ln, exp, idleTimeout, writeTimeout, maxServerConns)
 }
 
-// ServeOpts is the fully configurable Serve.
-func ServeOpts(ln net.Listener, exp Exported, opts ServeOptions) *Server {
-	idle := opts.IdleTimeout
-	if idle == 0 {
-		idle = DefaultIdleTimeout
-	} else if idle < 0 {
-		idle = 0
-	}
-	write := opts.WriteTimeout
-	if write == 0 {
-		write = DefaultWriteTimeout
-	} else if write < 0 {
-		write = 0
-	}
-	maxConns := opts.MaxConns
-	if maxConns == 0 {
-		maxConns = DefaultMaxServerConns
-	}
-	s := &Server{Exp: exp, ln: ln, idle: idle, write: write}
-	if maxConns > 0 {
-		s.slots = make(chan struct{}, maxConns)
-	}
+// serve is Serve with its bounds as parameters: idle is the wait for the
+// next request on a connection, write the time to send one response frame,
+// conns the connections handled at once. A connection beyond conns is
+// answered with one <error> frame (ErrServerBusy) and closed — refused
+// cleanly rather than accepted and starved, so a client sees a structured
+// refusal instead of a hang.
+func serve(ln net.Listener, exp Exported, idle, write time.Duration, conns int) *Server {
+	s := &Server{Exp: exp, ln: ln, idle: idle, write: write, slots: make(chan struct{}, conns)}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -332,36 +271,27 @@ func ServeOpts(ln net.Listener, exp Exported, opts ServeOptions) *Server {
 			if err != nil {
 				return // listener closed
 			}
-			if s.slots != nil {
-				select {
-				case s.slots <- struct{}{}:
-				default:
-					// At the cap: refuse with a structured frame instead of
-					// pinning another handler goroutine. The writer goroutine
-					// is bounded by the write deadline, not by client
-					// behaviour.
-					s.refused.Add(1)
-					s.wg.Add(1)
-					go func() {
-						defer s.wg.Done()
-						defer conn.Close()
-						if s.write > 0 {
-							conn.SetWriteDeadline(time.Now().Add(s.write))
-						}
-						_ = WriteFrame(conn, errorXML("%s", ErrServerBusy))
-					}()
-					continue
-				}
+			select {
+			case s.slots <- struct{}{}:
+			default:
+				// At the cap: refuse with a structured frame instead of
+				// pinning another handler goroutine. The writer goroutine is
+				// bounded by the write deadline, not by client behaviour.
+				s.refused.Add(1)
+				s.wg.Add(1)
+				go func() {
+					defer s.wg.Done()
+					defer conn.Close()
+					conn.SetWriteDeadline(time.Now().Add(s.write))
+					_ = WriteFrame(conn, errorXML("%s", ErrServerBusy))
+				}()
+				continue
 			}
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
 				defer conn.Close()
-				defer func() {
-					if s.slots != nil {
-						<-s.slots
-					}
-				}()
+				defer func() { <-s.slots }()
 				s.handle(conn)
 			}()
 		}
@@ -386,9 +316,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // or more frames.
 func (s *Server) handle(conn net.Conn) {
 	for {
-		if s.idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.idle))
-		}
+		conn.SetReadDeadline(time.Now().Add(s.idle))
 		req, err := ReadFrame(conn)
 		if err != nil {
 			return // connection closed or idle too long
@@ -603,9 +531,7 @@ func (w *frameWriter) frame(payload string) {
 	if len(payload) > MaxFrame {
 		payload = errorXML("reply of %d bytes exceeds frame limit", len(payload))
 	}
-	if w.s.write > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(w.s.write))
-	}
+	w.conn.SetWriteDeadline(time.Now().Add(w.s.write))
 	if WriteFrame(w.conn, payload) != nil {
 		w.err = errClientGone
 	}

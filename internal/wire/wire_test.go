@@ -176,7 +176,7 @@ func TestServerIdleTimeoutDisconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeOpts(ln, Exported{Source: ow}, ServeOptions{IdleTimeout: 100 * time.Millisecond, WriteTimeout: time.Second})
+	srv := serve(ln, Exported{Source: ow}, 100*time.Millisecond, time.Second, maxServerConns)
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

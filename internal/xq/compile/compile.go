@@ -89,11 +89,9 @@ func Rule(q *xq.Query, opt Options) (*yatl.Rule, error) {
 	return r, nil
 }
 
-// NeedsNodes reports whether a path requires the node-table encoding:
-// descendant or reverse axes, or a positional predicate, on any of its
-// steps.
-func NeedsNodes(p *xq.PathExpr) bool { return needsNodesSteps(p.Steps) }
-
+// needsNodesSteps reports whether a path's steps require the node-table
+// encoding: descendant or reverse axes, or a positional predicate, on any
+// of them.
 func needsNodesSteps(steps []*xq.Step) bool {
 	for _, st := range steps {
 		switch st.Axis {

@@ -253,7 +253,7 @@ func Translate(r *Rule) (algebra.Op, error) {
 	varsOf := make([]map[string]bool, len(r.Matches))
 	for i, m := range r.Matches {
 		plans[i] = &algebra.Bind{Doc: m.Doc, F: m.F}
-		varsOf[i] = varSet(m.F.Vars())
+		varsOf[i] = algebra.SetOf(m.F.Vars())
 	}
 	// Step 4 (applied early, as in Figure 5): single-input predicates
 	// become Selects directly above their Bind.
@@ -277,7 +277,7 @@ func Translate(r *Rule) (algebra.Op, error) {
 	cur := plans[0]
 	curVars := varsOf[0]
 	for i := 1; i < len(plans); i++ {
-		merged := union(curVars, varsOf[i])
+		merged := algebra.SetUnion(curVars, varsOf[i])
 		var preds []algebra.Expr
 		for ci, c := range conjuncts {
 			if used[ci] {
@@ -311,25 +311,6 @@ func orTrue(e algebra.Expr) algebra.Expr {
 		return algebra.TrueExpr()
 	}
 	return e
-}
-
-func varSet(vs []string) map[string]bool {
-	m := make(map[string]bool, len(vs))
-	for _, v := range vs {
-		m[v] = true
-	}
-	return m
-}
-
-func union(a, b map[string]bool) map[string]bool {
-	m := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		m[k] = true
-	}
-	for k := range b {
-		m[k] = true
-	}
-	return m
 }
 
 func coveredBy(e algebra.Expr, vars map[string]bool) bool {
