@@ -65,7 +65,8 @@ func (r *ndxmlReader) Next() (*data.Node, error) {
 			if perr != nil {
 				return nil, &MalformedError{Entry: r.entry, Line: r.line, Reason: perr.Error()}
 			}
-			return xmlenc.InferAtoms(n), nil
+			xmlenc.InferAtoms(n)
+			return n, nil
 		}
 		if err == io.EOF {
 			return nil, io.EOF

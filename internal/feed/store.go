@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/tab"
+	"repro/internal/xmlenc"
 )
 
 // Fields are the normalized record fields, in document order. Every
@@ -200,7 +201,7 @@ func normalizeRecord(n *data.Node) (*data.Node, string) {
 			}
 			out.Add(data.Text("issn", canon))
 		default:
-			v := collapseSpace(a.Text())
+			v := xmlenc.CollapseSpace(a.Text())
 			if v == "" && (f == "id" || f == "title") {
 				return nil, f
 			}
@@ -208,11 +209,6 @@ func normalizeRecord(n *data.Node) (*data.Node, string) {
 		}
 	}
 	return out, ""
-}
-
-// collapseSpace trims and collapses internal whitespace runs to one space.
-func collapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
 }
 
 // fieldKey is the index key of a normalized field leaf: its textual form.

@@ -562,7 +562,8 @@ func trees(frame *data.Node, out data.Forest) (data.Forest, error) {
 	}
 	for _, n := range frame.Kids {
 		if !n.IsAttr() {
-			out = append(out, xmlenc.InferAtoms(n))
+			xmlenc.InferAtoms(n)
+			out = append(out, n)
 		}
 	}
 	return out, nil

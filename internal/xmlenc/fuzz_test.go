@@ -15,9 +15,10 @@ import (
 
 // FuzzParseXML feeds arbitrary text to xmlenc.Parse, the scanner under every
 // wire frame, capability description and shipped document: it never panics,
-// and a tree it accepts serializes to text that parses to the same tree. The
-// seeds are the interfaces the three wrappers export, a wire reply frame and
-// a works document.
+// a tree it accepts serializes to text that parses to the same tree, and
+// InferAtoms types that tree's leaves as inferAtomsOracle does. The seeds are
+// the interfaces the three wrappers export, a wire reply frame, a works
+// document, the branches of the parser's text paths and the oracle's leaves.
 func FuzzParseXML(f *testing.F) {
 	for _, i := range []*capability.Interface{
 		o2wrap.New("o2artifact", datagen.PaperDB()).ExportInterface(),
@@ -35,6 +36,20 @@ func FuzzParseXML(f *testing.F) {
 	// not a refs attribute's.
 	f.Add(`<a><b/><ref ref="p"/></a>`)
 	f.Add(`<a><ref ref="p" x="1">t</ref></a>`)
+	// Text in several pieces: around an entity, a CDATA section and a
+	// comment, each in one element and all in one.
+	f.Add(`<a>x &lt; y</a>`)
+	f.Add(`<a>x<![CDATA[ <y> ]]>z</a>`)
+	f.Add(`<a>x<!-- c -->y</a>`)
+	f.Add(`<a> x &amp; y<![CDATA[z]]> w <!-- c --> v </a>`)
+	// White space to collapse: a tab, a newline and a no-break space.
+	f.Add("<a>x\ty\nz\u00a0w</a>")
+	// A single text that stays a child: beside attributes, under a reference.
+	f.Add(`<a k="v">text</a>`)
+	f.Add(`<a ref="p">text</a>`)
+	for _, s := range oracleLeaves {
+		f.Add("<l>" + s + "</l>")
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := xmlenc.Parse(src)
 		if err != nil {
@@ -47,6 +62,11 @@ func FuzzParseXML(f *testing.F) {
 		}
 		if !data.Equal(n, again) {
 			t.Fatalf("tree changed through serialize:\n%s\nvs\n%s", n, again)
+		}
+		want := inferAtomsOracle(n)
+		xmlenc.InferAtoms(n)
+		if diff := sameTyping(n, want); diff != "" {
+			t.Fatalf("InferAtoms differs from the oracle: %s\n%s", diff, src)
 		}
 	})
 }

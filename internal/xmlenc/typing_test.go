@@ -1,0 +1,117 @@
+package xmlenc_test
+
+import (
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/data"
+	"repro/internal/datagen"
+	"repro/internal/xmlenc"
+)
+
+// inferAtomsOracle is the typing InferAtoms did before it typed in place: a
+// clone of the tree in which both number parses are tried on every string
+// leaf.
+func inferAtomsOracle(n *data.Node) *data.Node {
+	c := n.Clone()
+	c.Walk(func(m *data.Node) bool {
+		if m.Atom != nil && m.Atom.Kind == data.KindString {
+			s := strings.TrimSpace(m.Atom.S)
+			if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+				a := data.Int(v)
+				m.Atom = &a
+			} else if v, err := strconv.ParseFloat(s, 64); err == nil {
+				a := data.Float(v)
+				m.Atom = &a
+			} else if s == "true" || s == "false" {
+				a := data.Bool(s == "true")
+				m.Atom = &a
+			}
+		}
+		return true
+	})
+	return c
+}
+
+// sameTyping reports the first leaf, in document order, whose atom differs in
+// kind or value between two trees of one shape; "" when none does. NaN equals
+// NaN here.
+func sameTyping(got, want *data.Node) string {
+	var g, w []*data.Atom
+	got.Walk(func(m *data.Node) bool { g = append(g, m.Atom); return true })
+	want.Walk(func(m *data.Node) bool { w = append(w, m.Atom); return true })
+	if len(g) != len(w) {
+		return "trees differ in shape"
+	}
+	for i := range g {
+		a, b := g[i], w[i]
+		if (a == nil) != (b == nil) {
+			return "trees differ in shape"
+		}
+		if a != nil && (a.Kind != b.Kind || a.I != b.I || a.B != b.B || a.S != b.S ||
+			math.Float64bits(a.F) != math.Float64bits(b.F)) {
+			return strconv.Quote(b.Text()) + " typed " + a.Kind.String() + ", want " + b.Kind.String()
+		}
+	}
+	return ""
+}
+
+// oracleLeaves are texts on either side of InferAtoms' no-parse shortcut:
+// padded numbers, ParseFloat's spellings of infinity and NaN, an overflow,
+// hex and underscore forms, a leading zero, a padded boolean, and words that
+// start like a number or like inf/nan.
+var oracleLeaves = []string{" 12 ", "+inf", "-Infinity", "NaN", "1e400", "0x1p3", "1_000", "007", "true ", "nice", "1990s"}
+
+func TestInferAtomsMatchesOracle(t *testing.T) {
+	doc := data.Elem("leaves")
+	for _, s := range oracleLeaves {
+		doc.Add(data.Text("l", s))
+	}
+	want := inferAtomsOracle(doc)
+	xmlenc.InferAtoms(doc)
+	if diff := sameTyping(doc, want); diff != "" {
+		t.Error(diff)
+	}
+}
+
+// worksDocument is a generated Wais works document as a wrapper ships it.
+func worksDocument() string {
+	return xmlenc.Serialize(data.Elem("works", datagen.Generate(datagen.DefaultParams(300)).Works...))
+}
+
+// The allocation guards below hold the codec to allocating only the tree it
+// returns. Each bound is the count measured when it was set.
+
+func TestEscapeAllocs(t *testing.T) {
+	// measured: 0
+	if n := testing.AllocsPerRun(100, func() { _ = xmlenc.Escape("Claude Monet, Nympheas (1897)") }); n != 0 {
+		t.Errorf("Escape of text with no special character: %v allocations, want 0", n)
+	}
+}
+
+func TestInferAtomsAllocs(t *testing.T) {
+	src := worksDocument()
+	const runs = 20
+	trees := make([]*data.Node, 0, runs+1) // AllocsPerRun makes one warm-up call
+	for i := 0; i <= runs; i++ {
+		n, err := xmlenc.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, n)
+	}
+	next := 0
+	// measured: 0
+	if n := testing.AllocsPerRun(runs, func() { xmlenc.InferAtoms(trees[next]); next++ }); n != 0 {
+		t.Errorf("InferAtoms over a parsed works document: %v allocations, want 0", n)
+	}
+}
+
+func TestParseAllocs(t *testing.T) {
+	// measured: 2, the node and its atom
+	if n := testing.AllocsPerRun(100, func() { _, _ = xmlenc.Parse("<t>plain text</t>") }); n > 2 {
+		t.Errorf("Parse of one text element: %v allocations, want at most 2", n)
+	}
+}

@@ -13,12 +13,18 @@
 //   - any other attribute name becomes a child element labeled "@name";
 //   - character data becomes an unlabeled string leaf; an element whose only
 //     child would be such a leaf becomes a leaf carrying the text directly.
+//
+// Parse never types: every atom it builds is a String, because it also reads
+// tabs, plans, patterns and interfaces, where a string must stay a string
+// (an atom cell's own type= attribute says what it is). A shipped document is
+// typed once on arrival, in place, by InferAtoms.
 package xmlenc
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/data"
 )
@@ -253,45 +259,47 @@ func (s *scanner) element() (*data.Node, error) {
 		return nil, s.errf("expected '>' in closing tag")
 	}
 	s.pos++
-	normalizeLeaf(n)
 	return n, nil
 }
 
-// normalizeLeaf collapses <e>text</e> into a leaf node labeled e.
-func normalizeLeaf(n *data.Node) {
-	if len(n.Kids) == 1 && n.Kids[0].Label == "" && n.Kids[0].Atom != nil && n.Ref == "" {
-		n.Atom = n.Kids[0].Atom
-		n.Kids = nil
-	}
-}
-
 // content parses mixed element/text content until the matching `</` is
-// consumed (leaving the scanner positioned at the closing tag name).
+// consumed (leaving the scanner positioned at the closing tag name). Text that
+// is the element's only content, with no reference attribute, becomes the
+// element's own atom (<e>text</e> is a leaf labeled e); any other text becomes
+// an unlabeled string leaf among the children.
 func (s *scanner) content(parent *data.Node) error {
-	var text strings.Builder
-	flush := func() {
-		t := strings.TrimSpace(text.String())
-		text.Reset()
-		if t != "" {
-			parent.Add(&data.Node{Atom: &data.Atom{Kind: data.KindString, S: collapseSpace(t)}})
+	var text textRun
+	flush := func(closing bool) {
+		t := strings.TrimSpace(text.take())
+		if t == "" {
+			return
+		}
+		a := &data.Atom{Kind: data.KindString, S: CollapseSpace(t)}
+		if closing && len(parent.Kids) == 0 && parent.Ref == "" {
+			parent.Atom = a
+		} else {
+			parent.Add(&data.Node{Atom: a})
 		}
 	}
 	for {
 		if s.eof() {
 			return s.errf("unterminated element <%s>", parent.Label)
 		}
-		c := s.src[s.pos]
-		if c != '<' {
-			if c == '&' {
-				r, err := s.entity()
-				if err != nil {
-					return err
-				}
-				text.WriteString(r)
-				continue
+		switch s.src[s.pos] {
+		case '<':
+		case '&':
+			r, err := s.entity()
+			if err != nil {
+				return err
 			}
-			text.WriteByte(c)
-			s.pos++
+			text.add(r)
+			continue
+		default:
+			start := s.pos
+			for s.pos < len(s.src) && s.src[s.pos] != '<' && s.src[s.pos] != '&' {
+				s.pos++
+			}
+			text.add(s.src[start:s.pos])
 			continue
 		}
 		// markup
@@ -300,7 +308,7 @@ func (s *scanner) content(parent *data.Node) error {
 			if end < 0 {
 				return s.errf("unterminated CDATA")
 			}
-			text.WriteString(s.src[s.pos+9 : s.pos+9+end])
+			text.add(s.src[s.pos+9 : s.pos+9+end])
 			s.pos += 9 + end + 3
 			continue
 		}
@@ -321,11 +329,11 @@ func (s *scanner) content(parent *data.Node) error {
 			continue
 		}
 		if s.pos+1 < len(s.src) && s.src[s.pos+1] == '/' {
-			flush()
+			flush(true)
 			s.pos += 2
 			return nil
 		}
-		flush()
+		flush(false)
 		kid, err := s.element()
 		if err != nil {
 			return err
@@ -334,8 +342,50 @@ func (s *scanner) content(parent *data.Node) error {
 	}
 }
 
-func collapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+// textRun gathers the character data between two elements. Text in one piece
+// (no entity, CDATA section or comment inside it) stays a substring of the
+// source; only text of several pieces is copied.
+type textRun struct {
+	one    string
+	buf    []byte
+	pieces int
+}
+
+func (t *textRun) add(p string) {
+	switch t.pieces {
+	case 0:
+		t.one = p
+	case 1:
+		t.buf = append(append(t.buf[:0], t.one...), p...)
+	default:
+		t.buf = append(t.buf, p...)
+	}
+	t.pieces++
+}
+
+// take returns the gathered text and starts a new run.
+func (t *textRun) take() string {
+	s := t.one
+	if t.pieces > 1 {
+		s = string(t.buf)
+	}
+	t.one, t.pieces = "", 0
+	return s
+}
+
+// CollapseSpace trims s and collapses every run of white space inside it to
+// one space, as strings.Fields does. Text that has nothing to collapse (no
+// byte \t\n\v\f\r, no non-ASCII byte, no leading, trailing or double space)
+// is returned as it is, without allocating.
+func CollapseSpace(s string) string {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\t', c == '\n', c == '\v', c == '\f', c == '\r', c >= utf8.RuneSelf,
+			c == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' '):
+			return strings.Join(strings.Fields(s), " ")
+		}
+	}
+	return s
 }
 
 func (s *scanner) attrValue() (string, error) {
@@ -344,6 +394,11 @@ func (s *scanner) attrValue() (string, error) {
 		return "", s.errf("expected quoted attribute value")
 	}
 	s.pos++
+	if end := strings.IndexByte(s.src[s.pos:], q); end >= 0 && strings.IndexByte(s.src[s.pos:s.pos+end], '&') < 0 {
+		v := s.src[s.pos : s.pos+end]
+		s.pos += end + 1
+		return v, nil
+	}
 	var b strings.Builder
 	for {
 		if s.eof() {
@@ -400,27 +455,33 @@ func (s *scanner) entity() (string, error) {
 	return "", s.errf("unknown entity &%s;", ent)
 }
 
-// Escape returns s with the five predefined XML entities escaped.
+// Escape returns s with the five predefined XML entities escaped; s itself
+// when it has none of them.
 func Escape(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '&':
-			b.WriteString("&amp;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\'':
-			b.WriteString("&apos;")
-		default:
-			b.WriteByte(s[i])
-		}
+	if !strings.ContainsAny(s, `<>&"'`) {
+		return s
 	}
+	var b strings.Builder
+	escapeTo(&b, s)
 	return b.String()
 }
+
+// escapeTo writes s to b with the five predefined XML entities escaped,
+// copying the runs between them as they are.
+func escapeTo(b *strings.Builder, s string) {
+	for {
+		i := strings.IndexAny(s, `<>&"'`)
+		if i < 0 {
+			b.WriteString(s)
+			return
+		}
+		b.WriteString(s[:i])
+		b.WriteString(entityOf[s[i]])
+		s = s[i+1:]
+	}
+}
+
+var entityOf = [...]string{'<': "&lt;", '>': "&gt;", '&': "&amp;", '"': "&quot;", '\'': "&apos;"}
 
 // Serialize renders a YAT tree as XML text, inverse to Parse: identifiers
 // become id attributes, reference-only children collapse into refs
@@ -451,110 +512,150 @@ func SerializeForest(f data.Forest) string {
 	return b.String()
 }
 
+// serialize writes n at the given depth (-1: no indentation). Its children
+// are written in passes over n.Kids: the attributes; then the run of bare
+// references before any other child, as a refs attribute (which Parse reads
+// back to the same place); then the others.
 func serialize(b *strings.Builder, n *data.Node, indent int) {
 	if n == nil {
 		return
 	}
-	pad := ""
-	if indent >= 0 {
-		pad = strings.Repeat("  ", indent)
-	}
+	writePad(b, indent)
 	if n.Label == "" && n.Atom != nil { // bare text node
-		b.WriteString(pad)
-		b.WriteString(Escape(n.Atom.Text()))
+		writeAtom(b, n.Atom)
 		return
 	}
-	b.WriteString(pad)
 	b.WriteByte('<')
 	b.WriteString(n.Label)
 	if n.ID != "" {
-		fmt.Fprintf(b, ` id="%s"`, Escape(n.ID))
+		writeAttr(b, "id", n.ID)
 	}
 	if n.Ref != "" {
-		fmt.Fprintf(b, ` ref="%s"`, Escape(n.Ref))
+		writeAttr(b, "ref", n.Ref)
 	}
-	// Split children: attributes, the run of bare references before any
-	// other child (a refs attribute, which Parse reads back to the same
-	// place), others.
-	var attrs, refs, kids []*data.Node
 	for _, k := range n.Kids {
-		switch {
-		case k.IsAttr() && k.Atom != nil:
-			attrs = append(attrs, k)
-		case len(kids) == 0 && k.Label == "ref" && k.IsRef() && k.ID == "" && k.Atom == nil && len(k.Kids) == 0:
-			refs = append(refs, k)
-		default:
-			kids = append(kids, k)
+		if isAttr(k) {
+			b.WriteByte(' ')
+			b.WriteString(k.Label[1:])
+			b.WriteString(`="`)
+			writeAtom(b, k.Atom)
+			b.WriteByte('"')
 		}
 	}
-	for _, a := range attrs {
-		fmt.Fprintf(b, ` %s="%s"`, a.Label[1:], Escape(a.Atom.Text()))
-	}
-	if len(refs) > 0 {
-		ids := make([]string, len(refs))
-		for i, r := range refs {
-			ids[i] = r.Ref
+	rest, refs := 0, 0 // n.Kids[rest:] holds the others
+	for ; rest < len(n.Kids); rest++ {
+		k := n.Kids[rest]
+		if isAttr(k) {
+			continue
 		}
-		fmt.Fprintf(b, ` refs="%s"`, Escape(strings.Join(ids, " ")))
+		if k.Label != "ref" || !k.IsRef() || k.ID != "" || k.Atom != nil || len(k.Kids) > 0 {
+			break
+		}
+		if refs == 0 {
+			b.WriteString(` refs="`)
+		} else {
+			b.WriteByte(' ')
+		}
+		escapeTo(b, k.Ref)
+		refs++
+	}
+	if refs > 0 {
+		b.WriteByte('"')
 	}
 	if n.Atom != nil {
 		b.WriteByte('>')
-		b.WriteString(Escape(n.Atom.Text()))
-		b.WriteString("</")
-		b.WriteString(n.Label)
-		b.WriteByte('>')
+		writeAtom(b, n.Atom)
+		writeEnd(b, n.Label)
 		return
 	}
-	if len(kids) == 0 {
+	others, inline := 0, true
+	for _, k := range n.Kids[rest:] {
+		if !isAttr(k) {
+			others++
+			inline = inline && k.Label == "" && k.Atom != nil
+		}
+	}
+	if others == 0 {
 		b.WriteString("/>")
 		return
 	}
 	b.WriteByte('>')
-	inline := true
-	for _, k := range kids {
-		if !(k.Label == "" && k.Atom != nil) {
-			inline = false
-			break
-		}
-	}
-	if inline || indent < 0 {
-		for _, k := range kids {
+	for _, k := range n.Kids[rest:] {
+		switch {
+		case isAttr(k):
+		case inline || indent < 0:
 			serialize(b, k, -1)
-		}
-	} else {
-		for _, k := range kids {
+		default:
 			b.WriteByte('\n')
 			serialize(b, k, indent+1)
 		}
-		b.WriteByte('\n')
-		b.WriteString(pad)
 	}
+	if !inline && indent >= 0 {
+		b.WriteByte('\n')
+		writePad(b, indent)
+	}
+	writeEnd(b, n.Label)
+}
+
+// isAttr reports whether the child k is written as an attribute.
+func isAttr(k *data.Node) bool { return k.IsAttr() && k.Atom != nil }
+
+func writePad(b *strings.Builder, indent int) {
+	for i := 0; i < indent; i++ {
+		b.WriteString("  ")
+	}
+}
+
+func writeAttr(b *strings.Builder, name, v string) {
+	b.WriteByte(' ')
+	b.WriteString(name)
+	b.WriteString(`="`)
+	escapeTo(b, v)
+	b.WriteByte('"')
+}
+
+func writeEnd(b *strings.Builder, label string) {
 	b.WriteString("</")
-	b.WriteString(n.Label)
+	b.WriteString(label)
 	b.WriteByte('>')
 }
 
-// InferAtoms returns a copy of the tree in which every string leaf whose text
-// parses as an integer, float or boolean is retyped accordingly. Wrappers
-// apply it when the source (e.g. Wais) stores untyped text but the imported
-// structure declares Int or Float fields.
-func InferAtoms(n *data.Node) *data.Node {
-	c := n.Clone()
-	c.Walk(func(m *data.Node) bool {
-		if m.Atom != nil && m.Atom.Kind == data.KindString {
-			s := strings.TrimSpace(m.Atom.S)
+// writeAtom writes the atom's text (data.Atom.Text), escaped; a number is
+// formatted into a buffer on the stack.
+func writeAtom(b *strings.Builder, a *data.Atom) {
+	var num [32]byte
+	switch a.Kind {
+	case data.KindInt:
+		b.Write(strconv.AppendInt(num[:0], a.I, 10))
+	case data.KindFloat:
+		b.Write(strconv.AppendFloat(num[:0], a.F, 'g', -1, 64))
+	default:
+		escapeTo(b, a.Text())
+	}
+}
+
+// InferAtoms retypes, in place, every string leaf of the tree whose trimmed
+// text parses as an integer, float or boolean. It is for a tree its caller
+// owns, freshly parsed: XML carries atoms as text, and a shipped document or
+// feed record is typed once on arrival. Only a text without a space that
+// starts with a digit, a sign or a point, or is inf, infinity or nan in any
+// case, is tried as a number; no other text is one to strconv, and a failed
+// parse allocates its error.
+func InferAtoms(n *data.Node) {
+	if a := n.Atom; a != nil && a.Kind == data.KindString {
+		s := strings.TrimSpace(a.S)
+		if s != "" && strings.IndexByte(s, ' ') < 0 && (strings.IndexByte("0123456789+-.", s[0]) >= 0 ||
+			strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")) {
 			if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-				a := data.Int(v)
-				m.Atom = &a
+				*a = data.Int(v)
 			} else if v, err := strconv.ParseFloat(s, 64); err == nil {
-				a := data.Float(v)
-				m.Atom = &a
-			} else if s == "true" || s == "false" {
-				a := data.Bool(s == "true")
-				m.Atom = &a
+				*a = data.Float(v)
 			}
+		} else if s == "true" || s == "false" {
+			*a = data.Bool(s == "true")
 		}
-		return true
-	})
-	return c
+	}
+	for _, k := range n.Kids {
+		InferAtoms(k)
+	}
 }

@@ -60,6 +60,15 @@ func TestParseMixedContent(t *testing.T) {
 	if n.Kids[0].Atom.S != "Painted with" || n.Kids[1].Label != "technique" || n.Kids[2].Atom.S != "in ..." {
 		t.Errorf("mixed parse = %v", n)
 	}
+	// Text in pieces before a child is one leaf, and nothing of it is left
+	// over for the closing tag.
+	n, err = Parse(`<a>x<!-- c --><![CDATA[<y>]]>&amp;<b/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(n.Kids) != 2 || n.Kids[0].Atom.S != "x<y>&" || n.Kids[1].Label != "b" || n.Atom != nil {
+		t.Errorf("pieces then a child = %v", n)
+	}
 }
 
 func TestParseEntitiesAndCDATA(t *testing.T) {
@@ -211,22 +220,23 @@ func TestInferAtoms(t *testing.T) {
 		data.Text("sold", "true"),
 		data.Text("title", "Nympheas"),
 	)
-	typed := InferAtoms(n)
-	if typed.Child("year").Atom.Kind != data.KindInt || typed.Child("year").Atom.I != 1897 {
-		t.Errorf("year = %v", typed.Child("year").Atom)
+	year := n.Child("year").Atom
+	InferAtoms(n)
+	if n.Child("year").Atom.Kind != data.KindInt || n.Child("year").Atom.I != 1897 {
+		t.Errorf("year = %v", n.Child("year").Atom)
 	}
-	if typed.Child("price").Atom.Kind != data.KindFloat {
-		t.Errorf("price = %v", typed.Child("price").Atom)
+	if n.Child("price").Atom.Kind != data.KindFloat {
+		t.Errorf("price = %v", n.Child("price").Atom)
 	}
-	if typed.Child("sold").Atom.Kind != data.KindBool || !typed.Child("sold").Atom.B {
-		t.Errorf("sold = %v", typed.Child("sold").Atom)
+	if n.Child("sold").Atom.Kind != data.KindBool || !n.Child("sold").Atom.B {
+		t.Errorf("sold = %v", n.Child("sold").Atom)
 	}
-	if typed.Child("title").Atom.Kind != data.KindString {
-		t.Errorf("title = %v", typed.Child("title").Atom)
+	if n.Child("title").Atom.Kind != data.KindString {
+		t.Errorf("title = %v", n.Child("title").Atom)
 	}
-	// original untouched
-	if n.Child("year").Atom.Kind != data.KindString {
-		t.Error("InferAtoms must not mutate its input")
+	// typed in place: the leaf keeps its atom, which now holds the Int
+	if n.Child("year").Atom != year || year.Kind != data.KindInt {
+		t.Error("InferAtoms must type the tree's own atoms in place")
 	}
 }
 
@@ -275,7 +285,9 @@ func TestPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		// Int atoms come back as strings from XML; retype before comparing.
-		return data.EqualValue(InferAtoms(orig), InferAtoms(back))
+		InferAtoms(orig)
+		InferAtoms(back)
+		return data.EqualValue(orig, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
