@@ -91,9 +91,11 @@ func (g *planGen) gen(depth int) (algebra.Op, []string, map[string]bool) {
 	switch g.next(6) {
 	case 0: // Select over a bound variable
 		var pred algebra.Expr
-		for v := range numeric {
-			pred = algebra.MustParseExpr(v + " > 1800")
-			break
+		for _, v := range cols {
+			if numeric[v] {
+				pred = algebra.MustParseExpr(v + " > 1800")
+				break
+			}
 		}
 		if pred == nil {
 			pred = algebra.MustParseExpr(cols[g.next(len(cols))] + ` != "zzz"`)
