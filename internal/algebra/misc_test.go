@@ -199,3 +199,26 @@ func mustFilter(t *testing.T, src string) *filter.Filter {
 	}
 	return f
 }
+
+// TestLiteralColumnsAreNotShared: two parents appending their own column to
+// one literal's columns must not write into each other's slices, whatever
+// spare capacity the tab's column slice has.
+func TestLiteralColumnsAreNotShared(t *testing.T) {
+	for n := 1; n <= 20; n++ {
+		cols := make([]string, n)
+		for i := range cols {
+			cols[i] = "$c" + string(rune('a'+i))
+		}
+		lit := &Literal{T: tab.New(cols...)}
+		x := &MapExpr{From: lit, Col: "$x"}
+		y := &MapExpr{From: lit, Col: "$y"}
+		xs := x.Columns()
+		ys := y.Columns()
+		if got := xs[len(xs)-1]; got != "$x" {
+			t.Errorf("n=%d: the $x map's last column is %s once the $y map is asked (%v)", n, got, ys)
+		}
+		if got := lit.Columns(); len(got) != n {
+			t.Errorf("n=%d: the literal has %d columns", n, len(got))
+		}
+	}
+}

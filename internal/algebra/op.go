@@ -767,8 +767,10 @@ func (q *SourceQuery) Detail() string { return fmt.Sprintf("SourceQuery(%s)", q.
 // Literal wraps a constant Tab (fixtures, unit tests, explain samples).
 type Literal struct{ T *tab.Tab }
 
-// Columns implements Op.
-func (l *Literal) Columns() []string { return l.T.Cols }
+// Columns implements Op. The slice is capped at its length, so a parent
+// appending its own column copies instead of writing into the tab's spare
+// capacity, which a sibling parent would share.
+func (l *Literal) Columns() []string { return l.T.Cols[:len(l.T.Cols):len(l.T.Cols)] }
 
 // Children implements Op.
 func (l *Literal) Children() []Op { return nil }
