@@ -21,9 +21,11 @@
 // processes (least-loaded routing with per-replica circuit breakers and
 // failover; see the `replicas` command).
 //
-// With -lint, every plan is verified by the planlint static checker after
-// each optimizer rewriting step and before execution; a broken invariant
-// aborts the query with a diagnostic instead of a wrong answer.
+// With -lint, every plan is verified by the one static analysis
+// (typecheck.Check) on the optimizer's input and after each optimizer round,
+// and a plan no optimizer verified is verified before execution; a broken
+// invariant or a round that changes the plan's type aborts the query with a
+// diagnostic instead of a wrong answer.
 //
 // With -check-types, queries run in wire conformance mode: every wrapper
 // response row is validated against the pushed plan's inferred pattern type
@@ -612,12 +614,11 @@ func runQuery(out io.Writer, m *mediator.Mediator, mode, src string, opts mediat
 		}
 		opt := m.Optimize(plan)
 		ann, err := m.TypecheckPlan(opt)
-		if err != nil {
-			fmt.Fprintf(out, "error: %v\n", err)
-			return
-		}
 		fmt.Fprintf(out, "typed plan (root %s):\n", ann.Root)
 		fmt.Fprint(out, indent(typecheck.Render(opt, ann)))
+		if err != nil {
+			fmt.Fprintf(out, "error: %v\n", err)
+		}
 	default:
 		res, err := m.ExecuteContext(context.Background(), src, opts)
 		if err != nil {

@@ -39,7 +39,7 @@ func FuzzPlan(f *testing.F) {
 			}
 		}
 		naive, err := cat.compose(src)
-		if err != nil || len(cat.lint(naive)) > 0 {
+		if err != nil || len(m.Lint(naive)) > 0 {
 			return
 		}
 		fresh, err := optimizer.New(m.optimizerOptions(cat)).Optimize(naive)

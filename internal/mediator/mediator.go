@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/pattern"
-	"repro/internal/planlint"
 	"repro/internal/route"
 	"repro/internal/tab"
 	"repro/internal/typecheck"
@@ -53,10 +52,10 @@ type Mediator struct {
 	cat   atomic.Pointer[catalog]
 	// Trace receives optimizer rewriting lines when non-nil.
 	Trace func(string)
-	// CheckInvariants verifies plans with planlint and typed verification:
-	// the optimizer checks its input and the output of each round, and a
-	// plan no optimizer verified (StreamPlan's, Materialize's and
-	// MaterializeProgram's) is linted before execution; a violation aborts
+	// CheckInvariants verifies plans with typecheck.Check: the optimizer
+	// analyzes its input and the output of each round, and a plan no
+	// optimizer verified (StreamPlan's, Materialize's and
+	// MaterializeProgram's) is analyzed before execution; a violation aborts
 	// the query instead of producing a wrong answer.
 	CheckInvariants bool
 }
@@ -428,19 +427,20 @@ type planKey struct {
 }
 
 // planned is one entry of a catalog's plan map: a text's optimized plan and,
-// once an execution asks for CheckTypes, its conformance annotation. verified
-// says the optimizer checked every rewrite of the plan (CheckInvariants), so
-// the execution gate need not lint it again; any other plan is linted.
+// once an execution asks for CheckTypes or the execution gate analyzed the
+// plan, its annotation. verified says the optimizer checked every rewrite of
+// the plan (CheckInvariants), so the execution gate need not analyze it
+// again; any other plan is analyzed.
 type planned struct {
 	plan     algebra.Op
 	verified bool
 	annOnce  sync.Once
-	ann      *typecheck.Annotation // nil when inference failed
+	ann      *typecheck.Annotation
 }
 
 // annotation infers the plan's types under the catalog, once per entry.
 func (p *planned) annotation(c *catalog) *typecheck.Annotation {
-	p.annOnce.Do(func() { p.ann, _ = c.typecheck(p.plan) })
+	p.annOnce.Do(func() { p.ann, _ = c.check(p.plan) })
 	return p.ann
 }
 
@@ -473,17 +473,19 @@ func (m *Mediator) plan(cat *catalog, querySrc string) (p *planned, cached bool,
 	return p, false, nil
 }
 
-// lint verifies a plan against the catalog and its capability interfaces.
-// The mediator's SourceDocs is the full document catalog, so a document no
-// source exports is a diagnostic.
-func (c *catalog) lint(plan algebra.Op) []planlint.Diagnostic {
-	return planlint.Check(plan, &planlint.Config{Interfaces: c.ifaces, SourceDocs: c.sourceDocs, Structures: c.schemas})
+// check analyzes a plan under the catalog: its types under the imported
+// structures, and its violations against the documents and capability
+// interfaces. The mediator's SourceDocs is the full document catalog, so a
+// document no source exports is a diagnostic.
+func (c *catalog) check(plan algebra.Op) (*typecheck.Annotation, []typecheck.Diagnostic) {
+	return typecheck.Check(plan, &typecheck.Config{Interfaces: c.ifaces, SourceDocs: c.sourceDocs, Structures: c.schemas})
 }
 
 // Lint verifies a plan against the mediator's catalog and capability
 // interfaces, returning every violation found.
-func (m *Mediator) Lint(plan algebra.Op) []planlint.Diagnostic {
-	return m.cat.Load().lint(plan)
+func (m *Mediator) Lint(plan algebra.Op) []typecheck.Diagnostic {
+	_, ds := m.cat.Load().check(plan)
+	return ds
 }
 
 // Optimize runs the three-round optimizer over a composed plan. An invariant
@@ -567,15 +569,12 @@ func (c *catalog) recordQuery(d time.Duration, stats algebra.Stats, err error) {
 // execution entry point calls.
 type ExecOptions = exec.Options
 
-// TypecheckPlan runs pattern-type inference over a plan under the
-// mediator's imported structures (the console's `typecheck` command and
-// the wire conformance mode both build on it).
+// TypecheckPlan infers a plan's pattern types under the mediator's imported
+// structures (the console's `typecheck` command). The annotation covers the
+// whole plan; the error folds the violations Lint would report.
 func (m *Mediator) TypecheckPlan(plan algebra.Op) (*typecheck.Annotation, error) {
-	return m.cat.Load().typecheck(plan)
-}
-
-func (c *catalog) typecheck(plan algebra.Op) (*typecheck.Annotation, error) {
-	return typecheck.Infer(plan, &typecheck.Config{Structures: c.schemas})
+	ann, ds := m.cat.Load().check(plan)
+	return ann, typecheck.Error(ds)
 }
 
 // ConformanceError reports a wrapper response row that does not

@@ -10,8 +10,8 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/planlint"
 	"repro/internal/tab"
+	"repro/internal/typecheck"
 )
 
 // Stream is one live query — the one way the mediator executes a plan:
@@ -88,7 +88,7 @@ func (s *Stream) Close() {
 // result as a Stream: chunks surface as the engine produces them, peak
 // memory is bounded by the chunk buffer (ExecOptions.StreamBuffer rows;
 // default 2×tab.DefaultStreamChunk), and the first row arrives long before
-// the last wrapper finishes. Option validation, the planlint gate, retries,
+// the last wrapper finishes. Option validation, the verification gate, retries,
 // circuit breakers, AllowPartial degradation, wire conformance checking,
 // tracing, metrics and the result cache apply to every execution, because
 // every execution comes through here.
@@ -123,14 +123,17 @@ func (m *Mediator) StreamPlan(ctx context.Context, plan algebra.Op, opts ExecOpt
 // and Catalog so Skolem identifiers fuse), with options already validated.
 // stage says where the plan came from ("planned", "cached", "custom" or
 // "view") and labels the trace. With CheckInvariants set, a plan the
-// optimizer did not verify is linted first and, if it fails, refused, named
-// by its stage, instead of evaluated.
+// optimizer did not verify is analyzed first and, if it fails, refused,
+// named by its stage, instead of evaluated; its annotation is kept for
+// CheckTypes.
 func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.Context, p *planned, stage string, opts ExecOptions) (*Stream, error) {
 	plan := p.plan
 	if m.CheckInvariants && !p.verified {
-		if ds := cat.lint(plan); len(ds) > 0 {
-			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, planlint.Error(ds))
+		ann, ds := cat.check(plan)
+		if len(ds) > 0 {
+			return nil, fmt.Errorf("mediator: refusing to execute %s plan: %w", stage, typecheck.Error(ds))
 		}
+		p.annOnce.Do(func() { p.ann = ann })
 	}
 	if opts.AllowPartial {
 		// Pre-attach the report: the engine works on a shallow copy of the

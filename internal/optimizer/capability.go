@@ -6,7 +6,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/capability"
 	"repro/internal/data"
-	"repro/internal/planlint"
+	"repro/internal/typecheck"
 )
 
 // Round 2 — capability-based pushdown (Section 5.3, Figure 9). Three steps:
@@ -62,14 +62,14 @@ func (o *Optimizer) mergeSourceJoins(op algebra.Op) algebra.Op {
 }
 
 // pushable reports whether the source can evaluate one conjunct over the
-// documents the pushed plan touches. The feasibility table is planlint's
+// documents the pushed plan touches. The feasibility table is typecheck's
 // (PredFeasible); the one conjunct it accepts that is never pushed is a bare
 // constant, which no wrapper was ever handed to translate.
 func pushable(iface *capability.Interface, conj algebra.Expr, docs []string) bool {
 	if _, isConst := conj.(algebra.Const); isConst {
 		return false
 	}
-	return planlint.PredFeasible(iface, conj, docs) == nil
+	return typecheck.PredFeasible(iface, conj, docs) == nil
 }
 
 func (o *Optimizer) ifaceFor(doc string) *capability.Interface {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/filter"
 	"repro/internal/pattern"
-	"repro/internal/planlint"
 	"repro/internal/typecheck"
 )
 
@@ -135,10 +134,10 @@ func (g *planGen) gen(depth int) (algebra.Op, []string, map[string]bool) {
 
 // TestOptimizerPreservesInvariantsOnRandomPlans is the property test: for N
 // random valid plans, every rewriting round's output still passes
-// planlint.Check — Optimize verifies after each round and returns the
+// typecheck.Check — Optimize verifies after each round and returns the
 // first violation with the round's name. The same loop is the type-system
-// property test: every planlint-accepted plan typechecks (with a non-empty
-// root — the generator only builds satisfiable filters), and all three
+// property test: every accepted plan types with a non-empty root (the
+// generator only builds satisfiable filters), and all three
 // optimizer rounds preserve the inferred root type, both through the
 // per-round internal verification and an explicit end-to-end subsumption
 // check on the final plan.
@@ -147,17 +146,12 @@ func TestOptimizerPreservesInvariantsOnRandomPlans(t *testing.T) {
 	g := &planGen{seed: 20000531}
 	for i := 0; i < 500; i++ {
 		plan, _, _ := g.gen(1 + g.next(4))
-		cfg := New(opts).lcfg
-		if ds := planlint.Check(plan, cfg); len(ds) > 0 {
-			t.Fatalf("generator produced an invalid plan (seed %d):\n%s\n%v",
-				i, algebra.Describe(plan), planlint.Error(ds))
-		}
 		o := New(opts)
-		tcfg := o.tcfg
-		orig, err := typecheck.Infer(plan, tcfg)
-		if err != nil {
-			t.Fatalf("plan %d: lint-accepted plan fails to typecheck: %v\n%s",
-				i, err, algebra.Describe(plan))
+		cfg := o.cfg
+		orig, ds := typecheck.Check(plan, cfg)
+		if len(ds) > 0 {
+			t.Fatalf("generator produced an invalid plan (seed %d):\n%s\n%v",
+				i, algebra.Describe(plan), typecheck.Error(ds))
 		}
 		if orig.Root.Empty {
 			t.Fatalf("plan %d: satisfiable plan inferred empty (%s)\n%s",
@@ -169,18 +163,14 @@ func TestOptimizerPreservesInvariantsOnRandomPlans(t *testing.T) {
 			continue
 		}
 		// Belt and braces: the final plan passes a fresh check too.
-		if ds := planlint.Check(out, cfg); len(ds) > 0 {
+		opt, ds := typecheck.Check(out, cfg)
+		if len(ds) > 0 {
 			t.Errorf("plan %d: final plan fails lint:\n%s\n%v",
-				i, algebra.Describe(out), planlint.Error(ds))
+				i, algebra.Describe(out), typecheck.Error(ds))
 		}
 		// End-to-end: the optimized root type is subsumed per shared column
 		// by the original's (the per-round verification asserts this after
 		// each round; this re-checks the composition from outside).
-		opt, err := typecheck.Infer(out, tcfg)
-		if err != nil {
-			t.Errorf("plan %d: optimized plan fails to typecheck: %v", i, err)
-			continue
-		}
 		for _, col := range opt.Root.Cols {
 			want, got := orig.Root.Type(col), opt.Root.Type(col)
 			if want == nil || got == nil {
@@ -210,7 +200,7 @@ func TestOptimizeReportsBrokenInput(t *testing.T) {
 	if ie.Stage != "input" {
 		t.Errorf("stage = %q, want input", ie.Stage)
 	}
-	if len(ie.Diags) == 0 || ie.Diags[0].Code != planlint.CodeUnboundVar {
+	if len(ie.Diags) == 0 || ie.Diags[0].Code != typecheck.CodeUnboundVar {
 		t.Errorf("diagnostics = %v", ie.Diags)
 	}
 	// The rewritten plan is returned beside the error.

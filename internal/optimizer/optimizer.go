@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/capability"
-	"repro/internal/planlint"
 	"repro/internal/tab"
 	"repro/internal/typecheck"
 )
@@ -40,15 +39,15 @@ type Options struct {
 	Structures *typecheck.Schemas
 	// Assume lists containment assumptions enabling source pruning.
 	Assume []Containment
-	// CheckInvariants verifies plan well-formedness with planlint on the
-	// input and on the output of each round; the first violation — named by
-	// its stage ("input", "round1", "round2", "round3") and located by its
-	// plan path — is reported through Trace and returned by Optimize.
-	// A round that unbinds a variable, breaks Skolem arity or pushes an
-	// infeasible subplan is caught before execution, not as a wrong answer.
-	// The same gate verifies each round against the input plan's inferred
-	// type: a round whose root row type is no longer subsumed by the
-	// original's is reported as a *TypeError (see typedverify.go).
+	// CheckInvariants analyzes the input and the output of each round once
+	// with typecheck.Check; the first violation — named by its stage
+	// ("input", "round1", "round2", "round3") and located by its plan path —
+	// is reported through Trace and returned by Optimize. A round that
+	// unbinds a variable, breaks Skolem arity or pushes an infeasible
+	// subplan is caught before execution, not as a wrong answer. The same
+	// analysis types each round against the input plan: a round whose root
+	// row type is no longer subsumed by the original's is reported as a
+	// *TypeError (see typedverify.go).
 	CheckInvariants bool
 	// Trace receives one line per applied rewriting when non-nil.
 	Trace func(string)
@@ -59,23 +58,22 @@ type Options struct {
 // violations, each located by its plan path.
 type InvariantError struct {
 	Stage string
-	Diags []planlint.Diagnostic
+	Diags []typecheck.Diagnostic
 }
 
 // Error implements error.
 func (e *InvariantError) Error() string {
-	return fmt.Sprintf("optimizer: invariant broken after %s: %v", e.Stage, planlint.Error(e.Diags))
+	return fmt.Sprintf("optimizer: invariant broken after %s: %v", e.Stage, typecheck.Error(e.Diags))
 }
 
 // Optimizer rewrites algebraic plans.
 type Optimizer struct {
-	opts     Options
-	fresh    *freshVars
-	err      error // first invariant violation (CheckInvariants only)
-	tcfg     *typecheck.Config
-	lcfg     *planlint.Config
-	origType *typecheck.RowType // root type each round is verified against (typedverify.go)
-	pruned   bool               // pruneColumns dropped a branch under a Containment
+	opts   Options
+	fresh  *freshVars
+	err    error // first invariant violation (CheckInvariants only)
+	cfg    *typecheck.Config
+	base   *typecheck.RowType // root type each round is verified against (typedverify.go)
+	pruned bool               // pruneColumns dropped a branch under a Containment
 }
 
 // New returns an optimizer over the given options. What verification
@@ -83,8 +81,7 @@ type Optimizer struct {
 func New(opts Options) *Optimizer {
 	return &Optimizer{
 		opts: opts,
-		tcfg: &typecheck.Config{Structures: opts.Structures},
-		lcfg: &planlint.Config{Interfaces: opts.Interfaces, SourceDocs: opts.SourceDocs, Structures: opts.Structures},
+		cfg:  &typecheck.Config{Interfaces: opts.Interfaces, SourceDocs: opts.SourceDocs, Structures: opts.Structures},
 	}
 }
 
@@ -110,9 +107,8 @@ func (o *Optimizer) Optimize(plan algebra.Op) (algebra.Op, error) {
 func (o *Optimizer) Rounds(plan algebra.Op) ([]algebra.Op, error) {
 	o.fresh = newFreshVars(plan)
 	o.err = nil
-	// The input's type is the baseline, so the input needs only the lint.
-	o.captureRootType(plan)
-	o.lint("input", plan)
+	o.base = nil
+	o.verify("input", plan)
 	rounds := make([]algebra.Op, 0, 3)
 	for i, round := range []func(algebra.Op) algebra.Op{o.round1, o.round2, o.round3} {
 		plan = round(plan)
@@ -122,26 +118,23 @@ func (o *Optimizer) Rounds(plan algebra.Op) ([]algebra.Op, error) {
 	return rounds, o.err
 }
 
-// verify checks a plan with planlint and against the baseline type,
-// recording the first violation under stage.
+// verify analyzes a plan once, recording the first violation under stage:
+// a diagnostic, or a root type the baseline does not subsume. With no
+// baseline yet, the plan's root type becomes it.
 func (o *Optimizer) verify(stage string, plan algebra.Op) {
-	if o.lint(stage, plan) {
-		o.verifyTypes(stage, plan)
-	}
-}
-
-// lint records plan's planlint violations under stage; it reports whether
-// the gate is on, no violation has been recorded and the plan is clean.
-func (o *Optimizer) lint(stage string, plan algebra.Op) bool {
 	if !o.opts.CheckInvariants || o.err != nil {
-		return false
+		return
 	}
-	if ds := planlint.Check(plan, o.lcfg); len(ds) > 0 {
+	ann, ds := typecheck.Check(plan, o.cfg)
+	switch {
+	case len(ds) > 0:
 		o.err = &InvariantError{Stage: stage, Diags: ds}
-		o.trace("INVARIANT BROKEN after %s:\n%v", stage, planlint.Error(ds))
-		return false
+		o.trace("INVARIANT BROKEN after %s:\n%v", stage, typecheck.Error(ds))
+	case o.base == nil:
+		o.base = ann.Root
+	default:
+		o.verifyTypes(stage, plan, ann)
 	}
-	return true
 }
 
 // round1 simplifies compositions: Bind–Tree elimination, selection
@@ -158,9 +151,9 @@ func (o *Optimizer) round1(plan algebra.Op) algebra.Op {
 		if o.pruned {
 			// The assumption, not the types, licenses the prune
 			// (typedverify.go): hold what pruneColumns was given to the
-			// old baseline, the rest of the optimization to the new one.
+			// old baseline; the round's plan sets the new one.
 			o.verify("round1", given)
-			o.captureRootType(plan)
+			o.base = nil
 		}
 		plan = o.expandLabelVars(plan)
 		plan = pushSelections(plan)

@@ -338,7 +338,7 @@ func TestPropertyPushdownPreservesSemantics(t *testing.T) {
 }
 
 // TestPushableTable pins what round 2 pushes, conjunct by conjunct, over
-// O₂'s artifacts. The table is planlint's (planlint.TestPredFeasibleTable);
+// O₂'s artifacts. The table is typecheck's (typecheck.TestPredFeasibleTable);
 // the optimizer's one own answer is the bare constant, which it keeps at the
 // mediator: no wrapper was ever handed one to translate.
 func TestPushableTable(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/o2wrap"
 	"repro/internal/optimizer"
 	"repro/internal/pattern"
-	"repro/internal/planlint"
 	"repro/internal/tab"
 	"repro/internal/typecheck"
 	"repro/internal/waiswrap"
@@ -41,15 +40,15 @@ var updateOracle = flag.Bool("update", false,
 const oracleFile = "analysis_oracle.json"
 
 type oracleEntry struct {
-	Name   string                `json:"name"`
-	Diags  []planlint.Diagnostic `json:"diags"`
-	Render string                `json:"render"`
+	Name   string                 `json:"name"`
+	Diags  []typecheck.Diagnostic `json:"diags"`
+	Render string                 `json:"render"`
 }
 
 // analyze runs the plan analysis under cfg.
-func analyze(name string, plan algebra.Op, cfg *planlint.Config) oracleEntry {
-	ann, _ := typecheck.Infer(plan, &typecheck.Config{Structures: cfg.Structures})
-	return oracleEntry{Name: name, Diags: planlint.Check(plan, cfg), Render: typecheck.Render(plan, ann)}
+func analyze(name string, plan algebra.Op, cfg *typecheck.Config) oracleEntry {
+	ann, ds := typecheck.Check(plan, cfg)
+	return oracleEntry{Name: name, Diags: ds, Render: typecheck.Render(plan, ann)}
 }
 
 // analyzeAt runs the analysis the mediator runs, under its catalog.
@@ -58,14 +57,14 @@ func analyzeAt(name string, m *mediator.Mediator, plan algebra.Op) oracleEntry {
 	return oracleEntry{Name: name, Diags: m.Lint(plan), Render: typecheck.Render(plan, ann)}
 }
 
-func configOf(opts optimizer.Options) *planlint.Config {
-	return &planlint.Config{Interfaces: opts.Interfaces, SourceDocs: opts.SourceDocs, Structures: opts.Structures}
+func configOf(opts optimizer.Options) *typecheck.Config {
+	return &typecheck.Config{Interfaces: opts.Interfaces, SourceDocs: opts.SourceDocs, Structures: opts.Structures}
 }
 
 // lintConfig is one source "src" exporting "docs" with bind, select and eq
 // over an all-permissive filter pattern, and docs declared as
 // doc[ *item[ name, num ] ].
-func lintConfig() *planlint.Config {
+func lintConfig() *typecheck.Config {
 	iface := capability.NewInterface("src")
 	fm := capability.NewFModel("F")
 	fm.Define("Doc", &capability.FT{Kind: pattern.KAny})
@@ -81,7 +80,7 @@ func lintConfig() *planlint.Config {
 		pattern.Starred(pattern.Node("item",
 			pattern.Node("name", pattern.Str()),
 			pattern.Node("num", pattern.Int())))))
-	return &planlint.Config{
+	return &typecheck.Config{
 		Interfaces: map[string]*capability.Interface{"src": iface},
 		SourceDocs: map[string]string{"docs": "src", "other": "elsewhere"},
 		Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}}),
@@ -89,7 +88,7 @@ func lintConfig() *planlint.Config {
 }
 
 // typeConfig declares three documents and nothing else.
-func typeConfig() *planlint.Config {
+func typeConfig() *typecheck.Config {
 	docsModel := pattern.MustParseModel(`model docs
 Doc := doc[ *&Item ]
 Item := item[ name: String, num: Int ]`)
@@ -98,7 +97,7 @@ Works := works[ *&Work ]
 Work  := work[ artist: String, title: String, style: String ]`)
 	classModel := pattern.MustParseModel(`model o2
 Artifact := class[ artifact: tuple[ title: String, year: Int, price: Int ] ]`)
-	return &planlint.Config{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{
+	return &typecheck.Config{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{
 		"docs":      {Model: docsModel, Pattern: "Doc"},
 		"works":     {Model: worksModel, Pattern: "Works"},
 		"artifacts": {Model: classModel, Pattern: "Artifact"},
@@ -359,7 +358,7 @@ func paperMediator(t *testing.T) *mediator.Mediator {
 
 func oracleEntries(t *testing.T) []oracleEntry {
 	var out []oracleEntry
-	add := func(prefix string, plans map[string]algebra.Op, cfg *planlint.Config) {
+	add := func(prefix string, plans map[string]algebra.Op, cfg *typecheck.Config) {
 		for _, name := range sortedKeys(plans) {
 			out = append(out, analyze(prefix+"/"+name, plans[name], cfg))
 		}
@@ -417,9 +416,9 @@ func TestAnalysisOracle(t *testing.T) {
 		}
 	}
 	for _, code := range []string{
-		planlint.CodeNilPlan, planlint.CodeUnboundVar, planlint.CodeUnknownColumn, planlint.CodeDuplicateCol,
-		planlint.CodeArity, planlint.CodeSkolemArity, planlint.CodePattern, planlint.CodeCapability,
-		planlint.CodeUnknownDoc, planlint.CodeMalformed, planlint.CodeBatchShape,
+		typecheck.CodeNilPlan, typecheck.CodeUnboundVar, typecheck.CodeUnknownColumn, typecheck.CodeDuplicateCol,
+		typecheck.CodeArity, typecheck.CodeSkolemArity, typecheck.CodePattern, typecheck.CodeCapability,
+		typecheck.CodeUnknownDoc, typecheck.CodeMalformed, typecheck.CodeBatchShape,
 	} {
 		if !seen[code] {
 			t.Errorf("no recorded plan gets a %s diagnostic", code)

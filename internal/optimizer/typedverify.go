@@ -1,20 +1,20 @@
 package optimizer
 
-// Typed rewrite verification: under Options.CheckInvariants the optimizer
-// infers the input plan's root row type once (typecheck.Infer) and
-// re-infers it on the output of each round. A round must keep each root
-// column's inferred type subsumed by the original's — a rewrite that
-// changes what a column can contain is a miscompile even when the plan
-// stays well-formed, and is reported as a *TypeError naming the stage and
-// the deepest operator that introduced the offending type. A round whose
-// result is provably empty is exempt (every per-column claim is vacuous).
-// One step is licensed by something the types cannot see: source pruning
-// under a declared Containment (Figure 8) sources a dropped branch's
-// columns from the kept document — $t, a String in O₂, from the
-// semistructured works' title — which is sound because the assumption says
-// so, not because the types do. Round 1 therefore verifies the plan such a
-// prune was given against the baseline it started under, and only then
-// makes the pruned plan's root type the baseline the rest of the
+// Typed rewrite verification: under Options.CheckInvariants the one analysis
+// of the input plan (typecheck.Check) fixes its root row type as the
+// baseline, and the analysis of each round's output types it against that
+// baseline. A round must keep each root column's inferred type subsumed by
+// the original's — a rewrite that changes what a column can contain is a
+// miscompile even when the plan stays well-formed, and is reported as a
+// *TypeError naming the stage and the deepest operator that introduced the
+// offending type. A round whose result is provably empty is exempt (every
+// per-column claim is vacuous). One step is licensed by something the types
+// cannot see: source pruning under a declared Containment (Figure 8) sources
+// a dropped branch's columns from the kept document — $t, a String in O₂,
+// from the semistructured works' title — which is sound because the
+// assumption says so, not because the types do. Round 1 therefore verifies
+// the plan such a prune was given against the baseline it started under, and
+// the round's own plan then becomes the baseline the rest of the
 // optimization is held to.
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/pattern"
-	"repro/internal/planlint"
 	"repro/internal/typecheck"
 )
 
@@ -30,7 +29,7 @@ import (
 // column Col's type under the rewritten plan (Got) is not subsumed by its
 // type under the original plan (Want). Path locates the deepest operator of
 // the rewritten plan whose inferred type for Col already violates the
-// subsumption, in planlint's path notation.
+// subsumption, as a typecheck.Diagnostic's path does.
 type TypeError struct {
 	Stage string
 	Path  string
@@ -52,31 +51,15 @@ func renderPat(p *pattern.P) string {
 	return p.String()
 }
 
-// captureRootType records the plan's inferred root type as the baseline
-// the following rounds are verified against.
-func (o *Optimizer) captureRootType(plan algebra.Op) {
-	o.origType = nil
-	if !o.opts.CheckInvariants {
-		return
-	}
-	if ann, err := typecheck.Infer(plan, o.tcfg); err == nil {
-		o.origType = ann.Root
-	}
-}
-
-// verifyTypes asserts the rewritten plan's root type is subsumed per column
-// by the baseline's; called from verify after the well-formedness lint.
-func (o *Optimizer) verifyTypes(stage string, plan algebra.Op) {
-	if o.origType == nil || o.origType.Empty || o.err != nil {
-		return
-	}
-	ann, err := typecheck.Infer(plan, o.tcfg)
-	if err != nil || ann.Root.Empty {
-		// A provably-empty result makes every per-column claim vacuous.
+// verifyTypes asserts the analyzed plan's root type is subsumed per column
+// by the baseline's; called from verify on a plan without diagnostics.
+func (o *Optimizer) verifyTypes(stage string, plan algebra.Op, ann *typecheck.Annotation) {
+	if o.base.Empty || ann.Root.Empty {
+		// A provably-empty plan makes every per-column claim vacuous.
 		return
 	}
 	for _, col := range ann.Root.Cols {
-		want := o.origType.Type(col)
+		want := o.base.Type(col)
 		got := ann.Root.Type(col)
 		if want == nil || got == nil {
 			// Unknown on either side: nothing provable. Losing inferable
@@ -84,7 +67,10 @@ func (o *Optimizer) verifyTypes(stage string, plan algebra.Op) {
 			continue
 		}
 		if !pattern.Subsumes(ann.Model, want, ann.Model, got) {
-			path := blamePath(plan, ann, col, want)
+			path := ann.Root.Path
+			if rt := blame(plan, ann, col, want); rt != nil {
+				path = rt.Path
+			}
 			o.err = &TypeError{Stage: stage, Path: path, Col: col, Want: want, Got: got}
 			o.trace("TYPE CHANGED after %s: column %s at %s: %s not subsumed by %s",
 				stage, col, path, got, want)
@@ -93,45 +79,21 @@ func (o *Optimizer) verifyTypes(stage string, plan algebra.Op) {
 	}
 }
 
-// blamePath locates the deepest operator whose inferred type for col
-// already violates the subsumption against want, in planlint's path
-// notation (operator kinds joined by '/', with L/R side markers).
-func blamePath(plan algebra.Op, ann *typecheck.Annotation, col string, want *pattern.P) string {
-	var walk func(op algebra.Op, path string) (string, bool)
-	walk = func(op algebra.Op, path string) (string, bool) {
-		if op == nil {
-			return "", false
-		}
-		path = planlint.Extend(path, algebra.OpKind(op))
-		for i, ch := range op.Children() {
-			p := path
-			if seg := childSeg(op, i); seg != "" {
-				p = planlint.Extend(path, seg)
-			}
-			if bp, ok := walk(ch, p); ok {
-				return bp, ok
-			}
-		}
-		if rt := ann.Types[op]; rt != nil && !rt.Empty {
-			if got := rt.Type(col); got != nil && !pattern.Subsumes(ann.Model, want, ann.Model, got) {
-				return path, true
-			}
-		}
-		return "", false
+// blame returns the row type of the deepest operator whose inferred type
+// for col already violates the subsumption against want (nil if none does).
+func blame(op algebra.Op, ann *typecheck.Annotation, col string, want *pattern.P) *typecheck.RowType {
+	if op == nil {
+		return nil
 	}
-	if bp, ok := walk(plan, ""); ok {
-		return bp
+	for _, ch := range op.Children() {
+		if rt := blame(ch, ann, col, want); rt != nil {
+			return rt
+		}
 	}
-	return algebra.OpKind(plan)
-}
-
-// childSeg returns the path segment marking which side of a binary operator
-// a child sits on (empty for unary operators, matching planlint).
-func childSeg(op algebra.Op, i int) string {
-	// yat-lint:ignore intentionally partial: only binary operators need side markers
-	switch op.(type) {
-	case *algebra.Join, *algebra.DJoin, *algebra.Union, *algebra.Intersect:
-		return []string{"L", "R"}[i]
+	if rt := ann.Types[op]; rt != nil && !rt.Empty {
+		if got := rt.Type(col); got != nil && !pattern.Subsumes(ann.Model, want, ann.Model, got) {
+			return rt
+		}
 	}
-	return ""
+	return nil
 }

@@ -25,8 +25,8 @@ func typedOpts() Options {
 }
 
 // TestVerifyTypesCatchesBreakingRewrite feeds verify a "rewrite" that
-// silently changes a column's type — the plans are well-formed, planlint is
-// happy with both, but $n went from String to Int — and expects a TypeError
+// silently changes a column's type — the plans are well-formed, Check finds
+// no violation in either, but $n went from String to Int — and expects a TypeError
 // locating the operator that introduced the change.
 func TestVerifyTypesCatchesBreakingRewrite(t *testing.T) {
 	orig := &algebra.Select{
@@ -38,7 +38,7 @@ func TestVerifyTypesCatchesBreakingRewrite(t *testing.T) {
 		Pred: algebra.MustParseExpr(`$n = "x"`),
 	}
 	o := New(typedOpts())
-	o.captureRootType(orig)
+	o.verify("input", orig)
 	o.verify("round1/breakingRewrite", broken)
 	if o.err == nil {
 		t.Fatal("type-changing rewrite not caught")
@@ -68,7 +68,7 @@ func TestVerifyTypesAcceptsRefiningRewrite(t *testing.T) {
 	orig := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ $f ] ]`)}
 	refined := &algebra.Bind{Doc: "docs", F: filter.MustParse(`doc[ *item[ name@$f ] ]`)}
 	o := New(typedOpts())
-	o.captureRootType(orig)
+	o.verify("input", orig)
 	o.verify("round1/refine", refined)
 	if o.err != nil {
 		t.Fatalf("refining rewrite rejected: %v", o.err)

@@ -266,8 +266,13 @@ func (t *Tab) Add(cells ...Cell) *Tab {
 // AddRow appends a pre-built row with the same arity check.
 func (t *Tab) AddRow(r Row) *Tab { return t.Add(r...) }
 
-// Len reports the number of rows.
-func (t *Tab) Len() int { return len(t.Rows) }
+// Len reports the number of rows; a nil tab has none.
+func (t *Tab) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.Rows)
+}
 
 // ColIndex returns the position of a column, or -1.
 func (t *Tab) ColIndex(name string) int {

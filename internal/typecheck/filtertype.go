@@ -17,8 +17,8 @@ import (
 // untyped. When a filter item can align with several pattern items or
 // union alternatives, the contributions are joined — the inferred type
 // must cover every way the match can go.
-func (in *inferrer) filterTypes(p *pattern.P, f *filter.Filter) (map[string]*pattern.P, bool) {
-	w := &fwalker{model: in.model, types: map[string]*pattern.P{}}
+func (c *checker) filterTypes(p *pattern.P, f *filter.Filter) (map[string]*pattern.P, bool) {
+	w := &fwalker{model: c.model, types: map[string]*pattern.P{}}
 	compatible := true
 	if p == nil {
 		w.assignAll(f.Root)

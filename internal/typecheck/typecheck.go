@@ -1,14 +1,24 @@
-// Package typecheck implements schema-aware plan typing: a bottom-up type
-// inference pass that assigns every algebra operator an inferred output
-// pattern per column, seeded from the structural schemas the sources
-// export in their capability descriptions (Section 2's instantiation
-// order: the inferred pattern of an operator is a schema any produced data
-// must instantiate).
+// Package typecheck is the one static analysis of algebraic plans: a single
+// bottom-up walk that assigns every operator an inferred output pattern per
+// column and, in the same step, checks the well-formedness invariants every
+// plan must satisfy before execution — variable binding and scoping,
+// Skolem-function arity consistency, pattern-instantiation compatibility of
+// operator inputs, and capability feasibility of pushed subplans — reporting
+// violations as diagnostics that carry plan-path locations.
 //
-// The inferred types feed two consumers:
-//   - the optimizer's typed rewrite verification (each round must keep
-//     the plan's root type subsumed by the original's),
-//   - the mediator's wire conformance mode (ExecOptions.CheckTypes), which
+// The paper's pattern type system is used "both for data description and for
+// optimization". Types are seeded from the structural schemas the sources
+// export in their capability descriptions (Section 2's instantiation order:
+// the inferred pattern of an operator is a schema any produced data must
+// instantiate), and the analysis has three consumers:
+//   - the optimizer verifies its input and the output of each round
+//     (Options.CheckInvariants in internal/optimizer): a diagnostic is a
+//     broken invariant, and a round must keep the plan's root type subsumed
+//     by the original's;
+//   - the mediator verifies every plan no optimizer verified before
+//     executing it, so a miscompiled plan is refused, located by the plan
+//     path of the operator at fault, rather than answered wrongly;
+//   - the mediator's wire conformance mode (ExecOptions.CheckTypes)
 //     validates shipped wrapper rows against the inferred types.
 //
 // Inference is conservative: a column whose type cannot be derived is
@@ -20,11 +30,14 @@
 package typecheck
 
 import (
-	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/algebra"
+	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/pattern"
 	"repro/internal/tab"
@@ -32,8 +45,8 @@ import (
 
 // Structure pairs a structural model with the name of the pattern (within
 // that model) governing a document — what the type-driven rewritings of
-// Section 5.1, planlint's pattern-compatibility check and the inference
-// below all consult.
+// Section 5.1, the pattern-compatibility check and the inference below all
+// consult.
 type Structure struct {
 	Model   *pattern.Model
 	Pattern string
@@ -112,14 +125,20 @@ func (s *Schemas) Model() *pattern.Model {
 	return s.model
 }
 
-// Config seeds inference with the declared document schemas and the types
-// of externally supplied parameters.
+// Config is the static knowledge the analysis consults. Every field is
+// optional: a nil field disables the checks that need it.
 type Config struct {
-	// Structures holds the declared structural schema of each document.
+	// Interfaces maps source names to capability interfaces; enables the
+	// feasibility checks of SourceQuery plans.
+	Interfaces map[string]*capability.Interface
+	// SourceDocs maps document names to the source exporting them; a pushed
+	// Bind over a document owned by a different source is a violation. When
+	// non-nil its keys are the complete set of resolvable document names:
+	// a Bind or Doc over any other document is a violation too.
+	SourceDocs map[string]string
+	// Structures holds the declared structural schema of each document: it
+	// seeds the types and enables the pattern check on document Binds.
 	Structures *Schemas
-	// Params types externally supplied parameters (Context.Params);
-	// untyped parameters default to Any.
-	Params map[string]*pattern.P
 }
 
 // RowType is the inferred output type of one operator: one pattern per
@@ -131,6 +150,8 @@ type RowType struct {
 	// cannot match the declared schema, a Union of two empty branches, an
 	// empty literal, ...). Every per-column claim is then vacuous.
 	Empty bool
+	// Path locates the operator in the analyzed plan, as a Diagnostic does.
+	Path string
 }
 
 // Type returns the inferred pattern of a column (nil if unknown).
@@ -177,287 +198,371 @@ type Annotation struct {
 	Model *pattern.Model
 }
 
-// Infer runs bottom-up type inference over the plan. It errors only on
-// malformed plans (nil operators); everything else degrades to Any.
-func Infer(plan algebra.Op, cfg *Config) (*Annotation, error) {
+// Check analyzes a plan in one bottom-up walk: it infers every operator's
+// row type and reports every violation of the well-formedness invariants,
+// in walk order (nil when the plan is clean). The annotation covers every
+// operator the walk reached, whatever it reports; a column whose type
+// cannot be derived is typed Any. The plan is not modified.
+func Check(plan algebra.Op, cfg *Config) (*Annotation, []Diagnostic) {
 	if cfg == nil {
 		cfg = &Config{}
 	}
-	in := &inferrer{
-		cfg:   cfg,
-		model: cfg.Structures.Model(),
-		ann:   &Annotation{Types: map[algebra.Op]*RowType{}},
+	c := &checker{
+		cfg:     cfg,
+		model:   cfg.Structures.Model(),
+		ann:     &Annotation{Types: map[algebra.Op]*RowType{}},
+		skolems: map[string]skolemUse{},
 	}
-	in.ann.Model = in.model
-	env := map[string]*pattern.P{}
-	for v, p := range cfg.Params {
-		env[v] = p
-	}
-	rt, err := in.infer(plan, env)
-	if err != nil {
-		return nil, err
-	}
-	in.ann.Root = rt
-	return in.ann, nil
+	c.ann.Model = c.model
+	c.ann.Root = c.walk(plan, "", map[string]*pattern.P{})
+	return c.ann, c.diags
 }
 
-type inferrer struct {
-	cfg   *Config
-	model *pattern.Model
-	ann   *Annotation
+type checker struct {
+	cfg     *Config
+	model   *pattern.Model
+	ann     *Annotation
+	diags   []Diagnostic
+	skolems map[string]skolemUse // Skolem function name -> first seen use
+	// free collects, sorted, the variables reported unbound outside Tree
+	// constructions since the innermost DJoin began its inner plan: the
+	// parameters its binding sets would leave undetermined.
+	free []string
+	push *pushed // the innermost SourceQuery whose plan is being walked
 }
 
 // docPattern returns the declared pattern of a document, nil if unknown.
-func (in *inferrer) docPattern(doc string) *pattern.P {
-	st, ok := in.cfg.Structures.Doc(doc)
+func (c *checker) docPattern(doc string) *pattern.P {
+	st, ok := c.cfg.Structures.Doc(doc)
 	if !ok || st.Model == nil || st.Model.Lookup(st.Pattern) == nil {
 		return nil
 	}
 	return pattern.Ref(st.Pattern)
 }
 
-func (in *inferrer) infer(op algebra.Op, env map[string]*pattern.P) (*RowType, error) {
+// walk analyzes the operator rooted at op. path is the path of op's parent;
+// op's own segment is appended here. env maps the parameters the enclosing
+// DJoins provide to their types: a variable in it is bound.
+func (c *checker) walk(op algebra.Op, path string, env map[string]*pattern.P) *RowType {
 	if op == nil {
-		return nil, fmt.Errorf("typecheck: nil operator")
+		c.report(CodeNilPlan, Extend(path, "<nil>"), nil, "nil operator")
+		return newRowType(nil)
 	}
-	rt, err := in.inferOp(op, env)
-	if err != nil {
-		return nil, err
+	path = Extend(path, algebra.OpKind(op))
+	for p := c.push; p != nil; p = p.outer {
+		p.check(c.cfg, op, path)
 	}
-	in.ann.Types[op] = rt
-	return rt, nil
+	rt := c.typeOp(op, path, env)
+	rt.Path = path
+	c.ann.Types[op] = rt
+	return rt
 }
 
-// yat-lint:ignore intentionally partial: unknown operators degrade to Any via the default case
-func (in *inferrer) inferOp(op algebra.Op, env map[string]*pattern.P) (*RowType, error) {
+func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) *RowType {
 	switch x := op.(type) {
 	case *algebra.Doc:
+		c.checkDoc(x.Name, path, x)
 		rt := newRowType(x.Columns())
-		rt.Types[rt.Cols[0]] = in.docPattern(x.Name)
-		return rt, nil
+		rt.Types[rt.Cols[0]] = c.docPattern(x.Name)
+		return rt
+
+	case *algebra.Literal:
+		if x.T == nil {
+			c.report(CodeNilPlan, path, x, "Literal with nil Tab")
+			return newRowType(nil)
+		}
+		rt := newRowType(x.Columns())
+		rt.Empty = len(x.T.Rows) == 0
+		return rt
 
 	case *algebra.Bind:
-		var inRT *RowType
-		var bound *pattern.P
-		switch {
-		case x.Doc != "":
-			bound = in.docPattern(x.Doc)
-		case x.From != nil:
-			var err error
-			inRT, err = in.infer(x.From, env)
-			if err != nil {
-				return nil, err
-			}
-			bound = inRT.Type(x.Col)
-		default:
-			// Parameter bind inside a DJoin inner plan: the column's type
-			// comes from the outer plan via env.
-			bound = env[x.Col]
-		}
-		rt := newRowType(x.Columns())
-		if inRT != nil {
-			rt.copyFrom(inRT)
-			rt.Empty = inRT.Empty
-		}
-		if x.F != nil {
-			vars, compatible := in.filterTypes(bound, x.F)
-			for v, p := range vars {
-				rt.Types[v] = p
-			}
-			if !compatible {
-				rt.Empty = true
-			}
-		}
-		return rt, nil
+		return c.typeBind(x, path, env)
 
 	case *algebra.Select:
-		inRT, err := in.infer(x.From, env)
-		if err != nil {
-			return nil, err
+		in := c.walk(x.From, path, env)
+		if x.Pred == nil {
+			c.report(CodeMalformed, path, x, "Select with nil predicate")
+		} else {
+			c.checkVars(x.Pred.Vars(), in.Cols, env, path, x)
 		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(inRT)
-		rt.Empty = inRT.Empty
-		return rt, nil
+		return in.passed()
 
 	case *algebra.Project:
-		inRT, err := in.infer(x.From, env)
-		if err != nil {
-			return nil, err
-		}
+		in := c.walk(x.From, path, env)
 		rt := newRowType(x.Columns())
-		rt.Empty = inRT.Empty
-		for _, c := range x.Cols {
-			name, src := tab.SplitRename(c)
-			rt.Types[name] = inRT.Type(src)
+		rt.Empty = in.Empty
+		for _, col := range x.Cols {
+			name, src := tab.SplitRename(col)
+			if !slices.Contains(in.Cols, src) {
+				c.report(CodeUnknownColumn, path, x,
+					"projected column %s is not produced by the input (has %v)", src, in.Cols)
+			}
+			rt.Types[name] = in.Type(src)
 		}
-		return rt, nil
+		return rt
 
 	case *algebra.MapExpr:
-		inRT, err := in.infer(x.From, env)
-		if err != nil {
-			return nil, err
+		in := c.walk(x.From, path, env)
+		if x.E == nil {
+			c.report(CodeMalformed, path, x, "Map with nil expression")
+		} else {
+			c.checkVars(x.E.Vars(), in.Cols, env, path, x)
 		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(inRT)
-		rt.Empty = inRT.Empty
-		rt.Types[x.Col] = exprType(x.E, inRT)
-		return rt, nil
+		if slices.Contains(in.Cols, x.Col) {
+			c.report(CodeDuplicateCol, path, x,
+				"Map introduces column %s which the input already has", x.Col)
+		}
+		rt := in.passed()
+		rt.Cols = slices.Concat(in.Cols, []string{x.Col})
+		rt.Types[x.Col] = exprType(x.E, in)
+		return rt
 
 	case *algebra.Join:
-		l, err := in.infer(x.L, env)
-		if err != nil {
-			return nil, err
+		l := c.walk(x.L, Extend(path, "L"), env)
+		r := c.walk(x.R, Extend(path, "R"), env)
+		rt := joined(l, r)
+		if x.Pred == nil {
+			c.report(CodeMalformed, path, x, "Join with nil predicate")
+		} else {
+			c.checkVars(x.Pred.Vars(), rt.Cols, env, path, x)
 		}
-		r, err := in.infer(x.R, env)
-		if err != nil {
-			return nil, err
-		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(l)
-		rt.copyFrom(r)
-		rt.Empty = l.Empty || r.Empty
-		return rt, nil
+		c.checkDisjoint(l.Cols, r.Cols, path, x)
+		return rt
 
 	case *algebra.DJoin:
-		l, err := in.infer(x.L, env)
-		if err != nil {
-			return nil, err
-		}
+		l := c.walk(x.L, Extend(path, "L"), env)
 		// The inner plan sees the outer columns as parameters.
-		renv := make(map[string]*pattern.P, len(env)+len(l.Cols))
-		for v, p := range env {
-			renv[v] = p
+		renv := maps.Clone(env)
+		for _, col := range l.Cols {
+			renv[col] = l.Type(col)
 		}
-		for _, c := range l.Cols {
-			renv[c] = l.Type(c)
+		outer := c.free
+		c.free = nil
+		r := c.walk(x.R, Extend(path, "R"), renv)
+		c.checkDisjoint(l.Cols, r.Cols, path, x)
+		// Batched evaluation ships the inner plan's free variables
+		// sideways; one neither side of the environment provides leaves
+		// the binding sets under-determined. The unbound-var reports
+		// inside the inner plan name it too; this one sits at the
+		// operator that ships the bindings.
+		if x.L != nil && x.R != nil {
+			for _, v := range c.free {
+				c.report(CodeBatchShape, path, x,
+					"DJoin inner plan reads parameter %s which neither the outer columns nor the environment provide; its binding sets are under-determined", v)
+			}
 		}
-		r, err := in.infer(x.R, renv)
-		if err != nil {
-			return nil, err
+		for _, v := range c.free {
+			outer = addFree(outer, v)
 		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(l)
-		rt.copyFrom(r)
-		rt.Empty = l.Empty || r.Empty
-		return rt, nil
+		c.free = outer
+		return joined(l, r)
 
 	case *algebra.Union:
-		l, err := in.infer(x.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := in.infer(x.R, env)
-		if err != nil {
-			return nil, err
+		l := c.walk(x.L, Extend(path, "L"), env)
+		r := c.walk(x.R, Extend(path, "R"), env)
+		if len(l.Cols) != len(r.Cols) {
+			c.report(CodeArity, path, x, "union of incompatible inputs %v / %v", l.Cols, r.Cols)
 		}
 		// Union appends rows positionally under the left columns.
-		rt := newRowType(x.Columns())
-		for i, c := range rt.Cols {
-			lp := l.Type(c)
+		rt := newRowType(l.Cols)
+		for i, col := range rt.Cols {
+			lp := l.Type(col)
 			var rp *pattern.P
 			if i < len(r.Cols) {
 				rp = r.Type(r.Cols[i])
 			}
 			switch {
 			case l.Empty:
-				rt.Types[c] = rp
+				rt.Types[col] = rp
 			case r.Empty:
-				rt.Types[c] = lp
+				rt.Types[col] = lp
 			case lp == nil || rp == nil:
-				rt.Types[c] = nil
+				rt.Types[col] = nil
 			default:
-				rt.Types[c] = unionType(in.model, lp, rp)
+				rt.Types[col] = unionType(c.model, lp, rp)
 			}
 		}
 		rt.Empty = l.Empty && r.Empty
-		return rt, nil
+		return rt
 
 	case *algebra.Intersect:
-		l, err := in.infer(x.L, env)
-		if err != nil {
-			return nil, err
+		l := c.walk(x.L, Extend(path, "L"), env)
+		r := c.walk(x.R, Extend(path, "R"), env)
+		if len(l.Cols) != len(r.Cols) {
+			c.report(CodeArity, path, x, "intersect of incompatible inputs %v / %v", l.Cols, r.Cols)
 		}
-		r, err := in.infer(x.R, env)
-		if err != nil {
-			return nil, err
-		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(l)
+		rt := l.passed()
 		rt.Empty = l.Empty || r.Empty
-		return rt, nil
+		return rt
 
 	case *algebra.Distinct:
-		inRT, err := in.infer(x.From, env)
-		if err != nil {
-			return nil, err
-		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(inRT)
-		rt.Empty = inRT.Empty
-		return rt, nil
-
-	case *algebra.Sort:
-		inRT, err := in.infer(x.From, env)
-		if err != nil {
-			return nil, err
-		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(inRT)
-		rt.Empty = inRT.Empty
-		return rt, nil
+		return c.walk(x.From, path, env).passed()
 
 	case *algebra.Group:
-		inRT, err := in.infer(x.From, env)
-		if err != nil {
-			return nil, err
-		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(inRT)
-		rt.Types[x.Into] = nil // nested table: untyped
-		rt.Empty = inRT.Empty
-		return rt, nil
-
-	case *algebra.TreeOp:
-		inRT, err := in.infer(x.From, env)
-		if err != nil {
-			return nil, err
-		}
-		rt := newRowType(x.Columns())
-		rt.Types[rt.Cols[0]] = in.consType(x.C, inRT)
-		rt.Empty = inRT.Empty
-		return rt, nil
-
-	case *algebra.SourceQuery:
-		inner, err := in.infer(x.Plan, env)
-		if err != nil {
-			return nil, err
-		}
-		rt := newRowType(x.Columns())
-		rt.copyFrom(inner)
-		rt.Empty = inner.Empty
-		return rt, nil
-
-	case *algebra.Literal:
-		rt := newRowType(x.Columns())
-		if x.T != nil && len(x.T.Rows) == 0 {
-			rt.Empty = true
-		}
-		return rt, nil
-
-	default:
-		// Unknown operator: recurse for annotation coverage, type Any.
-		for _, c := range op.Children() {
-			if _, err := in.infer(c, env); err != nil {
-				return nil, err
+		in := c.walk(x.From, path, env)
+		for _, k := range x.Keys {
+			if !slices.Contains(in.Cols, k) {
+				c.report(CodeUnknownColumn, path, x,
+					"grouping key %s is not produced by the input (has %v)", k, in.Cols)
+			}
+			if k == x.Into {
+				c.report(CodeDuplicateCol, path, x,
+					"group target %s collides with a grouping key", x.Into)
 			}
 		}
-		return newRowType(op.Columns()), nil
+		rt := newRowType(x.Columns())
+		rt.copyFrom(in)
+		rt.Types[x.Into] = nil // nested table: untyped
+		rt.Empty = in.Empty
+		return rt
+
+	case *algebra.Sort:
+		in := c.walk(x.From, path, env)
+		for _, col := range x.Cols {
+			if !slices.Contains(in.Cols, col) {
+				c.report(CodeUnknownColumn, path, x,
+					"sort column %s is not produced by the input (has %v)", col, in.Cols)
+			}
+		}
+		return in.passed()
+
+	case *algebra.TreeOp:
+		in := c.walk(x.From, path, env)
+		c.checkVars(x.C.AllVars(), in.Cols, env, path, x)
+		c.checkSkolems(x.C, path, x)
+		rt := newRowType(x.Columns())
+		rt.Types[rt.Cols[0]] = consType(x.C, in)
+		rt.Empty = in.Empty
+		return rt
+
+	case *algebra.SourceQuery:
+		if c.push != nil {
+			c.report(CodeCapability, path, x, "nested SourceQuery inside a pushed plan")
+		}
+		if x.Plan == nil {
+			c.report(CodeNilPlan, path, x, "SourceQuery with nil plan")
+			return newRowType(nil)
+		}
+		p := &pushed{sq: x, outer: c.push}
+		if c.cfg.Interfaces != nil {
+			if p.iface = c.cfg.Interfaces[x.Source]; p.iface == nil {
+				c.report(CodeCapability, path, x, "no capability interface imported for source %q", x.Source)
+			} else {
+				p.docs = algebra.Docs(x.Plan)
+			}
+		}
+		// The pushed plan obeys the ordinary rules too, under the same
+		// parameters: its free variables arrive as DJoin bindings. Its
+		// capability findings come first, as the source's verdict on the
+		// plan as a whole.
+		mark := len(c.diags)
+		c.push = p
+		in := c.walk(x.Plan, path, env)
+		c.push = p.outer
+		c.diags = slices.Insert(c.diags, mark, p.diags...)
+		return in.passed()
+
+	default:
+		// Unknown operator implementations are opaque: analyze their
+		// children and type their columns Any.
+		for i, child := range op.Children() {
+			c.walk(child, Extend(path, strconv.Itoa(i)), env)
+		}
+		return newRowType(op.Columns())
 	}
+}
+
+// typeBind analyzes a Bind: the filter's variables are typed by matching it
+// against the pattern of what it binds over — a declared document, an input
+// column or a DJoin parameter.
+func (c *checker) typeBind(x *algebra.Bind, path string, env map[string]*pattern.P) *RowType {
+	if x.F == nil || x.F.Root == nil {
+		c.report(CodeNilPlan, path, x, "Bind with nil filter")
+		return newRowType(nil)
+	}
+	var in *RowType
+	var bound *pattern.P
+	switch {
+	case x.Doc != "":
+		c.checkDoc(x.Doc, path, x)
+		c.checkPattern(x, path)
+		bound = c.docPattern(x.Doc)
+		if x.From != nil {
+			// Eval ignores From when Doc is set, yet Columns() advertises the
+			// input columns: rows and headers would disagree.
+			c.report(CodeMalformed, path, x,
+				"Bind names document %q but also has an input plan", x.Doc)
+			in = c.walk(x.From, path, env)
+		}
+	case x.From == nil:
+		var provided bool
+		bound, provided = env[x.Col]
+		if x.Col == "" {
+			c.report(CodeUnknownColumn, path, x, "Bind with neither document, input nor parameter column")
+		} else if !provided {
+			c.free = addFree(c.free, x.Col)
+			c.report(CodeUnboundVar, path, x,
+				"Bind over parameter %s which no enclosing DJoin provides", x.Col)
+		}
+	default:
+		in = c.walk(x.From, path, env)
+		if !slices.Contains(in.Cols, x.Col) {
+			c.report(CodeUnknownColumn, path, x,
+				"Bind over column %s which the input does not produce (has %v)", x.Col, in.Cols)
+		}
+		bound = in.Type(x.Col)
+	}
+	vars := x.F.Vars()
+	rt := newRowType(vars)
+	if in != nil {
+		// Bind appends the filter's variables to the row: one the input
+		// already produces would be silently shadowed.
+		for _, v := range vars {
+			if slices.Contains(in.Cols, v) {
+				c.report(CodeDuplicateCol, path, x,
+					"filter rebinds %s which the input already produces", v)
+			}
+		}
+		rt.Cols = slices.Concat(in.Cols, vars)
+		rt.copyFrom(in)
+		rt.Empty = in.Empty
+	}
+	types, compatible := c.filterTypes(bound, x.F)
+	maps.Copy(rt.Types, types)
+	if !compatible {
+		rt.Empty = true
+	}
+	return rt
+}
+
+// addFree adds v to a sorted set of variables.
+func addFree(free []string, v string) []string {
+	if i, found := slices.BinarySearch(free, v); !found {
+		return slices.Insert(free, i, v)
+	}
+	return free
 }
 
 func newRowType(cols []string) *RowType {
 	return &RowType{Cols: cols, Types: make(map[string]*pattern.P, len(cols))}
+}
+
+// passed is the row type of an operator that passes its input's rows on.
+func (rt *RowType) passed() *RowType {
+	out := newRowType(rt.Cols)
+	out.copyFrom(rt)
+	out.Empty = rt.Empty
+	return out
+}
+
+// joined is the row type of a Join or DJoin: both sides' columns, empty
+// when either side is.
+func joined(l, r *RowType) *RowType {
+	rt := newRowType(slices.Concat(l.Cols, r.Cols))
+	rt.copyFrom(l)
+	rt.copyFrom(r)
+	rt.Empty = l.Empty || r.Empty
+	return rt
 }
 
 // copyFrom copies the other row type's column types for the columns this
@@ -533,7 +638,7 @@ func widen(p *pattern.P) *pattern.P {
 
 // consType derives the pattern of the tree a construction builds from rows
 // typed by the input row type.
-func (in *inferrer) consType(c *algebra.Cons, inRT *RowType) *pattern.P {
+func consType(c *algebra.Cons, inRT *RowType) *pattern.P {
 	if c == nil {
 		return nil
 	}
@@ -572,7 +677,7 @@ func (in *inferrer) consType(c *algebra.Cons, inRT *RowType) *pattern.P {
 		p.Items = []pattern.Item{pattern.Starred(pattern.Any())}
 	default:
 		for _, kid := range c.Kids {
-			kp := in.consType(kid.C, inRT)
+			kp := consType(kid.C, inRT)
 			if kp == nil {
 				kp = pattern.Any()
 			}

@@ -31,6 +31,18 @@ Artifact := class[ artifact: tuple[ title: String, year: Int, price: Int ] ]`)
 	})}
 }
 
+// check analyzes plan under cfg; the plan must have no nil operator.
+func check(t *testing.T, plan algebra.Op, cfg *Config) *Annotation {
+	t.Helper()
+	ann, ds := Check(plan, cfg)
+	for _, d := range ds {
+		if d.Code == CodeNilPlan {
+			t.Fatal(d)
+		}
+	}
+	return ann
+}
+
 func wantType(t *testing.T, rt *RowType, col, want string) {
 	t.Helper()
 	p := rt.Type(col)
@@ -48,10 +60,7 @@ func wantType(t *testing.T, rt *RowType, col, want string) {
 func TestInferBindDoc(t *testing.T) {
 	plan := &algebra.Bind{Doc: "docs",
 		F: filter.MustParse(`doc[ *item[ name: $n, num: $v ] ]`)}
-	ann, err := Infer(plan, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann := check(t, plan, testConfig())
 	if ann.Root.Empty {
 		t.Fatalf("root unexpectedly empty: %s", ann.Root)
 	}
@@ -64,10 +73,7 @@ func TestInferBindExtentWrapped(t *testing.T) {
 	// the set-wrapped extent (the O2 export convention).
 	plan := &algebra.Bind{Doc: "artifacts",
 		F: filter.MustParse(`set[ *class[ artifact[ tuple[ title: $t, year: $y ] ] ] ]`)}
-	ann, err := Infer(plan, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann := check(t, plan, testConfig())
 	if ann.Root.Empty {
 		t.Fatalf("root unexpectedly empty: %s", ann.Root)
 	}
@@ -78,10 +84,7 @@ func TestInferBindExtentWrapped(t *testing.T) {
 func TestInferIncompatibleFilterIsEmpty(t *testing.T) {
 	plan := &algebra.Bind{Doc: "docs",
 		F: filter.MustParse(`doc[ *work[ artist: $a ] ]`)}
-	ann, err := Infer(plan, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann := check(t, plan, testConfig())
 	if !ann.Root.Empty {
 		t.Fatalf("filter over wrong labels should infer empty, got %s", ann.Root)
 	}
@@ -113,10 +116,7 @@ func TestInferAllOperators(t *testing.T) {
 	dist := &algebra.Distinct{From: sorted}
 	grp := &algebra.Group{From: dist, Keys: []string{"$artist", "$p"}, Into: "$rows"}
 
-	ann, err := Infer(grp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann := check(t, grp, cfg)
 	rt := ann.Root
 	wantType(t, rt, "$artist", "String")
 	wantType(t, rt, "$p", "Int")
@@ -129,10 +129,7 @@ func TestInferAllOperators(t *testing.T) {
 		Col: "$doc2", F: filter.MustParse(`work[ artist: $a2 ]`)}}
 	doc := &algebra.Doc{Name: "works", Col: "$doc2"}
 	dj := &algebra.DJoin{L: doc, R: inner}
-	ann2, err := Infer(dj, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann2 := check(t, dj, cfg)
 	wantType(t, ann2.Root, "$doc2", "&Works")
 	// $doc2 is typed works[ *&Work ]; the inner filter binds one work's
 	// artist... the works root does not match `work[...]`, so the inner
@@ -147,10 +144,7 @@ func TestInferAllOperators(t *testing.T) {
 		Col: "$w", F: filter.MustParse(`work[ artist: $a2 ]`)}}
 	outer := &algebra.Bind{Doc: "works", F: filter.MustParse(`works[ *work@$w ]`)}
 	dj2 := &algebra.DJoin{L: outer, R: inner2}
-	ann3, err := Infer(dj2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann3 := check(t, dj2, cfg)
 	if ann3.Root.Empty {
 		t.Fatalf("compatible DJoin unexpectedly empty: %s", ann3.Root)
 	}
@@ -159,33 +153,21 @@ func TestInferAllOperators(t *testing.T) {
 	// Union joins column types positionally; Intersect keeps the left's.
 	lit := &algebra.Literal{T: tab.New("$a2")}
 	un := &algebra.Union{L: dj2, R: dj2}
-	ann4, err := Infer(un, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann4 := check(t, un, cfg)
 	wantType(t, ann4.Root, "$a2", "String")
 
 	inter := &algebra.Intersect{L: dj2, R: dj2}
-	ann5, err := Infer(inter, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann5 := check(t, inter, cfg)
 	wantType(t, ann5.Root, "$a2", "String")
 
 	// An empty literal is provably dead; unioning it keeps the other
 	// branch's type.
-	annLit, err := Infer(lit, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	annLit := check(t, lit, cfg)
 	if !annLit.Root.Empty {
 		t.Fatal("empty literal should infer empty")
 	}
 	unDead := &algebra.Union{L: lit, R: lit}
-	annDead, err := Infer(unDead, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	annDead := check(t, unDead, cfg)
 	if !annDead.Root.Empty {
 		t.Fatal("union of two empty branches should be empty")
 	}
@@ -197,10 +179,7 @@ func TestInferTreeOpComposition(t *testing.T) {
 		F: filter.MustParse(`works[ *work[ artist: $a, title: $t ] ]`)}
 	cons := algebra.MustParseCons(`entry[ by: $a, what: $t ]`)
 	tree := &algebra.TreeOp{From: bind, C: cons, OutCol: "$e"}
-	ann, err := Infer(tree, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann := check(t, tree, cfg)
 	got := ann.Root.Type("$e")
 	if got == nil {
 		t.Fatal("constructed column untyped")
@@ -214,10 +193,7 @@ func TestInferTreeOpComposition(t *testing.T) {
 	// same content types.
 	reread := &algebra.Bind{From: tree, Col: "$e",
 		F: filter.MustParse(`entry[ by: $b ]`)}
-	ann2, err := Infer(reread, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann2 := check(t, reread, cfg)
 	wantType(t, ann2.Root, "$b", "String")
 	if ann2.Root.Empty {
 		t.Fatalf("composition unexpectedly empty: %s", ann2.Root)
@@ -259,10 +235,7 @@ func TestRender(t *testing.T) {
 			F: filter.MustParse(`doc[ *item[ num: $v ] ]`)},
 		Pred: algebra.MustParseExpr(`$v > 1`),
 	}
-	ann, err := Infer(plan, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ann := check(t, plan, testConfig())
 	out := Render(plan, ann)
 	for _, want := range []string{":: {$v: Int}", "Select", "Bind(docs"} {
 		if !strings.Contains(out, want) {

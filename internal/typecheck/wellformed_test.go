@@ -1,4 +1,4 @@
-package planlint
+package typecheck
 
 import (
 	"strings"
@@ -8,13 +8,12 @@ import (
 	"repro/internal/capability"
 	"repro/internal/filter"
 	"repro/internal/pattern"
-	"repro/internal/typecheck"
 )
 
-// testConfig builds a config with one source ("src") exporting document
+// lintConfig builds a config with one source ("src") exporting document
 // "docs" with a tiny capability interface (bind/select/eq over an
 // all-permissive Fpattern) and a declared structure doc[ *item[ name, num ] ].
-func testConfig() *Config {
+func lintConfig() *Config {
 	iface := capability.NewInterface("src")
 	fm := capability.NewFModel("F")
 	fm.Define("Doc", &capability.FT{Kind: pattern.KAny})
@@ -35,8 +34,14 @@ func testConfig() *Config {
 	return &Config{
 		Interfaces: map[string]*capability.Interface{"src": iface},
 		SourceDocs: map[string]string{"docs": "src"},
-		Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}}),
+		Structures: NewSchemas(map[string]Structure{"docs": {Model: m, Pattern: "Doc"}}),
 	}
+}
+
+// diags returns the plan's violations under cfg.
+func diags(plan algebra.Op, cfg *Config) []Diagnostic {
+	_, ds := Check(plan, cfg)
+	return ds
 }
 
 func docBind(src string) *algebra.Bind {
@@ -63,7 +68,7 @@ func TestCleanPlanHasNoDiagnostics(t *testing.T) {
 		From: docBind(`doc[ *item[ name: $n, num: $v ] ]`),
 		Pred: algebra.MustParseExpr(`$v > 10`),
 	}
-	if ds := Check(plan, testConfig()); len(ds) != 0 {
+	if ds := diags(plan, lintConfig()); len(ds) != 0 {
 		t.Fatalf("clean plan got diagnostics: %v", ds)
 	}
 }
@@ -74,7 +79,7 @@ func TestUnboundVariable(t *testing.T) {
 		From: docBind(`doc[ *item[ name: $n ] ]`),
 		Pred: algebra.MustParseExpr(`$missing = "x"`),
 	}
-	d := one(t, Check(plan, testConfig()), CodeUnboundVar, "Select")
+	d := one(t, diags(plan, lintConfig()), CodeUnboundVar, "Select")
 	if !strings.Contains(d.Msg, "$missing") {
 		t.Errorf("diagnostic should name the variable: %s", d)
 	}
@@ -90,7 +95,7 @@ func TestUnboundVariableDeepPath(t *testing.T) {
 		},
 		Pred: algebra.MustParseExpr(`$n = $v`),
 	}
-	one(t, Check(plan, testConfig()), CodeUnboundVar, "Join/R/Select")
+	one(t, diags(plan, lintConfig()), CodeUnboundVar, "Join/R/Select")
 }
 
 func TestDJoinParameterIsBound(t *testing.T) {
@@ -103,11 +108,11 @@ func TestDJoinParameterIsBound(t *testing.T) {
 			Pred: algebra.MustParseExpr(`$v > 1 AND $n = "a"`),
 		},
 	}
-	if ds := Check(plan, testConfig()); len(ds) != 0 {
+	if ds := diags(plan, lintConfig()); len(ds) != 0 {
 		t.Fatalf("DJoin parameter flagged as unbound: %v", ds)
 	}
 	// Outside the DJoin the same Select is a violation.
-	if ds := Check(plan.R, testConfig()); len(ds) != 1 || ds[0].Code != CodeUnboundVar {
+	if ds := diags(plan.R, lintConfig()); len(ds) != 1 || ds[0].Code != CodeUnboundVar {
 		t.Fatalf("standalone right side should be unbound: %v", ds)
 	}
 }
@@ -123,7 +128,7 @@ func TestDJoinBatchShape(t *testing.T) {
 			Pred: algebra.MustParseExpr(`$ghost = 1`),
 		},
 	}
-	ds := Check(plan, testConfig())
+	ds := diags(plan, lintConfig())
 	var shape, unbound bool
 	for _, d := range ds {
 		switch d.Code {
@@ -148,7 +153,7 @@ func TestUnknownProjectColumn(t *testing.T) {
 		From: docBind(`doc[ *item[ name: $n ] ]`),
 		Cols: []string{"$n", "$nope"},
 	}
-	one(t, Check(plan, testConfig()), CodeUnknownColumn, "Project")
+	one(t, diags(plan, lintConfig()), CodeUnknownColumn, "Project")
 }
 
 func TestUndeclaredSourceCapability(t *testing.T) {
@@ -157,7 +162,7 @@ func TestUndeclaredSourceCapability(t *testing.T) {
 		From: docBind(`doc[ *item[ num: $v ] ]`),
 		Pred: algebra.MustParseExpr(`$v < 5`),
 	}}
-	d := one(t, Check(plan, testConfig()), CodeCapability, "SourceQuery/Select")
+	d := one(t, diags(plan, lintConfig()), CodeCapability, "SourceQuery/Select")
 	if !strings.Contains(d.Msg, "cannot evaluate") {
 		t.Errorf("diagnostic should explain the infeasible predicate: %s", d)
 	}
@@ -169,20 +174,20 @@ func TestUndeclaredSourceOperation(t *testing.T) {
 		From: docBind(`doc[ *item[ num: $v, name: $n ] ]`),
 		Cols: []string{"$v"},
 	}}
-	one(t, Check(plan, testConfig()), CodeCapability, "SourceQuery/Project")
+	one(t, diags(plan, lintConfig()), CodeCapability, "SourceQuery/Project")
 }
 
 func TestUnknownSourceInterface(t *testing.T) {
 	plan := &algebra.SourceQuery{Source: "ghost", Plan: docBind(`doc[ *item[ name: $n ] ]`)}
-	one(t, Check(plan, testConfig()), CodeCapability, "SourceQuery")
+	one(t, diags(plan, lintConfig()), CodeCapability, "SourceQuery")
 }
 
 func TestForeignDocumentPushed(t *testing.T) {
-	cfg := testConfig()
+	cfg := lintConfig()
 	cfg.SourceDocs["other"] = "elsewhere"
 	plan := &algebra.SourceQuery{Source: "src", Plan: &algebra.Bind{
 		Doc: "other", F: filter.MustParse(`doc[ *item[ name: $n ] ]`)}}
-	d := one(t, Check(plan, cfg), CodeCapability, "SourceQuery/Bind")
+	d := one(t, diags(plan, cfg), CodeCapability, "SourceQuery/Bind")
 	if !strings.Contains(d.Msg, `"other"`) {
 		t.Errorf("diagnostic should name the foreign document: %s", d)
 	}
@@ -200,7 +205,7 @@ func TestSkolemArityMismatch(t *testing.T) {
 			{C: &algebra.Cons{Label: "owner", RefTo: "person", RefArgs: []string{"$n", "$v"}}},
 		}}),
 	}
-	d := one(t, Check(plan, testConfig()), CodeSkolemArity, "Union/R/Tree")
+	d := one(t, diags(plan, lintConfig()), CodeSkolemArity, "Union/R/Tree")
 	if !strings.Contains(d.Msg, "person") || !strings.Contains(d.Msg, "Union/L/Tree") {
 		t.Errorf("diagnostic should name the function and the first use site: %s", d)
 	}
@@ -209,7 +214,7 @@ func TestSkolemArityMismatch(t *testing.T) {
 func TestPatternMismatch(t *testing.T) {
 	// The declared pattern for "docs" has labels doc/item/name/num only.
 	plan := docBind(`doc[ *item[ bogus: $b ] ]`)
-	d := one(t, Check(plan, testConfig()), CodePattern, "Bind")
+	d := one(t, diags(plan, lintConfig()), CodePattern, "Bind")
 	if !strings.Contains(d.Msg, "bogus") {
 		t.Errorf("diagnostic should name the impossible label: %s", d)
 	}
@@ -220,7 +225,7 @@ func TestUnionArityMismatch(t *testing.T) {
 		L: docBind(`doc[ *item[ name: $n ] ]`),
 		R: docBind(`doc[ *item[ name: $n, num: $v ] ]`),
 	}
-	one(t, Check(plan, testConfig()), CodeArity, "Union")
+	one(t, diags(plan, lintConfig()), CodeArity, "Union")
 }
 
 func TestJoinDuplicateColumns(t *testing.T) {
@@ -229,29 +234,28 @@ func TestJoinDuplicateColumns(t *testing.T) {
 		R:    docBind(`doc[ *item[ name: $n ] ]`),
 		Pred: algebra.TrueExpr(),
 	}
-	one(t, Check(plan, testConfig()), CodeDuplicateCol, "Join")
+	one(t, diags(plan, lintConfig()), CodeDuplicateCol, "Join")
 }
 
 func TestBindOverUnknownParameter(t *testing.T) {
 	plan := &algebra.Bind{Col: "$w", F: filter.MustParse(`item[ name: $n ]`)}
-	one(t, Check(plan, testConfig()), CodeUnboundVar, "Bind")
-	// With the parameter provided (as under a DJoin) the plan is clean.
-	cfg := testConfig()
-	cfg.Params = map[string]bool{"$w": true}
-	if ds := Check(plan, cfg); len(ds) != 0 {
+	one(t, diags(plan, lintConfig()), CodeUnboundVar, "Bind")
+	// With the parameter provided by an enclosing DJoin the plan is clean.
+	provided := &algebra.DJoin{L: &algebra.Doc{Name: "docs", Col: "$w"}, R: plan}
+	if ds := diags(provided, lintConfig()); len(ds) != 0 {
 		t.Fatalf("provided parameter still flagged: %v", ds)
 	}
 }
 
 func TestUnknownDocument(t *testing.T) {
 	plan := &algebra.Bind{Doc: "nowhere", F: filter.MustParse(`doc[ *item[ name: $n ] ]`)}
-	one(t, Check(plan, testConfig()), CodeUnknownDoc, "Bind")
+	one(t, diags(plan, lintConfig()), CodeUnknownDoc, "Bind")
 }
 
 func TestNestedSourceQuery(t *testing.T) {
 	plan := &algebra.SourceQuery{Source: "src", Plan: &algebra.SourceQuery{
 		Source: "src", Plan: docBind(`doc[ *item[ name: $n ] ]`)}}
-	ds := Check(plan, testConfig())
+	ds := diags(plan, lintConfig())
 	found := false
 	for _, d := range ds {
 		if d.Code == CodeCapability && strings.Contains(d.Msg, "nested") {
@@ -283,7 +287,7 @@ func TestDJoinDegenerateWarning(t *testing.T) {
 			Pred: algebra.MustParseExpr(`$v > 1`),
 		},
 	}
-	if ds := Check(plan, testConfig()); len(ds) != 0 {
+	if ds := diags(plan, lintConfig()); len(ds) != 0 {
 		t.Fatalf("degenerate DJoin must stay clean: %v", ds)
 	}
 }
@@ -302,7 +306,7 @@ func TestDiagnosticPathsCarryNesting(t *testing.T) {
 		},
 		Pred: algebra.MustParseExpr(`$v > 10`),
 	}
-	one(t, Check(bad, testConfig()), CodeUnboundVar, "Select/Join/R/Select")
+	one(t, diags(bad, lintConfig()), CodeUnboundVar, "Select/Join/R/Select")
 }
 
 // TestPredFeasibleTable pins the one pushdown-feasibility table, conjunct by
@@ -311,7 +315,7 @@ func TestDiagnosticPathsCarryNesting(t *testing.T) {
 // see optimizer.TestPushableTable): a hand-built pushed Select(true) or
 // cross-product Join(true) gives the source nothing to evaluate.
 func TestPredFeasibleTable(t *testing.T) {
-	iface := testConfig().Interfaces["src"]
+	iface := lintConfig().Interfaces["src"]
 	for _, tc := range []struct {
 		conj     string
 		feasible bool
@@ -332,6 +336,28 @@ func TestPredFeasibleTable(t *testing.T) {
 		err := PredFeasible(iface, algebra.MustParseExpr(tc.conj), []string{"docs"})
 		if (err == nil) != tc.feasible {
 			t.Errorf("PredFeasible(%s) = %v, want feasible = %v", tc.conj, err, tc.feasible)
+		}
+	}
+}
+
+// TestNilPartsAreDiagnostics: a nil operator, tab or filter is a nil-plan
+// diagnostic at its path, and the rest of the plan is still typed.
+func TestNilPartsAreDiagnostics(t *testing.T) {
+	for _, tc := range []struct {
+		plan algebra.Op
+		path string
+	}{
+		{&algebra.Literal{}, "Literal"},
+		{&algebra.Bind{Doc: "docs"}, "Bind"},
+		{&algebra.Distinct{From: &algebra.Select{Pred: algebra.TrueExpr()}}, "Distinct/Select/<nil>"},
+		{&algebra.Union{L: docBind(`doc[ *item[ name: $n ] ]`), R: &algebra.SourceQuery{Source: "src"}}, "Union/R/SourceQuery"},
+	} {
+		ann, ds := Check(tc.plan, lintConfig())
+		if len(ds) == 0 || ds[0].Code != CodeNilPlan || ds[0].Path != tc.path {
+			t.Errorf("%s: want nil-plan at %s first, got %v", algebra.Describe(tc.plan), tc.path, ds)
+		}
+		if ann.Root == nil || ann.Types[tc.plan] == nil {
+			t.Errorf("%s: root not typed", algebra.Describe(tc.plan))
 		}
 	}
 }
