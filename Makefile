@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test lint bench-build fuzz-short fault-matrix experiments smoke
+.PHONY: check build vet test lint bench-build fuzz-short fault-matrix experiments smoke lines
 
 check: build vet test lint bench-build fuzz-short fault-matrix experiments smoke
 
@@ -78,3 +78,13 @@ experiments:
 # and the front door under yat-loadgen. See scripts/smoke.sh.
 smoke:
 	./scripts/smoke.sh
+
+# Non-blank, non-comment lines of Go per package directory, non-test then
+# test, over the tracked files outside bench/ (a module of its own), and the
+# totals. A count to compare commits by; not part of check.
+lines:
+	@git ls-files '*.go' ':!bench/' | xargs awk ' \
+		/^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+		{ d = FILENAME; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; t = FILENAME ~ /_test\.go$$/; n[d, t]++; all[t]++; dirs[d] } \
+		END { for (d in dirs) printf "%-28s %6d %6d\n", d, n[d, 0], n[d, 1] | "sort"; close("sort"); \
+			printf "%-28s %6d %6d\n", "total", all[0], all[1] }'

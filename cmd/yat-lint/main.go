@@ -14,10 +14,11 @@
 //     across plan branches) and must not call its mutating methods
 //     (Add, AddRow, SortBy, Concat) or write its fields; it must clone
 //     first.
-//  3. Inference-rule test coverage: the tests of internal/typecheck must
+//  3. Plan-analysis test coverage: the tests of internal/typecheck must
 //     construct every algebra.Op implementation, so a new operator cannot
-//     land without a test pinning its type inference rule (the inference
-//     switch itself degrades unknown operators to Any by design, which is
+//     land without a test pinning its inference rule and its
+//     well-formedness checks (the analysis switch itself degrades unknown
+//     operators to Any and checks only their children by design, which is
 //     exactly why the toolchain would never notice the gap).
 //  4. One way to call a source: only internal/algebra/call.go (FetchStream,
 //     PushStream, PushBatch) may ask a source which optional call interface
@@ -230,7 +231,7 @@ func checkTypecheckCoverage(ops map[string]bool) ([]string, error) {
 	for op := range ops {
 		if !constructed[op] {
 			findings = append(findings, fmt.Sprintf(
-				"%s: tests never construct algebra.%s — its type inference rule is untested", typecheckPath, op))
+				"%s: tests never construct algebra.%s — its inference rule and well-formedness checks are untested", typecheckPath, op))
 		}
 	}
 	return findings, nil

@@ -603,9 +603,6 @@ func (c *catalog) installWireChecker(actx *algebra.Context, p *planned, opts Exe
 		return
 	}
 	ann := p.annotation(c)
-	if ann == nil {
-		return // malformed plans are the lint gate's concern
-	}
 	actx.CheckWire = func(q *algebra.SourceQuery, t *tab.Tab) error {
 		rt := ann.Types[q]
 		if rt == nil || t == nil {

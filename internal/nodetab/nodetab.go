@@ -133,7 +133,7 @@ func FT() *capability.FT {
 const FPatternName = "Fnodes"
 
 // StructureModel returns the structural schema of a node table, for plan
-// typing and planlint label checking.
+// typing and the pattern check on document Binds.
 func StructureModel() *pattern.Model {
 	m := pattern.NewModel("Nodes_Structure")
 	row := pattern.Node("node",

@@ -18,7 +18,7 @@ import (
 // union alternatives, the contributions are joined — the inferred type
 // must cover every way the match can go.
 func (c *checker) filterTypes(p *pattern.P, f *filter.Filter) (map[string]*pattern.P, bool) {
-	w := &fwalker{model: c.model, types: map[string]*pattern.P{}}
+	w := &fwalker{model: c.ann.Model, types: map[string]*pattern.P{}}
 	compatible := true
 	if p == nil {
 		w.assignAll(f.Root)

@@ -209,18 +209,15 @@ func Check(plan algebra.Op, cfg *Config) (*Annotation, []Diagnostic) {
 	}
 	c := &checker{
 		cfg:     cfg,
-		model:   cfg.Structures.Model(),
-		ann:     &Annotation{Types: map[algebra.Op]*RowType{}},
+		ann:     &Annotation{Types: map[algebra.Op]*RowType{}, Model: cfg.Structures.Model()},
 		skolems: map[string]skolemUse{},
 	}
-	c.ann.Model = c.model
 	c.ann.Root = c.walk(plan, "", map[string]*pattern.P{})
 	return c.ann, c.diags
 }
 
 type checker struct {
 	cfg     *Config
-	model   *pattern.Model
 	ann     *Annotation
 	diags   []Diagnostic
 	skolems map[string]skolemUse // Skolem function name -> first seen use
@@ -379,7 +376,7 @@ func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) 
 			case lp == nil || rp == nil:
 				rt.Types[col] = nil
 			default:
-				rt.Types[col] = unionType(c.model, lp, rp)
+				rt.Types[col] = unionType(c.ann.Model, lp, rp)
 			}
 		}
 		rt.Empty = l.Empty && r.Empty
