@@ -242,10 +242,10 @@ func (c *checker) docPattern(doc string) *pattern.P {
 // DJoins provide to their types: a variable in it is bound.
 func (c *checker) walk(op algebra.Op, path string, env map[string]*pattern.P) *RowType {
 	if op == nil {
-		c.report(CodeNilPlan, Extend(path, "<nil>"), nil, "nil operator")
+		c.report(CodeNilPlan, extend(path, "<nil>"), nil, "nil operator")
 		return newRowType(nil)
 	}
-	path = Extend(path, algebra.OpKind(op))
+	path = extend(path, algebra.OpKind(op))
 	for p := c.push; p != nil; p = p.outer {
 		p.check(c.cfg, op, path)
 	}
@@ -315,8 +315,8 @@ func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) 
 		return rt
 
 	case *algebra.Join:
-		l := c.walk(x.L, Extend(path, "L"), env)
-		r := c.walk(x.R, Extend(path, "R"), env)
+		l := c.walk(x.L, extend(path, "L"), env)
+		r := c.walk(x.R, extend(path, "R"), env)
 		rt := joined(l, r)
 		if x.Pred == nil {
 			c.report(CodeMalformed, path, x, "Join with nil predicate")
@@ -327,7 +327,7 @@ func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) 
 		return rt
 
 	case *algebra.DJoin:
-		l := c.walk(x.L, Extend(path, "L"), env)
+		l := c.walk(x.L, extend(path, "L"), env)
 		// The inner plan sees the outer columns as parameters.
 		renv := maps.Clone(env)
 		for _, col := range l.Cols {
@@ -335,7 +335,7 @@ func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) 
 		}
 		outer := c.free
 		c.free = nil
-		r := c.walk(x.R, Extend(path, "R"), renv)
+		r := c.walk(x.R, extend(path, "R"), renv)
 		c.checkDisjoint(l.Cols, r.Cols, path, x)
 		// Batched evaluation ships the inner plan's free variables
 		// sideways; one neither side of the environment provides leaves
@@ -355,8 +355,8 @@ func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) 
 		return joined(l, r)
 
 	case *algebra.Union:
-		l := c.walk(x.L, Extend(path, "L"), env)
-		r := c.walk(x.R, Extend(path, "R"), env)
+		l := c.walk(x.L, extend(path, "L"), env)
+		r := c.walk(x.R, extend(path, "R"), env)
 		if len(l.Cols) != len(r.Cols) {
 			c.report(CodeArity, path, x, "union of incompatible inputs %v / %v", l.Cols, r.Cols)
 		}
@@ -383,8 +383,8 @@ func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) 
 		return rt
 
 	case *algebra.Intersect:
-		l := c.walk(x.L, Extend(path, "L"), env)
-		r := c.walk(x.R, Extend(path, "R"), env)
+		l := c.walk(x.L, extend(path, "L"), env)
+		r := c.walk(x.R, extend(path, "R"), env)
 		if len(l.Cols) != len(r.Cols) {
 			c.report(CodeArity, path, x, "intersect of incompatible inputs %v / %v", l.Cols, r.Cols)
 		}
@@ -463,7 +463,7 @@ func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) 
 		// Unknown operator implementations are opaque: analyze their
 		// children and type their columns Any.
 		for i, child := range op.Children() {
-			c.walk(child, Extend(path, strconv.Itoa(i)), env)
+			c.walk(child, extend(path, strconv.Itoa(i)), env)
 		}
 		return newRowType(op.Columns())
 	}

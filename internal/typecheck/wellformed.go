@@ -54,8 +54,8 @@ func Error(ds []Diagnostic) error {
 	return fmt.Errorf("typecheck: %d violation(s):\n  %s", len(ds), strings.Join(lines, "\n  "))
 }
 
-// Extend appends a segment to a plan path.
-func Extend(path, seg string) string {
+// extend appends a segment to a plan path.
+func extend(path, seg string) string {
 	if path == "" {
 		return seg
 	}
