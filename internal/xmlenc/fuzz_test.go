@@ -15,42 +15,18 @@ import (
 
 // FuzzParseXML feeds arbitrary text to xmlenc.Parse, the scanner under every
 // wire frame, capability description and shipped document: it never panics,
-// a tree it accepts serializes to text that parses to the same tree, and
-// InferAtoms types that tree's leaves as inferAtomsOracle does. The seeds are
-// the interfaces the three wrappers export, a wire reply frame, a works
-// document, the branches of the parser's text paths and the oracle's leaves.
+// Parse and ParseForest return the trees and errors of the node-by-node
+// oracle (oracle_test.go), a tree it accepts serializes to text that parses to
+// the same tree, and InferAtoms types that tree's leaves as inferAtomsOracle
+// does.
 func FuzzParseXML(f *testing.F) {
-	for _, i := range []*capability.Interface{
-		o2wrap.New("o2artifact", datagen.PaperDB()).ExportInterface(),
-		waiswrap.New("xmlartwork", datagen.NewWaisEngine(datagen.PaperWorks())).ExportInterface(),
-		feed.New("feed", feed.NewStore()).ExportInterface(),
-	} {
-		f.Add(capability.Marshal(i))
-	}
-	rows := tab.New("$t", "$w")
-	rows.AddRow(tab.Row{tab.AtomCell(data.String("Nympheas")), tab.TreeCell(datagen.PaperWorks()[0])})
-	f.Add(`<chunk end="1" obs-ns="1200">` + tab.Marshal(rows) + `</chunk>`)
-	f.Add(xmlenc.Serialize(datagen.PaperWorks()[0]))
-	f.Add(`<a id="x" refs="p1 p2" k='v &amp; w'>t<![CDATA[<c>]]><!-- c --><b ref="p3"/></a>`)
-	// A reference after other content, and one with content of its own, are
-	// not a refs attribute's.
-	f.Add(`<a><b/><ref ref="p"/></a>`)
-	f.Add(`<a><ref ref="p" x="1">t</ref></a>`)
-	// Text in several pieces: around an entity, a CDATA section and a
-	// comment, each in one element and all in one.
-	f.Add(`<a>x &lt; y</a>`)
-	f.Add(`<a>x<![CDATA[ <y> ]]>z</a>`)
-	f.Add(`<a>x<!-- c -->y</a>`)
-	f.Add(`<a> x &amp; y<![CDATA[z]]> w <!-- c --> v </a>`)
-	// White space to collapse: a tab, a newline and a no-break space.
-	f.Add("<a>x\ty\nz\u00a0w</a>")
-	// A single text that stays a child: beside attributes, under a reference.
-	f.Add(`<a k="v">text</a>`)
-	f.Add(`<a ref="p">text</a>`)
-	for _, s := range oracleLeaves {
-		f.Add("<l>" + s + "</l>")
+	for _, s := range parseSeeds() {
+		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if diff := sameParse(src); diff != "" {
+			t.Fatalf("Parse differs from the oracle: %s\n%q", diff, src)
+		}
 		n, err := xmlenc.Parse(src)
 		if err != nil {
 			return
@@ -69,4 +45,42 @@ func FuzzParseXML(f *testing.F) {
 			t.Fatalf("InferAtoms differs from the oracle: %s\n%s", diff, src)
 		}
 	})
+}
+
+// parseSeeds are FuzzParseXML's seeds: the interfaces the three wrappers
+// export, a wire reply frame, a works document, the branches of the parser's
+// text paths and the typing oracle's leaves.
+func parseSeeds() []string {
+	var seeds []string
+	for _, i := range []*capability.Interface{
+		o2wrap.New("o2artifact", datagen.PaperDB()).ExportInterface(),
+		waiswrap.New("xmlartwork", datagen.NewWaisEngine(datagen.PaperWorks())).ExportInterface(),
+		feed.New("feed", feed.NewStore()).ExportInterface(),
+	} {
+		seeds = append(seeds, capability.Marshal(i))
+	}
+	rows := tab.New("$t", "$w")
+	rows.AddRow(tab.Row{tab.AtomCell(data.String("Nympheas")), tab.TreeCell(datagen.PaperWorks()[0])})
+	seeds = append(seeds, `<chunk end="1" obs-ns="1200">`+tab.Marshal(rows)+`</chunk>`)
+	seeds = append(seeds, xmlenc.Serialize(datagen.PaperWorks()[0]))
+	seeds = append(seeds, `<a id="x" refs="p1 p2" k='v &amp; w'>t<![CDATA[<c>]]><!-- c --><b ref="p3"/></a>`)
+	// A reference after other content, and one with content of its own, are
+	// not a refs attribute's.
+	seeds = append(seeds, `<a><b/><ref ref="p"/></a>`)
+	seeds = append(seeds, `<a><ref ref="p" x="1">t</ref></a>`)
+	// Text in several pieces: around an entity, a CDATA section and a
+	// comment, each in one element and all in one.
+	seeds = append(seeds, `<a>x &lt; y</a>`)
+	seeds = append(seeds, `<a>x<![CDATA[ <y> ]]>z</a>`)
+	seeds = append(seeds, `<a>x<!-- c -->y</a>`)
+	seeds = append(seeds, `<a> x &amp; y<![CDATA[z]]> w <!-- c --> v </a>`)
+	// White space to collapse: a tab, a newline and a no-break space.
+	seeds = append(seeds, "<a>x\ty\nz\u00a0w</a>")
+	// A single text that stays a child: beside attributes, under a reference.
+	seeds = append(seeds, `<a k="v">text</a>`)
+	seeds = append(seeds, `<a ref="p">text</a>`)
+	for _, s := range oracleLeaves {
+		seeds = append(seeds, "<l>"+s+"</l>")
+	}
+	return seeds
 }
