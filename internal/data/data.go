@@ -12,7 +12,6 @@ package data
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -314,23 +313,96 @@ func (n *Node) appendText(b *strings.Builder) {
 	}
 }
 
-// Clone returns a deep copy of the subtree rooted at n.
+// Clone returns a deep copy of the subtree rooted at n, built in one Block.
 func (n *Node) Clone() *Node {
+	nodes, atoms := 0, 0
+	n.Walk(func(m *Node) bool {
+		nodes++
+		if m.Atom != nil {
+			atoms++
+		}
+		return true
+	})
+	b := NewBlock(nodes, atoms, max(nodes-1, 0))
+	return b.clone(n)
+}
+
+func (b *Block) clone(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	c := &Node{Label: n.Label, Ref: n.Ref, ID: n.ID}
+	c := b.Elem(n.Label)
+	c.Ref, c.ID = n.Ref, n.ID
 	if n.Atom != nil {
-		a := *n.Atom
-		c.Atom = &a
+		c.Atom = b.Atom(*n.Atom)
 	}
-	if len(n.Kids) > 0 {
-		c.Kids = make([]*Node, len(n.Kids))
-		for i, k := range n.Kids {
-			c.Kids[i] = k.Clone()
-		}
+	c.Kids = b.List(len(n.Kids))
+	for i, k := range n.Kids {
+		c.Kids[i] = b.clone(k)
 	}
 	return c
+}
+
+// Block hands out the nodes, atoms and child lists of a tree built whole (a
+// parsed frame, a tab's XML tree, an exported extent, a clone), carved from
+// three shared slices instead of one heap object each. Every child list is
+// capacity-capped, so Add on one node copies its list rather than writing
+// over the next node's. A node from a block keeps the whole block alive.
+type Block struct {
+	nodes []Node
+	atoms []Atom
+	kids  []*Node
+}
+
+// NewBlock returns a block with room for the given numbers of nodes, atoms
+// and child pointers; past them it grows by blockGrow items at a time. It is
+// a value, so that a builder's block can live in its frame.
+func NewBlock(nodes, atoms, kids int) Block {
+	return Block{make([]Node, nodes), make([]Atom, atoms), make([]*Node, kids)}
+}
+
+// blockGrow fills a size class exactly with nodes, atoms and pointers alike.
+const blockGrow = 16
+
+// carve takes the next n items of *s, as a slice of capacity n.
+func carve[T any](s *[]T, n int) []T {
+	if len(*s) < n {
+		*s = make([]T, max(n, blockGrow))
+	}
+	c := (*s)[:n:n]
+	*s = (*s)[n:]
+	return c
+}
+
+// Leaf returns a new leaf node labeled label holding a copy of a.
+func (b *Block) Leaf(label string, a Atom) *Node {
+	n := b.Elem(label)
+	n.Atom = b.Atom(a)
+	return n
+}
+
+// Atom returns a new copy of a.
+func (b *Block) Atom(a Atom) *Atom {
+	p := &carve(&b.atoms, 1)[0]
+	*p = a
+	return p
+}
+
+// Elem returns a new node labeled label with a copy of kids as its children.
+func (b *Block) Elem(label string, kids ...*Node) *Node {
+	n := &carve(&b.nodes, 1)[0]
+	n.Label, n.Kids = label, b.List(len(kids))
+	copy(n.Kids, kids)
+	return n
+}
+
+// List returns a child list of n nil entries for the caller to fill; nil
+// when n is 0, as a node without children has.
+func (b *Block) List(n int) []*Node {
+	if n == 0 {
+		return nil
+	}
+	return carve(&b.kids, n)
 }
 
 // Size returns the number of nodes in the subtree.
@@ -465,56 +537,62 @@ func Compare(a, b *Node) int {
 }
 
 // Hash returns a 64-bit structural hash of the tree (identifiers excluded,
-// consistent with EqualValue). It lets Group and hash joins bucket trees.
+// consistent with EqualValue). It lets Group and hash joins bucket trees. It
+// is FNV-1a over the bytes of the tree's labels, atoms, references and
+// markers, computed in place without allocating.
 func Hash(n *Node) uint64 {
-	h := fnv.New64a()
-	hashInto(h, n)
-	return h.Sum64()
+	h := fnv1a(14695981039346656037)
+	h.node(n)
+	return uint64(h)
 }
 
-type hasher interface {
-	Write(p []byte) (int, error)
+type fnv1a uint64
+
+func (h *fnv1a) byte(c byte) { *h = (*h ^ fnv1a(c)) * 1099511628211 }
+
+func (h *fnv1a) string(s string) {
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
 }
 
-func hashInto(h hasher, n *Node) {
+func (h *fnv1a) uint64(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.byte(byte(v >> (8 * i)))
+	}
+}
+
+func (h *fnv1a) node(n *Node) {
 	if n == nil {
-		h.Write([]byte{0})
+		h.byte(0)
 		return
 	}
-	h.Write([]byte{1})
-	h.Write([]byte(n.Label))
-	h.Write([]byte{0})
+	h.byte(1)
+	h.string(n.Label)
+	h.byte(0)
 	if n.Atom != nil {
-		h.Write([]byte{byte(n.Atom.Kind) + 2})
+		h.byte(byte(n.Atom.Kind) + 2)
 		switch n.Atom.Kind {
 		case KindInt:
-			writeUint64(h, uint64(n.Atom.I))
+			h.uint64(uint64(n.Atom.I))
 		case KindFloat:
-			writeUint64(h, math.Float64bits(n.Atom.F))
+			h.uint64(math.Float64bits(n.Atom.F))
 		case KindBool:
 			if n.Atom.B {
-				h.Write([]byte{1})
+				h.byte(1)
 			} else {
-				h.Write([]byte{0})
+				h.byte(0)
 			}
 		default:
-			h.Write([]byte(n.Atom.S))
+			h.string(n.Atom.S)
 		}
 	}
-	h.Write([]byte(n.Ref))
-	h.Write([]byte{0})
+	h.string(n.Ref)
+	h.byte(0)
 	for _, k := range n.Kids {
-		hashInto(h, k)
+		h.node(k)
 	}
-	h.Write([]byte{2})
-}
-
-func writeUint64(h hasher, v uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	h.Write(b[:])
+	h.byte(2)
 }
 
 // SortKids sorts the children of n in Compare order; used to normalise

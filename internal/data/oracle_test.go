@@ -65,3 +65,19 @@ func TestHashValuesPinned(t *testing.T) {
 		}
 	}
 }
+
+func TestCloneAllocs(t *testing.T) {
+	work := oracleTrees()[1]
+	// measured: 3 (22 node by node), the block's three slices
+	if n := testing.AllocsPerRun(20, func() { _ = work.Clone() }); n > 3 {
+		t.Errorf("Clone of a work: %v allocations, want at most 3", n)
+	}
+}
+
+func TestHashAllocs(t *testing.T) {
+	work := oracleTrees()[1]
+	// measured: 0 (77 when each write went through an interface)
+	if n := testing.AllocsPerRun(20, func() { _ = Hash(work) }); n != 0 {
+		t.Errorf("Hash of a work: %v allocations, want 0", n)
+	}
+}

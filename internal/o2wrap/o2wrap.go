@@ -122,55 +122,23 @@ func typePattern(t *o2.Type) *pattern.P {
 // class[ classname[ <value> ] ] carrying the oid as identifier; references
 // stay references.
 func (w *Wrapper) ExportObject(o *o2.Object) *data.Node {
-	return data.Elem("class",
-		data.Elem(strings.ToLower(o.Class), w.ExportVal(o.Value)),
-	).WithID(o.OID)
+	var c exportCount
+	c.object(o)
+	b := c.block()
+	return exportObject(&b, o)
 }
 
 // ExportVal converts a value to its YAT tree.
 func (w *Wrapper) ExportVal(v o2.Val) *data.Node {
-	switch v.Kind {
-	case o2.VInt:
-		return &data.Node{Atom: &data.Atom{Kind: data.KindInt, I: v.I}}
-	case o2.VFloat:
-		return &data.Node{Atom: &data.Atom{Kind: data.KindFloat, F: v.F}}
-	case o2.VBool:
-		return &data.Node{Atom: &data.Atom{Kind: data.KindBool, B: v.B}}
-	case o2.VStr:
-		return &data.Node{Atom: &data.Atom{Kind: data.KindString, S: v.S}}
-	case o2.VOid:
-		return data.RefNode("ref", v.S)
-	case o2.VTuple:
-		n := data.Elem("tuple")
-		for _, name := range v.Names {
-			fv := w.ExportVal(v.Fields[name])
-			field := data.Elem(name)
-			if fv.Label == "" && fv.Atom != nil {
-				field.Atom = fv.Atom
-			} else {
-				field.Add(fv)
-			}
-			n.Add(field)
-		}
-		return n
-	case o2.VColl:
-		n := data.Elem(v.Col.String())
-		for _, e := range v.Elems {
-			ev := w.ExportVal(e)
-			if ev.Label == "" && ev.Atom != nil {
-				ev.Label = "item"
-			}
-			n.Add(ev)
-		}
-		return n
-	default:
-		return data.Elem("nil")
-	}
+	var c exportCount
+	c.val(v)
+	b := c.block()
+	return exportVal(&b, v)
 }
 
 // Fetch implements algebra.Source: it ships a whole extent as a set tree,
 // followed by the transitive closure of referenced objects (so that the
-// mediator can resolve references while navigating).
+// mediator can resolve references while navigating), all built in one block.
 func (w *Wrapper) Fetch(doc string) (data.Forest, error) {
 	if nodetab.IsNodes(doc) {
 		return w.nodeTable(nodetab.Base(doc))
@@ -179,28 +147,106 @@ func (w *Wrapper) Fetch(doc string) (data.Forest, error) {
 	if cls == nil {
 		return nil, fmt.Errorf("o2wrap: unknown extent %q", doc)
 	}
-	set := data.Elem("set")
+	// The extent's objects, then the referenced closure breadth first.
+	extent := w.DB.Extents[doc]
+	objs := make([]*o2.Object, len(extent))
 	shipped := map[string]bool{}
-	var queue []string
-	for _, oid := range w.DB.Extents[doc] {
-		set.Add(w.ExportObject(w.DB.Get(oid)))
-		shipped[oid] = true
-		queue = append(queue, oid)
+	for i, oid := range extent {
+		objs[i], shipped[oid] = w.DB.Get(oid), true
 	}
-	forest := data.Forest{set}
-	// Referenced closure.
-	for len(queue) > 0 {
-		oid := queue[0]
-		queue = queue[1:]
-		collectRefs(w.DB.Get(oid).Value, func(ref string) {
+	c := exportCount{nodes: 1}
+	for i := 0; i < len(objs); i++ {
+		c.object(objs[i])
+		collectRefs(objs[i].Value, func(ref string) {
 			if !shipped[ref] {
 				shipped[ref] = true
-				forest = append(forest, w.ExportObject(w.DB.Get(ref)))
-				queue = append(queue, ref)
+				objs = append(objs, w.DB.Get(ref))
 			}
 		})
 	}
+	c.kids += 1 + len(objs)
+	b := c.block()
+	set := b.Elem("set")
+	set.Kids = b.List(len(extent))
+	forest := data.Forest(b.List(1 + len(objs) - len(extent)))
+	forest[0] = set
+	for i, o := range objs {
+		if i < len(extent) {
+			set.Kids[i] = exportObject(&b, o)
+		} else {
+			forest[1+i-len(extent)] = exportObject(&b, o)
+		}
+	}
 	return forest, nil
+}
+
+// exportCount counts the nodes, atoms and child pointers of exported trees.
+type exportCount struct{ nodes, atoms, kids int }
+
+func (c *exportCount) block() data.Block { return data.NewBlock(c.nodes, c.atoms, c.kids) }
+
+func (c *exportCount) object(o *o2.Object) {
+	c.nodes, c.kids = c.nodes+2, c.kids+2
+	c.val(o.Value)
+}
+
+func (c *exportCount) val(v o2.Val) {
+	c.nodes++
+	if _, ok := valToAtom(v); ok {
+		c.atoms++
+	} else if v.Kind == o2.VTuple {
+		c.kids += len(v.Names)
+		for _, name := range v.Names {
+			if _, ok := valToAtom(v.Fields[name]); !ok {
+				c.nodes, c.kids = c.nodes+1, c.kids+1 // the field over the value
+			}
+			c.val(v.Fields[name])
+		}
+	} else if v.Kind == o2.VColl {
+		c.kids += len(v.Elems)
+		for _, e := range v.Elems {
+			c.val(e)
+		}
+	}
+}
+
+func exportObject(b *data.Block, o *o2.Object) *data.Node {
+	return b.Elem("class", b.Elem(strings.ToLower(o.Class), exportVal(b, o.Value))).WithID(o.OID)
+}
+
+// exportVal builds v's tree. An atom is an unlabeled leaf, but the leaf of
+// its field in a tuple and an item leaf in a collection.
+func exportVal(b *data.Block, v o2.Val) *data.Node {
+	if a, ok := valToAtom(v); ok {
+		return b.Leaf("", a)
+	}
+	var n *data.Node
+	switch v.Kind {
+	case o2.VOid:
+		n = b.Elem("ref")
+		n.Ref = v.S
+	case o2.VTuple:
+		n = b.Elem("tuple")
+		n.Kids = b.List(len(v.Names))
+		for i, name := range v.Names {
+			if a, ok := valToAtom(v.Fields[name]); ok {
+				n.Kids[i] = b.Leaf(name, a)
+			} else {
+				n.Kids[i] = b.Elem(name, exportVal(b, v.Fields[name]))
+			}
+		}
+	case o2.VColl:
+		n = b.Elem(v.Col.String())
+		n.Kids = b.List(len(v.Elems))
+		for i, e := range v.Elems {
+			if n.Kids[i] = exportVal(b, e); n.Kids[i].Atom != nil {
+				n.Kids[i].Label = "item"
+			}
+		}
+	default:
+		n = b.Elem("nil")
+	}
+	return n
 }
 
 // nodeTable returns the cached node table of an extent document.

@@ -118,3 +118,12 @@ func TestFetchMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+func TestFetchAllocs(t *testing.T) {
+	w := New("o2artifact", datagen.PaperDB())
+	// measured: 10 (122 node by node): the block's three slices, the object
+	// list, the shipped set and the class labels
+	if n := testing.AllocsPerRun(20, func() { _, _ = w.Fetch("artifacts") }); n > 10 {
+		t.Errorf("Fetch of artifacts: %v allocations, want at most 10", n)
+	}
+}

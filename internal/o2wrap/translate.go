@@ -367,39 +367,43 @@ func cellToVal(c tab.Cell) (o2.Val, error) {
 	return atomToVal(a), nil
 }
 
+// valToAtom returns the atom of an atomic value.
+func valToAtom(v o2.Val) (data.Atom, bool) {
+	switch v.Kind {
+	case o2.VInt:
+		return data.Int(v.I), true
+	case o2.VFloat:
+		return data.Float(v.F), true
+	case o2.VBool:
+		return data.Bool(v.B), true
+	case o2.VStr:
+		return data.String(v.S), true
+	}
+	return data.Atom{}, false
+}
+
 // valToCell converts an OQL result value to the cell the mediator-side Bind
 // would have produced for the same variable.
 func (w *Wrapper) valToCell(vb varBinding, v o2.Val) (tab.Cell, error) {
 	switch vb.kind {
 	case kAtom:
-		switch v.Kind {
-		case o2.VInt:
-			return tab.AtomCell(data.Int(v.I)), nil
-		case o2.VFloat:
-			return tab.AtomCell(data.Float(v.F)), nil
-		case o2.VBool:
-			return tab.AtomCell(data.Bool(v.B)), nil
-		case o2.VStr:
-			return tab.AtomCell(data.String(v.S)), nil
-		case o2.VOid:
-			return tab.TreeCell(w.ExportObject(w.DB.Get(v.S))), nil
-		default:
-			return tab.TreeCell(w.ExportVal(v)), nil
+		if a, ok := valToAtom(v); ok {
+			return tab.AtomCell(a), nil
 		}
+		if v.Kind == o2.VOid {
+			return tab.TreeCell(w.ExportObject(w.DB.Get(v.S))), nil
+		}
+		return tab.TreeCell(w.ExportVal(v)), nil
 	case kObject:
 		if v.Kind != o2.VOid {
 			return tab.Null(), fmt.Errorf("o2wrap: expected an object, got %s", v)
 		}
 		return tab.TreeCell(w.ExportObject(w.DB.Get(v.S))), nil
 	case kField:
-		inner := w.ExportVal(v)
-		field := data.Elem(vb.field)
-		if inner.Label == "" && inner.Atom != nil {
-			field.Atom = inner.Atom
-		} else {
-			field.Add(inner)
+		if a, ok := valToAtom(v); ok {
+			return tab.TreeCell(data.Leaf(vb.field, a)), nil
 		}
-		return tab.TreeCell(field), nil
+		return tab.TreeCell(data.Elem(vb.field, w.ExportVal(v))), nil
 	case kColl:
 		field := data.Elem(vb.field, w.ExportVal(v))
 		return tab.TreeCell(field), nil

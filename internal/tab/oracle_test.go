@@ -125,3 +125,12 @@ func TestCellKeysPinned(t *testing.T) {
 		}
 	}
 }
+
+func TestMarshalAllocs(t *testing.T) {
+	rows := atomTab(64)
+	// measured: 18 (1,245 node by node): the XML tree's block (3), the
+	// column list and the serializer's buffer growth
+	if n := testing.AllocsPerRun(20, func() { _ = Marshal(rows) }); n > 18 {
+		t.Errorf("Marshal of a 64-row atom tab: %v allocations, want at most 18", n)
+	}
+}

@@ -10,6 +10,7 @@ package tab
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/data"
@@ -177,12 +178,15 @@ func (c Cell) Key() string {
 	case CNull:
 		return "_"
 	case CTree:
-		return fmt.Sprintf("t:%016x", data.Hash(c.Tree))
+		var b [18]byte
+		return string(appendHash(append(b[:0], "t:"...), c.Tree))
 	case CSeq:
 		var b strings.Builder
+		b.Grow(2 + 17*len(c.Seq))
 		b.WriteString("s:")
 		for _, n := range c.Seq {
-			fmt.Fprintf(&b, "%016x.", data.Hash(n))
+			var d [17]byte
+			b.Write(append(appendHash(d[:0], n), '.'))
 		}
 		return b.String()
 	case CTab:
@@ -190,6 +194,13 @@ func (c Cell) Key() string {
 	default:
 		return "?"
 	}
+}
+
+// appendHash appends data.Hash(n) as 16 hex digits.
+func appendHash(b []byte, n *data.Node) []byte {
+	var d [16]byte
+	h := strconv.AppendUint(d[:0], data.Hash(n), 16)
+	return append(append(b, "0000000000000000"[len(h):]...), h...)
 }
 
 // String renders the cell compactly.

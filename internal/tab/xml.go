@@ -3,6 +3,7 @@ package tab
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/data"
 	"repro/internal/xmlenc"
@@ -22,45 +23,65 @@ import (
 // Cell elements are <null/>, <atom type=...>, <tree>, <seq> or a nested
 // <tab>.
 
-// ToXML converts the Tab to its XML tree.
+// ToXML converts the Tab to its XML tree, built in one data.Block sized
+// exactly from the tab.
 func ToXML(t *Tab) *data.Node {
-	root := data.Elem("tab")
-	cols := ""
-	for i, c := range t.Cols {
-		if i > 0 {
-			cols += " "
-		}
-		cols += c
-	}
-	root.Add(data.Text("@cols", cols))
+	b := data.NewBlock(xmlCount(t))
+	return toXML(&b, t)
+}
+
+// xmlCount returns the numbers of nodes, atoms and child pointers in the
+// XML tree of t.
+func xmlCount(t *Tab) (nodes, atoms, kids int) {
+	nodes, atoms, kids = 2+len(t.Rows), 1, 1+len(t.Rows) // <tab>, @cols, rows
 	for _, r := range t.Rows {
-		row := data.Elem("row")
+		nodes, kids = nodes+len(r), kids+len(r)
 		for _, c := range r {
-			row.Add(cellToXML(c))
+			switch c.Kind {
+			case CAtom: // and its @type attribute
+				nodes, atoms, kids = nodes+1, atoms+2, kids+1
+			case CTree:
+				kids++
+			case CSeq:
+				kids += len(c.Seq)
+			case CTab:
+				n, a, k := xmlCount(c.Tab)
+				nodes, atoms, kids = nodes+n-1, atoms+a, kids+k
+			}
 		}
-		root.Add(row)
+	}
+	return nodes, atoms, kids
+}
+
+func toXML(b *data.Block, t *Tab) *data.Node {
+	root := b.Elem("tab")
+	root.Kids = b.List(1 + len(t.Rows))
+	root.Kids[0] = b.Leaf("@cols", data.String(strings.Join(t.Cols, " ")))
+	for i, r := range t.Rows {
+		row := b.Elem("row")
+		row.Kids = b.List(len(r))
+		for j, c := range r {
+			row.Kids[j] = cellToXML(b, c)
+		}
+		root.Kids[1+i] = row
 	}
 	return root
 }
 
-func cellToXML(c Cell) *data.Node {
+func cellToXML(b *data.Block, c Cell) *data.Node {
 	switch c.Kind {
-	case CNull:
-		return data.Elem("null")
 	case CAtom:
-		n := data.Leaf("atom", c.Atom)
-		n.Kids = append(n.Kids, data.Text("@type", c.Atom.Kind.String()))
+		n := b.Elem("atom", b.Leaf("@type", data.String(c.Atom.Kind.String())))
+		n.Atom = b.Atom(c.Atom)
 		return n
 	case CTree:
-		return data.Elem("tree", c.Tree)
+		return b.Elem("tree", c.Tree)
 	case CSeq:
-		s := data.Elem("seq")
-		s.Kids = append(s.Kids, c.Seq...)
-		return s
+		return b.Elem("seq", c.Seq...)
 	case CTab:
-		return ToXML(c.Tab)
+		return toXML(b, c.Tab)
 	default:
-		return data.Elem("null")
+		return b.Elem("null")
 	}
 }
 

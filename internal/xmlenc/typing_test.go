@@ -82,7 +82,10 @@ func worksDocument() string {
 }
 
 // The allocation guards below hold the codec to allocating only the tree it
-// returns. Each bound is the count measured when it was set.
+// returns, and Parse to building that tree in one data.Block: a few slices
+// sized from counts over the input, not one object per node, atom and child
+// list. Each bound is the count measured when it was set; `make allocs` runs
+// them without the race detector too.
 
 func TestEscapeAllocs(t *testing.T) {
 	// measured: 0
@@ -113,5 +116,15 @@ func TestParseAllocs(t *testing.T) {
 	// measured: 2, the node and its atom
 	if n := testing.AllocsPerRun(100, func() { _, _ = xmlenc.Parse("<t>plain text</t>") }); n > 2 {
 		t.Errorf("Parse of one text element: %v allocations, want at most 2", n)
+	}
+}
+
+func TestParseWorksAllocs(t *testing.T) {
+	src := worksDocument()
+	// measured: 11 (2,491 node by node): the block's three slices, the stack
+	// of open elements' children growing past 64 to the root's works, and
+	// the text of the entities
+	if n := testing.AllocsPerRun(20, func() { _, _ = xmlenc.Parse(src) }); n > 11 {
+		t.Errorf("Parse of a works document of 300 artifacts: %v allocations, want at most 11", n)
 	}
 }

@@ -41,8 +41,50 @@ func (e *ParseError) Error() string {
 }
 
 type scanner struct {
-	src string
-	pos int
+	src    string
+	pos    int
+	b      data.Block
+	kids   []*data.Node // the children of the open elements, innermost last
+	labels [8]string    // the attribute labels made so far
+}
+
+// newScanner returns a scanner over src with the parse's block reserved from
+// counts over src, which are exact for the frames and documents Serialize
+// writes. An element opens with '<' and one "</" of those closes it. Text
+// before a closing tag that does not follow another ("></") is an atom, and
+// so is an attribute (="), unless it is an id or refs. Other attributes are
+// a node each, and refs one per reference. Text right after a start tag
+// with attributes ("> not followed by '<') is a child.
+func newScanner(src string) scanner {
+	count := func(sub string) int { return strings.Count(src, sub) }
+	attrs := count(`="`) - count(` id="`)
+	nodes := count("<") - count("</") + attrs + count(`">`) - count(`"><`)
+	atoms := count("</") - count("></") + attrs
+	for r := src; ; {
+		i := strings.Index(r, ` refs="`)
+		if i < 0 {
+			break
+		}
+		r = r[i+len(` refs="`):]
+		atoms--
+		nodes += strings.Count(r[:max(strings.IndexByte(r, '"'), 0)], " ")
+	}
+	kids := max(nodes-1, 0)
+	return scanner{src: src, b: data.NewBlock(nodes, atoms, kids), kids: make([]*data.Node, 0, min(kids, 64))}
+}
+
+// attrLabel returns the label of attribute name, "@"+name, made once per
+// parse for each of the first len(s.labels) names.
+func (s *scanner) attrLabel(name string) string {
+	for i, l := range s.labels {
+		if l == "" {
+			s.labels[i] = "@" + name
+		}
+		if s.labels[i][1:] == name {
+			return s.labels[i]
+		}
+	}
+	return "@" + name
 }
 
 func (s *scanner) errf(format string, args ...any) error {
@@ -135,7 +177,7 @@ func (s *scanner) skipMisc() error {
 
 // Parse parses an XML document and returns its root element as a YAT tree.
 func Parse(src string) (*data.Node, error) {
-	s := &scanner{src: src}
+	s := newScanner(src)
 	if err := s.skipMisc(); err != nil {
 		return nil, err
 	}
@@ -159,7 +201,7 @@ func Parse(src string) (*data.Node, error) {
 // ParseForest parses a sequence of sibling XML elements (no single root),
 // as produced when serializing a data.Forest.
 func ParseForest(src string) (data.Forest, error) {
-	s := &scanner{src: src}
+	s := newScanner(src)
 	var out data.Forest
 	for {
 		if err := s.skipMisc(); err != nil {
@@ -189,7 +231,8 @@ func (s *scanner) element() (*data.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &data.Node{Label: label}
+	n := s.b.Elem(label)
+	base := len(s.kids)
 	// attributes; the references of a refs attribute follow the others, where
 	// Serialize writes it
 	refs := ""
@@ -228,57 +271,63 @@ func (s *scanner) element() (*data.Node, error) {
 				refs += " " + aval
 			}
 		default:
-			n.Add(data.Text("@"+aname, aval))
+			s.kids = append(s.kids, s.b.Leaf(s.attrLabel(aname), data.String(aval)))
 		}
 	}
 	for _, id := range strings.Fields(refs) {
-		n.Add(data.RefNode("ref", id))
+		r := s.b.Elem("ref")
+		r.Ref = id
+		s.kids = append(s.kids, r)
 	}
 	if s.peek() == '/' {
 		s.pos++
 		if s.peek() != '>' {
 			return nil, s.errf("expected '>' after '/'")
 		}
-		s.pos++
-		return n, nil
-	}
-	s.pos++ // '>'
-	if err := s.content(n); err != nil {
-		return nil, err
-	}
-	// closing tag
-	cname, err := s.name()
-	if err != nil {
-		return nil, err
-	}
-	if cname != label {
-		return nil, s.errf("mismatched closing tag </%s> for <%s>", cname, label)
-	}
-	s.skipSpace()
-	if s.peek() != '>' {
-		return nil, s.errf("expected '>' in closing tag")
+	} else {
+		s.pos++ // '>'
+		if err := s.content(n, base); err != nil {
+			return nil, err
+		}
+		// closing tag
+		cname, err := s.name()
+		if err != nil {
+			return nil, err
+		}
+		if cname != label {
+			return nil, s.errf("mismatched closing tag </%s> for <%s>", cname, label)
+		}
+		s.skipSpace()
+		if s.peek() != '>' {
+			return nil, s.errf("expected '>' in closing tag")
+		}
 	}
 	s.pos++
+	// the children gathered since base become one list from the block
+	n.Kids = s.b.List(len(s.kids) - base)
+	copy(n.Kids, s.kids[base:])
+	s.kids = s.kids[:base]
 	return n, nil
 }
 
 // content parses mixed element/text content until the matching `</` is
-// consumed (leaving the scanner positioned at the closing tag name). Text that
-// is the element's only content, with no reference attribute, becomes the
-// element's own atom (<e>text</e> is a leaf labeled e); any other text becomes
-// an unlabeled string leaf among the children.
-func (s *scanner) content(parent *data.Node) error {
+// consumed (leaving the scanner positioned at the closing tag name), pushing
+// parent's children onto s.kids above base. Text that is the element's only
+// content, with no reference attribute, becomes the element's own atom
+// (<e>text</e> is a leaf labeled e); any other text becomes an unlabeled
+// string leaf among the children.
+func (s *scanner) content(parent *data.Node, base int) error {
 	var text textRun
 	flush := func(closing bool) {
 		t := strings.TrimSpace(text.take())
 		if t == "" {
 			return
 		}
-		a := &data.Atom{Kind: data.KindString, S: CollapseSpace(t)}
-		if closing && len(parent.Kids) == 0 && parent.Ref == "" {
-			parent.Atom = a
+		a := data.String(CollapseSpace(t))
+		if closing && len(s.kids) == base && parent.Ref == "" {
+			parent.Atom = s.b.Atom(a)
 		} else {
-			parent.Add(&data.Node{Atom: a})
+			s.kids = append(s.kids, s.b.Leaf("", a))
 		}
 	}
 	for {
@@ -338,7 +387,7 @@ func (s *scanner) content(parent *data.Node) error {
 		if err != nil {
 			return err
 		}
-		parent.Add(kid)
+		s.kids = append(s.kids, kid)
 	}
 }
 
