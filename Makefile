@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test lint bench-build fuzz-short fault-matrix experiments smoke lines
+.PHONY: check build vet test allocs lint bench-build fuzz-short fault-matrix experiments smoke lines
 
-check: build vet test lint bench-build fuzz-short fault-matrix experiments smoke
+check: build vet test allocs lint bench-build fuzz-short fault-matrix experiments smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ vet:
 
 test:
 	$(GO) test -race ./...
+
+# The allocation guards (tests named *Allocs*) again without -race, so each
+# pinned count holds in the build that ships as well as under the race
+# detector.
+allocs:
+	$(GO) test -run Allocs ./...
 
 lint:
 	$(GO) run ./cmd/yat-lint ./...
