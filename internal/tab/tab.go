@@ -178,8 +178,7 @@ func (c Cell) Key() string {
 	case CNull:
 		return "_"
 	case CTree:
-		var b [18]byte
-		return string(appendHash(append(b[:0], "t:"...), c.Tree))
+		return string(appendHash(append(make([]byte, 0, 18), "t:"...), c.Tree))
 	case CSeq:
 		var b strings.Builder
 		b.Grow(2 + 17*len(c.Seq))

@@ -2,6 +2,7 @@ package xmlenc_test
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,5 +127,24 @@ func TestParseWorksAllocs(t *testing.T) {
 	// the text of the entities
 	if n := testing.AllocsPerRun(20, func() { _, _ = xmlenc.Parse(src) }); n > 11 {
 		t.Errorf("Parse of a works document of 300 artifacts: %v allocations, want at most 11", n)
+	}
+}
+
+// TestParseGarbageAllocs holds what Parse reserves from counts over its input
+// to what valid XML of the same size could make the node-by-node parser
+// allocate (one <a/> per four bytes): text that is not XML fails at once, but
+// its reservation is made first.
+func TestParseGarbageAllocs(t *testing.T) {
+	src := strings.Repeat("<>", 1<<19)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := xmlenc.Parse(src); err == nil {
+		t.Fatal("Parse accepted text that is not XML")
+	}
+	runtime.ReadMemStats(&m1)
+	// measured: 22 bytes per input byte; 44 with a reservation from the
+	// counts alone
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(src)); per > 25 {
+		t.Errorf("Parse of 1 MiB that is not XML: %.1f bytes allocated per input byte, want at most 25", per)
 	}
 }

@@ -54,7 +54,9 @@ type scanner struct {
 // before a closing tag that does not follow another ("></") is an atom, and
 // so is an attribute (="), unless it is an id or refs. Other attributes are
 // a node each, and refs one per reference. Text right after a start tag
-// with attributes ("> not followed by '<') is a child.
+// with attributes ("> not followed by '<') is a child. Counts over text that
+// is not XML can be far above what a parse builds before it fails, so no
+// reservation exceeds one item per four bytes of input, the size of <a/>.
 func newScanner(src string) scanner {
 	count := func(sub string) int { return strings.Count(src, sub) }
 	attrs := count(`="`) - count(` id="`)
@@ -69,6 +71,7 @@ func newScanner(src string) scanner {
 		atoms--
 		nodes += strings.Count(r[:max(strings.IndexByte(r, '"'), 0)], " ")
 	}
+	nodes, atoms = min(nodes, len(src)/4), min(atoms, len(src)/4)
 	kids := max(nodes-1, 0)
 	return scanner{src: src, b: data.NewBlock(nodes, atoms, kids), kids: make([]*data.Node, 0, min(kids, 64))}
 }
