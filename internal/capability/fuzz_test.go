@@ -25,6 +25,14 @@ func FuzzInterfaceXML(f *testing.F) {
 	}
 	f.Add(`<interface name="x"><operation name="bind" kind="algebra"/></interface>`)
 	f.Add(`<interface/>`)
+	// Every flag position an Fpattern carries: node bind and inst, ref bind,
+	// star inst; and the <value pattern=…> spelling of a reference.
+	f.Add(`<interface name="flags"><fmodel name="m"><fpattern name="F">` +
+		`<node label="Symbol" bind="label" inst="none"><star inst="ground">` +
+		`<node label="a" bind="tree" inst="ground"><ref pattern="G" bind="none"/></node></star>` +
+		`<star inst="none"><value pattern="G" bind="tree"/></star></node>` +
+		`</fpattern><fpattern name="G"><union><leaf label="Int"/><any/></union></fpattern></fmodel>` +
+		`<bindcap doc="d" fmodel="m" fpattern="F"/></interface>`)
 	f.Fuzz(func(t *testing.T, src string) {
 		i, err := capability.Unmarshal(src)
 		if err != nil {
