@@ -160,18 +160,16 @@ Sale  := sale[ title: String, hammer: Float, year: Int ]`)
 // fixed attribute shape, select with equality only (Figure 6 style).
 func (l *Ledger) ExportInterface() *capability.Interface {
 	i := capability.NewInterface("auctionledger")
-	fm := capability.NewFModel("ledgerfmodel")
-	str := func() *capability.FT { return &capability.FT{Kind: pattern.KString} }
-	fm.Define("Fsales", &capability.FT{
-		Kind: pattern.KNode, Label: "sales", Bind: capability.BindNone,
-		Items: []capability.FTItem{{Star: true, Inst: capability.InstNone,
-			F: &capability.FT{Kind: pattern.KNode, Label: "sale", Bind: capability.BindNone,
-				Items: []capability.FTItem{
-					{F: &capability.FT{Kind: pattern.KNode, Label: "title", Items: []capability.FTItem{{F: str()}}}},
-					{F: &capability.FT{Kind: pattern.KNode, Label: "hammer", Items: []capability.FTItem{{F: &capability.FT{Kind: pattern.KFloat}}}}},
-					{F: &capability.FT{Kind: pattern.KNode, Label: "year", Items: []capability.FTItem{{F: &capability.FT{Kind: pattern.KInt}}}}},
-				}}}},
-	})
+	fm := pattern.NewModel("ledgerfmodel")
+	// An Fpattern is a pattern with bind/inst flags set.
+	sale := pattern.Node("sale",
+		pattern.Node("title", pattern.Str()),
+		pattern.Node("hammer", pattern.Float()),
+		pattern.Node("year", pattern.Int()))
+	sale.Bind = pattern.BindNone
+	sales := pattern.NodeItems("sales", pattern.Item{P: sale, Star: true, Inst: pattern.InstNone})
+	sales.Bind = pattern.BindNone
+	fm.Define("Fsales", sales)
 	i.FModels = append(i.FModels, fm)
 	i.Binds["sales"] = capability.BindCap{FModel: "ledgerfmodel", FPattern: "Fsales"}
 	i.Operations = append(i.Operations,

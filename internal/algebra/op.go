@@ -37,7 +37,7 @@ type Source interface {
 // does so through StreamSource, PushStreamSource or BatchSource, and no
 // type in this module implements it. It stays declared only because the
 // benchmark's recording decorator names it, and goes with the one source
-// interface (ROADMAP item 6(ii)).
+// interface (ROADMAP "One source interface").
 type ContextSource interface {
 	Source
 	// FetchContext is Fetch under a cancellation context.

@@ -1,6 +1,6 @@
 // Package capability implements the source-description language of
-// Section 4: Fmodels of Fpatterns with bind/inst flags describing the
-// filters a source accepts, operational interfaces declaring which algebraic
+// Section 4: Fmodels of Fpatterns describing the filters a source accepts —
+// an Fmodel is a pattern.Model whose patterns carry bind/inst flags — operational interfaces declaring which algebraic
 // operations a source evaluates (Figure 6), and declared equivalences
 // connecting source-specific predicates with algebra predicates (the
 // contains/equality connection of Section 4.2).
@@ -13,132 +13,10 @@ package capability
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/filter"
 	"repro/internal/pattern"
 )
-
-// BindFlag restricts which variables a filter may place on a node.
-type BindFlag int
-
-// Bind flags, mirroring the bind attribute of Figure 6.
-const (
-	BindAny   BindFlag = iota // no restriction
-	BindTree                  // only a tree variable (bind the whole subtree)
-	BindLabel                 // only a label variable
-	BindNone                  // no variable at all
-)
-
-// String renders the flag as its XML attribute value.
-func (b BindFlag) String() string {
-	switch b {
-	case BindTree:
-		return "tree"
-	case BindLabel:
-		return "label"
-	case BindNone:
-		return "none"
-	default:
-		return ""
-	}
-}
-
-// BindFlagFromString parses a bind attribute value.
-func BindFlagFromString(s string) BindFlag {
-	switch s {
-	case "tree":
-		return BindTree
-	case "label":
-		return BindLabel
-	case "none":
-		return BindNone
-	default:
-		return BindAny
-	}
-}
-
-// InstFlag restricts how a filter may instantiate a label or a star edge.
-type InstFlag int
-
-// Inst flags, mirroring the inst attribute of Figure 6.
-const (
-	InstAny    InstFlag = iota // no restriction
-	InstGround                 // must be completely instantiated (concrete)
-	InstNone                   // must be left unchanged (stay generic)
-)
-
-// String renders the flag as its XML attribute value.
-func (i InstFlag) String() string {
-	switch i {
-	case InstGround:
-		return "ground"
-	case InstNone:
-		return "none"
-	default:
-		return ""
-	}
-}
-
-// InstFlagFromString parses an inst attribute value.
-func InstFlagFromString(s string) InstFlag {
-	switch s {
-	case "ground":
-		return InstGround
-	case "none":
-		return InstNone
-	default:
-		return InstAny
-	}
-}
-
-// FT is an Fpattern node: a type pattern annotated with filter restrictions.
-type FT struct {
-	Kind     pattern.Kind // KNode, KUnion, KRef, KInt/KFloat/KBool/KString, KAny
-	Label    string       // KNode: concrete label
-	AnyLabel bool         // KNode: Symbol wildcard
-	Col      pattern.Col
-	Bind     BindFlag
-	Inst     InstFlag // on Symbol nodes: whether the label must be ground
-	Name     string   // KRef: referenced Fpattern (or opaque structural pattern)
-	Items    []FTItem
-	Alts     []*FT
-}
-
-// FTItem is one child position of an Fpattern node.
-type FTItem struct {
-	F    *FT
-	Star bool
-	Inst InstFlag // on star edges: ground (enumerate) or none (keep the star)
-}
-
-// FModel is a named collection of Fpatterns, exported by a wrapper.
-type FModel struct {
-	Name  string
-	Defs  map[string]*FT
-	Order []string
-}
-
-// NewFModel returns an empty Fmodel.
-func NewFModel(name string) *FModel {
-	return &FModel{Name: name, Defs: make(map[string]*FT)}
-}
-
-// Define adds a named Fpattern.
-func (m *FModel) Define(name string, f *FT) {
-	if _, ok := m.Defs[name]; !ok {
-		m.Order = append(m.Order, name)
-	}
-	m.Defs[name] = f
-}
-
-// Lookup resolves a name; nil when absent.
-func (m *FModel) Lookup(name string) *FT {
-	if m == nil {
-		return nil
-	}
-	return m.Defs[name]
-}
 
 // Sig is one operation signature entry (an <input> or <output> element).
 type Sig struct {
@@ -195,7 +73,7 @@ type Equivalence struct {
 // Interface is the full operational interface a wrapper exports (Figure 6).
 type Interface struct {
 	Name         string
-	FModels      []*FModel
+	FModels      []*pattern.Model
 	Operations   []Operation
 	Equivalences []Equivalence
 	// Binds lists, per exported document, the Fpattern governing binds on
@@ -209,7 +87,9 @@ type Interface struct {
 }
 
 // StructureRef names a pattern inside a structural model: the declared
-// type of one document's members.
+// type of one document's members. It is the one structure reference: an
+// interface carries it, the wire ships it (StructuresToXML) and plan typing
+// reads it (typecheck.Schemas).
 type StructureRef struct {
 	Model   *pattern.Model
 	Pattern string
@@ -231,7 +111,7 @@ func NewInterface(name string) *Interface {
 }
 
 // FModel resolves an Fmodel by name.
-func (i *Interface) FModel(name string) *FModel {
+func (i *Interface) FModel(name string) *pattern.Model {
 	for _, m := range i.FModels {
 		if m.Name == name {
 			return m
@@ -345,11 +225,11 @@ func (i *Interface) AcceptsFilter(doc string, f *filter.Filter) error {
 }
 
 type checker struct {
-	m     *FModel
+	m     *pattern.Model
 	depth int
 }
 
-func (c *checker) accept(ft *FT, fn *filter.FNode) error {
+func (c *checker) accept(ft *pattern.P, fn *filter.FNode) error {
 	if ft == nil || fn == nil {
 		return fmt.Errorf("capability: nil pattern or filter")
 	}
@@ -406,16 +286,16 @@ func (c *checker) accept(ft *FT, fn *filter.FNode) error {
 }
 
 // flags checks the label and variable restrictions of one node.
-func (c *checker) flags(ft *FT, fn *filter.FNode) error {
+func (c *checker) flags(ft *pattern.P, fn *filter.FNode) error {
 	// Label discipline.
 	if ft.Kind == pattern.KNode {
 		if ft.AnyLabel {
 			switch ft.Inst {
-			case InstGround:
+			case pattern.InstGround:
 				if fn.Label == "" || fn.AnyLabel || fn.LabelVar != "" {
 					return fmt.Errorf("capability: label must be ground (inst=ground), got %q", fn)
 				}
-			case InstNone:
+			case pattern.InstNone:
 				if fn.Label != "" {
 					return fmt.Errorf("capability: label must be left generic (inst=none), got %q", fn.Label)
 				}
@@ -428,15 +308,15 @@ func (c *checker) flags(ft *FT, fn *filter.FNode) error {
 	}
 	// Variable discipline.
 	switch ft.Bind {
-	case BindNone:
+	case pattern.BindNone:
 		if fn.Var != "" || fn.LabelVar != "" {
 			return fmt.Errorf("capability: node %q may not be bound (bind=none)", fn)
 		}
-	case BindTree:
+	case pattern.BindTree:
 		if fn.LabelVar != "" {
 			return fmt.Errorf("capability: node %q allows only tree variables (bind=tree)", fn)
 		}
-	case BindLabel:
+	case pattern.BindLabel:
 		if fn.Var != "" {
 			return fmt.Errorf("capability: node %q allows only label variables (bind=label)", fn)
 		}
@@ -448,7 +328,7 @@ func (c *checker) flags(ft *FT, fn *filter.FNode) error {
 // sequence matching, enforcing the star inst flags: a ground star must be
 // enumerated by non-star filter items; a none star must be matched by
 // starred filter items (the filter keeps the edge generic).
-func (c *checker) acceptItems(fts []FTItem, fis []filter.FItem) error {
+func (c *checker) acceptItems(fts []pattern.Item, fis []filter.FItem) error {
 	type key struct{ i, j int }
 	memo := map[key]error{}
 	var rec func(i, j int) error
@@ -489,101 +369,33 @@ func (c *checker) acceptItems(fts []FTItem, fis []filter.FItem) error {
 	return rec(0, 0)
 }
 
-func (c *checker) acceptItem(ftIt FTItem, fi filter.FItem) error {
+func (c *checker) acceptItem(ftIt pattern.Item, fi filter.FItem) error {
 	if fi.Descend {
 		return fmt.Errorf("capability: descendant navigation (**) cannot be pushed")
 	}
 	if fi.CollectVar != "" {
 		// Collecting a subsequence requires the member position to allow
 		// tree binding and the edge to stay generic.
-		if ftIt.Inst == InstGround {
+		if ftIt.Inst == pattern.InstGround {
 			return fmt.Errorf("capability: collect-star on a ground edge")
 		}
 		if !ftIt.Star {
 			return fmt.Errorf("capability: collect-star on a non-star position")
 		}
-		if ftIt.F != nil && ftIt.F.Bind == BindNone {
+		if ftIt.P != nil && ftIt.P.Bind == pattern.BindNone {
 			return fmt.Errorf("capability: collect-star over unbindable members")
 		}
 		return nil
 	}
 	switch ftIt.Inst {
-	case InstGround:
+	case pattern.InstGround:
 		if fi.Star {
 			return fmt.Errorf("capability: star edge must be instantiated (inst=ground)")
 		}
-	case InstNone:
+	case pattern.InstNone:
 		if !fi.Star && ftIt.Star {
 			return fmt.Errorf("capability: edge must be left generic (inst=none); enumerating members is not supported")
 		}
 	}
-	return c.accept(ftIt.F, fi.F)
-}
-
-// String renders the Fpattern in a compact textual form (diagnostics).
-func (f *FT) String() string {
-	var b strings.Builder
-	f.write(&b)
-	return b.String()
-}
-
-func (f *FT) write(b *strings.Builder) {
-	if f == nil {
-		b.WriteString("<nil>")
-		return
-	}
-	switch f.Kind {
-	case pattern.KAny:
-		b.WriteString("Any")
-	case pattern.KInt:
-		b.WriteString("Int")
-	case pattern.KFloat:
-		b.WriteString("Float")
-	case pattern.KBool:
-		b.WriteString("Bool")
-	case pattern.KString:
-		b.WriteString("String")
-	case pattern.KRef:
-		b.WriteByte('&')
-		b.WriteString(f.Name)
-	case pattern.KUnion:
-		b.WriteByte('(')
-		for i, a := range f.Alts {
-			if i > 0 {
-				b.WriteString(" | ")
-			}
-			a.write(b)
-		}
-		b.WriteByte(')')
-	case pattern.KNode:
-		if f.AnyLabel {
-			b.WriteString("Symbol")
-		} else {
-			b.WriteString(f.Label)
-		}
-		var flags []string
-		if f.Bind != BindAny {
-			flags = append(flags, "bind="+f.Bind.String())
-		}
-		if f.Inst != InstAny {
-			flags = append(flags, "inst="+f.Inst.String())
-		}
-		if len(flags) > 0 {
-			fmt.Fprintf(b, "{%s}", strings.Join(flags, ","))
-		}
-		b.WriteString("[ ")
-		for i, it := range f.Items {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			if it.Star {
-				b.WriteByte('*')
-				if it.Inst != InstAny {
-					fmt.Fprintf(b, "{inst=%s}", it.Inst.String())
-				}
-			}
-			it.F.write(b)
-		}
-		b.WriteString(" ]")
-	}
+	return c.accept(ftIt.P, fi.F)
 }

@@ -118,8 +118,8 @@ func TestFigure6ParseO2(t *testing.T) {
 	if m == nil {
 		t.Fatal("missing fmodel")
 	}
-	if len(m.Order) != 3 {
-		t.Errorf("fpatterns = %v", m.Order)
+	if len(m.Names()) != 3 {
+		t.Errorf("fpatterns = %v", m.Names())
 	}
 	ftype := m.Lookup("Ftype")
 	if ftype == nil || len(ftype.Alts) != 10 {
@@ -231,16 +231,7 @@ func TestEquivalenceLookup(t *testing.T) {
 	}
 }
 
-func TestFTString(t *testing.T) {
-	i := o2Interface(t)
-	s := i.FModel("o2fmodel").Lookup("Fclass").String()
-	for _, frag := range []string{"class{bind=tree}", "Symbol{bind=none,inst=ground}", "&Ftype"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("FT string missing %q: %s", frag, s)
-		}
-	}
-}
-
+// An Fpattern that does not read fails the interface, naming the fpattern.
 func TestFTXMLErrors(t *testing.T) {
 	bad := []string{
 		`<leaf label="Void"/>`,
@@ -249,45 +240,22 @@ func TestFTXMLErrors(t *testing.T) {
 		`<node label="a"><star/></node>`,
 	}
 	for _, src := range bad {
-		n, err := parseXMLFixture(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := FTFromXML(n); err == nil {
-			t.Errorf("FTFromXML(%q) should fail", src)
+		err := unmarshalErr(`<interface name="x"><fmodel name="m"><fpattern name="p">` + src + `</fpattern></fmodel></interface>`)
+		if err == nil || !strings.Contains(err.Error(), `fpattern "p"`) {
+			t.Errorf("fpattern %q: error %v must name the fpattern", src, err)
 		}
 	}
-	if _, err := Unmarshal(`<notaninterface/>`); err == nil {
+	if unmarshalErr(`<notaninterface/>`) == nil {
 		t.Error("non-interface root must fail")
 	}
-	if _, err := Unmarshal(`<interface name="x"><fmodel name="m"><fpattern name="p"></fpattern></fmodel></interface>`); err == nil {
+	if unmarshalErr(`<interface name="x"><fmodel name="m"><fpattern name="p"></fpattern></fmodel></interface>`) == nil {
 		t.Error("empty fpattern must fail")
 	}
 }
 
-func TestFlagParsing(t *testing.T) {
-	for _, c := range []struct {
-		s string
-		b BindFlag
-	}{{"tree", BindTree}, {"label", BindLabel}, {"none", BindNone}, {"", BindAny}, {"junk", BindAny}} {
-		if got := BindFlagFromString(c.s); got != c.b {
-			t.Errorf("BindFlagFromString(%q) = %v", c.s, got)
-		}
-		if c.s != "junk" && c.b.String() != c.s {
-			t.Errorf("%v.String() = %q", c.b, c.b.String())
-		}
-	}
-	for _, c := range []struct {
-		s string
-		f InstFlag
-	}{{"ground", InstGround}, {"none", InstNone}, {"", InstAny}} {
-		if got := InstFlagFromString(c.s); got != c.f {
-			t.Errorf("InstFlagFromString(%q) = %v", c.s, got)
-		}
-		if c.f.String() != c.s {
-			t.Errorf("%v.String() = %q", c.f, c.f.String())
-		}
-	}
+func unmarshalErr(src string) error {
+	_, err := Unmarshal(src)
+	return err
 }
 
 func parseXMLFixture(src string) (*data.Node, error) { return xmlenc.Parse(src) }

@@ -4,12 +4,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/capability"
 	"repro/internal/datagen"
 	"repro/internal/feed"
+	"repro/internal/nodetab"
 	"repro/internal/o2wrap"
+	"repro/internal/pattern"
 	"repro/internal/waiswrap"
 )
 
@@ -66,5 +69,25 @@ func TestValueReadsAsRef(t *testing.T) {
 		`</fpattern></fmodel></interface>`
 	if again, err := capability.Unmarshal(want); err != nil || capability.Marshal(again) != capability.Marshal(i) {
 		t.Errorf("<value> did not read as <ref> (%v):\n%s", err, capability.Marshal(i))
+	}
+}
+
+// Every structure a wrapper exports survives its text form, the one form
+// structures travel in: the model parsed back from its text is the model.
+func TestExportedStructuresSurviveTheirText(t *testing.T) {
+	models := map[string]*pattern.Model{
+		"o2wrap":   o2wrap.New("o2artifact", datagen.PaperDB()).ExportSchema(),
+		"waiswrap": waiswrap.New("xmlartwork", datagen.NewWaisEngine(datagen.PaperWorks())).ExportStructure(),
+		"feed":     feed.New("feed", feed.NewStore()).ExportStructure(),
+		"nodetab":  nodetab.StructureModel(),
+	}
+	for name, m := range models {
+		back, err := pattern.ParseModel(m.String())
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, m)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Errorf("%s: model changed through its text:\n%s\nvs\n%s", name, m, back)
+		}
 	}
 }

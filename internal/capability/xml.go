@@ -29,151 +29,10 @@ import (
 //	  <equivalence name="contains-eq" from="eq" to="contains" scope="Fwork"/>
 //	</interface>
 //
-// Fpattern elements: <node>, <leaf label="Int"/>, <star inst=...>, <union>,
-// <ref pattern=...>, <any/>.
-
-// FTToXML serializes an Fpattern node.
-func FTToXML(f *FT) *data.Node {
-	switch f.Kind {
-	case pattern.KAny:
-		return data.Elem("any")
-	case pattern.KInt:
-		return leafXML("Int")
-	case pattern.KFloat:
-		return leafXML("Float")
-	case pattern.KBool:
-		return leafXML("Bool")
-	case pattern.KString:
-		return leafXML("String")
-	case pattern.KRef:
-		n := data.Elem("ref")
-		n.Add(data.Text("@pattern", f.Name))
-		if f.Bind != BindAny {
-			n.Add(data.Text("@bind", f.Bind.String()))
-		}
-		return n
-	case pattern.KUnion:
-		n := data.Elem("union")
-		for _, a := range f.Alts {
-			n.Add(FTToXML(a))
-		}
-		return n
-	case pattern.KNode:
-		n := data.Elem("node")
-		label := f.Label
-		if f.AnyLabel {
-			label = "Symbol"
-		}
-		n.Add(data.Text("@label", label))
-		if f.Col != pattern.ColNone {
-			n.Add(data.Text("@col", f.Col.String()))
-		}
-		if f.Bind != BindAny {
-			n.Add(data.Text("@bind", f.Bind.String()))
-		}
-		if f.Inst != InstAny {
-			n.Add(data.Text("@inst", f.Inst.String()))
-		}
-		for _, it := range f.Items {
-			kid := FTToXML(it.F)
-			if it.Star {
-				star := data.Elem("star", kid)
-				if it.Inst != InstAny {
-					star.Kids = append([]*data.Node{data.Text("@inst", it.Inst.String())}, star.Kids...)
-				}
-				kid = star
-			}
-			n.Add(kid)
-		}
-		return n
-	default:
-		return data.Elem("any")
-	}
-}
-
-func leafXML(label string) *data.Node {
-	n := data.Elem("leaf")
-	n.Add(data.Text("@label", label))
-	return n
-}
-
-// FTFromXML parses an Fpattern node.
-func FTFromXML(n *data.Node) (*FT, error) {
-	if n == nil {
-		return nil, fmt.Errorf("capability: nil fpattern element")
-	}
-	switch n.Label {
-	case "any":
-		return &FT{Kind: pattern.KAny}, nil
-	case "leaf":
-		switch n.Attr("label") {
-		case "Int":
-			return &FT{Kind: pattern.KInt}, nil
-		case "Float":
-			return &FT{Kind: pattern.KFloat}, nil
-		case "Bool":
-			return &FT{Kind: pattern.KBool}, nil
-		case "String":
-			return &FT{Kind: pattern.KString}, nil
-		default:
-			return nil, fmt.Errorf("capability: unknown leaf label %q", n.Attr("label"))
-		}
-	case "ref", "value":
-		name := n.Attr("pattern")
-		if name == "" {
-			return nil, fmt.Errorf("capability: <%s> without pattern attribute", n.Label)
-		}
-		return &FT{Kind: pattern.KRef, Name: name, Bind: BindFlagFromString(n.Attr("bind"))}, nil
-	case "union":
-		u := &FT{Kind: pattern.KUnion}
-		for _, k := range n.Kids {
-			if k.IsAttr() {
-				continue
-			}
-			a, err := FTFromXML(k)
-			if err != nil {
-				return nil, err
-			}
-			u.Alts = append(u.Alts, a)
-		}
-		return u, nil
-	case "node":
-		f := &FT{
-			Kind:  pattern.KNode,
-			Label: n.Attr("label"),
-			Col:   pattern.ColFromString(n.Attr("col")),
-			Bind:  BindFlagFromString(n.Attr("bind")),
-			Inst:  InstFlagFromString(n.Attr("inst")),
-		}
-		if f.Label == "Symbol" {
-			f.Label, f.AnyLabel = "", true
-		}
-		for _, k := range n.Kids {
-			if k.IsAttr() {
-				continue
-			}
-			it := FTItem{}
-			src := k
-			if k.Label == "star" {
-				it.Star = true
-				it.Inst = InstFlagFromString(k.Attr("inst"))
-				src = k.FirstElem()
-				if src == nil {
-					return nil, fmt.Errorf("capability: empty <star>")
-				}
-			}
-			sub, err := FTFromXML(src)
-			if err != nil {
-				return nil, err
-			}
-			it.F = sub
-			f.Items = append(f.Items, it)
-		}
-		return f, nil
-	default:
-		return nil, fmt.Errorf("capability: unknown fpattern element <%s>", n.Label)
-	}
-}
+// An Fpattern is written in pattern's own XML dialect (pattern.ToXML), flag
+// attributes included. Bind capabilities and structures are written in
+// document order; a structure rides along as its model's text (see
+// StructuresToXML).
 
 // ToXML serializes the full interface.
 func ToXML(i *Interface) *data.Node {
@@ -182,21 +41,15 @@ func ToXML(i *Interface) *data.Node {
 	for _, m := range i.FModels {
 		me := data.Elem("fmodel")
 		me.Add(data.Text("@name", m.Name))
-		for _, name := range m.Order {
+		for _, name := range m.Roots {
 			pe := data.Elem("fpattern")
 			pe.Add(data.Text("@name", name))
-			pe.Add(FTToXML(m.Defs[name]))
+			pe.Add(pattern.ToXML(m.Defs[name]))
 			me.Add(pe)
 		}
 		root.Add(me)
 	}
-	// Deterministic order for bind capabilities.
-	var docs []string
-	for d := range i.Binds {
-		docs = append(docs, d)
-	}
-	sort.Strings(docs)
-	for _, d := range docs {
+	for _, d := range sortedKeys(i.Binds) {
 		bc := i.Binds[d]
 		be := data.Elem("bindcap")
 		be.Add(data.Text("@doc", d))
@@ -204,23 +57,7 @@ func ToXML(i *Interface) *data.Node {
 		be.Add(data.Text("@fpattern", bc.FPattern))
 		root.Add(be)
 	}
-	// Structural schemas ride along as their textual model form.
-	var sdocs []string
-	for d := range i.Structures {
-		sdocs = append(sdocs, d)
-	}
-	sort.Strings(sdocs)
-	for _, d := range sdocs {
-		ref := i.Structures[d]
-		if ref.Model == nil {
-			continue
-		}
-		se := data.Elem("structure")
-		se.Add(data.Text("@doc", d))
-		se.Add(data.Text("@pattern", ref.Pattern))
-		se.Add(data.Text("model", ref.Model.String()))
-		root.Add(se)
-	}
+	addStructures(root, i.Structures)
 	for _, op := range i.Operations {
 		oe := data.Elem("operation")
 		oe.Add(data.Text("@name", op.Name))
@@ -284,7 +121,7 @@ func FromXML(n *data.Node) (*Interface, error) {
 	for _, k := range n.Kids {
 		switch k.Label {
 		case "fmodel":
-			m := NewFModel(k.Attr("name"))
+			m := pattern.NewModel(k.Attr("name"))
 			for _, pe := range k.Kids {
 				if pe.Label != "fpattern" {
 					continue
@@ -293,7 +130,7 @@ func FromXML(n *data.Node) (*Interface, error) {
 				if body == nil {
 					return nil, fmt.Errorf("%s: empty <fpattern %q>", where(fmt.Sprintf("fmodel %q", k.Attr("name"))), pe.Attr("name"))
 				}
-				ft, err := FTFromXML(body)
+				ft, err := pattern.FromXML(body)
 				if err != nil {
 					return nil, fmt.Errorf("%s: fpattern %q: %w", where(fmt.Sprintf("fmodel %q", k.Attr("name"))), pe.Attr("name"), err)
 				}
@@ -306,15 +143,11 @@ func FromXML(n *data.Node) (*Interface, error) {
 			}
 			i.Binds[k.Attr("doc")] = BindCap{FModel: k.Attr("fmodel"), FPattern: k.Attr("fpattern")}
 		case "structure":
-			me := k.Child("model")
-			if me == nil || me.Atom == nil || strings.TrimSpace(me.Atom.S) == "" {
-				return nil, fmt.Errorf("%s without model text", where(fmt.Sprintf("<structure doc=%q>", k.Attr("doc"))))
-			}
-			m, err := pattern.ParseModel(me.Atom.S)
+			doc, ref, err := StructureFromXML(k)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", where(fmt.Sprintf("<structure doc=%q>", k.Attr("doc"))), err)
+				return nil, fmt.Errorf("capability: interface %q: %w", name, err)
 			}
-			i.Structures[k.Attr("doc")] = StructureRef{Model: m, Pattern: k.Attr("pattern")}
+			i.Structures[doc] = ref
 		case "operation":
 			op := Operation{Name: k.Attr("name"), Kind: k.Attr("kind")}
 			if op.Name == "" {
@@ -362,6 +195,52 @@ func sigFromXML(n *data.Node) Sig {
 		Pattern:  n.Attr("pattern"),
 		IsFilter: n.Label == "filter",
 	}
+}
+
+// StructuresToXML returns a <structures> element holding, in document order,
+// one <structure doc=… pattern=…><model>text</model></structure> per
+// document that has a model: the one encoding of structures, inside an
+// interface and in the wire's <structures-request/> reply.
+func StructuresToXML(structures map[string]StructureRef) *data.Node {
+	return addStructures(data.Elem("structures"), structures)
+}
+
+func addStructures(parent *data.Node, structures map[string]StructureRef) *data.Node {
+	for _, doc := range sortedKeys(structures) {
+		ref := structures[doc]
+		if ref.Model == nil {
+			continue
+		}
+		se := data.Elem("structure")
+		se.Add(data.Text("@doc", doc))
+		se.Add(data.Text("@pattern", ref.Pattern))
+		se.Add(data.Text("model", ref.Model.String()))
+		parent.Add(se)
+	}
+	return parent
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// StructureFromXML reads one <structure> element written by StructuresToXML.
+func StructureFromXML(n *data.Node) (doc string, ref StructureRef, err error) {
+	doc = n.Attr("doc")
+	me := n.Child("model")
+	if me == nil || me.Atom == nil || strings.TrimSpace(me.Atom.S) == "" {
+		return "", ref, fmt.Errorf("<structure doc=%q> without model text", doc)
+	}
+	m, err := pattern.ParseModel(me.Atom.S)
+	if err != nil {
+		return "", ref, fmt.Errorf("<structure doc=%q>: %w", doc, err)
+	}
+	return doc, StructureRef{Model: m, Pattern: n.Attr("pattern")}, nil
 }
 
 // Marshal renders the interface as indented XML.

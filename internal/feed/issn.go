@@ -1,4 +1,4 @@
-// Package feed implements the third wrapper family of ROADMAP item 5: a
+// Package feed implements the third wrapper family, the bulk feed: a
 // source wrapping bulk XML metadata dumps (newline-delimited `.ndxml` files
 // and zip archives of them) behind the restricted capability profile of
 // modern feed APIs — filter-by-field (equality and prefix over normalized

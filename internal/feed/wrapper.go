@@ -62,26 +62,26 @@ Record  := record[ id: String, title: String, issn: String, journal: String,
 // No project, no join, no ordering comparisons: those stay mediator-side.
 func (w *Wrapper) ExportInterface() *capability.Interface {
 	i := capability.NewInterface(w.SourceNme)
-	fm := capability.NewFModel("feedfmodel")
-	fm.Define("Frecords", &capability.FT{
+	fm := pattern.NewModel("feedfmodel")
+	fm.Define("Frecords", &pattern.P{
 		Kind: pattern.KNode, Label: "records",
-		Bind: capability.BindNone, Inst: capability.InstGround,
-		Items: []capability.FTItem{{Star: true, Inst: capability.InstNone,
-			F: &capability.FT{Kind: pattern.KRef, Name: "Frecord", Bind: capability.BindTree}}},
+		Bind: pattern.BindNone, Inst: pattern.InstGround,
+		Items: []pattern.Item{{Star: true, Inst: pattern.InstNone,
+			P: &pattern.P{Kind: pattern.KRef, Name: "Frecord", Bind: pattern.BindTree}}},
 	})
-	fm.Define("Frecord", &capability.FT{
-		Kind: pattern.KNode, Label: "record", Bind: capability.BindTree,
-		Items: []capability.FTItem{{Star: true, Inst: capability.InstAny,
-			F: &capability.FT{Kind: pattern.KRef, Name: "Ffield"}}},
+	fm.Define("Frecord", &pattern.P{
+		Kind: pattern.KNode, Label: "record", Bind: pattern.BindTree,
+		Items: []pattern.Item{{Star: true, Inst: pattern.InstAny,
+			P: &pattern.P{Kind: pattern.KRef, Name: "Ffield"}}},
 	})
 	// Fields must be named concretely (inst=ground) and cannot carry
 	// variables themselves; their single atomic child position takes a
 	// content variable or a constant, and navigation below it is refused.
-	fm.Define("Ffield", &capability.FT{
+	fm.Define("Ffield", &pattern.P{
 		Kind: pattern.KNode, AnyLabel: true,
-		Bind: capability.BindNone, Inst: capability.InstGround,
-		Items: []capability.FTItem{{F: &capability.FT{Kind: pattern.KUnion,
-			Alts: []*capability.FT{{Kind: pattern.KInt}, {Kind: pattern.KString}}}}},
+		Bind: pattern.BindNone, Inst: pattern.InstGround,
+		Items: []pattern.Item{{P: &pattern.P{Kind: pattern.KUnion,
+			Alts: []*pattern.P{{Kind: pattern.KInt}, {Kind: pattern.KString}}}}},
 	})
 	i.FModels = append(i.FModels, fm)
 	i.Binds["records"] = capability.BindCap{FModel: "feedfmodel", FPattern: "Frecords"}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +85,6 @@ func TestRefusedConnectLeavesNothing(t *testing.T) {
 	overOwn := &algebra.Bind{Doc: "late.doc", F: filter.MustParse(`doc[ *x: $x ]`)}
 	state := func() (srcs []string, health map[string]SourceHealth, works, own int) {
 		srcs = m.Sources()
-		sort.Strings(srcs)
 		return srcs, m.Health(), len(m.Lint(overWorks)), len(m.Lint(overOwn))
 	}
 	srcs, health, works, own := state()
@@ -113,6 +112,35 @@ func TestRefusedConnectLeavesNothing(t *testing.T) {
 	}
 	if ds := m.Lint(overOwn); len(ds) != 0 {
 		t.Errorf("late.doc still unknown after the corrected Connect: %v", ds)
+	}
+}
+
+// TestSourcesListedByName: Sources and Describe (the console's status) list
+// sources sorted by name, not in the catalog map's order, which differs from
+// one call to the next.
+func TestSourcesListedByName(t *testing.T) {
+	m := New()
+	names := []string{"zeta", "alpha", "omega", "mid", "beta", "kappa"}
+	for _, n := range names {
+		if err := m.Connect(&regSource{name: n}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := slices.Clone(names)
+	slices.Sort(want)
+	var status strings.Builder
+	status.WriteString("sources:\n")
+	for _, n := range want {
+		fmt.Fprintf(&status, "  %s exports %s.doc\n", n, n)
+	}
+	status.WriteString("views: \n")
+	for i := 0; i < 20; i++ {
+		if got := m.Sources(); !slices.Equal(got, want) {
+			t.Fatalf("Sources() = %v, want %v", got, want)
+		}
+		if got := m.Describe(); got != status.String() {
+			t.Fatalf("Describe() =\n%s\nwant\n%s", got, status.String())
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func (m *Mediator) Connect(src algebra.Source, iface *capability.Interface) erro
 		// carries; an explicit ImportStructure can still override them.
 		for doc, ref := range iface.Structures {
 			if _, have := c.schemas.Doc(doc); !have && ref.Model != nil {
-				c.schemas = c.schemas.With(doc, typecheck.Structure{Model: ref.Model, Pattern: ref.Pattern})
+				c.schemas = c.schemas.With(doc, ref)
 			}
 		}
 		return nil
@@ -190,7 +190,7 @@ func (m *Mediator) Connect(src algebra.Source, iface *capability.Interface) erro
 // enabling the type-driven rewritings of Section 5.1.
 func (m *Mediator) ImportStructure(doc string, model *pattern.Model, patternName string) {
 	m.register(func(c *catalog) error {
-		c.schemas = c.schemas.With(doc, typecheck.Structure{Model: model, Pattern: patternName})
+		c.schemas = c.schemas.With(doc, capability.StructureRef{Model: model, Pattern: patternName})
 		return nil
 	})
 }
@@ -260,12 +260,15 @@ func (m *Mediator) Views() []string {
 // View returns a registered view, or nil.
 func (m *Mediator) View(name string) *View { return m.cat.Load().views[name] }
 
-// Sources lists connected source names.
-func (m *Mediator) Sources() []string {
-	var out []string
-	for n := range m.cat.Load().sources {
+// Sources lists connected source names, sorted.
+func (m *Mediator) Sources() []string { return m.cat.Load().sourceNames() }
+
+func (c *catalog) sourceNames() []string {
+	out := make([]string, 0, len(c.sources))
+	for n := range c.sources {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -728,13 +731,14 @@ func (m *Mediator) MaterializeProgram() (map[string]data.Forest, *data.Store, er
 	return out, actx.Store, nil
 }
 
-// Describe renders a summary of the mediator's state (console `status`).
+// Describe renders a summary of the mediator's state (console `status`),
+// sources sorted by name.
 func (m *Mediator) Describe() string {
 	cat := m.cat.Load()
 	var b strings.Builder
 	fmt.Fprintf(&b, "sources:\n")
-	for n, s := range cat.sources {
-		fmt.Fprintf(&b, "  %s exports %s\n", n, strings.Join(s.Documents(), ", "))
+	for _, n := range cat.sourceNames() {
+		fmt.Fprintf(&b, "  %s exports %s\n", n, strings.Join(cat.sources[n].Documents(), ", "))
 	}
 	fmt.Fprintf(&b, "views: %s\n", strings.Join(cat.viewOrder, ", "))
 	return b.String()

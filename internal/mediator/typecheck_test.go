@@ -36,9 +36,9 @@ func (s *lyingSource) Push(algebra.Op, map[string]tab.Cell) (*tab.Tab, error) {
 // schema doc[ *item[ name[String] ] ] — the claim the source then breaks.
 func liarInterface() *capability.Interface {
 	iface := capability.NewInterface("liar")
-	fm := capability.NewFModel("F")
-	fm.Define("Doc", &capability.FT{Kind: pattern.KAny})
-	iface.FModels = []*capability.FModel{fm}
+	fm := pattern.NewModel("F")
+	fm.Define("Doc", &pattern.P{Kind: pattern.KAny})
+	iface.FModels = []*pattern.Model{fm}
 	iface.Binds["docs"] = capability.BindCap{FModel: "F", FPattern: "Doc"}
 	iface.Operations = []capability.Operation{{Name: "bind", Kind: "algebra"}}
 	m := pattern.NewModel("liar")

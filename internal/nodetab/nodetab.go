@@ -95,38 +95,28 @@ func Build(forest data.Forest) data.Forest {
 	return out
 }
 
-// FT returns the Fnodes capability pattern: any subset of the canonical
-// fields may be constrained or content-bound, and tree binds the original
-// subtree. Every field position is atomic except tree, so filters cannot
-// navigate below the row fields — navigation happens via joins on the
+// FPattern returns the Fnodes capability pattern: any subset of the
+// canonical fields may be constrained or content-bound, and tree binds the
+// original subtree. Every field position is atomic except tree, so filters
+// cannot navigate below the row fields — navigation happens via joins on the
 // numbering, which is the point of the encoding.
-func FT() *capability.FT {
-	atom := func(label string, leaf *capability.FT) capability.FTItem {
-		return capability.FTItem{F: &capability.FT{
-			Kind: pattern.KNode, Label: label, Bind: capability.BindNone,
-			Items: []capability.FTItem{{F: leaf}},
-		}}
+func FPattern() *pattern.P {
+	field := func(label string, content *pattern.P) *pattern.P {
+		f := pattern.Node(label, content)
+		f.Bind = pattern.BindNone
+		return f
 	}
-	intLeaf := func() *capability.FT { return &capability.FT{Kind: pattern.KInt} }
-	anyAtom := &capability.FT{Kind: pattern.KUnion, Alts: []*capability.FT{
-		{Kind: pattern.KInt}, {Kind: pattern.KFloat},
-		{Kind: pattern.KBool}, {Kind: pattern.KString},
-	}}
-	return &capability.FT{
-		Kind: pattern.KNode, Label: "node", Bind: capability.BindTree,
-		Items: []capability.FTItem{
-			atom("pre", intLeaf()),
-			atom("post", intLeaf()),
-			atom("parent", intLeaf()),
-			atom("name", &capability.FT{Kind: pattern.KString}),
-			atom("pos", intLeaf()),
-			atom("value", anyAtom),
-			{F: &capability.FT{
-				Kind: pattern.KNode, Label: "tree", Bind: capability.BindNone,
-				Items: []capability.FTItem{{F: &capability.FT{Kind: pattern.KAny}}},
-			}},
-		},
-	}
+	row := pattern.Node("node",
+		field("pre", pattern.Int()),
+		field("post", pattern.Int()),
+		field("parent", pattern.Int()),
+		field("name", pattern.Str()),
+		field("pos", pattern.Int()),
+		field("value", pattern.Union(pattern.Int(), pattern.Float(), pattern.Bool(), pattern.Str())),
+		field("tree", pattern.Any()),
+	)
+	row.Bind = pattern.BindTree
+	return row
 }
 
 // FPatternName is the name node-table bind capabilities refer to.
@@ -185,10 +175,10 @@ func Export(iface *capability.Interface, baseDocs []string) []string {
 		nodesDocs = append(nodesDocs, Doc(b))
 	}
 	if len(iface.FModels) == 0 {
-		iface.FModels = append(iface.FModels, capability.NewFModel(iface.Name+"-fmodel"))
+		iface.FModels = append(iface.FModels, pattern.NewModel(iface.Name+"-fmodel"))
 	}
 	fm := iface.FModels[0]
-	fm.Define(FPatternName, FT())
+	fm.Define(FPatternName, FPattern())
 	sm := StructureModel()
 	for _, nd := range nodesDocs {
 		iface.Binds[nd] = capability.BindCap{FModel: fm.Name, FPattern: FPatternName}

@@ -8,6 +8,7 @@ package o2wrap
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -284,42 +285,42 @@ func collectRefs(v o2.Val, fn func(string)) {
 // method declaration per schema method.
 func (w *Wrapper) ExportInterface() *capability.Interface {
 	i := capability.NewInterface(w.SourceNme)
-	fm := capability.NewFModel("o2fmodel")
-	fm.Define("Fclass", &capability.FT{
-		Kind: pattern.KNode, Label: "class", Bind: capability.BindTree,
-		Items: []capability.FTItem{{F: &capability.FT{
+	fm := pattern.NewModel("o2fmodel")
+	fm.Define("Fclass", &pattern.P{
+		Kind: pattern.KNode, Label: "class", Bind: pattern.BindTree,
+		Items: []pattern.Item{{P: &pattern.P{
 			Kind: pattern.KNode, AnyLabel: true,
-			Bind: capability.BindNone, Inst: capability.InstGround,
-			Items: []capability.FTItem{{F: &capability.FT{Kind: pattern.KRef, Name: "Ftype"}}},
+			Bind: pattern.BindNone, Inst: pattern.InstGround,
+			Items: []pattern.Item{{P: &pattern.P{Kind: pattern.KRef, Name: "Ftype"}}},
 		}}},
 	})
-	ftype := &capability.FT{Kind: pattern.KUnion}
+	ftype := &pattern.P{Kind: pattern.KUnion}
 	ftype.Alts = append(ftype.Alts,
-		&capability.FT{Kind: pattern.KInt},
-		&capability.FT{Kind: pattern.KBool},
-		&capability.FT{Kind: pattern.KFloat},
-		&capability.FT{Kind: pattern.KString},
-		&capability.FT{
-			Kind: pattern.KNode, Label: "tuple", Bind: capability.BindTree,
-			Items: []capability.FTItem{{Star: true, Inst: capability.InstGround,
-				F: &capability.FT{
-					Kind: pattern.KNode, AnyLabel: true, Bind: capability.BindNone,
-					Items: []capability.FTItem{{F: &capability.FT{Kind: pattern.KRef, Name: "Ftype"}}},
+		&pattern.P{Kind: pattern.KInt},
+		&pattern.P{Kind: pattern.KBool},
+		&pattern.P{Kind: pattern.KFloat},
+		&pattern.P{Kind: pattern.KString},
+		&pattern.P{
+			Kind: pattern.KNode, Label: "tuple", Bind: pattern.BindTree,
+			Items: []pattern.Item{{Star: true, Inst: pattern.InstGround,
+				P: &pattern.P{
+					Kind: pattern.KNode, AnyLabel: true, Bind: pattern.BindNone,
+					Items: []pattern.Item{{P: &pattern.P{Kind: pattern.KRef, Name: "Ftype"}}},
 				}}},
 		})
 	for _, col := range []pattern.Col{pattern.ColSet, pattern.ColBag, pattern.ColList, pattern.ColArray} {
-		ftype.Alts = append(ftype.Alts, &capability.FT{
-			Kind: pattern.KNode, Label: col.String(), Col: col, Bind: capability.BindTree,
-			Items: []capability.FTItem{{Star: true, Inst: capability.InstNone,
-				F: &capability.FT{Kind: pattern.KRef, Name: "Ftype"}}},
+		ftype.Alts = append(ftype.Alts, &pattern.P{
+			Kind: pattern.KNode, Label: col.String(), Col: col, Bind: pattern.BindTree,
+			Items: []pattern.Item{{Star: true, Inst: pattern.InstNone,
+				P: &pattern.P{Kind: pattern.KRef, Name: "Ftype"}}},
 		})
 	}
-	ftype.Alts = append(ftype.Alts, &capability.FT{Kind: pattern.KRef, Name: "Fclass"})
+	ftype.Alts = append(ftype.Alts, &pattern.P{Kind: pattern.KRef, Name: "Fclass"})
 	fm.Define("Ftype", ftype)
-	fm.Define("Fextent", &capability.FT{
-		Kind: pattern.KNode, Label: "set", Col: pattern.ColSet, Bind: capability.BindTree,
-		Items: []capability.FTItem{{Star: true, Inst: capability.InstNone,
-			F: &capability.FT{Kind: pattern.KRef, Name: "Fclass"}}},
+	fm.Define("Fextent", &pattern.P{
+		Kind: pattern.KNode, Label: "set", Col: pattern.ColSet, Bind: pattern.BindTree,
+		Items: []pattern.Item{{Star: true, Inst: pattern.InstNone,
+			P: &pattern.P{Kind: pattern.KRef, Name: "Fclass"}}},
 	})
 	i.FModels = append(i.FModels, fm)
 	for _, doc := range w.Documents() {
@@ -358,7 +359,13 @@ func (w *Wrapper) ExportInterface() *capability.Interface {
 	nodetab.Export(i, extents)
 	for _, cn := range w.DB.Schema.Order {
 		c := w.DB.Schema.Classes[cn]
-		for mn, m := range c.Methods {
+		names := make([]string, 0, len(c.Methods))
+		for mn := range c.Methods {
+			names = append(names, mn)
+		}
+		sort.Strings(names) // the interface marshals the same every time
+		for _, mn := range names {
+			m := c.Methods[mn]
 			leaf := "String"
 			switch m.Output.Kind {
 			case o2.TInt:

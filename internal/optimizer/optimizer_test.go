@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/algebra"
+	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/filter"
@@ -250,19 +251,19 @@ func TestSimplifyProjects(t *testing.T) {
 	}
 }
 
-func worksStructure() typecheck.Structure {
+func worksStructure() capability.StructureRef {
 	m := pattern.MustParseModel(`model artworks
 Works := works[ *&Work ]
 Work  := work[ artist: String, title: String, style: String, size: String, *&Field ]
 Field := Symbol[ *( Int | Float | Bool | String | &Field ) ]`)
-	return typecheck.Structure{Model: m, Pattern: "Works"}
+	return capability.StructureRef{Model: m, Pattern: "Works"}
 }
 
 func TestTypeDrivenFilterSimplification(t *testing.T) {
 	// Figure 7 (lower middle): only title and artist are wanted; mandatory
 	// unused items (style, size) are dropped from the filter, the optional
 	// cplace is kept (it filters).
-	o := New(Options{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"works": worksStructure()})})
+	o := New(Options{Structures: typecheck.NewSchemas(map[string]capability.StructureRef{"works": worksStructure()})})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ artist: $a, title: $t, style: $s, size: $si, cplace: $cl ] ]`)}
 	out := o.pruneColumns(b, algebra.SetOf([]string{"$t", "$cl"}))
@@ -290,7 +291,7 @@ func TestTypeDrivenFilterSimplification(t *testing.T) {
 }
 
 func TestTypeSimplificationKeepsConstraints(t *testing.T) {
-	o := New(Options{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"works": worksStructure()})})
+	o := New(Options{Structures: typecheck.NewSchemas(map[string]capability.StructureRef{"works": worksStructure()})})
 	b := &algebra.Bind{Doc: "works",
 		F: filter.MustParse(`works[ *work[ title: $t, style: "Impressionist" ] ]`)}
 	out := o.pruneColumns(b, algebra.SetOf([]string{"$t"}))

@@ -66,9 +66,9 @@ func configOf(opts optimizer.Options) *typecheck.Config {
 // doc[ *item[ name, num ] ].
 func lintConfig() *typecheck.Config {
 	iface := capability.NewInterface("src")
-	fm := capability.NewFModel("F")
-	fm.Define("Doc", &capability.FT{Kind: pattern.KAny})
-	iface.FModels = []*capability.FModel{fm}
+	fm := pattern.NewModel("F")
+	fm.Define("Doc", &pattern.P{Kind: pattern.KAny})
+	iface.FModels = []*pattern.Model{fm}
 	iface.Binds["docs"] = capability.BindCap{FModel: "F", FPattern: "Doc"}
 	iface.Operations = []capability.Operation{
 		{Name: "bind", Kind: "algebra"},
@@ -83,7 +83,7 @@ func lintConfig() *typecheck.Config {
 	return &typecheck.Config{
 		Interfaces: map[string]*capability.Interface{"src": iface},
 		SourceDocs: map[string]string{"docs": "src", "other": "elsewhere"},
-		Structures: typecheck.NewSchemas(map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}}),
+		Structures: typecheck.NewSchemas(map[string]capability.StructureRef{"docs": {Model: m, Pattern: "Doc"}}),
 	}
 }
 
@@ -97,7 +97,7 @@ Works := works[ *&Work ]
 Work  := work[ artist: String, title: String, style: String ]`)
 	classModel := pattern.MustParseModel(`model o2
 Artifact := class[ artifact: tuple[ title: String, year: Int, price: Int ] ]`)
-	return &typecheck.Config{Structures: typecheck.NewSchemas(map[string]typecheck.Structure{
+	return &typecheck.Config{Structures: typecheck.NewSchemas(map[string]capability.StructureRef{
 		"docs":      {Model: docsModel, Pattern: "Doc"},
 		"works":     {Model: worksModel, Pattern: "Works"},
 		"artifacts": {Model: classModel, Pattern: "Artifact"},
@@ -232,7 +232,7 @@ func optimizerPlans() map[string]struct {
 	assumed := cultural
 	assumed.Assume = []optimizer.Containment{{Drop: "artifacts", Keep: "works"}}
 	typedWorks := optimizer.Options{Structures: typecheck.NewSchemas(
-		map[string]typecheck.Structure{"works": optimizer.WorksStructure()})}
+		map[string]capability.StructureRef{"works": optimizer.WorksStructure()})}
 	view := optimizer.ViewPlan(optimizer.ViewRows(), `doc[ *w($t, $a) := work[ title: $t, artist: $a, more: $fields ] ]`)
 	titles := tab.New("$t")
 	for _, s := range []string{"Ta", "Tb", "Tc"} {

@@ -34,7 +34,7 @@ func culturalOpts(n int) (Options, *algebra.Context, *datagen.Workload) {
 		SourceDocs: map[string]string{
 			"artifacts": "o2artifact", "persons": "o2artifact", "works": "xmlartwork",
 		},
-		Structures: typecheck.NewSchemas(map[string]typecheck.Structure{
+		Structures: typecheck.NewSchemas(map[string]capability.StructureRef{
 			"artifacts": {Model: schema, Pattern: "Artifact"},
 			"persons":   {Model: schema, Pattern: "Person"},
 			"works":     {Model: ww.ExportStructure(), Pattern: "Works"},

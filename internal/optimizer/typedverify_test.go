@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/capability"
 	"repro/internal/filter"
 	"repro/internal/pattern"
 	"repro/internal/typecheck"
@@ -19,7 +20,7 @@ func typedOpts() Options {
 			pattern.Node("name", pattern.Str()),
 			pattern.Node("num", pattern.Int())))))
 	return Options{
-		Structures:      typecheck.NewSchemas(map[string]typecheck.Structure{"docs": {Model: m, Pattern: "Doc"}}),
+		Structures:      typecheck.NewSchemas(map[string]capability.StructureRef{"docs": {Model: m, Pattern: "Doc"}}),
 		CheckInvariants: true,
 	}
 }

@@ -86,14 +86,92 @@ func ColFromString(s string) Col {
 	}
 }
 
+// BindFlag restricts which variables a filter may place on an Fpattern
+// node (Section 4's bind attribute of Figure 6).
+type BindFlag int
+
+// Bind flags.
+const (
+	BindAny   BindFlag = iota // no restriction
+	BindTree                  // only a tree variable (bind the whole subtree)
+	BindLabel                 // only a label variable
+	BindNone                  // no variable at all
+)
+
+// String renders the flag as its XML attribute value.
+func (b BindFlag) String() string {
+	switch b {
+	case BindTree:
+		return "tree"
+	case BindLabel:
+		return "label"
+	case BindNone:
+		return "none"
+	default:
+		return ""
+	}
+}
+
+// BindFlagFromString parses a bind attribute value.
+func BindFlagFromString(s string) BindFlag {
+	switch s {
+	case "tree":
+		return BindTree
+	case "label":
+		return BindLabel
+	case "none":
+		return BindNone
+	default:
+		return BindAny
+	}
+}
+
+// InstFlag restricts how a filter may instantiate an Fpattern's Symbol label
+// or star edge (the inst attribute of Figure 6).
+type InstFlag int
+
+// Inst flags.
+const (
+	InstAny    InstFlag = iota // no restriction
+	InstGround                 // must be completely instantiated (concrete)
+	InstNone                   // must be left unchanged (stay generic)
+)
+
+// String renders the flag as its XML attribute value.
+func (i InstFlag) String() string {
+	switch i {
+	case InstGround:
+		return "ground"
+	case InstNone:
+		return "none"
+	default:
+		return ""
+	}
+}
+
+// InstFlagFromString parses an inst attribute value.
+func InstFlagFromString(s string) InstFlag {
+	switch s {
+	case "ground":
+		return InstGround
+	case "none":
+		return InstNone
+	default:
+		return InstAny
+	}
+}
+
 // Item is one element of a node pattern's child sequence; Star marks
 // multiple occurrence (zero or more).
 type Item struct {
 	P    *P
 	Star bool
+	Inst InstFlag // Fpattern star edge: ground (enumerate) or none (keep the star)
 }
 
-// P is a pattern node.
+// P is a pattern node. An Fpattern — a pattern describing the filters a
+// source accepts (Section 4) — is a P whose Bind and Inst flags are set;
+// matching, subsumption, intersection and the text form ignore them.
 type P struct {
 	Kind     Kind
 	Label    string     // KNode: the node label ("" with AnyLabel set means Symbol)
@@ -103,6 +181,8 @@ type P struct {
 	Name     string     // KRef: referenced pattern name
 	Items    []Item     // KNode: ordered child sequence
 	Alts     []*P       // KUnion: alternatives
+	Bind     BindFlag   // KNode, KRef: the variables a filter may place here
+	Inst     InstFlag   // KNode: on a Symbol label, whether a filter must ground it
 }
 
 // Convenience constructors.

@@ -2,18 +2,19 @@ package pattern
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/data"
-	"repro/internal/xmlenc"
 )
 
-// XML serialization of patterns and models. Wrappers and mediators exchange
-// structural metadata in XML (Section 2); the dialect here follows the
-// Figure 6 conventions: <node label=... col=...>, <leaf label="Int"/>,
-// <star>, <union>, <ref pattern=.../>, <any/>, plus <const> for data-level
-// constants. Models serialize as <model name=...> with one <pattern name=...>
-// element per definition.
+// XML serialization of patterns, the one codec of the pattern language:
+// Fpatterns travel in it inside a capability interface, as Figure 6 writes
+// them. The dialect is <node label=... col=... bind=... inst=...>,
+// <leaf label="Int"/>, <star inst=...>, <union>, <ref pattern=... bind=.../>
+// (also read when spelled <value pattern=.../>), <any/>, plus <const> for
+// data-level constants. A flag attribute is written only when the flag is
+// set, so a pattern without flags reads as it always did.
 
 // ToXML converts a pattern to its XML tree representation.
 func ToXML(p *P) *data.Node {
@@ -35,6 +36,9 @@ func ToXML(p *P) *data.Node {
 	case KRef:
 		r := data.Elem("ref")
 		r.Add(data.Text("@pattern", p.Name))
+		if p.Bind != BindAny {
+			r.Add(data.Text("@bind", p.Bind.String()))
+		}
 		return r
 	case KUnion:
 		u := data.Elem("union")
@@ -52,10 +56,20 @@ func ToXML(p *P) *data.Node {
 		if p.Col != ColNone {
 			n.Add(data.Text("@col", p.Col.String()))
 		}
+		if p.Bind != BindAny {
+			n.Add(data.Text("@bind", p.Bind.String()))
+		}
+		if p.Inst != InstAny {
+			n.Add(data.Text("@inst", p.Inst.String()))
+		}
 		for _, it := range p.Items {
 			kid := ToXML(it.P)
 			if it.Star {
-				kid = data.Elem("star", kid)
+				star := data.Elem("star")
+				if it.Inst != InstAny {
+					star.Add(data.Text("@inst", it.Inst.String()))
+				}
+				kid = star.Add(kid)
 			}
 			n.Add(kid)
 		}
@@ -104,12 +118,14 @@ func FromXML(n *data.Node) (*P, error) {
 		}
 	case "const":
 		return constFromXML(n)
-	case "ref":
+	case "ref", "value":
 		name := n.Attr("pattern")
 		if name == "" {
-			return nil, fmt.Errorf("pattern: <ref> without pattern attribute")
+			return nil, fmt.Errorf("pattern: <%s> without pattern attribute", n.Label)
 		}
-		return Ref(name), nil
+		r := Ref(name)
+		r.Bind = BindFlagFromString(n.Attr("bind"))
+		return r, nil
 	case "union":
 		u := &P{Kind: KUnion}
 		for _, k := range n.Kids {
@@ -129,14 +145,17 @@ func FromXML(n *data.Node) (*P, error) {
 			p.Label, p.AnyLabel = "", true
 		}
 		p.Col = ColFromString(n.Attr("col"))
+		p.Bind = BindFlagFromString(n.Attr("bind"))
+		p.Inst = InstFlagFromString(n.Attr("inst"))
 		for _, k := range n.Kids {
 			if k.IsAttr() {
 				continue
 			}
-			star := false
+			it := Item{}
 			src := k
 			if k.Label == "star" {
-				star = true
+				it.Star = true
+				it.Inst = InstFlagFromString(k.Attr("inst"))
 				src = k.FirstElem()
 				if src == nil {
 					return nil, fmt.Errorf("pattern: empty <star>")
@@ -146,7 +165,8 @@ func FromXML(n *data.Node) (*P, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.Items = append(p.Items, Item{P: kid, Star: star})
+			it.P = kid
+			p.Items = append(p.Items, it)
 		}
 		return p, nil
 	default:
@@ -165,7 +185,8 @@ func constFromXML(n *data.Node) (*P, error) {
 		return Const(data.Int(v)), nil
 	case "Float":
 		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) {
+			// A NaN constant would equal no atom, itself included.
 			return nil, fmt.Errorf("pattern: bad Float const %q", val)
 		}
 		return Const(data.Float(v)), nil
@@ -176,53 +197,4 @@ func constFromXML(n *data.Node) (*P, error) {
 	default:
 		return nil, fmt.Errorf("pattern: unknown const type %q", typ)
 	}
-}
-
-// ModelToXML serializes a model to its XML tree.
-func ModelToXML(m *Model) *data.Node {
-	root := data.Elem("model")
-	root.Add(data.Text("@name", m.Name))
-	for _, name := range m.Names() {
-		pe := data.Elem("pattern")
-		pe.Add(data.Text("@name", name))
-		pe.Add(ToXML(m.Defs[name]))
-		root.Add(pe)
-	}
-	return root
-}
-
-// ModelFromXML parses a model from its XML tree.
-func ModelFromXML(n *data.Node) (*Model, error) {
-	if n == nil || n.Label != "model" {
-		return nil, fmt.Errorf("pattern: expected <model> element")
-	}
-	m := NewModel(n.Attr("name"))
-	for _, k := range n.Kids {
-		if k.Label != "pattern" {
-			continue
-		}
-		name := k.Attr("name")
-		body := k.FirstElem()
-		if name == "" || body == nil {
-			return nil, fmt.Errorf("pattern: malformed <pattern> element")
-		}
-		p, err := FromXML(body)
-		if err != nil {
-			return nil, fmt.Errorf("pattern %s: %w", name, err)
-		}
-		m.Define(name, p)
-	}
-	return m, nil
-}
-
-// MarshalModel renders the model as an XML string.
-func MarshalModel(m *Model) string { return xmlenc.SerializeIndent(ModelToXML(m)) }
-
-// UnmarshalModel parses a model from an XML string.
-func UnmarshalModel(src string) (*Model, error) {
-	n, err := xmlenc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return ModelFromXML(n)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBreakerOpensAndRecovers(t *testing.T) {
-	b := newBreaker(BreakerOptions{FailureThreshold: 2, Cooldown: 80 * time.Millisecond})
+	b := newBreaker(2, 80*time.Millisecond)
 	if !b.admit() {
 		t.Fatal("fresh breaker refuses calls")
 	}
@@ -59,7 +59,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 func TestBreakerIgnoresSemanticAndContextErrors(t *testing.T) {
 	// A server-reported <error> proves the source alive; a caller's expired
 	// budget says nothing about the source. Neither may trip a breaker.
-	b := newBreaker(BreakerOptions{FailureThreshold: 1})
+	b := newBreaker(1, cooldown)
 	for i := 0; i < 5; i++ {
 		b.done(&wire.RemoteError{Msg: "no such document"}, wire.IsRetryable(&wire.RemoteError{Msg: "x"}))
 		b.done(context.DeadlineExceeded, wire.IsRetryable(context.DeadlineExceeded))

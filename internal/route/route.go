@@ -35,34 +35,19 @@ import (
 	"repro/internal/wire"
 )
 
-// BreakerOptions configure the circuit breakers, one per replica. A replica
-// whose calls keep failing at the transport level is declared down (breaker
-// open): it is passed over instead of burning a dial-and-retry cycle per
-// call. After Cooldown one probe call is let through (half-open); its
-// outcome closes or re-opens the breaker.
-type BreakerOptions struct {
-	// FailureThreshold is the number of consecutive transport failures
-	// that opens the breaker (0 = default 3).
-	FailureThreshold int
-	// Cooldown is how long an open breaker refuses calls before letting a
-	// probe through (0 = default 2s).
-	Cooldown time.Duration
-}
+// The circuit breakers, one per replica. A replica whose calls keep failing
+// at the transport level is declared down (breaker open): it is passed over
+// instead of burning a dial-and-retry cycle per call. failureThreshold
+// consecutive transport failures open a breaker; after cooldown one probe
+// call is let through (half-open), and its outcome closes or re-opens it.
+const (
+	failureThreshold = 3
+	cooldown         = 2 * time.Second
+)
 
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 2 * time.Second
-	}
-	return o
-}
-
-// Options configure a replicated source.
-type Options struct {
-	Breaker BreakerOptions
-}
+// Options is empty: the breaker thresholds are the constants above. It is
+// kept only because the benchmark module (bench/deploy.go) passes it to New.
+type Options struct{}
 
 // Breaker states, named as Health reports them.
 const (
@@ -76,7 +61,8 @@ const (
 // count, and so does a caller's expired context — a query with a tight
 // budget must not poison the source's health for everyone else.
 type breaker struct {
-	opts BreakerOptions
+	threshold int
+	cooldown  time.Duration
 
 	mu      sync.Mutex
 	state   string
@@ -85,8 +71,8 @@ type breaker struct {
 	lastErr error     // last transport failure
 }
 
-func newBreaker(opts BreakerOptions) *breaker {
-	return &breaker{opts: opts.withDefaults(), state: stClosed}
+func newBreaker(threshold int, cooldown time.Duration) *breaker {
+	return &breaker{threshold: threshold, cooldown: cooldown, state: stClosed}
 }
 
 // ready reports whether the breaker is closed (calls flow freely).
@@ -127,9 +113,9 @@ func (b *breaker) done(err error, transient bool) {
 	}
 	b.fails++
 	b.lastErr = err
-	if b.state == stHalfOpen || b.fails >= b.opts.FailureThreshold {
+	if b.state == stHalfOpen || b.fails >= b.threshold {
 		b.state = stOpen
-		b.until = time.Now().Add(b.opts.Cooldown)
+		b.until = time.Now().Add(b.cooldown)
 	}
 }
 
@@ -165,7 +151,13 @@ type Replicated struct {
 // New builds a replicated source named name over the given replicas. All
 // replicas must export the same document set — they are interchangeable
 // copies of one logical source, not a federation.
-func New(name string, replicas []algebra.Source, opts Options) (*Replicated, error) {
+func New(name string, replicas []algebra.Source, _ Options) (*Replicated, error) {
+	return newReplicated(name, replicas, failureThreshold, cooldown)
+}
+
+// newReplicated is New with the breakers' thresholds given, so that tests can
+// trip and re-probe a breaker quickly.
+func newReplicated(name string, replicas []algebra.Source, threshold int, cooldown time.Duration) (*Replicated, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("route: source %s: no replicas", name)
 	}
@@ -178,7 +170,7 @@ func New(name string, replicas []algebra.Source, opts Options) (*Replicated, err
 					name, i, d, docs)
 			}
 		}
-		r.reps = append(r.reps, &replica{id: i, src: src, br: newBreaker(opts.Breaker)})
+		r.reps = append(r.reps, &replica{id: i, src: src, br: newBreaker(threshold, cooldown)})
 	}
 	return r, nil
 }

@@ -73,9 +73,19 @@ func (s *fakeRep) Push(plan algebra.Op, params map[string]tab.Cell) (*tab.Tab, e
 	return t, nil
 }
 
-func mustRoute(t *testing.T, reps []algebra.Source, opts route.Options) *route.Replicated {
+func mustRoute(t *testing.T, reps []algebra.Source) *route.Replicated {
 	t.Helper()
-	r, err := route.New("src", reps, opts)
+	r, err := route.New("src", reps, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// mustRouteBreakers is mustRoute with the breakers' thresholds given.
+func mustRouteBreakers(t *testing.T, reps []algebra.Source, threshold int, cooldown time.Duration) *route.Replicated {
+	t.Helper()
+	r, err := route.NewWithBreakers("src", reps, threshold, cooldown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +104,13 @@ func TestRouteRejectsMismatchedDocSets(t *testing.T) {
 }
 
 // TestRouteFailoverAndEviction: a replica failing at the transport level is
-// failed over transparently, and after FailureThreshold consecutive
+// failed over transparently, and after the threshold of consecutive
 // failures its breaker opens — subsequent calls stop touching it at all.
 func TestRouteFailoverAndEviction(t *testing.T) {
 	leakcheck.Arm(t)
 	bad, good := newFakeRep("bad"), newFakeRep("good")
 	bad.setFail(errReset)
-	r := mustRoute(t, []algebra.Source{bad, good},
-		route.Options{Breaker: route.BreakerOptions{FailureThreshold: 3, Cooldown: time.Minute}})
+	r := mustRouteBreakers(t, []algebra.Source{bad, good}, 3, time.Minute)
 
 	for i := 0; i < 12; i++ {
 		res, err := r.Push(nil, nil)
@@ -143,7 +152,7 @@ func TestRouteSemanticErrorSettles(t *testing.T) {
 	semantic := error(&wire.RemoteError{Msg: "unknown document"})
 	a.setFail(semantic)
 	b.setFail(semantic)
-	r := mustRoute(t, []algebra.Source{a, b}, route.Options{})
+	r := mustRoute(t, []algebra.Source{a, b})
 
 	_, err := r.Push(nil, nil)
 	var re *wire.RemoteError
@@ -170,8 +179,7 @@ func TestRouteAllDownThenRecover(t *testing.T) {
 	a, b := newFakeRep("a"), newFakeRep("b")
 	a.setFail(errReset)
 	b.setFail(errReset)
-	r := mustRoute(t, []algebra.Source{a, b},
-		route.Options{Breaker: route.BreakerOptions{FailureThreshold: 1, Cooldown: 50 * time.Millisecond}})
+	r := mustRouteBreakers(t, []algebra.Source{a, b}, 1, 50*time.Millisecond)
 
 	_, err := r.Push(nil, nil)
 	if err == nil {
@@ -230,7 +238,7 @@ func (s breakingStream) PushStream(context.Context, algebra.Op, map[string]tab.C
 // delivered cannot be replayed). Either way the inflight slot comes back.
 func TestRouteStreamEnds(t *testing.T) {
 	rep := newFakeRep("a")
-	r := mustRoute(t, []algebra.Source{rep}, route.Options{})
+	r := mustRoute(t, []algebra.Source{rep})
 	var open []tab.Cursor
 	for i := 0; i < 3; i++ {
 		cur, err := r.PushStream(context.Background(), nil, nil)
@@ -248,7 +256,7 @@ func TestRouteStreamEnds(t *testing.T) {
 		t.Fatalf("three clean stream ends left the replica at %+v", h)
 	}
 
-	r = mustRoute(t, []algebra.Source{breakingStream{rep}}, route.Options{})
+	r = mustRoute(t, []algebra.Source{breakingStream{rep}})
 	cur, err := r.PushStream(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +281,7 @@ func TestRouteStreamEnds(t *testing.T) {
 func TestRouteSpreadsLoad(t *testing.T) {
 	a, b := newFakeRep("a"), newFakeRep("b")
 	a.delay, b.delay = 10*time.Millisecond, 10*time.Millisecond
-	r := mustRoute(t, []algebra.Source{a, b}, route.Options{})
+	r := mustRoute(t, []algebra.Source{a, b})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -362,8 +370,7 @@ func TestReplicaKillMidLoad(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		reps = append(reps, c)
 	}
-	rt, err := route.New("o2artifact", reps,
-		route.Options{Breaker: route.BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute}})
+	rt, err := route.NewWithBreakers("o2artifact", reps, 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,6 @@ import (
 	"repro/internal/tab"
 )
 
-// Structure pairs a structural model with the name of the pattern (within
-// that model) governing a document — what the type-driven rewritings of
-// Section 5.1, the pattern-compatibility check and the inference below all
-// consult.
-type Structure struct {
-	Model   *pattern.Model
-	Pattern string
-}
-
 // Schemas is the declared structural schema of every typed document together
 // with the one model their definitions merge into, so that references inside
 // inferred patterns resolve regardless of which source they came from. It is
@@ -59,7 +50,7 @@ type Structure struct {
 // is shared by every inference and by the evaluation context
 // (algebra.Context.Model). A nil *Schemas declares nothing.
 type Schemas struct {
-	docs  map[string]Structure
+	docs  map[string]capability.StructureRef
 	model *pattern.Model
 }
 
@@ -68,7 +59,7 @@ var noSchemas = NewSchemas(nil)
 // NewSchemas merges the documents' models (in document-name order, so a
 // pattern name two models both define resolves the same way every time). The
 // map is kept, not copied: the caller must not write to it afterwards.
-func NewSchemas(docs map[string]Structure) *Schemas {
+func NewSchemas(docs map[string]capability.StructureRef) *Schemas {
 	merged := pattern.NewModel("schemas")
 	names := make([]string, 0, len(docs))
 	for d := range docs {
@@ -89,8 +80,8 @@ func NewSchemas(docs map[string]Structure) *Schemas {
 
 // With returns the schemas with doc's structure added or replaced; the
 // receiver is unchanged.
-func (s *Schemas) With(doc string, st Structure) *Schemas {
-	docs := make(map[string]Structure, s.Len()+1)
+func (s *Schemas) With(doc string, st capability.StructureRef) *Schemas {
+	docs := make(map[string]capability.StructureRef, s.Len()+1)
 	if s != nil {
 		for d, have := range s.docs {
 			docs[d] = have
@@ -101,9 +92,9 @@ func (s *Schemas) With(doc string, st Structure) *Schemas {
 }
 
 // Doc returns the declared structure of a document.
-func (s *Schemas) Doc(doc string) (Structure, bool) {
+func (s *Schemas) Doc(doc string) (capability.StructureRef, bool) {
 	if s == nil {
-		return Structure{}, false
+		return capability.StructureRef{}, false
 	}
 	st, ok := s.docs[doc]
 	return st, ok

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/filter"
 	"repro/internal/pattern"
@@ -24,7 +25,7 @@ Work  := work[ artist: String, title: String, style: String ]`)
 	// extent member while filters match the set-wrapped extent.
 	classModel := pattern.MustParseModel(`model o2
 Artifact := class[ artifact: tuple[ title: String, year: Int, price: Int ] ]`)
-	return &Config{Structures: NewSchemas(map[string]Structure{
+	return &Config{Structures: NewSchemas(map[string]capability.StructureRef{
 		"docs":      {Model: docsModel, Pattern: "Doc"},
 		"works":     {Model: worksModel, Pattern: "Works"},
 		"artifacts": {Model: classModel, Pattern: "Artifact"},

@@ -15,9 +15,9 @@ import (
 // all-permissive Fpattern) and a declared structure doc[ *item[ name, num ] ].
 func lintConfig() *Config {
 	iface := capability.NewInterface("src")
-	fm := capability.NewFModel("F")
-	fm.Define("Doc", &capability.FT{Kind: pattern.KAny})
-	iface.FModels = []*capability.FModel{fm}
+	fm := pattern.NewModel("F")
+	fm.Define("Doc", &pattern.P{Kind: pattern.KAny})
+	iface.FModels = []*pattern.Model{fm}
 	iface.Binds["docs"] = capability.BindCap{FModel: "F", FPattern: "Doc"}
 	iface.Operations = []capability.Operation{
 		{Name: "bind", Kind: "algebra"},
@@ -34,7 +34,7 @@ func lintConfig() *Config {
 	return &Config{
 		Interfaces: map[string]*capability.Interface{"src": iface},
 		SourceDocs: map[string]string{"docs": "src"},
-		Structures: NewSchemas(map[string]Structure{"docs": {Model: m, Pattern: "Doc"}}),
+		Structures: NewSchemas(map[string]capability.StructureRef{"docs": {Model: m, Pattern: "Doc"}}),
 	}
 }
 

@@ -93,12 +93,12 @@ Field := Symbol[ *( Int | Float | Bool | String | &Field ) ]`)
 // external predicate and the contains/equality equivalence.
 func (w *Wrapper) ExportInterface() *capability.Interface {
 	i := capability.NewInterface(w.SourceNme)
-	fm := capability.NewFModel("waisfmodel")
-	fm.Define("Fworks", &capability.FT{
+	fm := pattern.NewModel("waisfmodel")
+	fm.Define("Fworks", &pattern.P{
 		Kind: pattern.KNode, Label: "works",
-		Bind: capability.BindNone, Inst: capability.InstGround,
-		Items: []capability.FTItem{{Star: true, Inst: capability.InstNone,
-			F: &capability.FT{Kind: pattern.KRef, Name: "work", Bind: capability.BindTree}}},
+		Bind: pattern.BindNone, Inst: pattern.InstGround,
+		Items: []pattern.Item{{Star: true, Inst: pattern.InstNone,
+			P: &pattern.P{Kind: pattern.KRef, Name: "work", Bind: pattern.BindTree}}},
 	})
 	i.FModels = append(i.FModels, fm)
 	i.Binds["works"] = capability.BindCap{FModel: "waisfmodel", FPattern: "Fworks"}

@@ -20,7 +20,6 @@ import (
 	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/obs"
-	"repro/internal/pattern"
 	"repro/internal/tab"
 	"repro/internal/xmlenc"
 )
@@ -823,15 +822,11 @@ func (c *Client) ImportStructures() (map[string]StructureRef, error) {
 		if k.Label != "structure" {
 			continue
 		}
-		me := k.Child("model")
-		if me == nil {
-			return nil, fmt.Errorf("wire: structure without model")
-		}
-		m, err := pattern.ModelFromXML(me)
+		doc, ref, err := capability.StructureFromXML(k)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wire: source %s at %s: malformed structures: %w", c.name, c.addr, err)
 		}
-		out[k.Attr("doc")] = StructureRef{Model: m, Pattern: k.Attr("pattern")}
+		out[doc] = ref
 	}
 	return out, nil
 }

@@ -12,6 +12,10 @@
 //	<interface-request/>  → <interface .../>
 //	<structures-request/> → <structures><structure .../>*</structures>
 //
+// Both the interface and the structures reply are capability's encodings: a
+// <structure doc=… pattern=…> holds its model as text, in one <model>
+// element, and the entries come in document order.
+//
 // There is one data request, <query>. It names either a document or a plan
 // shipped once with a table of N ≥ 0 binding rows (N = 0 evaluates the plan
 // without parameters, N = 1 is a scalar push, N > 1 a batched one), and is
@@ -53,7 +57,6 @@ import (
 	"repro/internal/capability"
 	"repro/internal/data"
 	"repro/internal/obs"
-	"repro/internal/pattern"
 	"repro/internal/tab"
 	"repro/internal/xmlenc"
 )
@@ -228,11 +231,9 @@ type Exported struct {
 	Obs *obs.Observer
 }
 
-// StructureRef names a document's structural pattern within a model.
-type StructureRef struct {
-	Model   *pattern.Model
-	Pattern string
-}
+// StructureRef is capability.StructureRef, the one structure reference. The
+// alias is kept only because the benchmark module (bench/deploy.go) names it.
+type StructureRef = capability.StructureRef
 
 // Server serves one wrapper over a listener.
 type Server struct {
@@ -371,15 +372,7 @@ func (s *Server) answer(w *frameWriter, n *data.Node) (rows int, err error) {
 		}
 		w.frame(xmlenc.Serialize(capability.ToXML(s.Exp.Interface)))
 	case "structures-request":
-		resp := data.Elem("structures")
-		for doc, ref := range s.Exp.Structures {
-			entry := data.Elem("structure")
-			entry.Add(data.Text("@doc", doc))
-			entry.Add(data.Text("@pattern", ref.Pattern))
-			entry.Add(pattern.ModelToXML(ref.Model))
-			resp.Add(entry)
-		}
-		w.frame(xmlenc.Serialize(resp))
+		w.frame(xmlenc.Serialize(capability.StructuresToXML(s.Exp.Structures)))
 	case "query":
 		w.start = time.Now()
 		if n.Child("@doc") != nil {
