@@ -1,9 +1,10 @@
 // Package capability implements the source-description language of
-// Section 4: Fmodels of Fpatterns describing the filters a source accepts —
-// an Fmodel is a pattern.Model whose patterns carry bind/inst flags — operational interfaces declaring which algebraic
-// operations a source evaluates (Figure 6), and declared equivalences
-// connecting source-specific predicates with algebra predicates (the
-// contains/equality connection of Section 4.2).
+// Section 4: Fmodels of Fpatterns describing the filters a source accepts
+// (an Fmodel is a pattern.Model whose patterns carry bind/inst flags),
+// operational interfaces declaring which algebraic operations a source
+// evaluates (Figure 6), and declared equivalences connecting
+// source-specific predicates with algebra predicates (the contains/equality
+// connection of Section 4.2).
 //
 // The central judgement is AcceptsFilter: is a Bind filter admissible for a
 // source, i.e. is it an instance of the exported Fpattern respecting every

@@ -57,7 +57,7 @@ func ToXML(i *Interface) *data.Node {
 		be.Add(data.Text("@fpattern", bc.FPattern))
 		root.Add(be)
 	}
-	addStructures(root, i.Structures)
+	root.Add(StructuresToXML(i.Structures).Kids...)
 	for _, op := range i.Operations {
 		oe := data.Elem("operation")
 		oe.Add(data.Text("@name", op.Name))
@@ -202,10 +202,7 @@ func sigFromXML(n *data.Node) Sig {
 // document that has a model: the one encoding of structures, inside an
 // interface and in the wire's <structures-request/> reply.
 func StructuresToXML(structures map[string]StructureRef) *data.Node {
-	return addStructures(data.Elem("structures"), structures)
-}
-
-func addStructures(parent *data.Node, structures map[string]StructureRef) *data.Node {
+	root := data.Elem("structures")
 	for _, doc := range sortedKeys(structures) {
 		ref := structures[doc]
 		if ref.Model == nil {
@@ -215,9 +212,9 @@ func addStructures(parent *data.Node, structures map[string]StructureRef) *data.
 		se.Add(data.Text("@doc", doc))
 		se.Add(data.Text("@pattern", ref.Pattern))
 		se.Add(data.Text("model", ref.Model.String()))
-		parent.Add(se)
+		root.Add(se)
 	}
-	return parent
+	return root
 }
 
 func sortedKeys[V any](m map[string]V) []string {

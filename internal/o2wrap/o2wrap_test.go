@@ -90,6 +90,29 @@ func TestExportInterfaceRoundTrip(t *testing.T) {
 	}
 }
 
+// A class's methods are declared in name order, so an interface marshals to
+// the same bytes every time (a class's methods live in a map).
+func TestExportInterfaceMethodsInNameOrder(t *testing.T) {
+	s := datagen.NewTradingSchema()
+	for _, name := range []string{"valuation", "age", "insured"} {
+		if err := s.AddMethod("Artifact", name, o2.TyInt(), func(*o2.DB, *o2.Object) (o2.Val, error) {
+			return o2.Int(0), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := New("o2artifact", o2.NewDB(s))
+	var methods []string
+	for _, op := range w.ExportInterface().Operations {
+		if op.Kind == "method" {
+			methods = append(methods, op.Name)
+		}
+	}
+	if got := strings.Join(methods, " "); got != "age current_price insured valuation" {
+		t.Errorf("methods declared as %q", got)
+	}
+}
+
 const view1ArtifactsFilter = `set[ *class[ artifact.tuple[ title: $t, year: $y, creator: $c, price: $p,
 	owners.list[ *class[ person.tuple[ name: $o, auction: $au ] ] ] ] ] ]`
 

@@ -356,6 +356,7 @@ func TestPatternXMLErrors(t *testing.T) {
 		`<ref/>`,
 		`<const type="Int" value="xx"/>`,
 		`<const type="Float" value="xx"/>`,
+		`<const type="Float" value="NaN"/>`,
 		`<const type="Void" value="1"/>`,
 		`<unknown/>`,
 		`<node label="a"><star/></node>`,
