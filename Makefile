@@ -53,6 +53,8 @@ bench-build:
 # reader never panic, and over an archive of chosen entries every non-blank
 # line of each .ndxml or .xml entry yields, in entry order, one record or one
 # malformed-line error naming the entry and line, the other entries nothing.
+# The last holds the Bind filter matcher to a test-only copy of the matcher it
+# replaced, over the random filter, forest and store generated from a seed.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
@@ -64,6 +66,7 @@ fuzz-short:
 	$(GO) test -run FuzzInterfaceXML -fuzz FuzzInterfaceXML -fuzztime 10s ./internal/capability
 	$(GO) test -run FuzzNDXML -fuzz FuzzNDXML -fuzztime 10s ./internal/feed
 	$(GO) test -run FuzzZipDump -fuzz FuzzZipDump -fuzztime 10s ./internal/feed
+	$(GO) test -run FuzzMatch -fuzz FuzzMatch -fuzztime 10s ./internal/filter
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

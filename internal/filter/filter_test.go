@@ -40,7 +40,7 @@ const figure4Filter = `works[ *work[ artist: $a, title: $t, style: $s, size: $si
 
 func TestFigure4Bind(t *testing.T) {
 	f := MustParse(figure4Filter)
-	got := f.Match(nil, figure1Works())
+	got := match(t, f, nil, figure1Works())
 	if strings.Join(got.Cols, " ") != "$a $t $s $si $fields" {
 		t.Fatalf("cols = %v", got.Cols)
 	}
@@ -69,7 +69,7 @@ func TestFigure4Bind(t *testing.T) {
 
 func TestBindLeafContent(t *testing.T) {
 	f := MustParse(`work[ title: $t ]`)
-	got := f.Match(nil, figure1Works().Kids[0])
+	got := match(t, f, nil, figure1Works().Kids[0])
 	if got.Len() != 1 {
 		t.Fatalf("rows = %d", got.Len())
 	}
@@ -81,7 +81,7 @@ func TestBindLeafContent(t *testing.T) {
 
 func TestBindSubtreeVariable(t *testing.T) {
 	f := MustParse(`works[ *work@$w[ title: $t ] ]`)
-	got := f.Match(nil, figure1Works())
+	got := match(t, f, nil, figure1Works())
 	if got.Len() != 2 {
 		t.Fatalf("rows = %d", got.Len())
 	}
@@ -95,10 +95,10 @@ func TestBindMissingMandatoryFails(t *testing.T) {
 	f := MustParse(`work[ title: $t, cplace: $cl ]`)
 	// first work has cplace, second does not
 	works := figure1Works()
-	if got := f.Match(nil, works.Kids[0]); got.Len() != 1 {
+	if got := match(t, f, nil, works.Kids[0]); got.Len() != 1 {
 		t.Errorf("work with cplace: rows = %d", got.Len())
 	}
-	if got := f.Match(nil, works.Kids[1]); got.Len() != 0 {
+	if got := match(t, f, nil, works.Kids[1]); got.Len() != 0 {
 		t.Errorf("work without cplace: rows = %d, want 0", got.Len())
 	}
 }
@@ -106,16 +106,16 @@ func TestBindMissingMandatoryFails(t *testing.T) {
 func TestBindConstants(t *testing.T) {
 	works := figure1Works()
 	f := MustParse(`work[ style: "Impressionist", title: $t ]`)
-	if got := f.Match(nil, works.Kids[0]); got.Len() != 1 {
+	if got := match(t, f, nil, works.Kids[0]); got.Len() != 1 {
 		t.Error("matching constant must succeed")
 	}
 	g := MustParse(`work[ style: "Cubist", title: $t ]`)
-	if got := g.Match(nil, works.Kids[0]); got.Len() != 0 {
+	if got := match(t, g, nil, works.Kids[0]); got.Len() != 0 {
 		t.Error("non-matching constant must fail")
 	}
 	n := data.Elem("work", data.IntLeaf("year", 1897))
 	h := MustParse(`work[ year: 1897 ]`)
-	if got := h.Match(nil, n); got.Len() != 1 {
+	if got := match(t, h, nil, n); got.Len() != 1 {
 		t.Error("integer constant must match")
 	}
 }
@@ -125,20 +125,20 @@ func TestBindTypeFilters(t *testing.T) {
 		data.IntLeaf("year", 1897),
 		data.Text("title", "Nympheas"),
 	)
-	if got := MustParse(`work[ year: $y@Int ]`).Match(nil, n); got.Len() != 1 {
+	if got := match(t, MustParse(`work[ year: $y@Int ]`), nil, n); got.Len() != 1 {
 		t.Error("Int type filter should accept 1897")
 	}
-	if got := MustParse(`work[ title: $t@Int ]`).Match(nil, n); got.Len() != 0 {
+	if got := match(t, MustParse(`work[ title: $t@Int ]`), nil, n); got.Len() != 0 {
 		t.Error("Int type filter should reject a string title")
 	}
-	if got := MustParse(`work[ title: $t@String ]`).Match(nil, n); got.Len() != 1 {
+	if got := match(t, MustParse(`work[ title: $t@String ]`), nil, n); got.Len() != 1 {
 		t.Error("String type filter should accept the title")
 	}
 	// Named type resolved through the filter's model
 	m := pattern.MustParseModel(`model test
 Year := Symbol: Int`)
 	f := MustParse(`work[ %@Year ]`).WithModel(m)
-	if got := f.Match(nil, n); got.Len() != 1 {
+	if got := match(t, f, nil, n); got.Len() != 1 {
 		t.Errorf("named type filter: rows = %d", got.Len())
 	}
 }
@@ -150,7 +150,7 @@ func TestLabelVariables(t *testing.T) {
 		data.FloatLeaf("auction", 1500000),
 	)
 	f := MustParse(`tuple[ *~$attr: $v ]`)
-	got := f.Match(nil, person)
+	got := match(t, f, nil, person)
 	if got.Len() != 2 {
 		t.Fatalf("rows = %d\n%s", got.Len(), got)
 	}
@@ -166,7 +166,7 @@ func TestLabelVariables(t *testing.T) {
 
 func TestWildcardLabel(t *testing.T) {
 	n := data.Elem("work", data.Text("title", "X"), data.Text("artist", "Y"))
-	got := MustParse(`work[ *%@$any ]`).Match(nil, n)
+	got := match(t, MustParse(`work[ *%@$any ]`), nil, n)
 	if got.Len() != 2 {
 		t.Errorf("wildcard matched %d children, want 2", got.Len())
 	}
@@ -176,7 +176,7 @@ func TestDescend(t *testing.T) {
 	works := figure1Works()
 	// technique is nested under history under work: GPE-style descent
 	f := MustParse(`works.**.technique: $x`)
-	got := f.Match(nil, works)
+	got := match(t, f, nil, works)
 	if got.Len() != 1 {
 		t.Fatalf("descend rows = %d", got.Len())
 	}
@@ -186,7 +186,7 @@ func TestDescend(t *testing.T) {
 	// descent finds nodes at multiple depths
 	deep := data.Elem("a", data.Elem("x", data.Text("k", "1")), data.Elem("b", data.Elem("x", data.Text("k", "2"))))
 	g := MustParse(`a[ **x[ k: $k ] ]`)
-	if got := g.Match(nil, deep); got.Len() != 2 {
+	if got := match(t, g, nil, deep); got.Len() != 2 {
 		t.Errorf("nested descent rows = %d", got.Len())
 	}
 }
@@ -198,7 +198,7 @@ func TestIterateStarCartesian(t *testing.T) {
 		data.Elem("r", data.Text("v", "a")),
 	)
 	f := MustParse(`pairs[ *l[ v: $x ], *r[ v: $y ] ]`)
-	got := f.Match(nil, n)
+	got := match(t, f, nil, n)
 	if got.Len() != 2 {
 		t.Fatalf("cartesian rows = %d\n%s", got.Len(), got)
 	}
@@ -223,7 +223,7 @@ func TestReferencesThroughStore(t *testing.T) {
 	store := data.NewStore()
 	store.Register(root)
 	f := MustParse(`artifact[ title: $t, owners[ *%[ name: $n ] ] ]`)
-	got := f.Match(store, root.Kids[1])
+	got := match(t, f, store, root.Kids[1])
 	if got.Len() != 1 {
 		t.Fatalf("rows = %d", got.Len())
 	}
@@ -231,7 +231,7 @@ func TestReferencesThroughStore(t *testing.T) {
 		t.Errorf("$n through reference = %v", got.Rows[0][1])
 	}
 	// Without a store, navigation through the reference fails.
-	if got := f.Match(nil, root.Kids[1]); got.Len() != 0 {
+	if got := match(t, f, nil, root.Kids[1]); got.Len() != 0 {
 		t.Error("reference navigation without store must fail")
 	}
 }
@@ -239,7 +239,7 @@ func TestReferencesThroughStore(t *testing.T) {
 func TestCollectStarExcludesClaimed(t *testing.T) {
 	w := figure1Works().Kids[0] // has cplace extra
 	f := MustParse(`work[ title: $t, *($rest) ]`)
-	got := f.Match(nil, w)
+	got := match(t, f, nil, w)
 	if got.Len() != 1 {
 		t.Fatalf("rows = %d", got.Len())
 	}
@@ -258,7 +258,7 @@ func TestCollectStarExcludesClaimed(t *testing.T) {
 
 func TestCollectStarEmpty(t *testing.T) {
 	n := data.Elem("work", data.Text("title", "T"))
-	got := MustParse(`work[ title: $t, *($rest) ]`).Match(nil, n)
+	got := match(t, MustParse(`work[ title: $t, *($rest) ]`), nil, n)
 	if got.Len() != 1 {
 		t.Fatalf("rows = %d", got.Len())
 	}
@@ -270,6 +270,7 @@ func TestCollectStarEmpty(t *testing.T) {
 func TestMatchForest(t *testing.T) {
 	f := MustParse(`work[ title: $t ]`)
 	forest := data.Forest(figure1Works().Kids)
+	AgreesWithOracle(t, f, nil, forest)
 	got := f.MatchForest(nil, forest)
 	if got.Len() != 2 {
 		t.Errorf("forest rows = %d", got.Len())
@@ -372,7 +373,7 @@ func TestSharedVariableAcrossRowsConsistency(t *testing.T) {
 	// pair consistently (cross product of matches).
 	n := data.Elem("m", data.Text("a", "1"), data.Text("a", "2"))
 	f := MustParse(`m[ *a: $x ]`)
-	got := f.Match(nil, n)
+	got := match(t, f, nil, n)
 	if got.Len() != 2 {
 		t.Errorf("rows = %d", got.Len())
 	}
@@ -382,8 +383,8 @@ func TestPropertyMatchDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
 		n := genDoc(seed)
 		flt := MustParse(`doc[ *work[ title: $t, *($rest) ] ]`)
-		a := flt.Match(nil, n)
-		b := flt.Match(nil, n)
+		a := match(t, flt, nil, n)
+		b := match(t, flt, nil, n)
 		return a.Equal(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -395,7 +396,7 @@ func TestPropertyRowsBoundedByWorks(t *testing.T) {
 	f := func(seed int64) bool {
 		n := genDoc(seed)
 		flt := MustParse(`doc[ *work[ title: $t ] ]`)
-		got := flt.Match(nil, n)
+		got := match(t, flt, nil, n)
 		// one row per work with a title
 		withTitle := 0
 		for _, w := range n.Kids {
