@@ -35,8 +35,8 @@
 //     strings.IndexByte, Index, Cut or SplitN outside tab.SplitRename. A
 //     projection entry "new=old" is split there and nowhere else, so a
 //     change to the format has one place to change.
-//  7. One evaluator of a Bind filter: a call to (*filter.Filter).Match,
-//     MatchForest or MatchResolvedPrefix outside internal/algebra and
+//  7. One evaluator of a Bind filter: a call to (*filter.Filter).Match or
+//     Matcher, or to (*filter.Matcher).Append, outside internal/algebra and
 //     internal/filter. A wrapper answers the part of a push its source
 //     engine does not through internal/exec, so a filter matched anywhere
 //     else is a second evaluator that can disagree with the algebra.
@@ -508,21 +508,37 @@ func (c *checker) checkRenameParse(call *ast.CallExpr) {
 	}
 }
 
-// filterMatches are the methods of filter.Filter that match it (check 7).
-var filterMatches = map[string]bool{"Match": true, "MatchForest": true, "MatchResolvedPrefix": true}
+// filterMatches are the methods of package filter that match a filter
+// (check 7), by receiver type.
+var filterMatches = map[string]map[string]bool{
+	"Filter":  {"Match": true, "Matcher": true},
+	"Matcher": {"Append": true},
+}
 
-// checkFilterMatch (check 7) flags a use of a filter.Filter matching method
-// outside internal/algebra and internal/filter.
+// checkFilterMatch (check 7) flags a use of a filter matching method outside
+// internal/algebra and internal/filter.
 func (c *checker) checkFilterMatch(sel *ast.SelectorExpr) {
-	if c.pkgPath == algebraPath || c.pkgPath == filterPath || !filterMatches[sel.Sel.Name] {
+	if c.pkgPath == algebraPath || c.pkgPath == filterPath {
 		return
 	}
 	fn, ok := c.info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.FullName() != "(*"+filterPath+".Filter)."+sel.Sel.Name {
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != filterPath {
 		return
 	}
-	c.report(sel.Pos(), "filter.Filter.%s outside internal/algebra and internal/filter: a Bind filter is matched only by the algebra; answer the plan through internal/exec",
-		sel.Sel.Name)
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return
+	}
+	ptr, ok := recv.Type().(*types.Pointer)
+	if !ok {
+		return
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok || !filterMatches[named.Obj().Name()][fn.Name()] {
+		return
+	}
+	c.report(sel.Pos(), "filter.%s.%s outside internal/algebra and internal/filter: a Bind filter is matched only by the algebra; answer the plan through internal/exec",
+		named.Obj().Name(), fn.Name())
 }
 
 func isPkg(obj types.Object, path string) bool {

@@ -422,7 +422,8 @@ func f(c, sep string) (string, string) {
 	}
 }
 
-// filterMatchSrc matches a Bind filter three ways.
+// filterMatchSrc matches a Bind filter four ways: through a Matcher, its
+// Append called and taken as a method value, and through Match.
 const filterMatchSrc = `package %s
 
 import (
@@ -431,21 +432,22 @@ import (
 )
 
 func f(fl *filter.Filter, forest data.Forest) int {
-	t := fl.MatchForest(nil, forest)
+	m := fl.Matcher(nil)
+	rows, _ := m.Append(nil, nil, forest[0])
 	u := fl.Match(nil, forest[0])
-	prefix := fl.MatchResolvedPrefix
-	v, _ := prefix(nil, forest)
-	return t.Len() + u.Len() + v.Len()
+	app := m.Append
+	more, _ := app(rows, nil, forest[1])
+	return len(rows) + u.Len() + len(more)
 }
 `
 
 func TestFilterMatchOutsideAlgebraIsFlagged(t *testing.T) {
 	findings := harnessAt(t, "repro/internal/feed", "wrapper.go", fmt.Sprintf(filterMatchSrc, "feed"))
-	if len(findings) != 3 {
-		t.Fatalf("want 3 filter-match findings, got %v", findings)
+	if len(findings) != 4 {
+		t.Fatalf("want 4 filter-match findings, got %v", findings)
 	}
-	for i, name := range []string{"MatchForest", "Match", "MatchResolvedPrefix"} {
-		if !strings.Contains(findings[i], "filter.Filter."+name+" outside internal/algebra") {
+	for i, name := range []string{"Filter.Matcher", "Matcher.Append", "Filter.Match", "Matcher.Append"} {
+		if !strings.Contains(findings[i], "filter."+name+" outside internal/algebra") {
 			t.Errorf("finding %d = %s, want one naming %s", i, findings[i], name)
 		}
 	}

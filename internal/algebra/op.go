@@ -364,22 +364,32 @@ func (b *Bind) filter(ctx *Context) *filter.Filter {
 }
 
 // Apply is the kernel of the dependent form (From != nil): each input row is
-// extended with the bindings of the trees in its column Col.
+// extended with the bindings of the trees in its column Col. One matcher
+// serves the whole chunk, and the matcher writes each output row, input
+// cells first, into its tree's slab of rows.
 func (b *Bind) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	ci := in.ColIndex(b.Col)
 	if ci < 0 {
 		return nil, fmt.Errorf("algebra: Bind over unknown column %s of %v", b.Col, in.Cols)
 	}
-	f := b.filter(ctx)
+	m := b.filter(ctx).Matcher(ctx.Store)
 	out := tab.New(b.Columns()...)
 	for _, r := range in.Rows {
-		sub := f.MatchForest(ctx.Store, r[ci].AsForest())
-		for _, sr := range sub.Rows {
-			out.AddRow(append(r.Clone(), sr...))
+		for _, n := range r[ci].AsForest() {
+			out.Rows, _ = m.Append(out.Rows, r, n)
 		}
 	}
 	ctx.count(Stats{BindRows: out.Len()})
 	return out, nil
+}
+
+// bindForest matches every tree of forest with m, into rows under cols.
+func bindForest(m *filter.Matcher, cols []string, forest data.Forest) *tab.Tab {
+	t := tab.New(cols...)
+	for _, n := range forest {
+		t.Rows, _ = m.Append(t.Rows, nil, n)
+	}
+	return t
 }
 
 // ---------------------------------------------------------------------------

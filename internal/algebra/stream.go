@@ -163,13 +163,14 @@ func (c *Context) InputStream(name string) (ForestCursor, error) {
 // query's lifetime. Over a DJoin parameter, the bound value is matched in
 // one piece.
 func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
-	f := b.filter(ctx)
+	m := b.filter(ctx).Matcher(ctx.Store)
+	cols := b.Columns()
 	if b.Doc == "" {
 		cell, ok := ctx.Params[b.Col]
 		if !ok {
 			return nil, fmt.Errorf("algebra: Bind over unbound parameter %s", b.Col)
 		}
-		t := f.MatchForest(ctx.Store, cell.AsForest())
+		t := bindForest(m, cols, cell.AsForest())
 		ctx.count(Stats{BindRows: t.Len()})
 		return tab.NewSliceCursor(t, 0), nil
 	}
@@ -182,7 +183,7 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 	// One tree can bind many rows (a single-rooted document binds them
 	// all): Rechunk restores the bounded-chunk invariant downstream.
 	return tab.Rechunk(&tab.FuncCursor{
-		Columns: b.Columns(),
+		Columns: cols,
 		NextFn: func() (*tab.Tab, error) {
 			for !eof {
 				forest, err := fc.Next()
@@ -193,7 +194,7 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 					if held == nil {
 						return nil, io.EOF
 					}
-					t = f.MatchForest(ctx.Store, held)
+					t = bindForest(m, cols, held)
 					held = nil
 				case err != nil:
 					return nil, err
@@ -201,10 +202,14 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 					held = append(held, forest...)
 					continue
 				default:
-					var n int
-					t, n = f.MatchResolvedPrefix(ctx.Store, forest)
-					if n < len(forest) {
-						held = append(held, forest[n:]...)
+					t = tab.New(cols...)
+					for i, n := range forest {
+						rows, resolved := m.Append(t.Rows, nil, n)
+						if !resolved {
+							held = append(held, forest[i:]...)
+							break
+						}
+						t.Rows = rows
 					}
 				}
 				ctx.count(Stats{BindRows: t.Len()})

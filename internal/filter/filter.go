@@ -103,13 +103,52 @@ func (n *FNode) Clone() *FNode {
 
 // Env is one set of variable bindings produced by a match, each variable
 // bound once. A match binds a handful of variables, so a slice searched
-// linearly is cheaper than a map, whose first binding of a 96-byte cell
-// allocates a whole eight-slot group.
+// linearly is cheaper than a map. An Env is carved from its Matcher's
+// arena and lives until the rows of the tree it was matched in are written.
 type Env []binding
 
+// binding binds a variable to what a match found: a node's label, a tree,
+// an atom or a collected sequence. Its cell is built only when a row is
+// written, or when two bindings of one variable are compared, so a binding
+// holds a pointer instead of a 96-byte tab.Cell.
 type binding struct {
-	v string
-	c tab.Cell
+	v    string
+	kind bindKind
+	n    *data.Node  // bindLabel, bindTree
+	a    *data.Atom  // bindAtom
+	seq  data.Forest // bindSeq
+}
+
+type bindKind uint8
+
+const (
+	bindLabel bindKind = iota // n's label, as a string atom
+	bindTree                  // the tree n
+	bindAtom                  // the atom a
+	bindSeq                   // the sequence seq
+)
+
+// bindNode binds v to n: to its atom for an unlabeled leaf (a content
+// position), to the tree otherwise.
+func bindNode(v string, n *data.Node) binding {
+	if n.Atom != nil && n.Label == "" {
+		return binding{v: v, kind: bindAtom, a: n.Atom}
+	}
+	return binding{v: v, kind: bindTree, n: n}
+}
+
+// cell returns the cell b binds its variable to.
+func (b *binding) cell() tab.Cell {
+	switch b.kind {
+	case bindLabel:
+		return tab.AtomCell(data.String(b.n.Label))
+	case bindTree:
+		return tab.TreeCell(b.n)
+	case bindAtom:
+		return tab.AtomCell(*b.a)
+	default:
+		return tab.SeqCell(b.seq)
+	}
 }
 
 // index returns the position of v's binding, or -1.
@@ -125,15 +164,15 @@ func (e Env) index(v string) int {
 // merge returns e extended with the bindings of f, or false when the two
 // bind one variable to unequal cells; of two equal cells f's is kept. e is
 // left unchanged.
-func (e Env) merge(f Env) (Env, bool) {
-	out := make(Env, len(e), len(e)+len(f))
+func (m *Matcher) merge(e, f Env) (Env, bool) {
+	out := Env(m.binds.take(len(e) + len(f)))[:len(e)]
 	copy(out, e)
 	for _, b := range f {
 		switch i := out.index(b.v); {
 		case i < 0:
 			out = append(out, b)
-		case out[i].c.Equal(b.c):
-			out[i].c = b.c
+		case out[i].cell().Equal(b.cell()):
+			out[i] = b
 		default:
 			return nil, false
 		}
@@ -146,65 +185,116 @@ func (e Env) merge(f Env) (Env, bool) {
 // resolves references encountered during navigation, e.g. the owners of an
 // artifact.
 func (f *Filter) Match(store *data.Store, n *data.Node) *tab.Tab {
-	t := tab.New(f.Vars()...)
-	t.Rows = f.rows(&matchCtx{model: f.Model, store: store}, n, t.Cols, nil)
+	m := f.Matcher(store)
+	t := tab.New(m.cols...)
+	t.Rows, _ = m.Append(nil, nil, n)
 	return t
 }
 
-// rows appends the binding rows of n, laid out over cols, to out.
-func (f *Filter) rows(m *matchCtx, n *data.Node, cols []string, out []tab.Row) []tab.Row {
-	for _, e := range m.matchNode(f.Root, n) {
-		row := make(tab.Row, len(cols))
-		for i, c := range cols {
-			if j := e.index(c); j >= 0 {
-				row[i] = e[j].c
-			} else {
-				row[i] = tab.Null()
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// MatchForest matches the filter against each tree of a forest and
-// concatenates the binding rows.
-func (f *Filter) MatchForest(store *data.Store, forest data.Forest) *tab.Tab {
-	t, _ := f.matchForest(store, forest, false)
-	return t
-}
-
-// MatchResolvedPrefix matches the trees of forest in order up to the first
-// one whose match had to chase a reference the store cannot resolve, and
-// returns the rows of the n trees before it. n < len(forest) means forest[n]
-// may be missing rows: a caller matching a document as it arrives must match
-// from that tree on again once the referenced objects have been registered.
-func (f *Filter) MatchResolvedPrefix(store *data.Store, forest data.Forest) (t *tab.Tab, n int) {
-	return f.matchForest(store, forest, true)
-}
-
-func (f *Filter) matchForest(store *data.Store, forest data.Forest, stopAtDangling bool) (*tab.Tab, int) {
-	t := tab.New(f.Vars()...)
-	m := &matchCtx{model: f.Model, store: store}
-	for i, n := range forest {
-		rows := f.rows(m, n, t.Cols, t.Rows)
-		if stopAtDangling && m.dangling {
-			return t, i
-		}
-		t.Rows = rows
-	}
-	return t, len(forest)
-}
-
-type matchCtx struct {
+// Matcher matches one filter against tree after tree. Its bindings and
+// binding lists are carved from two arenas it keeps from one tree to the
+// next, reset once a tree's rows are written, so a Bind uses one Matcher for
+// all the trees it matches. A Matcher is not safe for concurrent use.
+type Matcher struct {
+	root     *FNode
+	cols     []string
 	model    *pattern.Model
 	store    *data.Store
 	dangling bool // a reference met during navigation did not resolve
+
+	binds arena[binding]
+	envs  arena[Env]
+
+	// The stacks hold what one matchItems call gathers while the calls it
+	// makes gather theirs above it: each call truncates them back to where
+	// it found them, so they are indexed, never sliced across a call.
+	claimed []bool        // per child: a structural item matched it
+	lists   [][]Env       // per item: its binding lists
+	pending []Env         // the binding lists of the item being matched
+	kept    []*data.Node  // the children a collect-star is keeping
+	content []*contentKid // per leaf nesting depth: its content child
+	depth   int           // leaves being matched, one inside the other
+}
+
+// Matcher returns a matcher of the filter. The store (may be nil) resolves
+// the references met during navigation.
+func (f *Filter) Matcher(store *data.Store) *Matcher {
+	return &Matcher{root: f.Root, cols: f.Vars(), model: f.Model, store: store}
+}
+
+// Append appends to rows the binding rows of the tree n: each a copy of
+// prefix followed by one cell per variable of the filter, in Vars order,
+// null where the match bound none. The rows of one tree are carved from
+// one slab of cells, so a row kept anywhere keeps its tree's slab alive.
+//
+// The boolean reports whether the match resolved every reference it
+// chased. When it did not, n may be missing rows: a caller matching a
+// document as it arrives keeps rows as they were and matches n again once
+// the referenced objects have been registered.
+func (m *Matcher) Append(rows []tab.Row, prefix tab.Row, n *data.Node) ([]tab.Row, bool) {
+	m.dangling = false
+	if envs := m.matchNode(m.root, n); len(envs) > 0 {
+		w := len(prefix) + len(m.cols)
+		slab := make([]tab.Cell, len(envs)*w)
+		for i, e := range envs {
+			row := slab[i*w : (i+1)*w : (i+1)*w]
+			copy(row, prefix)
+			for j, c := range m.cols {
+				if k := e.index(c); k >= 0 {
+					row[len(prefix)+j] = e[k].cell()
+				} // else the zero cell, tab.Null()
+			}
+			rows = append(rows, row)
+		}
+	}
+	m.binds.reset()
+	m.envs.reset()
+	return rows, !m.dangling
+}
+
+// contentKid is a leaf's content seen as its one unlabeled child, so that
+// `title: $t` binds the atom of <title>Nympheas</title>. The matcher keeps
+// one per nesting depth and reuses it. What a match keeps of it outlives
+// the reuse: a variable bound to it holds its atom, which is the leaf's, a
+// label variable reads its label, which is always "", and a collect-star
+// keeps a copy of it.
+type contentKid struct {
+	node data.Node
+	kids [1]*data.Node
+}
+
+// arena hands out capacity-capped slices of one buffer. When the buffer
+// runs out, a twice larger one replaces it, and the slices already handed
+// out keep the old one alive until reset.
+type arena[T any] struct {
+	buf []T
+	n   int // items of buf handed out
+}
+
+// minArena is the first buffer's size in items: a Bind over a DJoin
+// parameter matches a handful of bindings with a matcher of its own.
+const minArena = 8
+
+// take returns the next n items, as a slice of capacity n.
+func (a *arena[T]) take(n int) []T {
+	if a.n+n > len(a.buf) {
+		a.buf = make([]T, max(2*len(a.buf), n, minArena))
+		a.n = 0
+	}
+	s := a.buf[a.n : a.n+n : a.n+n]
+	a.n += n
+	return s
+}
+
+// reset takes the buffer back, cleared so that it pins no tree.
+func (a *arena[T]) reset() {
+	clear(a.buf[:a.n])
+	a.n = 0
 }
 
 // matchNode returns all binding environments under which n matches fn, or
 // nil when it does not match.
-func (m *matchCtx) matchNode(fn *FNode, n *data.Node) []Env {
+func (m *Matcher) matchNode(fn *FNode, n *data.Node) []Env {
 	if fn == nil || n == nil {
 		return nil
 	}
@@ -242,82 +332,129 @@ func (m *matchCtx) matchNode(fn *FNode, n *data.Node) []Env {
 		return nil
 	}
 	var base Env
-	if fn.LabelVar != "" && fn.LabelVar != fn.Var {
-		base = append(base, binding{fn.LabelVar, tab.AtomCell(data.String(n.Label))})
-	}
-	if fn.Var != "" {
-		base = append(base, binding{fn.Var, bindCell(n)})
+	label := fn.LabelVar != "" && fn.LabelVar != fn.Var
+	if k := b2i(label) + b2i(fn.Var != ""); k > 0 {
+		base = m.binds.take(k)[:0]
+		if label {
+			base = append(base, binding{v: fn.LabelVar, kind: bindLabel, n: n})
+		}
+		if fn.Var != "" {
+			base = append(base, bindNode(fn.Var, n))
+		}
 	}
 	if len(fn.Items) == 0 {
-		return []Env{base}
+		out := m.envs.take(1)
+		out[0] = base
+		return out
 	}
-	kids := n.Kids
-	if n.IsLeaf() {
-		// A leaf exposes its content as one virtual unlabeled child, so
-		// that `title: $t` binds the atom of <title>Nympheas</title>.
-		kids = []*data.Node{{Atom: n.Atom}}
+	if !n.IsLeaf() {
+		return m.matchItems(fn.Items, n.Kids, false, base)
 	}
-	return m.matchItems(fn.Items, kids, base)
+	if m.depth == len(m.content) {
+		m.content = append(m.content, new(contentKid))
+	}
+	c := m.content[m.depth]
+	c.node = data.Node{Atom: n.Atom}
+	c.kids[0] = &c.node
+	m.depth++
+	envs := m.matchItems(fn.Items, c.kids[:], true, base)
+	m.depth--
+	return envs
 }
 
-// bindCell binds a node to a cell: atoms for unlabeled leaves (content
-// positions), trees otherwise.
-func bindCell(n *data.Node) tab.Cell {
-	if n.Atom != nil && n.Label == "" {
-		return tab.AtomCell(*n.Atom)
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return tab.TreeCell(n)
+	return 0
 }
 
 // matchItems matches the item list against the child list and returns the
-// cross product of per-item binding sets, each extended with base.
-func (m *matchCtx) matchItems(items []FItem, kids []*data.Node, base Env) []Env {
-	claimed := make([]bool, len(kids))
-	perItem := make([][]Env, 0, len(items))
+// cross product of per-item binding sets, each extended with base. content
+// says the one child is a leaf's content (a contentKid).
+func (m *Matcher) matchItems(items []FItem, kids []*data.Node, content bool, base Env) []Env {
+	claimed, lists := len(m.claimed), len(m.lists)
+	m.claimed = slices.Grow(m.claimed, len(kids))[:claimed+len(kids)]
+	clear(m.claimed[claimed:])
+	envs := m.crossItems(items, kids, content, base, claimed, lists)
+	m.claimed, m.lists = m.claimed[:claimed], m.lists[:lists]
+	return envs
+}
+
+// crossItems is matchItems over the flags m.claimed[claimed:] and the lists
+// m.lists[lists:].
+func (m *Matcher) crossItems(items []FItem, kids []*data.Node, content bool, base Env, claimed, lists int) []Env {
 	// First pass: structural items claim children.
 	for _, it := range items {
 		if it.CollectVar != "" {
 			continue
 		}
-		var envs []Env
+		pending := len(m.pending)
+		var only []Env // the list of the last child matched
+		matches := 0   // children matched, not counting descendants
 		if it.Descend {
 			for _, k := range kids {
-				m.descend(it.F, k, &envs)
+				m.descend(it.F, k)
 			}
 		} else {
 			for ki, k := range kids {
 				if sub := m.matchNode(it.F, k); len(sub) > 0 {
-					claimed[ki] = true
-					envs = append(envs, sub...)
+					m.claimed[claimed+ki] = true
+					m.pending = append(m.pending, sub...)
+					only, matches = sub, matches+1
 				}
 			}
 		}
-		if len(envs) == 0 {
+		if len(m.pending) == pending {
 			return nil // a required item found no match: the node fails
 		}
-		perItem = append(perItem, envs)
+		envs := only // one child's list is the item's list as it is
+		if matches != 1 {
+			envs = m.envs.take(len(m.pending) - pending)
+			copy(envs, m.pending[pending:])
+		}
+		m.pending = m.pending[:pending]
+		m.lists = append(m.lists, envs)
 	}
 	// Second pass: collect-stars bind the unclaimed children.
+	var kid *data.Node // the content child a collect-star keeps, copied
 	for _, it := range items {
 		if it.CollectVar == "" {
 			continue
 		}
-		var seq data.Forest
+		kept := len(m.kept)
 		for ki, k := range kids {
-			if claimed[ki] {
+			if m.claimed[claimed+ki] {
 				continue
 			}
 			if it.F != nil && !m.shapeMatches(it.F, k) {
 				continue
 			}
-			seq = append(seq, k)
+			if content {
+				if kid == nil {
+					kid = &data.Node{Atom: k.Atom}
+				}
+				k = kid
+			}
+			m.kept = append(m.kept, k)
 		}
-		perItem = append(perItem, []Env{{{it.CollectVar, tab.SeqCell(seq)}}})
+		var seq data.Forest
+		if len(m.kept) > kept {
+			seq = slices.Clone(m.kept[kept:])
+			clear(m.kept[kept:])
+			m.kept = m.kept[:kept]
+		}
+		b := m.binds.take(1)
+		b[0] = binding{v: it.CollectVar, kind: bindSeq, seq: seq}
+		e := m.envs.take(1)
+		e[0] = b
+		m.lists = append(m.lists, e)
 	}
+	perItem := m.lists[lists:]
 	// Fast paths for the dominant shapes: a single item list over an empty
 	// base (the document-iteration star), and all-singleton item lists (one
 	// match per child requirement) — both avoid the general cross product's
-	// intermediate copies.
+	// intermediate environments.
 	if len(perItem) == 1 && len(base) == 0 {
 		return perItem[0]
 	}
@@ -328,23 +465,25 @@ func (m *matchCtx) matchItems(items []FItem, kids []*data.Node, base Env) []Env 
 			break
 		}
 	}
+	out := m.envs.take(1)
 	if allSingle {
 		merged := base
 		for _, envs := range perItem {
 			var ok bool
-			if merged, ok = merged.merge(envs[0]); !ok {
+			if merged, ok = m.merge(merged, envs[0]); !ok {
 				return nil
 			}
 		}
-		return []Env{merged}
+		out[0] = merged
+		return out
 	}
 	// Cross product.
-	out := []Env{base}
+	out[0] = base
 	for _, envs := range perItem {
-		next := make([]Env, 0, len(out)*len(envs))
+		next := m.envs.take(len(out) * len(envs))[:0]
 		for _, acc := range out {
 			for _, e := range envs {
-				if merged, ok := acc.merge(e); ok {
+				if merged, ok := m.merge(acc, e); ok {
 					next = append(next, merged)
 				}
 			}
@@ -357,13 +496,14 @@ func (m *matchCtx) matchItems(items []FItem, kids []*data.Node, base Env) []Env 
 	return out
 }
 
-// descend collects matches of fn against k and all its descendants.
-func (m *matchCtx) descend(fn *FNode, k *data.Node, envs *[]Env) {
+// descend gathers in m.pending the matches of fn against k and all its
+// descendants.
+func (m *Matcher) descend(fn *FNode, k *data.Node) {
 	if k == nil {
 		return
 	}
 	if sub := m.matchNode(fn, k); len(sub) > 0 {
-		*envs = append(*envs, sub...)
+		m.pending = append(m.pending, sub...)
 	}
 	target := k
 	if k.IsRef() && m.store != nil {
@@ -374,14 +514,14 @@ func (m *matchCtx) descend(fn *FNode, k *data.Node, envs *[]Env) {
 		}
 	}
 	for _, kid := range target.Kids {
-		m.descend(fn, kid, envs)
+		m.descend(fn, kid)
 	}
 }
 
 // shapeMatches reports whether a collect-star's inner filter accepts a
 // child, considering only label, constant and type requirements (collect
 // filters bind no variables; enforced by the parser).
-func (m *matchCtx) shapeMatches(fn *FNode, n *data.Node) bool {
+func (m *Matcher) shapeMatches(fn *FNode, n *data.Node) bool {
 	if fn.Label == "" && !fn.AnyLabel && fn.Const == nil && fn.Type == nil && len(fn.Items) == 0 {
 		return true
 	}

@@ -271,9 +271,16 @@ func TestMatchForest(t *testing.T) {
 	f := MustParse(`work[ title: $t ]`)
 	forest := data.Forest(figure1Works().Kids)
 	AgreesWithOracle(t, f, nil, forest)
-	got := f.MatchForest(nil, forest)
-	if got.Len() != 2 {
-		t.Errorf("forest rows = %d", got.Len())
+	m := f.Matcher(nil)
+	var rows []tab.Row
+	for _, n := range forest {
+		var ok bool
+		if rows, ok = m.Append(rows, nil, n); !ok {
+			t.Fatalf("a forest without references reported one dangling")
+		}
+	}
+	if len(rows) != 2 {
+		t.Errorf("forest rows = %d", len(rows))
 	}
 }
 

@@ -243,25 +243,45 @@ func (m *oracleCtx) shapeMatches(fn *FNode, n *data.Node) bool {
 	return len(m.matchNode(fn, n)) > 0
 }
 
-// matchUnderTest runs the matcher in use the way the algebra does: over a
-// whole forest, or up to the first tree that met a dangling reference.
-func matchUnderTest(f *Filter, store *data.Store, forest data.Forest, stopAtDangling bool) (*tab.Tab, int) {
-	if stopAtDangling {
-		return f.MatchResolvedPrefix(store, forest)
+// matchUnderTest runs the matcher in use the way the algebra does, one
+// Matcher over a forest: over all of it, or up to the first tree that met a
+// dangling reference.
+func matchUnderTest(m *Matcher, f *Filter, forest data.Forest, stopAtDangling bool) (*tab.Tab, int) {
+	t := tab.New(f.Vars()...)
+	for i, n := range forest {
+		rows, ok := m.Append(t.Rows, nil, n)
+		if stopAtDangling && !ok {
+			return t, i
+		}
+		t.Rows = rows
 	}
-	return f.MatchForest(store, forest), len(forest)
+	return t, len(forest)
 }
 
 // oracleDiff reports how the matcher in use departs from the oracle over
-// forest, in both of its modes and, tree by tree, through Match; "" when it
-// does not.
+// forest, in both of its modes with one Matcher reused, after a prefix as
+// Bind.Apply writes rows and, tree by tree, through Match; "" when it does
+// not.
 func oracleDiff(f *Filter, store *data.Store, forest data.Forest) string {
+	m := f.Matcher(store)
 	for _, stop := range []bool{false, true} {
 		want, wn := oracleMatch(f, store, forest, stop)
-		got, gn := matchUnderTest(f, store, forest, stop)
+		got, gn := matchUnderTest(m, f, forest, stop)
 		if d := tabDiff(got, want); d != "" || gn != wn {
 			return fmt.Sprintf("%s over %d trees (stopAtDangling=%v): n = %d, oracle %d; %s", f, len(forest), stop, gn, wn, d)
 		}
+	}
+	prefix := tab.Row{tab.AtomCell(data.Int(7)), tab.Null()}
+	want, _ := oracleMatch(f, store, forest, false)
+	for i, r := range want.Rows {
+		want.Rows[i] = append(prefix.Clone(), r...)
+	}
+	got := &tab.Tab{Cols: want.Cols}
+	for _, n := range forest {
+		got.Rows, _ = m.Append(got.Rows, prefix, n)
+	}
+	if d := tabDiff(got, want); d != "" {
+		return fmt.Sprintf("%s after a prefix: %s", f, d)
 	}
 	for i, n := range forest {
 		want, _ := oracleMatch(f, store, data.Forest{n}, false)

@@ -9,6 +9,9 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/feed"
 	"repro/internal/filter"
+	"repro/internal/o2wrap"
+	"repro/internal/tab"
+	"repro/internal/waiswrap"
 )
 
 // workloadFilters are the Bind filters of the benchmark's workloads: the
@@ -135,4 +138,50 @@ func TestWorkloadFiltersAgreeWithOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d filters over %d corpora, %v rows", len(filters), len(corpora), rows)
+}
+
+// TestMatchAllocs holds a Bind's matching to a count of allocations that
+// does not grow with its rows: one Matcher over a document, its arenas
+// doubling to the size of one tree's bindings, one slab of cells for the
+// tree's rows and the row list growing. Each bound is the count measured
+// when it was set; `make allocs` runs it without the race detector too.
+func TestMatchAllocs(t *testing.T) {
+	w := datagen.Generate(datagen.DefaultParams(5000))
+	works, err := waiswrap.New("xmlartwork", datagen.NewWaisEngine(w.Works)).Fetch("works")
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifacts, err := o2wrap.New("o2artifact", w.DB).Fetch("artifacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		src    string
+		forest data.Forest
+		rows   int
+		max    float64
+	}{
+		// measured: 53 for 2,648 rows, 54 under the race detector (26,513
+		// with a binding environment, a content node and a child list per
+		// match)
+		{`works[ *work[ title: $t ] ]`, works, 2648, 54},
+		// measured: 59 for 5,000 rows, 60 under the race detector (80,038)
+		{`set[ *class[ artifact.tuple[ title: $t ] ] ]`, artifacts, 5000, 60},
+	} {
+		f := filter.MustParse(c.src)
+		var rows []tab.Row
+		n := testing.AllocsPerRun(5, func() {
+			m := f.Matcher(nil)
+			rows = rows[:0:0]
+			for _, tree := range c.forest {
+				rows, _ = m.Append(rows, nil, tree)
+			}
+		})
+		if len(rows) != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.src, len(rows), c.rows)
+		}
+		if n > c.max {
+			t.Errorf("%s over %d rows: %v allocations, want at most %v", c.src, c.rows, n, c.max)
+		}
+	}
 }
