@@ -689,19 +689,22 @@ func writeAtom(b *strings.Builder, a *data.Atom) {
 // InferAtoms retypes, in place, every string leaf of the tree whose trimmed
 // text parses as an integer, float or boolean. It is for a tree its caller
 // owns, freshly parsed: XML carries atoms as text, and a shipped document or
-// feed record is typed once on arrival. Only a text without a space that
-// starts with a digit, a sign or a point, or is inf, infinity or nan in any
-// case, is tried as a number; no other text is one to strconv, and a failed
-// parse allocates its error.
+// feed record is typed once on arrival. A failed number parse allocates its
+// error, so a parse is tried only where numberSyntax says it can succeed.
 func InferAtoms(n *data.Node) {
 	if a := n.Atom; a != nil && a.Kind == data.KindString {
 		s := strings.TrimSpace(a.S)
-		if s != "" && strings.IndexByte(s, ' ') < 0 && (strings.IndexByte("0123456789+-.", s[0]) >= 0 ||
-			strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")) {
-			if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-				*a = data.Int(v)
-			} else if v, err := strconv.ParseFloat(s, 64); err == nil {
-				*a = data.Float(v)
+		if isInt, isNum := numberSyntax(s); isNum {
+			typed := false
+			if isInt {
+				if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+					*a, typed = data.Int(v), true
+				}
+			}
+			if !typed {
+				if v, err := strconv.ParseFloat(s, 64); err == nil {
+					*a = data.Float(v)
+				}
 			}
 		} else if s == "true" || s == "false" {
 			*a = data.Bool(s == "true")
@@ -710,4 +713,34 @@ func InferAtoms(n *data.Node) {
 	for _, k := range n.Kids {
 		InferAtoms(k)
 	}
+}
+
+// numberSyntax reports whether strconv.ParseInt (base 10) and ParseFloat
+// can accept s. isInt: s is an optional sign and digits. isNum: s holds no
+// space, starts with a digit, a sign or a point, or is inf, infinity or nan
+// in any case, and has a sign only first or right after an exponent letter
+// (e, E, p, P) — so an ISSN such as 0317-8471 is no number to try.
+func numberSyntax(s string) (isInt, isNum bool) {
+	if s == "" || strings.IndexByte("0123456789+-.", s[0]) < 0 &&
+		!strings.EqualFold(s, "inf") && !strings.EqualFold(s, "infinity") && !strings.EqualFold(s, "nan") {
+		return false, false
+	}
+	digits := 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			digits++
+		case c == ' ':
+			return false, false
+		case c == '+' || c == '-':
+			if i > 0 && strings.IndexByte("eEpP", s[i-1]) < 0 {
+				return false, false
+			}
+		}
+	}
+	sign := 0
+	if s[0] == '+' || s[0] == '-' {
+		sign = 1
+	}
+	return digits > 0 && digits == len(s)-sign, true
 }
