@@ -324,10 +324,11 @@ func (n *Node) Clone() *Node {
 		return true
 	})
 	b := NewBlock(nodes, atoms, max(nodes-1, 0))
-	return b.clone(n)
+	return b.Clone(n)
 }
 
-func (b *Block) clone(n *Node) *Node {
+// Clone returns a deep copy of the subtree rooted at n, built in b.
+func (b *Block) Clone(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
@@ -338,7 +339,7 @@ func (b *Block) clone(n *Node) *Node {
 	}
 	c.Kids = b.List(len(n.Kids))
 	for i, k := range n.Kids {
-		c.Kids[i] = b.clone(k)
+		c.Kids[i] = b.Clone(k)
 	}
 	return c
 }

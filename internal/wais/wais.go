@@ -197,7 +197,8 @@ func (e *Engine) Doc(id int) *data.Node {
 }
 
 // Retrieve returns the exportable view of a document: a copy restricted to
-// retrievable fields (Z39.50 lets a source export less than it stores).
+// retrievable fields (Z39.50 lets a source export less than it stores),
+// built in one data.Block.
 func (e *Engine) Retrieve(id int) *data.Node {
 	doc := e.Doc(id)
 	if doc == nil {
@@ -206,10 +207,28 @@ func (e *Engine) Retrieve(id int) *data.Node {
 	if e.retrievable == nil {
 		return doc.Clone()
 	}
-	out := &data.Node{Label: doc.Label, ID: doc.ID}
+	fields, nodes, atoms := 0, 1, 0
 	for _, k := range doc.Kids {
 		if e.retrievable[k.Label] {
-			out.Kids = append(out.Kids, k.Clone())
+			fields++
+			k.Walk(func(m *data.Node) bool {
+				nodes++
+				if m.Atom != nil {
+					atoms++
+				}
+				return true
+			})
+		}
+	}
+	b := data.NewBlock(nodes, atoms, nodes-1)
+	out := b.Elem(doc.Label)
+	out.ID = doc.ID
+	out.Kids = b.List(fields)
+	i := 0
+	for _, k := range doc.Kids {
+		if e.retrievable[k.Label] {
+			out.Kids[i] = b.Clone(k)
+			i++
 		}
 	}
 	return out

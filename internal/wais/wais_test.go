@@ -1,6 +1,7 @@
 package wais
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -260,4 +261,54 @@ func eqInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// retrieveOracle is Retrieve as it was before it built a document in one
+// block: a node of its own and a clone per retrievable field.
+func retrieveOracle(e *Engine, id int) *data.Node {
+	doc := e.Doc(id)
+	if e.retrievable == nil {
+		return doc.Clone()
+	}
+	out := &data.Node{Label: doc.Label, ID: doc.ID}
+	for _, k := range doc.Kids {
+		if e.retrievable[k.Label] {
+			out.Kids = append(out.Kids, k.Clone())
+		}
+	}
+	return out
+}
+
+// restricted returns the three-work engine with only the given fields
+// retrievable.
+func restricted(t testing.TB, fields string) *Engine {
+	cfg, err := ParseConfig("source museum\nretrievable " + fields + "\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine()
+	e.Configure(cfg)
+	return e
+}
+
+func TestRetrieveMatchesOracle(t *testing.T) {
+	for _, fields := range []string{"artist title style", "history", "cplace size", "nothing"} {
+		e := restricted(t, fields)
+		for id := 0; id < e.Size(); id++ {
+			// reflect.DeepEqual tells a document with no retrievable field
+			// (nil Kids) from one with an empty child list.
+			if got, want := e.Retrieve(id), retrieveOracle(e, id); !reflect.DeepEqual(got, want) {
+				t.Errorf("retrievable %s, document %d: got %s, want %s", fields, id, got, want)
+			}
+		}
+	}
+}
+
+func TestRetrieveAllocs(t *testing.T) {
+	e := restricted(t, "artist title history")
+	// measured: 3, the block's nodes, atoms and child lists (11 field by
+	// field: a node, its child list grown three times, a block per field)
+	if n := testing.AllocsPerRun(100, func() { _ = e.Retrieve(1) }); n > 3 {
+		t.Errorf("Retrieve of a document: %v allocations, want at most 3", n)
+	}
 }
