@@ -508,11 +508,12 @@ func (c *checker) checkRenameParse(call *ast.CallExpr) {
 	}
 }
 
-// filterMatches are the methods of package filter that match a filter
-// (check 7), by receiver type.
-var filterMatches = map[string]map[string]bool{
-	"Filter":  {"Match": true, "Matcher": true},
-	"Matcher": {"Append": true},
+// filterMatches names the methods of package filter that match a filter
+// (check 7), by their full names.
+var filterMatches = map[string]string{
+	"(*" + filterPath + ".Filter).Match":   "Filter.Match",
+	"(*" + filterPath + ".Filter).Matcher": "Filter.Matcher",
+	"(*" + filterPath + ".Matcher).Append": "Matcher.Append",
 }
 
 // checkFilterMatch (check 7) flags a use of a filter matching method outside
@@ -522,23 +523,13 @@ func (c *checker) checkFilterMatch(sel *ast.SelectorExpr) {
 		return
 	}
 	fn, ok := c.info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != filterPath {
-		return
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return
-	}
-	ptr, ok := recv.Type().(*types.Pointer)
 	if !ok {
 		return
 	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || !filterMatches[named.Obj().Name()][fn.Name()] {
-		return
+	if name, ok := filterMatches[fn.FullName()]; ok {
+		c.report(sel.Pos(), "filter.%s outside internal/algebra and internal/filter: a Bind filter is matched only by the algebra; answer the plan through internal/exec",
+			name)
 	}
-	c.report(sel.Pos(), "filter.%s.%s outside internal/algebra and internal/filter: a Bind filter is matched only by the algebra; answer the plan through internal/exec",
-		named.Obj().Name(), fn.Name())
 }
 
 func isPkg(obj types.Object, path string) bool {
