@@ -144,7 +144,7 @@ import "repro/internal/algebra"
 
 func f(op algebra.Op) {
 	switch op.(type) {
-	case *algebra.Doc, *algebra.Bind, *algebra.Select, *algebra.Project,
+	case *algebra.Bind, *algebra.Select, *algebra.Project,
 		*algebra.MapExpr, *algebra.Join, *algebra.DJoin, *algebra.Union,
 		*algebra.Intersect, *algebra.Distinct, *algebra.Group, *algebra.Sort,
 		*algebra.SourceQuery, *algebra.Literal, *algebra.TreeOp:

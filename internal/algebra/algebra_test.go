@@ -478,15 +478,16 @@ func TestSourceQueryAndStats(t *testing.T) {
 	if ctx.Stats.SourcePushes != 1 || ctx.Stats.TuplesShipped != 1 || ctx.Stats.BytesShipped == 0 {
 		t.Errorf("stats = %+v", ctx.Stats)
 	}
-	// Doc resolution through a source counts a fetch.
-	d := &Doc{Name: "artifacts"}
+	// Binding a document's roots through a source counts a fetch, one row
+	// per tree.
+	d := &Bind{Doc: "artifacts", F: filter.MustParse(`works@$doc`)}
 	if got := mustEval(t, d, ctx); got.Len() != 1 {
 		t.Errorf("doc rows = %d", got.Len())
 	}
 	if ctx.Stats.SourceFetches != 1 {
 		t.Errorf("fetches = %d", ctx.Stats.SourceFetches)
 	}
-	if _, err := exec.RunSerial(&Doc{Name: "nope"}, ctx); err == nil {
+	if _, err := exec.RunSerial(&Bind{Doc: "nope", F: filter.MustParse(`works@$doc`)}, ctx); err == nil {
 		t.Error("unknown doc must fail")
 	}
 	if _, err := exec.RunSerial(&SourceQuery{Source: "nope", Plan: q.Plan}, ctx); err == nil {

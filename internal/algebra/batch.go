@@ -53,7 +53,7 @@ func freeVars(op Op, out map[string]bool) {
 		return
 	}
 	switch x := op.(type) {
-	case *Doc, *Literal:
+	case *Literal:
 	case *Bind:
 		if x.From != nil {
 			freeVars(x.From, out)

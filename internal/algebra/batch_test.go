@@ -55,11 +55,11 @@ func TestDocs(t *testing.T) {
 		},
 		R: &Join{
 			L:    &Bind{Doc: "works", F: mustFilter(t, `works[ *work@$w ]`)},
-			R:    &Bind{From: &Doc{Name: "persons"}, Col: "$doc", F: mustFilter(t, `set[ *class@$a ]`)},
+			R:    &Bind{From: &Bind{Doc: "persons", F: mustFilter(t, `set@$doc`)}, Col: "$doc", F: mustFilter(t, `set[ *class@$a ]`)},
 			Pred: TrueExpr(),
 		},
 	}
-	// Distinct, in first-occurrence order, Doc names included.
+	// Distinct, in first-occurrence order, nested Binds included.
 	if got := strings.Join(Docs(plan), ","); got != "works,artifacts,persons" {
 		t.Errorf("Docs = %q, want works,artifacts,persons", got)
 	}

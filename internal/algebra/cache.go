@@ -10,8 +10,9 @@ import (
 
 // LRU is a bounded, thread-safe map that evicts its least recently used
 // entry to admit one beyond its bound. It is the repository's one bounded
-// map: the result cache (ResultCache) and the mediator's per-catalog plan
-// map both instantiate it. A nil *LRU holds nothing and stores nothing.
+// map: the result cache (ResultCache), the mediator's per-catalog plan map
+// and the wire client's plan-encoding memo instantiate it. A nil *LRU holds
+// nothing and stores nothing.
 type LRU[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int

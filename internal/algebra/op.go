@@ -221,19 +221,6 @@ func (c *Context) Err() error {
 	return c.Ctx.Err()
 }
 
-// Input resolves a named document whole: the catalog's forest as it is,
-// else InputStream drained.
-func (c *Context) Input(name string) (data.Forest, error) {
-	if f, ok := c.Catalog[name]; ok {
-		return f, nil
-	}
-	fc, err := c.InputStream(name)
-	if err != nil {
-		return nil, err
-	}
-	return DrainForest(fc)
-}
-
 // exporter finds the connected source exporting a named document.
 func (c *Context) exporter(name string) (Source, error) {
 	var names []string
@@ -267,48 +254,6 @@ type Op interface {
 	Children() []Op
 	// Detail renders the operator head for plan printing.
 	Detail() string
-}
-
-// ---------------------------------------------------------------------------
-// Doc: named-document input
-// ---------------------------------------------------------------------------
-
-// Doc is the input operation of an algebraic expression: a named document
-// (e.g. "artifacts"). It produces one row per tree of the document's forest
-// in a single column.
-type Doc struct {
-	Name string
-	Col  string // output column; defaults to "$doc"
-}
-
-func (d *Doc) col() string {
-	if d.Col == "" {
-		return "$doc"
-	}
-	return d.Col
-}
-
-// Columns implements Op.
-func (d *Doc) Columns() []string { return []string{d.col()} }
-
-// Children implements Op.
-func (d *Doc) Children() []Op { return nil }
-
-// Detail implements Op.
-func (d *Doc) Detail() string { return fmt.Sprintf("Doc(%s)", d.Name) }
-
-// Stream opens the leaf: the forest is needed as one value, so the document
-// is fetched whole and served one row per tree.
-func (d *Doc) Stream(ctx *Context) (tab.Cursor, error) {
-	f, err := ctx.Input(d.Name)
-	if err != nil {
-		return nil, err
-	}
-	t := tab.New(d.col())
-	for _, n := range f {
-		t.Add(tab.TreeCell(n))
-	}
-	return tab.NewSliceCursor(t, 0), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -828,10 +773,9 @@ func Walk(op Op, fn func(Op) bool) {
 	}
 }
 
-// Docs returns the documents a plan reads, each Bind's document and each
-// Doc's name, distinct and in first-occurrence order: the document set a
-// pushed plan's capabilities are scoped by and a containment assumption
-// names.
+// Docs returns the documents a plan reads, each Bind's document, distinct
+// and in first-occurrence order: the document set a pushed plan's
+// capabilities are scoped by and a containment assumption names.
 func Docs(plan Op) []string {
 	var docs []string
 	add := func(name string) {
@@ -840,12 +784,8 @@ func Docs(plan Op) []string {
 		}
 	}
 	Walk(plan, func(n Op) bool {
-		// yat-lint:ignore intentionally partial: only Bind and Doc name documents
-		switch x := n.(type) {
-		case *Bind:
-			add(x.Doc)
-		case *Doc:
-			add(x.Name)
+		if b, ok := n.(*Bind); ok {
+			add(b.Doc)
 		}
 		return true
 	})
@@ -886,7 +826,7 @@ func MapChildren(op Op, fn func(Op) Op) Op {
 		return op
 	case *SourceQuery:
 		return &SourceQuery{Source: x.Source, Plan: fn(x.Plan)}
-	case *Doc, *Literal:
+	case *Literal:
 		return op
 	default:
 		return op

@@ -15,8 +15,6 @@ type StateReporter interface {
 // cannot silently profile as "unknown".
 func OpKind(op Op) string {
 	switch op.(type) {
-	case *Doc:
-		return "Doc"
 	case *Bind:
 		return "Bind"
 	case *Select:

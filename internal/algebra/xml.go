@@ -19,13 +19,6 @@ import (
 // PlanToXML serializes a plan.
 func PlanToXML(op Op) (*data.Node, error) {
 	switch x := op.(type) {
-	case *Doc:
-		n := data.Elem("doc")
-		n.Add(data.Text("@name", x.Name))
-		if x.Col != "" {
-			n.Add(data.Text("@col", x.Col))
-		}
-		return n, nil
 	case *Bind:
 		n := data.Elem("bind")
 		if x.Doc != "" {
@@ -129,8 +122,6 @@ func PlanFromXML(n *data.Node) (Op, error) {
 		return nil, fmt.Errorf("algebra: nil plan element")
 	}
 	switch n.Label {
-	case "doc":
-		return &Doc{Name: n.Attr("name"), Col: n.Attr("col")}, nil
 	case "bind":
 		fsrc := n.Attr("filter")
 		f, err := filter.Parse(fsrc)

@@ -18,7 +18,6 @@ func samplePlans() []Op {
 	bindWorks := &Bind{Doc: "works", F: filter.MustParse(`works[ *work[ title: $t, style: $s, *($fields) ] ]`)}
 	bindArts := &Bind{Doc: "artifacts", F: filter.MustParse(`set[ *class[ artifact.tuple[ title: $t2, price: $p ] ] ]`)}
 	return []Op{
-		&Doc{Name: "artifacts"},
 		bindWorks,
 		&Select{From: bindWorks, Pred: MustParseExpr(`$s = "Impressionist" AND contains($fields, "Giverny")`)},
 		&Project{From: bindWorks, Cols: []string{"title=$t", "$s"}},
@@ -122,11 +121,12 @@ func TestPlanXMLExecutesAfterRoundTrip(t *testing.T) {
 func TestPlanXMLErrors(t *testing.T) {
 	bad := []string{
 		`<mystery/>`,
-		`<select pred="$x ="><from><doc name="a"/></from></select>`,
+		`<doc name="artifacts"/>`, // a document enters a plan only through a Bind
+		`<select pred="$x ="><from><bind doc="a" filter="a@$d"/></from></select>`,
 		`<select pred="$x = 1"/>`,
-		`<join pred="$x = 1"><left><doc name="a"/></left></join>`,
+		`<join pred="$x = 1"><left><bind doc="a" filter="a@$d"/></left></join>`,
 		`<bind filter="broken["/>`,
-		`<tree cons="broken[" ><from><doc name="a"/></from></tree>`,
+		`<tree cons="broken[" ><from><bind doc="a" filter="a@$d"/></from></tree>`,
 		`<sourcequery source="s"/>`,
 		`<literal><notatab/></literal>`,
 	}

@@ -144,23 +144,7 @@ func (i *Interface) HasOperation(name string) bool { return i.Operation(name) !=
 // operations: declaring join over its extents and, separately, join over
 // its node tables does not claim a join mixing the two.
 func (i *Interface) CoversOperation(name string, docs []string) bool {
-	for k := range i.Operations {
-		op := &i.Operations[k]
-		if op.Name != name {
-			continue
-		}
-		all := true
-		for _, d := range docs {
-			if !op.covers(d) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
+	return i.OperationFor(name, docs) != nil
 }
 
 // HasOperationFor reports whether the operation is declared for one document.

@@ -436,38 +436,20 @@ func (n *Node) Depth() int {
 // references and identically ordered equal children. Identifiers participate
 // so that two distinct objects with equal state remain distinguishable, as
 // in the object model.
-func Equal(a, b *Node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Label != b.Label || a.Ref != b.Ref || a.ID != b.ID {
-		return false
-	}
-	if (a.Atom == nil) != (b.Atom == nil) {
-		return false
-	}
-	if a.Atom != nil && !a.Atom.Equal(*b.Atom) {
-		return false
-	}
-	if len(a.Kids) != len(b.Kids) {
-		return false
-	}
-	for i := range a.Kids {
-		if !Equal(a.Kids[i], b.Kids[i]) {
-			return false
-		}
-	}
-	return true
-}
+func Equal(a, b *Node) bool { return equal(a, b, true) }
 
 // EqualValue is like Equal but ignores identifiers, comparing only labels,
 // atoms, references and structure. It implements value equality for Tab
 // cells, where identity is irrelevant to predicate evaluation.
-func EqualValue(a, b *Node) bool {
+func EqualValue(a, b *Node) bool { return equal(a, b, false) }
+
+// equal is the one walk behind Equal and EqualValue; ids says whether
+// identifiers participate.
+func equal(a, b *Node, ids bool) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.Label != b.Label || a.Ref != b.Ref {
+	if a.Label != b.Label || a.Ref != b.Ref || ids && a.ID != b.ID {
 		return false
 	}
 	if (a.Atom == nil) != (b.Atom == nil) {
@@ -480,7 +462,7 @@ func EqualValue(a, b *Node) bool {
 		return false
 	}
 	for i := range a.Kids {
-		if !EqualValue(a.Kids[i], b.Kids[i]) {
+		if !equal(a.Kids[i], b.Kids[i], ids) {
 			return false
 		}
 	}

@@ -148,8 +148,6 @@ func (e *Engine) streamNode(op algebra.Op, actx *algebra.Context) (tab.Cursor, e
 	switch x := op.(type) {
 	case *algebra.Literal:
 		return tab.NewSliceCursor(x.T, 0), nil
-	case *algebra.Doc:
-		return x.Stream(actx)
 	case *algebra.SourceQuery:
 		// The subplan is evaluated by the source, not here; cancellation
 		// reaches it through actx.Ctx.

@@ -28,7 +28,8 @@ import (
 // Dashes and spaces in the input are ignored; a lowercase x check digit is
 // accepted and uppercased.
 func NormalizeISSN(s string) (string, error) {
-	var digits []byte
+	var buf [8]byte
+	digits := buf[:0]
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c >= '0' && c <= '9':
@@ -60,6 +61,7 @@ func NormalizeISSN(s string) (string, error) {
 		return "", fmt.Errorf("issn %q: checksum mismatch (check digit %c, want %c)", s, digits[7], want)
 	}
 	var b strings.Builder
+	b.Grow(len("NNNN-NNNC"))
 	b.Write(digits[:4])
 	b.WriteByte('-')
 	b.Write(digits[4:])

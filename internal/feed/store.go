@@ -160,18 +160,17 @@ func (s *Store) sealIndexes() {
 // be a <record> carrying every normalized field exactly once; id and title
 // must be non-empty after whitespace collapsing; the issn must pass its
 // checksum and is rewritten in canonical NNNN-NNNC form; the year must be
-// an integer in [1400, 2100] and is stored as an Int atom.
+// an integer in [1400, 2100] and is stored as an Int atom. The copy is built
+// in one data.Block: a record node over one leaf per field.
 func normalizeRecord(n *data.Node) (*data.Node, string) {
 	if n.Label != "record" {
 		return nil, "not-a-record"
 	}
-	out := data.Elem("record")
-	for _, f := range Fields {
-		kids := n.Children(f)
-		if len(kids) != 1 {
-			return nil, f
-		}
-		a, ok := kids[0].AtomValue()
+	b := data.NewBlock(1+len(Fields), len(Fields), len(Fields))
+	out := b.Elem("record")
+	out.Kids = b.List(len(Fields))
+	for i, f := range Fields {
+		a, ok := onlyChild(n, f).AtomValue()
 		if !ok {
 			return nil, f
 		}
@@ -193,22 +192,37 @@ func normalizeRecord(n *data.Node) (*data.Node, string) {
 			if y < 1400 || y > 2100 {
 				return nil, f
 			}
-			out.Add(data.IntLeaf("year", y))
+			out.Kids[i] = b.Leaf("year", data.Int(y))
 		case "issn":
 			canon, err := NormalizeISSN(a.Text())
 			if err != nil {
 				return nil, f
 			}
-			out.Add(data.Text("issn", canon))
+			out.Kids[i] = b.Leaf("issn", data.String(canon))
 		default:
 			v := xmlenc.CollapseSpace(a.Text())
 			if v == "" && (f == "id" || f == "title") {
 				return nil, f
 			}
-			out.Add(data.Text(f, v))
+			out.Kids[i] = b.Leaf(f, data.String(v))
 		}
 	}
 	return out, ""
+}
+
+// onlyChild returns n's one child labelled label, nil when it has none or
+// several.
+func onlyChild(n *data.Node, label string) *data.Node {
+	var one *data.Node
+	for _, k := range n.Kids {
+		if k.Label == label {
+			if one != nil {
+				return nil
+			}
+			one = k
+		}
+	}
+	return one
 }
 
 // fieldKey is the index key of a normalized field leaf: its textual form.

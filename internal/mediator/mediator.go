@@ -346,40 +346,33 @@ func (c *catalog) substituteViews(plan algebra.Op, depth int) (algebra.Op, error
 	var firstErr error
 	var subst func(op algebra.Op) algebra.Op
 	subst = func(op algebra.Op) algebra.Op {
-		// yat-lint:ignore intentionally partial: only Bind and Doc name view documents; everything else rebuilds its children via the exhaustive algebra.MapChildren
-		switch x := op.(type) {
-		case *algebra.Bind:
-			if x.Doc == "" {
-				break
-			}
-			if v := c.views[x.Doc]; v != nil {
-				inner, err := c.substituteViews(v.Plan, depth+1)
-				if err != nil {
-					firstErr = cmp.Or(firstErr, err)
-					return op
-				}
-				t, ok := inner.(*algebra.TreeOp)
-				if !ok {
-					firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: view %s does not end in a Tree", x.Doc))
-					return op
-				}
-				if outCols[t.Columns()[0]] {
-					t = &algebra.TreeOp{From: t.From, C: t.C, OutCol: unusedCol(plan, t.Columns()[0], outCols)}
-				}
-				outCols[t.Columns()[0]] = true
-				return &algebra.Bind{From: t, Col: t.Columns()[0], F: x.F}
-			}
-			if _, exported := c.sourceDocs[x.Doc]; !exported {
-				firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: unknown document %q (no source or view exports it)", x.Doc))
-			}
-			return x
-		case *algebra.Doc:
-			if c.views[x.Name] != nil {
-				firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: Doc over view %q is not supported; use Bind", x.Name))
-			}
-			return x
+		// Only a document Bind names a view; everything else rebuilds its
+		// children via the exhaustive algebra.MapChildren.
+		x, ok := op.(*algebra.Bind)
+		if !ok || x.Doc == "" {
+			return algebra.MapChildren(op, subst)
 		}
-		return algebra.MapChildren(op, subst)
+		if v := c.views[x.Doc]; v != nil {
+			inner, err := c.substituteViews(v.Plan, depth+1)
+			if err != nil {
+				firstErr = cmp.Or(firstErr, err)
+				return op
+			}
+			t, ok := inner.(*algebra.TreeOp)
+			if !ok {
+				firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: view %s does not end in a Tree", x.Doc))
+				return op
+			}
+			if outCols[t.Columns()[0]] {
+				t = &algebra.TreeOp{From: t.From, C: t.C, OutCol: unusedCol(plan, t.Columns()[0], outCols)}
+			}
+			outCols[t.Columns()[0]] = true
+			return &algebra.Bind{From: t, Col: t.Columns()[0], F: x.F}
+		}
+		if _, exported := c.sourceDocs[x.Doc]; !exported {
+			firstErr = cmp.Or(firstErr, fmt.Errorf("mediator: unknown document %q (no source or view exports it)", x.Doc))
+		}
+		return x
 	}
 	out := subst(plan)
 	if firstErr != nil {

@@ -49,12 +49,6 @@ func IsNodes(name string) bool { return strings.HasSuffix(name, Suffix) }
 // Base returns the numbered document's name ("works.nodes" -> "works").
 func Base(name string) string { return strings.TrimSuffix(name, Suffix) }
 
-// FieldOrder is the canonical child order of a node row. Filters compiled
-// against node tables must list their items in this order (the capability
-// checker matches filter items against the Fnodes pattern as an in-order
-// subsequence).
-var FieldOrder = []string{"pre", "post", "parent", "name", "pos", "value", "tree"}
-
 // Build numbers a forest: one node[...] tree per node of the input, in
 // document order, with global pre/post ranks across the whole forest. The
 // tree child shares the original subtree pointers; callers must treat built

@@ -126,7 +126,7 @@ func (w *Wrapper) ExportObject(o *o2.Object) *data.Node {
 	var c exportCount
 	c.object(o)
 	b := c.block()
-	return exportObject(&b, o)
+	return exportObject(&b, map[string]string{}, o)
 }
 
 // ExportVal converts a value to its YAT tree.
@@ -171,11 +171,12 @@ func (w *Wrapper) Fetch(doc string) (data.Forest, error) {
 	set.Kids = b.List(len(extent))
 	forest := data.Forest(b.List(1 + len(objs) - len(extent)))
 	forest[0] = set
+	labels := map[string]string{}
 	for i, o := range objs {
 		if i < len(extent) {
-			set.Kids[i] = exportObject(&b, o)
+			set.Kids[i] = exportObject(&b, labels, o)
 		} else {
-			forest[1+i-len(extent)] = exportObject(&b, o)
+			forest[1+i-len(extent)] = exportObject(&b, labels, o)
 		}
 	}
 	return forest, nil
@@ -211,8 +212,16 @@ func (c *exportCount) val(v o2.Val) {
 	}
 }
 
-func exportObject(b *data.Block, o *o2.Object) *data.Node {
-	return b.Elem("class", b.Elem(strings.ToLower(o.Class), exportVal(b, o.Value))).WithID(o.OID)
+// exportObject builds o's tree. labels holds the element label of each
+// class met so far, its name in lower case, so that a label is made once per
+// class, not once per object.
+func exportObject(b *data.Block, labels map[string]string, o *o2.Object) *data.Node {
+	label, ok := labels[o.Class]
+	if !ok {
+		label = strings.ToLower(o.Class)
+		labels[o.Class] = label
+	}
+	return b.Elem("class", b.Elem(label, exportVal(b, o.Value))).WithID(o.OID)
 }
 
 // exportVal builds v's tree. An atom is an unlabeled leaf, but the leaf of

@@ -147,7 +147,7 @@ func lintPlans() map[string]algebra.Op {
 		"union-arity":    &algebra.Union{L: d(`doc[ *item[ name: $n ] ]`), R: d(`doc[ *item[ name: $n, num: $v ] ]`)},
 		"join-duplicate": &algebra.Join{L: d(`doc[ *item[ name: $n ] ]`), R: d(`doc[ *item[ name: $n ] ]`), Pred: algebra.TrueExpr()},
 		"param-unbound":  &algebra.Bind{Col: "$w", F: filter.MustParse(`item[ name: $n ]`)},
-		"param-bound": &algebra.DJoin{L: &algebra.Doc{Name: "docs", Col: "$w"},
+		"param-bound": &algebra.DJoin{L: d(`doc@$w`),
 			R: &algebra.Bind{Col: "$w", F: filter.MustParse(`item[ name: $n ]`)}},
 		"unknown-doc": bind("nowhere", `doc[ *item[ name: $n ] ]`),
 		"nested-query": &algebra.SourceQuery{Source: "src", Plan: &algebra.SourceQuery{
@@ -173,7 +173,6 @@ func lintPlans() map[string]algebra.Op {
 		"tree-unbound":    &algebra.TreeOp{From: lit, C: algebra.MustParseCons(`e[ a: $n, b: $gone ]`)},
 		"intersect-arity": &algebra.Intersect{L: lit, R: d(`doc[ *item[ name: $n ] ]`)},
 		"djoin-duplicate": &algebra.DJoin{L: lit, R: d(`doc[ *item[ name: $n ] ]`)},
-		"doc-unknown":     &algebra.Doc{Name: "nowhere"},
 		"pushed-docless": &algebra.SourceQuery{Source: "src", Plan: &algebra.Bind{From: d(`doc[ *item@$i ]`),
 			Col: "$i", F: filter.MustParse(`item[ name: $n ]`)}},
 		"pushed-join": &algebra.SourceQuery{Source: "src", Plan: &algebra.Join{
@@ -197,7 +196,7 @@ func typePlans() map[string]algebra.Op {
 	join := &algebra.Join{L: mapped, R: artBind, Pred: algebra.MustParseExpr(`$t = $t2`)}
 	grp := &algebra.Group{From: &algebra.Distinct{From: &algebra.Sort{From: join, Cols: []string{"$t"}}},
 		Keys: []string{"$artist", "$p"}, Into: "$rows"}
-	dj := &algebra.DJoin{L: &algebra.Doc{Name: "works", Col: "$doc2"}, R: &algebra.SourceQuery{Source: "src",
+	dj := &algebra.DJoin{L: bind("works", `works@$doc2`), R: &algebra.SourceQuery{Source: "src",
 		Plan: &algebra.Bind{Col: "$doc2", F: filter.MustParse(`work[ artist: $a2 ]`)}}}
 	dj2 := &algebra.DJoin{L: bind("works", `works[ *work@$w ]`), R: &algebra.SourceQuery{Source: "src",
 		Plan: &algebra.Bind{Col: "$w", F: filter.MustParse(`work[ artist: $a2 ]`)}}}

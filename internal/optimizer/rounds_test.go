@@ -105,7 +105,7 @@ func TestRound3SwapsSides(t *testing.T) {
 	// join before converting it to a DJoin.
 	opts, ctx, _ := culturalOpts(60)
 	o := New(opts)
-	o.fresh = newFreshVars(&algebra.Doc{Name: "x"})
+	o.fresh = newFreshVars(&algebra.Bind{Doc: "x", F: filter.MustParse(`x@$doc`)})
 	plan := &algebra.Join{
 		L: &algebra.SourceQuery{Source: "o2artifact",
 			Plan: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
@@ -164,7 +164,7 @@ func TestRound3LeavesNonEquiJoins(t *testing.T) {
 func TestSplitForCapabilities(t *testing.T) {
 	opts, ctx, _ := culturalOpts(40)
 	o := New(opts)
-	o.fresh = newFreshVars(&algebra.Doc{Name: "x"})
+	o.fresh = newFreshVars(&algebra.Bind{Doc: "x", F: filter.MustParse(`x@$doc`)})
 	b := &algebra.Bind{Doc: "works", F: filter.MustParse(
 		`works[ *work[ title: $t, style: $s ] ]`)}
 	out := o.splitForCapabilities(b)
@@ -199,7 +199,7 @@ func TestSplitForCapabilities(t *testing.T) {
 func TestIntroduceEquivalences(t *testing.T) {
 	opts, ctx, _ := culturalOpts(40)
 	o := New(opts)
-	o.fresh = newFreshVars(&algebra.Doc{Name: "x"})
+	o.fresh = newFreshVars(&algebra.Bind{Doc: "x", F: filter.MustParse(`x@$doc`)})
 	split := o.splitForCapabilities(&algebra.Bind{Doc: "works", F: filter.MustParse(
 		`works[ *work[ title: $t, style: $s ] ]`)})
 	plan := &algebra.Select{From: split, Pred: algebra.MustParseExpr(`$s = "Impressionist"`)}

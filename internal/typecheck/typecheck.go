@@ -125,7 +125,7 @@ type Config struct {
 	// SourceDocs maps document names to the source exporting them; a pushed
 	// Bind over a document owned by a different source is a violation. When
 	// non-nil its keys are the complete set of resolvable document names:
-	// a Bind or Doc over any other document is a violation too.
+	// a Bind over any other document is a violation too.
 	SourceDocs map[string]string
 	// Structures holds the declared structural schema of each document: it
 	// seeds the types and enables the pattern check on document Binds.
@@ -248,12 +248,6 @@ func (c *checker) walk(op algebra.Op, path string, env map[string]*pattern.P) *R
 
 func (c *checker) typeOp(op algebra.Op, path string, env map[string]*pattern.P) *RowType {
 	switch x := op.(type) {
-	case *algebra.Doc:
-		c.checkDoc(x.Name, path, x)
-		rt := newRowType(x.Columns())
-		rt.Types[rt.Cols[0]] = c.docPattern(x.Name)
-		return rt
-
 	case *algebra.Literal:
 		if x.T == nil {
 			c.report(CodeNilPlan, path, x, "Literal with nil Tab")

@@ -128,10 +128,10 @@ func TestInferAllOperators(t *testing.T) {
 	// DJoin: the inner plan sees outer columns as parameters.
 	inner := &algebra.SourceQuery{Source: "src", Plan: &algebra.Bind{
 		Col: "$doc2", F: filter.MustParse(`work[ artist: $a2 ]`)}}
-	doc := &algebra.Doc{Name: "works", Col: "$doc2"}
+	doc := &algebra.Bind{Doc: "works", F: filter.MustParse(`works@$doc2`)}
 	dj := &algebra.DJoin{L: doc, R: inner}
 	ann2 := check(t, dj, cfg)
-	wantType(t, ann2.Root, "$doc2", "&Works")
+	wantType(t, ann2.Root, "$doc2", "works[ *&Work ]")
 	// $doc2 is typed works[ *&Work ]; the inner filter binds one work's
 	// artist... the works root does not match `work[...]`, so the inner
 	// bind is dead — but through a union alternative it would not be. The

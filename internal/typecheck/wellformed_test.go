@@ -241,7 +241,7 @@ func TestBindOverUnknownParameter(t *testing.T) {
 	plan := &algebra.Bind{Col: "$w", F: filter.MustParse(`item[ name: $n ]`)}
 	one(t, diags(plan, lintConfig()), CodeUnboundVar, "Bind")
 	// With the parameter provided by an enclosing DJoin the plan is clean.
-	provided := &algebra.DJoin{L: &algebra.Doc{Name: "docs", Col: "$w"}, R: plan}
+	provided := &algebra.DJoin{L: docBind(`doc@$w`), R: plan}
 	if ds := diags(provided, lintConfig()); len(ds) != 0 {
 		t.Fatalf("provided parameter still flagged: %v", ds)
 	}

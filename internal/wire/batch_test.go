@@ -93,6 +93,8 @@ func TestMalformedRequests(t *testing.T) {
 		{"<unknown-request/>", "unknown request"},
 		{"<query/>", "without doc or plan"},
 		{"<query><plan/></query>", "plan"},
+		// A document enters a plan only through a Bind: <doc> is no plan.
+		{`<query><plan><doc name="artifacts"/></plan></query>`, "unknown plan element &lt;doc&gt;"},
 		{"<query><plan><bogus-op/></plan><bindings>" +
 			tab.Marshal(tab.New("$lo")) + "</bindings></query>", "plan"},
 		{"<query><plan>" + enc + "</plan><bindings/></query>", "bindings"},
@@ -235,5 +237,28 @@ func TestPoolSurvivesRepeatedTimeouts(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool exhausted: healthy push never completed")
+	}
+}
+
+// TestPlanEncodingMemoIsBounded: a plan node is encoded once, and the memo
+// keeps at most planEncCacheSize encodings however many plans pass.
+func TestPlanEncodingMemoIsBounded(t *testing.T) {
+	c := newClient("127.0.0.1:0", Options{}, 1, time.Minute, time.Millisecond)
+	defer c.Close()
+	plan := batchPlan()
+	first, err := c.encodePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := c.encodePlan(plan); again != first || c.encs.Len() != 1 {
+		t.Fatalf("second encoding of one plan: memo holds %d, same text %v", c.encs.Len(), again == first)
+	}
+	for i := 0; i < 2*planEncCacheSize; i++ {
+		if _, err := c.encodePlan(batchPlan()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.encs.Len(); n != planEncCacheSize {
+		t.Errorf("memo holds %d encodings, want %d", n, planEncCacheSize)
 	}
 }

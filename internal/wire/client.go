@@ -70,9 +70,9 @@ type Client struct {
 
 	// encs memoizes canonical plan encodings by plan node, so a DJoin
 	// pushing one inner plan many times (one request per chunk of bindings)
-	// encodes it once instead of once per request.
-	encMu sync.Mutex
-	encs  map[algebra.Op]string
+	// encodes it once instead of once per request, and a cached plan pushed
+	// by a later query is not encoded again.
+	encs *algebra.LRU[algebra.Op, string]
 
 	mu     sync.Mutex
 	conns  map[net.Conn]bool // every live connection, for Close
@@ -84,23 +84,15 @@ type Client struct {
 const planEncCacheSize = 128
 
 func (c *Client) encodePlan(plan algebra.Op) (string, error) {
-	c.encMu.Lock()
-	if s, ok := c.encs[plan]; ok {
-		c.encMu.Unlock()
+	if s, ok := c.encs.Get(plan); ok {
 		return s, nil
 	}
-	c.encMu.Unlock()
 	n, err := algebra.PlanToXML(plan)
 	if err != nil {
 		return "", err
 	}
 	s := xmlenc.Serialize(n)
-	c.encMu.Lock()
-	if len(c.encs) >= planEncCacheSize {
-		c.encs = make(map[algebra.Op]string) // plans die with their query: reset wholesale
-	}
-	c.encs[plan] = s
-	c.encMu.Unlock()
+	c.encs.Put(plan, s)
 	return s, nil
 }
 
@@ -150,7 +142,7 @@ func newClient(addr string, opts Options, conns int, maxIdle, base time.Duration
 		rng:      rand.New(rand.NewSource(retrySeed)),
 		tokens:   make(chan struct{}, conns),
 		idle:     make(chan pooled, conns),
-		encs:     map[algebra.Op]string{},
+		encs:     algebra.NewLRU[algebra.Op, string](planEncCacheSize),
 		conns:    map[net.Conn]bool{},
 	}
 	c.dial = func(ctx context.Context) (net.Conn, error) {

@@ -439,6 +439,9 @@ func oracleInputs(t *testing.T) []string {
 		"<?xml version=\"1.0\"?>\n<!DOCTYPE doc [<!ELEMENT doc ANY>]>\n<!-- a comment -->\n<doc><x>1</x></doc>\n<!-- trailing -->",
 		`<owners refs="p1 p2"/>`, `<owner ref="p1"/>`, "<a>1</a>\n<b>\n  <c>2</c>\n</b>", "  \n ",
 		`<t>plain text</t>`, `<e a="1" a="2" refs="x" refs=" y  z "/>`, `<e k='v' id='i'>  </e>`,
+		// refs split at every space strings.Fields knows, and nowhere else
+		"<e refs=\"\u00a0p1\u2003p2\u0085p3\u200bp4\tp5\n\xffp6 \u3000\"/>",
+		`<e refs="&#xA0;p1&#x2028;p2&#9;p3&#x200B;p4"/>`,
 	}
 	in = append(in, parseSeeds()...)
 	in = append(in, worksDocument(), xmlenc.SerializeForest(artifacts(t)))

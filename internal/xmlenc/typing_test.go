@@ -10,6 +10,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/feed"
+	"repro/internal/o2wrap"
 	"repro/internal/xmlenc"
 )
 
@@ -138,12 +139,29 @@ func TestParseAllocs(t *testing.T) {
 }
 
 func TestParseWorksAllocs(t *testing.T) {
-	src := worksDocument()
-	// measured: 11 (2,491 node by node): the block's three slices, the stack
-	// of open elements' children growing past 64 to the root's works, and
-	// the text of the entities
-	if n := testing.AllocsPerRun(20, func() { _, _ = xmlenc.Parse(src) }); n > 11 {
-		t.Errorf("Parse of a works document of 300 artifacts: %v allocations, want at most 11", n)
+	artifacts, err := o2wrap.New("o2artifact", datagen.Generate(datagen.DefaultParams(300)).DB).Fetch("artifacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifactsDocument := xmlenc.Serialize(data.Elem("doc", artifacts...))
+	if !strings.Contains(artifactsDocument, ` refs="`) {
+		t.Fatal("the artifacts document holds no refs attribute")
+	}
+	for _, doc := range []struct {
+		name  string
+		src   string
+		bound float64
+	}{
+		// measured: 11 (2,491 node by node): the block's three slices, the
+		// stack of open elements' children growing past 64 to the root's
+		// works, and the text of the entities
+		{"works document of 300 artifacts", worksDocument(), 11},
+		// measured: 7 (307 with a slice of identifiers per refs attribute)
+		{"exported artifacts document of 300 artifacts", artifactsDocument, 7},
+	} {
+		if n := testing.AllocsPerRun(20, func() { _, _ = xmlenc.Parse(doc.src) }); n > doc.bound {
+			t.Errorf("Parse of a %s: %v allocations, want at most %v", doc.name, n, doc.bound)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"repro/internal/data"
@@ -277,10 +278,17 @@ func (s *scanner) element() (*data.Node, error) {
 			s.kids = append(s.kids, s.b.Leaf(s.attrLabel(aname), data.String(aval)))
 		}
 	}
-	for _, id := range strings.Fields(refs) {
+	// The identifiers of refs, split where strings.Fields would split them
+	// but without its slice.
+	for rest := strings.TrimLeftFunc(refs, unicode.IsSpace); rest != ""; rest = strings.TrimLeftFunc(rest, unicode.IsSpace) {
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
 		r := s.b.Elem("ref")
-		r.Ref = id
+		r.Ref = rest[:end]
 		s.kids = append(s.kids, r)
+		rest = rest[end:]
 	}
 	if s.peek() == '/' {
 		s.pos++

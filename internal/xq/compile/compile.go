@@ -399,8 +399,10 @@ func (c *compiler) treeVar(fn *filter.FNode) string {
 // ---------------------------------------------------------------------------
 
 // nodeBind is one pending Bind over a node table. Variables are allocated
-// on demand and the node[...] filter rendered at the end, in the canonical
-// nodetab.FieldOrder wrappers declare.
+// on demand and the node[...] filter rendered at the end, its items in the
+// order of the row fields of nodetab.FPattern, which wrappers declare (the
+// capability checker matches filter items against it as an in-order
+// subsequence).
 type nodeBind struct {
 	doc         string
 	pre, post   string // range/axis variables ("" = unused)
