@@ -119,14 +119,12 @@ func figure7(sizes []int) error {
 	fmt.Printf("%-10s %20s %20s %20s\n", "artifacts", "monolithic Bind", "DJoin split", "Join w/ extent")
 	for _, n := range sizes {
 		w := datagen.Generate(datagen.DefaultParams(n))
-		plans := fig7Plans()
 		var times [3]time.Duration
 		var rows [3]int
-		for i, plan := range plans {
-			p := &algebra.Project{From: plan, Cols: []string{"$t", "$o"}}
+		for i, plan := range datagen.Fig7Plans() {
 			ctx := sourceCtx(w)
 			start := time.Now()
-			res, err := exec.RunSerial(p, ctx)
+			res, err := exec.RunSerial(plan, ctx)
 			if err != nil {
 				return err
 			}
@@ -141,35 +139,6 @@ func figure7(sizes []int) error {
 			times[2].Round(10*time.Microsecond), rows[0])
 	}
 	return nil
-}
-
-func fig7Plans() [3]algebra.Op {
-	mono := algebra.Op(&algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-		`set[ *class[ artifact.tuple[ title: $t,
-		      owners.list[ *class[ person.tuple[ name: $o ] ] ] ] ] ]`)})
-	split := algebra.Op(&algebra.DJoin{
-		L: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-			`set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`)},
-		R: &algebra.Bind{Col: "$ow", F: filter.MustParse(
-			`owners.list[ *class[ person.tuple[ name: $o ] ] ]`)},
-	})
-	join := algebra.Op(&algebra.Join{
-		L: &algebra.MapExpr{
-			From: &algebra.DJoin{
-				L: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-					`set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`)},
-				R: &algebra.Bind{Col: "$ow", F: filter.MustParse(`owners.list[ *%@$ref ]`)},
-			},
-			Col: "$rid", E: algebra.MustParseExpr(`id($ref)`),
-		},
-		R: &algebra.MapExpr{
-			From: &algebra.Bind{Doc: "persons", F: filter.MustParse(
-				`set[ *class@$p[ person.tuple[ name: $o ] ] ]`)},
-			Col: "$pid", E: algebra.MustParseExpr(`id($p)`),
-		},
-		Pred: algebra.MustParseExpr(`$rid = $pid`),
-	})
-	return [3]algebra.Op{mono, split, join}
 }
 
 func sourceCtx(w *datagen.Workload) *algebra.Context {

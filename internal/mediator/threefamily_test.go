@@ -28,29 +28,9 @@ const threeFamilyN = 60
 // mediator over TCP and returns a kill switch for the feed wrapper.
 func deployThreeFamilies(t *testing.T, n int) (*Mediator, func()) {
 	t.Helper()
-	w := datagen.Generate(datagen.DefaultParams(n))
-	ow := o2wrap.New("o2artifact", w.DB)
-	schema := ow.ExportSchema()
-	ww := waiswrap.New("xmlartwork", datagen.NewWaisEngine(w.Works))
-	fw := feed.New("bulkfeed", datagen.NewFeedStore(datagen.GenerateFeed(datagen.DefaultFeedParams(n))))
-	deploys := []wire.Exported{
-		{Source: ow, Interface: ow.ExportInterface(),
-			Structures: map[string]wire.StructureRef{
-				"artifacts": {Model: schema, Pattern: "Artifact"},
-				"persons":   {Model: schema, Pattern: "Person"},
-			}},
-		{Source: ww, Interface: ww.ExportInterface(),
-			Structures: map[string]wire.StructureRef{
-				"works": {Model: ww.ExportStructure(), Pattern: "Works"},
-			}},
-		{Source: fw, Interface: fw.ExportInterface(),
-			Structures: map[string]wire.StructureRef{
-				"records": {Model: fw.ExportStructure(), Pattern: "Records"},
-			}},
-	}
 	m := New()
 	var killFeed func()
-	for i, exp := range deploys {
+	for i, exp := range threeFamilies(n) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -84,6 +64,31 @@ func deployThreeFamilies(t *testing.T, n int) (*Mediator, func()) {
 	m.RegisterFunc("contains", waiswrap.Contains)
 	m.RegisterFunc("prefix", feed.Prefix)
 	return m, killFeed
+}
+
+// threeFamilies builds the three wrappers over a generated workload of n
+// artifacts, each with the interface and structures it exports.
+func threeFamilies(n int) []wire.Exported {
+	w := datagen.Generate(datagen.DefaultParams(n))
+	ow := o2wrap.New("o2artifact", w.DB)
+	schema := ow.ExportSchema()
+	ww := waiswrap.New("xmlartwork", datagen.NewWaisEngine(w.Works))
+	fw := feed.New("bulkfeed", datagen.NewFeedStore(datagen.GenerateFeed(datagen.DefaultFeedParams(n))))
+	return []wire.Exported{
+		{Source: ow, Interface: ow.ExportInterface(),
+			Structures: map[string]wire.StructureRef{
+				"artifacts": {Model: schema, Pattern: "Artifact"},
+				"persons":   {Model: schema, Pattern: "Person"},
+			}},
+		{Source: ww, Interface: ww.ExportInterface(),
+			Structures: map[string]wire.StructureRef{
+				"works": {Model: ww.ExportStructure(), Pattern: "Works"},
+			}},
+		{Source: fw, Interface: fw.ExportInterface(),
+			Structures: map[string]wire.StructureRef{
+				"records": {Model: fw.ExportStructure(), Pattern: "Records"},
+			}},
+	}
 }
 
 // threeFamilyUnion builds one title branch per wrapper family; each branch

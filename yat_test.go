@@ -7,7 +7,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/filter"
 	"repro/internal/o2wrap"
 	"repro/internal/waiswrap"
 )
@@ -141,47 +140,13 @@ func sourceCtx(w *datagen.Workload) *algebra.Context {
 	return ctx
 }
 
-// fig7Plans builds the three equivalent plans of Figure 7's upper row: the
-// monolithic Bind navigating owner references, its DJoin split, and the
-// Join against the persons extent with hashable identifier columns.
-func fig7Plans() (mono, split, join algebra.Op) {
-	mono = &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-		`set[ *class[ artifact.tuple[ title: $t,
-		      owners.list[ *class[ person.tuple[ name: $o ] ] ] ] ] ]`)}
-	split = &algebra.DJoin{
-		L: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-			`set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`)},
-		R: &algebra.Bind{Col: "$ow", F: filter.MustParse(
-			`owners.list[ *class[ person.tuple[ name: $o ] ] ]`)},
-	}
-	join = &algebra.Join{
-		L: &algebra.MapExpr{
-			From: &algebra.DJoin{
-				L: &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-					`set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`)},
-				R: &algebra.Bind{Col: "$ow", F: filter.MustParse(`owners.list[ *%@$ref ]`)},
-			},
-			Col: "$rid", E: algebra.MustParseExpr(`id($ref)`),
-		},
-		R: &algebra.MapExpr{
-			From: &algebra.Bind{Doc: "persons", F: filter.MustParse(
-				`set[ *class@$p[ person.tuple[ name: $o ] ] ]`)},
-			Col: "$pid", E: algebra.MustParseExpr(`id($p)`),
-		},
-		Pred: algebra.MustParseExpr(`$rid = $pid`),
-	}
-	return mono, split, join
-}
-
 // TestFig7PlansEquivalent pins the Figure 7 equivalence: the three plans
 // return the same rows.
 func TestFig7PlansEquivalent(t *testing.T) {
-	mono, split, join := fig7Plans()
 	w := datagen.Generate(datagen.DefaultParams(60))
 	var results []*Tab
-	for _, plan := range []algebra.Op{mono, split, join} {
-		p := &algebra.Project{From: plan, Cols: []string{"$t", "$o"}}
-		res, err := exec.RunSerial(p, sourceCtx(w))
+	for _, plan := range datagen.Fig7Plans() {
+		res, err := exec.RunSerial(plan, sourceCtx(w))
 		if err != nil {
 			t.Fatal(err)
 		}
