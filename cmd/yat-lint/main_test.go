@@ -433,10 +433,10 @@ import (
 
 func f(fl *filter.Filter, forest data.Forest) int {
 	m := fl.Matcher(nil)
-	rows, _ := m.Append(nil, nil, forest[0])
+	rows := m.Append(nil, nil, forest[0])
 	u := fl.Match(nil, forest[0])
 	app := m.Append
-	more, _ := app(rows, nil, forest[1])
+	more := app(rows, nil, forest[1])
 	return len(rows) + u.Len() + len(more)
 }
 `

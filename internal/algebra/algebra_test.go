@@ -2,6 +2,7 @@ package algebra_test
 
 import (
 	"context"
+	"io"
 	. "repro/internal/algebra"
 	"repro/internal/exec"
 	"strings"
@@ -399,7 +400,12 @@ func TestStreamedBindWaitsForReferencedObjects(t *testing.T) {
 		t.Errorf("BindRows = %d, want %d (the discarded early match must not count)", ctx.Stats.BindRows, want.Len())
 	}
 
-	// A filter that chases no reference still binds batch by batch.
+	// A tree leaves only once its references resolve, even where the
+	// Bind's own filter chases none of them: a DJoin downstream may. The
+	// extent waits for p2, the last person it references, and no longer.
+	ctx = NewContext()
+	doc = append(doc, person("p3", "Poe"))
+	ctx.Sources["o2"] = &batchSource{fakeSource{name: "o2", docs: map[string]data.Forest{"artifacts": doc}}, 1}
 	titles := &Bind{Doc: "artifacts", F: filter.MustParse(`set[ *class[ title: $t ] ]`)}
 	cur, err := titles.StreamLeaf(ctx)
 	if err != nil {
@@ -408,7 +414,79 @@ func TestStreamedBindWaitsForReferencedObjects(t *testing.T) {
 	defer cur.Close()
 	first, err := cur.Next()
 	if err != nil || first.Len() != 2 {
-		t.Fatalf("first chunk = %v, %v; want the extent's 2 rows before the stream ends", first, err)
+		t.Fatalf("first chunk = %v, %v; want the extent's 2 rows", first, err)
+	}
+	if ctx.Store.Lookup("p2") == nil || ctx.Store.Lookup("p3") != nil {
+		t.Errorf("the extent left with p2 registered: %v, p3 registered: %v; want true, false",
+			ctx.Store.Lookup("p2") != nil, ctx.Store.Lookup("p3") != nil)
+	}
+}
+
+// gatedSource streams each document one tree per batch; before ending
+// document "a" it signals reached and waits for gate.
+type gatedSource struct {
+	fakeSource
+	reached, gate chan struct{}
+}
+
+func (g *gatedSource) FetchStream(_ context.Context, doc string) (ForestCursor, error) {
+	cur := NewSliceForestCursor(g.docs[doc], 1)
+	if doc != "a" {
+		return cur, nil
+	}
+	return gatedCursor{cur, g}, nil
+}
+
+type gatedCursor struct {
+	ForestCursor
+	g *gatedSource
+}
+
+func (c gatedCursor) Next() (data.Forest, error) {
+	f, err := c.ForestCursor.Next()
+	if err == io.EOF {
+		c.g.reached <- struct{}{}
+		<-c.g.gate
+	}
+	return f, err
+}
+
+func TestDanglingReferenceHoldsOnlyItsOwnStream(t *testing.T) {
+	// Document a's one tree references an object nothing ships, so a's
+	// stream holds it until a ends. Document b's tree leaves at once all
+	// the same, while a's is held: the rule is kept per stream.
+	g := &gatedSource{fakeSource: fakeSource{name: "s", docs: map[string]data.Forest{
+		"a": {data.Elem("work", data.Text("title", "Lost"), data.Elem("owner", data.RefNode("class", "nobody")))},
+		"b": {data.Elem("work", data.Text("title", "Nympheas"))},
+	}}, reached: make(chan struct{}), gate: make(chan struct{})}
+	ctx := NewContext()
+	ctx.Sources["s"] = g
+	f := filter.MustParse(`work[ title: $t ]`)
+	ca, err := (&Bind{Doc: "a", F: f}).StreamLeaf(ctx.Fork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsA := make(chan int)
+	go func() {
+		got, err := tab.Drain(ca)
+		if err != nil {
+			t.Error(err)
+		}
+		rowsA <- got.Len()
+	}()
+	<-g.reached // a's tree has arrived and is held
+	cb, err := (&Bind{Doc: "b", F: f}).StreamLeaf(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+	first, err := cb.Next()
+	if err != nil || first.Len() != 1 {
+		t.Fatalf("b's first chunk = %v, %v; want its one row while a holds its tree", first, err)
+	}
+	close(g.gate)
+	if n := <-rowsA; n != 1 {
+		t.Errorf("a bound %d rows, want 1: a held tree is matched when its stream ends", n)
 	}
 }
 

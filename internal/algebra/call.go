@@ -21,9 +21,8 @@ import (
 )
 
 // FetchStream opens doc at src as a tree stream: natively when the source
-// streams, else one whole fetch served as a single batch — the forest is in
-// memory anyway, and in one piece the objects a document's references point
-// at arrive with the trees that mention them. A nil ctx means context.Background().
+// streams, else one whole fetch served in DefaultStreamChunk batches, like
+// any other cursor. A nil ctx means context.Background().
 func FetchStream(ctx context.Context, src Source, doc string) (ForestCursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -35,7 +34,7 @@ func FetchStream(ctx context.Context, src Source, doc string) (ForestCursor, err
 	if err != nil {
 		return nil, err
 	}
-	return NewSliceForestCursor(f, len(f)), nil
+	return NewSliceForestCursor(f, 0), nil
 }
 
 // PushStream evaluates plan under params at src and streams the rows:

@@ -61,8 +61,18 @@ type streamSrc struct{ plainSrc }
 
 func (s streamSrc) FetchStream(ctx context.Context, _ string) (ForestCursor, error) {
 	s.note(ctx, "FetchStream")
-	cur := NewSliceForestCursor(s.forest(), 7)
-	return &funcForestCursor{next: cur.Next, close: func() error { s.note(nil, "FetchStream.Close"); return nil }}, nil
+	return noteClose{NewSliceForestCursor(s.forest(), 7), func() { s.note(nil, "FetchStream.Close") }}, nil
+}
+
+// noteClose notes each Close of the tree stream it wraps.
+type noteClose struct {
+	ForestCursor
+	note func()
+}
+
+func (c noteClose) Close() error {
+	c.note()
+	return c.ForestCursor.Close()
 }
 
 type pushStreamSrc struct{ streamSrc }

@@ -421,8 +421,9 @@ func (t *TreeOp) Apply(ctx *Context, in *tab.Tab, seen map[string]bool) (*tab.Ta
 		return nil, err
 	}
 	out := tab.New(t.col())
+	var refs []string // collected by Register, read by no one here
 	for _, n := range forest {
-		ctx.Store.Register(n)
+		refs = ctx.Store.Register(n, refs[:0])
 		out.Add(tab.TreeCell(n))
 	}
 	return out, nil

@@ -221,29 +221,22 @@ func (c *Context) Err() error {
 	return c.Ctx.Err()
 }
 
-// exporter finds the connected source exporting a named document.
+// exporter finds the connected source exporting a named document. The
+// names the sources export are listed only for the error.
 func (c *Context) exporter(name string) (Source, error) {
+	for _, s := range c.Sources {
+		if slices.Contains(s.Documents(), name) {
+			return s, nil
+		}
+	}
 	var names []string
 	for _, s := range c.Sources {
 		for _, d := range s.Documents() {
-			if d == name {
-				return s, nil
-			}
 			names = append(names, s.Name()+"."+d)
 		}
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("algebra: unknown input %q (known: %s)", name, strings.Join(names, ", "))
-}
-
-// register accounts shipped trees and makes their identifiers resolvable.
-func (c *Context) register(f data.Forest) {
-	var bytes int64
-	for _, n := range f {
-		bytes += int64(n.Size()) * 16
-		c.Store.Register(n)
-	}
-	c.count(Stats{BytesShipped: bytes})
 }
 
 // Op is a node of an algebraic plan.
@@ -321,7 +314,7 @@ func (b *Bind) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	out := tab.New(b.Columns()...)
 	for _, r := range in.Rows {
 		for _, n := range r[ci].AsForest() {
-			out.Rows, _ = m.Append(out.Rows, r, n)
+			out.Rows = m.Append(out.Rows, r, n)
 		}
 	}
 	ctx.count(Stats{BindRows: out.Len()})
@@ -332,7 +325,7 @@ func (b *Bind) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 func bindForest(m *filter.Matcher, cols []string, forest data.Forest) *tab.Tab {
 	t := tab.New(cols...)
 	for _, n := range forest {
-		t.Rows, _ = m.Append(t.Rows, nil, n)
+		t.Rows = m.Append(t.Rows, nil, n)
 	}
 	return t
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/tab"
@@ -81,35 +82,23 @@ func (c *sliceForestCursor) Close() error {
 	return nil
 }
 
-// funcForestCursor adapts closures to ForestCursor.
-type funcForestCursor struct {
-	next   func() (data.Forest, error)
-	close  func() error
-	closed bool
-}
-
-func (c *funcForestCursor) Next() (data.Forest, error) {
-	if c.closed {
-		return nil, io.EOF
-	}
-	return c.next()
-}
-
-func (c *funcForestCursor) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.close != nil {
-		return c.close()
-	}
-	return nil
-}
-
 // InputStream resolves a named document as a tree stream: catalog first (one
 // batch), then the connected source exporting it, opened through
-// FetchStream. Accounting: one SourceFetches per opened stream, BytesShipped
-// and Store registration per tree as batches arrive, retry counters drained
+// FetchStream. It is the one door through which a source document enters a
+// plan, and it owns the one rule for late references: a tree leaves only
+// once every reference in it resolves in Context.Store. As batches arrive,
+// their trees are registered in the store, and the longest prefix of the
+// arrived trees whose references all resolve is released, in document
+// order; the rest is held until later batches register the targets or the
+// stream ends, which releases everything still held. The objects a
+// document's references point at ship after the trees that mention them (an
+// O₂ extent is one tree, followed by its referenced closure), so what is
+// held is bounded by the rest of the document — for identified objects no
+// more than the store pins for the query's lifetime. The rule is kept per
+// stream: a reference left dangling in one document holds none of another
+// document's trees. A catalog document is whole, one batch followed by the
+// end, so it leaves at once. Accounting: one SourceFetches per opened
+// stream, BytesShipped per tree as batches arrive, retry counters drained
 // when the stream opens and again when it ends.
 func (c *Context) InputStream(name string) (ForestCursor, error) {
 	if f, ok := c.Catalog[name]; ok {
@@ -125,43 +114,93 @@ func (c *Context) InputStream(name string) (ForestCursor, error) {
 		return nil, err
 	}
 	c.count(Stats{SourceFetches: 1})
-	done := false
-	fin := func() {
-		if !done {
-			done = true
-			drainRetryStats(c, s)
+	return &resolvedPrefix{ctx: c, src: s, fc: fc}, nil
+}
+
+// resolvedPrefix is the cursor InputStream returns: it releases a
+// document's trees as their references resolve.
+type resolvedPrefix struct {
+	ctx  *Context
+	src  Source
+	fc   ForestCursor
+	held data.Forest // arrived trees not yet released, in document order
+	refs []string    // the references in the held trees, in document order
+	ends []int       // per held tree, the end of its references in refs
+	ok   int         // refs[:ok] resolve
+	eof  bool        // fc has ended: the retry counters are drained
+}
+
+func (p *resolvedPrefix) Next() (data.Forest, error) {
+	for !p.eof {
+		f, err := p.fc.Next()
+		switch {
+		case err == io.EOF:
+			p.end()
+		case err != nil:
+			p.end()
+			return nil, err
+		default:
+			if out := p.arrive(f); len(out) > 0 {
+				return out, nil
+			}
 		}
 	}
-	return &funcForestCursor{
-		next: func() (data.Forest, error) {
-			f, err := fc.Next()
-			if err != nil {
-				fin()
-				return nil, err
-			}
-			c.register(f)
-			return f, nil
-		},
-		close: func() error {
-			fin()
-			return fc.Close()
-		},
-	}, nil
+	out := p.held
+	p.held = nil
+	if len(out) == 0 {
+		return nil, io.EOF
+	}
+	return out, nil
+}
+
+// arrive registers a batch and returns the trees it releases.
+func (p *resolvedPrefix) arrive(f data.Forest) data.Forest {
+	var bytes int64
+	for _, n := range f {
+		bytes += int64(n.Size()) * 16
+		p.refs = p.ctx.Store.Register(n, p.refs)
+		p.ends = append(p.ends, len(p.refs))
+	}
+	p.ctx.count(Stats{BytesShipped: bytes})
+	p.ok += p.ctx.Store.Resolved(p.refs[p.ok:])
+	held := f
+	if len(p.held) > 0 {
+		held = append(p.held, f...)
+	}
+	i := 0
+	for i < len(p.ends) && p.ends[i] <= p.ok {
+		i++
+	}
+	switch {
+	case i == len(held):
+		p.held, p.refs, p.ends, p.ok = nil, p.refs[:0], p.ends[:0], 0
+	case len(p.held) > 0:
+		p.held, p.ends = held[i:], p.ends[i:]
+	default: // the source's batch is not ours to append to
+		p.held, p.ends = slices.Clone(held[i:]), p.ends[i:]
+	}
+	return held[:i:i]
+}
+
+// end drains the source's retry counters once the transfer is over.
+func (p *resolvedPrefix) end() {
+	if !p.eof {
+		p.eof = true
+		drainRetryStats(p.ctx, p.src)
+	}
+}
+
+func (p *resolvedPrefix) Close() error {
+	p.end()
+	p.held = nil
+	return p.fc.Close()
 }
 
 // StreamLeaf opens the two leaf forms of a Bind (From == nil). Over a named
-// document, trees arrive in batches through InputStream and are matched
-// against the filter as they land, so neither the document nor the binding
-// table need ever be whole in memory — up to the first tree whose match
-// chases a reference the store cannot resolve yet. The objects a document's
-// references point at ship after the trees that mention them (an O₂ extent
-// is one tree, followed by its referenced closure), and rows leave in
-// document order, so that tree and every tree after it are held and matched
-// once the stream has ended; a reference that never resolves holds them just
-// as long. The bound for such a Bind is therefore the rest of the document —
-// for identified objects no more than Context.Store already pins for the
-// query's lifetime. Over a DJoin parameter, the bound value is matched in
-// one piece.
+// document, each batch InputStream releases is matched as it arrives, so
+// neither the document nor the binding table need ever be whole in memory;
+// every reference in a released tree resolves, whichever Bind downstream
+// chases it. Over a DJoin parameter, the bound value is matched in one piece.
 func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 	m := b.filter(ctx).Matcher(ctx.Store)
 	cols := b.Columns()
@@ -178,44 +217,18 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	var held data.Forest // trees waiting for the objects they reference
-	eof := false
 	// One tree can bind many rows (a single-rooted document binds them
 	// all): Rechunk restores the bounded-chunk invariant downstream.
 	return tab.Rechunk(&tab.FuncCursor{
 		Columns: cols,
 		NextFn: func() (*tab.Tab, error) {
-			for !eof {
-				forest, err := fc.Next()
-				var t *tab.Tab
-				switch {
-				case err == io.EOF:
-					eof = true
-					if held == nil {
-						return nil, io.EOF
-					}
-					t = bindForest(m, cols, held)
-					held = nil
-				case err != nil:
-					return nil, err
-				case held != nil:
-					held = append(held, forest...)
-					continue
-				default:
-					t = tab.New(cols...)
-					for i, n := range forest {
-						rows, resolved := m.Append(t.Rows, nil, n)
-						if !resolved {
-							held = append(held, forest[i:]...)
-							break
-						}
-						t.Rows = rows
-					}
-				}
-				ctx.count(Stats{BindRows: t.Len()})
-				return t, nil
+			forest, err := fc.Next()
+			if err != nil {
+				return nil, err
 			}
-			return nil, io.EOF
+			t := bindForest(m, cols, forest)
+			ctx.count(Stats{BindRows: t.Len()})
+			return t, nil
 		},
 		CloseFn: fc.Close,
 	}, tab.DefaultStreamChunk), nil

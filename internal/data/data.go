@@ -724,17 +724,35 @@ type Store struct {
 // NewStore returns an empty identifier store.
 func NewStore() *Store { return &Store{byID: make(map[string]*Node)} }
 
-// Register records every identified node of the subtree. Later
-// registrations of the same identifier overwrite earlier ones.
-func (s *Store) Register(n *Node) {
+// Register records every identified node of the subtree and returns refs
+// extended with the target of every reference in it, in document order.
+// Later registrations of the same identifier overwrite earlier ones.
+func (s *Store) Register(n *Node, refs []string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n.Walk(func(m *Node) bool {
 		if m.ID != "" {
 			s.byID[m.ID] = m
 		}
+		if m.Ref != "" {
+			refs = append(refs, m.Ref)
+		}
 		return true
 	})
+	return refs
+}
+
+// Resolved returns how many of refs, counted from the first, the store
+// resolves.
+func (s *Store) Resolved(refs []string) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i, id := range refs {
+		if s.byID[id] == nil {
+			return i
+		}
+	}
+	return len(refs)
 }
 
 // Lookup resolves an identifier, returning nil if unknown.

@@ -310,7 +310,7 @@ func TestStoreRegisterLookupDeref(t *testing.T) {
 	st := NewStore()
 	p1 := Elem("person", Text("name", "Doctor X")).WithID("p1")
 	root := Elem("db", p1, Elem("artifact", RefNode("owner", "p1")).WithID("a1"))
-	st.Register(root)
+	st.Register(root, nil)
 	if st.Len() != 2 {
 		t.Errorf("store Len = %d, want 2", st.Len())
 	}

@@ -187,7 +187,7 @@ func (m *Matcher) merge(e, f Env) (Env, bool) {
 func (f *Filter) Match(store *data.Store, n *data.Node) *tab.Tab {
 	m := f.Matcher(store)
 	t := tab.New(m.cols...)
-	t.Rows, _ = m.Append(nil, nil, n)
+	t.Rows = m.Append(nil, nil, n)
 	return t
 }
 
@@ -196,11 +196,10 @@ func (f *Filter) Match(store *data.Store, n *data.Node) *tab.Tab {
 // next, reset once a tree's rows are written, so a Bind uses one Matcher for
 // all the trees it matches. A Matcher is not safe for concurrent use.
 type Matcher struct {
-	root     *FNode
-	cols     []string
-	model    *pattern.Model
-	store    *data.Store
-	dangling bool // a reference met during navigation did not resolve
+	root  *FNode
+	cols  []string
+	model *pattern.Model
+	store *data.Store
 
 	binds arena[binding]
 	envs  arena[Env]
@@ -226,13 +225,10 @@ func (f *Filter) Matcher(store *data.Store) *Matcher {
 // prefix followed by one cell per variable of the filter, in Vars order,
 // null where the match bound none. The rows of one tree are carved from
 // one slab of cells, so a row kept anywhere keeps its tree's slab alive.
-//
-// The boolean reports whether the match resolved every reference it
-// chased. When it did not, n may be missing rows: a caller matching a
-// document as it arrives keeps rows as they were and matches n again once
-// the referenced objects have been registered.
-func (m *Matcher) Append(rows []tab.Row, prefix tab.Row, n *data.Node) ([]tab.Row, bool) {
-	m.dangling = false
+// A reference the store does not resolve matches nothing; the trees a Bind
+// matches come from algebra.Context.InputStream, which releases a tree only
+// once its references resolve or its document has ended.
+func (m *Matcher) Append(rows []tab.Row, prefix tab.Row, n *data.Node) []tab.Row {
 	if envs := m.matchNode(m.root, n); len(envs) > 0 {
 		w := len(prefix) + len(m.cols)
 		slab := make([]tab.Cell, len(envs)*w)
@@ -249,7 +245,7 @@ func (m *Matcher) Append(rows []tab.Row, prefix tab.Row, n *data.Node) ([]tab.Ro
 	}
 	m.binds.reset()
 	m.envs.reset()
-	return rows, !m.dangling
+	return rows
 }
 
 // contentKid is a leaf's content seen as its one unlabeled child, so that
@@ -304,12 +300,9 @@ func (m *Matcher) matchNode(fn *FNode, n *data.Node) []Env {
 		if m.store == nil {
 			return nil
 		}
-		target := m.store.Deref(n)
-		if target == nil {
-			m.dangling = true
+		if n = m.store.Deref(n); n == nil {
 			return nil
 		}
-		n = target
 	}
 	// Label requirement.
 	switch {
@@ -509,8 +502,6 @@ func (m *Matcher) descend(fn *FNode, k *data.Node) {
 	if k.IsRef() && m.store != nil {
 		if t := m.store.Deref(k); t != nil {
 			target = t
-		} else {
-			m.dangling = true
 		}
 	}
 	for _, kid := range target.Kids {

@@ -97,7 +97,7 @@ func TestWorkloadFiltersAgreeWithOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range f {
-			objects.Register(n)
+			objects.Register(n, nil)
 		}
 		corpora = append(corpora, corpus{doc, f, objects})
 	}
@@ -174,7 +174,7 @@ func TestMatchAllocs(t *testing.T) {
 			m := f.Matcher(nil)
 			rows = rows[:0:0]
 			for _, tree := range c.forest {
-				rows, _ = m.Append(rows, nil, tree)
+				rows = m.Append(rows, nil, tree)
 			}
 		})
 		if len(rows) != c.rows {

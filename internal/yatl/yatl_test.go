@@ -99,7 +99,7 @@ func paperCtx() *algebra.Context {
 	ctx.Catalog["works"] = paperWorks()
 	for _, f := range []data.Forest{artifacts, persons} {
 		for _, n := range f {
-			ctx.Store.Register(n)
+			ctx.Store.Register(n, nil)
 		}
 	}
 	return ctx
