@@ -25,6 +25,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"io"
+	"net"
 	"os"
 	"runtime"
 	"runtime/metrics"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/tab"
 	"repro/internal/waiswrap"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -134,11 +136,42 @@ func figure7(sizes []int) error {
 		if rows[0] != rows[1] || rows[0] != rows[2] {
 			return fmt.Errorf("F7 plans disagree: %v", rows)
 		}
-		fmt.Printf("%-10d %20s %20s %20s   (%d rows each)\n", n,
+		if wired, err := fig7OverWire(w); err != nil || wired != rows {
+			return fmt.Errorf("F7 plans over wire: %v rows (%v), in-process %v", wired, err, rows)
+		}
+		fmt.Printf("%-10d %20s %20s %20s   (%d rows each, in-process and over wire)\n", n,
 			times[0].Round(10*time.Microsecond), times[1].Round(10*time.Microsecond),
 			times[2].Round(10*time.Microsecond), rows[0])
 	}
 	return nil
+}
+
+// fig7OverWire runs the three Figure 7 plans against the workload's O₂
+// wrapper served over a loopback wire connection, where the artifacts
+// document arrives in frames, and returns their row counts.
+func fig7OverWire(w *datagen.Workload) ([3]int, error) {
+	var rows [3]int
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return rows, err
+	}
+	srv := wire.Serve(ln, wire.Exported{Source: o2wrap.New("o2artifact", w.DB)})
+	defer srv.Close()
+	c, err := wire.Dial(srv.Addr())
+	if err != nil {
+		return rows, err
+	}
+	defer c.Close()
+	for i, plan := range datagen.Fig7Plans() {
+		ctx := algebra.NewContext()
+		ctx.Sources["o2artifact"] = c
+		res, err := exec.RunSerial(plan, ctx)
+		if err != nil {
+			return rows, err
+		}
+		rows[i] = res.Len()
+	}
+	return rows, nil
 }
 
 func sourceCtx(w *datagen.Workload) *algebra.Context {

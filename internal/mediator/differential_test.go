@@ -42,11 +42,13 @@ const (
 // diffQuery is one row of the table: a query text, run naive and optimized,
 // or a hand-built plan for shapes the query languages cannot express (Union),
 // run as it stands — the optimizer's rewrites assume the projection a
-// translated query always carries.
+// translated query always carries. A query with a bagOf must return, as a
+// bag, the rows of the query it names.
 type diffQuery struct {
-	name string
-	src  string
-	plan func() algebra.Op
+	name  string
+	src   string
+	plan  func() algebra.Op
+	bagOf string
 }
 
 func (q diffQuery) variants() []string {
@@ -65,6 +67,11 @@ var diffQueries = []diffQuery{
 	// them through nodetab.Eval.
 	{name: "descendant-xquery", src: `doc("works")/works//technique`},
 	{name: "union3", plan: threeFamilyUnion},
+	// Figure 7's three equivalent plans. The DJoin split's parameter Bind
+	// chases owner references to persons that ship after the extent.
+	{name: "fig7-mono", plan: func() algebra.Op { return datagen.Fig7Plans()[0] }},
+	{name: "fig7-split", plan: func() algebra.Op { return datagen.Fig7Plans()[1] }, bagOf: "fig7-mono"},
+	{name: "fig7-join", plan: func() algebra.Op { return datagen.Fig7Plans()[2] }, bagOf: "fig7-mono"},
 }
 
 // goldenEntry records one (query, variant): rows in serial order and the
@@ -156,6 +163,9 @@ func TestDifferentialGolden(t *testing.T) {
 				if len(e.Rows) == 0 {
 					t.Fatalf("%s/%s: no rows; the record would be vacuous", q.name, variant)
 				}
+				if b, ok := golden[q.bagOf+"/plan"]; ok && !reflect.DeepEqual(sortedCopy(e.Rows), sortedCopy(b.Rows)) {
+					t.Fatalf("%s/%s: rows are not the %s bag", q.name, variant, q.bagOf)
+				}
 				golden[q.name+"/"+variant] = e
 			}
 		}
@@ -188,6 +198,9 @@ func TestDifferentialGolden(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sortedCopy(want.Rows), sortedCopy(golden[q.name+"/"+q.variants()[0]].Rows)) {
 				t.Errorf("%s: golden %s rows are not the %s bag", q.name, variant, q.variants()[0])
+			}
+			if b, ok := golden[q.bagOf+"/plan"]; ok && !reflect.DeepEqual(sortedCopy(want.Rows), sortedCopy(b.Rows)) {
+				t.Errorf("%s: golden rows are not the %s bag", q.name, q.bagOf)
 			}
 			for _, par := range []int{1, 4} {
 				for _, chunk := range []int{1, algebra.DefaultBatchChunk} {
