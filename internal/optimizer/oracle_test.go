@@ -453,11 +453,8 @@ func TestAnalysisOracle(t *testing.T) {
 		if g.Name != w.Name {
 			t.Fatalf("plan %d is %s, the oracle records %s", i, g.Name, w.Name)
 		}
-		if len(g.Diags) != 0 || len(w.Diags) != 0 {
-			if !reflect.DeepEqual(g.Diags, w.Diags) {
-				t.Errorf("%s: diagnostics\n%v\nthe oracle records\n%v", w.Name, g.Diags, w.Diags)
-			}
-			continue
+		if (len(g.Diags) != 0 || len(w.Diags) != 0) && !reflect.DeepEqual(g.Diags, w.Diags) {
+			t.Errorf("%s: diagnostics\n%v\nthe oracle records\n%v", w.Name, g.Diags, w.Diags)
 		}
 		if g.Render != w.Render {
 			t.Errorf("%s: renders\n%s\nthe oracle records\n%s", w.Name, g.Render, w.Render)
