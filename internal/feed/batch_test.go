@@ -32,12 +32,27 @@ var prefixPlan = &algebra.Select{
 	Pred: algebra.MustParseExpr(`prefix($j, $k)`),
 }
 
+// issnTitlePlan selects the record with ISSN $k if its title starts with
+// $p: two indexed conjuncts, whose lookups the wrapper intersects.
+var issnTitlePlan = &algebra.Select{
+	From: &algebra.Bind{Doc: "records", F: filter.MustParse(`records[ *record[ id: $id, issn: $i, title: $t ] ]`)},
+	Pred: algebra.MustParseExpr(`$i = $k AND prefix($t, $p)`),
+}
+
 func key(s string) map[string]tab.Cell {
 	return map[string]tab.Cell{"$k": tab.AtomCell(data.String(s))}
 }
 
-// pushCases are the id, issn and prefix lookups, each with one binding that
-// matches nothing.
+// keyPrefix binds $k to k and $p to p.
+func keyPrefix(k, p string) map[string]tab.Cell {
+	b := key(k)
+	b["$p"] = tab.AtomCell(data.String(p))
+	return b
+}
+
+// pushCases are the id, issn and prefix lookups and the issn-and-title-prefix
+// intersection, each with one binding that matches nothing; the
+// intersection's matches nothing though both of its lookups hit.
 func pushCases(c *datagen.FeedCorpus) []struct {
 	name     string
 	plan     algebra.Op
@@ -51,6 +66,8 @@ func pushCases(c *datagen.FeedCorpus) []struct {
 		{"id", lookupPlan("id"), []map[string]tab.Cell{key(c.Records[0].ID), key("rec-nosuch"), key(c.Records[7].ID)}},
 		{"issn", lookupPlan("issn"), []map[string]tab.Cell{key(c.Records[3].ISSN), key(c.Records[9].ISSN), key("0000-0000")}},
 		{"prefix", prefixPlan, []map[string]tab.Cell{key("Journal of"), key("No such journal"), key("Revue")}},
+		{"issn+title", issnTitlePlan, []map[string]tab.Cell{keyPrefix(c.Records[3].ISSN, "Painting"),
+			keyPrefix(c.Records[9].ISSN, c.Records[3].Title), keyPrefix(c.Records[12].ISSN, c.Records[12].Title)}},
 	}
 }
 

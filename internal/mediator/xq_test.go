@@ -113,3 +113,29 @@ func TestXQueryDescendantPushdown(t *testing.T) {
 			opt.Stats.SourceFetches, naive.Stats.SourceFetches)
 	}
 }
+
+// TestXQueryO2NodesRoute: a descendant step over an O₂ extent is answered
+// through the wrapper's node table, whose roots are the extent and, after
+// it, the objects its references point at. Its rows are the rows of the
+// child-step path, which the filter route answers.
+func TestXQueryO2NodesRoute(t *testing.T) {
+	m, _, _ := paperSetup(t)
+	nodes, err := m.Query(`doc("artifacts")/set//title`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := m.Query(`doc("artifacts")/set/class/artifact/tuple/title`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRows(path.Tab)
+	if len(want) == 0 {
+		t.Fatal("the filter route binds no title")
+	}
+	if got := renderRows(nodes.Tab); !reflect.DeepEqual(got, want) {
+		t.Errorf("nodes route rows %v, filter route %v\n%s", got, want, nodes.Plan)
+	}
+	if !strings.Contains(nodes.Plan, "artifacts.nodes") || nodes.Stats.SourcePushes == 0 {
+		t.Errorf("the descendant step did not take the nodes route (pushes %d):\n%s", nodes.Stats.SourcePushes, nodes.Plan)
+	}
+}
