@@ -34,7 +34,7 @@ func FetchStream(ctx context.Context, src Source, doc string) (ForestCursor, err
 	if err != nil {
 		return nil, err
 	}
-	return NewSliceForestCursor(f, 0), nil
+	return NewSliceForestCursor(f, tab.DefaultStreamChunk), nil
 }
 
 // PushStream evaluates plan under params at src and streams the rows:

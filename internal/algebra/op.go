@@ -321,15 +321,6 @@ func (b *Bind) Apply(ctx *Context, in *tab.Tab) (*tab.Tab, error) {
 	return out, nil
 }
 
-// bindForest matches every tree of forest with m, into rows under cols.
-func bindForest(m *filter.Matcher, cols []string, forest data.Forest) *tab.Tab {
-	t := tab.New(cols...)
-	for _, n := range forest {
-		t.Rows = m.Append(t.Rows, nil, n)
-	}
-	return t
-}
-
 // ---------------------------------------------------------------------------
 // Select, Project, Map
 // ---------------------------------------------------------------------------

@@ -54,13 +54,9 @@ type sliceForestCursor struct {
 	pos   int
 }
 
-// NewSliceForestCursor chunks a materialized forest (batch trees per Next,
-// DefaultStreamChunk trees when batch < 1). It is the adapter used when a
-// source cannot stream natively.
+// NewSliceForestCursor chunks a materialized forest, batch trees per Next.
+// It is the adapter used when a source cannot stream natively.
 func NewSliceForestCursor(f data.Forest, batch int) ForestCursor {
-	if batch < 1 {
-		batch = tab.DefaultStreamChunk
-	}
 	return &sliceForestCursor{f: f, chunk: batch}
 }
 
@@ -133,21 +129,16 @@ type resolvedPrefix struct {
 func (p *resolvedPrefix) Next() (data.Forest, error) {
 	for !p.eof {
 		f, err := p.fc.Next()
-		switch {
-		case err == io.EOF:
-			p.end()
-		case err != nil:
-			p.end()
-			return nil, err
-		default:
-			if out := p.arrive(f); len(out) > 0 {
-				return out, nil
+		if err != nil {
+			if p.end(); err != io.EOF {
+				return nil, err
 			}
+		} else if out := p.arrive(f); len(out) > 0 {
+			return out, nil
 		}
 	}
 	out := p.held
-	p.held = nil
-	if len(out) == 0 {
+	if p.held = nil; len(out) == 0 {
 		return nil, io.EOF
 	}
 	return out, nil
@@ -162,7 +153,9 @@ func (p *resolvedPrefix) arrive(f data.Forest) data.Forest {
 		p.ends = append(p.ends, len(p.refs))
 	}
 	p.ctx.count(Stats{BytesShipped: bytes})
-	p.ok += p.ctx.Store.Resolved(p.refs[p.ok:])
+	for p.ok < len(p.refs) && p.ctx.Store.Lookup(p.refs[p.ok]) != nil {
+		p.ok++
+	}
 	held := f
 	if len(p.held) > 0 {
 		held = append(p.held, f...)
@@ -196,27 +189,27 @@ func (p *resolvedPrefix) Close() error {
 	return p.fc.Close()
 }
 
-// StreamLeaf opens the two leaf forms of a Bind (From == nil). Over a named
-// document, each batch InputStream releases is matched as it arrives, so
-// neither the document nor the binding table need ever be whole in memory;
-// every reference in a released tree resolves, whichever Bind downstream
-// chases it. Over a DJoin parameter, the bound value is matched in one piece.
+// StreamLeaf opens the two leaf forms of a Bind (From == nil): over a named
+// document, the batches InputStream releases, and over a DJoin parameter,
+// the bound value as one batch. Each batch is matched as it arrives, so
+// neither the document nor the binding table need ever be whole in memory,
+// and every reference in a document's released trees resolves, whichever
+// Bind downstream chases it.
 func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
+	var fc ForestCursor
+	if b.Doc != "" {
+		var err error
+		if fc, err = ctx.InputStream(b.Doc); err != nil {
+			return nil, err
+		}
+	} else if cell, ok := ctx.Params[b.Col]; ok {
+		f := cell.AsForest()
+		fc = NewSliceForestCursor(f, len(f))
+	} else {
+		return nil, fmt.Errorf("algebra: Bind over unbound parameter %s", b.Col)
+	}
 	m := b.filter(ctx).Matcher(ctx.Store)
 	cols := b.Columns()
-	if b.Doc == "" {
-		cell, ok := ctx.Params[b.Col]
-		if !ok {
-			return nil, fmt.Errorf("algebra: Bind over unbound parameter %s", b.Col)
-		}
-		t := bindForest(m, cols, cell.AsForest())
-		ctx.count(Stats{BindRows: t.Len()})
-		return tab.NewSliceCursor(t, 0), nil
-	}
-	fc, err := ctx.InputStream(b.Doc)
-	if err != nil {
-		return nil, err
-	}
 	// One tree can bind many rows (a single-rooted document binds them
 	// all): Rechunk restores the bounded-chunk invariant downstream.
 	return tab.Rechunk(&tab.FuncCursor{
@@ -226,7 +219,10 @@ func (b *Bind) StreamLeaf(ctx *Context) (tab.Cursor, error) {
 			if err != nil {
 				return nil, err
 			}
-			t := bindForest(m, cols, forest)
+			t := tab.New(cols...)
+			for _, n := range forest {
+				t.Rows = m.Append(t.Rows, nil, n)
+			}
 			ctx.count(Stats{BindRows: t.Len()})
 			return t, nil
 		},

@@ -742,19 +742,6 @@ func (s *Store) Register(n *Node, refs []string) []string {
 	return refs
 }
 
-// Resolved returns how many of refs, counted from the first, the store
-// resolves.
-func (s *Store) Resolved(refs []string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i, id := range refs {
-		if s.byID[id] == nil {
-			return i
-		}
-	}
-	return len(refs)
-}
-
 // Lookup resolves an identifier, returning nil if unknown.
 func (s *Store) Lookup(id string) *Node {
 	s.mu.RLock()

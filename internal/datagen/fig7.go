@@ -12,31 +12,23 @@ import (
 // the persons extent on hashable identifier columns. The three return the
 // same rows.
 func Fig7Plans() [3]algebra.Op {
-	ownersOf := func() *algebra.Bind {
-		return &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-			`set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`)}
-	}
-	mono := &algebra.Bind{Doc: "artifacts", F: filter.MustParse(
-		`set[ *class[ artifact.tuple[ title: $t,
-		      owners.list[ *class[ person.tuple[ name: $o ] ] ] ] ] ]`)}
-	split := &algebra.DJoin{L: ownersOf(), R: &algebra.Bind{Col: "$ow", F: filter.MustParse(
-		`owners.list[ *class[ person.tuple[ name: $o ] ] ]`)}}
-	join := &algebra.Join{
-		L: &algebra.MapExpr{
-			From: &algebra.DJoin{L: ownersOf(),
-				R: &algebra.Bind{Col: "$ow", F: filter.MustParse(`owners.list[ *%@$ref ]`)}},
-			Col: "$rid", E: algebra.MustParseExpr(`id($ref)`),
+	bind := func(doc, f string) *algebra.Bind { return &algebra.Bind{Doc: doc, F: filter.MustParse(f)} }
+	param := func(f string) *algebra.Bind { return &algebra.Bind{Col: "$ow", F: filter.MustParse(f)} }
+	const owners = `set[ *class[ artifact.tuple[ title: $t, owners@$ow ] ] ]`
+	plans := [3]algebra.Op{
+		bind("artifacts", `set[ *class[ artifact.tuple[ title: $t,
+		      owners.list[ *class[ person.tuple[ name: $o ] ] ] ] ] ]`),
+		&algebra.DJoin{L: bind("artifacts", owners), R: param(`owners.list[ *class[ person.tuple[ name: $o ] ] ]`)},
+		&algebra.Join{
+			L: &algebra.MapExpr{From: &algebra.DJoin{L: bind("artifacts", owners), R: param(`owners.list[ *%@$ref ]`)},
+				Col: "$rid", E: algebra.MustParseExpr(`id($ref)`)},
+			R: &algebra.MapExpr{From: bind("persons", `set[ *class@$p[ person.tuple[ name: $o ] ] ]`),
+				Col: "$pid", E: algebra.MustParseExpr(`id($p)`)},
+			Pred: algebra.MustParseExpr(`$rid = $pid`),
 		},
-		R: &algebra.MapExpr{
-			From: &algebra.Bind{Doc: "persons", F: filter.MustParse(
-				`set[ *class@$p[ person.tuple[ name: $o ] ] ]`)},
-			Col: "$pid", E: algebra.MustParseExpr(`id($p)`),
-		},
-		Pred: algebra.MustParseExpr(`$rid = $pid`),
 	}
-	var out [3]algebra.Op
-	for i, p := range []algebra.Op{mono, split, join} {
-		out[i] = &algebra.Project{From: p, Cols: []string{"$t", "$o"}}
+	for i, p := range plans {
+		plans[i] = &algebra.Project{From: p, Cols: []string{"$t", "$o"}}
 	}
-	return out
+	return plans
 }

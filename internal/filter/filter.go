@@ -498,14 +498,13 @@ func (m *Matcher) descend(fn *FNode, k *data.Node) {
 	if sub := m.matchNode(fn, k); len(sub) > 0 {
 		m.pending = append(m.pending, sub...)
 	}
-	target := k
 	if k.IsRef() && m.store != nil {
-		if t := m.store.Deref(k); t != nil {
-			target = t
-		}
+		k = m.store.Deref(k)
 	}
-	for _, kid := range target.Kids {
-		m.descend(fn, kid)
+	if k != nil { // nil for a dangling reference
+		for _, kid := range k.Kids {
+			m.descend(fn, kid)
+		}
 	}
 }
 

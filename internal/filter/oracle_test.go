@@ -361,7 +361,12 @@ func (c randCase) dangles() bool {
 	for _, n := range c.forest {
 		refs = data.NewStore().Register(n, refs)
 	}
-	return len(refs) > 0 && (c.store == nil || c.store.Resolved(refs) < len(refs))
+	for _, id := range refs {
+		if c.store == nil || c.store.Lookup(id) == nil {
+			return true
+		}
+	}
+	return false
 }
 
 type caseGen struct{ r *rand.Rand }
