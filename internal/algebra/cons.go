@@ -421,7 +421,7 @@ func (t *TreeOp) Apply(ctx *Context, in *tab.Tab, seen map[string]bool) (*tab.Ta
 		return nil, err
 	}
 	out := tab.New(t.col())
-	var refs []string // collected by Register, read by no one here
+	var refs []string // Register collects them; a constructed tree waits on none
 	for _, n := range forest {
 		refs = ctx.Store.Register(n, refs[:0])
 		out.Add(tab.TreeCell(n))

@@ -28,7 +28,7 @@ type ForestCursor interface {
 
 // StreamSource is a source that can ship a bound document incrementally
 // instead of as one forest. Sources without it are read through Fetch and
-// served as a one-batch stream.
+// served in DefaultStreamChunk batches.
 type StreamSource interface {
 	Source
 	// FetchStream opens a tree stream over doc. The cursor honours ctx:
