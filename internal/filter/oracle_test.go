@@ -82,9 +82,11 @@ func (m *oracleCtx) matchNode(fn *FNode, n *data.Node) []oracleEnv {
 		if m.store == nil {
 			return nil
 		}
-		if n = m.store.Deref(n); n == nil {
+		target := m.store.Deref(n)
+		if target == nil {
 			return nil
 		}
+		n = target
 	}
 	switch {
 	case fn.AnyLabel:

@@ -94,10 +94,12 @@ func TestDifferentialOverOneTreeBatches(t *testing.T) {
 	}
 	for _, q := range diffQueries {
 		for _, variant := range q.variants() {
-			want := golden[q.name+"/"+variant].Rows
-			rows, _ := runDiff(t, m, q, variant, ExecOptions{Parallelism: 1})
-			if !reflect.DeepEqual(sortedCopy(rows), sortedCopy(want)) {
-				t.Errorf("%s/%s: %d rows, golden %d", q.name, variant, len(rows), len(want))
+			want := sortedCopy(golden[q.name+"/"+variant].Rows)
+			for _, par := range []int{1, 4} {
+				rows, _ := runDiff(t, m, q, variant, ExecOptions{Parallelism: par})
+				if !reflect.DeepEqual(sortedCopy(rows), want) {
+					t.Errorf("%s/%s/par%d: %d rows, golden %d", q.name, variant, par, len(rows), len(want))
+				}
 			}
 		}
 	}
