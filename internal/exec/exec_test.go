@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -344,4 +345,107 @@ func TestUnionBranchFailureCancelsSibling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// endlessSource streams one-row chunks until its context ends, counting the
+// chunks it hands out.
+type endlessSource struct {
+	name string
+	sent atomic.Int64
+}
+
+func (s *endlessSource) Name() string        { return s.name }
+func (s *endlessSource) Documents() []string { return []string{"pit"} }
+func (s *endlessSource) Fetch(string) (data.Forest, error) {
+	return nil, fmt.Errorf("%s: answers as a stream only", s.name)
+}
+func (s *endlessSource) Push(algebra.Op, map[string]tab.Cell) (*tab.Tab, error) {
+	return nil, fmt.Errorf("%s: answers as a stream only", s.name)
+}
+func (s *endlessSource) PushStream(ctx context.Context, plan algebra.Op, _ map[string]tab.Cell) (tab.Cursor, error) {
+	return &tab.FuncCursor{Columns: plan.Columns(), NextFn: func() (*tab.Tab, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		t := tab.New(plan.Columns()...)
+		t.Add(tab.AtomCell(data.String(s.name)))
+		s.sent.Add(1)
+		return t, nil
+	}}, nil
+}
+
+// stalledUnion opens a Union of two endless sources at Parallelism 2 and
+// reads nothing until both branches have streamed and then stopped: the
+// buffer is full and each producer is blocked handing over a chunk. It
+// returns the cursor and how many chunks the sources handed out.
+func stalledUnion(t *testing.T, ctx context.Context) (tab.Cursor, int64) {
+	t.Helper()
+	l, r := &endlessSource{name: "left"}, &endlessSource{name: "right"}
+	actx := algebra.NewContext()
+	actx.Sources["left"], actx.Sources["right"] = l, r
+	leaf := func(source string) algebra.Op {
+		return &algebra.SourceQuery{Source: source,
+			Plan: &algebra.Bind{Doc: "pit", F: filter.MustParse(`pit@$x`)}}
+	}
+	cur, err := exec.New(exec.Options{Parallelism: 2}).
+		Stream(ctx, &algebra.Union{L: leaf("left"), R: leaf("right")}, actx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, deadline := int64(-1), time.Now().Add(5*time.Second)
+	for {
+		time.Sleep(50 * time.Millisecond)
+		n := l.sent.Load() + r.sent.Load()
+		if n == last && l.sent.Load() > 0 && r.sent.Load() > 0 {
+			return cur, n
+		}
+		if time.Now().After(deadline) {
+			cur.Close()
+			t.Fatalf("the union never stalled on a consumer that reads nothing: %d then %d chunks handed out", last, n)
+		}
+		last = n
+	}
+}
+
+func TestCancelledParallelUnionNeverPassesForComplete(t *testing.T) {
+	t.Run("cancel", func(t *testing.T) {
+		// Cancelled while both producers wait on a full buffer, the union
+		// may still hand over what it holds, but must then end with the
+		// cancellation: io.EOF would pass a truncated answer for complete.
+		leakcheck.Arm(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cur, stalled := stalledUnion(t, ctx)
+		defer cur.Close()
+		cancel()
+		for n := int64(0); ; n++ {
+			_, err := cur.Next()
+			if err == nil {
+				if n >= stalled {
+					t.Fatalf("read %d chunks after the cancel, but only %d were ever produced", n+1, stalled)
+				}
+				continue
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled union ended with %v after %d chunks, want context.Canceled", err, n)
+			}
+			break
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		// Closed while both producers are blocked sending: Close returns
+		// at once and no producer outlives it.
+		leakcheck.Arm(t)
+		cur, _ := stalledUnion(t, context.Background())
+		closed := make(chan struct{})
+		go func() {
+			cur.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Close did not return while the union's producers were blocked sending")
+		}
+	})
 }
