@@ -145,7 +145,6 @@ func main() {
 	partial := flag.Bool("partial", false, "degrade gracefully: return rows from live sources, report dead ones")
 	retries := flag.Int("retries", 0, "transport attempts per wrapper request (0 = default 3, 1 = no retries)")
 	batchChunk := flag.Int("batch-chunk", 0, "binding sets per batched DJoin push (0 = default)")
-	streamBuffer := flag.Int("stream-buffer", 0, "row buffer between a streamed query and its consumer (0 = default)")
 	connectTimeout := flag.Duration("connect-timeout", 10*time.Second, "deadline for connect (dial + hello)")
 	inject := flag.String("inject", "", "inject transport faults, e.g. rate=0.05,seed=1,kinds=drop+garble")
 	traceOut := flag.String("trace-out", "", "write each profiled query as Chrome trace-event JSON to this file")
@@ -192,7 +191,7 @@ func main() {
 	fmt.Printf(" yat-mediator is running at %s\n", host)
 	opts := mediator.ExecOptions{Parallelism: *parallel, Timeout: *timeout,
 		AllowPartial: *partial, CheckTypes: *checkTypes,
-		BatchChunk: *batchChunk, StreamBuffer: *streamBuffer}
+		BatchChunk: *batchChunk}
 	// Reject bad tuning values at startup, not silently at the first query.
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "yat-mediator: %v\n", err)

@@ -12,7 +12,9 @@
 //     emit from there.
 //   - A bounded worker pool serves the plan: DJoin fans the batched pushes
 //     (or inner evaluations) of each outer bite out over it, and a Union
-//     plays its branches concurrently.
+//     plays its branches concurrently, as the two producers of a Pump — the
+//     one hand-off from producer goroutines to a consumer, which the
+//     mediator's Stream uses too.
 //     Parallelism 1 is the same walker with no workers to fork to, not a
 //     separate path.
 //   - A context.Context threads from Stream through algebra.Context into the
@@ -83,11 +85,6 @@ type Options struct {
 	// wrapper-side work is attributed to its cause. Off by default;
 	// when off the engine's only extra work is a nil check per node.
 	Trace bool
-	// StreamBuffer bounds the row buffer between the engine and the
-	// consumer of Mediator.StreamContext (backpressure: producers
-	// stall once the buffer is full). Zero means 2×tab.DefaultStreamChunk;
-	// negative values are rejected by Validate.
-	StreamBuffer int
 	// CheckTypes enables wire conformance checking: the mediator infers a
 	// pattern type for every operator (internal/typecheck) and installs a
 	// validator on the evaluation context that checks each shipped
@@ -99,7 +96,7 @@ type Options struct {
 }
 
 // Validate rejects option values that cannot mean anything before they sink
-// into an evaluation: chunk and buffer sizes must not be negative (zero is
+// into an evaluation: the batch chunk size must not be negative (zero is
 // the documented "use the default" sentinel; explicit non-positive values
 // arriving from flags are rejected at flag-parse time by the consoles).
 // Mediator entry points call it on every query, so a bad configuration
@@ -108,9 +105,6 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.BatchChunk < 0 {
 		return fmt.Errorf("exec: BatchChunk must be positive (or 0 for the default %d), got %d", algebra.DefaultBatchChunk, o.BatchChunk)
-	}
-	if o.StreamBuffer < 0 {
-		return fmt.Errorf("exec: StreamBuffer must be positive (or 0 for the default %d), got %d", 2*tab.DefaultStreamChunk, o.StreamBuffer)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/obs"
@@ -336,120 +335,49 @@ func (c *seqUnionCursor) Close() error {
 	return nil
 }
 
-// streamUnionInterleaved runs both branches concurrently, each under a
-// Stats fork (merged exactly once when the stream ends), and yields chunks
-// in arrival order through a bounded channel — the backpressure bound: a
-// branch stalls once the consumer falls two chunks behind.
+// streamUnionInterleaved runs both branches on a Pump, each under a Stats
+// fork merged exactly once when the stream ends, and yields their chunks in
+// arrival order. A branch whose source is unavailable degrades inside its
+// own producer; any other failure cancels its sibling's source calls.
 func (e *Engine) streamUnionInterleaved(x *algebra.Union, actx *algebra.Context) (tab.Cursor, error) {
-	type item struct {
-		t   *tab.Tab
-		err error
-	}
-	cctx, cancel := context.WithCancel(actx.Ctx)
-	ch := make(chan item, 2)
-	var wg sync.WaitGroup
-	forks := make([]*algebra.Context, 2)
-	for i, br := range []algebra.Op{x.L, x.R} {
-		fctx := actx.Fork() // Partial and Cache are shared; Stats is forked
-		fctx.Ctx = cctx     // a failing branch cancels its sibling's source calls
-		forks[i] = fctx
-		wg.Add(1)
-		go func(br algebra.Op, fctx *algebra.Context) {
-			defer wg.Done()
+	forks := []*algebra.Context{actx.Fork(), actx.Fork()} // Partial and Cache are shared; Stats is forked
+	branch := func(br algebra.Op, fctx *algebra.Context) Producer {
+		return func(ctx context.Context, send func(*tab.Tab) error) error {
+			fctx.Ctx = ctx
 			cur, err := e.stream(br, fctx)
-			if err != nil {
-				if !e.degrade(fctx, err) {
-					select {
-					case ch <- item{err: err}:
-					case <-cctx.Done():
-					}
-				}
-				return
+			if err == nil {
+				err = Forward(cur, send)
 			}
-			defer cur.Close()
-			for {
-				t, err := cur.Next()
-				if err == io.EOF {
-					return
-				}
-				if err != nil {
-					if !e.degrade(fctx, err) {
-						select {
-						case ch <- item{err: err}:
-						case <-cctx.Done():
-						}
-					}
-					return
-				}
-				select {
-				case ch <- item{t: t}:
-				case <-cctx.Done():
-					return
-				}
+			if err != nil && e.degrade(fctx, err) {
+				return nil
 			}
-		}(br, fctx)
+			return err
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	var mergeOnce sync.Once
+	p := NewPump(actx.Ctx, branch(x.L, forks[0]), branch(x.R, forks[1]))
+	merged := false
 	merge := func() {
-		mergeOnce.Do(func() {
+		if !merged {
+			merged = true
 			for _, f := range forks {
 				actx.Stats.Add(*f.Stats)
 			}
-		})
+		}
 	}
-	finished := false
 	return &tab.FuncCursor{
 		Columns: x.Columns(),
 		NextFn: func() (*tab.Tab, error) {
-			if finished {
-				return nil, io.EOF
+			if t, ok := <-p.C; ok {
+				return t, nil
 			}
-			for {
-				select {
-				case it := <-ch:
-					if it.err != nil {
-						finished = true
-						cancel()
-						<-done
-						merge()
-						return nil, it.err
-					}
-					return it.t, nil
-				case <-done:
-					// Producers are gone; drain what they buffered.
-					select {
-					case it := <-ch:
-						if it.err != nil {
-							finished = true
-							cancel()
-							merge()
-							return nil, it.err
-						}
-						return it.t, nil
-					default:
-						finished = true
-						cancel()
-						merge()
-						// A producer that stopped because the query was
-						// cancelled reports nothing; the stream must not
-						// pass for complete.
-						if err := actx.Err(); err != nil {
-							return nil, err
-						}
-						return nil, io.EOF
-					}
-				}
+			merge()
+			if err := p.Err(); err != nil {
+				return nil, err
 			}
+			return nil, io.EOF
 		},
 		CloseFn: func() error {
-			finished = true
-			cancel()
-			<-done
+			p.Close()
 			merge()
 			return nil
 		},

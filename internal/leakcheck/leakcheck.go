@@ -31,7 +31,7 @@ func Settle(base int) int {
 // Arm arms the lifecycle assertions for one test; call it before the
 // deployment is built. At the very end of the test — after the deployment's
 // own cleanups have closed every server and client — the goroutine count
-// must settle back to where it started: a pump, a Union producer, a fan-out
+// must settle back to where it started: a pump producer, a fan-out
 // worker, a reply reader or a context watcher that outlived its request
 // shows up as a surplus. The returned func is the mid-test half: once a
 // scenario is over, every pool's request slots must be free again (a cursor

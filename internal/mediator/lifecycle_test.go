@@ -16,7 +16,6 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/o2wrap"
 	"repro/internal/route"
-	"repro/internal/tab"
 	"repro/internal/wire"
 )
 
@@ -73,7 +72,7 @@ func TestStreamLifecycleReleasesEverything(t *testing.T) {
 	// Every way a stream can end other than by being read to its last row,
 	// on the serial and on a parallel engine: nothing may stay behind.
 	for _, par := range []int{1, 4} {
-		opts := ExecOptions{Parallelism: par, StreamBuffer: tab.DefaultStreamChunk}
+		opts := ExecOptions{Parallelism: par}
 
 		t.Run(fmt.Sprintf("cancel/par%d", par), func(t *testing.T) {
 			poolsIdle := leakCheck(t)
@@ -223,7 +222,7 @@ func TestAbandonedStreamReleasesTheDecorator(t *testing.T) {
 			titles := &algebra.Bind{Doc: "artifacts",
 				F: filter.MustParse(`set[ *class[ artifact.tuple[ title: $t ] ] ]`)}
 			s, err := m.StreamPlan(context.Background(), titles,
-				ExecOptions{Parallelism: 1, StreamBuffer: tab.DefaultStreamChunk})
+				ExecOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

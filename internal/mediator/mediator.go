@@ -558,11 +558,9 @@ func (c *catalog) recordQuery(d time.Duration, stats algebra.Stats, err error) {
 // ExecOptions configure plan execution: Parallelism bounds the worker pool
 // (1 = serial), Timeout is the per-query deadline, BatchChunk sizes batched
 // DJoin pushes, AllowPartial degrades around unreachable sources, Trace collects a
-// per-operator span tree returned in Result.Trace, StreamBuffer bounds the
-// rows buffered ahead of a Stream's consumer and CheckTypes validates
-// shipped rows against the plan's inferred types. Negative BatchChunk or
-// StreamBuffer values are rejected up front by Validate, which every
-// execution entry point calls.
+// per-operator span tree returned in Result.Trace and CheckTypes validates
+// shipped rows against the plan's inferred types. A negative BatchChunk is
+// rejected up front by Validate, which every execution entry point calls.
 type ExecOptions = exec.Options
 
 // TypecheckPlan infers a plan's pattern types under the mediator's imported

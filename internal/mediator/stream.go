@@ -3,8 +3,6 @@ package mediator
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"repro/internal/algebra"
@@ -14,25 +12,19 @@ import (
 	"repro/internal/typecheck"
 )
 
-// Stream is one live query — the one way the mediator executes a plan:
-// result chunks arrive on a bounded channel as the pipeline produces them,
-// so the consumer's pace backpressures the whole plan down to the wrappers
-// and the mediator never holds more than the buffer. The consumer ranges
-// over Chunks() and then reads the terminal outcome from Result (or Err), or
-// calls Drain for both at once; abandoning early via Close cancels the
-// producing pipeline, which propagates to in-flight wrapper streams.
+// Stream is one live query — the one way the mediator executes a plan: a
+// pump of one producer (exec.Pump) that pulls the pipeline and hands its
+// chunks over a channel two chunks deep, so the consumer's pace
+// backpressures the whole plan down to the wrappers and the mediator never
+// holds more than those two chunks. The consumer ranges over Chunks() and
+// then reads the terminal outcome from Result, or calls Drain for both at
+// once; abandoning early via Close cancels the producing pipeline, which
+// propagates to in-flight wrapper streams.
 type Stream struct {
 	cols   []string
-	chunks chan *tab.Tab
-
-	cancel   context.CancelFunc // releases the query context; called by the pump on every exit
-	stop     chan struct{}      // closed by Close: unblocks a pump mid-send
-	stopOnce sync.Once
-	done     chan struct{} // closed when the pump exits
-
-	mu  sync.Mutex
-	err error
-	res *Result
+	pump   *exec.Pump
+	cancel context.CancelFunc // releases the query context the engine cursor was opened under
+	res    *Result            // settled by the producer before Chunks closes
 }
 
 // Cols reports the result column set, known before the first chunk.
@@ -40,7 +32,7 @@ func (s *Stream) Cols() []string { return append([]string(nil), s.cols...) }
 
 // Chunks is the bounded result channel. It is closed after the last chunk
 // (or after a failure — check Result then).
-func (s *Stream) Chunks() <-chan *tab.Tab { return s.chunks }
+func (s *Stream) Chunks() <-chan *tab.Tab { return s.pump.C }
 
 // Result blocks until the stream terminates and returns the query outcome:
 // plan, statistics, trace and partial-failure report. Result.Tab is nil —
@@ -48,11 +40,8 @@ func (s *Stream) Chunks() <-chan *tab.Tab { return s.chunks }
 // stream that degraded reports the unreachable sources in SourceErrors; the
 // rows already streamed stand as a lower bound of the complete answer.
 func (s *Stream) Result() (*Result, error) {
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return nil, s.err
+	if err := s.pump.Err(); err != nil {
+		return nil, err
 	}
 	return s.res, nil
 }
@@ -61,7 +50,7 @@ func (s *Stream) Result() (*Result, error) {
 // rows collected in Result.Tab — the materialized form of a query.
 func (s *Stream) Drain() (*Result, error) {
 	out := tab.New(s.cols...)
-	for t := range s.chunks {
+	for t := range s.pump.C {
 		out.Rows = append(out.Rows, t.Rows...)
 	}
 	res, err := s.Result()
@@ -73,22 +62,18 @@ func (s *Stream) Drain() (*Result, error) {
 }
 
 // Close abandons the stream: the producing pipeline is cancelled, in-flight
-// wrapper streams are torn down, and the chunk channel drains and closes.
-// Closing a finished stream is a no-op. Safe to call concurrently with a
-// consumer blocked on Chunks.
+// wrapper streams are torn down, and the chunk channel closes. Closing a
+// finished stream is a no-op. Safe to call concurrently with a consumer
+// blocked on Chunks.
 func (s *Stream) Close() {
-	s.stopOnce.Do(func() {
-		s.cancel()
-		close(s.stop)
-	})
-	<-s.done
+	s.cancel()
+	s.pump.Close()
 }
 
 // StreamContext composes, optimizes and executes a query, returning the
 // result as a Stream: chunks surface as the engine produces them, peak
-// memory is bounded by the chunk buffer (ExecOptions.StreamBuffer rows;
-// default 2×tab.DefaultStreamChunk), and the first row arrives long before
-// the last wrapper finishes. Option validation, the verification gate, retries,
+// memory is bounded by the two chunks the stream buffers, and the first row
+// arrives long before the last wrapper finishes. Option validation, the verification gate, retries,
 // circuit breakers, AllowPartial degradation, wire conformance checking,
 // tracing, metrics and the result cache apply to every execution, because
 // every execution comes through here.
@@ -155,60 +140,30 @@ func (m *Mediator) streamPlan(ctx context.Context, cat *catalog, actx *algebra.C
 		cat.recordQuery(time.Since(start), *actx.Stats, err)
 		return nil, err
 	}
-	buf := opts.StreamBuffer
-	if buf <= 0 {
-		buf = 2 * tab.DefaultStreamChunk
-	}
-	depth := buf / tab.DefaultStreamChunk
-	if depth < 1 {
-		depth = 1
-	}
-	s := &Stream{
-		cols:   cur.Cols(),
-		chunks: make(chan *tab.Tab, depth),
-		cancel: cancel,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	res := &Result{Plan: algebra.Describe(plan), Trace: root}
-	go s.pump(cur, cat, actx, root, res, start)
+	s := &Stream{cols: cur.Cols(), cancel: cancel,
+		res: &Result{Plan: algebra.Describe(plan), Trace: root}}
+	s.pump = exec.NewPump(ctx, func(_ context.Context, send func(*tab.Tab) error) error {
+		return s.produce(cur, send, cat, actx, root, start)
+	})
 	return s, nil
 }
 
-// pump pulls chunks from the pipeline into the bounded channel until EOF,
-// failure or abandon, then settles the stream's outcome: trace root closed
-// with the row count, metrics recorded, statistics and the partial report
-// snapshotted into the Result.
-func (s *Stream) pump(cur tab.Cursor, cat *catalog, actx *algebra.Context, root *obs.Span, res *Result, start time.Time) {
-	defer close(s.done)
-	defer close(s.chunks)
-	// Release the query context however the stream ends — drained, failed
-	// or abandoned — or it stays registered on its parent for the parent's
-	// lifetime.
-	defer s.cancel()
+// produce forwards the pipeline's chunks to send until EOF, failure or
+// abandon, then settles the stream's outcome before Chunks closes: query
+// context released, trace root closed with the row count, metrics recorded,
+// statistics and the partial report snapshotted into the Result.
+func (s *Stream) produce(cur tab.Cursor, send func(*tab.Tab) error, cat *catalog, actx *algebra.Context, root *obs.Span, start time.Time) error {
 	rows := 0
-	var err error
-pull:
-	for {
-		t, nerr := cur.Next()
-		if nerr == io.EOF {
-			break
+	err := exec.Forward(cur, func(t *tab.Tab) error {
+		if err := send(t); err != nil {
+			return err
 		}
-		if nerr != nil {
-			err = nerr
-			break
-		}
-		if t.Len() == 0 {
-			continue
-		}
-		select {
-		case s.chunks <- t:
-			rows += t.Len()
-		case <-s.stop:
-			break pull // abandoned: the consumer is gone
-		}
-	}
-	cur.Close()
+		rows += t.Len()
+		return nil
+	})
+	// However the stream ends, release the query context, or it stays
+	// registered on its parent for the parent's lifetime.
+	s.cancel()
 	if root != nil {
 		if err != nil {
 			root.Finish(-1, err)
@@ -217,12 +172,9 @@ pull:
 		}
 	}
 	cat.recordQuery(time.Since(start), *actx.Stats, err)
-	res.Stats = *actx.Stats
+	s.res.Stats = *actx.Stats
 	if actx.Partial != nil {
-		res.SourceErrors = actx.Partial.Failures()
+		s.res.SourceErrors = actx.Partial.Failures()
 	}
-	s.mu.Lock()
-	s.err = err
-	s.res = res
-	s.mu.Unlock()
+	return err
 }

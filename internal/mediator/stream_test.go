@@ -50,7 +50,7 @@ func TestStreamMidStreamKillAllowPartial(t *testing.T) {
 	}
 
 	s, err := m.StreamPlan(context.Background(), crossSourceUnion(),
-		ExecOptions{Parallelism: 1, AllowPartial: true, StreamBuffer: tab.DefaultStreamChunk})
+		ExecOptions{Parallelism: 1, AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,9 @@ func TestStreamMidStreamKillAllowPartial(t *testing.T) {
 	for _, r := range first.Rows {
 		got.AddRow(r)
 	}
-	// The pump is at most one buffered chunk ahead: the union's second
-	// branch (the works wrapper) has not been contacted yet. Take it down.
+	// The pump runs at most two buffered chunks ahead, plus the one it is
+	// handing over, and 400 artifacts fill four: the union's second branch
+	// (the works wrapper) has not been contacted yet. Take it down.
 	killWais()
 	for c := range s.Chunks() {
 		for _, r := range c.Rows {
@@ -148,7 +149,6 @@ func TestStreamOptionsValidated(t *testing.T) {
 	m, _, _ := paperSetup(t)
 	for _, bad := range []ExecOptions{
 		{BatchChunk: -1},
-		{StreamBuffer: -5},
 	} {
 		if _, err := m.ExecuteContext(context.Background(), datagen.Q1Src, bad); err == nil {
 			t.Errorf("ExecuteContext accepted invalid options %+v", bad)
