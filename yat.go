@@ -109,8 +109,9 @@ func NewWaisWrapper(name string, docs data.Forest) *waiswrap.Wrapper {
 }
 
 // NewCulturalMediator assembles the complete Section 2 application: the O₂
-// wrapper over db, the XML-Wais wrapper over works, both connected with
-// capabilities and structures imported, view1 loaded, and the Figure 8
+// wrapper over db, the XML-Wais wrapper over works, both connected (each
+// capability interface carries the structures of its documents, which
+// Connect imports), view1 loaded, and the Figure 8
 // containment assumptions declared. It returns the mediator together with
 // the two wrappers (whose LastOQL / LastSearch fields expose what was
 // pushed to each source).
@@ -124,10 +125,6 @@ func NewCulturalMediator(db *o2.DB, works data.Forest) (*mediator.Mediator, *o2w
 	if err := m.Connect(ww, ww.ExportInterface()); err != nil {
 		return nil, nil, nil, err
 	}
-	schema := ow.ExportSchema()
-	m.ImportStructure("artifacts", schema, "Artifact")
-	m.ImportStructure("persons", schema, "Person")
-	m.ImportStructure("works", ww.ExportStructure(), "Works")
 	m.RegisterFunc("contains", waiswrap.Contains)
 	for name, fn := range ow.Funcs() {
 		m.RegisterFunc(name, fn)
