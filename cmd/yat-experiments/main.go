@@ -589,8 +589,9 @@ MATCH works WITH works[ *work[ title: $t, artist: $a, style: $s, size: $si ] ]
 // each query drained to a table and then streamed, asserting the three
 // streaming promises: byte-identical rows (checked inside memPoint); bounded
 // memory; and low time-to-first-row — on a large-n Q2, the median first row
-// of five streamed runs under 25% of their median total time. Memory is held to two bounds. On Q2 at n=4000 the mediator's
-// live-heap peak while a consumer reads chunk by chunk stays under 1 MB:
+// of five streamed runs under 25% of their median total time. Memory is held
+// to two bounds. On Q2 at n=4000 the mediator's live-heap peak while a
+// consumer reads chunk by chunk stays under 1 MB:
 // half of the ~2 MB of intermediates the materialized walker PR 12 deleted
 // held there, which is the threshold this assertion applied while that
 // walker existed to be measured against. Q2's own result is too small for a

@@ -3,14 +3,15 @@ package exec
 import (
 	"context"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/tab"
 )
 
 // pumpDepth is how many chunks a Pump holds ahead of its consumer: a
-// producer stalls once the consumer falls this far behind.
+// producer stalls once the consumer falls this far behind. Two lets a
+// producer pull its next chunk while the consumer still works on the last,
+// and bounds what a stalled consumer leaves in memory at two chunks.
 const pumpDepth = 2
 
 // A Producer runs on a goroutine of its own and hands its chunks to the
@@ -30,21 +31,19 @@ type Pump struct {
 	C <-chan *tab.Tab
 
 	ch     chan *tab.Tab
-	parent context.Context
 	ctx    context.Context
-	cancel context.CancelFunc
-	left   atomic.Int32 // producers still running
-	once   sync.Once
-	err    error         // the first producer error, then final once done closes
-	done   chan struct{} // closed after C, when the last producer has returned
+	cancel context.CancelCauseFunc // the first cause given is the one kept
+	left   atomic.Int32            // producers still running
+	err    error                   // the outcome, set before done closes
+	done   chan struct{}           // closed after C, when the last producer has returned
 }
 
 // NewPump starts one goroutine for each of one or more producers, under a
 // context derived from ctx.
 func NewPump(ctx context.Context, producers ...Producer) *Pump {
 	ch := make(chan *tab.Tab, pumpDepth)
-	p := &Pump{C: ch, ch: ch, parent: ctx, done: make(chan struct{})}
-	p.ctx, p.cancel = context.WithCancel(ctx)
+	p := &Pump{C: ch, ch: ch, done: make(chan struct{})}
+	p.ctx, p.cancel = context.WithCancelCause(ctx)
 	p.left.Store(int32(len(producers)))
 	for _, produce := range producers {
 		go p.run(produce)
@@ -54,20 +53,16 @@ func NewPump(ctx context.Context, producers ...Producer) *Pump {
 
 func (p *Pump) run(produce Producer) {
 	if err := produce(p.ctx, p.send); err != nil {
-		p.once.Do(func() {
-			p.err = err
-			p.cancel()
-		})
+		p.cancel(err)
 	}
 	if p.left.Add(-1) > 0 {
 		return
 	}
-	if p.err == nil {
-		// A producer that stopped because the caller cancelled may report
-		// nothing; the stream must not pass for complete.
-		p.err = p.parent.Err()
-	}
-	p.cancel()
+	// The first producer error, or the caller's cancellation: a producer
+	// that stopped because the caller cancelled may report nothing, and the
+	// stream must not pass for complete.
+	p.err = context.Cause(p.ctx)
+	p.cancel(nil)
 	close(p.ch)
 	close(p.done)
 }
@@ -95,7 +90,7 @@ func (p *Pump) Err() error {
 // still buffered are dropped with the pump. Closing a finished pump is a
 // no-op.
 func (p *Pump) Close() {
-	p.cancel()
+	p.cancel(nil)
 	<-p.done
 }
 

@@ -73,8 +73,8 @@ func (s *Stream) Close() {
 // StreamContext composes, optimizes and executes a query, returning the
 // result as a Stream: chunks surface as the engine produces them, peak
 // memory is bounded by the two chunks the stream buffers, and the first row
-// arrives long before the last wrapper finishes. Option validation, the verification gate, retries,
-// circuit breakers, AllowPartial degradation, wire conformance checking,
+// arrives long before the last wrapper finishes. Option validation, the
+// verification gate, retries, circuit breakers, AllowPartial degradation, wire conformance checking,
 // tracing, metrics and the result cache apply to every execution, because
 // every execution comes through here.
 func (m *Mediator) StreamContext(ctx context.Context, querySrc string, opts ExecOptions) (*Stream, error) {
