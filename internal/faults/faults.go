@@ -10,10 +10,11 @@
 // `yat-mediator -inject`.
 //
 // The injector understands the wire framing convention (a 4-byte length
-// header followed by the payload, each written/read with its own calls), so
-// faults land on whole response frames: a Garble corrupts the payload but
-// never the header, a Truncate delivers the header and half the payload,
-// and a Drop suppresses the entire response.
+// header followed by the payload; the server writes both in one call, the
+// client reads the header with a call of its own), so faults land on whole
+// response frames: a Garble corrupts the payload but never the header, a
+// Truncate delivers the header and half the payload, and a Drop suppresses
+// the entire response.
 package faults
 
 import (
@@ -196,11 +197,12 @@ func (l *listener) Accept() (net.Conn, error) {
 }
 
 // serverConn applies faults to outgoing response frames. The wire server
-// alternates ReadFrame (request) / WriteFrame (response) on one goroutine,
-// so the first Write after a Read starts a response: that is where the
-// fault decision for the exchange is drawn. WriteFrame emits the 4-byte
-// header and the payload as separate writes, letting Garble and Truncate
-// leave the header intact.
+// alternates reading a request frame and writing its response on one
+// goroutine, so the first Write after a Read starts a response: that is
+// where the fault decision for the exchange is drawn. The server writes
+// each frame — 4-byte header and payload — in one Write, so Garble and
+// Truncate pass the first four bytes of a response's first Write through
+// untouched and corrupt or cut only what follows them.
 type serverConn struct {
 	net.Conn
 	inj *Injector
@@ -208,7 +210,7 @@ type serverConn struct {
 	mu       sync.Mutex
 	sawRead  bool
 	cur      Kind
-	respWrit int // writes within the current response (1st = header)
+	respWrit int // writes within the current response (the 1st carries the header)
 }
 
 func (c *serverConn) Read(p []byte) (int, error) {
@@ -240,20 +242,16 @@ func (c *serverConn) Write(p []byte) (int, error) {
 		c.Conn.Close()
 		return 0, fmt.Errorf("%w: connection killed (%s)", ErrInjected, k)
 	case Truncate:
-		if nth == 1 && len(p) == 4 {
-			return c.Conn.Write(p) // header passes; the payload is cut
-		}
-		half := len(p) / 2
-		if half > 0 {
-			c.Conn.Write(p[:half])
+		hdr := headerLen(nth, p)
+		cut := hdr + (len(p)-hdr)/2 // the header passes; the payload is cut
+		if cut > 0 {
+			c.Conn.Write(p[:cut])
 		}
 		c.Conn.Close()
-		return half, fmt.Errorf("%w: frame truncated", ErrInjected)
+		return cut, fmt.Errorf("%w: frame truncated", ErrInjected)
 	case Garble:
-		if nth == 1 && len(p) == 4 {
-			return c.Conn.Write(p) // keep framing valid; corrupt content only
-		}
-		return c.Conn.Write(garbled(p))
+		// keep framing valid; corrupt content only
+		return c.Conn.Write(garbled(p, headerLen(nth, p)))
 	default:
 		return c.Conn.Write(p)
 	}
@@ -318,7 +316,7 @@ func (c *clientConn) Read(p []byte) (int, error) {
 	case Garble:
 		n, err := c.Conn.Read(p)
 		if nth > 1 && n > 0 {
-			copy(p[:n], garbled(p[:n]))
+			copy(p[:n], garbled(p[:n], 0))
 		}
 		return n, err
 	default:
@@ -326,13 +324,22 @@ func (c *clientConn) Read(p []byte) (int, error) {
 	}
 }
 
-// garbled returns a copy of p with bytes flipped so that XML content no
-// longer parses; the length (and hence the framing) is preserved.
-func garbled(p []byte) []byte {
+// headerLen is how much of a response's nth Write is the frame header to
+// pass untouched: the first four bytes of the first Write, nothing after.
+func headerLen(nth int, p []byte) int {
+	if nth == 1 {
+		return min(4, len(p))
+	}
+	return 0
+}
+
+// garbled returns a copy of p with bytes after p[:keep] flipped so that XML
+// content no longer parses; the length (and hence the framing) is preserved.
+func garbled(p []byte, keep int) []byte {
 	q := make([]byte, len(p))
 	copy(q, p)
-	for i := range q {
-		if i%3 == 0 {
+	for i := keep; i < len(q); i++ {
+		if (i-keep)%3 == 0 {
 			q[i] ^= 0xa5
 		}
 	}

@@ -2,6 +2,9 @@ package faults
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -74,7 +77,7 @@ func TestKillNthTargetsExactExchange(t *testing.T) {
 
 func TestGarbledPreservesLength(t *testing.T) {
 	p := []byte(`<tab cols="name"><row><cell>Nympheas</cell></row></tab>`)
-	q := garbled(p)
+	q := garbled(p, 0)
 	if len(q) != len(p) {
 		t.Fatalf("garbled length %d != %d", len(q), len(p))
 	}
@@ -95,5 +98,56 @@ func TestDefaults(t *testing.T) {
 	}
 	if inj.Exchanges() != 0 {
 		t.Errorf("fresh injector Exchanges() = %d", inj.Exchanges())
+	}
+}
+
+// TestOneWriteFrameKeepsItsHeader writes a response frame, header and
+// payload, in one Write, as the wire server does, under each kind: the peer
+// reads the length header intact whenever anything arrives, and the fault
+// lands on the payload alone.
+func TestOneWriteFrameKeepsItsHeader(t *testing.T) {
+	payload := []byte(`<chunk end="1"><tab cols="name"><row><cell>Nympheas</cell></row></tab></chunk>`)
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	for _, k := range []Kind{None, Delay, Truncate, Garble, Drop, Kill} {
+		t.Run(k.String(), func(t *testing.T) {
+			near, far := net.Pipe()
+			defer far.Close()
+			cfg := Config{Seed: 1, Rate: 1, Kinds: []Kind{k}, Delay: time.Millisecond}
+			if k == Kill {
+				cfg = Config{KillNth: 1}
+			}
+			c := &serverConn{Conn: near, inj: New(cfg)}
+			go far.Write([]byte("req")) // the request the frame answers
+			if _, err := io.ReadFull(c, make([]byte, 3)); err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				c.Write(frame)
+				c.Close()
+			}()
+			got, _ := io.ReadAll(far)
+			switch k {
+			case Drop, Kill:
+				if len(got) != 0 {
+					t.Fatalf("%d bytes arrived, want none", len(got))
+				}
+				return
+			case None, Delay:
+				if !bytes.Equal(got, frame) {
+					t.Fatalf("frame changed: %q", got)
+				}
+			case Truncate:
+				if len(got) != 4+len(payload)/2 {
+					t.Fatalf("%d bytes arrived, want the header and half the payload, %d", len(got), 4+len(payload)/2)
+				}
+			case Garble:
+				if len(got) != len(frame) || bytes.Equal(got[4:], payload) {
+					t.Fatalf("payload not garbled in place: %q", got)
+				}
+			}
+			if !bytes.Equal(got[:4], frame[:4]) {
+				t.Fatalf("header %x, want %x", got[:4], frame[:4])
+			}
+		})
 	}
 }

@@ -198,29 +198,60 @@ func (e *Engine) Doc(id int) *data.Node {
 
 // Retrieve returns the exportable view of a document: a copy restricted to
 // retrievable fields (Z39.50 lets a source export less than it stores),
-// built in one data.Block.
+// built in one data.Block of its own.
 func (e *Engine) Retrieve(id int) *data.Node {
+	nodes, atoms := e.RetrieveSize(id)
+	if nodes == 0 {
+		return nil
+	}
+	b := data.NewBlock(nodes, atoms, nodes-1)
+	return e.RetrieveInto(&b, id)
+}
+
+// RetrieveSize counts the nodes and atoms of Retrieve's view of a document,
+// (0, 0) when there is no such document.
+func (e *Engine) RetrieveSize(id int) (nodes, atoms int) {
+	doc := e.Doc(id)
+	if doc == nil {
+		return 0, 0
+	}
+	count := func(m *data.Node) bool {
+		nodes++
+		if m.Atom != nil {
+			atoms++
+		}
+		return true
+	}
+	if e.retrievable == nil {
+		doc.Walk(count)
+		return nodes, atoms
+	}
+	nodes = 1
+	for _, k := range doc.Kids {
+		if e.retrievable[k.Label] {
+			k.Walk(count)
+		}
+	}
+	return nodes, atoms
+}
+
+// RetrieveInto builds Retrieve's view of a document in b, so that a caller
+// retrieving many documents builds them all in one block, sized by summing
+// RetrieveSize.
+func (e *Engine) RetrieveInto(b *data.Block, id int) *data.Node {
 	doc := e.Doc(id)
 	if doc == nil {
 		return nil
 	}
 	if e.retrievable == nil {
-		return doc.Clone()
+		return b.Clone(doc)
 	}
-	fields, nodes, atoms := 0, 1, 0
+	fields := 0
 	for _, k := range doc.Kids {
 		if e.retrievable[k.Label] {
 			fields++
-			k.Walk(func(m *data.Node) bool {
-				nodes++
-				if m.Atom != nil {
-					atoms++
-				}
-				return true
-			})
 		}
 	}
-	b := data.NewBlock(nodes, atoms, nodes-1)
 	out := b.Elem(doc.Label)
 	out.ID = doc.ID
 	out.Kids = b.List(fields)

@@ -52,7 +52,8 @@ func (w *Wrapper) Documents() []string { return []string{"works", nodetab.Doc("w
 
 // Fetch implements algebra.Source: it ships the entire indexed collection
 // (in its retrievable view) under a works root — the costly path the
-// optimizer tries to avoid.
+// optimizer tries to avoid. The root and every document are built in one
+// data.Block, sized by summing the documents' wais.(*Engine).RetrieveSize.
 func (w *Wrapper) Fetch(doc string) (data.Forest, error) {
 	if nodetab.IsNodes(doc) && nodetab.Base(doc) == "works" {
 		return w.nodeTable("works")
@@ -60,9 +61,16 @@ func (w *Wrapper) Fetch(doc string) (data.Forest, error) {
 	if doc != "works" {
 		return nil, fmt.Errorf("waiswrap: unknown document %q", doc)
 	}
-	root := data.Elem("works")
+	nodes, atoms := 1, 0
 	for i := 0; i < w.E.Size(); i++ {
-		root.Add(w.E.Retrieve(i))
+		n, a := w.E.RetrieveSize(i)
+		nodes, atoms = nodes+n, atoms+a
+	}
+	b := data.NewBlock(nodes, atoms, nodes-1)
+	root := b.Elem("works")
+	root.Kids = b.List(w.E.Size())
+	for i := range root.Kids {
+		root.Kids[i] = w.E.RetrieveInto(&b, i)
 	}
 	return data.Forest{root}, nil
 }

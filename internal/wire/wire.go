@@ -6,6 +6,14 @@
 // mediators communicate data, structures and operations in XML"), framed
 // by a 4-byte big-endian length prefix.
 //
+// A frame's bytes are allocated once on each side. The server keeps one
+// buffer per connection: each reply frame is serialized into it
+// (xmlenc.AppendSerialize) after four reserved header bytes, its length is
+// patched in, and header and payload go out in one Write — WriteFrame, for
+// requests, errors and metadata, is one Write too. ReadFrame reads a frame
+// into one buffer of its size and hands that buffer out as the string, and
+// xmlenc.Parse sizes the tree's block in one pass over it.
+//
 // Three metadata requests are answered by one frame each:
 //
 //	<hello/>              → <wrapper name=... docs=.../>
@@ -52,6 +60,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/capability"
@@ -184,21 +193,22 @@ func backoff(base time.Duration, retry int, rnd float64) time.Duration {
 	return time.Duration(float64(d) * (1 + retryJitter*(2*rnd-1)))
 }
 
-// WriteFrame writes one length-prefixed XML payload.
+// WriteFrame writes one length-prefixed XML payload: header and payload in
+// one Write, so one segment under TCP_NODELAY rather than two.
 func WriteFrame(w io.Writer, payload string) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, payload)
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
+	_, err := w.Write(append(buf, payload...))
 	return err
 }
 
-// ReadFrame reads one length-prefixed XML payload.
+// ReadFrame reads one length-prefixed XML payload into one buffer of its
+// size, and returns that buffer as the string without copying it. The
+// buffer is never written again nor reused: the tree parsed from the frame
+// keeps substrings of it (xmlenc.Parse slices one-piece text from its
+// input), so the string must stay as it was read.
 func ReadFrame(r io.Reader) (string, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -212,7 +222,7 @@ func ReadFrame(r io.Reader) (string, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), nil
 }
 
 // Exported is everything a wrapper serves: the source itself, its
@@ -316,24 +326,32 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // handle serves one connection: a sequence of requests, each answered by one
 // or more frames.
 func (s *Server) handle(conn net.Conn) {
+	var buf []byte // the connection's frame buffer, reused by every reply
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.idle))
 		req, err := ReadFrame(conn)
 		if err != nil {
 			return // connection closed or idle too long
 		}
-		w := &frameWriter{s: s, conn: conn}
+		w := &frameWriter{s: s, conn: conn, buf: buf}
 		s.serve(w, req)
 		if w.err == errClientGone {
 			return
 		}
+		// A chunk that serialized past MaxFrame grew the buffer beyond any
+		// frame it will hold again: let it go rather than keep it.
+		if buf = w.buf; cap(buf) > 4+MaxFrame {
+			buf = nil
+		}
 	}
 }
 
+func errorNode(format string, args ...any) *data.Node {
+	return data.Elem("error", data.Text("@msg", fmt.Sprintf(format, args...)))
+}
+
 func errorXML(format string, args ...any) string {
-	n := data.Elem("error")
-	n.Add(data.Text("@msg", fmt.Sprintf(format, args...)))
-	return xmlenc.Serialize(n)
+	return xmlenc.Serialize(errorNode(format, args...))
 }
 
 // serve answers one request. With an observer, one span covers the request
@@ -365,14 +383,14 @@ func (s *Server) answer(w *frameWriter, n *data.Node) (rows int, err error) {
 		resp := data.Elem("wrapper")
 		resp.Add(data.Text("@name", s.Exp.Source.Name()))
 		resp.Add(data.Text("@docs", strings.Join(s.Exp.Source.Documents(), " ")))
-		w.frame(xmlenc.Serialize(resp))
+		w.frame(resp)
 	case "interface-request":
 		if s.Exp.Interface == nil {
 			return -1, w.fail(errors.New("no interface exported"))
 		}
-		w.frame(xmlenc.Serialize(capability.ToXML(s.Exp.Interface)))
+		w.frame(capability.ToXML(s.Exp.Interface))
 	case "structures-request":
-		w.frame(xmlenc.Serialize(capability.StructuresToXML(s.Exp.Structures)))
+		w.frame(capability.StructuresToXML(s.Exp.Structures))
 	case "query":
 		w.start = time.Now()
 		if n.Child("@doc") != nil {
@@ -497,10 +515,13 @@ var errClientGone = errors.New("wire: client gone")
 // chunk that is written only when the next piece would overfill it or the
 // reply ends — one chunk of look-ahead, which is what lets the last data
 // frame carry the terminal marker: a result of one chunk is one frame, a
-// result of k chunks k frames.
+// result of k chunks k frames. Every frame is serialized into buf, the
+// connection's buffer, after four bytes reserved for its length, and written
+// whole in one Write.
 type frameWriter struct {
 	s    *Server
 	conn net.Conn
+	buf  []byte // the frame being written: header, then payload
 
 	traced bool      // stamp the last frame with obs-ns
 	start  time.Time // when the wrapper began on the query
@@ -514,20 +535,34 @@ type frameWriter struct {
 	err error
 }
 
-// frame is the one place a reply frame is written, under the server's write
-// deadline. A payload WriteFrame would refuse is answered as an error, not
-// by hanging up.
-func (w *frameWriter) frame(payload string) {
+// encode serializes n into buf after the four header bytes and returns the
+// payload's length.
+func (w *frameWriter) encode(n *data.Node) int {
+	w.buf = xmlenc.AppendSerialize(append(w.buf[:0], 0, 0, 0, 0), n)
+	return len(w.buf) - 4
+}
+
+// write is the one place a reply frame is written: it patches the encoded
+// payload's length into the header and writes both in one Write, under the
+// server's write deadline.
+func (w *frameWriter) write() {
+	binary.BigEndian.PutUint32(w.buf, uint32(len(w.buf)-4))
+	w.conn.SetWriteDeadline(time.Now().Add(w.s.write))
+	if _, err := w.conn.Write(w.buf); err != nil {
+		w.err = errClientGone
+	}
+}
+
+// frame writes n as one frame. A payload beyond MaxFrame is answered as an
+// error, not by hanging up.
+func (w *frameWriter) frame(n *data.Node) {
 	if w.err == errClientGone {
 		return
 	}
-	if len(payload) > MaxFrame {
-		payload = errorXML("reply of %d bytes exceeds frame limit", len(payload))
+	if size := w.encode(n); size > MaxFrame {
+		w.encode(errorNode("reply of %d bytes exceeds frame limit", size))
 	}
-	w.conn.SetWriteDeadline(time.Now().Add(w.s.write))
-	if WriteFrame(w.conn, payload) != nil {
-		w.err = errClientGone
-	}
+	w.write()
 }
 
 // fail ends the reply with an <error> frame — a clean terminal wherever it
@@ -536,7 +571,7 @@ func (w *frameWriter) frame(payload string) {
 func (w *frameWriter) fail(err error) error {
 	if w.err == nil {
 		w.err, w.pend, w.held = err, nil, 0
-		w.frame(errorXML("%v", err))
+		w.frame(errorNode("%v", err))
 	}
 	return w.err
 }
@@ -588,11 +623,14 @@ func (w *frameWriter) end(err error) error {
 	return w.err
 }
 
-// flush writes pieces as one chunk frame, the terminal one when last is set.
-// A chunk that serializes beyond MaxFrame is halved, down to a single row or
+// flush writes pieces as one chunk frame, the terminal one when last is set:
+// the chunk is serialized into the connection's buffer after the header
+// bytes, its length checked against MaxFrame and patched in, and header and
+// payload written in one Write. A chunk that serializes beyond MaxFrame is
+// halved, down to a single row or
 // tree; one of those exceeding the limit alone fails the reply.
 func (w *frameWriter) flush(pieces []piece, last bool) {
-	n := data.Elem("chunk")
+	n := &data.Node{Label: "chunk", Kids: make([]*data.Node, 0, len(pieces)+2)}
 	size := 0
 	for _, p := range pieces {
 		size += p.size()
@@ -614,11 +652,10 @@ func (w *frameWriter) flush(pieces []piece, last bool) {
 		}
 		n.Add(tn)
 	}
-	payload := xmlenc.Serialize(n)
-	if len(payload) > MaxFrame {
+	if payload := w.encode(n); payload > MaxFrame {
 		a, b := halve(pieces)
 		if a == nil {
-			w.fail(fmt.Errorf("one row or tree of %d bytes exceeds frame limit", len(payload)))
+			w.fail(fmt.Errorf("one row or tree of %d bytes exceeds frame limit", payload))
 			return
 		}
 		w.flush(a, false)
@@ -627,7 +664,7 @@ func (w *frameWriter) flush(pieces []piece, last bool) {
 		}
 		return
 	}
-	w.frame(payload)
+	w.write()
 	w.total += size
 }
 

@@ -16,7 +16,8 @@ import (
 // FuzzParseXML feeds arbitrary text to xmlenc.Parse, the scanner under every
 // wire frame, capability description and shipped document: it never panics,
 // Parse and ParseForest return the trees and errors of the node-by-node
-// oracle (oracle_test.go), a tree it accepts serializes to text that parses to
+// oracle (oracle_test.go), Parse sizes its block as the nine-count oracle
+// does (sizing_test.go), a tree it accepts serializes to text that parses to
 // the same tree, and InferAtoms types that tree's leaves as inferAtomsOracle
 // does.
 func FuzzParseXML(f *testing.F) {
@@ -26,6 +27,9 @@ func FuzzParseXML(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		if diff := sameParse(src); diff != "" {
 			t.Fatalf("Parse differs from the oracle: %s\n%q", diff, src)
+		}
+		if diff := sameBlockSize(src); diff != "" {
+			t.Fatalf("block sizing differs from the oracle: %s\n%q", diff, src)
 		}
 		n, err := xmlenc.Parse(src)
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/data"
 )
@@ -50,31 +51,67 @@ type scanner struct {
 }
 
 // newScanner returns a scanner over src with the parse's block reserved from
-// counts over src, which are exact for the frames and documents Serialize
-// writes. An element opens with '<' and one "</" of those closes it. Text
-// before a closing tag that does not follow another ("></") is an atom, and
-// so is an attribute (="), unless it is an id or refs. Other attributes are
-// a node each, and refs one per reference. Text right after a start tag
-// with attributes ("> not followed by '<') is a child. Counts over text that
-// is not XML can be far above what a parse builds before it fails, so no
-// reservation exceeds one item per four bytes of input, the size of <a/>.
+// blockSize's counts over src.
 func newScanner(src string) scanner {
-	count := func(sub string) int { return strings.Count(src, sub) }
-	attrs := count(`="`) - count(` id="`)
-	nodes := count("<") - count("</") + attrs + count(`">`) - count(`"><`)
-	atoms := count("</") - count("></") + attrs
-	for r := src; ; {
-		i := strings.Index(r, ` refs="`)
-		if i < 0 {
-			break
-		}
-		r = r[i+len(` refs="`):]
-		atoms--
-		nodes += strings.Count(r[:max(strings.IndexByte(r, '"'), 0)], " ")
-	}
-	nodes, atoms = min(nodes, len(src)/4), min(atoms, len(src)/4)
+	nodes, atoms := blockSize(src)
 	kids := max(nodes-1, 0)
 	return scanner{src: src, b: data.NewBlock(nodes, atoms, kids), kids: make([]*data.Node, 0, min(kids, 64))}
+}
+
+// blockSize counts, in one pass over src, the nodes and atoms Parse builds
+// from it, exactly for the frames and documents Serialize writes. An element
+// opens with '<' and one "</" of those closes it. Text before a closing tag
+// that does not follow another ("></") is an atom, and so is an attribute
+// (="), unless it is an id or refs. Other attributes are a node each, and
+// refs one per reference: one per space between ` refs="` and the next '"',
+// counted only once that quote is seen. Text right after a start tag with
+// attributes ("> not followed by '<') is a child. Counts over text that is
+// not XML can be far above what a parse builds before it fails, so neither
+// exceeds one item per four bytes of input, the size of <a/>.
+func blockSize(src string) (nodes, atoms int) {
+	var lt, closes, afterClose, attrs, ids, refs, refSpaces, quoteGT, quoteGTLT int
+	inRefs, spaces := false, 0 // inside a refs value, and its spaces so far
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '<':
+			lt++
+			if i+1 < len(src) && src[i+1] == '/' {
+				closes++
+				if i > 0 && src[i-1] == '>' {
+					afterClose++
+				}
+			}
+		case '"':
+			if inRefs {
+				refSpaces += spaces
+				inRefs = false
+			}
+			if i > 0 && src[i-1] == '=' {
+				attrs++
+				if i >= 4 && src[i-4:i] == ` id=` {
+					ids++
+				}
+				if i >= 6 && src[i-6:i] == ` refs=` {
+					refs++
+					inRefs, spaces = true, 0
+				}
+			}
+			if i+1 < len(src) && src[i+1] == '>' {
+				quoteGT++
+				if i+2 < len(src) && src[i+2] == '<' {
+					quoteGTLT++
+				}
+			}
+		case ' ':
+			if inRefs {
+				spaces++
+			}
+		}
+	}
+	attrs -= ids
+	nodes = lt - closes + attrs + quoteGT - quoteGTLT + refSpaces
+	atoms = closes - afterClose + attrs - refs
+	return min(nodes, len(src)/4), min(atoms, len(src)/4)
 }
 
 // attrLabel returns the label of attribute name, "@"+name, made once per
@@ -521,85 +558,80 @@ func Escape(s string) string {
 	if !strings.ContainsAny(s, `<>&"'`) {
 		return s
 	}
-	var b strings.Builder
-	escapeTo(&b, s)
-	return b.String()
+	return bytesString(appendEscaped(nil, s))
 }
 
-// escapeTo writes s to b with the five predefined XML entities escaped,
-// copying the runs between them as they are.
-func escapeTo(b *strings.Builder, s string) {
+// appendEscaped appends s to b with the five predefined XML entities
+// escaped, copying the runs between them as they are.
+func appendEscaped(b []byte, s string) []byte {
 	for {
 		i := strings.IndexAny(s, `<>&"'`)
 		if i < 0 {
-			b.WriteString(s)
-			return
+			return append(b, s...)
 		}
-		b.WriteString(s[:i])
-		b.WriteString(entityOf[s[i]])
+		b = append(append(b, s[:i]...), entityOf[s[i]]...)
 		s = s[i+1:]
 	}
 }
 
 var entityOf = [...]string{'<': "&lt;", '>': "&gt;", '&': "&amp;", '"': "&quot;", '\'': "&apos;"}
 
-// Serialize renders a YAT tree as XML text, inverse to Parse: identifiers
-// become id attributes, reference-only children collapse into refs
-// attributes, "@name" children become attributes, leaves become element text.
-func Serialize(n *data.Node) string {
-	var b strings.Builder
-	serialize(&b, n, -1)
-	return b.String()
-}
+// bytesString returns b as a string without copying it, as
+// strings.Builder.String does: the callers here never write b again.
+func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// AppendSerialize appends the XML text of a YAT tree to dst and returns the
+// extended buffer, inverse to Parse: identifiers become id attributes,
+// reference-only children collapse into refs attributes, "@name" children
+// become attributes, leaves become element text. It is the one serializer:
+// Serialize and the others below are built on it, and the wire's frame
+// writer appends a chunk into its connection's buffer with it.
+func AppendSerialize(dst []byte, n *data.Node) []byte { return appendNode(dst, n, -1) }
+
+// Serialize renders a YAT tree as XML text (AppendSerialize into a new
+// buffer).
+func Serialize(n *data.Node) string { return bytesString(appendNode(nil, n, -1)) }
 
 // SerializeIndent renders the tree as indented XML.
 func SerializeIndent(n *data.Node) string {
-	var b strings.Builder
-	serialize(&b, n, 0)
-	b.WriteByte('\n')
-	return b.String()
+	return bytesString(append(appendNode(nil, n, 0), '\n'))
 }
 
 // SerializeForest renders each tree of the forest in order.
 func SerializeForest(f data.Forest) string {
-	var b strings.Builder
+	var b []byte
 	for i, n := range f {
 		if i > 0 {
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		serialize(&b, n, 0)
+		b = appendNode(b, n, 0)
 	}
-	return b.String()
+	return bytesString(b)
 }
 
-// serialize writes n at the given depth (-1: no indentation). Its children
+// appendNode appends n at the given depth (-1: no indentation). Its children
 // are written in passes over n.Kids: the attributes; then the run of bare
 // references before any other child, as a refs attribute (which Parse reads
 // back to the same place); then the others.
-func serialize(b *strings.Builder, n *data.Node, indent int) {
+func appendNode(b []byte, n *data.Node, indent int) []byte {
 	if n == nil {
-		return
+		return b
 	}
-	writePad(b, indent)
+	b = appendPad(b, indent)
 	if n.Label == "" && n.Atom != nil { // bare text node
-		writeAtom(b, n.Atom)
-		return
+		return appendAtom(b, n.Atom)
 	}
-	b.WriteByte('<')
-	b.WriteString(n.Label)
+	b = append(append(b, '<'), n.Label...)
 	if n.ID != "" {
-		writeAttr(b, "id", n.ID)
+		b = appendAttr(b, "id", n.ID)
 	}
 	if n.Ref != "" {
-		writeAttr(b, "ref", n.Ref)
+		b = appendAttr(b, "ref", n.Ref)
 	}
 	for _, k := range n.Kids {
 		if isAttr(k) {
-			b.WriteByte(' ')
-			b.WriteString(k.Label[1:])
-			b.WriteString(`="`)
-			writeAtom(b, k.Atom)
-			b.WriteByte('"')
+			b = append(append(append(b, ' '), k.Label[1:]...), `="`...)
+			b = append(appendAtom(b, k.Atom), '"')
 		}
 	}
 	rest, refs := 0, 0 // n.Kids[rest:] holds the others
@@ -612,21 +644,19 @@ func serialize(b *strings.Builder, n *data.Node, indent int) {
 			break
 		}
 		if refs == 0 {
-			b.WriteString(` refs="`)
+			b = append(b, ` refs="`...)
 		} else {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		escapeTo(b, k.Ref)
+		b = appendEscaped(b, k.Ref)
 		refs++
 	}
 	if refs > 0 {
-		b.WriteByte('"')
+		b = append(b, '"')
 	}
 	if n.Atom != nil {
-		b.WriteByte('>')
-		writeAtom(b, n.Atom)
-		writeEnd(b, n.Label)
-		return
+		b = appendAtom(append(b, '>'), n.Atom)
+		return appendEnd(b, n.Label)
 	}
 	others, inline := 0, true
 	for _, k := range n.Kids[rest:] {
@@ -636,61 +666,53 @@ func serialize(b *strings.Builder, n *data.Node, indent int) {
 		}
 	}
 	if others == 0 {
-		b.WriteString("/>")
-		return
+		return append(b, "/>"...)
 	}
-	b.WriteByte('>')
+	b = append(b, '>')
 	for _, k := range n.Kids[rest:] {
 		switch {
 		case isAttr(k):
 		case inline || indent < 0:
-			serialize(b, k, -1)
+			b = appendNode(b, k, -1)
 		default:
-			b.WriteByte('\n')
-			serialize(b, k, indent+1)
+			b = appendNode(append(b, '\n'), k, indent+1)
 		}
 	}
 	if !inline && indent >= 0 {
-		b.WriteByte('\n')
-		writePad(b, indent)
+		b = appendPad(append(b, '\n'), indent)
 	}
-	writeEnd(b, n.Label)
+	return appendEnd(b, n.Label)
 }
 
 // isAttr reports whether the child k is written as an attribute.
 func isAttr(k *data.Node) bool { return k.IsAttr() && k.Atom != nil }
 
-func writePad(b *strings.Builder, indent int) {
+func appendPad(b []byte, indent int) []byte {
 	for i := 0; i < indent; i++ {
-		b.WriteString("  ")
+		b = append(b, "  "...)
 	}
+	return b
 }
 
-func writeAttr(b *strings.Builder, name, v string) {
-	b.WriteByte(' ')
-	b.WriteString(name)
-	b.WriteString(`="`)
-	escapeTo(b, v)
-	b.WriteByte('"')
+func appendAttr(b []byte, name, v string) []byte {
+	b = append(append(append(b, ' '), name...), `="`...)
+	return append(appendEscaped(b, v), '"')
 }
 
-func writeEnd(b *strings.Builder, label string) {
-	b.WriteString("</")
-	b.WriteString(label)
-	b.WriteByte('>')
+func appendEnd(b []byte, label string) []byte {
+	return append(append(append(b, "</"...), label...), '>')
 }
 
-// writeAtom writes the atom's text (data.Atom.Text), escaped; a number is
-// formatted into a buffer on the stack.
-func writeAtom(b *strings.Builder, a *data.Atom) {
-	var num [32]byte
+// appendAtom appends the atom's text (data.Atom.Text), escaped; a number is
+// formatted straight into b.
+func appendAtom(b []byte, a *data.Atom) []byte {
 	switch a.Kind {
 	case data.KindInt:
-		b.Write(strconv.AppendInt(num[:0], a.I, 10))
+		return strconv.AppendInt(b, a.I, 10)
 	case data.KindFloat:
-		b.Write(strconv.AppendFloat(num[:0], a.F, 'g', -1, 64))
+		return strconv.AppendFloat(b, a.F, 'g', -1, 64)
 	default:
-		escapeTo(b, a.Text())
+		return appendEscaped(b, a.Text())
 	}
 }
 
