@@ -1,8 +1,13 @@
 package tab
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -52,6 +57,131 @@ func oracleCellToXML(c Cell) *data.Node {
 	}
 }
 
+// oracleFromXML is a test-only copy of the per-cell FromXML that the column
+// reader replaced: every row a <row>, every cell an element of its own.
+func oracleFromXML(n *data.Node) (*Tab, error) {
+	if n == nil || n.Label != "tab" {
+		return nil, fmt.Errorf("tab: expected <tab> element, got %v", n)
+	}
+	var cols []string
+	if s := n.Attr("cols"); s != "" {
+		cols = oracleSplitFields(s)
+	}
+	t := New(cols...)
+	for _, k := range n.Kids {
+		if k.Label != "row" {
+			continue
+		}
+		row := make(Row, 0, len(cols))
+		for _, cn := range k.Kids {
+			if cn.IsAttr() {
+				continue
+			}
+			c, err := oracleCellFromXML(cn)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, c)
+		}
+		if len(row) != len(cols) {
+			return nil, fmt.Errorf("tab: row with %d cells for %d columns", len(row), len(cols))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t, nil
+}
+
+func oracleCellFromXML(n *data.Node) (Cell, error) {
+	switch n.Label {
+	case "null":
+		return Null(), nil
+	case "atom":
+		typ := n.Attr("type")
+		text := ""
+		if n.Atom != nil {
+			text = n.Atom.Text()
+		} else {
+			for _, k := range n.Kids {
+				if k.Label == "" && k.Atom != nil {
+					text = k.Atom.Text()
+					break
+				}
+			}
+		}
+		switch typ {
+		case "Int":
+			v, err := strconv.ParseInt(text, 10, 64)
+			if err != nil {
+				return Null(), fmt.Errorf("tab: bad Int atom %q", text)
+			}
+			return AtomCell(data.Int(v)), nil
+		case "Float":
+			v, err := strconv.ParseFloat(text, 64)
+			if err != nil {
+				return Null(), fmt.Errorf("tab: bad Float atom %q", text)
+			}
+			return AtomCell(data.Float(v)), nil
+		case "Bool":
+			return AtomCell(data.Bool(text == "true")), nil
+		case "String":
+			return AtomCell(data.String(text)), nil
+		default:
+			return Null(), fmt.Errorf("tab: unknown atom type %q", typ)
+		}
+	case "tree":
+		body := n.FirstElem()
+		if body == nil {
+			return Null(), fmt.Errorf("tab: empty <tree> cell")
+		}
+		return TreeCell(body), nil
+	case "seq":
+		var f data.Forest
+		for _, k := range n.Kids {
+			if !k.IsAttr() {
+				f = append(f, k)
+			}
+		}
+		return SeqCell(f), nil
+	case "tab":
+		nested, err := oracleFromXML(n)
+		if err != nil {
+			return Null(), err
+		}
+		return TabCell(nested), nil
+	default:
+		return Null(), fmt.Errorf("tab: unknown cell element <%s>", n.Label)
+	}
+}
+
+func oracleSplitFields(s string) []string {
+	var out []string
+	start := -1
+	for i := 0; i <= len(s); i++ {
+		if i == len(s) || s[i] == ' ' {
+			if start >= 0 {
+				out = append(out, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	return out
+}
+
+// oracleRoundTrip ships t the way the oracle codec did: its per-cell tree,
+// serialized, parsed and read back cell by cell.
+func oracleRoundTrip(t *Tab) (*Tab, error) {
+	n, err := xmlenc.Parse(xmlenc.Serialize(oracleToXML(t)))
+	if err != nil {
+		return nil, err
+	}
+	return oracleFromXML(n)
+}
+
+// roundTrip ships t through this package's codec.
+func roundTrip(t *Tab) (*Tab, error) { return Unmarshal(Marshal(t)) }
+
 // oracleTabs cover every cell kind: atoms of the four kinds (an empty string,
 // text to escape, extreme numbers), a tree, a seq of attribute and bare
 // reference nodes (written as attributes of <seq>) beside an element, an
@@ -88,15 +218,98 @@ func atomTab(n int) *Tab {
 	return t
 }
 
+// TestToXMLMatchesOracle holds the tab codec to the oracle's: each of
+// oracleTabs, shipped through Marshal and Unmarshal, reads back
+// reflect.DeepEqual to what the oracle's writer and reader give.
 func TestToXMLMatchesOracle(t *testing.T) {
 	for i, tb := range oracleTabs() {
-		if got, want := ToXML(tb), oracleToXML(tb); !reflect.DeepEqual(got, want) {
-			t.Errorf("tab %d: ToXML\n%s\noracle\n%s", i, got, want)
+		got, err := roundTrip(tb)
+		if err != nil {
+			t.Fatalf("tab %d: %v\n%s", i, err, Marshal(tb))
 		}
-		if got, want := Marshal(tb), xmlenc.Serialize(oracleToXML(tb)); got != want {
-			t.Errorf("tab %d: Marshal\n%s\noracle\n%s", i, got, want)
+		want, err := oracleRoundTrip(tb)
+		if err != nil {
+			t.Fatalf("tab %d: oracle: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("tab %d: read back\n%s\noracle\n%s", i, got, want)
 		}
 	}
+}
+
+// TestCorpusTabsMatchOracle reads every <tab> of the wire fuzz corpora — the
+// reply frames FuzzReplyFrames found and the requests FuzzServeRequest found,
+// each whole frame that parses as XML — with FromXML and with the oracle:
+// both fail, or both read reflect.DeepEqual tabs.
+func TestCorpusTabsMatchOracle(t *testing.T) {
+	tabs := 0
+	for _, dir := range []string{"FuzzReplyFrames", "FuzzServeRequest"} {
+		files, err := filepath.Glob(filepath.Join("..", "wire", "testdata", "fuzz", dir, "*"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no %s corpus: %v", dir, err)
+		}
+		for _, f := range files {
+			raw := corpusBytes(t, f)
+			payloads := []string{raw}
+			if dir == "FuzzReplyFrames" {
+				payloads = splitFrames(raw)
+			}
+			for _, p := range payloads {
+				root, err := xmlenc.Parse(p)
+				if err != nil {
+					continue
+				}
+				root.Walk(func(n *data.Node) bool {
+					if n.Label != "tab" {
+						return true
+					}
+					tabs++
+					got, err := FromXML(n)
+					want, oerr := oracleFromXML(n)
+					if (err == nil) != (oerr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: %s\nreads %v, %v\noracle %v, %v", f, xmlenc.Serialize(n), got, err, want, oerr)
+					}
+					return false
+				})
+			}
+		}
+	}
+	if tabs == 0 {
+		t.Fatal("the corpora hold no <tab>")
+	}
+}
+
+// corpusBytes reads one input of a Go fuzz corpus file ([]byte("…")).
+func corpusBytes(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(b)), "\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a []byte corpus entry", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return s
+}
+
+// splitFrames cuts a byte stream into its length-prefixed frames, as many as
+// arrive whole.
+func splitFrames(s string) []string {
+	var out []string
+	for len(s) >= 4 {
+		n := int(s[0])<<24 | int(s[1])<<16 | int(s[2])<<8 | int(s[3])
+		if n > len(s)-4 {
+			break
+		}
+		out = append(out, s[4:4+n])
+		s = s[4+n:]
+	}
+	return out
 }
 
 // TestCellKeysPinned pins Cell.Key for every cell kind, as it read when the
