@@ -4,4 +4,5 @@ package tab
 var (
 	OracleFromXML   = oracleFromXML
 	OracleRoundTrip = oracleRoundTrip
+	ExactAtoms      = exactAtoms
 )

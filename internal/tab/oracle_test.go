@@ -218,10 +218,47 @@ func atomTab(n int) *Tab {
 	return t
 }
 
+// exactAtoms compares a tab read with this package's codec to the oracle's
+// reading of the same tab. The one difference allowed is a String atom the
+// oracle trimmed and collapsed (its text travelled as element text), which
+// the column form keeps exact: exactAtoms returns those, and false when any
+// other cell, column or row differs.
+func exactAtoms(got, oracle *Tab) ([]string, bool) {
+	if got == nil || oracle == nil || !reflect.DeepEqual(got.Cols, oracle.Cols) || len(got.Rows) != len(oracle.Rows) {
+		return nil, reflect.DeepEqual(got, oracle)
+	}
+	var exact []string
+	for i, r := range got.Rows {
+		if len(r) != len(oracle.Rows[i]) {
+			return nil, false
+		}
+		for j, c := range r {
+			o := oracle.Rows[i][j]
+			switch {
+			case c.Kind == CTab && o.Kind == CTab:
+				e, ok := exactAtoms(c.Tab, o.Tab)
+				if !ok {
+					return nil, false
+				}
+				exact = append(exact, e...)
+			case reflect.DeepEqual(c, o):
+			case c.Kind == CAtom && o.Kind == CAtom && c.Atom.Kind == data.KindString && o.Atom.Kind == data.KindString &&
+				xmlenc.CollapseSpace(c.Atom.S) == o.Atom.S:
+				exact = append(exact, c.Atom.S)
+			default:
+				return nil, false
+			}
+		}
+	}
+	return exact, true
+}
+
 // TestToXMLMatchesOracle holds the tab codec to the oracle's: each of
 // oracleTabs, shipped through Marshal and Unmarshal, reads back
-// reflect.DeepEqual to what the oracle's writer and reader give.
+// reflect.DeepEqual to what the oracle's writer and reader give, but for the
+// one String atom the oracle collapsed, "  ", which arrives exact.
 func TestToXMLMatchesOracle(t *testing.T) {
+	var exact []string
 	for i, tb := range oracleTabs() {
 		got, err := roundTrip(tb)
 		if err != nil {
@@ -231,9 +268,14 @@ func TestToXMLMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tab %d: oracle: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tab %d: read back\n%s\noracle\n%s", i, got, want)
+		e, ok := exactAtoms(got, want)
+		if !ok {
+			t.Errorf("tab %d: read back\n%s\noracle\n%s\nfrom %s", i, got, want, Marshal(tb))
 		}
+		exact = append(exact, e...)
+	}
+	if want := []string{"  "}; !reflect.DeepEqual(exact, want) {
+		t.Errorf("atoms kept exact where the oracle collapsed them: %q, want %q", exact, want)
 	}
 }
 
@@ -267,6 +309,7 @@ func TestCorpusTabsMatchOracle(t *testing.T) {
 					got, err := FromXML(n)
 					want, oerr := oracleFromXML(n)
 					if (err == nil) != (oerr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+						// the corpora are in the per-cell form, read alike
 						t.Errorf("%s: %s\nreads %v, %v\noracle %v, %v", f, xmlenc.Serialize(n), got, err, want, oerr)
 					}
 					return false
@@ -341,9 +384,10 @@ func TestCellKeysPinned(t *testing.T) {
 
 func TestMarshalAllocs(t *testing.T) {
 	rows := atomTab(64)
-	// measured: 18 (1,245 node by node): the XML tree's block (3), the
-	// column list and the serializer's buffer growth
-	if n := testing.AllocsPerRun(20, func() { _ = Marshal(rows) }); n > 18 {
-		t.Errorf("Marshal of a 64-row atom tab: %v allocations, want at most 18", n)
+	// measured: 8, the growth of the one buffer AppendXML writes the three
+	// <col>s into (18 when the tab went through its XML tree, 1,245 when
+	// that was built node by node)
+	if n := testing.AllocsPerRun(20, func() { _ = Marshal(rows) }); n > 8 {
+		t.Errorf("Marshal of a 64-row atom tab: %v allocations, want at most 8", n)
 	}
 }

@@ -4,118 +4,386 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/data"
 	"repro/internal/xmlenc"
 )
 
 // XML serialization of Tab structures, used by the wire protocol when a
-// wrapper ships the result of a pushed query back to the mediator. The
-// format is self-describing:
+// wrapper ships the result of a pushed query back to the mediator, and by
+// plan literals. There is one grammar:
 //
-//	<tab cols="$t $a">
-//	  <row>
-//	    <atom type="String">Nympheas</atom>
-//	    <tree><work>...</work></tree>
-//	  </row>
+//	<tab cols="$t $y $w" [bind="3"]>
+//	  <col name="$t" type="String" v="8:Nympheas 15:Waterloo Bridge"/>
+//	  <col name="$y" type="Int" v="1897 1903"/>
+//	  <row><tree><work>...</work></tree></row>
+//	  <row><null/></row>
 //	</tab>
 //
-// Cell elements are <null/>, <atom type=...>, <tree>, <seq> or a nested
-// <tab>.
+// A column of two or more rows whose cells are all atoms of one kind is one
+// <col>: its values in row order in one attribute, separated by one space —
+// an Int or Float as strconv formats it, a Bool as true or false, a String as
+// its length in bytes, a colon and its bytes, so that any byte (a space
+// included) comes back as it was sent. The other columns stay per cell, in
+// cols order, one <row> per row: <null/>, <atom type=… v=…/>, <tree>, <seq>
+// or a nested <tab>. A tab whose columns are all <col>s writes no <row>; its
+// rows are its values. A column of one row stays per cell: there a <col>
+// costs more bytes (its name, a String's length) and more parsed nodes than
+// the one cell it would replace. Either way an atom travels in an attribute,
+// which the parser keeps exactly where it trims and collapses element text,
+// so an atom keeps its text across the wire.
+//
+// The reader takes any mix of <col>s and per-cell columns, in any order of
+// <col>s. The form before the column one is the case with no <col>, whose
+// atom cells carry their text as element content (<atom type="Int">7</atom>),
+// trimmed and collapsed as the parser leaves it.
 
-// ToXML converts the Tab to its XML tree, built in one data.Block sized
-// exactly from the tab.
-func ToXML(t *Tab) *data.Node {
-	b := data.NewBlock(xmlCount(t))
-	return toXML(&b, t)
-}
-
-// xmlCount returns the numbers of nodes, atoms and child pointers in the
-// XML tree of t.
-func xmlCount(t *Tab) (nodes, atoms, kids int) {
-	nodes, atoms, kids = 2+len(t.Rows), 1, 1+len(t.Rows) // <tab>, @cols, rows
-	for _, r := range t.Rows {
-		nodes, kids = nodes+len(r), kids+len(r)
-		for _, c := range r {
-			switch c.Kind {
-			case CAtom: // and its @type attribute
-				nodes, atoms, kids = nodes+1, atoms+2, kids+1
-			case CTree:
-				kids++
-			case CSeq:
-				kids += len(c.Seq)
-			case CTab:
-				n, a, k := xmlCount(c.Tab)
-				nodes, atoms, kids = nodes+n-1, atoms+a, kids+k
+// AppendXML appends the XML text of t to dst and returns the extended
+// buffer; bind, when positive, is written as the tab's bind attribute. It is
+// the one writer: Marshal and ToXML are built on it, and the wire appends a
+// reply's tabs and a request's bindings straight into the frame with it.
+func AppendXML(dst []byte, t *Tab, bind int) []byte {
+	dst = append(dst, `<tab cols="`...)
+	for i, c := range t.Cols {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = xmlenc.AppendEscaped(dst, c)
+	}
+	dst = append(dst, '"')
+	if bind > 0 {
+		dst = append(strconv.AppendInt(append(dst, ` bind="`...), int64(bind), 10), '"')
+	}
+	if len(t.Rows) == 0 {
+		return append(dst, "/>"...)
+	}
+	dst = append(dst, '>')
+	var stack [16]bool
+	columnar := stack[:]
+	if len(t.Cols) > len(stack) {
+		columnar = make([]bool, len(t.Cols))
+	}
+	perCell := len(t.Cols) == 0 // a tab without columns still writes its rows
+	for j, name := range t.Cols {
+		kind, ok := atomColumn(t.Rows, j)
+		if columnar[j] = ok && len(t.Rows) > 1; columnar[j] {
+			dst = appendCol(dst, name, kind, t.Rows, j)
+		} else {
+			perCell = true
+		}
+	}
+	if perCell {
+		for _, r := range t.Rows {
+			dst = append(dst, "<row>"...)
+			for j, c := range r {
+				if j >= len(t.Cols) || !columnar[j] {
+					dst = appendCell(dst, c)
+				}
 			}
+			dst = append(dst, "</row>"...)
 		}
 	}
-	return nodes, atoms, kids
+	return append(dst, "</tab>"...)
 }
 
-func toXML(b *data.Block, t *Tab) *data.Node {
-	root := b.Elem("tab")
-	root.Kids = b.List(1 + len(t.Rows))
-	root.Kids[0] = b.Leaf("@cols", data.String(strings.Join(t.Cols, " ")))
-	for i, r := range t.Rows {
-		row := b.Elem("row")
-		row.Kids = b.List(len(r))
-		for j, c := range r {
-			row.Kids[j] = cellToXML(b, c)
+// atomColumn reports whether column j holds an atom of one kind in every
+// row, and which kind.
+func atomColumn(rows []Row, j int) (data.AtomKind, bool) {
+	kind := rows[0][j].Atom.Kind
+	for _, r := range rows {
+		if j >= len(r) || r[j].Kind != CAtom || r[j].Atom.Kind != kind {
+			return 0, false
 		}
-		root.Kids[1+i] = row
 	}
-	return root
+	return kind, true
 }
 
-func cellToXML(b *data.Block, c Cell) *data.Node {
+// appendCol appends column j of rows as one <col> of kind.
+func appendCol(dst []byte, name string, kind data.AtomKind, rows []Row, j int) []byte {
+	dst = xmlenc.AppendEscaped(append(dst, `<col name="`...), name)
+	dst = append(append(append(dst, `" type="`...), kind.String()...), `" v="`...)
+	for i, r := range rows {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		a := &r[j].Atom
+		if kind == data.KindString {
+			dst = append(strconv.AppendInt(dst, int64(len(a.S)), 10), ':')
+		}
+		dst = appendAtom(dst, a)
+	}
+	return append(dst, `"/>`...)
+}
+
+// appendAtom appends an atom's text, escaped for an attribute value.
+func appendAtom(dst []byte, a *data.Atom) []byte {
+	switch a.Kind {
+	case data.KindInt:
+		return strconv.AppendInt(dst, a.I, 10)
+	case data.KindFloat:
+		return strconv.AppendFloat(dst, a.F, 'g', -1, 64)
+	case data.KindBool:
+		return strconv.AppendBool(dst, a.B)
+	default:
+		return xmlenc.AppendEscaped(dst, a.S)
+	}
+}
+
+// appendCell appends one cell of a per-cell column.
+func appendCell(dst []byte, c Cell) []byte {
 	switch c.Kind {
 	case CAtom:
-		n := b.Elem("atom", b.Leaf("@type", data.String(c.Atom.Kind.String())))
-		n.Atom = b.Atom(c.Atom)
-		return n
+		dst = append(append(append(dst, `<atom type="`...), c.Atom.Kind.String()...), `" v="`...)
+		return append(appendAtom(dst, &c.Atom), `"/>`...)
 	case CTree:
-		return b.Elem("tree", c.Tree)
+		dst = xmlenc.AppendSerialize(append(dst, "<tree>"...), c.Tree)
+		return append(dst, "</tree>"...)
 	case CSeq:
-		return b.Elem("seq", c.Seq...)
+		// The <seq> element is written as the serializer writes any element,
+		// so that attribute and bare reference nodes of the sequence land
+		// where the parser reads them back from.
+		return xmlenc.AppendSerialize(dst, &data.Node{Label: "seq", Kids: c.Seq})
 	case CTab:
-		return toXML(b, c.Tab)
+		return AppendXML(dst, c.Tab, 0)
 	default:
-		return b.Elem("null")
+		return append(dst, "<null/>"...)
 	}
 }
 
-// FromXML parses a Tab from its XML tree.
+// ToXML converts the Tab to its XML tree: the parse of what AppendXML
+// writes, as a plan literal carries it.
+func ToXML(t *Tab) *data.Node {
+	n, err := xmlenc.Parse(Marshal(t))
+	if err != nil {
+		panic(fmt.Sprintf("tab: the writer's own text does not parse: %v", err))
+	}
+	return n
+}
+
+// Marshal renders the Tab as an XML string.
+func Marshal(t *Tab) string {
+	b := AppendXML(nil, t, 0)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// Unmarshal parses a Tab from an XML string.
+func Unmarshal(src string) (*Tab, error) {
+	n, err := xmlenc.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return FromXML(n)
+}
+
+// FromXML reads a Tab from its <tab> element.
 func FromXML(n *data.Node) (*Tab, error) {
+	var r Reader
+	return r.Read(n)
+}
+
+// Reader reads the <tab> elements of one frame. Consecutive tabs with the
+// same cols text share one column list, split once; the list is clipped, so
+// an append to one tab's columns copies it.
+type Reader struct {
+	text string
+	cols []string
+}
+
+// Read reads one <tab> element. A string atom of a <col> is a substring of
+// the attribute the parser read, and so of the frame.
+func (r *Reader) Read(n *data.Node) (*Tab, error) {
 	if n == nil || n.Label != "tab" {
 		return nil, fmt.Errorf("tab: expected <tab> element, got %v", n)
 	}
-	var cols []string
-	if s := n.Attr("cols"); s != "" {
-		cols = splitFields(s)
+	if text := n.Attr("cols"); text != r.text || r.cols == nil {
+		cols := splitFields(text)
+		r.text, r.cols = text, cols[:len(cols):len(cols)]
 	}
-	t := New(cols...)
+	return read(n, r.cols)
+}
+
+// read reads a <tab> element of the given columns: its <col>s first, then
+// its <row>s into the other columns. All rows share one cell array.
+func read(n *data.Node, cols []string) (*Tab, error) {
+	nc := len(cols)
+	rows, ncol := 0, 0
+	var first *data.Node // the first <col>
+	for _, k := range n.Kids {
+		switch k.Label {
+		case "row":
+			rows++
+		case "col":
+			if first == nil {
+				first = k
+			}
+			ncol++
+		}
+	}
+	t := &Tab{Cols: cols}
+	if rows == 0 && ncol > 0 && ncol >= nc {
+		// every column is a <col>: the rows are the first one's values
+		for v, typ := first.Attr("v"), first.Attr("type"); v != ""; rows++ {
+			var err error
+			if _, v, err = nextValue(typ, v); err != nil {
+				return nil, colError(first, err)
+			}
+		}
+	}
+	if rows == 0 && ncol == 0 {
+		return t, nil
+	}
+	var stack [16]bool
+	columnar := stack[:]
+	if nc > len(stack) {
+		columnar = make([]bool, nc)
+	}
+	columnar = columnar[:nc]
+	cells := make([]Cell, rows*nc)
+	for _, k := range n.Kids {
+		if k.Label != "col" {
+			continue
+		}
+		name := k.Attr("name")
+		j := 0
+		for j < nc && cols[j] != name {
+			j++
+		}
+		switch {
+		case j == nc:
+			return nil, fmt.Errorf("tab: <col> %q is not one of the columns %v", name, cols)
+		case columnar[j]:
+			return nil, fmt.Errorf("tab: column %s has two <col>s", name)
+		}
+		columnar[j] = true
+		if err := readCol(k, cells[j:], nc, rows); err != nil {
+			return nil, colError(k, err)
+		}
+	}
+	if rows > 0 {
+		t.Rows = make([]Row, rows)
+	}
+	perCell := nc - ncol
+	i := 0
 	for _, k := range n.Kids {
 		if k.Label != "row" {
 			continue
 		}
-		row := make(Row, 0, len(cols))
+		row := cells[i*nc : (i+1)*nc : (i+1)*nc]
+		j := 0
 		for _, cn := range k.Kids {
 			if cn.IsAttr() {
 				continue
+			}
+			for j < nc && columnar[j] {
+				j++
+			}
+			if j == nc {
+				return nil, fmt.Errorf("tab: row with more than %d cells for %d columns", perCell, nc)
 			}
 			c, err := cellFromXML(cn)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, c)
+			row[j] = c
+			j++
 		}
-		if len(row) != len(cols) {
-			return nil, fmt.Errorf("tab: row with %d cells for %d columns", len(row), len(cols))
+		for j < nc && columnar[j] {
+			j++
 		}
-		t.Rows = append(t.Rows, row)
+		if j < nc {
+			return nil, fmt.Errorf("tab: row with too few cells for %d columns", nc)
+		}
+		i++
+	}
+	for i := range t.Rows {
+		t.Rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
 	}
 	return t, nil
+}
+
+func colError(k *data.Node, err error) error {
+	return fmt.Errorf("tab: <col> %s: %v", k.Attr("name"), err)
+}
+
+// readCol reads the values of one <col> into every stride-th cell of cells,
+// exactly rows of them.
+func readCol(k *data.Node, cells []Cell, stride, rows int) error {
+	typ, v := k.Attr("type"), k.Attr("v")
+	i := 0
+	for ; v != ""; i++ {
+		a, rest, err := nextValue(typ, v)
+		if err != nil {
+			return err
+		}
+		if i == rows {
+			return fmt.Errorf("more than %d values", rows)
+		}
+		cells[i*stride] = AtomCell(a)
+		v = rest
+	}
+	if i < rows {
+		return fmt.Errorf("%d values for %d rows", i, rows)
+	}
+	return nil
+}
+
+// nextValue reads the first value of a <col>'s v attribute and returns it
+// with the rest of the attribute, past the separating space.
+func nextValue(typ, v string) (data.Atom, string, error) {
+	if typ == "String" {
+		colon := strings.IndexByte(v, ':')
+		size, err := strconv.Atoi(v[:max(colon, 0)])
+		if colon < 0 || err != nil || size < 0 {
+			return data.Atom{}, "", fmt.Errorf("bad String length in %.20q", v)
+		}
+		v = v[colon+1:]
+		if size > len(v) {
+			return data.Atom{}, "", fmt.Errorf("String of %d bytes past the end of %d", size, len(v))
+		}
+		s, rest := v[:size], v[size:]
+		if rest != "" {
+			if rest[0] != ' ' || len(rest) == 1 {
+				return data.Atom{}, "", fmt.Errorf("no separator after String %.20q", s)
+			}
+			rest = rest[1:]
+		}
+		return data.String(s), rest, nil
+	}
+	tok, rest, sep := strings.Cut(v, " ")
+	if sep && rest == "" {
+		return data.Atom{}, "", fmt.Errorf("trailing separator after %q", tok)
+	}
+	if typ == "Bool" && tok != "true" && tok != "false" {
+		return data.Atom{}, "", fmt.Errorf("bad Bool atom %q", tok)
+	}
+	a, err := parseAtom(typ, tok)
+	return a, rest, err
+}
+
+// parseAtom reads the text of an atom of the named type; a String is the
+// text itself.
+func parseAtom(typ, text string) (data.Atom, error) {
+	switch typ {
+	case "Int":
+		v, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return data.Atom{}, fmt.Errorf("bad Int atom %q", text)
+		}
+		return data.Int(v), nil
+	case "Float":
+		v, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return data.Atom{}, fmt.Errorf("bad Float atom %q", text)
+		}
+		return data.Float(v), nil
+	case "Bool":
+		return data.Bool(text == "true"), nil
+	case "String":
+		return data.String(text), nil
+	default:
+		return data.Atom{}, fmt.Errorf("unknown atom type %q", typ)
+	}
 }
 
 func cellFromXML(n *data.Node) (Cell, error) {
@@ -123,9 +391,10 @@ func cellFromXML(n *data.Node) (Cell, error) {
 	case "null":
 		return Null(), nil
 	case "atom":
-		typ := n.Attr("type")
-		text := ""
-		if n.Atom != nil {
+		var text string
+		if v := n.Child("@v"); v != nil && v.Atom != nil {
+			text = v.Atom.S
+		} else if n.Atom != nil {
 			text = n.Atom.Text()
 		} else {
 			// The parser keeps the text as an unlabeled child when the
@@ -137,26 +406,11 @@ func cellFromXML(n *data.Node) (Cell, error) {
 				}
 			}
 		}
-		switch typ {
-		case "Int":
-			v, err := strconv.ParseInt(text, 10, 64)
-			if err != nil {
-				return Null(), fmt.Errorf("tab: bad Int atom %q", text)
-			}
-			return AtomCell(data.Int(v)), nil
-		case "Float":
-			v, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return Null(), fmt.Errorf("tab: bad Float atom %q", text)
-			}
-			return AtomCell(data.Float(v)), nil
-		case "Bool":
-			return AtomCell(data.Bool(text == "true")), nil
-		case "String":
-			return AtomCell(data.String(text)), nil
-		default:
-			return Null(), fmt.Errorf("tab: unknown atom type %q", typ)
+		a, err := parseAtom(n.Attr("type"), text)
+		if err != nil {
+			return Null(), fmt.Errorf("tab: %v", err)
 		}
+		return AtomCell(a), nil
 	case "tree":
 		body := n.FirstElem()
 		if body == nil {
@@ -196,16 +450,4 @@ func splitFields(s string) []string {
 		}
 	}
 	return out
-}
-
-// Marshal renders the Tab as an XML string.
-func Marshal(t *Tab) string { return xmlenc.Serialize(ToXML(t)) }
-
-// Unmarshal parses a Tab from an XML string.
-func Unmarshal(src string) (*Tab, error) {
-	n, err := xmlenc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return FromXML(n)
 }

@@ -558,12 +558,13 @@ func Escape(s string) string {
 	if !strings.ContainsAny(s, `<>&"'`) {
 		return s
 	}
-	return bytesString(appendEscaped(nil, s))
+	return bytesString(AppendEscaped(nil, s))
 }
 
-// appendEscaped appends s to b with the five predefined XML entities
-// escaped, copying the runs between them as they are.
-func appendEscaped(b []byte, s string) []byte {
+// AppendEscaped appends s to b with the five predefined XML entities
+// escaped, copying the runs between them as they are: text fit for an
+// element or for an attribute value in either quote.
+func AppendEscaped(b []byte, s string) []byte {
 	for {
 		i := strings.IndexAny(s, `<>&"'`)
 		if i < 0 {
@@ -648,7 +649,7 @@ func appendNode(b []byte, n *data.Node, indent int) []byte {
 		} else {
 			b = append(b, ' ')
 		}
-		b = appendEscaped(b, k.Ref)
+		b = AppendEscaped(b, k.Ref)
 		refs++
 	}
 	if refs > 0 {
@@ -696,7 +697,7 @@ func appendPad(b []byte, indent int) []byte {
 
 func appendAttr(b []byte, name, v string) []byte {
 	b = append(append(append(b, ' '), name...), `="`...)
-	return append(appendEscaped(b, v), '"')
+	return append(AppendEscaped(b, v), '"')
 }
 
 func appendEnd(b []byte, label string) []byte {
@@ -712,7 +713,7 @@ func appendAtom(b []byte, a *data.Atom) []byte {
 	case data.KindFloat:
 		return strconv.AppendFloat(b, a.F, 'g', -1, 64)
 	default:
-		return appendEscaped(b, a.Text())
+		return AppendEscaped(b, a.Text())
 	}
 }
 
