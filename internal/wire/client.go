@@ -162,7 +162,7 @@ func newClient(addr string, opts Options, conns int, maxIdle, base time.Duration
 // hello performs the hello exchange that learns the wrapper's name and
 // documents; on failure it closes the client.
 func (c *Client) hello(ctx context.Context) (*Client, error) {
-	resp, err := c.drain(ctx, `<hello/>`)
+	resp, err := c.drain(ctx, request(`<hello/>`))
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -301,6 +301,7 @@ type reply struct {
 	got  int        // reply bytes read so far
 	held *data.Node // the first frame, read by start, not yet handed out
 	done bool
+	hdr  [4]byte // each frame's header, read here rather than escaping per frame
 
 	// The cancellation watchdog, armed for the reply's whole lifetime.
 	watchDone, watchExit chan struct{}
@@ -319,8 +320,9 @@ func (r *reply) Read(p []byte) (int, error) {
 // The context's deadline becomes the connection deadline, and a cancellation
 // — before the first frame or between two — unblocks the pending read
 // immediately, so a dead wrapper cannot hang a query. reused and the reply's
-// byte count feed the caller's stale-connection redial.
-func (c *Client) start(ctx context.Context, req string) (r *reply, reused bool, err error) {
+// byte count feed the caller's stale-connection redial. req is the request
+// frame, header included, written in one Write; a retry writes it again.
+func (c *Client) start(ctx context.Context, req []byte) (r *reply, reused bool, err error) {
 	conn, reused, err := c.acquire(ctx)
 	if err != nil {
 		return nil, reused, err
@@ -340,7 +342,7 @@ func (c *Client) start(ctx context.Context, req string) (r *reply, reused bool, 
 			}
 		}()
 	}
-	if err = WriteFrame(conn, req); err != nil {
+	if _, err = conn.Write(req); err != nil {
 		r.abort()
 		return r, reused, r.ctxErr(err)
 	}
@@ -387,7 +389,7 @@ func (r *reply) next() (*data.Node, error) {
 	if r.done {
 		return nil, io.EOF
 	}
-	raw, err := ReadFrame(r)
+	raw, err := readFrame(r, &r.hdr)
 	if err != nil {
 		r.abort()
 		if err == io.EOF {
@@ -463,7 +465,7 @@ func (r *reply) abort() {
 // idle deadline, in which case the first request on it fails before any
 // reply byte arrives. That attempt redials-and-retries once immediately
 // (counted in redials, not retries).
-func (c *Client) send(ctx context.Context, req string, read func(*reply) error) (*reply, error) {
+func (c *Client) send(ctx context.Context, req []byte, read func(*reply) error) (*reply, error) {
 	redialBudget := 1
 	for n := 1; ; {
 		r, reused, err := c.start(ctx, req)
@@ -498,7 +500,7 @@ func (c *Client) send(ctx context.Context, req string, read func(*reply) error) 
 }
 
 // drain sends a request and reads its whole reply.
-func (c *Client) drain(ctx context.Context, req string) (frames []*data.Node, err error) {
+func (c *Client) drain(ctx context.Context, req []byte) (frames []*data.Node, err error) {
 	_, err = c.send(ctx, req, func(r *reply) error {
 		frames = frames[:0]
 		for {
@@ -530,17 +532,22 @@ func (c *Client) InFlight() int { return len(c.tokens) }
 // Documents implements algebra.Source.
 func (c *Client) Documents() []string { return append([]string(nil), c.docs...) }
 
-// docRequest asks for a document. When the context carries a trace span
-// (obs.WithSpan), the request is tagged with the trace id so the wrapper's
-// request span joins the caller's trace, and the wrapper-side evaluation
-// time comes back on the reply's last frame.
-func docRequest(ctx context.Context, doc string) string {
-	req := data.Elem("query")
-	req.Add(data.Text("@doc", doc))
+// docRequest frames the request for a document. When the context carries a
+// trace span (obs.WithSpan), the request is tagged with the trace id so the
+// wrapper's request span joins the caller's trace, and the wrapper-side
+// evaluation time comes back on the reply's last frame.
+func docRequest(ctx context.Context, doc string) []byte {
+	b := xmlenc.AppendEscaped(append(make([]byte, 0, 64), "\x00\x00\x00\x00<query doc=\""...), doc)
+	return seal(append(appendTrace(append(b, '"'), ctx), "/>"...))
+}
+
+// appendTrace appends the trace attribute of a request made under ctx, if
+// its span has a trace id.
+func appendTrace(b []byte, ctx context.Context) []byte {
 	if id := obs.TraceID(ctx); id != "" {
-		req.Add(data.Text("@trace", id))
+		b = append(xmlenc.AppendEscaped(append(b, ` trace="`...), id), '"')
 	}
-	return xmlenc.Serialize(req)
+	return b
 }
 
 // trees decodes the trees of one document chunk. XML carries atoms as text;
@@ -610,63 +617,64 @@ func (c *forestCursor) Close() error {
 	return nil
 }
 
-// planRequest builds the request shipping a plan once with one binding row
+// planRequest frames the request shipping a plan once with one binding row
 // per parameter set; a lone binding without parameters needs no row. The
-// plan's canonical encoding comes from the per-client memo. A variable
-// absent from some binding (hand-rolled calls only; DJoin batches bind
-// uniformly) ships as an explicit null.
-func (c *Client) planRequest(ctx context.Context, plan algebra.Op, bindings []map[string]tab.Cell) (string, error) {
+// plan's canonical encoding comes from the per-client memo, and the bindings
+// tab is appended by tab.AppendXML: the request is built in the one buffer
+// that is written, and written again on a retry. A variable absent from some
+// binding (hand-rolled calls only; DJoin batches bind uniformly) ships as an
+// explicit null.
+func (c *Client) planRequest(ctx context.Context, plan algebra.Op, bindings []map[string]tab.Cell) ([]byte, error) {
 	enc, err := c.encodePlan(plan)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	var req strings.Builder
-	if id := obs.TraceID(ctx); id != "" {
-		fmt.Fprintf(&req, `<query trace="%s"><plan>`, xmlenc.Escape(id))
-	} else {
-		req.WriteString("<query><plan>")
-	}
-	req.WriteString(enc)
-	req.WriteString("</plan>")
 	colSet := map[string]bool{}
 	for _, b := range bindings {
 		for k := range b {
 			colSet[k] = true
 		}
 	}
+	// The plan, the markup around it and about 16 bytes per binding value.
+	b := append(make([]byte, 0, len(enc)+96+16*len(bindings)*len(colSet)), "\x00\x00\x00\x00<query"...)
+	b = append(append(append(appendTrace(b, ctx), "><plan>"...), enc...), "</plan>"...)
 	if len(colSet) > 0 || len(bindings) > 1 {
 		cols := make([]string, 0, len(colSet))
 		for k := range colSet {
 			cols = append(cols, k)
 		}
 		sort.Strings(cols)
-		bt := tab.New(cols...)
-		for _, b := range bindings {
-			row := make(tab.Row, len(cols))
-			for i, k := range cols {
-				row[i] = b[k] // absent: the zero Cell, which is null
+		bt := &tab.Tab{Cols: cols, Rows: make([]tab.Row, len(bindings))}
+		cells := make([]tab.Cell, len(bindings)*len(cols))
+		for i, b := range bindings {
+			row := cells[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+			for j, k := range cols {
+				row[j] = b[k] // absent: the zero Cell, which is null
 			}
-			bt.AddRow(row)
+			bt.Rows[i] = row
 		}
-		req.WriteString("<bindings>")
-		req.WriteString(tab.Marshal(bt))
-		req.WriteString("</bindings>")
+		b = append(tab.AppendXML(append(b, "<bindings>"...), bt, 0), "</bindings>"...)
 	}
-	req.WriteString("</query>")
-	return req.String(), nil
+	b = append(b, "</query>"...)
+	if len(b)-4 > MaxFrame {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(b)-4)
+	}
+	return seal(b), nil
 }
 
 // tabs decodes the tabs of one plan chunk into out, appending each tab's
-// rows to the result of the binding it answers.
+// rows to the result of the binding it answers. Consecutive tabs of the same
+// columns share one column list.
 func tabs(frame *data.Node, out []*tab.Tab) error {
 	if frame.Label != "chunk" {
 		return fmt.Errorf("wire: unexpected reply <%s>", frame.Label)
 	}
+	var rd tab.Reader
 	for _, n := range frame.Kids {
 		if n.IsAttr() {
 			continue
 		}
-		t, err := tab.FromXML(n)
+		t, err := rd.Read(n)
 		if err != nil {
 			return err
 		}
@@ -792,7 +800,7 @@ func (c *Client) PushStream(ctx context.Context, plan algebra.Op, params map[str
 // legitimately exports no interface); a malformed description fails with
 // the source named, so a bad export is diagnosed at import time.
 func (c *Client) ImportInterface() (*capability.Interface, error) {
-	resp, err := c.drain(context.Background(), `<interface-request/>`)
+	resp, err := c.drain(context.Background(), request(`<interface-request/>`))
 	if err != nil {
 		return nil, err
 	}
@@ -805,7 +813,7 @@ func (c *Client) ImportInterface() (*capability.Interface, error) {
 
 // ImportStructures fetches the wrapper's structural models.
 func (c *Client) ImportStructures() (map[string]StructureRef, error) {
-	resp, err := c.drain(context.Background(), `<structures-request/>`)
+	resp, err := c.drain(context.Background(), request(`<structures-request/>`))
 	if err != nil {
 		return nil, err
 	}

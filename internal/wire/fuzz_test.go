@@ -76,6 +76,14 @@ func FuzzServeRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// The column form of the bindings: valid, beside a per-cell column, and
+	// each thing the reader refuses.
+	for _, bindings := range append([]string{
+		`<tab cols="$n"><col name="$n" type="Int" v="1 0 200 3"/></tab>`,
+		`<tab cols="$k $n"><col name="$n" type="Int" v="2 5"/><row><null/></row><row><atom type="String" v=" k "/></row></tab>`,
+	}, columnRefusals...) {
+		f.Add([]byte(`<query><plan>` + plan + `</plan><bindings>` + bindings + `</bindings></query>`))
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)
@@ -119,6 +127,21 @@ func FuzzServeRequest(f *testing.F) {
 	})
 }
 
+// columnRefusals are tabs in the column form that tab.FromXML refuses: a
+// <col> naming no column or a column twice, value counts that disagree with
+// each other or with the rows, a String length past the end, a value not of
+// its column's type, and a type that is none.
+var columnRefusals = []string{
+	`<tab cols="$n"><col name="$x" type="Int" v="1"/></tab>`,
+	`<tab cols="$n"><col name="$n" type="Int" v="1"/><col name="$n" type="Int" v="2"/></tab>`,
+	`<tab cols="$n $m"><col name="$n" type="Int" v="1 2"/><col name="$m" type="Int" v="3"/></tab>`,
+	`<tab cols="$n $m"><col name="$n" type="Int" v="1 2"/><row><null/></row></tab>`,
+	`<tab cols="$n"><col name="$n" type="String" v="9:abc"/></tab>`,
+	`<tab cols="$n"><col name="$n" type="Int" v="1 one"/></tab>`,
+	`<tab cols="$n"><col name="$n" type="Float" v="x"/></tab>`,
+	`<tab cols="$n"><col name="$n" type="Void" v="1"/></tab>`,
+}
+
 // FuzzReplyFrames plays arbitrary bytes at a client as the reply to a query
 // — whole frames, a mid-stream <error>, a missing terminal marker, a binding
 // index out of range, an over-limit length header, a torn frame — after which
@@ -145,6 +168,14 @@ func FuzzReplyFrames(f *testing.F) {
 	f.Add(frames(`<chunk end="0"/>`))
 	f.Add(frames(`<wrapper name="x"/>`))
 	f.Add(frames(`<chunk end="1"><tab cols="$x"><row><atom type="Int">seven</atom></row></tab></chunk>`))
+	// The column form: valid, beside a per-cell column, and each thing the
+	// reader refuses.
+	f.Add(frames(`<chunk end="2"><tab cols="$x $s"><col name="$x" type="Int" v="7 -8"/><col name="$s" type="String" v="3:a b 0:"/></tab></chunk>`))
+	f.Add(frames(`<chunk><tab cols="$x $w"><col name="$x" type="Float" v="1.5 -Inf"/><row><tree><w/></tree></row><row><null/></row></tab></chunk>`,
+		`<chunk end="3"><tab cols="$x $w" bind="2"><col name="$x" type="Float" v="0"/><row><atom type="Bool" v="true"/></row></tab></chunk>`))
+	for _, t := range columnRefusals {
+		f.Add(frames(`<chunk end="1">` + t + `</chunk>`))
+	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '<'})
 	f.Add([]byte{0, 0, 0, 40, '<', 'c', 'h'})
 	f.Add([]byte{})

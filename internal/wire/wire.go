@@ -7,12 +7,15 @@
 // by a 4-byte big-endian length prefix.
 //
 // A frame's bytes are allocated once on each side. The server keeps one
-// buffer per connection: each reply frame is serialized into it
-// (xmlenc.AppendSerialize) after four reserved header bytes, its length is
-// patched in, and header and payload go out in one Write — WriteFrame, for
-// requests, errors and metadata, is one Write too. ReadFrame reads a frame
-// into one buffer of its size and hands that buffer out as the string, and
-// xmlenc.Parse sizes the tree's block in one pass over it.
+// buffer per connection: each reply chunk is appended into it after four
+// reserved header bytes, straight from what it ships — document trees by
+// xmlenc.AppendSerialize, tabs by tab.AppendXML, with no <chunk> tree built —
+// its length is patched in, and header and payload go out in one Write. A
+// client request is built the same way, in one buffer written in one Write
+// and written again as it is on a retry; WriteFrame, for errors, is one
+// Write too. A frame is read into one buffer of its size, handed out as the
+// string, its header into bytes the reader keeps; xmlenc.Parse sizes the
+// tree's block in one pass over it.
 //
 // Three metadata requests are answered by one frame each:
 //
@@ -33,7 +36,16 @@
 //	    → <chunk>tree*</chunk>*  <chunk end="N" [obs-ns="…"]>tree*</chunk>
 //	<query [trace="id"]><plan>…</plan>[<bindings>tab</bindings>]</query>
 //	    → <chunk>tabs</chunk>*   <chunk end="N" [obs-ns="…"]>tabs</chunk>
-//	    tabs = <tab cols="…" [bind="i"]>row*</tab>*
+//	    tabs = <tab cols="…" [bind="i"]>col* row*</tab>*
+//	    col  = <col name="$c" type="Int|Float|Bool|String" v="…"/>
+//	    row  = <row>cell*</row>
+//
+// A tab's grammar is internal/tab's: a column of atoms of one kind travels as
+// one <col>, its typed values delimited in one attribute (a String behind its
+// length), so an atom arrives with its exact text; the other columns travel
+// per cell in <row>s, in cols order. The client reads the tabs of one frame
+// with one tab.Reader, so consecutive tabs of the same columns share one
+// column list.
 //
 // A chunk holds at most tab.DefaultStreamChunk rows (trees) and never
 // serializes beyond MaxFrame. Every <tab> carries its columns and the index
@@ -199,9 +211,21 @@ func WriteFrame(w io.Writer, payload string) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
-	_, err := w.Write(append(buf, payload...))
+	_, err := w.Write(request(payload))
 	return err
+}
+
+// request returns payload framed: its header and itself in one buffer, to
+// be written in one Write.
+func request(payload string) []byte {
+	return seal(append(make([]byte, 4, 4+len(payload)), payload...))
+}
+
+// seal patches the length of the payload built after a frame's four
+// reserved header bytes into them and returns the frame.
+func seal(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
 // ReadFrame reads one length-prefixed XML payload into one buffer of its
@@ -211,6 +235,13 @@ func WriteFrame(w io.Writer, payload string) error {
 // input), so the string must stay as it was read.
 func ReadFrame(r io.Reader) (string, error) {
 	var hdr [4]byte
+	return readFrame(r, &hdr)
+}
+
+// readFrame is ReadFrame reading the header into hdr: a reader's own, kept
+// with the connection or the reply, since a header read through an
+// io.Reader escapes to the heap.
+func readFrame(r io.Reader, hdr *[4]byte) (string, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return "", err
 	}
@@ -326,10 +357,11 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // handle serves one connection: a sequence of requests, each answered by one
 // or more frames.
 func (s *Server) handle(conn net.Conn) {
-	var buf []byte // the connection's frame buffer, reused by every reply
+	var buf []byte  // the connection's frame buffer, reused by every reply
+	var hdr [4]byte // the request header, read into the same bytes each time
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.idle))
-		req, err := ReadFrame(conn)
+		req, err := readFrame(conn, &hdr)
 		if err != nil {
 			return // connection closed or idle too long
 		}
@@ -546,7 +578,7 @@ func (w *frameWriter) encode(n *data.Node) int {
 // payload's length into the header and writes both in one Write, under the
 // server's write deadline.
 func (w *frameWriter) write() {
-	binary.BigEndian.PutUint32(w.buf, uint32(len(w.buf)-4))
+	seal(w.buf)
 	w.conn.SetWriteDeadline(time.Now().Add(w.s.write))
 	if _, err := w.conn.Write(w.buf); err != nil {
 		w.err = errClientGone
@@ -623,44 +655,48 @@ func (w *frameWriter) end(err error) error {
 	return w.err
 }
 
-// flush writes pieces as one chunk frame, the terminal one when last is set:
-// the chunk is serialized into the connection's buffer after the header
-// bytes, its length checked against MaxFrame and patched in, and header and
-// payload written in one Write. A chunk that serializes beyond MaxFrame is
-// halved, down to a single row or
-// tree; one of those exceeding the limit alone fails the reply.
+// flush writes pieces as one chunk frame, the terminal one when last is set.
+// The chunk is appended into the connection's buffer after the header
+// bytes, straight from the pieces — each document tree serialized, each tab
+// written by tab.AppendXML — its length checked against MaxFrame and patched
+// in, and header and payload written in one Write. A chunk beyond MaxFrame
+// is halved, down to a single row or tree; one of those exceeding the limit
+// alone fails the reply.
 func (w *frameWriter) flush(pieces []piece, last bool) {
-	n := &data.Node{Label: "chunk", Kids: make([]*data.Node, 0, len(pieces)+2)}
 	size := 0
 	for _, p := range pieces {
 		size += p.size()
 	}
+	b := append(w.buf[:0], "\x00\x00\x00\x00<chunk"...)
 	if last {
-		n.Add(data.Text("@end", strconv.Itoa(w.total+size)))
+		b = append(strconv.AppendInt(append(b, ` end="`...), int64(w.total+size), 10), '"')
 		if w.traced {
-			n.Add(data.Text("@obs-ns", strconv.FormatInt(time.Since(w.start).Nanoseconds(), 10)))
+			b = append(strconv.AppendInt(append(b, ` obs-ns="`...), time.Since(w.start).Nanoseconds(), 10), '"')
 		}
 	}
-	for _, p := range pieces {
-		if p.tree != nil {
-			n.Add(p.tree)
-			continue
+	if len(pieces) == 0 {
+		b = append(b, "/>"...)
+	} else {
+		b = append(b, '>')
+		for _, p := range pieces {
+			if p.tree != nil {
+				b = xmlenc.AppendSerialize(b, p.tree)
+			} else {
+				b = tab.AppendXML(b, p.rows, p.bind)
+			}
 		}
-		tn := tab.ToXML(p.rows)
-		if p.bind > 0 {
-			tn.Add(data.Text("@bind", strconv.Itoa(p.bind)))
-		}
-		n.Add(tn)
+		b = append(b, "</chunk>"...)
 	}
-	if payload := w.encode(n); payload > MaxFrame {
-		a, b := halve(pieces)
-		if a == nil {
+	w.buf = b
+	if payload := len(b) - 4; payload > MaxFrame {
+		lo, hi := halve(pieces)
+		if lo == nil {
 			w.fail(fmt.Errorf("one row or tree of %d bytes exceeds frame limit", payload))
 			return
 		}
-		w.flush(a, false)
+		w.flush(lo, false)
 		if w.err == nil {
-			w.flush(b, last)
+			w.flush(hi, last)
 		}
 		return
 	}
