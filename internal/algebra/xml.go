@@ -84,7 +84,11 @@ func PlanToXML(op Op) (*data.Node, error) {
 		n.Add(data.Text("@source", x.Source))
 		return n, nil
 	case *Literal:
-		return data.Elem("literal", tab.ToXML(x.T)), nil
+		t, err := tab.ToXML(x.T)
+		if err != nil {
+			return nil, err
+		}
+		return data.Elem("literal", t), nil
 	default:
 		return nil, fmt.Errorf("algebra: cannot serialize operator %T", op)
 	}

@@ -151,14 +151,15 @@ func appendCell(dst []byte, c Cell) []byte {
 	}
 }
 
-// ToXML converts the Tab to its XML tree: the parse of what AppendXML
-// writes, as a plan literal carries it.
-func ToXML(t *Tab) *data.Node {
+// ToXML converts the Tab to its XML tree, as a plan literal carries it: the
+// parse of what AppendXML writes. It fails when a tree the tab holds has a
+// label that XML cannot spell.
+func ToXML(t *Tab) (*data.Node, error) {
 	n, err := xmlenc.Parse(Marshal(t))
 	if err != nil {
-		panic(fmt.Sprintf("tab: the writer's own text does not parse: %v", err))
+		return nil, fmt.Errorf("tab: %v", err)
 	}
-	return n
+	return n, nil
 }
 
 // Marshal renders the Tab as an XML string.

@@ -570,7 +570,11 @@ func TestBuiltTreesDoNotShareKids(t *testing.T) {
 			tab.SeqCell(data.Forest{data.Text("@k", "v"), data.RefNode("ref", "p1"), w.Child("artist")}),
 			tab.Null(), tab.TabCell(nested)})
 	}
-	checkNoSharedKids(t, "tab.ToXML", tab.ToXML(rows))
+	tn, err := tab.ToXML(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoSharedKids(t, "tab.ToXML", tn)
 
 	checkNoSharedKids(t, "o2wrap Fetch", artifacts(t)...)
 
