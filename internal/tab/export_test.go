@@ -1,8 +1,7 @@
 package tab
 
-// The oracle codec, for the external tests that read wire replies.
+// The oracle codec, for the external test that reads wire replies.
 var (
-	OracleFromXML   = oracleFromXML
 	OracleRoundTrip = oracleRoundTrip
 	ExactAtoms      = exactAtoms
 )

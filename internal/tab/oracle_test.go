@@ -179,9 +179,6 @@ func oracleRoundTrip(t *Tab) (*Tab, error) {
 	return oracleFromXML(n)
 }
 
-// roundTrip ships t through this package's codec.
-func roundTrip(t *Tab) (*Tab, error) { return Unmarshal(Marshal(t)) }
-
 // oracleTabs cover every cell kind: atoms of the four kinds (an empty string,
 // text to escape, extreme numbers), a tree, a seq of attribute and bare
 // reference nodes (written as attributes of <seq>) beside an element, an
@@ -260,7 +257,7 @@ func exactAtoms(got, oracle *Tab) ([]string, bool) {
 func TestToXMLMatchesOracle(t *testing.T) {
 	var exact []string
 	for i, tb := range oracleTabs() {
-		got, err := roundTrip(tb)
+		got, err := Unmarshal(Marshal(tb))
 		if err != nil {
 			t.Fatalf("tab %d: %v\n%s", i, err, Marshal(tb))
 		}

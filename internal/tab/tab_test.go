@@ -359,6 +359,7 @@ func TestXMLErrors(t *testing.T) {
 		`<tab cols="$a"><col name="$a" type="Bool" v="true yes"/></tab>`,
 		`<tab cols="$a"><col name="$a" type="Void" v="1"/></tab>`,
 		`<tab cols="$a"><col name="$a" v="1"/></tab>`,
+		`<tab cols="$a $b"><col name="$a" type="Void" v=""/></tab>`,
 		`<tab cols="$a $b"><col name="$a" type="Void" v="1"/><row><null/></row></tab>`,
 	}
 	for _, src := range bad {

@@ -311,6 +311,11 @@ func colError(k *data.Node, err error) error {
 // exactly rows of them.
 func readCol(k *data.Node, cells []Cell, stride, rows int) error {
 	typ, v := k.Attr("type"), k.Attr("v")
+	switch typ {
+	case "Int", "Float", "Bool", "String":
+	default:
+		return fmt.Errorf("unknown atom type %q", typ)
+	}
 	i := 0
 	for ; v != ""; i++ {
 		a, rest, err := nextValue(typ, v)

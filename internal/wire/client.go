@@ -162,7 +162,7 @@ func newClient(addr string, opts Options, conns int, maxIdle, base time.Duration
 // hello performs the hello exchange that learns the wrapper's name and
 // documents; on failure it closes the client.
 func (c *Client) hello(ctx context.Context) (*Client, error) {
-	resp, err := c.drain(ctx, request(`<hello/>`))
+	resp, err := c.drain(ctx, framed(`<hello/>`))
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -537,7 +537,7 @@ func (c *Client) Documents() []string { return append([]string(nil), c.docs...) 
 // wrapper's request span joins the caller's trace, and the wrapper-side
 // evaluation time comes back on the reply's last frame.
 func docRequest(ctx context.Context, doc string) []byte {
-	b := xmlenc.AppendEscaped(append(make([]byte, 0, 64), "\x00\x00\x00\x00<query doc=\""...), doc)
+	b := xmlenc.AppendEscaped(append(make([]byte, 0, 64), reserved+`<query doc="`...), doc)
 	return seal(append(appendTrace(append(b, '"'), ctx), "/>"...))
 }
 
@@ -636,7 +636,7 @@ func (c *Client) planRequest(ctx context.Context, plan algebra.Op, bindings []ma
 		}
 	}
 	// The plan, the markup around it and about 16 bytes per binding value.
-	b := append(make([]byte, 0, len(enc)+96+16*len(bindings)*len(colSet)), "\x00\x00\x00\x00<query"...)
+	b := append(make([]byte, 0, len(enc)+96+16*len(bindings)*len(colSet)), reserved+"<query"...)
 	b = append(append(append(appendTrace(b, ctx), "><plan>"...), enc...), "</plan>"...)
 	if len(colSet) > 0 || len(bindings) > 1 {
 		cols := make([]string, 0, len(colSet))
@@ -800,7 +800,7 @@ func (c *Client) PushStream(ctx context.Context, plan algebra.Op, params map[str
 // legitimately exports no interface); a malformed description fails with
 // the source named, so a bad export is diagnosed at import time.
 func (c *Client) ImportInterface() (*capability.Interface, error) {
-	resp, err := c.drain(context.Background(), request(`<interface-request/>`))
+	resp, err := c.drain(context.Background(), framed(`<interface-request/>`))
 	if err != nil {
 		return nil, err
 	}
@@ -813,7 +813,7 @@ func (c *Client) ImportInterface() (*capability.Interface, error) {
 
 // ImportStructures fetches the wrapper's structural models.
 func (c *Client) ImportStructures() (map[string]StructureRef, error) {
-	resp, err := c.drain(context.Background(), request(`<structures-request/>`))
+	resp, err := c.drain(context.Background(), framed(`<structures-request/>`))
 	if err != nil {
 		return nil, err
 	}

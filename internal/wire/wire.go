@@ -211,15 +211,19 @@ func WriteFrame(w io.Writer, payload string) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	_, err := w.Write(request(payload))
+	_, err := w.Write(framed(payload))
 	return err
 }
 
-// request returns payload framed: its header and itself in one buffer, to
-// be written in one Write.
-func request(payload string) []byte {
-	return seal(append(make([]byte, 4, 4+len(payload)), payload...))
+// framed returns payload framed: its header and itself in one buffer, to be
+// written in one Write.
+func framed(payload string) []byte {
+	return seal(append(append(make([]byte, 0, 4+len(payload)), reserved...), payload...))
 }
+
+// reserved stands for a frame's header while its payload is appended after
+// it; seal patches the payload's length in.
+const reserved = "\x00\x00\x00\x00"
 
 // seal patches the length of the payload built after a frame's four
 // reserved header bytes into them and returns the frame.
@@ -570,7 +574,7 @@ type frameWriter struct {
 // encode serializes n into buf after the four header bytes and returns the
 // payload's length.
 func (w *frameWriter) encode(n *data.Node) int {
-	w.buf = xmlenc.AppendSerialize(append(w.buf[:0], 0, 0, 0, 0), n)
+	w.buf = xmlenc.AppendSerialize(append(w.buf[:0], reserved...), n)
 	return len(w.buf) - 4
 }
 
@@ -667,7 +671,7 @@ func (w *frameWriter) flush(pieces []piece, last bool) {
 	for _, p := range pieces {
 		size += p.size()
 	}
-	b := append(w.buf[:0], "\x00\x00\x00\x00<chunk"...)
+	b := append(w.buf[:0], reserved+"<chunk"...)
 	if last {
 		b = append(strconv.AppendInt(append(b, ` end="`...), int64(w.total+size), 10), '"')
 		if w.traced {

@@ -549,9 +549,9 @@ func checkNoSharedKids(t *testing.T, name string, roots ...*data.Node) {
 	}
 }
 
-// TestBuiltTreesDoNotShareKids holds the four builders of whole trees to
-// child lists of their own: the parser, a tab's XML tree, an O₂ extent's
-// export and a clone.
+// TestBuiltTreesDoNotShareKids holds the builders of whole trees to child
+// lists of their own: the parser (over works and over a tab's XML tree,
+// which is the parse of its text), an O₂ extent's export and a clone.
 func TestBuiltTreesDoNotShareKids(t *testing.T) {
 	works := datagen.Generate(datagen.DefaultParams(10)).Works
 	parsed, err := xmlenc.ParseForest(xmlenc.SerializeForest(works) +
