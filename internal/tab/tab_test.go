@@ -1,12 +1,15 @@
 package tab
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/data"
+	"repro/internal/xmlenc"
 )
 
 func work(title, artist string) *data.Node {
@@ -355,6 +358,7 @@ func TestXMLErrors(t *testing.T) {
 		`<tab cols="$a"><col name="$a" type="Int" v="1 x"/></tab>`,
 		`<tab cols="$a"><col name="$a" type="Int" v="1  2"/></tab>`,
 		`<tab cols="$a"><col name="$a" type="Int" v="1 "/></tab>`,
+		`<tab cols="$a"><col name="$a" type="Int" v=" 1"/></tab>`,
 		`<tab cols="$a"><col name="$a" type="Float" v="1.5 one"/></tab>`,
 		`<tab cols="$a"><col name="$a" type="Bool" v="true yes"/></tab>`,
 		`<tab cols="$a"><col name="$a" type="Void" v="1"/></tab>`,
@@ -366,6 +370,33 @@ func TestXMLErrors(t *testing.T) {
 		if _, err := Unmarshal(src); err == nil {
 			t.Errorf("Unmarshal(%q) should fail", src)
 		}
+	}
+}
+
+// TestReadBoundedByInput: a tab whose rows do not fill its columns is
+// refused before its cells are allocated. 1,000 column names and 1,000
+// empty rows, 13 KB of text, would otherwise ask for a million cells
+// (104 MB); the per-cell reader allocated one row before it refused.
+func TestReadBoundedByInput(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`<tab cols="`)
+	for i := range 1000 {
+		fmt.Fprintf(&b, "$c%d ", i)
+	}
+	b.WriteString(`">` + strings.Repeat("<row/>", 1000) + `</tab>`)
+	n, err := xmlenc.Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = FromXML(n)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("rows of no cells for 1,000 columns were accepted")
+	}
+	if d := m1.TotalAlloc - m0.TotalAlloc; d > 1<<20 {
+		t.Errorf("refusing a %d-byte tab allocated %d bytes", b.Len(), d)
 	}
 }
 

@@ -205,34 +205,47 @@ func (r *Reader) Read(n *data.Node) (*Tab, error) {
 }
 
 // read reads a <tab> element of the given columns: its <col>s first, then
-// its <row>s into the other columns. All rows share one cell array.
+// its <row>s into the other columns. All rows share one cell array, which is
+// allocated only once every count has been checked, so that its size is
+// bounded by the frame's.
 func read(n *data.Node, cols []string) (*Tab, error) {
 	nc := len(cols)
 	rows, ncol := 0, 0
-	var first *data.Node // the first <col>
 	for _, k := range n.Kids {
 		switch k.Label {
 		case "row":
 			rows++
 		case "col":
-			if first == nil {
-				first = k
-			}
 			ncol++
 		}
 	}
 	t := &Tab{Cols: cols}
-	if rows == 0 && ncol > 0 && ncol >= nc {
-		// every column is a <col>: the rows are the first one's values
-		for v, typ := first.Attr("v"), first.Attr("type"); v != ""; rows++ {
-			var err error
-			if _, v, err = nextValue(typ, v); err != nil {
-				return nil, colError(first, err)
-			}
-		}
-	}
 	if rows == 0 && ncol == 0 {
 		return t, nil
+	}
+	perCell := nc - ncol
+	if perCell < 0 {
+		return nil, fmt.Errorf("tab: %d <col>s for %d columns", ncol, nc)
+	}
+	fromCols := rows == 0 && perCell == 0 // the first <col> counts the rows
+	for _, k := range n.Kids {
+		switch k.Label {
+		case "row":
+			if c := elems(k); c != perCell {
+				return nil, fmt.Errorf("tab: row with %d cells for %d columns", c, perCell)
+			}
+		case "col":
+			c, err := countValues(k.Attr("type"), k.Attr("v"))
+			if fromCols {
+				rows, fromCols = c, false
+			}
+			if err == nil && c != rows {
+				err = fmt.Errorf("%d values for %d rows", c, rows)
+			}
+			if err != nil {
+				return nil, colError(k, err)
+			}
+		}
 	}
 	var stack [16]bool
 	columnar := stack[:]
@@ -264,43 +277,66 @@ func read(n *data.Node, cols []string) (*Tab, error) {
 	if rows > 0 {
 		t.Rows = make([]Row, rows)
 	}
-	perCell := nc - ncol
+	for i := range t.Rows {
+		t.Rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
+	}
 	i := 0
 	for _, k := range n.Kids {
 		if k.Label != "row" {
 			continue
 		}
-		row := cells[i*nc : (i+1)*nc : (i+1)*nc]
 		j := 0
 		for _, cn := range k.Kids {
 			if cn.IsAttr() {
 				continue
 			}
-			for j < nc && columnar[j] {
+			for columnar[j] {
 				j++
-			}
-			if j == nc {
-				return nil, fmt.Errorf("tab: row with more than %d cells for %d columns", perCell, nc)
 			}
 			c, err := cellFromXML(cn)
 			if err != nil {
 				return nil, err
 			}
-			row[j] = c
+			t.Rows[i][j] = c
 			j++
-		}
-		for j < nc && columnar[j] {
-			j++
-		}
-		if j < nc {
-			return nil, fmt.Errorf("tab: row with too few cells for %d columns", nc)
 		}
 		i++
 	}
-	for i := range t.Rows {
-		t.Rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
-	}
 	return t, nil
+}
+
+// elems counts the children of k that are not attributes.
+func elems(k *data.Node) int {
+	c := 0
+	for _, cn := range k.Kids {
+		if !cn.IsAttr() {
+			c++
+		}
+	}
+	return c
+}
+
+// countValues counts the values of a <col>'s v attribute without reading
+// them: one per space-separated token, none of them empty, and a String one
+// per length-prefixed value.
+func countValues(typ, v string) (int, error) {
+	if v == "" {
+		return 0, nil
+	}
+	if typ != "String" {
+		if v[0] == ' ' || v[len(v)-1] == ' ' || strings.Contains(v, "  ") {
+			return 0, fmt.Errorf("empty value in %.20q", v)
+		}
+		return strings.Count(v, " ") + 1, nil
+	}
+	c := 0
+	for ; v != ""; c++ {
+		var err error
+		if _, v, err = nextValue(typ, v); err != nil {
+			return 0, err
+		}
+	}
+	return c, nil
 }
 
 func colError(k *data.Node, err error) error {
