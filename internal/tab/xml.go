@@ -270,7 +270,7 @@ func read(n *data.Node, cols []string) (*Tab, error) {
 			return nil, fmt.Errorf("tab: column %s has two <col>s", name)
 		}
 		columnar[j] = true
-		if err := readCol(k, cells[j:], nc, rows); err != nil {
+		if err := readCol(k, cells[j:], nc); err != nil {
 			return nil, colError(k, err)
 		}
 	}
@@ -343,35 +343,29 @@ func colError(k *data.Node, err error) error {
 	return fmt.Errorf("tab: <col> %s: %v", k.Attr("name"), err)
 }
 
-// readCol reads the values of one <col> into every stride-th cell of cells,
-// exactly rows of them.
-func readCol(k *data.Node, cells []Cell, stride, rows int) error {
+// readCol reads the values of one <col>, counted already, into every
+// stride-th cell of cells.
+func readCol(k *data.Node, cells []Cell, stride int) error {
 	typ, v := k.Attr("type"), k.Attr("v")
 	switch typ {
 	case "Int", "Float", "Bool", "String":
 	default:
 		return fmt.Errorf("unknown atom type %q", typ)
 	}
-	i := 0
-	for ; v != ""; i++ {
+	for i := 0; v != ""; i++ {
 		a, rest, err := nextValue(typ, v)
 		if err != nil {
 			return err
 		}
-		if i == rows {
-			return fmt.Errorf("more than %d values", rows)
-		}
 		cells[i*stride] = AtomCell(a)
 		v = rest
-	}
-	if i < rows {
-		return fmt.Errorf("%d values for %d rows", i, rows)
 	}
 	return nil
 }
 
 // nextValue reads the first value of a <col>'s v attribute and returns it
-// with the rest of the attribute, past the separating space.
+// with the rest of the attribute, past the separating space. Empty values
+// between spaces are countValues' to refuse.
 func nextValue(typ, v string) (data.Atom, string, error) {
 	if typ == "String" {
 		colon := strings.IndexByte(v, ':')
@@ -392,10 +386,7 @@ func nextValue(typ, v string) (data.Atom, string, error) {
 		}
 		return data.String(s), rest, nil
 	}
-	tok, rest, sep := strings.Cut(v, " ")
-	if sep && rest == "" {
-		return data.Atom{}, "", fmt.Errorf("trailing separator after %q", tok)
-	}
+	tok, rest, _ := strings.Cut(v, " ")
 	if typ == "Bool" && tok != "true" && tok != "false" {
 		return data.Atom{}, "", fmt.Errorf("bad Bool atom %q", tok)
 	}
