@@ -92,6 +92,13 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 func (r *rng) pct(p int) bool { return r.intn(100) < p }
 
+// The field names of the two classes' values, one list shared by all their
+// objects.
+var (
+	personFields   = []string{"name", "auction"}
+	artifactFields = []string{"title", "year", "creator", "price", "owners"}
+)
+
 // NewTradingSchema declares the Person/Artifact schema of the paper with
 // the current_price method (a 10% premium over the recorded price).
 func NewTradingSchema() *o2.Schema {
@@ -109,7 +116,8 @@ func NewTradingSchema() *o2.Schema {
 	), "artifacts")
 	_ = s.AddMethod("Artifact", "current_price", o2.TyFloat(),
 		func(db *o2.DB, self *o2.Object) (o2.Val, error) {
-			return o2.Float(self.Value.Fields["price"].AsFloat() * 1.1), nil
+			price, _ := self.Value.Field("price")
+			return o2.Float(price.AsFloat() * 1.1), nil
 		})
 	return s
 }
@@ -119,8 +127,8 @@ func NewTradingSchema() *o2.Schema {
 // pre-1800 Old Canvas filtered out by the view.
 func PaperDB() *o2.DB {
 	db := o2.NewDB(NewTradingSchema())
-	p1, _ := db.NewObject("Person", o2.Tuple("name", o2.Str("Doctor X"), "auction", o2.Float(1500000)))
-	p2, _ := db.NewObject("Person", o2.Tuple("name", o2.Str("Mme Y"), "auction", o2.Float(200000)))
+	p1, _ := db.NewObject("Person", o2.Tuple(personFields, o2.Str("Doctor X"), o2.Float(1500000)))
+	p2, _ := db.NewObject("Person", o2.Tuple(personFields, o2.Str("Mme Y"), o2.Float(200000)))
 	mustArtifact(db, "Nympheas", 1897, "Claude Monet", 1500000, p1, p2)
 	mustArtifact(db, "Waterloo Bridge", 1900, "Claude Monet", 150000, p1)
 	mustArtifact(db, "Old Canvas", 1750, "Anonymous", 1000, p2)
@@ -132,9 +140,8 @@ func mustArtifact(db *o2.DB, title string, year int64, creator string, price flo
 	for i, o := range owners {
 		refs[i] = o2.Oid(o)
 	}
-	oid, err := db.NewObject("Artifact", o2.Tuple(
-		"title", o2.Str(title), "year", o2.Int(year), "creator", o2.Str(creator),
-		"price", o2.Float(price), "owners", o2.Coll(o2.CList, refs...)))
+	oid, err := db.NewObject("Artifact", o2.Tuple(artifactFields,
+		o2.Str(title), o2.Int(year), o2.Str(creator), o2.Float(price), o2.Coll(o2.CList, refs...)))
 	if err != nil {
 		panic(err)
 	}
@@ -221,9 +228,8 @@ func Generate(p Params) *Workload {
 	w := &Workload{DB: db}
 	oids := make([]string, 0, p.Persons)
 	for i := 0; i < p.Persons; i++ {
-		oid, err := db.NewObject("Person", o2.Tuple(
-			"name", o2.Str(fmt.Sprintf("Collector %d", i)),
-			"auction", o2.Float(float64(10000+r.intn(2000000)))))
+		oid, err := db.NewObject("Person", o2.Tuple(personFields,
+			o2.Str(fmt.Sprintf("Collector %d", i)), o2.Float(float64(10000+r.intn(2000000)))))
 		if err != nil {
 			panic(err)
 		}

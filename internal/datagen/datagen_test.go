@@ -99,7 +99,10 @@ func TestGenerateInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Elems) != 1 || res.Elems[0].Fields["y"].I <= 1800 {
+		if len(res.Elems) != 1 {
+			t.Fatalf("work %q has %d artifacts", title, len(res.Elems))
+		}
+		if y, _ := res.Elems[0].Field("y"); y.I <= 1800 {
 			t.Fatalf("work %q violates the containment guarantee", title)
 		}
 	}

@@ -18,17 +18,17 @@ import (
 // field indexes. The store must be fully ingested before the wrapper starts
 // serving; reads are lock-free.
 type Wrapper struct {
-	S         *Store
-	SourceNme string
+	S    *Store
+	name string
 }
 
 // New returns a wrapper over the store.
 func New(name string, s *Store) *Wrapper {
-	return &Wrapper{S: s, SourceNme: name}
+	return &Wrapper{S: s, name: name}
 }
 
 // Name implements algebra.Source.
-func (w *Wrapper) Name() string { return w.SourceNme }
+func (w *Wrapper) Name() string { return w.name }
 
 // Documents implements algebra.Source: one bulk document.
 func (w *Wrapper) Documents() []string { return []string{"records"} }
@@ -61,7 +61,7 @@ Record  := record[ id: String, title: String, issn: String, journal: String,
 // filter-by-field / fetch-by-id lookups) and the external prefix operation.
 // No project, no join, no ordering comparisons: those stay mediator-side.
 func (w *Wrapper) ExportInterface() *capability.Interface {
-	i := capability.NewInterface(w.SourceNme)
+	i := capability.NewInterface(w.name)
 	fm := pattern.NewModel("feedfmodel")
 	fm.Define("Frecords", &pattern.P{
 		Kind: pattern.KNode, Label: "records",

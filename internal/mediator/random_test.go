@@ -125,5 +125,5 @@ func firstKey(m map[int]bool) int {
 }
 
 func o2Tuple(name string, auction float64) o2.Val {
-	return o2.Tuple("name", o2.Str(name), "auction", o2.Float(auction))
+	return o2.Tuple([]string{"name", "auction"}, o2.Str(name), o2.Float(auction))
 }

@@ -34,7 +34,8 @@ func accessDB(t *testing.T, hits *int, indexed ...string) *DB {
 }
 
 func accessObj(i int) Val {
-	return Tuple("u", Str(fmt.Sprintf("u%d", i)), "g", Str(fmt.Sprintf("g%d", i%2)), "n", Str(fmt.Sprintf("n%d", i)))
+	return Tuple([]string{"u", "g", "n"},
+		Str(fmt.Sprintf("u%d", i)), Str(fmt.Sprintf("g%d", i%2)), Str(fmt.Sprintf("n%d", i)))
 }
 
 func TestAccessPathVisitsTheShortestPostingList(t *testing.T) {

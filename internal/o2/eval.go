@@ -2,6 +2,7 @@ package o2
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -30,9 +31,13 @@ func (db *DB) Run(q *Query) (Val, error) {
 	db.statsMu.Lock()
 	db.QueriesRun++
 	db.statsMu.Unlock()
+	names, err := rowNames(q)
+	if err != nil {
+		return Nil(), err
+	}
 	var out []Val
 	env := oenv{}
-	err := db.iterate(q, q.Ranges, env, func() error {
+	err = db.iterate(q, q.Ranges, env, func() error {
 		if q.Where != nil {
 			ok, err := db.truth(q.Where, env)
 			if err != nil {
@@ -42,7 +47,7 @@ func (db *DB) Run(q *Query) (Val, error) {
 				return nil
 			}
 		}
-		v, err := db.project(q, env)
+		v, err := db.project(q, names, env)
 		if err != nil {
 			return err
 		}
@@ -53,7 +58,7 @@ func (db *DB) Run(q *Query) (Val, error) {
 		return Nil(), err
 	}
 	if len(q.OrderBy) > 0 {
-		if err := db.orderBy(q, out, env); err != nil {
+		if err := orderBy(q, out); err != nil {
 			return Nil(), err
 		}
 	}
@@ -62,14 +67,7 @@ func (db *DB) Run(q *Query) (Val, error) {
 		kind = CSet
 		var dedup []Val
 		for _, v := range out {
-			found := false
-			for _, d := range dedup {
-				if d.Equal(v) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.ContainsFunc(dedup, v.Equal) {
 				dedup = append(dedup, v)
 			}
 		}
@@ -78,76 +76,87 @@ func (db *DB) Run(q *Query) (Val, error) {
 	return Coll(kind, out...), nil
 }
 
-// orderBy sorts results by re-evaluating order keys; it requires each order
-// key to be a projected field or a literal path over the projection.
-func (db *DB) orderBy(q *Query, out []Val, env oenv) error {
-	keys := make([][]Val, len(out))
+// orderBy sorts the rows stably by their order keys, each of which names a
+// projected field.
+func orderBy(q *Query, out []Val) error {
+	type keyed struct {
+		row  Val
+		keys []Val
+	}
+	rows := make([]keyed, len(out))
 	for i, row := range out {
-		keys[i] = make([]Val, len(q.OrderBy))
+		rows[i] = keyed{row, make([]Val, len(q.OrderBy))}
 		for j, ob := range q.OrderBy {
-			// Order keys reference projected fields by name.
 			p, ok := ob.E.(*OPath)
 			if !ok || len(p.Steps) != 0 || row.Kind != VTuple {
 				return fmt.Errorf("oql: order by supports projected field names only")
 			}
-			v, exists := row.Fields[p.Root]
-			if !exists {
+			if rows[i].keys[j], ok = row.Field(p.Root); !ok {
 				return fmt.Errorf("oql: order by unknown field %q", p.Root)
 			}
-			keys[i][j] = v
 		}
 	}
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
+	sort.SliceStable(rows, func(a, b int) bool {
 		for j, ob := range q.OrderBy {
-			c := keys[idx[a]][j].Compare(keys[idx[b]][j])
-			if ob.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
+			if c := rows[a].keys[j].Compare(rows[b].keys[j]); c != 0 {
+				return (c < 0) != ob.Desc
 			}
 		}
 		return false
 	})
-	sorted := make([]Val, len(out))
-	for i, k := range idx {
-		sorted[i] = out[k]
+	for i, r := range rows {
+		out[i] = r.row
 	}
-	copy(out, sorted)
 	return nil
 }
 
-func (db *DB) project(q *Query, env oenv) (Val, error) {
-	if q.Star {
-		if len(q.Ranges) == 1 {
-			return env[q.Ranges[0].Var], nil
+// rowNames returns the field names of q's rows, nil when a row is not a
+// tuple: a star over several ranges names each field after its range, a
+// select after its item or, unnamed, f<i> after the item's place. It refuses
+// a name given twice, whose first field no row could be read by.
+func rowNames(q *Query) ([]string, error) {
+	var names []string
+	switch {
+	case q.Star && len(q.Ranges) != 1:
+		names = make([]string, len(q.Ranges))
+		for i, r := range q.Ranges {
+			names[i] = r.Var
 		}
-		pairs := []any{}
-		for _, r := range q.Ranges {
-			pairs = append(pairs, r.Var, env[r.Var])
+	case !q.Star && (len(q.Proj) != 1 || q.Proj[0].Name != ""):
+		names = make([]string, len(q.Proj))
+		for i, p := range q.Proj {
+			if names[i] = p.Name; p.Name == "" {
+				names[i] = fmt.Sprintf("f%d", i+1)
+			}
 		}
-		return Tuple(pairs...), nil
 	}
-	if len(q.Proj) == 1 && q.Proj[0].Name == "" {
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
+			return nil, fmt.Errorf("oql: select names field %q twice", n)
+		}
+	}
+	return names, nil
+}
+
+// project builds the row of the current binding, a tuple when names is not
+// nil.
+func (db *DB) project(q *Query, names []string, env oenv) (Val, error) {
+	if names == nil && q.Star {
+		return env[q.Ranges[0].Var], nil
+	}
+	if names == nil {
 		return db.eval(q.Proj[0].E, env)
 	}
-	pairs := []any{}
-	for i, p := range q.Proj {
-		v, err := db.eval(p.E, env)
-		if err != nil {
+	vals := make([]Val, len(names))
+	for i := range vals {
+		var err error
+		if q.Star {
+			vals[i] = env[q.Ranges[i].Var]
+		} else if vals[i], err = db.eval(q.Proj[i].E, env); err != nil {
 			return Nil(), err
 		}
-		name := p.Name
-		if name == "" {
-			name = fmt.Sprintf("f%d", i+1)
-		}
-		pairs = append(pairs, name, v)
 	}
-	return Tuple(pairs...), nil
+	return Tuple(names, vals...), nil
 }
 
 // iterate runs fn for every binding of the remaining ranges.
@@ -392,41 +401,35 @@ func (db *DB) evalPath(p *OPath, env oenv) (Val, error) {
 		return Nil(), fmt.Errorf("oql: unknown name %q", p.Root)
 	}
 	for _, s := range p.Steps {
-		if s.Method {
-			if cur.Kind != VOid {
-				return Nil(), fmt.Errorf("oql: method %s on non-object %s", s.Name, cur)
-			}
-			o := db.Objects[cur.S]
-			if o == nil {
+		// A reference is dereferenced before a method or attribute step.
+		var o *Object
+		if cur.Kind == VOid {
+			if o = db.Objects[cur.S]; o == nil {
 				return Nil(), fmt.Errorf("oql: dangling reference %s", cur.S)
+			}
+			cur = o.Value.Val
+		}
+		if s.Method {
+			if o == nil {
+				return Nil(), fmt.Errorf("oql: method %s on non-object %s", s.Name, cur)
 			}
 			m := db.Schema.Classes[o.Class].Methods[s.Name]
 			if m == nil {
 				return Nil(), fmt.Errorf("oql: class %s has no method %q", o.Class, s.Name)
 			}
-			v, err := m.Fn(db, o)
-			if err != nil {
+			var err error
+			if cur, err = m.Fn(db, o); err != nil {
 				return Nil(), err
 			}
-			cur = v
 			continue
-		}
-		// Dereference before attribute access.
-		if cur.Kind == VOid {
-			o := db.Objects[cur.S]
-			if o == nil {
-				return Nil(), fmt.Errorf("oql: dangling reference %s", cur.S)
-			}
-			cur = o.Value
 		}
 		if cur.Kind != VTuple {
 			return Nil(), fmt.Errorf("oql: attribute %q on non-tuple %s", s.Name, cur)
 		}
-		v, ok := cur.Fields[s.Name]
-		if !ok {
+		var ok bool
+		if cur, ok = cur.Field(s.Name); !ok {
 			return Nil(), fmt.Errorf("oql: unknown attribute %q", s.Name)
 		}
-		cur = v
 	}
 	return cur, nil
 }

@@ -21,6 +21,8 @@ func FuzzParseOQL(f *testing.F) {
 		`select x from B in bag(A.title)`,
 		`select x from a in b where x = - - 1 and y = -(2) and z = -0.0`,
 		`not a query at all`,
+		`select x from B in bag(tuple(a: 1, a: 2))`, // refused: a named twice
+		`select X.x, f1: X.y from X in as`,          // DB.Run refuses: f1 twice
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -9,7 +9,8 @@ package o2
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -29,17 +30,19 @@ const (
 	VOid
 )
 
-// Val is an O₂ runtime value.
+// Val is an O₂ runtime value. A tuple and a collection both hold their
+// components in Elems; a tuple's field Names[i] holds Elems[i], and no name
+// is given twice (ParseOQL and DB.Run refuse a tuple that would). Tuples of
+// one shape may share one Names list, so a value is not changed once built.
 type Val struct {
-	Kind   VKind
-	I      int64
-	F      float64
-	B      bool
-	S      string // VStr and VOid
-	Names  []string
-	Fields map[string]Val
-	Col    CollKind
-	Elems  []Val
+	Kind  VKind
+	I     int64
+	F     float64
+	B     bool
+	S     string   // VStr and VOid
+	Names []string // VTuple
+	Col   CollKind // VColl
+	Elems []Val    // VTuple and VColl
 }
 
 // CollKind enumerates ODMG collection constructors.
@@ -87,15 +90,23 @@ func Str(v string) Val { return Val{Kind: VStr, S: v} }
 // Oid wraps an object identifier.
 func Oid(id string) Val { return Val{Kind: VOid, S: id} }
 
-// Tuple builds a tuple value with fields in the given order.
-func Tuple(pairs ...any) Val {
-	v := Val{Kind: VTuple, Fields: map[string]Val{}}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		name := pairs[i].(string)
-		v.Names = append(v.Names, name)
-		v.Fields[name] = pairs[i+1].(Val)
+// Tuple builds a tuple whose field names[i] holds vals[i]. It keeps names as
+// given, so that tuples of one shape can share one list.
+func Tuple(names []string, vals ...Val) Val {
+	if len(names) != len(vals) {
+		panic(fmt.Sprintf("o2: a tuple of %d names and %d values", len(names), len(vals)))
 	}
-	return v
+	return Val{Kind: VTuple, Names: names, Elems: vals}
+}
+
+// Field returns the value of tuple v's field name, and whether v has one.
+func (v Val) Field(name string) (Val, bool) {
+	for i, n := range v.Names {
+		if n == name {
+			return v.Elems[i], true
+		}
+	}
+	return Nil(), false
 }
 
 // Coll builds a collection value.
@@ -134,9 +145,9 @@ func (v Val) Equal(w Val) bool {
 		if len(v.Names) != len(w.Names) {
 			return false
 		}
-		for _, n := range v.Names {
-			wf, ok := w.Fields[n]
-			if !ok || !v.Fields[n].Equal(wf) {
+		for i, n := range v.Names {
+			wf, ok := w.Field(n)
+			if !ok || !v.Elems[i].Equal(wf) {
 				return false
 			}
 		}
@@ -145,23 +156,13 @@ func (v Val) Equal(w Val) bool {
 		if v.Col != w.Col || len(v.Elems) != len(w.Elems) {
 			return false
 		}
+		a, b := v.Elems, w.Elems
 		if v.Col == CSet || v.Col == CBag {
-			a, b := append([]Val(nil), v.Elems...), append([]Val(nil), w.Elems...)
-			sortVals(a)
-			sortVals(b)
-			for i := range a {
-				if !a[i].Equal(b[i]) {
-					return false
-				}
-			}
-			return true
+			a, b = append([]Val(nil), a...), append([]Val(nil), b...)
+			slices.SortStableFunc(a, Val.Compare)
+			slices.SortStableFunc(b, Val.Compare)
 		}
-		for i := range v.Elems {
-			if !v.Elems[i].Equal(w.Elems[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(a, b, Val.Equal)
 	default:
 		return false
 	}
@@ -204,17 +205,13 @@ func (v Val) Compare(w Val) int {
 	}
 }
 
-func sortVals(vs []Val) {
-	sort.SliceStable(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
-}
-
 // String renders the value in OQL-ish literal syntax.
 func (v Val) String() string {
 	switch v.Kind {
 	case VNil:
 		return "nil"
 	case VInt:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case VFloat:
 		s := strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v.F), "0"), ".")
 		if s == "-0" { // a negative too small to print is the 0 it reads back as
@@ -222,15 +219,15 @@ func (v Val) String() string {
 		}
 		return s
 	case VBool:
-		return fmt.Sprintf("%t", v.B)
+		return strconv.FormatBool(v.B)
 	case VStr:
-		return fmt.Sprintf("%q", v.S)
+		return strconv.Quote(v.S) // as %q writes it
 	case VOid:
 		return "&" + v.S
 	case VTuple:
 		parts := make([]string, len(v.Names))
 		for i, n := range v.Names {
-			parts[i] = fmt.Sprintf("%s: %s", n, v.Fields[n])
+			parts[i] = n + ": " + v.Elems[i].String()
 		}
 		return "tuple(" + strings.Join(parts, ", ") + ")"
 	case VColl:
@@ -406,7 +403,15 @@ func (s *Schema) ClassByExtent(extent string) *Class {
 type Object struct {
 	OID   string
 	Class string
-	Value Val
+	Value objectValue
+}
+
+// objectValue is an object's value, with its fields also in a map by name
+// for the benchmark's oracle (bench/oracle.go), which reads Value.Fields and
+// is not changed with the engine. Everything else reads Val.Field.
+type objectValue struct {
+	Val
+	Fields map[string]Val
 }
 
 // DB is the database: schema, objects, extents and indexes.
@@ -445,11 +450,16 @@ func (db *DB) NewObject(class string, v Val) (string, error) {
 	}
 	db.nextOID++
 	oid := fmt.Sprintf("%s%d", strings.ToLower(class[:1]), db.nextOID)
-	db.Objects[oid] = &Object{OID: oid, Class: class, Value: v}
+	fields := make(map[string]Val, len(v.Names))
+	for i, n := range v.Names {
+		fields[n] = v.Elems[i]
+	}
+	db.Objects[oid] = &Object{OID: oid, Class: class, Value: objectValue{v, fields}}
 	db.Extents[c.Extent] = append(db.Extents[c.Extent], oid)
 	for _, f := range c.Type.Fields {
 		if idx, ok := db.indexes[class+"."+f.Name]; ok {
-			key := v.Fields[f.Name].String()
+			fv, _ := v.Field(f.Name)
+			key := fv.String()
 			idx[key] = append(idx[key], oid)
 		}
 	}
@@ -484,7 +494,7 @@ func (db *DB) checkType(t *Type, v Val) error {
 			return fmt.Errorf("expected tuple, got %s", v)
 		}
 		for _, f := range t.Fields {
-			fv, ok := v.Fields[f.Name]
+			fv, ok := v.Field(f.Name)
 			if !ok {
 				return fmt.Errorf("missing field %q", f.Name)
 			}
@@ -529,7 +539,8 @@ func (db *DB) BuildIndex(class, attr string) error {
 	idx := map[string][]string{}
 	for _, oid := range db.Extents[c.Extent] {
 		o := db.Objects[oid]
-		key := o.Value.Fields[attr].String()
+		fv, _ := o.Value.Field(attr)
+		key := fv.String()
 		idx[key] = append(idx[key], oid)
 	}
 	db.indexes[class+"."+attr] = idx

@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+var (
+	personNames   = []string{"name", "auction"}
+	artifactNames = []string{"title", "year", "creator", "price", "owners"}
+)
+
+// field is v's field name, nil when it has none.
+func field(v Val, name string) Val {
+	f, _ := v.Field(name)
+	return f
+}
+
 // artDB builds the cultural-goods trading database of the paper: Person and
 // Artifact classes with the art extents, plus the current_price method.
 func artDB(t *testing.T) *DB {
@@ -25,24 +36,23 @@ func artDB(t *testing.T) *DB {
 	), "artifacts")
 	if err := s.AddMethod("Artifact", "current_price", TyFloat(),
 		func(db *DB, self *Object) (Val, error) {
-			return Float(self.Value.Fields["price"].AsFloat() * 1.1), nil
+			return Float(field(self.Value.Val, "price").AsFloat() * 1.1), nil
 		}); err != nil {
 		t.Fatal(err)
 	}
 	db := NewDB(s)
-	p1, err := db.NewObject("Person", Tuple("name", Str("Doctor X"), "auction", Float(1500000)))
+	p1, err := db.NewObject("Person", Tuple(personNames, Str("Doctor X"), Float(1500000)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := db.NewObject("Person", Tuple("name", Str("Mme Y"), "auction", Float(200000)))
+	p2, _ := db.NewObject("Person", Tuple(personNames, Str("Mme Y"), Float(200000)))
 	mk := func(title string, year int64, creator string, price float64, owners ...string) {
 		refs := make([]Val, len(owners))
 		for i, o := range owners {
 			refs[i] = Oid(o)
 		}
-		_, err := db.NewObject("Artifact", Tuple(
-			"title", Str(title), "year", Int(year), "creator", Str(creator),
-			"price", Float(price), "owners", Coll(CList, refs...)))
+		_, err := db.NewObject("Artifact", Tuple(artifactNames,
+			Str(title), Int(year), Str(creator), Float(price), Coll(CList, refs...)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +77,7 @@ func TestSchemaAndObjects(t *testing.T) {
 	}
 	oid := db.Extents["artifacts"][0]
 	o := db.Get(oid)
-	if o == nil || o.Value.Fields["title"].S != "Nympheas" {
+	if o == nil || field(o.Value.Val, "title").S != "Nympheas" {
 		t.Errorf("object = %+v", o)
 	}
 }
@@ -75,10 +85,10 @@ func TestSchemaAndObjects(t *testing.T) {
 func TestTypeChecking(t *testing.T) {
 	db := artDB(t)
 	cases := []Val{
-		Tuple("name", Int(5), "auction", Float(1)),           // wrong field type
-		Tuple("auction", Float(1)),                           // missing field
-		Str("not a tuple"),                                   // wrong kind
-		Tuple("name", Str("x"), "auction", Str("not float")), // string for float
+		Tuple(personNames, Int(5), Float(1)),           // wrong field type
+		Tuple([]string{"auction"}, Float(1)),           // missing field
+		Str("not a tuple"),                             // wrong kind
+		Tuple(personNames, Str("x"), Str("not float")), // string for float
 	}
 	for i, v := range cases {
 		if _, err := db.NewObject("Person", v); err == nil {
@@ -86,18 +96,16 @@ func TestTypeChecking(t *testing.T) {
 		}
 	}
 	// int accepted where float expected
-	if _, err := db.NewObject("Person", Tuple("name", Str("Z"), "auction", Int(5))); err != nil {
+	if _, err := db.NewObject("Person", Tuple(personNames, Str("Z"), Int(5))); err != nil {
 		t.Errorf("int should widen to float: %v", err)
 	}
 	// dangling and mistyped references
-	if _, err := db.NewObject("Artifact", Tuple(
-		"title", Str("T"), "year", Int(1900), "creator", Str("C"),
-		"price", Float(1), "owners", Coll(CList, Oid("ghost")))); err == nil {
+	if _, err := db.NewObject("Artifact", Tuple(artifactNames,
+		Str("T"), Int(1900), Str("C"), Float(1), Coll(CList, Oid("ghost")))); err == nil {
 		t.Error("dangling reference must be rejected")
 	}
-	if _, err := db.NewObject("Artifact", Tuple(
-		"title", Str("T"), "year", Int(1900), "creator", Str("C"),
-		"price", Float(1), "owners", Coll(CList, Oid(db.Extents["artifacts"][0])))); err == nil {
+	if _, err := db.NewObject("Artifact", Tuple(artifactNames,
+		Str("T"), Int(1900), Str("C"), Float(1), Coll(CList, Oid(db.Extents["artifacts"][0])))); err == nil {
 		t.Error("reference of the wrong class must be rejected")
 	}
 	if _, err := db.NewObject("Ghost", Nil()); err == nil {
@@ -122,11 +130,11 @@ func TestSection41Query(t *testing.T) {
 		t.Fatalf("result = %s", res)
 	}
 	first := res.Elems[0]
-	if first.Fields["t"].S != "Nympheas" || first.Fields["n"].S != "Doctor X" {
+	if field(first, "t").S != "Nympheas" || field(first, "n").S != "Doctor X" {
 		t.Errorf("first row = %s", first)
 	}
-	if first.Fields["y"].I != 1897 {
-		t.Errorf("year = %s", first.Fields["y"])
+	if field(first, "y").I != 1897 {
+		t.Errorf("year = %s", field(first, "y"))
 	}
 }
 
@@ -156,7 +164,7 @@ func TestOrderBy(t *testing.T) {
 	}
 	years := []int64{}
 	for _, r := range res.Elems {
-		years = append(years, r.Fields["y"].I)
+		years = append(years, field(r, "y").I)
 	}
 	if years[0] != 1900 || years[2] != 1750 {
 		t.Errorf("order = %v", years)
@@ -175,7 +183,7 @@ func TestMethodCall(t *testing.T) {
 	if len(res.Elems) != 1 {
 		t.Fatalf("rows = %d", len(res.Elems))
 	}
-	if got := res.Elems[0].Fields["p"].AsFloat(); got < 1649999 || got > 1650001 {
+	if got := field(res.Elems[0], "p").AsFloat(); got < 1649999 || got > 1650001 {
 		t.Errorf("current_price = %v", got)
 	}
 	if _, err := db.Execute(`select A.nosuch() from A in artifacts`); err == nil {
@@ -192,7 +200,7 @@ func TestDependentRanges(t *testing.T) {
 	if len(res.Elems) != 2 {
 		t.Fatalf("owners = %d", len(res.Elems))
 	}
-	names := res.Elems[0].Fields["n"].S + "," + res.Elems[1].Fields["n"].S
+	names := field(res.Elems[0], "n").S + "," + field(res.Elems[1], "n").S
 	if names != "Doctor X,Mme Y" {
 		t.Errorf("names = %s", names)
 	}
@@ -238,9 +246,9 @@ func TestCollectionLiteralRange(t *testing.T) {
 	// query joins the extent with them in literal order.
 	db := artDB(t)
 	bindings := Coll(CBag,
-		Tuple("i", Int(0), "c", Str("Claude Monet"), "y", Int(-1900)),
-		Tuple("i", Int(1), "c", Str("a \"q\" \\ \n\t\x00\xff é"), "y", Float(-0.25)),
-		Tuple("i", Int(2), "c", Str("Anonymous"), "y", Float(1e300)))
+		Tuple([]string{"i", "c", "y"}, Int(0), Str("Claude Monet"), Int(-1900)),
+		Tuple([]string{"i", "c", "y"}, Int(1), Str("a \"q\" \\ \n\t\x00\xff é"), Float(-0.25)),
+		Tuple([]string{"i", "c", "y"}, Int(2), Str("Anonymous"), Float(1e300)))
 	src := "select bi: B.i, t: A.title from B in " + bindings.String() +
 		", A in artifacts where A.creator = B.c and A.year > B.y"
 	q, err := ParseOQL(src)
@@ -287,6 +295,7 @@ func TestOQLParseErrors(t *testing.T) {
 		`select "unterminated from a in b`,
 		`select x from a in b extra`,
 		`select 1.2.3 from a in b`,
+		`select x from B in bag(tuple(a: 1, a: 2))`, // a field named twice
 	}
 	for _, src := range bad {
 		if _, err := ParseOQL(src); err == nil {
@@ -306,6 +315,8 @@ func TestOQLEvalErrors(t *testing.T) {
 		`select A.title from A in artifacts where A.price / 0 = 2`,
 		`select O.name from O in artifacts, X in O.title`,
 		`select A.title.deeper from A in artifacts`,
+		`select A.title, f1: A.year from A in artifacts`, // f1 twice
+		`select * from A in artifacts, A in A.owners`,    // A twice
 	}
 	for _, src := range bad {
 		if _, err := db.Execute(src); err == nil {
@@ -355,10 +366,10 @@ func TestValEqualCompare(t *testing.T) {
 	if Coll(CSet, Int(1)).Equal(Coll(CBag, Int(1))) {
 		t.Error("collection kinds differ")
 	}
-	if !Tuple("a", Int(1)).Equal(Tuple("a", Int(1))) {
+	if !Tuple([]string{"a"}, Int(1)).Equal(Tuple([]string{"a"}, Int(1))) {
 		t.Error("tuple equality")
 	}
-	if Tuple("a", Int(1)).Equal(Tuple("a", Int(2))) {
+	if Tuple([]string{"a"}, Int(1)).Equal(Tuple([]string{"a"}, Int(2))) {
 		t.Error("tuple field inequality")
 	}
 	if Str("a").Compare(Str("b")) != -1 || Int(2).Compare(Int(1)) != 1 {
@@ -367,7 +378,7 @@ func TestValEqualCompare(t *testing.T) {
 }
 
 func TestValString(t *testing.T) {
-	v := Tuple("t", Str("Nympheas"), "o", Coll(CList, Oid("p1")))
+	v := Tuple([]string{"t", "o"}, Str("Nympheas"), Coll(CList, Oid("p1")))
 	s := v.String()
 	for _, frag := range []string{`t: "Nympheas"`, "list(&p1)"} {
 		if !strings.Contains(s, frag) {
@@ -394,7 +405,7 @@ func TestPropertyIndexedEqualsScan(t *testing.T) {
 			return v
 		}
 		for i := int64(0); i < 20; i++ {
-			v := Tuple("c", Str(string(rune('a'+next(4)))), "v", Int(next(100)))
+			v := Tuple([]string{"c", "v"}, Str(string(rune('a'+next(4)))), Int(next(100)))
 			db.NewObject("A", v)
 			db2.NewObject("A", v)
 		}

@@ -2,6 +2,7 @@ package o2
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -462,37 +463,37 @@ func (p *oparser) value() (Val, error) {
 		return lit.V, nil
 	}
 	p.i += 2
+	var names []string
 	var elems []Val
-	var pairs []any
 	for !p.punct(")") {
-		if len(elems)+len(pairs) > 0 {
+		if len(elems) > 0 {
 			if !p.punct(",") {
 				return Nil(), fmt.Errorf("oql: expected ',' or ')' at offset %d", p.cur().pos)
 			}
 			p.i++
 		}
 		if !isColl {
-			if p.cur().kind != "ident" || !p.next(":") {
-				return Nil(), fmt.Errorf("oql: expected a field name at offset %d", p.cur().pos)
+			n := p.cur()
+			if n.kind != "ident" || !p.next(":") {
+				return Nil(), fmt.Errorf("oql: expected a field name at offset %d", n.pos)
 			}
-			pairs = append(pairs, p.cur().text)
+			if slices.Contains(names, n.text) {
+				return Nil(), fmt.Errorf("oql: field %q named twice at offset %d", n.text, n.pos)
+			}
+			names = append(names, n.text)
 			p.i += 2
 		}
 		v, err := p.value()
 		if err != nil {
 			return Nil(), err
 		}
-		if isColl {
-			elems = append(elems, v)
-		} else {
-			pairs = append(pairs, v)
-		}
+		elems = append(elems, v)
 	}
 	p.i++
 	if isColl {
 		return Coll(kind, elems...), nil
 	}
-	return Tuple(pairs...), nil
+	return Tuple(names, elems...), nil
 }
 
 func (p *oparser) expr() (OExpr, error) { return p.orExpr() }

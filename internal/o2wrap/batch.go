@@ -83,7 +83,8 @@ func (w *Wrapper) pushSet(ctx context.Context, plan algebra.Op, bindings []map[s
 	if len(tr.where) > 0 {
 		q.Where = conjOQL(tr.where)
 	}
-	if len(tr.free) > 0 || len(bindings) > 1 {
+	batched := len(tr.free) > 0 || len(bindings) > 1
+	if batched {
 		bag, at, err := bindingBag(tr.free, bindings)
 		if err != nil {
 			return nil, at, err
@@ -94,14 +95,13 @@ func (w *Wrapper) pushSet(ctx context.Context, plan algebra.Op, bindings []map[s
 	}
 	outCols := plan.Columns()
 	vbs := make([]varBinding, len(outCols))
-	aliases := make([]string, len(outCols))
 	for i, col := range outCols {
 		vb, ok := tr.varInfo[col]
 		if !ok {
 			return nil, -1, fmt.Errorf("o2wrap: output column %s is not bound by the pushed plan", col)
 		}
-		vbs[i], aliases[i] = vb, fmt.Sprintf("c%d", i)
-		q.Proj = append(q.Proj, o2.ProjItem{Name: aliases[i], E: vb.path})
+		vbs[i] = vb
+		q.Proj = append(q.Proj, o2.ProjItem{Name: fmt.Sprintf("c%d", i), E: vb.path})
 	}
 	w.setLastOQL(q.String())
 	if err := ctx.Err(); err != nil {
@@ -114,30 +114,36 @@ func (w *Wrapper) pushSet(ctx context.Context, plan algebra.Op, bindings []map[s
 	for i := range out {
 		out[i] = tab.New(outCols...)
 	}
+	// A row's fields are in the order q.Proj gives them above, bi first when
+	// batched and then one per output column, so they are read by position.
 	for _, rv := range res.Elems {
+		at, fields := 0, rv.Elems
+		if batched {
+			at, fields = int(fields[0].I), fields[1:]
+		}
 		row := make(tab.Row, len(outCols))
 		for i := range outCols {
-			if row[i], err = w.valToCell(vbs[i], rv.Fields[aliases[i]]); err != nil {
+			if row[i], err = w.valToCell(vbs[i], fields[i]); err != nil {
 				return nil, -1, err
 			}
 		}
-		// Without a binding range there is no bi field, and its zero value
-		// is the one binding's index.
-		out[rv.Fields[bindIndex].I].AddRow(row)
+		out[at].AddRow(row)
 	}
 	return out, -1, nil
 }
 
 // bindingBag is the collection literal the binding range iterates: per
-// binding set, its index and the values of the plan's free variables.
+// binding set, its index and the values of the plan's free variables, in
+// tuples that share one list of field names {i, p0, p1, …}.
 func bindingBag(free []string, bindings []map[string]tab.Cell) (o2.Val, int, error) {
-	fields := make([]string, len(free))
+	names := append(make([]string, 0, 1+len(free)), "i")
 	for k := range free {
-		fields[k] = paramField(k)
+		names = append(names, paramField(k))
 	}
 	elems := make([]o2.Val, len(bindings))
 	for i, b := range bindings {
-		pairs := append(make([]any, 0, 2+2*len(free)), "i", o2.Int(int64(i)))
+		vals := make([]o2.Val, len(names))
+		vals[0] = o2.Int(int64(i))
 		for k, name := range free {
 			c, ok := b[name]
 			if !ok {
@@ -147,9 +153,9 @@ func bindingBag(free []string, bindings []map[string]tab.Cell) (o2.Val, int, err
 			if err != nil {
 				return o2.Nil(), i, fmt.Errorf("o2wrap: parameter %s: %w", name, err)
 			}
-			pairs = append(pairs, fields[k], v)
+			vals[k+1] = v
 		}
-		elems[i] = o2.Tuple(pairs...)
+		elems[i] = o2.Tuple(names, vals...)
 	}
 	return o2.Coll(o2.CBag, elems...), -1, nil
 }

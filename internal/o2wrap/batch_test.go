@@ -13,6 +13,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/filter"
+	"repro/internal/o2"
 	"repro/internal/route"
 	"repro/internal/tab"
 	"repro/internal/wire"
@@ -55,7 +56,9 @@ func batchWrapper() (*Wrapper, [][2]string) {
 	var pairs [][2]string
 	for _, oid := range w.DB.Extents["artifacts"] {
 		v := w.DB.Get(oid).Value
-		pairs = append(pairs, [2]string{v.Fields["creator"].S, v.Fields["title"].S})
+		creator, _ := v.Field("creator")
+		title, _ := v.Field("title")
+		pairs = append(pairs, [2]string{creator.S, title.S})
 	}
 	return w, pairs
 }
@@ -136,6 +139,26 @@ func TestPushBatchEqualsPerBinding(t *testing.T) {
 		if rows == 0 {
 			t.Errorf("%s: no binding matched anything; the comparison is vacuous", c.name)
 		}
+	}
+}
+
+// TestRunLeavesTheBatchQueryUnchanged runs the Q2 batch query the wrapper
+// emitted once more and requires it to print the same after the run, so that
+// LastOQL could be taken from the query after it ran.
+func TestRunLeavesTheBatchQueryUnchanged(t *testing.T) {
+	w, pairs := batchWrapper()
+	if _, err := w.PushBatch(batchPlans[0].plan, randomBindings(rand.New(rand.NewSource(2)), pairs, 64)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := o2.ParseOQL(w.LastOQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := w.DB.Run(q); err != nil || len(res.Elems) == 0 {
+		t.Fatalf("rerun: %d rows, err = %v", len(res.Elems), err)
+	}
+	if got := q.String(); got != w.LastOQL {
+		t.Errorf("Run changed the query\nbefore %s\nafter  %s", w.LastOQL, got)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 
 // Wrapper wraps one O₂ database.
 type Wrapper struct {
-	DB        *o2.DB
-	SourceNme string
+	DB   *o2.DB
+	name string
 	// LastOQL records the text of the most recently pushed OQL query
 	// (observability: tests and examples print it, as the paper does).
 	// Writes are serialized by lastMu so concurrent pushes do not race;
@@ -44,11 +44,11 @@ func (w *Wrapper) setLastOQL(q string) {
 
 // New returns a wrapper over db, named after the source (e.g. "o2artifact").
 func New(name string, db *o2.DB) *Wrapper {
-	return &Wrapper{DB: db, SourceNme: name}
+	return &Wrapper{DB: db, name: name}
 }
 
 // Name implements algebra.Source.
-func (w *Wrapper) Name() string { return w.SourceNme }
+func (w *Wrapper) Name() string { return w.name }
 
 // Documents implements algebra.Source: one document per extent, plus the
 // pre/post-order node table of each (PR 7: pushable XPath axes).
@@ -80,7 +80,7 @@ func (w *Wrapper) ExportModel() *pattern.Model { return pattern.ODMGModel() }
 // becomes `Class := class[ classname: <type> ]`, with collections, tuples
 // and references mapped onto the corresponding YAT patterns.
 func (w *Wrapper) ExportSchema() *pattern.Model {
-	m := pattern.NewModel(w.SourceNme)
+	m := pattern.NewModel(w.name)
 	for _, cn := range w.DB.Schema.Order {
 		c := w.DB.Schema.Classes[cn]
 		body := typePattern(c.Type)
@@ -158,7 +158,7 @@ func (w *Wrapper) Fetch(doc string) (data.Forest, error) {
 	c := exportCount{nodes: 1}
 	for i := 0; i < len(objs); i++ {
 		c.object(objs[i])
-		collectRefs(objs[i].Value, func(ref string) {
+		collectRefs(objs[i].Value.Val, func(ref string) {
 			if !shipped[ref] {
 				shipped[ref] = true
 				objs = append(objs, w.DB.Get(ref))
@@ -189,24 +189,19 @@ func (c *exportCount) block() data.Block { return data.NewBlock(c.nodes, c.atoms
 
 func (c *exportCount) object(o *o2.Object) {
 	c.nodes, c.kids = c.nodes+2, c.kids+2
-	c.val(o.Value)
+	c.val(o.Value.Val)
 }
 
 func (c *exportCount) val(v o2.Val) {
 	c.nodes++
 	if _, ok := valToAtom(v); ok {
 		c.atoms++
-	} else if v.Kind == o2.VTuple {
-		c.kids += len(v.Names)
-		for _, name := range v.Names {
-			if _, ok := valToAtom(v.Fields[name]); !ok {
-				c.nodes, c.kids = c.nodes+1, c.kids+1 // the field over the value
-			}
-			c.val(v.Fields[name])
-		}
-	} else if v.Kind == o2.VColl {
+	} else if v.Kind == o2.VTuple || v.Kind == o2.VColl {
 		c.kids += len(v.Elems)
 		for _, e := range v.Elems {
+			if _, ok := valToAtom(e); !ok && v.Kind == o2.VTuple {
+				c.nodes, c.kids = c.nodes+1, c.kids+1 // the field over the value
+			}
 			c.val(e)
 		}
 	}
@@ -221,7 +216,7 @@ func exportObject(b *data.Block, labels map[string]string, o *o2.Object) *data.N
 		label = strings.ToLower(o.Class)
 		labels[o.Class] = label
 	}
-	return b.Elem("class", b.Elem(label, exportVal(b, o.Value))).WithID(o.OID)
+	return b.Elem("class", b.Elem(label, exportVal(b, o.Value.Val))).WithID(o.OID)
 }
 
 // exportVal builds v's tree. An atom is an unlabeled leaf, but the leaf of
@@ -239,10 +234,10 @@ func exportVal(b *data.Block, v o2.Val) *data.Node {
 		n = b.Elem("tuple")
 		n.Kids = b.List(len(v.Names))
 		for i, name := range v.Names {
-			if a, ok := valToAtom(v.Fields[name]); ok {
+			if a, ok := valToAtom(v.Elems[i]); ok {
 				n.Kids[i] = b.Leaf(name, a)
 			} else {
-				n.Kids[i] = b.Elem(name, exportVal(b, v.Fields[name]))
+				n.Kids[i] = b.Elem(name, exportVal(b, v.Elems[i]))
 			}
 		}
 	case o2.VColl:
@@ -273,11 +268,7 @@ func collectRefs(v o2.Val, fn func(string)) {
 	switch v.Kind {
 	case o2.VOid:
 		fn(v.S)
-	case o2.VTuple:
-		for _, n := range v.Names {
-			collectRefs(v.Fields[n], fn)
-		}
-	case o2.VColl:
+	case o2.VTuple, o2.VColl:
 		for _, e := range v.Elems {
 			collectRefs(e, fn)
 		}
@@ -293,7 +284,7 @@ func collectRefs(v o2.Val, fn func(string)) {
 // algebraic operations OQL evaluates, the boolean predicates, and one
 // method declaration per schema method.
 func (w *Wrapper) ExportInterface() *capability.Interface {
-	i := capability.NewInterface(w.SourceNme)
+	i := capability.NewInterface(w.name)
 	fm := pattern.NewModel("o2fmodel")
 	fm.Define("Fclass", &pattern.P{
 		Kind: pattern.KNode, Label: "class", Bind: pattern.BindTree,
@@ -386,7 +377,7 @@ func (w *Wrapper) ExportInterface() *capability.Interface {
 			}
 			i.Operations = append(i.Operations, capability.Operation{
 				Name: mn, Kind: "method",
-				Inputs: []capability.Sig{{Model: w.SourceNme, Pattern: cn}},
+				Inputs: []capability.Sig{{Model: w.name, Pattern: cn}},
 				Output: &capability.Sig{Leaf: leaf},
 			})
 		}

@@ -356,7 +356,7 @@ func TestPushCrossExtentJoin(t *testing.T) {
 }
 
 func o2val(name string, auction float64) o2.Val {
-	return o2.Tuple("name", o2.Str(name), "auction", o2.Float(auction))
+	return o2.Tuple([]string{"name", "auction"}, o2.Str(name), o2.Float(auction))
 }
 
 func TestFuncsMethodCallback(t *testing.T) {

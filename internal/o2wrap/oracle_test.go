@@ -25,7 +25,7 @@ func oracleFetch(w *Wrapper, doc string) data.Forest {
 	for len(queue) > 0 {
 		oid := queue[0]
 		queue = queue[1:]
-		collectRefs(w.DB.Get(oid).Value, func(ref string) {
+		collectRefs(w.DB.Get(oid).Value.Val, func(ref string) {
 			if !shipped[ref] {
 				shipped[ref] = true
 				forest = append(forest, oracleObject(w.DB.Get(ref)))
@@ -38,7 +38,7 @@ func oracleFetch(w *Wrapper, doc string) data.Forest {
 
 func oracleObject(o *o2.Object) *data.Node {
 	return data.Elem("class",
-		data.Elem(strings.ToLower(o.Class), oracleVal(o.Value)),
+		data.Elem(strings.ToLower(o.Class), oracleVal(o.Value.Val)),
 	).WithID(o.OID)
 }
 
@@ -56,8 +56,8 @@ func oracleVal(v o2.Val) *data.Node {
 		return data.RefNode("ref", v.S)
 	case o2.VTuple:
 		n := data.Elem("tuple")
-		for _, name := range v.Names {
-			fv := oracleVal(v.Fields[name])
+		for i, name := range v.Names {
+			fv := oracleVal(v.Elems[i])
 			field := data.Elem(name)
 			if fv.Label == "" && fv.Atom != nil {
 				field.Atom = fv.Atom
@@ -93,11 +93,11 @@ func oracleDB(t *testing.T) *o2.DB {
 		o2.F("tags", o2.TyColl(o2.CSet, o2.TyStr())),
 		o2.F("inner", o2.TyTuple(o2.F("n", o2.TyInt()), o2.F("who", o2.TyClass("Person")))),
 	), "miscs")
-	if _, err := db.NewObject("Misc", o2.Tuple(
-		"flag", o2.Bool(true),
-		"none", o2.Coll(o2.CList),
-		"tags", o2.Coll(o2.CSet, o2.Str("a"), o2.Str("")),
-		"inner", o2.Tuple("n", o2.Int(3), "who", o2.Oid(db.Extents["persons"][0])),
+	if _, err := db.NewObject("Misc", o2.Tuple([]string{"flag", "none", "tags", "inner"},
+		o2.Bool(true),
+		o2.Coll(o2.CList),
+		o2.Coll(o2.CSet, o2.Str("a"), o2.Str("")),
+		o2.Tuple([]string{"n", "who"}, o2.Int(3), o2.Oid(db.Extents["persons"][0])),
 	)); err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ import (
 
 // Wrapper wraps one Wais engine.
 type Wrapper struct {
-	E         *wais.Engine
-	SourceNme string
+	E    *wais.Engine
+	name string
 	// LastSearch records the text of the most recent pushed full-text
 	// search (observability for tests and examples). Writes are serialized
 	// by lastMu so concurrent pushes do not race; read it only after the
@@ -40,11 +40,11 @@ type Wrapper struct {
 
 // New returns a wrapper over the engine.
 func New(name string, e *wais.Engine) *Wrapper {
-	return &Wrapper{E: e, SourceNme: name}
+	return &Wrapper{E: e, name: name}
 }
 
 // Name implements algebra.Source.
-func (w *Wrapper) Name() string { return w.SourceNme }
+func (w *Wrapper) Name() string { return w.name }
 
 // Documents implements algebra.Source: the works document and its
 // pre/post-order node table (PR 7: pushable XPath axes).
@@ -100,7 +100,7 @@ Field := Symbol[ *( Int | Float | Bool | String | &Field ) ]`)
 // (bind whole documents only), bind/select operations, the contains
 // external predicate and the contains/equality equivalence.
 func (w *Wrapper) ExportInterface() *capability.Interface {
-	i := capability.NewInterface(w.SourceNme)
+	i := capability.NewInterface(w.name)
 	fm := pattern.NewModel("waisfmodel")
 	fm.Define("Fworks", &pattern.P{
 		Kind: pattern.KNode, Label: "works",

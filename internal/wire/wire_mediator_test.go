@@ -175,8 +175,8 @@ func TestPushedConstantsSurviveTheWire(t *testing.T) {
 	titles := []string{"a\nb", "a\tb", "a\x01b", "é", `a\b`}
 	db := o2.NewDB(datagen.NewTradingSchema())
 	for i, title := range titles {
-		if _, err := db.NewObject("Artifact", o2.Tuple("title", o2.Str(title), "year", o2.Int(1900),
-			"creator", o2.Str("X"), "price", o2.Float(2500000.5*float64(i)), "owners", o2.Coll(o2.CList))); err != nil {
+		if _, err := db.NewObject("Artifact", o2.Tuple([]string{"title", "year", "creator", "price", "owners"},
+			o2.Str(title), o2.Int(1900), o2.Str("X"), o2.Float(2500000.5*float64(i)), o2.Coll(o2.CList))); err != nil {
 			t.Fatal(err)
 		}
 	}
