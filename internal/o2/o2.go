@@ -406,12 +406,13 @@ type Object struct {
 	Value objectValue
 }
 
-// objectValue is an object's value, with its fields also in a map by name
-// for the benchmark's oracle (bench/oracle.go), which reads Value.Fields and
-// is not changed with the engine. Everything else reads Val.Field.
+// objectValue is an object's value, with its fields also found by name in
+// a map for the benchmark's oracle (bench/oracle.go), which reads
+// Value.Fields and is not changed with the engine. The map points into Elems;
+// everything else reads Val.Field.
 type objectValue struct {
 	Val
-	Fields map[string]Val
+	Fields map[string]*Val
 }
 
 // DB is the database: schema, objects, extents and indexes.
@@ -450,9 +451,9 @@ func (db *DB) NewObject(class string, v Val) (string, error) {
 	}
 	db.nextOID++
 	oid := fmt.Sprintf("%s%d", strings.ToLower(class[:1]), db.nextOID)
-	fields := make(map[string]Val, len(v.Names))
+	fields := make(map[string]*Val, len(v.Names))
 	for i, n := range v.Names {
-		fields[n] = v.Elems[i]
+		fields[n] = &v.Elems[i]
 	}
 	db.Objects[oid] = &Object{OID: oid, Class: class, Value: objectValue{v, fields}}
 	db.Extents[c.Extent] = append(db.Extents[c.Extent], oid)
