@@ -53,8 +53,11 @@ bench-build:
 # reader never panic, and over an archive of chosen entries every non-blank
 # line of each .ndxml or .xml entry yields, in entry order, one record or one
 # malformed-line error naming the entry and line, the other entries nothing.
-# The last holds the Bind filter matcher to a test-only copy of the matcher it
+# The next holds the Bind filter matcher to a test-only copy of the matcher it
 # replaced, over the random filter, forest and store generated from a seed.
+# The last holds the XML the O2 wrapper writes for a shipped extent to the
+# serializer's text for the tree it builds, over values decoded from arbitrary
+# bytes: every kind, runs of references, empty collections, escaped strings.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
@@ -67,6 +70,7 @@ fuzz-short:
 	$(GO) test -run FuzzNDXML -fuzz FuzzNDXML -fuzztime 10s ./internal/feed
 	$(GO) test -run FuzzZipDump -fuzz FuzzZipDump -fuzztime 10s ./internal/feed
 	$(GO) test -run FuzzMatch -fuzz FuzzMatch -fuzztime 10s ./internal/filter
+	$(GO) test -run FuzzWriteMatchesSerialize -fuzz FuzzWriteMatchesSerialize -fuzztime 10s ./internal/o2wrap
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

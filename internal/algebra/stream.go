@@ -348,7 +348,7 @@ func (q *SourceQuery) arrived(ctx *Context, t *tab.Tab) error {
 	var bytes int64
 	for _, r := range t.Rows {
 		for _, c := range r {
-			bytes += int64(len(c.Key()))
+			bytes += int64(c.KeyLen())
 		}
 	}
 	ctx.count(Stats{TuplesShipped: t.Len(), BytesShipped: bytes})

@@ -2,6 +2,7 @@ package o2
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -112,6 +113,35 @@ func TestNewObjectMaintainsIndexes(t *testing.T) {
 		}
 		if got.String() != want.String() || len(got.Elems) == 0 {
 			t.Errorf("%s:\nindexed %s\nscan %s", oql, got, want)
+		}
+	}
+}
+
+// TestIndexKeysMeetAsTheyPrint holds the hash indexes' key to the one they
+// had, Val.String: over values of every scalar kind, two values share a key
+// exactly when they print the same. The values include an Int and the Floats
+// that print as it does (an integral one, one within six decimals of it, a
+// negative zero), integers beyond a float's precision and at int64's ends,
+// floats beyond int64, and strings that print escaped.
+func TestIndexKeysMeetAsTheyPrint(t *testing.T) {
+	vals := []Val{
+		Nil(), Bool(true), Bool(false),
+		Int(0), Int(3), Int(-3), Int(1 << 53), Int(1<<53 + 1),
+		Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(1e-7), Float(-1e-7),
+		Float(3), Float(-3), Float(3.0000001), Float(2.9999999), Float(3.5), Float(3.5000001),
+		Float(0.1), Float(0.3), Float(0.1 + 0.2), Float(1 << 53), Float(1<<53 + 2), Float(1e18),
+		Float(math.MaxInt64), Float(math.MinInt64), Float(-1e19), Float(1e300),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()),
+		Str(""), Str("3"), Str("true"), Str("nil"), Str(`a "quoted" \ word`), Str("tab\there"), Str("é\x00"),
+		Oid(""), Oid("p1"), Oid(`"p1"`),
+		Tuple([]string{"a"}, Int(1)), Tuple([]string{"a"}, Float(1)), Coll(CSet, Str("x")), Coll(CBag),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if same, want := keyOf(a) == keyOf(b), a.String() == b.String(); same != want {
+				t.Errorf("%s (%v) and %s (%v): same key %v, same text %v", a, a.Kind, b, b.Kind, same, want)
+			}
 		}
 	}
 }

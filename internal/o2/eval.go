@@ -264,7 +264,7 @@ func (db *DB) probe(e OExpr, rangeVar string, cls *Class, env oenv, best *[]stri
 		default:
 			return
 		}
-		if oids := idx[v.String()]; len(oids) < len(*best) {
+		if oids := idx[keyOf(v)]; len(oids) < len(*best) {
 			*best = oids
 		}
 	}

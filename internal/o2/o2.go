@@ -9,6 +9,7 @@ package o2
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -420,7 +421,7 @@ type DB struct {
 	Schema  *Schema
 	Objects map[string]*Object
 	Extents map[string][]string // extent name -> ordered oids
-	indexes map[string]map[string][]string
+	indexes map[string]map[indexKey][]string
 	nextOID int
 	// QueriesRun counts executed OQL queries (observability for the
 	// experiments: how many queries a mediator pushed). Guarded by statsMu:
@@ -435,7 +436,7 @@ func NewDB(s *Schema) *DB {
 		Schema:  s,
 		Objects: map[string]*Object{},
 		Extents: map[string][]string{},
-		indexes: map[string]map[string][]string{},
+		indexes: map[string]map[indexKey][]string{},
 	}
 }
 
@@ -460,7 +461,7 @@ func (db *DB) NewObject(class string, v Val) (string, error) {
 	for _, f := range c.Type.Fields {
 		if idx, ok := db.indexes[class+"."+f.Name]; ok {
 			fv, _ := v.Field(f.Name)
-			key := fv.String()
+			key := keyOf(fv)
 			idx[key] = append(idx[key], oid)
 		}
 	}
@@ -537,11 +538,11 @@ func (db *DB) BuildIndex(class, attr string) error {
 	if c.Type.Field(attr) == nil {
 		return fmt.Errorf("o2: class %s has no attribute %q", class, attr)
 	}
-	idx := map[string][]string{}
+	idx := map[indexKey][]string{}
 	for _, oid := range db.Extents[c.Extent] {
 		o := db.Objects[oid]
 		fv, _ := o.Value.Field(attr)
-		key := fv.String()
+		key := keyOf(fv)
 		idx[key] = append(idx[key], oid)
 	}
 	db.indexes[class+"."+attr] = idx
@@ -555,7 +556,44 @@ func (db *DB) IndexLookup(class, attr string, v Val) ([]string, bool) {
 	if !ok {
 		return nil, false
 	}
-	return idx[v.String()], true
+	return idx[keyOf(v)], true
+}
+
+// indexKey is the key of a hash index. Two values have one key exactly when
+// they print the same (Val.String, the index's key before): an Int meets a
+// Float that prints as it does. Only a Float with a fraction, a tuple and a
+// collection are printed to make their key.
+type indexKey struct {
+	kind VKind
+	i    int64
+	s    string
+}
+
+func keyOf(v Val) indexKey {
+	switch v.Kind {
+	case VInt:
+		return indexKey{kind: VInt, i: v.I}
+	case VFloat:
+		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1<<63 {
+			return indexKey{kind: VInt, i: int64(v.F)}
+		}
+		s := v.String() // six decimals: it may still print as an integer
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return indexKey{kind: VInt, i: i}
+		}
+		return indexKey{kind: VFloat, s: s}
+	case VBool:
+		if v.B {
+			return indexKey{kind: VBool, i: 1}
+		}
+		return indexKey{kind: VBool}
+	case VStr, VOid:
+		return indexKey{kind: v.Kind, s: v.S}
+	case VNil:
+		return indexKey{kind: VNil}
+	default:
+		return indexKey{kind: v.Kind, s: v.String()}
+	}
 }
 
 // HasIndex reports whether (class, attr) is indexed.

@@ -37,12 +37,12 @@ func TestRunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// measured: 156 (638 when each of the 21 rows built a field map from
-	// boxed pairs): 128 for the 64 index probes, whose keys Val.String
-	// formats, one value slice per row, and 7 for the environment and the
-	// growing result
-	if n := testing.AllocsPerRun(20, func() { _, _ = db.Run(q) }); n > 156 {
-		t.Errorf("Run of a 32-binding Q2 batch: %v allocations, want at most 156", n)
+	// measured: 28 (156 when Val.String formatted the key of each of the 64
+	// index probes, 638 when each of the 21 rows also built a field map from
+	// boxed pairs): one value slice per row, and 7 for the environment and
+	// the growing result
+	if n := testing.AllocsPerRun(20, func() { _, _ = db.Run(q) }); n > 28 {
+		t.Errorf("Run of a 32-binding Q2 batch: %v allocations, want at most 28", n)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/o2"
 	"repro/internal/pattern"
 	"repro/internal/tab"
+	"repro/internal/xmlenc"
 )
 
 // Wrapper wraps one O₂ database.
@@ -33,6 +34,9 @@ type Wrapper struct {
 	lastMu  sync.Mutex
 	// nodes caches the pre/post-order node tables of the extents.
 	nodes nodetab.Cache
+	// labels holds the element label of each class, its name in lower case,
+	// made once for the classes the schema had when the wrapper was made.
+	labels map[string]string
 }
 
 // setLastOQL records the most recent pushed query under its lock.
@@ -44,7 +48,11 @@ func (w *Wrapper) setLastOQL(q string) {
 
 // New returns a wrapper over db, named after the source (e.g. "o2artifact").
 func New(name string, db *o2.DB) *Wrapper {
-	return &Wrapper{DB: db, name: name}
+	labels := map[string]string{}
+	for _, cn := range db.Schema.Order {
+		labels[cn] = strings.ToLower(cn)
+	}
+	return &Wrapper{DB: db, name: name, labels: labels}
 }
 
 // Name implements algebra.Source.
@@ -123,18 +131,21 @@ func typePattern(t *o2.Type) *pattern.P {
 // class[ classname[ <value> ] ] carrying the oid as identifier; references
 // stay references.
 func (w *Wrapper) ExportObject(o *o2.Object) *data.Node {
-	var c exportCount
-	c.object(o)
-	b := c.block()
-	return exportObject(&b, map[string]string{}, o)
+	return w.export(func(e *emitter) { e.object(o) })
 }
 
 // ExportVal converts a value to its YAT tree.
 func (w *Wrapper) ExportVal(v o2.Val) *data.Node {
-	var c exportCount
-	c.val(v)
-	b := c.block()
-	return exportVal(&b, v)
+	return w.export(func(e *emitter) { e.val(&v, "") })
+}
+
+// export builds the one tree that emit emits, in a block of its own.
+func (w *Wrapper) export(emit func(*emitter)) *data.Node {
+	e := w.emitter()
+	emit(&e)
+	e.build(1)
+	emit(&e)
+	return e.roots[0]
 }
 
 // Fetch implements algebra.Source: it ships a whole extent as a set tree,
@@ -144,114 +155,278 @@ func (w *Wrapper) Fetch(doc string) (data.Forest, error) {
 	if nodetab.IsNodes(doc) {
 		return w.nodeTable(nodetab.Base(doc))
 	}
+	objs, extent, err := w.closure(doc)
+	if err != nil {
+		return nil, err
+	}
+	e := w.emitter()
+	trees := 1 + len(objs) - extent
+	for i := range trees {
+		e.tree(objs, extent, i)
+	}
+	e.build(trees)
+	for i := range trees {
+		e.tree(objs, extent, i)
+	}
+	return e.roots, nil
+}
+
+// WriteDoc is Fetch for a source that writes the document's XML itself:
+// doc has trees trees, and appendTree appends the text of the i-th,
+// byte for byte what xmlenc.AppendSerialize writes for Fetch's i-th tree,
+// without building it. The wire server ships an extent this way. Trees may
+// be written in any order, and again, but one call at a time.
+func (w *Wrapper) WriteDoc(doc string) (trees int, appendTree func(dst []byte, i int) []byte, err error) {
+	if nodetab.IsNodes(doc) {
+		f, err := w.nodeTable(nodetab.Base(doc))
+		return len(f), func(dst []byte, i int) []byte { return xmlenc.AppendSerialize(dst, f[i]) }, err
+	}
+	objs, extent, err := w.closure(doc)
+	if err != nil {
+		return 0, nil, err
+	}
+	e := w.emitter()
+	e.mode = writing
+	return 1 + len(objs) - extent, func(dst []byte, i int) []byte {
+		e.xml = dst
+		e.tree(objs, extent, i)
+		return e.xml
+	}, nil
+}
+
+// closure returns the objects an extent document ships: the extent's, then
+// the referenced closure breadth first; extent is how many are the extent's.
+// The extent holds every object of its class, so only an object of another
+// class is looked up among those shipped.
+func (w *Wrapper) closure(doc string) (objs []*o2.Object, extent int, err error) {
 	cls := w.DB.Schema.ClassByExtent(doc)
 	if cls == nil {
-		return nil, fmt.Errorf("o2wrap: unknown extent %q", doc)
+		return nil, 0, fmt.Errorf("o2wrap: unknown extent %q", doc)
 	}
-	// The extent's objects, then the referenced closure breadth first.
-	extent := w.DB.Extents[doc]
-	objs := make([]*o2.Object, len(extent))
+	oids := w.DB.Extents[doc]
+	objs = make([]*o2.Object, len(oids))
+	for i, oid := range oids {
+		objs[i] = w.DB.Get(oid)
+	}
 	shipped := map[string]bool{}
-	for i, oid := range extent {
-		objs[i], shipped[oid] = w.DB.Get(oid), true
-	}
-	c := exportCount{nodes: 1}
 	for i := 0; i < len(objs); i++ {
-		c.object(objs[i])
 		collectRefs(objs[i].Value.Val, func(ref string) {
-			if !shipped[ref] {
+			if o := w.DB.Get(ref); o.Class != cls.Name && !shipped[ref] {
 				shipped[ref] = true
-				objs = append(objs, w.DB.Get(ref))
+				objs = append(objs, o)
 			}
 		})
 	}
-	c.kids += 1 + len(objs)
-	b := c.block()
-	set := b.Elem("set")
-	set.Kids = b.List(len(extent))
-	forest := data.Forest(b.List(1 + len(objs) - len(extent)))
-	forest[0] = set
-	labels := map[string]string{}
-	for i, o := range objs {
-		if i < len(extent) {
-			set.Kids[i] = exportObject(&b, labels, o)
-		} else {
-			forest[1+i-len(extent)] = exportObject(&b, labels, o)
-		}
+	return objs, len(oids), nil
+}
+
+// emitter is the output of the one export walk (tree, object, val), which
+// tells it each node in document order. Its mode says what it makes of them:
+// it counts them, so that a block can be reserved; builds the trees in that
+// block; or appends their XML text, the text xmlenc.AppendSerialize writes
+// for the built trees.
+type emitter struct {
+	mode   emitMode
+	labels map[string]string // the wrapper's class labels
+
+	nodes, atoms int // counting
+
+	b     data.Block   // building: the block,
+	open  []*data.Node // the elements being filled, innermost last,
+	roots []*data.Node // and the trees made
+
+	xml []byte // writing: the text so far;
+	// tag: the innermost element's start tag is not closed yet, so a
+	// reference that comes next joins its refs attribute, of refs so far
+	tag  bool
+	refs int
+}
+
+// emitter returns a counting emitter.
+func (w *Wrapper) emitter() emitter {
+	return emitter{labels: w.labels, open: make([]*data.Node, 0, 8)}
+}
+
+type emitMode int
+
+const (
+	counting emitMode = iota
+	building
+	writing
+)
+
+// build turns a counting emitter into a building one: a block of the
+// counted nodes and atoms, whose child lists also hold the trees made.
+func (e *emitter) build(trees int) {
+	e.mode, e.b = building, data.NewBlock(e.nodes, e.atoms, e.nodes)
+	e.roots = e.b.List(trees)[:0]
+}
+
+// tree emits the i-th tree of an extent document: first the set of the
+// extent's objects, then one referenced object each.
+func (e *emitter) tree(objs []*o2.Object, extent, i int) {
+	if i > 0 {
+		e.object(objs[extent+i-1])
+		return
 	}
-	return forest, nil
-}
-
-// exportCount counts the nodes, atoms and child pointers of exported trees.
-type exportCount struct{ nodes, atoms, kids int }
-
-func (c *exportCount) block() data.Block { return data.NewBlock(c.nodes, c.atoms, c.kids) }
-
-func (c *exportCount) object(o *o2.Object) {
-	c.nodes, c.kids = c.nodes+2, c.kids+2
-	c.val(o.Value.Val)
-}
-
-func (c *exportCount) val(v o2.Val) {
-	c.nodes++
-	if _, ok := valToAtom(v); ok {
-		c.atoms++
-	} else if v.Kind == o2.VTuple || v.Kind == o2.VColl {
-		c.kids += len(v.Elems)
-		for _, e := range v.Elems {
-			if _, ok := valToAtom(e); !ok && v.Kind == o2.VTuple {
-				c.nodes, c.kids = c.nodes+1, c.kids+1 // the field over the value
-			}
-			c.val(e)
-		}
+	e.elem("set", "", extent)
+	for _, o := range objs[:extent] {
+		e.object(o)
 	}
+	e.end("set")
 }
 
-// exportObject builds o's tree. labels holds the element label of each
-// class met so far, its name in lower case, so that a label is made once per
-// class, not once per object.
-func exportObject(b *data.Block, labels map[string]string, o *o2.Object) *data.Node {
-	label, ok := labels[o.Class]
+// object emits o's tree: class[ classname[ <value> ] ] carrying the oid as
+// identifier.
+func (e *emitter) object(o *o2.Object) {
+	label, ok := e.labels[o.Class]
 	if !ok {
 		label = strings.ToLower(o.Class)
-		labels[o.Class] = label
 	}
-	return b.Elem("class", b.Elem(label, exportVal(b, o.Value.Val))).WithID(o.OID)
+	e.elem("class", o.OID, 1)
+	e.elem(label, "", 1)
+	e.val(&o.Value.Val, "")
+	e.end(label)
+	e.end("class")
 }
 
-// exportVal builds v's tree. An atom is an unlabeled leaf, but the leaf of
-// its field in a tuple and an item leaf in a collection.
-func exportVal(b *data.Block, v o2.Val) *data.Node {
+// val emits v. An atom is a leaf labeled atomLabel: unlabeled, but its
+// field's in a tuple and "item" in a collection. A tuple field of any other
+// value is an element over the value's tree.
+func (e *emitter) val(v *o2.Val, atomLabel string) {
 	if a, ok := valToAtom(v); ok {
-		return b.Leaf("", a)
+		e.leaf(atomLabel, a)
+		return
 	}
-	var n *data.Node
 	switch v.Kind {
 	case o2.VOid:
-		n = b.Elem("ref")
-		n.Ref = v.S
+		e.ref(v.S)
 	case o2.VTuple:
-		n = b.Elem("tuple")
-		n.Kids = b.List(len(v.Names))
+		e.elem("tuple", "", len(v.Elems))
 		for i, name := range v.Names {
-			if a, ok := valToAtom(v.Elems[i]); ok {
-				n.Kids[i] = b.Leaf(name, a)
+			if _, ok := valToAtom(&v.Elems[i]); ok {
+				e.val(&v.Elems[i], name)
 			} else {
-				n.Kids[i] = b.Elem(name, exportVal(b, v.Elems[i]))
+				e.elem(name, "", 1)
+				e.val(&v.Elems[i], "")
+				e.end(name)
 			}
 		}
+		e.end("tuple")
 	case o2.VColl:
-		n = b.Elem(v.Col.String())
-		n.Kids = b.List(len(v.Elems))
-		for i, e := range v.Elems {
-			if n.Kids[i] = exportVal(b, e); n.Kids[i].Atom != nil {
-				n.Kids[i].Label = "item"
-			}
+		label := v.Col.String()
+		e.elem(label, "", len(v.Elems))
+		for i := range v.Elems {
+			e.val(&v.Elems[i], "item")
 		}
+		e.end(label)
 	default:
-		n = b.Elem("nil")
+		e.elem("nil", "", 0)
+		e.end("nil")
 	}
-	return n
+}
+
+// elem opens an element of kids children, identified by id if it is not
+// empty; end closes it.
+func (e *emitter) elem(label, id string, kids int) {
+	switch e.mode {
+	case counting:
+		e.nodes++
+	case building:
+		n := e.b.Elem(label)
+		n.ID, n.Kids = id, e.b.List(kids)[:0]
+		e.add(n)
+		e.open = append(e.open, n)
+	case writing:
+		e.closeTag(">")
+		e.xml = append(append(e.xml, '<'), label...)
+		if id != "" {
+			e.xml = xmlenc.AppendAttr(e.xml, "id", id)
+		}
+		e.tag, e.refs = true, 0
+	}
+}
+
+func (e *emitter) end(label string) {
+	switch {
+	case e.mode == building:
+		e.open = e.open[:len(e.open)-1]
+	case e.mode != writing:
+	case e.tag:
+		e.closeTag("/>") // nothing inside, or only its refs
+	default:
+		e.xml = append(append(append(e.xml, "</"...), label...), '>')
+	}
+}
+
+// leaf emits an atom, labeled unless label is empty.
+func (e *emitter) leaf(label string, a data.Atom) {
+	switch e.mode {
+	case counting:
+		e.nodes, e.atoms = e.nodes+1, e.atoms+1
+	case building:
+		e.add(e.b.Leaf(label, a))
+	case writing:
+		e.closeTag(">")
+		if label == "" {
+			e.xml = xmlenc.AppendAtom(e.xml, &a)
+			return
+		}
+		e.xml = xmlenc.AppendAtom(append(append(append(e.xml, '<'), label...), '>'), &a)
+		e.xml = append(append(append(e.xml, "</"...), label...), '>')
+	}
+}
+
+// ref emits a reference to oid. Written, the run of references an element
+// starts with is its refs attribute, as the serializer writes it.
+func (e *emitter) ref(oid string) {
+	switch e.mode {
+	case counting:
+		e.nodes++
+	case building:
+		n := e.b.Elem("ref")
+		n.Ref = oid
+		e.add(n)
+	case writing:
+		if e.tag && oid != "" {
+			if e.refs++; e.refs == 1 {
+				e.xml = append(e.xml, ` refs="`...)
+			} else {
+				e.xml = append(e.xml, ' ')
+			}
+			e.xml = xmlenc.AppendEscaped(e.xml, oid)
+			return
+		}
+		e.closeTag(">")
+		e.xml = append(e.xml, "<ref"...)
+		if oid != "" {
+			e.xml = xmlenc.AppendAttr(e.xml, "ref", oid)
+		}
+		e.xml = append(e.xml, "/>"...)
+	}
+}
+
+// add puts a built node into the innermost open element, or among the trees.
+func (e *emitter) add(n *data.Node) {
+	if len(e.open) == 0 {
+		e.roots = append(e.roots, n)
+		return
+	}
+	p := e.open[len(e.open)-1]
+	p.Kids = append(p.Kids, n)
+}
+
+// closeTag closes the innermost start tag, and its refs attribute, with s
+// if the tag is still open: ">" before what comes inside the element, "/>"
+// when nothing does.
+func (e *emitter) closeTag(s string) {
+	if !e.tag {
+		return
+	}
+	if e.refs > 0 {
+		e.xml = append(e.xml, '"')
+	}
+	e.xml, e.tag = append(e.xml, s...), false
 }
 
 // nodeTable returns the cached node table of an extent document.
@@ -264,13 +439,16 @@ func (w *Wrapper) nodeTable(base string) (data.Forest, error) {
 	})
 }
 
-func collectRefs(v o2.Val, fn func(string)) {
+// collectRefs calls fn with every reference in v, in order.
+func collectRefs(v o2.Val, fn func(string)) { refsOf(&v, fn) }
+
+func refsOf(v *o2.Val, fn func(string)) {
 	switch v.Kind {
 	case o2.VOid:
 		fn(v.S)
 	case o2.VTuple, o2.VColl:
-		for _, e := range v.Elems {
-			collectRefs(e, fn)
+		for i := range v.Elems {
+			refsOf(&v.Elems[i], fn)
 		}
 	}
 }

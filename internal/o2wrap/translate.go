@@ -368,7 +368,7 @@ func cellToVal(c tab.Cell) (o2.Val, error) {
 }
 
 // valToAtom returns the atom of an atomic value.
-func valToAtom(v o2.Val) (data.Atom, bool) {
+func valToAtom(v *o2.Val) (data.Atom, bool) {
 	switch v.Kind {
 	case o2.VInt:
 		return data.Int(v.I), true
@@ -387,7 +387,7 @@ func valToAtom(v o2.Val) (data.Atom, bool) {
 func (w *Wrapper) valToCell(vb varBinding, v o2.Val) (tab.Cell, error) {
 	switch vb.kind {
 	case kAtom:
-		if a, ok := valToAtom(v); ok {
+		if a, ok := valToAtom(&v); ok {
 			return tab.AtomCell(a), nil
 		}
 		if v.Kind == o2.VOid {
@@ -400,7 +400,7 @@ func (w *Wrapper) valToCell(vb varBinding, v o2.Val) (tab.Cell, error) {
 		}
 		return tab.TreeCell(w.ExportObject(w.DB.Get(v.S))), nil
 	case kField:
-		if a, ok := valToAtom(v); ok {
+		if a, ok := valToAtom(&v); ok {
 			return tab.TreeCell(data.Leaf(vb.field, a)), nil
 		}
 		return tab.TreeCell(data.Elem(vb.field, w.ExportVal(v))), nil

@@ -388,3 +388,25 @@ func TestMarshalAllocs(t *testing.T) {
 		t.Errorf("Marshal of a 64-row atom tab: %v allocations, want at most 8", n)
 	}
 }
+
+// TestKeyLenIsKeyLength holds Cell.KeyLen, which measures a shipped cell, to
+// the length of the key it does not build, for every cell of oracleTabs and
+// of the tabs nested in them.
+func TestKeyLenIsKeyLength(t *testing.T) {
+	var check func(tb *Tab)
+	check = func(tb *Tab) {
+		for _, r := range tb.Rows {
+			for _, c := range r {
+				if got, want := c.KeyLen(), len(c.Key()); got != want {
+					t.Errorf("%s: KeyLen %d, len(Key) %d", c, got, want)
+				}
+				if c.Kind == CTab {
+					check(c.Tab)
+				}
+			}
+		}
+	}
+	for _, tb := range oracleTabs() {
+		check(tb)
+	}
+}

@@ -195,6 +195,32 @@ func (c Cell) Key() string {
 	}
 }
 
+// KeyLen returns len(c.Key()) without building the key: a number is
+// formatted into a buffer on the stack to be measured, and no tree is
+// hashed, since a hash is always 16 hex digits.
+func (c Cell) KeyLen() int {
+	if a, ok := c.AsAtom(); ok {
+		n := len("a::") + len(a.Kind.String())
+		switch a.Kind {
+		case data.KindInt:
+			var d [20]byte
+			return n + len(strconv.AppendInt(d[:0], a.I, 10))
+		case data.KindFloat:
+			var d [32]byte
+			return n + len(strconv.AppendFloat(d[:0], a.F, 'g', -1, 64))
+		}
+		return n + len(a.Text())
+	}
+	switch c.Kind {
+	case CTree:
+		return len("t:") + 16
+	case CSeq:
+		return len("s:") + 17*len(c.Seq)
+	default:
+		return len(c.Key())
+	}
+}
+
 // appendHash appends data.Hash(n) as 16 hex digits.
 func appendHash(b []byte, n *data.Node) []byte {
 	var d [16]byte

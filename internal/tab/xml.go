@@ -111,23 +111,9 @@ func appendCol(dst []byte, name string, kind data.AtomKind, rows []Row, j int) [
 		if kind == data.KindString {
 			dst = append(strconv.AppendInt(dst, int64(len(a.S)), 10), ':')
 		}
-		dst = appendAtom(dst, a)
+		dst = xmlenc.AppendAtom(dst, a)
 	}
 	return append(dst, `"/>`...)
-}
-
-// appendAtom appends an atom's text, escaped for an attribute value.
-func appendAtom(dst []byte, a *data.Atom) []byte {
-	switch a.Kind {
-	case data.KindInt:
-		return strconv.AppendInt(dst, a.I, 10)
-	case data.KindFloat:
-		return strconv.AppendFloat(dst, a.F, 'g', -1, 64)
-	case data.KindBool:
-		return strconv.AppendBool(dst, a.B)
-	default:
-		return xmlenc.AppendEscaped(dst, a.S)
-	}
 }
 
 // appendCell appends one cell of a per-cell column.
@@ -135,7 +121,7 @@ func appendCell(dst []byte, c Cell) []byte {
 	switch c.Kind {
 	case CAtom:
 		dst = append(append(append(dst, `<atom type="`...), c.Atom.Kind.String()...), `" v="`...)
-		return append(appendAtom(dst, &c.Atom), `"/>`...)
+		return append(xmlenc.AppendAtom(dst, &c.Atom), `"/>`...)
 	case CTree:
 		dst = xmlenc.AppendSerialize(append(dst, "<tree>"...), c.Tree)
 		return append(dst, "</tree>"...)

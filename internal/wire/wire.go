@@ -443,9 +443,23 @@ func (s *Server) answer(w *frameWriter, n *data.Node) (rows int, err error) {
 	return -1, w.err
 }
 
-// sendDoc ships a document's trees in bounded frames, as the source
-// produces them.
+// docWriter is a source that writes a document's XML itself
+// (o2wrap.Wrapper.WriteDoc): the document has trees trees, and appendTree
+// appends the text of the i-th, as xmlenc.AppendSerialize would write it.
+type docWriter interface {
+	WriteDoc(doc string) (trees int, appendTree func(dst []byte, i int) []byte, err error)
+}
+
+// sendDoc ships a document's trees in bounded frames: written by the source
+// itself if it writes XML, else serialized as the source produces them.
 func (s *Server) sendDoc(w *frameWriter, doc string) error {
+	if dw, ok := s.Exp.Source.(docWriter); ok {
+		trees, appendTree, err := dw.WriteDoc(doc)
+		for i := 0; err == nil && i < trees; i++ {
+			err = w.add(piece{write: appendTree, bind: i})
+		}
+		return err
+	}
 	cur, err := algebra.FetchStream(context.Background(), s.Exp.Source, doc)
 	if err != nil {
 		return err
@@ -529,16 +543,18 @@ func (s *Server) push(w *frameWriter, plan algebra.Op, params map[string]tab.Cel
 	}
 }
 
-// piece is the unit a reply is cut into: one document tree, or (some of) the
-// rows answering one binding.
+// piece is the unit a reply is cut into: one document tree, built or written
+// by its source (write appends tree number bind), or (some of) the rows
+// answering binding bind.
 type piece struct {
-	tree *data.Node
-	rows *tab.Tab
-	bind int
+	tree  *data.Node
+	rows  *tab.Tab
+	write func(dst []byte, i int) []byte
+	bind  int
 }
 
 func (p piece) size() int {
-	if p.tree != nil {
+	if p.rows == nil {
 		return 1
 	}
 	return p.rows.Len()
@@ -683,9 +699,12 @@ func (w *frameWriter) flush(pieces []piece, last bool) {
 	} else {
 		b = append(b, '>')
 		for _, p := range pieces {
-			if p.tree != nil {
+			switch {
+			case p.tree != nil:
 				b = xmlenc.AppendSerialize(b, p.tree)
-			} else {
+			case p.write != nil:
+				b = p.write(b, p.bind)
+			default:
 				b = tab.AppendXML(b, p.rows, p.bind)
 			}
 		}

@@ -565,14 +565,14 @@ func Escape(s string) string {
 // escaped, copying the runs between them as they are: text fit for an
 // element or for an attribute value in either quote.
 func AppendEscaped(b []byte, s string) []byte {
-	for {
-		i := strings.IndexAny(s, `<>&"'`)
-		if i < 0 {
-			return append(b, s...)
+	run := 0 // s[run:i] is copied as it is
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; int(c) < len(entityOf) && entityOf[c] != "" {
+			b = append(append(b, s[run:i]...), entityOf[c]...)
+			run = i + 1
 		}
-		b = append(append(b, s[:i]...), entityOf[s[i]]...)
-		s = s[i+1:]
 	}
+	return append(b, s[run:]...)
 }
 
 var entityOf = [...]string{'<': "&lt;", '>': "&gt;", '&': "&amp;", '"': "&quot;", '\'': "&apos;"}
@@ -620,19 +620,19 @@ func appendNode(b []byte, n *data.Node, indent int) []byte {
 	}
 	b = appendPad(b, indent)
 	if n.Label == "" && n.Atom != nil { // bare text node
-		return appendAtom(b, n.Atom)
+		return AppendAtom(b, n.Atom)
 	}
 	b = append(append(b, '<'), n.Label...)
 	if n.ID != "" {
-		b = appendAttr(b, "id", n.ID)
+		b = AppendAttr(b, "id", n.ID)
 	}
 	if n.Ref != "" {
-		b = appendAttr(b, "ref", n.Ref)
+		b = AppendAttr(b, "ref", n.Ref)
 	}
 	for _, k := range n.Kids {
 		if isAttr(k) {
 			b = append(append(append(b, ' '), k.Label[1:]...), `="`...)
-			b = append(appendAtom(b, k.Atom), '"')
+			b = append(AppendAtom(b, k.Atom), '"')
 		}
 	}
 	rest, refs := 0, 0 // n.Kids[rest:] holds the others
@@ -656,7 +656,7 @@ func appendNode(b []byte, n *data.Node, indent int) []byte {
 		b = append(b, '"')
 	}
 	if n.Atom != nil {
-		b = appendAtom(append(b, '>'), n.Atom)
+		b = AppendAtom(append(b, '>'), n.Atom)
 		return appendEnd(b, n.Label)
 	}
 	others, inline := 0, true
@@ -695,7 +695,9 @@ func appendPad(b []byte, indent int) []byte {
 	return b
 }
 
-func appendAttr(b []byte, name, v string) []byte {
+// AppendAttr appends the attribute name="v", v escaped, with the space
+// before it, as the serializer writes an id or a ref.
+func AppendAttr(b []byte, name, v string) []byte {
 	b = append(append(append(b, ' '), name...), `="`...)
 	return append(AppendEscaped(b, v), '"')
 }
@@ -706,7 +708,7 @@ func appendEnd(b []byte, label string) []byte {
 
 // appendAtom appends the atom's text (data.Atom.Text), escaped; a number is
 // formatted straight into b.
-func appendAtom(b []byte, a *data.Atom) []byte {
+func AppendAtom(b []byte, a *data.Atom) []byte {
 	switch a.Kind {
 	case data.KindInt:
 		return strconv.AppendInt(b, a.I, 10)
