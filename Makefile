@@ -55,9 +55,12 @@ bench-build:
 # malformed-line error naming the entry and line, the other entries nothing.
 # The next holds the Bind filter matcher to a test-only copy of the matcher it
 # replaced, over the random filter, forest and store generated from a seed.
-# The last holds the XML the O2 wrapper writes for a shipped extent to the
+# The next holds the XML the O2 wrapper writes for a shipped extent to the
 # serializer's text for the tree it builds, over values decoded from arbitrary
 # bytes: every kind, runs of references, empty collections, escaped strings.
+# The last holds the one hash key of a row to Row.Equal, over rows of every
+# cell kind decoded from arbitrary bytes: Equal rows share a key, and rows
+# that differ only in where a boundary between cells falls never do.
 fuzz-short:
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/xq
 	$(GO) test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 10s ./internal/wire
@@ -71,6 +74,7 @@ fuzz-short:
 	$(GO) test -run FuzzZipDump -fuzz FuzzZipDump -fuzztime 10s ./internal/feed
 	$(GO) test -run FuzzMatch -fuzz FuzzMatch -fuzztime 10s ./internal/filter
 	$(GO) test -run FuzzWriteMatchesSerialize -fuzz FuzzWriteMatchesSerialize -fuzztime 10s ./internal/o2wrap
+	$(GO) test -run FuzzRowKey -fuzz FuzzRowKey -fuzztime 10s ./internal/tab
 
 # The fault-injection matrix: every injected fault kind (drop, truncate,
 # garble, delay, kill) against Q2 over live wire wrappers, serial and

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
 	"net"
@@ -423,20 +422,12 @@ func (s *liveSampler) stopPeak() int64 {
 	return int64(s.peak - s.base)
 }
 
-// hashRow folds one row into an order-sensitive hash; cell and row
-// separators keep ("ab","c") distinct from ("a","bc").
-func hashRow(h hash.Hash64, r tab.Row) {
-	for _, c := range r {
-		io.WriteString(h, c.String())
-		h.Write([]byte{0x1f})
-	}
-	h.Write([]byte{0x1e})
-}
-
+// tabHash is an order-sensitive hash of the rows' keys (tab.Row.AppendKey),
+// each cell's key delimiting itself.
 func tabHash(t *tab.Tab) uint64 {
 	h := fnv.New64a()
 	for _, r := range t.Rows {
-		hashRow(h, r)
+		h.Write(r.AppendKey(nil, nil))
 	}
 	return h.Sum64()
 }
@@ -454,7 +445,7 @@ type streamRun struct {
 
 // streamMeasure runs src without materializing the result: rows are counted
 // and hashed as chunks arrive and then dropped, so the live set stays
-// bounded while byte-identity against a drained run remains checkable via
+// bounded while row-for-row identity with a drained run remains checkable via
 // tabHash.
 func streamMeasure(m *mediator.Mediator, src string, opts mediator.ExecOptions) (*streamRun, error) {
 	start := time.Now()
@@ -463,13 +454,15 @@ func streamMeasure(m *mediator.Mediator, src string, opts mediator.ExecOptions) 
 		return nil, err
 	}
 	h := fnv.New64a()
+	var key []byte
 	r := &streamRun{}
 	for c := range s.Chunks() {
 		if r.rows == 0 && c.Len() > 0 {
 			r.firstRow = time.Since(start)
 		}
 		for _, row := range c.Rows {
-			hashRow(h, row)
+			key = row.AppendKey(key[:0], nil)
+			h.Write(key)
 		}
 		r.rows += c.Len()
 	}

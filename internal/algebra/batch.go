@@ -163,39 +163,29 @@ type DJoinBindings struct {
 // an unbound-variable error when the inner plan reads them.
 func NewDJoinBindings(l *tab.Tab, vars []string, outer map[string]tab.Cell) *DJoinBindings {
 	b := &DJoinBindings{Vars: vars, Row: make([]int, l.Len())}
-	type varSrc struct {
-		col      int
-		constant tab.Cell
-		isConst  bool
-		present  bool
-	}
-	srcs := make([]varSrc, len(vars))
+	cols := make([]int, len(vars))
 	for i, v := range vars {
-		if ci := l.ColIndex(v); ci >= 0 {
-			srcs[i] = varSrc{col: ci, present: true}
-		} else if c, ok := outer[v]; ok {
-			srcs[i] = varSrc{constant: c, isConst: true, present: true}
-		}
+		cols[i] = l.ColIndex(v)
 	}
+	// A set is keyed by the row's cells of its variables; one the left side
+	// does not provide keys as absent in every row, as an outer constant is
+	// one value for all of them.
 	seen := map[string]int{}
+	var key []byte
 	for ri, r := range l.Rows {
-		set := make(map[string]tab.Cell, len(vars))
-		for i, v := range vars {
-			s := srcs[i]
-			if !s.present {
-				continue
-			}
-			if s.isConst {
-				set[v] = s.constant
-			} else {
-				set[v] = r[s.col]
-			}
-		}
-		k := ParamsKey(vars, set)
-		idx, ok := seen[k]
+		key = r.AppendKey(key[:0], cols)
+		idx, ok := seen[string(key)]
 		if !ok {
 			idx = len(b.Sets)
-			seen[k] = idx
+			seen[string(key)] = idx
+			set := make(map[string]tab.Cell, len(vars))
+			for i, v := range vars {
+				if cols[i] >= 0 {
+					set[v] = r[cols[i]]
+				} else if c, ok := outer[v]; ok {
+					set[v] = c
+				}
+			}
 			b.Sets = append(b.Sets, set)
 		}
 		b.Row[ri] = idx

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"repro/internal/tab"
@@ -134,20 +133,17 @@ func CacheKey(source, planEnc, paramsKey string) string {
 
 // ParamsKey renders the values of the given variables (the plan's free
 // variables, sorted) under the binding lookup as a canonical fragment for
-// CacheKey. Absent variables are skipped — by construction a variable is
-// either bound for every row of a DJoin batch or for none, so absence never
-// aliases a binding.
+// CacheKey: the row key (tab.Row.AppendKey) of their cells, an unbound
+// variable keyed as absent.
 func ParamsKey(vars []string, params map[string]tab.Cell) string {
-	var b strings.Builder
-	for _, v := range vars {
+	row := make(tab.Row, len(vars))
+	idx := make([]int, len(vars))
+	for i, v := range vars {
 		c, ok := params[v]
+		row[i], idx[i] = c, i
 		if !ok {
-			continue
+			idx[i] = -1
 		}
-		b.WriteString(v)
-		b.WriteByte('=')
-		b.WriteString(c.Key())
-		b.WriteByte('\x00')
 	}
-	return b.String()
+	return string(row.AppendKey(nil, idx))
 }

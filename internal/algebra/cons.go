@@ -147,25 +147,29 @@ func partition(rows []tab.Row, cols map[string]int, keys []string) ([]string, []
 	if len(keys) == 0 {
 		return []string{""}, [][]tab.Row{rows}
 	}
-	var order []string
-	groups := map[string][]tab.Row{}
-	for _, r := range rows {
-		var b strings.Builder
-		for _, k := range keys {
-			if i, ok := cols[k]; ok && i < len(r) {
-				b.WriteString(r[i].Key())
-			}
-			b.WriteByte('\x00')
+	idx := make([]int, len(keys))
+	for i, k := range keys {
+		if c, ok := cols[k]; ok {
+			idx[i] = c
+		} else {
+			idx[i] = -1 // absent
 		}
-		k := b.String()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
 	}
-	out := make([][]tab.Row, len(order))
-	for i, k := range order {
-		out[i] = groups[k]
+	var order []string
+	var out [][]tab.Row
+	at := map[string]int{}
+	var key []byte
+	for _, r := range rows {
+		key = r.AppendKey(key[:0], idx)
+		i, ok := at[string(key)]
+		if !ok {
+			i = len(order)
+			k := string(key)
+			at[k] = i
+			order = append(order, k)
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], r)
 	}
 	return order, out
 }

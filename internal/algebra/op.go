@@ -2,9 +2,11 @@ package algebra
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -67,6 +69,7 @@ type Skolems struct {
 	mu  sync.Mutex
 	ids map[string]string
 	n   int
+	key []byte // the lookup key, built under mu
 }
 
 // NewSkolems returns an empty registry.
@@ -75,21 +78,16 @@ func NewSkolems() *Skolems { return &Skolems{ids: make(map[string]string)} }
 // ID returns the identifier for the given function name and key cells,
 // minting a fresh one on first use.
 func (s *Skolems) ID(name string, key []tab.Cell) string {
-	var b strings.Builder
-	b.WriteString(name)
-	for _, c := range key {
-		b.WriteByte('\x00')
-		b.WriteString(c.Key())
-	}
-	k := b.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.ids[k]; ok {
+	s.key = binary.AppendUvarint(s.key[:0], uint64(len(name)))
+	s.key = tab.Row(key).AppendKey(append(s.key, name...), nil)
+	if id, ok := s.ids[string(s.key)]; ok {
 		return id
 	}
 	s.n++
-	id := fmt.Sprintf("%s_%d", name, s.n)
-	s.ids[k] = id
+	id := name + "_" + strconv.Itoa(s.n)
+	s.ids[string(s.key)] = id
 	return id
 }
 
@@ -434,75 +432,65 @@ func (j *Join) Detail() string { return fmt.Sprintf("Join(%s)", j.Pred) }
 // JoinBuild is a Join prepared against its materialized build side: the
 // predicate's cross-side column equalities are resolved and the build side is
 // hashed on them once, so each probe chunk costs lookups only. Without such
-// equalities the probe is a nested loop under the whole predicate.
+// equalities the probe is a nested loop. Either way every candidate pair is
+// held to the whole predicate: a bucket only narrows the candidates, since
+// cells that are Equal share a key (tab.Row.AppendKey), so the hash join
+// answers as the predicate evaluated row by row does.
 type JoinBuild struct {
-	cols     []string
-	colIdx   map[string]int
-	r        *tab.Tab
-	lKeys    []int // probe-side key columns; empty means nested loops
-	buckets  map[string][]tab.Row
-	residual Expr
+	cols    []string
+	colIdx  map[string]int
+	r       *tab.Tab
+	lKeys   []int // probe-side key columns; empty means nested loops
+	buckets map[string][]tab.Row
+	pred    Expr
 }
 
 // Build prepares the join for probe chunks with columns lCols against the
 // build side r.
 func (j *Join) Build(lCols []string, r *tab.Tab) *JoinBuild {
-	b := &JoinBuild{cols: append(append([]string{}, lCols...), r.Cols...), r: r}
+	b := &JoinBuild{cols: append(append([]string{}, lCols...), r.Cols...), r: r, pred: j.Pred}
 	b.colIdx = colIndex(b.cols)
 	var rKeys []int
-	var rest []Expr
 	lIdx, rIdx := colIndex(lCols), colIndex(r.Cols)
 	for _, c := range SplitConj(j.Pred) {
 		if x, y, ok := EqColumns(c); ok {
-			if li, lok := lIdx[x]; lok {
-				if ri, rok := rIdx[y]; rok {
-					b.lKeys = append(b.lKeys, li)
-					rKeys = append(rKeys, ri)
-					continue
-				}
+			li, lok := lIdx[x]
+			ri, rok := rIdx[y]
+			if !lok || !rok {
+				li, lok = lIdx[y]
+				ri, rok = rIdx[x]
 			}
-			if li, lok := lIdx[y]; lok {
-				if ri, rok := rIdx[x]; rok {
-					b.lKeys = append(b.lKeys, li)
-					rKeys = append(rKeys, ri)
-					continue
-				}
+			if lok && rok {
+				b.lKeys = append(b.lKeys, li)
+				rKeys = append(rKeys, ri)
 			}
 		}
-		rest = append(rest, c)
 	}
-	b.residual = Conj(rest...)
 	if len(b.lKeys) > 0 {
 		b.buckets = make(map[string][]tab.Row, len(r.Rows))
+		var key []byte
 		for _, rr := range r.Rows {
-			k := joinKey(rr, rKeys)
-			b.buckets[k] = append(b.buckets[k], rr)
+			key = rr.AppendKey(key[:0], rKeys)
+			b.buckets[string(key)] = append(b.buckets[string(key)], rr)
 		}
 	}
 	return b
-}
-
-func joinKey(r tab.Row, keys []int) string {
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(r[k].Key())
-		b.WriteByte('\x00')
-	}
-	return b.String()
 }
 
 // Apply is the kernel: the probe chunk l joined against the build side, in
 // probe order.
 func (b *JoinBuild) Apply(ctx *Context, l *tab.Tab) (*tab.Tab, error) {
 	out := tab.New(b.cols...)
+	var key []byte
 	for _, lr := range l.Rows {
 		matches := b.r.Rows
 		if len(b.lKeys) > 0 {
-			matches = b.buckets[joinKey(lr, b.lKeys)]
+			key = lr.AppendKey(key[:0], b.lKeys)
+			matches = b.buckets[string(key)]
 		}
 		for _, rr := range matches {
 			row := append(lr.Clone(), rr...)
-			ok, err := truth(b.residual, ctx, b.colIdx, row)
+			ok, err := truth(b.pred, ctx, b.colIdx, row)
 			if err != nil {
 				return nil, fmt.Errorf("join: %w", err)
 			}
@@ -590,15 +578,16 @@ func (i *Intersect) Apply(l, r *tab.Tab) (*tab.Tab, error) {
 		return nil, fmt.Errorf("algebra: intersect of incompatible tabs %v / %v", l.Cols, r.Cols)
 	}
 	inR := make(map[string]bool, len(r.Rows))
+	var key []byte
 	for _, rr := range r.Rows {
-		inR[rr.Key()] = true
+		key = rr.AppendKey(key[:0], nil)
+		inR[string(key)] = true
 	}
 	out := tab.New(l.Cols...)
-	seen := map[string]bool{}
 	for _, lr := range l.Rows {
-		k := lr.Key()
-		if inR[k] && !seen[k] {
-			seen[k] = true
+		key = lr.AppendKey(key[:0], nil)
+		if inR[string(key)] {
+			delete(inR, string(key)) // each row once
 			out.Rows = append(out.Rows, lr)
 		}
 	}
@@ -621,9 +610,10 @@ func (d *Distinct) Detail() string { return "Distinct" }
 // extends — the state that carries duplicate elimination across chunks.
 func (d *Distinct) Apply(in *tab.Tab, seen map[string]bool) *tab.Tab {
 	out := tab.New(in.Cols...)
+	var key []byte
 	for _, r := range in.Rows {
-		if k := r.Key(); !seen[k] {
-			seen[k] = true
+		if key = r.AppendKey(key[:0], nil); !seen[string(key)] {
+			seen[string(key)] = true
 			out.Rows = append(out.Rows, r)
 		}
 	}

@@ -519,10 +519,11 @@ func Compare(a, b *Node) int {
 	return strings.Compare(a.ID, b.ID)
 }
 
-// Hash returns a 64-bit structural hash of the tree (identifiers excluded,
-// consistent with EqualValue). It lets Group and hash joins bucket trees. It
-// is FNV-1a over the bytes of the tree's labels, atoms, references and
-// markers, computed in place without allocating.
+// Hash returns a 64-bit structural hash of the tree, consistent with
+// EqualValue: identifiers are excluded and numbers hash by value. It lets
+// Group and hash joins bucket trees. It is FNV-1a over the bytes of the
+// tree's labels, atoms, references and markers, computed in place without
+// allocating.
 func Hash(n *Node) uint64 {
 	h := fnv1a(14695981039346656037)
 	h.node(n)
@@ -553,21 +554,26 @@ func (h *fnv1a) node(n *Node) {
 	h.byte(1)
 	h.string(n.Label)
 	h.byte(0)
-	if n.Atom != nil {
-		h.byte(byte(n.Atom.Kind) + 2)
-		switch n.Atom.Kind {
-		case KindInt:
-			h.uint64(uint64(n.Atom.I))
-		case KindFloat:
-			h.uint64(math.Float64bits(n.Atom.F))
+	if a := n.Atom; a != nil {
+		switch a.Kind {
+		case KindInt, KindFloat:
+			// By value, as Atom.Equal compares: Int 5 as Float 5.0, -0 as 0.
+			h.byte(byte(KindInt) + 2)
+			f := a.AsFloat()
+			if f == 0 {
+				f = 0
+			}
+			h.uint64(math.Float64bits(f))
 		case KindBool:
-			if n.Atom.B {
+			h.byte(byte(KindBool) + 2)
+			if a.B {
 				h.byte(1)
 			} else {
 				h.byte(0)
 			}
 		default:
-			h.string(n.Atom.S)
+			h.byte(byte(a.Kind) + 2)
+			h.string(a.S)
 		}
 	}
 	h.string(n.Ref)

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -207,6 +208,30 @@ func TestHashConsistentWithEqualValue(t *testing.T) {
 	c.Kids[0].Atom.S = "Degas"
 	if Hash(a) == Hash(c) {
 		t.Error("different content should hash differently (with high probability)")
+	}
+}
+
+// TestHashNumbersByValue holds Hash to EqualValue where numbers meet: an Int
+// and a Float of one value, and -0 and 0, are equal values and hash alike,
+// as a leaf and deeper in a tree.
+func TestHashNumbersByValue(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for i, c := range []struct{ a, b *Node }{
+		{IntLeaf("p", 5), FloatLeaf("p", 5)},
+		{IntLeaf("p", 0), FloatLeaf("p", negZero)},
+		{FloatLeaf("p", 0), FloatLeaf("p", negZero)},
+		{Elem("w", Text("t", "x"), IntLeaf("y", 1897)), Elem("w", Text("t", "x"), FloatLeaf("y", 1897))},
+		{Elem("w", IntLeaf("z", 0)), Elem("w", FloatLeaf("z", negZero))},
+	} {
+		if !EqualValue(c.a, c.b) {
+			t.Fatalf("case %d: %s and %s must be equal values", i, c.a, c.b)
+		}
+		if Hash(c.a) != Hash(c.b) {
+			t.Errorf("case %d: Hash(%s) = %#x, Hash(%s) = %#x", i, c.a, Hash(c.a), c.b, Hash(c.b))
+		}
+	}
+	if Hash(IntLeaf("p", 5)) == Hash(FloatLeaf("p", 5.5)) {
+		t.Error("different numbers should hash differently (with high probability)")
 	}
 }
 

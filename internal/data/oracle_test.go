@@ -56,9 +56,10 @@ func TestCloneMatchesOracle(t *testing.T) {
 }
 
 // TestHashValuesPinned pins Hash over the oracle trees: the values the
-// node-by-node FNV-1a hash gave.
+// node-by-node FNV-1a hash gave, with the two trees that hold a number
+// repinned when numbers came to hash by value.
 func TestHashValuesPinned(t *testing.T) {
-	want := []uint64{0x6a41fd4b7bf0ed5f, 0xc382977828ec0362, 0x350f5694fc1ba616, 0xbb7eeffdebb47376, 0xaf63bd4c8601b7df}
+	want := []uint64{0x6a41fd4b7bf0ed5f, 0x8bf9e2b986cd4224, 0xcad388ce9a68762b, 0xbb7eeffdebb47376, 0xaf63bd4c8601b7df}
 	for i, n := range oracleTrees() {
 		if got := Hash(n); got != want[i] {
 			t.Errorf("tree %d: Hash = %#x, want %#x", i, got, want[i])

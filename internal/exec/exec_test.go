@@ -166,10 +166,11 @@ func TestParallelPipelinedOperatorsWire(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, r := range got.Rows {
-		if seen[r.Key()] {
+		k := string(r.AppendKey(nil, nil))
+		if seen[k] {
 			t.Fatalf("Distinct let a duplicate through: %v", r)
 		}
-		seen[r.Key()] = true
+		seen[k] = true
 	}
 	if got.Len() <= tab.DefaultStreamChunk {
 		t.Fatalf("%d rows fit one chunk; fixture too small to cross a boundary", got.Len())

@@ -8,7 +8,10 @@
 package tab
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,7 +172,9 @@ func (c Cell) Compare(d Cell) int {
 	}
 }
 
-// Key returns a string usable as a hash-map key, consistent with Equal.
+// Key renders the cell as text whose length is the counted size of the cell
+// when it is shipped (SourceQuery.arrived sums KeyLen, the benchmark's feed
+// client len(Key)). It is not a hash key: Row.AppendKey is.
 func (c Cell) Key() string {
 	if a, ok := c.AsAtom(); ok {
 		return "a:" + a.Kind.String() + ":" + a.Text()
@@ -195,9 +200,9 @@ func (c Cell) Key() string {
 	}
 }
 
-// KeyLen returns len(c.Key()) without building the key: a number is
-// formatted into a buffer on the stack to be measured, and no tree is
-// hashed, since a hash is always 16 hex digits.
+// KeyLen returns len(c.Key()), the counted size of a shipped cell, without
+// building the key: a number is formatted into a buffer on the stack to be
+// measured, and no tree is hashed, since a hash is always 16 hex digits.
 func (c Cell) KeyLen() int {
 	if a, ok := c.AsAtom(); ok {
 		n := len("a::") + len(a.Kind.String())
@@ -258,25 +263,94 @@ func (r Row) Clone() Row {
 }
 
 // Equal reports cell-wise equality.
-func (r Row) Equal(s Row) bool {
-	if len(r) != len(s) {
-		return false
-	}
-	for i := range r {
-		if !r[i].Equal(s[i]) {
-			return false
+func (r Row) Equal(s Row) bool { return slices.EqualFunc(r, s, Cell.Equal) }
+
+// AppendKey appends to dst the key the row is hashed under: every cell when
+// idx is nil, else the cells at idx in that order, where an index outside
+// the row stands for an absent value, keyed apart from a null. It is the one
+// hash key of the program's keyed maps (dedup, joins, grouping, Skolem
+// identifiers, binding sets, the result cache), which look up with
+// m[string(key)] so that a probe allocates nothing. Rows whose cells are
+// Equal share a key: a number keys by its value, Int 5 as Float 5.0 and -0
+// as 0, and a leaf tree as its atom. Each cell's key delimits itself, so
+// rows that differ only in where a boundary between cells falls never share
+// one. Trees key by data.Hash, so distinct trees may collide, at 2^-64.
+func (r Row) AppendKey(dst []byte, idx []int) []byte {
+	if idx == nil {
+		for _, c := range r {
+			dst = c.appendKey(dst)
 		}
+		return dst
 	}
-	return true
+	for _, i := range idx {
+		if i < 0 || i >= len(r) {
+			dst = append(dst, keyAbsent)
+			continue
+		}
+		dst = r[i].appendKey(dst)
+	}
+	return dst
 }
 
-// Key concatenates cell keys; rows with equal keys are Equal.
-func (r Row) Key() string {
-	parts := make([]string, len(r))
-	for i, c := range r {
-		parts[i] = c.Key()
+// The tag that opens each cell's key.
+const (
+	keyAbsent = iota
+	keyNull
+	keyNumber // the float64 bits of the value, big-endian
+	keyFalse
+	keyTrue
+	keyString // the length as a uvarint, then the bytes
+	keyTree   // data.Hash, big-endian
+	keySeq    // the length as a uvarint, then each tree's data.Hash
+	keyTab    // the columns as strings, the row count, then each row as its length and key
+)
+
+// appendKey appends the cell's key, the unit of Row.AppendKey.
+func (c Cell) appendKey(dst []byte) []byte {
+	if a, ok := c.AsAtom(); ok {
+		switch a.Kind {
+		case data.KindInt, data.KindFloat:
+			f := a.AsFloat()
+			if f == 0 {
+				f = 0 // -0 keys as 0
+			}
+			return binary.BigEndian.AppendUint64(append(dst, keyNumber), math.Float64bits(f))
+		case data.KindBool:
+			if a.B {
+				return append(dst, keyTrue)
+			}
+			return append(dst, keyFalse)
+		default:
+			return appendKeyString(append(dst, keyString), a.S)
+		}
 	}
-	return strings.Join(parts, "|")
+	switch c.Kind {
+	case CTree:
+		return binary.BigEndian.AppendUint64(append(dst, keyTree), data.Hash(c.Tree))
+	case CSeq:
+		dst = binary.AppendUvarint(append(dst, keySeq), uint64(len(c.Seq)))
+		for _, n := range c.Seq {
+			dst = binary.BigEndian.AppendUint64(dst, data.Hash(n))
+		}
+		return dst
+	case CTab:
+		dst = binary.AppendUvarint(append(dst, keyTab), uint64(len(c.Tab.Cols)))
+		for _, col := range c.Tab.Cols {
+			dst = appendKeyString(dst, col)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(c.Tab.Rows)))
+		for _, r := range c.Tab.Rows {
+			dst = r.AppendKey(binary.AppendUvarint(dst, uint64(len(r))), nil)
+		}
+		return dst
+	default:
+		return append(dst, keyNull)
+	}
+}
+
+// appendKeyString appends s prefixed by its length.
+func appendKeyString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
 // Tab is the ¬1NF relation of the YAT algebra.
@@ -369,20 +443,7 @@ func (t *Tab) Equal(u *Tab) bool {
 	if t == nil || u == nil {
 		return t == u
 	}
-	if len(t.Cols) != len(u.Cols) || len(t.Rows) != len(u.Rows) {
-		return false
-	}
-	for i := range t.Cols {
-		if t.Cols[i] != u.Cols[i] {
-			return false
-		}
-	}
-	for i := range t.Rows {
-		if !t.Rows[i].Equal(u.Rows[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(t.Cols, u.Cols) && slices.EqualFunc(t.Rows, u.Rows, Row.Equal)
 }
 
 // EqualUnordered reports equality up to row order (bag semantics), used by
@@ -392,25 +453,22 @@ func (t *Tab) EqualUnordered(u *Tab) bool {
 	if t == nil || u == nil {
 		return t == u
 	}
-	if len(t.Cols) != len(u.Cols) || len(t.Rows) != len(u.Rows) {
+	if !slices.Equal(t.Cols, u.Cols) || len(t.Rows) != len(u.Rows) {
 		return false
 	}
-	for i := range t.Cols {
-		if t.Cols[i] != u.Cols[i] {
-			return false
-		}
-	}
 	counts := make(map[string]int, len(t.Rows))
+	var key []byte
 	for _, r := range t.Rows {
-		counts[r.Key()]++
+		key = r.AppendKey(key[:0], nil)
+		counts[string(key)]++
 	}
+	// With as many rows on each side, u matches when no count goes below 0.
 	for _, r := range u.Rows {
-		counts[r.Key()]--
-	}
-	for _, v := range counts {
-		if v != 0 {
+		key = r.AppendKey(key[:0], nil)
+		if counts[string(key)] == 0 {
 			return false
 		}
+		counts[string(key)]--
 	}
 	return true
 }
@@ -436,12 +494,14 @@ func (t *Tab) SortBy(cols ...string) {
 // Sorted returns a copy of the Tab with rows sorted by all columns; useful
 // to canonicalise before comparisons.
 func (t *Tab) Sorted() *Tab {
-	out := &Tab{Cols: append([]string(nil), t.Cols...), Rows: make([]Row, len(t.Rows))}
-	for i, r := range t.Rows {
-		out.Rows[i] = r
-	}
-	sort.SliceStable(out.Rows, func(a, b int) bool {
-		return strings.Compare(out.Rows[a].Key(), out.Rows[b].Key()) < 0
+	out := &Tab{Cols: slices.Clone(t.Cols), Rows: slices.Clone(t.Rows)}
+	slices.SortStableFunc(out.Rows, func(a, b Row) int {
+		for i := range min(len(a), len(b)) {
+			if c := a[i].Compare(b[i]); c != 0 {
+				return c
+			}
+		}
+		return len(a) - len(b)
 	})
 	return out
 }
@@ -457,47 +517,33 @@ func (t *Tab) GroupBy(into string, keys ...string) *Tab {
 	var restCols []string
 	var restIdx []int
 	for i, c := range t.Cols {
-		used := false
-		for _, ki := range keyIdx {
-			if i == ki {
-				used = true
-				break
-			}
-		}
-		if !used {
+		if !slices.Contains(keyIdx, i) {
 			restCols = append(restCols, c)
 			restIdx = append(restIdx, i)
 		}
 	}
 	out := New(append(append([]string(nil), keys...), into)...)
-	order := []string{}
 	groups := map[string]*Tab{}
-	keyRows := map[string]Row{}
+	var key []byte
 	for _, r := range t.Rows {
-		kr := make(Row, len(keyIdx))
-		for i, ki := range keyIdx {
-			if ki < 0 {
-				kr[i] = Null()
-			} else {
-				kr[i] = r[ki]
-			}
-		}
-		k := kr.Key()
-		g, ok := groups[k]
+		key = r.AppendKey(key[:0], keyIdx)
+		g, ok := groups[string(key)]
 		if !ok {
 			g = New(restCols...)
-			groups[k] = g
-			keyRows[k] = kr
-			order = append(order, k)
+			groups[string(key)] = g
+			kr := make(Row, len(keyIdx), len(keyIdx)+1) // an absent key column stays null
+			for i, ki := range keyIdx {
+				if ki >= 0 {
+					kr[i] = r[ki]
+				}
+			}
+			out.AddRow(append(kr, TabCell(g)))
 		}
 		rest := make(Row, len(restIdx))
 		for i, ri := range restIdx {
 			rest[i] = r[ri]
 		}
 		g.Rows = append(g.Rows, rest)
-	}
-	for _, k := range order {
-		out.AddRow(append(keyRows[k].Clone(), TabCell(groups[k])))
 	}
 	return out
 }
@@ -507,10 +553,11 @@ func (t *Tab) GroupBy(into string, keys ...string) *Tab {
 func (t *Tab) Distinct() *Tab {
 	out := New(t.Cols...)
 	seen := make(map[string]bool, len(t.Rows))
+	var key []byte
 	for _, r := range t.Rows {
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
+		key = r.AppendKey(key[:0], nil)
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out.Rows = append(out.Rows, r)
 		}
 	}

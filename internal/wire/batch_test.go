@@ -193,7 +193,7 @@ func (s *stallSource) Push(algebra.Op, map[string]tab.Cell) (*tab.Tab, error) {
 
 func TestPoolSurvivesRepeatedTimeouts(t *testing.T) {
 	// Regression: a request that dies on its context deadline must free its
-	// pool slot (and its watchdog must not poison a reused connection), so a
+	// pool slot (and its cancellation callback must not poison a reused connection), so a
 	// burst of timeouts far beyond the pool bound cannot wedge the client.
 	src := &stallSource{}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

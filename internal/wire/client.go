@@ -303,8 +303,9 @@ type reply struct {
 	done bool
 	hdr  [4]byte // each frame's header, read here rather than escaping per frame
 
-	// The cancellation watchdog, armed for the reply's whole lifetime.
-	watchDone, watchExit chan struct{}
+	// stop disarms the cancellation callback armed for the reply's whole
+	// lifetime; false means the callback has started.
+	stop func() bool
 }
 
 // Read counts the reply bytes as they arrive: the stale-connection redial
@@ -316,7 +317,7 @@ func (r *reply) Read(p []byte) (int, error) {
 }
 
 // start performs one attempt at a request: acquire a connection, arm the
-// cancellation watchdog, send the request and read the first reply frame.
+// cancellation callback, send the request and read the first reply frame.
 // The context's deadline becomes the connection deadline, and a cancellation
 // — before the first frame or between two — unblocks the pending read
 // immediately, so a dead wrapper cannot hang a query. reused and the reply's
@@ -330,36 +331,15 @@ func (c *Client) start(ctx context.Context, req []byte) (r *reply, reused bool, 
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	}
-	r = &reply{c: c, conn: conn, ctx: ctx}
-	if ctx.Done() != nil {
-		r.watchDone, r.watchExit = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(r.watchExit)
-			select {
-			case <-ctx.Done():
-				conn.SetDeadline(time.Unix(1, 0)) // in the past: fail pending I/O now
-			case <-r.watchDone:
-			}
-		}()
-	}
+	r = &reply{c: c, conn: conn, ctx: ctx, stop: context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Unix(1, 0)) // in the past: fail pending I/O now
+	})}
 	if _, err = conn.Write(req); err != nil {
 		r.abort()
 		return r, reused, r.ctxErr(err)
 	}
 	r.held, err = r.next()
 	return r, reused, err
-}
-
-// unwatch stops the watchdog and joins it before the connection's fate is
-// decided: a late-scheduled watchdog that sees the cancellation after the
-// reply ended would otherwise poison the deadline of a connection already
-// parked in the pool — or already acquired by an unrelated request. The
-// reply ends once — finish or abort — so it runs once.
-func (r *reply) unwatch() {
-	if r.watchDone != nil {
-		close(r.watchDone)
-		<-r.watchExit
-	}
 }
 
 // ctxErr reports a transport failure as the context's error when the context
@@ -419,16 +399,17 @@ func (r *reply) next() (*data.Node, error) {
 // finish ends the reply on a terminal frame: the wrapper-side evaluation
 // time (a traced reply's obs-ns stamp) is folded into the caller's span and
 // the connection is re-pooled — unless a cancellation raced the last read:
-// the watchdog may have poisoned the conn's deadline, so it cannot be reused.
+// a callback that has started may poison the conn's deadline at any later
+// moment, even once it is parked in the pool or acquired by an unrelated
+// request, so that conn is never reused.
 func (r *reply) finish(end *data.Node) {
 	r.done = true
-	r.unwatch()
 	if sp := obs.SpanFrom(r.ctx); sp != nil {
 		if v := end.Attr("obs-ns"); v != "" {
 			sp.Annotate("wrapper_ns", v)
 		}
 	}
-	if r.ctx.Err() != nil {
+	if !r.stop() {
 		r.c.discard(r.conn)
 		return
 	}
@@ -443,7 +424,7 @@ func (r *reply) abort() {
 		return
 	}
 	r.done = true
-	r.unwatch()
+	r.stop()
 	r.c.discard(r.conn)
 }
 

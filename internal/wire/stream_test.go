@@ -268,7 +268,7 @@ var anyPlan = &algebra.Bind{Doc: "d", F: filter.MustParse(`x: $x`)}
 
 // TestCursorLifecycle ends a reply every way other than by reading it to its
 // last row, on both cursor kinds: the request slot comes back, the pinned
-// connection and its watchdog go away, and the server-side producer is
+// connection and its cancellation callback go away, and the server-side producer is
 // closed.
 func TestCursorLifecycle(t *testing.T) {
 	open := map[string]func(*Client, context.Context) (func() (int, error), func() error, error){
