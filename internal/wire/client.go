@@ -331,9 +331,12 @@ func (c *Client) start(ctx context.Context, req []byte) (r *reply, reused bool, 
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	}
-	r = &reply{c: c, conn: conn, ctx: ctx, stop: context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Unix(1, 0)) // in the past: fail pending I/O now
-	})}
+	r = &reply{c: c, conn: conn, ctx: ctx, stop: func() bool { return true }}
+	if ctx.Done() != nil { // a context that is never cancelled needs no callback
+		r.stop = context.AfterFunc(ctx, func() {
+			conn.SetDeadline(time.Unix(1, 0)) // in the past: fail pending I/O now
+		})
+	}
 	if _, err = conn.Write(req); err != nil {
 		r.abort()
 		return r, reused, r.ctxErr(err)
