@@ -79,6 +79,9 @@ func TestHashJoinMatchesRowByRow(t *testing.T) {
 		{tab.TreeCell(data.IntLeaf("a", 5)), tab.TreeCell(data.IntLeaf("b", 5)), 0}, // leaf trees compare labels
 		{tab.Null(), tab.Null(), 0}, // a null equals nothing
 		{tab.AtomCell(data.Int(5)), tab.AtomCell(data.Float(5.5)), 0},
+		{tab.AtomCell(data.Int(1 << 53)), tab.AtomCell(data.Float(1 << 53)), 1},
+		{tab.AtomCell(data.Int(1 << 53)), tab.AtomCell(data.Int(1<<53 + 1)), 0}, // one float64, two values
+		{tab.AtomCell(data.Int(math.MaxInt64)), tab.AtomCell(data.Float(0x1p63)), 0},
 	} {
 		l := &Literal{tabOf([]string{"$x"}, tab.Row{c.x})}
 		r := &Literal{tabOf([]string{"$y"}, tab.Row{c.y})}
@@ -91,48 +94,82 @@ func TestHashJoinMatchesRowByRow(t *testing.T) {
 }
 
 // TestKeyedOperatorsTreatEqualNumbersAsOne runs every keyed operator over
-// Int 5 and Float 5.0, which are Equal.
+// pairs of numbers: Int 5 and Float 5.0, and Int 2^53 and Float 2^53, are
+// Equal and keyed as one; Ints beyond a float64's precision, and MaxInt64
+// and the Float 2^63 it rounds to, round to one float64 but are two values
+// and keyed apart.
 func TestKeyedOperatorsTreatEqualNumbersAsOne(t *testing.T) {
 	x := []string{"$x"}
-	i5, f5 := tab.Row{tab.AtomCell(data.Int(5))}, tab.Row{tab.AtomCell(data.Float(5))}
-	if got := (&Distinct{}).Apply(tabOf(x, i5, f5), map[string]bool{}).Len(); got != 1 {
-		t.Errorf("Distinct kept %d rows, want 1", got)
-	}
-	if in, err := (&Intersect{}).Apply(tabOf(x, i5), tabOf(x, f5)); err != nil || in.Len() != 1 {
-		t.Errorf("Intersect = %v, %v; want one row", in, err)
-	}
-	if got := mustEval(t, &TreeOp{From: &Literal{tabOf(x, i5, f5)}, C: MustParseCons(`v: $x`)}, NewContext()).Len(); got != 1 {
-		t.Errorf("Tree built %d trees, want 1", got)
-	}
-	sk := NewSkolems()
-	if sk.ID("f", i5) != sk.ID("f", f5) {
-		t.Error("Skolems.ID minted two identifiers for one value")
-	}
-	if ParamsKey(x, map[string]tab.Cell{"$x": i5[0]}) != ParamsKey(x, map[string]tab.Cell{"$x": f5[0]}) {
-		t.Error("ParamsKey keyed one value twice")
+	for _, c := range []struct {
+		a, b data.Atom
+		one  bool
+	}{
+		{data.Int(5), data.Float(5), true},
+		{data.Int(1 << 53), data.Float(1 << 53), true},
+		{data.Int(1 << 53), data.Int(1<<53 + 1), false},
+		{data.Int(math.MaxInt64), data.Int(math.MaxInt64 - 1), false},
+		{data.Int(math.MaxInt64), data.Float(0x1p63), false},
+	} {
+		ra, rb := tab.Row{tab.AtomCell(c.a)}, tab.Row{tab.AtomCell(c.b)}
+		rows := 2
+		if c.one {
+			rows = 1
+		}
+		if got := (&Distinct{}).Apply(tabOf(x, ra, rb), map[string]bool{}).Len(); got != rows {
+			t.Errorf("%v, %v: Distinct kept %d rows, want %d", ra, rb, got, rows)
+		}
+		if in, err := (&Intersect{}).Apply(tabOf(x, ra), tabOf(x, rb)); err != nil || in.Len() != 2-rows {
+			t.Errorf("%v, %v: Intersect = %v, %v; want %d rows", ra, rb, in, err, 2-rows)
+		}
+		if got := mustEval(t, &TreeOp{From: &Literal{tabOf(x, ra, rb)}, C: MustParseCons(`v: $x`)}, NewContext()).Len(); got != rows {
+			t.Errorf("%v, %v: Tree built %d trees, want %d", ra, rb, got, rows)
+		}
+		sk := NewSkolems()
+		if (sk.ID("f", ra) == sk.ID("f", rb)) != c.one {
+			t.Errorf("%v, %v: Skolems.ID shared = %v, want %v", ra, rb, !c.one, c.one)
+		}
+		if (ParamsKey(x, map[string]tab.Cell{"$x": ra[0]}) == ParamsKey(x, map[string]tab.Cell{"$x": rb[0]})) != c.one {
+			t.Errorf("%v, %v: ParamsKey shared = %v, want %v", ra, rb, !c.one, c.one)
+		}
 	}
 }
 
-// TestDJoinPushesEqualNumbersOnce runs a batched DJoin over the outer
-// bindings Int 5 and Float 5.0: one binding set is pushed, and each outer
-// row joins its answer.
+// TestDJoinPushesEqualNumbersOnce runs a batched DJoin over two outer
+// bindings of $n, with an inner plan that keeps the $v equal to $n. Int 5 and
+// Float 5.0 are one binding set, pushed once, whose answer each outer row
+// joins; Ints that round to one float64 are two sets, each row with its own
+// answer.
 func TestDJoinPushesEqualNumbersOnce(t *testing.T) {
-	inner := tab.New("$v")
-	for v := int64(4); v <= 6; v++ {
-		inner.Add(tab.AtomCell(data.Int(v)))
-	}
-	j := &DJoin{
-		L: &Literal{tabOf([]string{"$n"}, tab.Row{tab.AtomCell(data.Int(5))}, tab.Row{tab.AtomCell(data.Float(5))})},
-		R: &SourceQuery{Source: "w", Plan: &Select{From: &Literal{T: inner}, Pred: MustParseExpr(`$v <= $n`)}},
-	}
-	src := &evalBatchSource{fakeSource: fakeSource{name: "w"}}
-	ctx := NewContext()
-	ctx.Sources["w"] = src
-	got := mustEval(t, j, ctx)
-	if src.seen != 1 {
-		t.Errorf("pushed %d binding sets, want 1", src.seen)
-	}
-	if got.Len() != 4 {
-		t.Errorf("rows = %d, want 4 (two outer rows, each with $v 4 and 5):\n%s", got.Len(), got)
+	for _, c := range []struct {
+		a, b   data.Atom
+		pushes int
+	}{
+		{data.Int(5), data.Float(5), 1},
+		{data.Int(1 << 53), data.Int(1<<53 + 1), 2},
+		{data.Int(math.MaxInt64), data.Float(0x1p63), 2},
+	} {
+		inner := tab.New("$v")
+		for _, v := range []data.Atom{c.a, c.b, data.Int(4)} {
+			inner.Add(tab.AtomCell(v))
+		}
+		j := &DJoin{
+			L: &Literal{tabOf([]string{"$n"}, tab.Row{tab.AtomCell(c.a)}, tab.Row{tab.AtomCell(c.b)})},
+			R: &SourceQuery{Source: "w", Plan: &Select{From: &Literal{T: inner}, Pred: MustParseExpr(`$v = $n`)}},
+		}
+		src := &evalBatchSource{fakeSource: fakeSource{name: "w"}}
+		ctx := NewContext()
+		ctx.Sources["w"] = src
+		got := mustEval(t, j, ctx)
+		if src.seen != c.pushes {
+			t.Errorf("%v, %v: pushed %d binding sets, want %d", c.a, c.b, src.seen, c.pushes)
+		}
+		if want := 2 * (3 - c.pushes); got.Len() != want {
+			t.Errorf("%v, %v: rows = %d, want %d:\n%s", c.a, c.b, got.Len(), want, got)
+		}
+		for _, r := range got.Rows {
+			if n, v := r[got.ColIndex("$n")], r[got.ColIndex("$v")]; !n.Equal(v) {
+				t.Errorf("%v, %v: outer row $n = %v joined $v = %v", c.a, c.b, n, v)
+			}
+		}
 	}
 }

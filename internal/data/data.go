@@ -11,6 +11,7 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -94,12 +95,15 @@ func (a Atom) Text() string {
 	}
 }
 
-// Equal reports atom equality. Ints and Floats compare numerically so that
+// Equal reports atom equality. Ints and Floats compare by value so that
 // sources with different numeric affinities (O₂ Float prices vs integer
-// literals in queries) can be joined.
+// literals in queries) can be joined; the comparison is exact, so an Int
+// meets a Float only where the Float holds that very integer.
 func (a Atom) Equal(b Atom) bool {
 	if a.IsNumeric() && b.IsNumeric() {
-		return a.AsFloat() == b.AsFloat()
+		x, xf := a.NumberBits()
+		y, yf := b.NumberBits()
+		return x == y && xf == yf && a.F == a.F // a NaN equals nothing
 	}
 	if a.Kind != b.Kind {
 		return false
@@ -112,26 +116,48 @@ func (a Atom) Equal(b Atom) bool {
 	}
 }
 
+// NumberBits returns the bits an Int or Float is hashed and keyed under, so
+// that numbers that are Equal, and only those, share them: a Float, or an
+// Int that a float64 holds exactly (every Int within ±2^53), gives the
+// float64 bits of its value with -0 as 0, and asFloat true; any other Int
+// gives its own bits and asFloat false.
+func (a Atom) NumberBits() (bits uint64, asFloat bool) {
+	f := a.F
+	if a.Kind == KindInt {
+		if f = float64(a.I); f >= 0x1p63 || int64(f) != a.I {
+			return uint64(a.I), false
+		}
+	}
+	if f == 0 {
+		f = 0 // -0 as 0
+	}
+	return math.Float64bits(f), true
+}
+
 // Compare orders atoms: numerics numerically, strings lexicographically,
 // bools false<true; across kinds the order is Kind-based. It returns
 // -1, 0 or +1.
 func (a Atom) Compare(b Atom) int {
 	if a.IsNumeric() && b.IsNumeric() {
+		if a.Kind == KindInt && b.Kind == KindInt {
+			return cmp.Compare(a.I, b.I)
+		}
 		x, y := a.AsFloat(), b.AsFloat()
 		switch {
 		case x < y:
 			return -1
 		case x > y:
 			return 1
+		case a.Kind == KindInt && x == y:
+			return compareIntFloat(a.I, y)
+		case b.Kind == KindInt && x == y:
+			return -compareIntFloat(b.I, x)
 		default:
-			return 0
+			return 0 // equal Floats, or a NaN
 		}
 	}
 	if a.Kind != b.Kind {
-		if a.Kind < b.Kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.Kind, b.Kind)
 	}
 	switch a.Kind {
 	case KindBool:
@@ -146,6 +172,15 @@ func (a Atom) Compare(b Atom) int {
 	default:
 		return strings.Compare(a.S, b.S)
 	}
+}
+
+// compareIntFloat orders i against f where float64(i) == f: the Int may lie
+// beyond what a float64 holds and so differ from the Float it rounds to.
+func compareIntFloat(i int64, f float64) int {
+	if f >= 0x1p63 {
+		return -1
+	}
+	return cmp.Compare(i, int64(f))
 }
 
 // Node is a YAT tree node. Exactly one of the following holds:
@@ -557,13 +592,15 @@ func (h *fnv1a) node(n *Node) {
 	if a := n.Atom; a != nil {
 		switch a.Kind {
 		case KindInt, KindFloat:
-			// By value, as Atom.Equal compares: Int 5 as Float 5.0, -0 as 0.
-			h.byte(byte(KindInt) + 2)
-			f := a.AsFloat()
-			if f == 0 {
-				f = 0
+			// By value, as Atom.Equal compares: Int 5 as Float 5.0, -0 as
+			// 0; an Int no float64 holds under a tag of its own.
+			bits, asFloat := a.NumberBits()
+			if asFloat {
+				h.byte(byte(KindInt) + 2)
+			} else {
+				h.byte(byte(KindFloat) + 2)
 			}
-			h.uint64(math.Float64bits(f))
+			h.uint64(bits)
 		case KindBool:
 			h.byte(byte(KindBool) + 2)
 			if a.B {

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,40 @@ func TestAtomCompare(t *testing.T) {
 	// Cross-kind ordering is stable and antisymmetric.
 	if Bool(true).Compare(String("x")) == String("x").Compare(Bool(true)) {
 		t.Error("cross-kind comparison must be antisymmetric")
+	}
+}
+
+// TestNumbersCompareExactly holds Equal, Compare and Hash to the exact value
+// of a number, as math/big compares it: Ints beyond a float64's precision,
+// and the Float 2^63 that MaxInt64 rounds to, are not the value they round
+// to.
+func TestNumbersCompareExactly(t *testing.T) {
+	const big53 = 1 << 53
+	nums := []Atom{
+		Int(math.MinInt64), Float(-0x1p63), Float(-1e300), Float(-big53 - 2), Int(-big53 - 1), Int(-big53), Float(-big53),
+		Int(-1), Float(math.Copysign(0, -1)), Int(0), Float(0), Float(0.5), Int(5), Float(5),
+		Float(big53), Int(big53), Int(big53 + 1), Float(big53 + 2), Int(big53 + 2),
+		Int(math.MaxInt64 - 1), Int(math.MaxInt64), Float(0x1p63), Float(1e300),
+	}
+	exact := func(a Atom) *big.Float {
+		if a.Kind == KindInt {
+			return new(big.Float).SetInt64(a.I)
+		}
+		return big.NewFloat(a.F)
+	}
+	for _, a := range nums {
+		for _, b := range nums {
+			want := exact(a).Cmp(exact(b))
+			if c := a.Compare(b); c != want {
+				t.Errorf("%s %v Compare %s %v = %d, want %d", a.Kind, a.Text(), b.Kind, b.Text(), c, want)
+			}
+			if a.Equal(b) != (want == 0) {
+				t.Errorf("%s %v Equal %s %v = %v", a.Kind, a.Text(), b.Kind, b.Text(), a.Equal(b))
+			}
+			if (Hash(Leaf("p", a)) == Hash(Leaf("p", b))) != (want == 0) {
+				t.Errorf("%s %v and %s %v: Hash shared = %v", a.Kind, a.Text(), b.Kind, b.Text(), want != 0)
+			}
+		}
 	}
 }
 

@@ -69,3 +69,35 @@ func TestKeyedOpsTreatEqualCellsAsOne(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedOpsKeepDistinctNumbersApart runs every keyed Tab operation over
+// two numbers that round to one float64 but are not one value: Ints beyond a
+// float64's precision, and MaxInt64 and the Float 2^63 it rounds to.
+func TestKeyedOpsKeepDistinctNumbersApart(t *testing.T) {
+	for _, c := range [][2]Cell{
+		{AtomCell(data.Int(1 << 53)), AtomCell(data.Int(1<<53 + 1))},
+		{AtomCell(data.Int(math.MaxInt64)), AtomCell(data.Int(math.MaxInt64 - 1))},
+		{AtomCell(data.Int(math.MaxInt64)), AtomCell(data.Float(0x1p63))},
+		{AtomCell(data.Int(1<<53 + 1)), TreeCell(data.FloatLeaf("price", 1<<53))},
+		{TreeCell(data.Elem("w", data.IntLeaf("y", 1<<53))), TreeCell(data.Elem("w", data.IntLeaf("y", 1<<53+1)))},
+	} {
+		if c[0].Equal(c[1]) {
+			t.Fatalf("%v and %v must not be Equal", c[0], c[1])
+		}
+		both := New("$x")
+		both.Add(c[0])
+		both.Add(c[1])
+		if got := both.Distinct().Len(); got != 2 {
+			t.Errorf("%v, %v: Distinct kept %d rows, want 2", c[0], c[1], got)
+		}
+		if got := both.GroupBy("$g", "$x").Len(); got != 2 {
+			t.Errorf("%v, %v: GroupBy made %d groups, want 2", c[0], c[1], got)
+		}
+		twice := New("$x")
+		twice.Add(c[0])
+		twice.Add(c[0])
+		if both.EqualUnordered(twice) {
+			t.Errorf("%v, %v: distinct values compare equal up to order", c[0], c[1])
+		}
+	}
+}

@@ -3,6 +3,8 @@ package tab
 import (
 	"bytes"
 	"math"
+	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -10,7 +12,9 @@ import (
 
 // keyDecoder reads cells of every kind from fuzz bytes, drawing values from
 // small domains so that equal cells (Int 5 and Float 5, -0 and 0, an atom
-// and a leaf tree) come up often. Past the end of the input it reads zeros.
+// and a leaf tree) come up often, and so do numbers that round to one
+// float64 without being one value (2^53 and 2^53+1, MaxInt64 and 2^63).
+// Past the end of the input it reads zeros.
 type keyDecoder struct{ b []byte }
 
 func (d *keyDecoder) next() byte {
@@ -24,16 +28,16 @@ func (d *keyDecoder) next() byte {
 
 func (d *keyDecoder) atom() data.Atom {
 	c := d.next()
-	v := int(c / 4 % 6)
+	v := int(c / 4 % 8)
 	switch c % 4 {
 	case 0:
-		return data.Int(int64(v) - 1)
+		return data.Int([]int64{-1, 0, 1, 5, 1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64}[v])
 	case 1:
-		return data.Float([]float64{0, math.Copysign(0, -1), 1, 2.5, 5, -1}[v])
+		return data.Float([]float64{0, math.Copysign(0, -1), 1, 2.5, 5, -1, 1 << 53, 0x1p63}[v])
 	case 2:
 		return data.Bool(v%2 == 1)
 	default:
-		return data.String([]string{"", "x", "|", "\x00", "a:String:x", "x|a:String:"}[v])
+		return data.String([]string{"", "x", "|", "\x00", "a:String:x", "x|a:String:", "y", "|a:String:"}[v])
 	}
 }
 
@@ -89,18 +93,41 @@ func (d *keyDecoder) row(n, depth int) Row {
 }
 
 // twinAtom returns an atom Equal to a of the other numeric kind where one
-// exists: an Int as a Float, an integral Float as an Int, 0 as -0.
+// exists: an Int a float64 holds as a Float, 0 as -0, an integral Float
+// within int64 as an Int.
 func twinAtom(a data.Atom) data.Atom {
 	switch {
-	case a.Kind == data.KindInt:
+	case a.Kind == data.KindInt && float64(a.I) < 0x1p63 && int64(float64(a.I)) == a.I:
 		return data.Float(float64(a.I))
 	case a.Kind == data.KindFloat && a.F == 0:
 		return data.Float(-a.F)
-	case a.Kind == data.KindFloat && a.F == math.Trunc(a.F):
+	case a.Kind == data.KindFloat && a.F == math.Trunc(a.F) && a.F >= -0x1p63 && a.F < 0x1p63:
 		return data.Int(int64(a.F))
 	default:
 		return a
 	}
+}
+
+// flat reports whether every cell of r is an atom or a null.
+func flat(r Row) bool {
+	return !slices.ContainsFunc(r, func(c Cell) bool { return c.Kind != CAtom && c.Kind != CNull })
+}
+
+// sameFlat is Row.Equal over rows of atoms and nulls with numbers compared
+// exactly, by math/big: the reference such rows and their keys are held to.
+func sameFlat(r, s Row) bool {
+	exact := func(a data.Atom) *big.Float {
+		if a.Kind == data.KindInt {
+			return new(big.Float).SetInt64(a.I)
+		}
+		return big.NewFloat(a.F)
+	}
+	return slices.EqualFunc(r, s, func(c, d Cell) bool {
+		if c.Kind == CAtom && d.Kind == CAtom && c.Atom.IsNumeric() && d.Atom.IsNumeric() {
+			return exact(c.Atom).Cmp(exact(d.Atom)) == 0
+		}
+		return c.Equal(d)
+	})
 }
 
 func twinTree(n *data.Node) *data.Node {
@@ -154,13 +181,17 @@ func twinRow(r Row) Row {
 
 // FuzzRowKey holds Row.AppendKey to Row.Equal over rows of every cell kind
 // decoded from bytes: Equal rows share a key, a row and its twin in other
-// representations included, and rows that differ only in where a boundary
-// between two cells falls, string or sequence cells, never share one.
+// representations included; rows of atoms and nulls are Equal, and share a
+// key, exactly when their numbers are one value; and rows that differ only
+// in where a boundary between two cells falls, string or sequence cells,
+// never share one.
 func FuzzRowKey(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(0), uint8(1))
 	f.Add([]byte{1, 0, 1, 1}, []byte{1, 0, 1, 1}, uint8(1), uint8(3))
 	f.Add([]byte{1, 17, 2, 4, 1, 1, 3, 2, 0, 0}, []byte{2, 4, 17, 1, 17}, uint8(2), uint8(5))
 	f.Add([]byte{4, 1, 2, 1, 5, 1, 13, 3, 3, 4, 0, 4}, []byte("x|a:String:y"), uint8(1), uint8(7))
+	f.Add([]byte{0, 1, 16}, []byte{1, 20}, uint8(0), uint8(0)) // Int 2^53 and 2^53+1
+	f.Add([]byte{0, 1, 24}, []byte{1, 29}, uint8(0), uint8(0)) // Int MaxInt64 and Float 2^63
 	f.Fuzz(func(t *testing.T, a, b []byte, i, j uint8) {
 		key := func(r Row) []byte { return r.AppendKey(nil, nil) }
 		da, db := &keyDecoder{a}, &keyDecoder{b}
@@ -168,6 +199,11 @@ func FuzzRowKey(f *testing.F) {
 		r, s := da.row(n, 2), db.row(n, 2)
 		if r.Equal(s) && !bytes.Equal(key(r), key(s)) {
 			t.Fatalf("Equal rows with keys %q and %q:\n%v\n%v", key(r), key(s), r, s)
+		}
+		if flat(r) && flat(s) {
+			if same := sameFlat(r, s); r.Equal(s) != same || bytes.Equal(key(r), key(s)) != same {
+				t.Fatalf("rows of atoms, one value %v: Equal %v, keys %q and %q:\n%v\n%v", same, r.Equal(s), key(r), key(s), r, s)
+			}
 		}
 		tw := twinRow(r)
 		if !r.Equal(tw) {

@@ -8,9 +8,9 @@
 package tab
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -137,10 +137,7 @@ func (c Cell) Compare(d Cell) int {
 		return ca.Compare(da)
 	}
 	if c.Kind != d.Kind {
-		if c.Kind < d.Kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(c.Kind, d.Kind)
 	}
 	switch c.Kind {
 	case CNull:
@@ -148,23 +145,7 @@ func (c Cell) Compare(d Cell) int {
 	case CTree:
 		return data.Compare(c.Tree, d.Tree)
 	case CSeq:
-		n := len(c.Seq)
-		if len(d.Seq) < n {
-			n = len(d.Seq)
-		}
-		for i := 0; i < n; i++ {
-			if r := data.Compare(c.Seq[i], d.Seq[i]); r != 0 {
-				return r
-			}
-		}
-		switch {
-		case len(c.Seq) < len(d.Seq):
-			return -1
-		case len(c.Seq) > len(d.Seq):
-			return 1
-		default:
-			return 0
-		}
+		return slices.CompareFunc(c.Seq, d.Seq, data.Compare)
 	case CTab:
 		return strings.Compare(c.Tab.String(), d.Tab.String())
 	default:
@@ -271,10 +252,13 @@ func (r Row) Equal(s Row) bool { return slices.EqualFunc(r, s, Cell.Equal) }
 // hash key of the program's keyed maps (dedup, joins, grouping, Skolem
 // identifiers, binding sets, the result cache), which look up with
 // m[string(key)] so that a probe allocates nothing. Rows whose cells are
-// Equal share a key: a number keys by its value, Int 5 as Float 5.0 and -0
-// as 0, and a leaf tree as its atom. Each cell's key delimits itself, so
-// rows that differ only in where a boundary between cells falls never share
-// one. Trees key by data.Hash, so distinct trees may collide, at 2^-64.
+// Equal share a key: a number keys by its exact value, Int 5 as Float 5.0
+// and -0 as 0, and a leaf tree as its atom. A shared key does not imply
+// Equal: leaf trees with different labels key alike (Cell.Equal is not
+// transitive, an atom equals a leaf of any label, so no key can hold both
+// directions), a NaN keys by its bits, and distinct trees, which key by
+// data.Hash, may collide at 2^-64. Each cell's key delimits itself, so rows
+// that differ only in where a boundary between cells falls never share one.
 func (r Row) AppendKey(dst []byte, idx []int) []byte {
 	if idx == nil {
 		for _, c := range r {
@@ -296,7 +280,8 @@ func (r Row) AppendKey(dst []byte, idx []int) []byte {
 const (
 	keyAbsent = iota
 	keyNull
-	keyNumber // the float64 bits of the value, big-endian
+	keyNumber // data.Atom.NumberBits of a Float or of an Int a float64 holds, big-endian
+	keyInt    // data.Atom.NumberBits of any other Int, big-endian
 	keyFalse
 	keyTrue
 	keyString // the length as a uvarint, then the bytes
@@ -310,11 +295,11 @@ func (c Cell) appendKey(dst []byte) []byte {
 	if a, ok := c.AsAtom(); ok {
 		switch a.Kind {
 		case data.KindInt, data.KindFloat:
-			f := a.AsFloat()
-			if f == 0 {
-				f = 0 // -0 keys as 0
+			bits, asFloat := a.NumberBits()
+			if asFloat {
+				return binary.BigEndian.AppendUint64(append(dst, keyNumber), bits)
 			}
-			return binary.BigEndian.AppendUint64(append(dst, keyNumber), math.Float64bits(f))
+			return binary.BigEndian.AppendUint64(append(dst, keyInt), bits)
 		case data.KindBool:
 			if a.B {
 				return append(dst, keyTrue)
@@ -495,14 +480,7 @@ func (t *Tab) SortBy(cols ...string) {
 // to canonicalise before comparisons.
 func (t *Tab) Sorted() *Tab {
 	out := &Tab{Cols: slices.Clone(t.Cols), Rows: slices.Clone(t.Rows)}
-	slices.SortStableFunc(out.Rows, func(a, b Row) int {
-		for i := range min(len(a), len(b)) {
-			if c := a[i].Compare(b[i]); c != 0 {
-				return c
-			}
-		}
-		return len(a) - len(b)
-	})
+	slices.SortStableFunc(out.Rows, func(a, b Row) int { return slices.CompareFunc(a, b, Cell.Compare) })
 	return out
 }
 
